@@ -10,23 +10,13 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
-	"rain/internal/dstore"
 	"rain/internal/ecc"
-	"rain/internal/gateway"
 	"rain/internal/linkstate"
 	"rain/internal/membership"
-	"rain/internal/mpi"
-	"rain/internal/rainwall"
-	"rain/internal/rt"
-	"rain/internal/rudp"
 	"rain/internal/sim"
-	"rain/internal/snow"
-	"rain/internal/storage"
 	"rain/internal/topology"
 )
 
@@ -537,384 +527,5 @@ func BenchmarkMembershipTokenRound(b *testing.B) {
 				b.Fatal("simulation drained")
 			}
 		}
-	}
-}
-
-// --- E16: §4.2 ---
-
-// BenchmarkStoreRetrieve measures distributed store+retrieve of 1 MiB
-// objects over the (6,4) B-Code.
-func BenchmarkStoreRetrieve(b *testing.B) {
-	code, err := ecc.NewBCode(6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	servers := make([]*storage.Server, 6)
-	for i := range servers {
-		servers[i] = storage.NewServer(fmt.Sprintf("s%d", i), i)
-	}
-	st, err := storage.New(code, servers, storage.LeastLoaded, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]byte, 1<<20)
-	rand.New(rand.NewSource(4)).Read(data)
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		id := fmt.Sprintf("obj%d", i%8)
-		if _, err := st.Put(id, data); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := st.Get(id); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDStorePutGet measures the networked distributed store: one op is
-// a 256 KiB object encoded rs(6,4), fanned out to six storage daemons over
-// the simulated two-path RUDP mesh, and read back through a quorum of
-// daemons (shard traffic crosses the network both ways).
-func BenchmarkDStorePutGet(b *testing.B) {
-	code, err := ecc.NewReedSolomon(6, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := sim.New(16)
-	net := sim.NewNetwork(s)
-	nodes := []string{"a", "b", "c", "d", "e", "f"}
-	sim.ApplyProfile(net, nodes, 2, sim.ProfileLAN)
-	mesh, err := rudp.NewMesh(s, net, nodes, rudp.Config{Paths: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, n := range nodes {
-		dstore.NewDaemon(mesh, n, i, storage.NewBackend(), 0)
-	}
-	cl, err := dstore.NewClient(s, mesh, "a", dstore.Config{Code: code, Peers: nodes})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.RunFor(100 * time.Millisecond)
-	data := make([]byte, 256<<10)
-	rand.New(rand.NewSource(24)).Read(data)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := fmt.Sprintf("obj%d", i%8)
-		if _, err := cl.Put(id, data); err != nil {
-			b.Fatal(err)
-		}
-		got, err := cl.Get(id)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			b.Fatal("roundtrip corrupted")
-		}
-	}
-}
-
-// BenchmarkGatewayPutGet measures the cluster's HTTP surface end to end:
-// one op PUTs a 1 MiB object through the gateway (body streamed into the
-// erasure-coded put feed, sha256 recorded as the ETag) and GETs it back,
-// with a six-daemon simulated cluster behind the gateway's event loop. The
-// HTTP server, loop bridging, admission control and meta round trips are
-// all on the measured path — the overhead this number carries over
-// BenchmarkDStorePutGet is the price of the gateway.
-func BenchmarkGatewayPutGet(b *testing.B) {
-	code, err := ecc.NewReedSolomon(6, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	loop := rt.New(9)
-	loop.Start()
-	defer loop.Stop()
-	var cl *dstore.Client
-	var buildErr error
-	loop.Call(func() {
-		s := loop.Scheduler()
-		net := sim.NewNetwork(s)
-		nodes := []string{"a", "b", "c", "d", "e", "f"}
-		sim.ApplyProfile(net, nodes, 2, sim.ProfileLAN)
-		mesh, err := rudp.NewMesh(s, net, nodes, rudp.Config{Paths: 2})
-		if err != nil {
-			buildErr = err
-			return
-		}
-		for i, n := range nodes {
-			dstore.NewDaemon(mesh, n, i, storage.NewBackend(), 0)
-		}
-		cl, buildErr = dstore.NewClient(s, mesh, "a", dstore.Config{Code: code, Peers: nodes})
-	})
-	if buildErr != nil {
-		b.Fatal(buildErr)
-	}
-	srv := httptest.NewServer(gateway.New(loop.Call, cl, gateway.Config{}))
-	defer srv.Close()
-	time.Sleep(100 * time.Millisecond) // let the path monitors settle
-
-	data := make([]byte, 1<<20)
-	rand.New(rand.NewSource(33)).Read(data)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		url := srv.URL + fmt.Sprintf("/o/obj%d", i%8)
-		req, err := http.NewRequest(http.MethodPut, url, bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("put: %s", resp.Status)
-		}
-		resp, err = http.Get(url)
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil || resp.StatusCode != http.StatusOK {
-			b.Fatalf("get: %s %v", resp.Status, rerr)
-		}
-		if !bytes.Equal(got, data) {
-			b.Fatal("roundtrip corrupted")
-		}
-	}
-}
-
-// BenchmarkWireRoundTrip measures the pooled header pipeline of one 32 KiB
-// data chunk in isolation — the per-datagram cost under BenchmarkDStorePutGet
-// with the simulator factored out. One op marshals a chunk message straight
-// into a pooled frame, pushes the service and RUDP wire headers into its
-// headroom, then parses the datagram back through all three layers with the
-// payload aliased end to end. The payload is copied exactly once (caller
-// bytes into the frame); allocs/op is pinned by TestWireRoundTripAllocs.
-func BenchmarkWireRoundTrip(b *testing.B) {
-	payload := make([]byte, 32<<10)
-	rand.New(rand.NewSource(6)).Read(payload)
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, data := dstore.NewMsgFrame(dstore.Msg{
-			Kind: dstore.KindPutChunk, Req: uint64(i), ID: "obj0",
-			Off: int64(i) * int64(len(payload)), ShardLen: 1 << 20,
-			DataLen: 4 << 20, BlockLen: 64 << 10, Win: 4,
-		}, len(payload))
-		copy(data, payload)
-		rudp.PushService(f, dstore.ServiceDaemon)
-		rudp.Wire{Kind: rudp.KindData, Seq: uint64(i + 1), Payload: f.Datagram()}.PushHeader(f)
-
-		w, err := rudp.UnmarshalWire(f.Datagram())
-		if err != nil {
-			b.Fatal(err)
-		}
-		service, framed, ok := rudp.SplitService(w.Payload)
-		if !ok || service != dstore.ServiceDaemon {
-			b.Fatal("bad service frame")
-		}
-		m, err := dstore.Unmarshal(framed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(m.Data) != len(payload) {
-			b.Fatal("payload truncated")
-		}
-		f.Release()
-	}
-}
-
-// BenchmarkConcurrentRebuild measures whole-node rebuild on an 8-node
-// simulated cluster holding 32 placement-mapped rs(6,4) objects: the
-// "sequential" mode (rebuild budget 1, one object in flight — the seed
-// behaviour) against the "concurrent" pipeline (default budget, several
-// objects in flight under block × n memory each, survivor k-subsets chosen
-// to spread read load). The sim-ms/op metric is the cluster (virtual) time
-// one full node rebuild takes — the availability window after a hot swap —
-// and is the headline ISSUE 4 before/after number.
-func BenchmarkConcurrentRebuild(b *testing.B) {
-	const (
-		nodesN      = 8
-		objectCount = 32
-		objectSize  = 256 << 10
-		blockSize   = 32 << 10
-	)
-	code, err := ecc.NewReedSolomon(6, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name   string
-		budget int64
-	}{
-		{"sequential", 1},
-		{"concurrent", 0}, // default budget
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			s := sim.New(33)
-			net := sim.NewNetwork(s)
-			nodes := make([]string, nodesN)
-			for i := range nodes {
-				nodes[i] = fmt.Sprintf("n%d", i)
-			}
-			sim.ApplyProfile(net, nodes, 2, sim.LinkConfig{Delay: 2 * time.Millisecond, Jitter: 200 * time.Microsecond})
-			mesh, err := rudp.NewMesh(s, net, nodes, rudp.Config{Paths: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			backends := make(map[string]*storage.Backend, nodesN)
-			for i, n := range nodes {
-				backends[n] = storage.NewBackend()
-				dstore.NewDaemon(mesh, n, i, backends[n], 0)
-			}
-			cl, err := dstore.NewClient(s, mesh, nodes[0], dstore.Config{
-				Code: code, Nodes: nodes, BlockSize: blockSize, RebuildBudget: mode.budget,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s.RunFor(100 * time.Millisecond)
-			data := make([]byte, objectSize)
-			rand.New(rand.NewSource(34)).Read(data)
-			for i := 0; i < objectCount; i++ {
-				if _, err := cl.PutStream(fmt.Sprintf("obj%02d", i), bytes.NewReader(data), objectSize); err != nil {
-					b.Fatal(err)
-				}
-			}
-			target := nodes[3]
-			held := backends[target].Objects()
-			shardBytes := int64(held) * ecc.StreamShardLen(code, objectSize, blockSize)
-			b.SetBytes(shardBytes)
-			b.ResetTimer()
-			var simTime time.Duration
-			for i := 0; i < b.N; i++ {
-				backends[target].Wipe()
-				start := s.Now()
-				rebuilt, err := cl.Rebuild(target)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rebuilt != held {
-					b.Fatalf("rebuilt %d objects, want %d", rebuilt, held)
-				}
-				simTime += time.Duration(s.Now() - start)
-			}
-			b.ReportMetric(float64(simTime.Milliseconds())/float64(b.N), "sim-ms/op")
-		})
-	}
-}
-
-// --- E18: §5.2 ---
-
-// BenchmarkSnowRequests measures end-to-end request service rate of a
-// 4-node SNOW cluster in simulated time (requests per benchmark op; one op
-// = 40 requests served exactly once).
-func BenchmarkSnowRequests(b *testing.B) {
-	s := sim.New(12)
-	net := sim.NewNetwork(s)
-	names := []string{"A", "B", "C", "D"}
-	c := snow.New(s, net, names, snow.Config{MaxPerHold: 8})
-	s.RunFor(500 * time.Millisecond)
-	served := 0
-	c.OnReply(func(server, reqID string) { served++ })
-	next := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 40; j++ {
-			c.Submit(names[j%4], fmt.Sprintf("r%d", next))
-			next++
-		}
-		for served < next {
-			if !s.Step() {
-				b.Fatal("simulation drained")
-			}
-		}
-	}
-}
-
-// --- E20: §6.3 ---
-
-// BenchmarkRainwallCluster measures the simulated 4-gateway cluster
-// processing its offered load (one op = one second of cluster traffic).
-func BenchmarkRainwallCluster(b *testing.B) {
-	s := sim.New(13)
-	net := sim.NewNetwork(s)
-	names := []string{"gw1", "gw2", "gw3", "gw4"}
-	vips := make([]rainwall.VIP, 8)
-	loads := []float64{100, 70, 50, 30, 20, 15, 10, 5}
-	for i := range vips {
-		vips[i] = rainwall.VIP{Name: fmt.Sprintf("vip%d", i)}
-	}
-	c := rainwall.New(s, net, names, vips, rainwall.Config{})
-	for i, l := range loads {
-		c.SetVIPLoad(fmt.Sprintf("vip%d", i), l)
-	}
-	s.RunFor(3 * time.Second)
-	c.StartTraffic()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.RunFor(time.Second)
-	}
-	if c.ThroughputMbps() < 100 {
-		b.Fatalf("cluster throughput collapsed: %.1f", c.ThroughputMbps())
-	}
-}
-
-// --- E22: §2.5 ---
-
-// BenchmarkRUDPMeshThroughput measures reliable datagram delivery through
-// the simulated two-path mesh (one op = one delivered datagram).
-func BenchmarkRUDPMeshThroughput(b *testing.B) {
-	s := sim.New(14)
-	net := sim.NewNetwork(s)
-	nodes := []string{"a", "b"}
-	mesh, err := rudp.NewMesh(s, net, nodes, rudp.Config{Paths: 2, Window: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	delivered := 0
-	mesh.OnMessage("b", func(string, []byte) { delivered++ })
-	payload := make([]byte, 1024)
-	b.SetBytes(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mesh.Send("a", "b", payload)
-		for delivered <= i {
-			if !s.Step() {
-				b.Fatal("simulation drained")
-			}
-		}
-	}
-}
-
-// BenchmarkMPIAllReduce measures a 4-rank allreduce over the mesh (one op =
-// one collective).
-func BenchmarkMPIAllReduce(b *testing.B) {
-	s := sim.New(15)
-	net := sim.NewNetwork(s)
-	nodes := []string{"r0", "r1", "r2", "r3"}
-	mesh, err := rudp.NewMesh(s, net, nodes, rudp.Config{Paths: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt := mpi.NewRuntime(mesh)
-	b.ResetTimer()
-	err = rt.Run(4, time.Hour, func(c *mpi.Comm) {
-		for i := 0; i < b.N; i++ {
-			want := float64(0+1+2+3) + 4*float64(i)
-			got := c.AllReduce(mpi.Sum, float64(c.Rank())+float64(i))
-			if got != want {
-				panic(fmt.Sprintf("allreduce %v want %v", got, want))
-			}
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
 	}
 }

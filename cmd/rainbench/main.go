@@ -7,12 +7,6 @@
 //	rainbench            # run every experiment
 //	rainbench -list      # list experiment keys
 //	rainbench -exp KEY   # run one experiment (e.g. -exp rainwall)
-//
-// It is also the CI benchmark-regression gate over `go test -bench` output:
-//
-//	go test -run '^$' -bench 'RS|StreamDecode|DStore|Array' -benchtime 3x -count 3 . > bench.txt
-//	rainbench -record -baseline BENCH_baseline.json -input bench.txt   # refresh the committed baseline
-//	rainbench -check  -baseline BENCH_baseline.json -input bench.txt   # fail on >25% geomean regression
 package main
 
 import (
@@ -26,28 +20,8 @@ import (
 func main() {
 	exp := flag.String("exp", "", "experiment key to run (default: all)")
 	list := flag.Bool("list", false, "list experiment keys and exit")
-	check := flag.Bool("check", false, "compare -input bench output against -baseline and fail on regression")
-	record := flag.Bool("record", false, "write -baseline from -input bench output")
-	baseline := flag.String("baseline", "BENCH_baseline.json", "baseline file for -check / -record")
-	input := flag.String("input", "-", "`go test -bench` output file for -check / -record (- = stdin)")
-	threshold := flag.Float64("threshold", 0.75, "minimum geomean throughput ratio for -check")
-	note := flag.String("note", "", "note stored in the baseline by -record")
 	flag.Parse()
 
-	if *record {
-		if err := runRecord(*baseline, *input, *note); err != nil {
-			fmt.Fprintln(os.Stderr, "record:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *check {
-		if err := runCheck(*baseline, *input, *threshold); err != nil {
-			fmt.Fprintln(os.Stderr, "check:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *list {
 		for _, e := range bench.All() {
 			fmt.Printf("%-18s %-8s %s\n", e.Key, e.ID, e.Paper)

@@ -1,4 +1,4 @@
-// The gateway client subcommands: put/get/bench speak plain HTTP to any
+// The gateway client subcommands: put/get speak plain HTTP to any
 // node's object gateway, so they double as living documentation of the wire
 // surface — everything they do can be done with curl.
 package main
@@ -128,64 +128,6 @@ func runGetCmd(args []string) {
 	took := time.Since(start)
 	fmt.Fprintf(os.Stderr, "fetched %s: %d bytes in %v (%.1f MB/s)\n",
 		*key, n, took.Round(time.Millisecond), mbps(n, took))
-}
-
-// runBenchCmd measures gateway PUT/GET throughput: n round trips of one
-// object, each PUT followed by a full GET that is checked bit-exact.
-func runBenchCmd(args []string) {
-	fs := flag.NewFlagSet("rainnode bench", flag.ExitOnError)
-	gw := fs.String("gw", "http://127.0.0.1:8080", "gateway base URL")
-	key := fs.String("key", "bench", "object key to churn")
-	size := fs.Int64("size", 1<<20, "object size in bytes")
-	n := fs.Int("n", 32, "round trips")
-	fs.Parse(args)
-
-	data := make([]byte, *size)
-	for i := range data {
-		data[i] = byte(i * 31)
-	}
-	var putNS, getNS int64
-	for i := 0; i < *n; i++ {
-		req, err := http.NewRequest(http.MethodPut, objURL(*gw, *key), bytes.NewReader(data))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rainnode bench:", err)
-			os.Exit(1)
-		}
-		start := time.Now()
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rainnode bench: put:", err)
-			os.Exit(1)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			fmt.Fprintln(os.Stderr, "rainnode bench: put:", resp.Status)
-			os.Exit(1)
-		}
-		putNS += time.Since(start).Nanoseconds()
-
-		start = time.Now()
-		resp, err = http.Get(objURL(*gw, *key))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rainnode bench: get:", err)
-			os.Exit(1)
-		}
-		got, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil || resp.StatusCode != http.StatusOK {
-			fmt.Fprintf(os.Stderr, "rainnode bench: get: %s %v\n", resp.Status, rerr)
-			os.Exit(1)
-		}
-		if !bytes.Equal(got, data) {
-			fmt.Fprintln(os.Stderr, "rainnode bench: round trip corrupted")
-			os.Exit(1)
-		}
-		getNS += time.Since(start).Nanoseconds()
-	}
-	total := int64(*n) * *size
-	fmt.Printf("%d x %d bytes: put %.1f MB/s, get %.1f MB/s\n",
-		*n, *size, mbps(total, time.Duration(putNS)), mbps(total, time.Duration(getNS)))
 }
 
 func objURL(gw, key string) string {

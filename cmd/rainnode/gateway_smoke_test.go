@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -52,24 +53,40 @@ func TestGatewayClusterSmoke(t *testing.T) {
 	}
 	book := strings.Join(bookEnts, ",")
 
-	start := func(n string) *exec.Cmd {
-		cmd := exec.Command(bin, "serve",
+	// start launches node n; ready closes when the process prints its
+	// "cluster ready" line (its membership view spans the code width).
+	start := func(n string) (cmd *exec.Cmd, ready chan struct{}) {
+		cmd = exec.Command(bin, "serve",
 			"-name", n,
 			"-ring", strings.Join(names, ","),
 			"-local", strings.Join(udp[n], ","),
 			"-peers", book,
 			"-dir", dir[n],
 			"-http", httpAddr[n])
-		cmd.Stdout = os.Stderr
+		out, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
-		return cmd
+		ready = make(chan struct{})
+		go func(ready chan struct{}) {
+			sc := bufio.NewScanner(out)
+			for sc.Scan() {
+				fmt.Fprintln(os.Stderr, sc.Text())
+				if ready != nil && strings.HasPrefix(sc.Text(), "cluster ready: view") {
+					close(ready)
+					ready = nil
+				}
+			}
+		}(ready)
+		return cmd, ready
 	}
 	procs := map[string]*exec.Cmd{}
 	for _, n := range names {
-		procs[n] = start(n)
+		procs[n], _ = start(n)
 	}
 	defer func() {
 		for _, cmd := range procs {
@@ -234,8 +251,17 @@ func TestGatewayClusterSmoke(t *testing.T) {
 	procs["c"].Wait()
 	t.Log("killed c under load")
 	time.Sleep(4 * time.Second)
-	procs["c"] = start("c")
+	var cReady chan struct{}
+	procs["c"], cReady = start("c")
 	t.Log("restarted c")
+	// A restarted process must be readmitted promptly: its peers still
+	// remember its previous life's control messages, and must not mistake
+	// the new life's for duplicates.
+	select {
+	case <-cReady:
+	case <-time.After(5 * time.Second):
+		t.Error("restarted c did not print \"cluster ready: view\" within 5s")
+	}
 	// c has rejoined when its own gateway serves the object bit-exact: its
 	// membership view readmitted the holders and its client reads a quorum.
 	rejoinBy := time.Now().Add(30 * time.Second)

@@ -6,8 +6,7 @@
 //	                 HTTP object gateway, all from a single config
 //	rainnode put     store stdin or a file through a gateway
 //	rainnode get     fetch an object (optionally a byte range) from a gateway
-//	rainnode elect   the two-node leader-election demo over a UDP channel
-//	rainnode bench   measure gateway PUT/GET throughput
+//	rainnode scrub   verify a node's shard files offline
 //
 // A three-node cluster on loopback (each node bundles two paths):
 //
@@ -19,72 +18,41 @@
 //	rainnode put -gw http://127.0.0.1:8080 -key movie -file movie.mp4
 //	rainnode get -gw http://127.0.0.1:8081 -key movie -range bytes=0-1048575
 //
-// The original flag-style invocation (no subcommand) still runs the
-// point-to-point RUDP channel tool — reliable datagrams over bundled
-// interfaces with consistent-history path monitoring (§2.5), a single
-// storage daemon, shard/object transfer, and the channel election demo:
-//
-//	rainnode -local 127.0.0.1:7000,127.0.0.1:7001 \
-//	         -remote 127.0.0.1:7100,127.0.0.1:7101
-//	rainnode -local ... -remote ... -send 100
-//	rainnode -local ... -remote ... -store -debug :6060
-//	rainnode -local ... -remote ... -putobj movie -file movie.mp4
-//	rainnode -local ... -remote ... -getobj movie > copy.mp4
-//
-// While a sender runs, drop one of the two paths with a firewall rule and
-// watch the traffic fail over; drop both and it stalls until one heals — the
-// behaviour the paper demonstrated by pulling Myrinet cables.
+// While a client runs, drop one of a node's two paths with a firewall rule
+// and watch the traffic fail over; kill a node and the survivors evict it,
+// keep serving, and readmit it when it restarts — the behaviour the paper
+// demonstrated by pulling Myrinet cables.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"strings"
-	"sync"
-	"time"
-
-	"rain/internal/dstore"
-	"rain/internal/election"
-	"rain/internal/netbuf"
-	"rain/internal/rudp"
-	"rain/internal/storage"
-	"rain/internal/telemetry"
 )
 
 func main() {
-	args := os.Args[1:]
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		cmd, rest := args[0], args[1:]
-		switch cmd {
-		case "serve":
-			runServe(rest)
-		case "put":
-			runPutCmd(rest)
-		case "get":
-			runGetCmd(rest)
-		case "elect":
-			runElectCmd(rest)
-		case "bench":
-			runBenchCmd(rest)
-		case "scrub":
-			runScrubCmd(rest)
-		case "help":
-			usage(os.Stdout)
-		default:
+	cmd, rest := "", os.Args[1:]
+	if len(rest) > 0 {
+		cmd, rest = rest[0], rest[1:]
+	}
+	switch cmd {
+	case "serve":
+		runServe(rest)
+	case "put":
+		runPutCmd(rest)
+	case "get":
+		runGetCmd(rest)
+	case "scrub":
+		runScrubCmd(rest)
+	case "help":
+		usage(os.Stdout)
+	default:
+		if cmd != "" {
 			fmt.Fprintf(os.Stderr, "rainnode: unknown command %q\n\n", cmd)
-			usage(os.Stderr)
-			os.Exit(2)
 		}
-		return
+		usage(os.Stderr)
+		os.Exit(2)
 	}
-	if len(args) > 0 {
-		fmt.Fprintln(os.Stderr,
-			"rainnode: flag-style invocation is deprecated; see `rainnode help` for the serve/put/get/elect/bench subcommands")
-	}
-	runLegacy(args)
 }
 
 func usage(w io.Writer) {
@@ -99,531 +67,10 @@ Usage:
       store stdin or a file through a gateway
   rainnode get -gw http://host:8080 -key k [-out path] [-range bytes=a-b]
       fetch an object (optionally a byte range) through a gateway
-  rainnode elect -local addr[,addr] -remote addr[,addr] -name a -peer b
-      run the two-node leader-election demo over a real UDP channel
-  rainnode bench -gw http://host:8080 [-size n] [-n iters]
-      measure gateway PUT/GET throughput
   rainnode scrub -dir path [-v]
       verify every shard file in a node's store directory against its
       checksum footer, offline; exits 1 if any shard is corrupt
   rainnode help
       print this text
-
-Running with bare flags and no subcommand is deprecated but still drives the
-original point-to-point channel tool (rainnode -h lists its flags).
 `)
-}
-
-// runLegacy is the original rainnode: a point-to-point RUDP channel with the
-// optional single-daemon store, shard/object transfer and election demo. It
-// keeps the historical flag surface so existing invocations and the smoke
-// tests stay valid.
-func runLegacy(args []string) {
-	fs := flag.NewFlagSet("rainnode", flag.ExitOnError)
-	local := fs.String("local", "", "comma-separated local addresses, one per path")
-	remote := fs.String("remote", "", "comma-separated remote addresses, one per path")
-	send := fs.Int("send", 0, "number of datagrams to send (0 = receive only)")
-	size := fs.Int("size", 1024, "payload size in bytes")
-	interval := fs.Duration("report", time.Second, "status report interval")
-	store := fs.Bool("store", false, "run a dstore storage daemon on this end")
-	shard := fs.Int("shard", 0, "shard index this daemon holds (-store)")
-	putShard := fs.String("putshard", "", "store the -file bytes as this object's shard on the remote daemon")
-	getShard := fs.String("getshard", "", "fetch this object's shard from the remote daemon")
-	putObj := fs.String("putobj", "", "stream the -file bytes to the remote daemon as a whole object (bounded memory)")
-	getObj := fs.String("getobj", "", "stream this object from the remote daemon to stdout (bounded memory)")
-	block := fs.Int("block", dstore.DefaultBlockSize, "block-codeword size recorded for -putobj")
-	file := fs.String("file", "", "input file for -putshard / -putobj")
-	out := fs.String("out", "", "output file for -getshard / -getobj (default: shard summary / stdout)")
-	debug := fs.String("debug", "", "listen address for the /debug telemetry surface (e.g. :6060)")
-	elect := fs.Bool("elect", false, "run a leader-election node over the channel, logging leader transitions")
-	name := fs.String("name", "", "this node's election identity (-elect)")
-	peer := fs.String("peer", "", "the remote end's election identity (-elect)")
-	fs.Parse(args)
-
-	if *local == "" || *remote == "" {
-		fmt.Fprintln(os.Stderr, "both -local and -remote are required")
-		os.Exit(2)
-	}
-	locals := strings.Split(*local, ",")
-	remotes := strings.Split(*remote, ",")
-
-	// The live observability surface: the process-wide registry every layer
-	// (rudp, netbuf, storage, dstore) reports into, plus the trace ring. The
-	// full dstore schema is pre-registered so /debug/metrics exports every
-	// family — zero-valued included — whatever subset this invocation runs.
-	reg := telemetry.Default()
-	dstore.RegisterMetrics(reg, "local")
-	if *debug != "" {
-		go func() {
-			srv := &http.Server{Addr: *debug, Handler: telemetry.Handler(reg, telemetry.DefaultTracer())}
-			if err := srv.ListenAndServe(); err != nil {
-				fmt.Fprintln(os.Stderr, "debug listener:", err)
-			}
-		}()
-		fmt.Println("debug surface on", *debug)
-	}
-	// SIGUSR1 dumps a registry snapshot to stderr (no-op where unsupported).
-	watchDumpSignal(reg)
-
-	ch := newUDPChannel()
-	received := 0
-	node, err := rudp.NewUDPNode(locals, rudp.Config{}, func(p []byte) {
-		received++
-		ch.deliver(p)
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bind:", err)
-		os.Exit(1)
-	}
-	defer node.Close()
-	if err := node.Connect(remotes); err != nil {
-		fmt.Fprintln(os.Stderr, "connect:", err)
-		os.Exit(1)
-	}
-	ch.node = node
-	go ch.dispatchLoop()
-	fmt.Println("rainnode up on", node.LocalAddrs(), "->", remotes)
-
-	if *elect {
-		runElection(ch, *name, *peer, *interval)
-		return
-	}
-	if *store {
-		runDaemon(ch, node, *shard, *interval)
-		return
-	}
-	// -putshard and -getshard may be combined in one invocation; RUDP
-	// connection state is per process, so a restarted client needs a
-	// restarted daemon (crash-restart handshakes are the membership
-	// layer's business, per §3).
-	if *putShard != "" || *getShard != "" || *putObj != "" || *getObj != "" {
-		if *putShard != "" {
-			if err := runPutShard(ch, *putShard, *file); err != nil {
-				fmt.Fprintln(os.Stderr, "putshard:", err)
-				os.Exit(1)
-			}
-		}
-		if *putObj != "" {
-			if err := runPutObj(ch, *putObj, *file, *block); err != nil {
-				fmt.Fprintln(os.Stderr, "putobj:", err)
-				os.Exit(1)
-			}
-		}
-		if *getShard != "" {
-			if err := runGetShard(ch, *getShard, *out); err != nil {
-				fmt.Fprintln(os.Stderr, "getshard:", err)
-				os.Exit(1)
-			}
-		}
-		if *getObj != "" {
-			if err := runGetObj(ch, *getObj, *out); err != nil {
-				fmt.Fprintln(os.Stderr, "getobj:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *send > 0 {
-		payload := make([]byte, *size)
-		for i := 0; i < *send; i++ {
-			node.Send(payload)
-		}
-		fmt.Printf("queued %d datagrams of %d bytes\n", *send, *size)
-	}
-
-	for {
-		time.Sleep(*interval)
-		var paths []string
-		for i := range locals {
-			paths = append(paths, fmt.Sprintf("path%d=%s", i, node.PathStatus(i)))
-		}
-		st := node.Stats()
-		fmt.Printf("%s recv=%d sent=%d retx=%d backlog=%d failovers=%d\n",
-			strings.Join(paths, " "), received, st.Sent, st.Retransmits, node.Backlog(), st.FailoverSends)
-		if *send > 0 && node.Backlog() == 0 {
-			fmt.Println("all datagrams acknowledged")
-			return
-		}
-	}
-}
-
-// runElectCmd is the subcommand spelling of the channel election demo.
-func runElectCmd(args []string) {
-	fs := flag.NewFlagSet("rainnode elect", flag.ExitOnError)
-	local := fs.String("local", "", "comma-separated local addresses, one per path")
-	remote := fs.String("remote", "", "comma-separated remote addresses, one per path")
-	name := fs.String("name", "", "this node's election identity")
-	peer := fs.String("peer", "", "the remote end's election identity")
-	interval := fs.Duration("report", time.Second, "status report interval")
-	fs.Parse(args)
-	if *local == "" || *remote == "" {
-		fmt.Fprintln(os.Stderr, "rainnode elect: both -local and -remote are required")
-		os.Exit(2)
-	}
-	ch := newUDPChannel()
-	node, err := rudp.NewUDPNode(strings.Split(*local, ","), rudp.Config{}, ch.deliver)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bind:", err)
-		os.Exit(1)
-	}
-	defer node.Close()
-	if err := node.Connect(strings.Split(*remote, ",")); err != nil {
-		fmt.Fprintln(os.Stderr, "connect:", err)
-		os.Exit(1)
-	}
-	ch.node = node
-	go ch.dispatchLoop()
-	runElection(ch, *name, *peer, *interval)
-}
-
-// udpChannel adapts the point-to-point UDP channel to the dstore.Mesh
-// interface: the local end is node "local", the remote end is "remote".
-// Deliveries are queued and dispatched on a dedicated goroutine because the
-// UDPNode invokes its deliver callback while holding the connection lock —
-// replying inline would deadlock. The queue is unbounded: RUDP has already
-// delivered these datagrams reliably and will not retransmit, so dropping
-// here would lose them for good (and blocking the receive path against the
-// dispatcher, which takes the same lock to reply, could deadlock).
-type udpChannel struct {
-	node *rudp.UDPNode
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	handlers map[string]func(from string, payload []byte)
-	queue    [][]byte
-}
-
-func newUDPChannel() *udpChannel {
-	c := &udpChannel{handlers: make(map[string]func(string, []byte))}
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}
-
-func (c *udpChannel) Handle(node, service string, fn func(from string, payload []byte)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.handlers[service] = fn
-}
-
-func (c *udpChannel) SendService(from, to, service string, payload []byte) {
-	c.node.Send(rudp.FrameService(service, payload))
-}
-
-// SendFrame is the zero-copy SendService: the frame already carries the
-// marshaled message, so only the service header is pushed before handing the
-// buffer to the connection.
-func (c *udpChannel) SendFrame(from, to, service string, f *netbuf.Frame) {
-	rudp.PushService(f, service)
-	c.node.SendFrame(f)
-}
-
-func (c *udpChannel) deliver(p []byte) {
-	buf := append([]byte(nil), p...)
-	c.mu.Lock()
-	c.queue = append(c.queue, buf)
-	c.cond.Signal()
-	c.mu.Unlock()
-}
-
-func (c *udpChannel) dispatchLoop() {
-	for {
-		c.mu.Lock()
-		for len(c.queue) == 0 {
-			c.cond.Wait()
-		}
-		p := c.queue[0]
-		c.queue = c.queue[1:]
-		c.mu.Unlock()
-		service, payload, ok := rudp.SplitService(p)
-		if !ok {
-			continue
-		}
-		c.mu.Lock()
-		h := c.handlers[service]
-		c.mu.Unlock()
-		if h != nil {
-			h("remote", payload)
-		}
-	}
-}
-
-// electBacklogCap mirrors the simulated mesh's heartbeat backlog cap: the
-// channel is reliable, so heartbeats queued toward a dead peer would grow
-// without bound — skip beats while the queue is deep.
-const electBacklogCap = 8
-
-// runElection drives one election engine over the real-UDP channel: the
-// same heartbeat wire format and smallest-identity rule as the simulated
-// mesh, logging every leader transition as it happens — the mechanism a
-// deployed pair uses to decide which end coordinates repairs. Pull the
-// cables and the survivor takes over; heal them and the smaller identity
-// wins leadership back at a higher epoch.
-func runElection(ch *udpChannel, name, peer string, interval time.Duration) {
-	if name == "" || peer == "" {
-		fmt.Fprintln(os.Stderr, "-elect requires -name and -peer")
-		os.Exit(2)
-	}
-	var mu sync.Mutex
-	n := election.NewNode(name, []string{peer}, election.Config{})
-	n.OnLeaderChange(func(leader string, epoch uint64) {
-		fmt.Printf("%s leader transition: %s leads at epoch %d\n",
-			time.Now().Format(time.RFC3339Nano), leader, epoch)
-	})
-	// Heartbeats arrive on the dispatch goroutine while the tick loop runs
-	// here, so the engine is driven under one lock.
-	ch.Handle("local", election.Service, func(from string, payload []byte) {
-		if hb, ok := election.UnmarshalHeartbeat(payload); ok {
-			mu.Lock()
-			n.OnHeartbeat(hb, time.Now().UnixNano())
-			mu.Unlock()
-		}
-	})
-	fmt.Printf("election node %q up against %q\n", name, peer)
-	tick := time.NewTicker(20 * time.Millisecond)
-	report := time.NewTicker(interval)
-	defer tick.Stop()
-	defer report.Stop()
-	for {
-		select {
-		case <-tick.C:
-			mu.Lock()
-			hb := n.Tick(time.Now().UnixNano())
-			mu.Unlock()
-			if ch.node.Backlog() < electBacklogCap {
-				ch.SendService("local", "remote", election.Service, election.MarshalHeartbeat(hb))
-			}
-		case <-report.C:
-			mu.Lock()
-			leader, epoch := n.Leader(), n.Epoch()
-			mu.Unlock()
-			fmt.Printf("leader=%s epoch=%d backlog=%d\n", leader, epoch, ch.node.Backlog())
-		}
-	}
-}
-
-// runDaemon serves the dstore protocol until interrupted.
-func runDaemon(ch *udpChannel, node *rudp.UDPNode, shard int, interval time.Duration) {
-	backend := storage.NewBackend(telemetry.Default().Node("local"))
-	d := dstore.NewDaemon(ch, "local", shard, backend, 0)
-	fmt.Printf("storage daemon up, shard %d\n", shard)
-	for {
-		time.Sleep(interval)
-		st := d.Stats()
-		reads, writes := backend.Loads()
-		fmt.Printf("objects=%d reads=%d writes=%d commits=%d chunks_in=%d chunks_out=%d backlog=%d\n",
-			backend.Objects(), reads, writes, st.Commits, st.ChunksStored, st.ChunksServed, node.Backlog())
-	}
-}
-
-// runPutShard streams one file to the remote daemon as a shard.
-func runPutShard(ch *udpChannel, id, path string) error {
-	if path == "" {
-		return fmt.Errorf("-putshard requires -file")
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	acks := make(chan dstore.Msg, 64)
-	ch.Handle("local", dstore.ServiceClient, func(from string, payload []byte) {
-		if m, err := dstore.Unmarshal(payload); err == nil {
-			acks <- m
-		}
-	})
-	const chunk = dstore.DefaultChunkSize
-	for off := 0; off < len(data) || off == 0; off += chunk {
-		end := off + chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		ch.SendService("local", "remote", dstore.ServiceDaemon, dstore.Msg{
-			Kind:     dstore.KindPutChunk,
-			Req:      1,
-			ID:       id,
-			Shard:    -1, // the daemon's configured index applies
-			Off:      int64(off),
-			ShardLen: int64(len(data)),
-			DataLen:  storage.UnknownSize,
-			Data:     data[off:end],
-		}.Marshal())
-		if end == len(data) {
-			break
-		}
-	}
-	deadline := time.After(30 * time.Second)
-	for {
-		select {
-		case m := <-acks:
-			if m.Err != "" {
-				return fmt.Errorf("daemon: %s", m.Err)
-			}
-			if m.Off >= int64(len(data)) {
-				fmt.Printf("stored %s: %d bytes\n", id, len(data))
-				return nil
-			}
-		case <-deadline:
-			return fmt.Errorf("timed out waiting for acks")
-		}
-	}
-}
-
-// runPutObj streams a file to the remote daemon as a whole-object replica
-// shard (the k=1 block layout: the shard stream is the object itself),
-// reading and sending chunk by chunk under the put window so memory stays
-// bounded regardless of file size.
-func runPutObj(ch *udpChannel, id, path string, block int) error {
-	if path == "" {
-		return fmt.Errorf("-putobj requires -file")
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	size := st.Size()
-	acks := make(chan dstore.Msg, 64)
-	ch.Handle("local", dstore.ServiceClient, func(from string, payload []byte) {
-		if m, err := dstore.Unmarshal(payload); err == nil {
-			acks <- m
-		}
-	})
-	const chunk = dstore.DefaultChunkSize
-	const window = int64(dstore.DefaultWindow) * chunk
-	buf := make([]byte, chunk)
-	var sent, acked int64
-	deadline := time.After(10 * time.Minute)
-	for acked < size || size == 0 {
-		for sent < size && sent-acked < window {
-			n, err := io.ReadFull(f, buf[:min(int64(chunk), size-sent)])
-			if err != nil {
-				return fmt.Errorf("reading %s at %d: %w", path, sent, err)
-			}
-			ch.SendService("local", "remote", dstore.ServiceDaemon, dstore.Msg{
-				Kind:     dstore.KindPutChunk,
-				Req:      2,
-				ID:       id,
-				Shard:    -1, // the daemon's configured index applies
-				Off:      sent,
-				ShardLen: size,
-				DataLen:  size,
-				BlockLen: int64(block),
-				Data:     buf[:n],
-			}.Marshal())
-			sent += int64(n)
-		}
-		if size == 0 {
-			// Metadata-only commit for an empty object.
-			ch.SendService("local", "remote", dstore.ServiceDaemon, dstore.Msg{
-				Kind: dstore.KindPutChunk, Req: 2, ID: id, Shard: -1, DataLen: 0, BlockLen: int64(block),
-			}.Marshal())
-		}
-		select {
-		case m := <-acks:
-			if m.Err != "" {
-				return fmt.Errorf("daemon: %s", m.Err)
-			}
-			if m.Off > acked {
-				acked = m.Off
-			}
-			if size == 0 {
-				fmt.Printf("stored %s: 0 bytes\n", id)
-				return nil
-			}
-		case <-deadline:
-			return fmt.Errorf("timed out waiting for acks (%d of %d acked)", acked, size)
-		}
-	}
-	fmt.Printf("stored %s: %d bytes\n", id, size)
-	return nil
-}
-
-// runGetObj streams an object from the remote daemon to stdout (or -out)
-// with credit-windowed flow control: each chunk is written as it arrives and
-// acked as consumed, so memory stays bounded by the window however large the
-// object — the -getobj half of the streaming contract over real sockets.
-func runGetObj(ch *udpChannel, id, outPath string) error {
-	var w io.Writer = os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	chunks := make(chan dstore.Msg, 64)
-	ch.Handle("local", dstore.ServiceClient, func(from string, payload []byte) {
-		if m, err := dstore.Unmarshal(payload); err == nil {
-			chunks <- m
-		}
-	})
-	const win = int32(dstore.DefaultWindow)
-	ch.SendService("local", "remote", dstore.ServiceDaemon,
-		dstore.Msg{Kind: dstore.KindGetReq, Req: 3, ID: id, Win: win}.Marshal())
-	var got int64
-	total := int64(-1)
-	deadline := time.After(10 * time.Minute)
-	for total < 0 || got < total {
-		select {
-		case m := <-chunks:
-			if m.Err != "" {
-				return fmt.Errorf("daemon: %s", m.Err)
-			}
-			if m.Off != got {
-				return fmt.Errorf("chunk at %d, expected %d", m.Off, got)
-			}
-			total = m.ShardLen
-			if _, err := w.Write(m.Data); err != nil {
-				return err
-			}
-			got += int64(len(m.Data))
-			ch.SendService("local", "remote", dstore.ServiceDaemon,
-				dstore.Msg{Kind: dstore.KindGetAck, Req: 3, ID: id, Off: got, Win: win}.Marshal())
-		case <-deadline:
-			return fmt.Errorf("timed out waiting for chunks (%d of %d)", got, total)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "fetched %s: %d bytes\n", id, got)
-	return nil
-}
-
-// runGetShard fetches one shard from the remote daemon.
-func runGetShard(ch *udpChannel, id, outPath string) error {
-	chunks := make(chan dstore.Msg, 64)
-	ch.Handle("local", dstore.ServiceClient, func(from string, payload []byte) {
-		if m, err := dstore.Unmarshal(payload); err == nil {
-			chunks <- m
-		}
-	})
-	ch.SendService("local", "remote", dstore.ServiceDaemon, dstore.Msg{Kind: dstore.KindGetReq, Req: 1, ID: id}.Marshal())
-	var buf []byte
-	deadline := time.After(30 * time.Second)
-	for {
-		select {
-		case m := <-chunks:
-			if m.Err != "" {
-				return fmt.Errorf("daemon: %s", m.Err)
-			}
-			if m.Off != int64(len(buf)) {
-				return fmt.Errorf("chunk at %d, expected %d", m.Off, len(buf))
-			}
-			buf = append(buf, m.Data...)
-			if int64(len(buf)) >= m.ShardLen {
-				if outPath != "" {
-					if err := os.WriteFile(outPath, buf, 0o644); err != nil {
-						return err
-					}
-				}
-				fmt.Printf("fetched %s: %d bytes (object size %d)\n", id, len(buf), m.DataLen)
-				return nil
-			}
-		case <-deadline:
-			return fmt.Errorf("timed out waiting for chunks")
-		}
-	}
 }

@@ -38,11 +38,12 @@ func freePort(t *testing.T, network string) int {
 	}
 }
 
-// TestDebugSurfaceSmoke builds the real binary, starts it as a storage
-// daemon with the debug surface enabled, and asserts /debug/metrics serves
-// well-formed Prometheus text spanning every instrumented layer. Gated on
-// RAIN_SMOKE because it binds real sockets and shells out to the toolchain;
-// CI runs it as the telemetry smoke job.
+// TestDebugSurfaceSmoke builds the real binary, starts one `rainnode serve`
+// node with its HTTP listener, and asserts /debug/metrics serves well-formed
+// Prometheus text spanning every instrumented layer. The node's ring names
+// peers that never start: the debug surface must not wait for a cluster.
+// Gated on RAIN_SMOKE because it binds real sockets and shells out to the
+// toolchain; CI runs it as the telemetry smoke job.
 func TestDebugSurfaceSmoke(t *testing.T) {
 	if os.Getenv("RAIN_SMOKE") == "" {
 		t.Skip("set RAIN_SMOKE=1 to run the rainnode debug-surface smoke test")
@@ -52,13 +53,11 @@ func TestDebugSurfaceSmoke(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	localPort := freePort(t, "udp")
-	remotePort := freePort(t, "udp")
 	debugAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t, "tcp"))
-	cmd := exec.Command(bin,
-		"-local", fmt.Sprintf("127.0.0.1:%d", localPort),
-		"-remote", fmt.Sprintf("127.0.0.1:%d", remotePort),
-		"-store", "-debug", debugAddr)
+	cmd := exec.Command(bin, "serve",
+		"-name", "a", "-ring", "a,b,c",
+		"-local", fmt.Sprintf("127.0.0.1:%d", freePort(t, "udp")),
+		"-http", debugAddr)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {

@@ -259,21 +259,10 @@ func New(nodes []string, opts Options) (*Platform, error) {
 		}
 	}
 	// Membership and election run as live services on the data mesh, not on
-	// private NICs. The stop-and-wait ack deadline must outlast the mesh's
-	// own retransmission timer, not just the round-trip: the transport is
-	// reliable, so a lost frame costs one RTO of latency, not delivery. An
-	// attempt deadline shorter than the RTO turns every single loss into a
-	// burned attempt — and three in a row into a false death vote, which
-	// the clients' view-based liveness filter then turns into unreadable
-	// objects sitting at bare quorum.
-	effRTO := rcfg.RTO
-	if effRTO == 0 {
-		effRTO = 40 * time.Millisecond // rudp's default
-	}
-	ackTimeout := 2*effRTO + 2*opts.LinkDelay + 10*time.Millisecond
+	// private NICs.
 	mcfg := membership.MeshConfig{
 		Config:     membership.Config{Detection: opts.Detection},
-		AckTimeout: ackTimeout,
+		AckTimeout: ackTimeout(rcfg, opts.LinkDelay),
 	}
 	ecfg := election.Config{}
 	if opts.LinkDelay > 5*time.Millisecond {
@@ -404,6 +393,22 @@ func New(nodes []string, opts Options) (*Platform, error) {
 		s.After(opts.ScrubInterval, scrub)
 	}
 	return p, nil
+}
+
+// ackTimeout derives the membership driver's per-attempt ack deadline from
+// the transport it rides, for both assemblies. The deadline must outlast the
+// mesh's own retransmission timer, not just the round trip: the transport is
+// reliable, so a lost frame costs one RTO of latency, not delivery. An
+// attempt deadline shorter than the RTO turns every single loss into a
+// burned attempt — and three in a row into a false death vote, which the
+// clients' view-based liveness filter then turns into unreadable objects
+// sitting at bare quorum.
+func ackTimeout(conn rudp.Config, linkDelay time.Duration) time.Duration {
+	rto := conn.RTO
+	if rto == 0 {
+		rto = rudp.DefaultRTO
+	}
+	return 2*rto + 2*linkDelay + 10*time.Millisecond
 }
 
 // Run advances the cluster by d of virtual time.

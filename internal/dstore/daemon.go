@@ -23,8 +23,8 @@ type DaemonStats struct {
 }
 
 // daemonCounters are the per-daemon live counts behind the DaemonStats view.
-// Messages arrive on one goroutine but Stats may be read from another
-// (rainnode's report ticker); atomics replace the old mutex-and-copy.
+// Messages arrive on one goroutine but Stats may be read from another;
+// atomics replace the old mutex-and-copy.
 type daemonCounters struct {
 	chunksStored atomic.Int64
 	commits      atomic.Int64
@@ -59,8 +59,8 @@ type Store interface {
 // append to a storage.Stage (a temp file on file-backed backends) and get
 // chunks are ranged ReadAt reads, so daemon heap is bounded by in-flight
 // chunks regardless of shard size. The daemon is pure request/response — it
-// needs no timers — so it also runs over real sockets (cmd/rainnode); the
-// owner decides when to SweepOrphans.
+// needs no timers — so it runs unchanged over real sockets; the owner
+// decides when to SweepOrphans.
 type Daemon struct {
 	mesh    Mesh
 	node    string
@@ -127,8 +127,8 @@ type getSession struct {
 type DaemonOption func(*Daemon)
 
 // WithDaemonClock injects the daemon's time source for orphan-session aging
-// — the simulator's virtual clock in tests and rain.Cluster, wall time in
-// rainnode.
+// — core passes its scheduler's clock, virtual under the simulator and
+// loop-relative in a deployed node.
 func WithDaemonClock(now func() time.Time) DaemonOption {
 	return func(d *Daemon) { d.now = now }
 }
@@ -247,8 +247,8 @@ func (d *Daemon) onMessage(from string, payload []byte) {
 // SweepOrphans aborts put assemblies and closes get sessions that have seen
 // no traffic for maxAge — the garbage left by clients that died mid-transfer
 // (their RUDP streams stop without a goodbye). It returns the number of
-// sessions reaped. The owner runs it periodically: rain.Cluster on the
-// simulated scheduler, rainnode on a wall-clock ticker.
+// sessions reaped. The owner runs it periodically on the daemon's scheduler
+// (core.Platform and core.RealNode both do).
 func (d *Daemon) SweepOrphans(maxAge time.Duration) int {
 	cutoff := d.now().Add(-maxAge)
 	reaped := 0
@@ -333,13 +333,13 @@ func (d *Daemon) onPutChunk(from string, m Msg) {
 			d.reply(from, Msg{Kind: KindPutAck, Req: m.Req, ID: m.ID, Err: "dstore: no such transfer"})
 			return
 		}
-		shard := int(m.Shard)
-		if shard < 0 {
-			// Legacy writers (rainnode's hand-rolled shard pushes) do not
-			// place objects; the daemon's configured index applies.
-			shard = d.shard
+		if m.Shard < 0 {
+			// Every writer places its objects; an unplaced shard would be
+			// recorded under an index nobody asked for.
+			d.reply(from, Msg{Kind: KindPutAck, Req: m.Req, ID: m.ID, Err: fmt.Sprintf("%v: put chunk with shard index %d", ErrBadRequest, m.Shard)})
+			return
 		}
-		a = &assembly{id: m.ID, stage: d.backend.NewStage(), shard: shard, shardLen: m.ShardLen, dataLen: m.DataLen, blockLen: m.BlockLen, win: m.Win}
+		a = &assembly{id: m.ID, stage: d.backend.NewStage(), shard: int(m.Shard), shardLen: m.ShardLen, dataLen: m.DataLen, blockLen: m.BlockLen, win: m.Win}
 		a.stage.Reserve(m.ShardLen)
 		d.asm[key] = a
 	}
@@ -381,6 +381,12 @@ func (d *Daemon) onPutChunk(from string, m Msg) {
 
 func (d *Daemon) onGetReq(from string, m Msg) {
 	defer d.syncSessions()
+	if m.Win <= 0 {
+		// No window, no stream: pushing a whole shard unpaced on one
+		// datagram's say-so is an amplification lever, not a read.
+		d.reply(from, Msg{Kind: KindGetChunk, Req: m.Req, ID: m.ID, Err: fmt.Sprintf("%v: get window %d", ErrBadRequest, m.Win)})
+		return
+	}
 	info, err := d.backend.Info(m.ID)
 	if err != nil {
 		d.reply(from, Msg{Kind: KindGetChunk, Req: m.Req, ID: m.ID, Err: err.Error()})
@@ -405,13 +411,6 @@ func (d *Daemon) onGetReq(from string, m Msg) {
 		credit:   m.Off,
 		win:      int64(m.Win) * int64(d.chunk),
 		touched:  d.now(),
-	}
-	if m.Win <= 0 {
-		// Legacy stateless push: the whole stream in one burst, paced only
-		// by RUDP. Kept for hand-rolled clients (rainnode -getshard).
-		g.win = shardLen + 1
-		d.pumpGet(from, m.Req, g)
-		return
 	}
 	key := sessKey{from: from, req: m.Req}
 	d.gets[key] = g

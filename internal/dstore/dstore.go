@@ -55,8 +55,8 @@ const (
 )
 
 // Mesh is the transport the store runs over: per-service registration and
-// addressed sends. *rudp.Mesh implements it; cmd/rainnode adapts a real-UDP
-// channel to it.
+// addressed sends. *rudp.Mesh (simulated) and *rudp.RealMesh (UDP sockets)
+// implement it.
 //
 // Handler payloads are borrowed: they may alias a pooled transport buffer
 // and are valid only until the handler returns. SendFrame consumes the

@@ -25,6 +25,10 @@ var (
 	// client that disconnected mid-transfer. The abort is active: put
 	// stages are poisoned and get sessions cancelled, not leaked.
 	ErrCanceled = errors.New("dstore: operation canceled")
+	// ErrBadRequest is how a daemon refuses a well-formed message that asks
+	// for something no client sends: a get without a credit window, a put
+	// chunk without a shard index. Its text leads the wire error string.
+	ErrBadRequest = errors.New("dstore: bad request")
 	// ErrCorrupt reports a retrieve that failed after verified corruption
 	// was detected on at least one holder: the object exists but could not
 	// be read back bit-exact right now. It maps to HTTP 502 — the store

@@ -21,6 +21,9 @@ func FuzzUnmarshal(f *testing.F) {
 			ShardLen: 65536, DataLen: storage.UnknownSize, Data: []byte{1, 2, 3}},
 		{Kind: KindGetAck, Req: 9, ID: "obj0", Off: -1},
 		{Kind: KindDeleteResp, Req: 11, ID: "obj0", Err: "storage: object not found"},
+		// Well-formed but refused by the daemon: no get window, no shard index.
+		{Kind: KindGetReq, Req: 12, ID: "obj0"},
+		{Kind: KindPutChunk, Req: 13, ID: "obj0", Shard: -1, ShardLen: 8, DataLen: 8, Data: []byte("8 bytes!")},
 	}
 	for _, m := range seeds {
 		f.Add(m.Marshal())

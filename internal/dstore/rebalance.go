@@ -303,8 +303,16 @@ func (c *Client) RebuildAsync(target string, done func(objects int, err error)) 
 // has been read).
 func srcPeersFor(peers []string, holders map[string]int, targetIdx int, target, exclude string) []string {
 	src := append([]string(nil), peers...)
-	for node, sh := range holders {
-		if node != exclude && sh >= 0 && sh < len(src) && sh != targetIdx {
+	// Two nodes can hold the same shard index mid-rebalance; visit holders
+	// in name order so which one serves as the source is not left to map
+	// iteration (a seed must reproduce a run).
+	nodes := make([]string, 0, len(holders))
+	for node := range holders {
+		nodes = append(nodes, node)
+	}
+	sort.Strings(nodes)
+	for _, node := range nodes {
+		if sh := holders[node]; node != exclude && sh >= 0 && sh < len(src) && sh != targetIdx {
 			src[sh] = node
 		}
 	}

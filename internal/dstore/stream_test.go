@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -328,6 +329,60 @@ func TestGetWindowPacing(t *testing.T) {
 	s.RunFor(time.Second)
 	if d.GetSessions() != 0 {
 		t.Fatalf("cancelled session lingers: %d", d.GetSessions())
+	}
+}
+
+// TestDaemonRefusesMalformedRequests pins what the daemon does with
+// well-formed messages no client sends: a typed error reply, and no session,
+// stage or stream opened on a hostile datagram's say-so.
+func TestDaemonRefusesMalformedRequests(t *testing.T) {
+	s := sim.New(26)
+	net := sim.NewNetwork(s)
+	nodes := []string{"cl", "dm"}
+	sim.ApplyProfile(net, nodes, 2, sim.ProfileLAN)
+	mesh, err := rudp.NewMesh(s, net, nodes, rudp.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := storage.NewBackend()
+	shard := randBytes(4, 64<<10)
+	backend.Put("obj", shard, 0, len(shard), 16<<10)
+	d := dstore.NewDaemon(mesh, "dm", 0, backend, 4<<10)
+	var replies []dstore.Msg
+	mesh.Handle("cl", dstore.ServiceClient, func(from string, payload []byte) {
+		m, err := dstore.Unmarshal(payload)
+		if err != nil {
+			t.Fatalf("unparseable reply: %v", err)
+		}
+		m.Data = nil // borrowed; only the header is checked
+		replies = append(replies, m)
+	})
+	for _, tc := range []struct {
+		name  string
+		msg   dstore.Msg
+		reply dstore.Kind
+	}{
+		{"get without a window", dstore.Msg{Kind: dstore.KindGetReq, Req: 1, ID: "obj"}, dstore.KindGetChunk},
+		{"get with a negative window", dstore.Msg{Kind: dstore.KindGetReq, Req: 2, ID: "obj", Win: -3}, dstore.KindGetChunk},
+		{"put chunk without a shard index", dstore.Msg{Kind: dstore.KindPutChunk, Req: 3, ID: "new", Shard: -1,
+			ShardLen: 8, DataLen: 8, Data: []byte("8 bytes!")}, dstore.KindPutAck},
+	} {
+		replies = nil
+		mesh.SendService("cl", "dm", dstore.ServiceDaemon, tc.msg.Marshal())
+		s.RunFor(time.Second)
+		if len(replies) != 1 || replies[0].Kind != tc.reply || replies[0].Req != tc.msg.Req ||
+			!strings.Contains(replies[0].Err, dstore.ErrBadRequest.Error()) {
+			t.Errorf("%s: replies %+v, want one %v carrying %q", tc.name, replies, tc.reply, dstore.ErrBadRequest)
+		}
+		if d.GetSessions() != 0 || d.Assemblies() != 0 {
+			t.Errorf("%s: opened state: %d get sessions, %d assemblies", tc.name, d.GetSessions(), d.Assemblies())
+		}
+	}
+	if _, err := backend.Info("new"); err == nil {
+		t.Error("unplaced put chunk was committed")
+	}
+	if st := d.Stats(); st.ChunksServed != 0 || st.ChunksStored != 0 || st.Errors != 3 {
+		t.Errorf("daemon stats %+v, want 3 errors and no chunk traffic", st)
 	}
 }
 

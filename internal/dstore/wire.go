@@ -29,7 +29,7 @@ const (
 	// byte Off (0 for the whole stream; a block boundary when a retrieve
 	// hedges mid-object). Win is the client's flow-control window in chunks:
 	// the daemon keeps at most Win chunks beyond the client's last GetAck in
-	// flight. Win 0 requests the legacy stateless push of the whole stream.
+	// flight. Win must be positive; a daemon refuses a get without one.
 	KindGetReq
 	// KindGetChunk carries one chunk of a streamed shard (or an error).
 	// Every chunk carries the object metadata (ShardLen, DataLen, BlockLen)
@@ -90,7 +90,7 @@ type Msg struct {
 	Req      uint64 // request id, chosen by the client, echoed by the daemon
 	ID       string // object id
 	Shard    int32  // shard index held by the daemon
-	Win      int32  // get flow-control window in chunks (0 = unwindowed)
+	Win      int32  // flow-control window in chunks (gets require > 0)
 	Off      int64  // chunk offset within the shard stream / acked byte count
 	ShardLen int64  // total shard-stream length of the transfer
 	DataLen  int64  // original object length, storage.UnknownSize if unknown

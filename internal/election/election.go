@@ -12,8 +12,9 @@
 // epoch when its leader choice changes, and reports the largest epoch seen,
 // so observers can tell re-elections apart.
 //
-// The engine is a pure state machine (Tick + OnHeartbeat); the Cluster
-// driver runs it over the simulated network.
+// The engine is a pure state machine (Tick + OnHeartbeat); MeshNode is the
+// one driver, over any datagram mesh — a simulated NIC (Cluster), the
+// simulated RUDP mesh (MeshCluster) or UDP sockets (core.RealNode).
 package election
 
 import (

@@ -7,219 +7,80 @@ import (
 	"rain/internal/sim"
 )
 
-// mbrNIC is the interface index reserved for membership traffic, so the
-// protocol coexists with RUDP data paths (0..paths-1) on the same nodes.
-const mbrNIC = 90
+// MeshCluster is a whole membership ring in one address space: N MeshNodes
+// on a shared transport and scheduler, plus the cluster-wide queries tests
+// and core.Platform ask. Stop and Restart only freeze the engines; cutting
+// the node's links is the transport owner's business (core.Platform crashes
+// a node by stopping the whole mesh endpoint).
+type MeshCluster struct {
+	S *sim.Scheduler
 
-// wireMsg is the simulator wire format: protocol body plus an ID for the
-// acknowledgement handshake that implements Transport's delivery report.
-type wireMsg struct {
-	ID   uint64
-	Ack  bool
-	From string
-	Body any
+	// Members are the driven engines by node name.
+	Members map[string]*Node
+
+	mesh  MeshTransport
+	cfg   MeshConfig
+	nodes map[string]*MeshNode
 }
 
-func cloneBody(msg any) any {
-	switch m := msg.(type) {
-	case *Token:
-		return m.clone()
-	case *Nine11:
-		return &Nine11{
-			Requester: m.Requester,
-			ReqSeq:    m.ReqSeq,
-			Visited:   append([]string(nil), m.Visited...),
-			Failed:    append([]string(nil), m.Failed...),
-		}
-	case *Approve911:
-		return &Approve911{ReqSeq: m.ReqSeq, Failed: append([]string(nil), m.Failed...)}
-	case *Probe:
-		return &Probe{From: m.From, Seq: m.Seq}
-	}
-	return msg
-}
-
-// simTransport implements Transport over the simulated network with a
-// stop-and-wait acknowledgement and bounded retries; exhausting the retry
-// budget reports failure, which is the protocol's failure-detection signal.
-type simTransport struct {
-	c       *Cluster
-	name    string
-	nextID  uint64
-	timeout time.Duration
-	retries int
-}
-
-func (t *simTransport) Send(to string, msg any, done func(ok bool)) {
-	t.nextID++
-	id := t.nextID
-	attempts := 0
-	finished := false
-	var attempt func()
-	attempt = func() {
-		if finished {
-			return
-		}
-		if attempts > t.retries {
-			finished = true
-			done(false)
-			return
-		}
-		attempts++
-		t.c.Net.Send(sim.NodeAddr(t.name, mbrNIC), sim.NodeAddr(to, mbrNIC),
-			wireMsg{ID: id, From: t.name, Body: cloneBody(msg)})
-		t.c.S.After(t.timeout, attempt)
-	}
-	t.c.acks[t.name+"/"+itoa(id)] = func() {
-		if !finished {
-			finished = true
-			done(true)
-		}
-	}
-	attempt()
-}
-
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
-}
-
-// Cluster drives a set of membership nodes over the simulated network: the
-// test-and-experiment substrate for Fig 9 and the 911 scenarios.
-type Cluster struct {
-	S   *sim.Scheduler
-	Net *sim.Network
-
-	Members    map[string]*Node
-	transports map[string]*simTransport
-	stopped    map[string]bool
-	acks       map[string]func()
-	processed  map[string]map[string]bool // receiver -> sender#id dedup
-	cfg        Config
-}
-
-// NewCluster builds nodes for every name (in initial ring order), wires
-// transports and tick loops, and hands the initial token to names[0].
-func NewCluster(s *sim.Scheduler, net *sim.Network, names []string, cfg Config) *Cluster {
-	cfg = cfg.withDefaults()
-	c := &Cluster{
-		S:          s,
-		Net:        net,
-		Members:    make(map[string]*Node),
-		transports: make(map[string]*simTransport),
-		stopped:    make(map[string]bool),
-		acks:       make(map[string]func()),
-		processed:  make(map[string]map[string]bool),
-		cfg:        cfg,
+// NewMeshCluster builds a node for every name (in initial ring order) on
+// the mesh and hands the initial token to names[0].
+func NewMeshCluster(s *sim.Scheduler, mesh MeshTransport, names []string, cfg MeshConfig) *MeshCluster {
+	c := &MeshCluster{
+		S:       s,
+		Members: make(map[string]*Node),
+		mesh:    mesh,
+		cfg:     cfg,
+		nodes:   make(map[string]*MeshNode),
 	}
 	for _, name := range names {
 		c.addNode(name, names)
 	}
-	c.Members[names[0]].StartWithToken(int64(s.Now()))
+	c.nodes[names[0]].StartWithToken()
 	return c
 }
 
-func (c *Cluster) addNode(name string, ring []string) *Node {
-	tr := &simTransport{c: c, name: name, timeout: 25 * time.Millisecond, retries: 2}
-	n := NewNode(name, ring, c.cfg, tr)
-	c.Members[name] = n
-	c.transports[name] = tr
-	c.processed[name] = make(map[string]bool)
-	addr := sim.NodeAddr(name, mbrNIC)
-	c.Net.Attach(addr, func(p sim.Packet) { c.onPacket(name, p) })
-	var loop func()
-	loop = func() {
-		if !c.stopped[name] {
-			n.Tick(int64(c.S.Now()))
-		}
-		c.S.After(c.cfg.HoldInterval/2, loop)
+func (c *MeshCluster) addNode(name string, ring []string) *MeshNode {
+	m := NewMeshNode(c.S, c.mesh, name, ring, c.cfg, nil)
+	c.nodes[name] = m
+	c.Members[name] = m.Node()
+	return m
+}
+
+// AddStandby provisions a powered-off node: its engine and mesh handler
+// exist (ring of one, no token, frozen) so it can later Join a running
+// cluster without rebuilding the mesh.
+func (c *MeshCluster) AddStandby(name string) *Node {
+	m := c.addNode(name, []string{name})
+	m.Stop()
+	return m.Node()
+}
+
+// Join powers a node up (a standby, or a brand-new one) and requests
+// membership through seed, retrying while not yet admitted.
+func (c *MeshCluster) Join(name, seed string) *Node {
+	m := c.nodes[name]
+	if m == nil {
+		m = c.addNode(name, []string{name})
 	}
-	c.S.After(0, loop)
-	return n
+	m.Restart()
+	m.Join(seed)
+	return m.Node()
 }
 
-func (c *Cluster) onPacket(name string, p sim.Packet) {
-	if c.stopped[name] {
-		return
-	}
-	m := p.Payload.(wireMsg)
-	if m.Ack {
-		key := m.From + "/" + itoa(m.ID)
-		if fn, ok := c.acks[key]; ok {
-			delete(c.acks, key)
-			fn()
-		}
-		return
-	}
-	// Acknowledge every arrival (the sender may be retrying because our
-	// previous ack was lost), but process each (sender, id) only once.
-	c.Net.Send(sim.NodeAddr(name, mbrNIC), p.From, wireMsg{ID: m.ID, Ack: true, From: m.From})
-	seen := c.processed[name]
-	dedupKey := m.From + "#" + itoa(m.ID)
-	if seen[dedupKey] {
-		return
-	}
-	seen[dedupKey] = true
-	c.Members[name].HandleMessage(m.From, m.Body, int64(c.S.Now()))
-}
+// Stop freezes a node's engine: no ticks, no reception.
+func (c *MeshCluster) Stop(name string) { c.nodes[name].Stop() }
 
-// Join adds a brand-new node to the running cluster through seed (§3.3.2).
-func (c *Cluster) Join(name, seed string) *Node {
-	n := c.addNode(name, []string{name})
-	n.Join(seed, int64(c.S.Now()))
-	// Re-send the join while not yet a member, in case the request or the
-	// token got lost.
-	var retry func()
-	retry = func() {
-		if !c.stopped[name] && n.LocalSeq() == 0 {
-			n.Join(seed, int64(c.S.Now()))
-		}
-		if n.LocalSeq() == 0 {
-			c.S.After(c.cfg.StarveTimeout, retry)
-		}
-	}
-	c.S.After(c.cfg.StarveTimeout, retry)
-	return n
-}
-
-// Stop freezes a node and severs its links: a crash.
-func (c *Cluster) Stop(name string) {
-	c.stopped[name] = true
-	c.Net.CutNode(name)
-}
-
-// Restart revives a stopped node (process resume; its stale protocol state
-// is reconciled by the 911 rejoin path).
-func (c *Cluster) Restart(name string) {
-	c.stopped[name] = false
-	c.Net.HealNode(name)
-}
-
-// CutLink severs the (single) membership link between two nodes.
-func (c *Cluster) CutLink(a, b string) {
-	c.Net.Cut(sim.NodeAddr(a, mbrNIC), sim.NodeAddr(b, mbrNIC))
-}
-
-// HealLink restores the link between two nodes.
-func (c *Cluster) HealLink(a, b string) {
-	c.Net.Heal(sim.NodeAddr(a, mbrNIC), sim.NodeAddr(b, mbrNIC))
-}
+// Restart unfreezes a stopped node; its stale protocol state is reconciled
+// by the 911 rejoin path.
+func (c *MeshCluster) Restart(name string) { c.nodes[name].Restart() }
 
 // Alive lists nodes not currently stopped, sorted.
-func (c *Cluster) Alive() []string {
+func (c *MeshCluster) Alive() []string {
 	var out []string
-	for n := range c.Members {
-		if !c.stopped[n] {
-			out = append(out, n)
+	for name, m := range c.nodes {
+		if !m.Stopped() {
+			out = append(out, name)
 		}
 	}
 	sort.Strings(out)
@@ -228,7 +89,7 @@ func (c *Cluster) Alive() []string {
 
 // ConsensusView returns the membership set every live node agrees on, or
 // ok=false if live nodes disagree.
-func (c *Cluster) ConsensusView() (view []string, ok bool) {
+func (c *MeshCluster) ConsensusView() (view []string, ok bool) {
 	var ref []string
 	for _, name := range c.Alive() {
 		v := c.Members[name].View()
@@ -249,15 +110,60 @@ func (c *Cluster) ConsensusView() (view []string, ok bool) {
 	return ref, true
 }
 
-// TokenHolders returns the live nodes currently holding a token (should be
-// at most one in a connected cluster).
-func (c *Cluster) TokenHolders() []string {
+// TokenHolders returns the live nodes currently holding a token (at most
+// one in a connected cluster).
+func (c *MeshCluster) TokenHolders() []string {
 	var out []string
 	for _, name := range c.Alive() {
 		if c.Members[name].HasToken() {
 			out = append(out, name)
 		}
 	}
-	sort.Strings(out)
 	return out
+}
+
+// mbrNIC is the interface index reserved for membership traffic on the bare
+// simulated network, so the protocol coexists with RUDP data paths
+// (0..paths-1) on the same nodes.
+const mbrNIC = 90
+
+// Cluster is a MeshCluster over a dedicated NIC of the simulated network —
+// the substrate for Fig 9 and the 911 scenarios, where tests cut individual
+// membership links. The NIC neither retransmits nor orders, so the driver's
+// attempt deadline only has to cover a round trip.
+type Cluster struct {
+	*MeshCluster
+	Net *sim.Network
+}
+
+// NewCluster builds nodes for every name (in initial ring order) on net
+// and hands the initial token to names[0].
+func NewCluster(s *sim.Scheduler, net *sim.Network, names []string, cfg Config) *Cluster {
+	mcfg := MeshConfig{Config: cfg, AckTimeout: 25 * time.Millisecond, Retries: 2}
+	return &Cluster{
+		MeshCluster: NewMeshCluster(s, sim.NIC{Net: net, Index: mbrNIC}, names, mcfg),
+		Net:         net,
+	}
+}
+
+// Stop freezes a node and severs its links: a crash.
+func (c *Cluster) Stop(name string) {
+	c.MeshCluster.Stop(name)
+	c.Net.CutNode(name)
+}
+
+// Restart revives a stopped node (process resume).
+func (c *Cluster) Restart(name string) {
+	c.MeshCluster.Restart(name)
+	c.Net.HealNode(name)
+}
+
+// CutLink severs the (single) membership link between two nodes.
+func (c *Cluster) CutLink(a, b string) {
+	c.Net.Cut(sim.NodeAddr(a, mbrNIC), sim.NodeAddr(b, mbrNIC))
+}
+
+// HealLink restores the link between two nodes.
+func (c *Cluster) HealLink(a, b string) {
+	c.Net.Heal(sim.NodeAddr(a, mbrNIC), sim.NodeAddr(b, mbrNIC))
 }

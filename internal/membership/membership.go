@@ -26,8 +26,9 @@
 // hook.
 //
 // Node is a pure state machine: inputs are messages, clock ticks and
-// transport acknowledgements; drivers bind it to the discrete-event
-// simulator (Cluster) or to real sockets.
+// transport acknowledgements. MeshNode is the one driver, over any datagram
+// mesh — a simulated NIC (Cluster), the simulated RUDP mesh (MeshCluster) or
+// UDP sockets (core.RealNode).
 package membership
 
 import (

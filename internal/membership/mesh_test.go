@@ -9,6 +9,10 @@ import (
 	"rain/internal/sim"
 )
 
+// testAckTimeout outlasts two of rudp's default 40ms retransmission timers
+// plus a LAN round trip — the bound core derives for the same transport.
+const testAckTimeout = 90 * time.Millisecond
+
 func meshFixture(t *testing.T, names []string, cfg MeshConfig) (*sim.Scheduler, *rudp.Mesh, *MeshCluster) {
 	t.Helper()
 	s := sim.New(11)
@@ -57,7 +61,7 @@ func TestWireRoundTrip(t *testing.T) {
 // converge on one view with a single circulating token.
 func TestMeshClusterConsensus(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e"}
-	s, _, c := meshFixture(t, names, MeshConfig{})
+	s, _, c := meshFixture(t, names, MeshConfig{AckTimeout: testAckTimeout})
 	s.RunFor(2 * time.Second)
 	view, ok := c.ConsensusView()
 	if !ok || len(view) != len(names) {
@@ -73,7 +77,7 @@ func TestMeshClusterConsensus(t *testing.T) {
 // and expects the 911 rejoin to readmit it.
 func TestMeshClusterCrashAndRejoin(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e"}
-	s, mesh, c := meshFixture(t, names, MeshConfig{})
+	s, mesh, c := meshFixture(t, names, MeshConfig{AckTimeout: testAckTimeout})
 	s.RunFor(time.Second)
 
 	c.Stop("d")
@@ -109,7 +113,7 @@ func TestMeshClusterStandbyJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewMeshCluster(s, mesh, names[:4], MeshConfig{})
+	c := NewMeshCluster(s, mesh, names[:4], MeshConfig{AckTimeout: testAckTimeout})
 	c.AddStandby("standby")
 	mesh.StopNode("standby")
 	s.RunFor(time.Second)
@@ -123,5 +127,46 @@ func TestMeshClusterStandbyJoin(t *testing.T) {
 	view, ok := c.ConsensusView()
 	if !ok || len(view) != 5 {
 		t.Fatalf("standby did not join: %v ok=%v", view, ok)
+	}
+}
+
+// TestMeshNodeRestartRejoins is a process restart as peers see it: node c
+// lives long enough to send a few hundred messages, dies, is excised, and a
+// brand-new driver for c (fresh engine, fresh id counter) asks to join. The
+// survivors still remember the ids c's previous life used; the new life's
+// ids must not collide with them, or every join request is acked and
+// dropped until the counter overtakes its past.
+func TestMeshNodeRestartRejoins(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	s := sim.New(13)
+	net := sim.NewNetwork(s)
+	sim.ApplyProfile(net, names, 2, sim.ProfileLAN)
+	mesh, err := rudp.NewMesh(s, net, names, rudp.Config{Paths: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := MeshConfig{AckTimeout: testAckTimeout}
+	nodes := map[string]*MeshNode{}
+	for _, n := range names {
+		nodes[n] = NewMeshNode(s, mesh, n, names, cfg, nil)
+	}
+	nodes["a"].StartWithToken()
+	s.RunFor(20 * time.Second)
+
+	nodes["c"].Stop()
+	mesh.StopNode("c")
+	s.RunFor(3 * time.Second)
+	if v := nodes["a"].Node().View(); len(v) != 2 {
+		t.Fatalf("dead c not excised: %v", v)
+	}
+
+	mesh.StartNode("c")
+	reborn := NewMeshNode(s, mesh, "c", []string{"c"}, cfg, nil)
+	reborn.Join("a")
+	s.RunFor(2 * cfg.withDefaults().StarveTimeout)
+	for _, n := range []*MeshNode{nodes["a"], nodes["b"], reborn} {
+		if v := n.Node().View(); len(v) != 3 {
+			t.Fatalf("restarted c not readmitted within 2×StarveTimeout: %s sees %v", n.Node().Name(), v)
+		}
 	}
 }

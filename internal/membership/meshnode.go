@@ -1,15 +1,78 @@
 package membership
 
-import "rain/internal/sim"
+import (
+	"time"
 
-// MeshNode drives one membership engine over a MeshTransport — the
-// per-process counterpart of MeshCluster for real-socket deployments, where
-// every cluster member is its own process and the transport is the
-// dial-by-address UDP mesh. It layers the same stop-and-wait ack handshake
-// (the protocol's failure detector) and (sender, id) dedup over the mesh
-// service, and optionally consults the mesh's peer liveness to fail
-// deliveries to known-dead neighbours after one attempt instead of
-// burning the full retry budget.
+	"rain/internal/sim"
+)
+
+// Service is the membership protocol's name on the mesh service demux:
+// tokens, 911s and probes share the nodes' bundled data connections instead
+// of a private NIC, which is how a deployed RAIN node runs (§2's "software
+// modules running in conjunction" — one transport, many services).
+const Service = "mbr"
+
+// MeshTransport is the slice of a datagram mesh the driver needs.
+// *rudp.Mesh (simulated RUDP), *rudp.RealMesh (UDP sockets) and sim.NIC (a
+// bare simulated interface) all satisfy it.
+type MeshTransport interface {
+	Handle(node, service string, fn func(from string, payload []byte))
+	SendService(from, to, service string, payload []byte)
+}
+
+// MeshConfig parameterises the driver.
+type MeshConfig struct {
+	Config
+	// AckTimeout is the per-attempt deadline of the stop-and-wait ack
+	// handshake. Required: it must outlast the transport's own
+	// retransmission timer plus a round trip, or every frame the transport
+	// recovers reads as a failed attempt — whoever assembles the transport
+	// knows that bound, so there is no default. Delivery to a dead or
+	// partitioned peer stalls forever on a reliable mesh; this timeout turns
+	// the stall into the protocol's failure-detection signal.
+	AckTimeout time.Duration
+	// Retries is how many times an unacked attempt is re-sent before the
+	// transport reports failure (default 2: three attempts in all).
+	Retries int
+}
+
+func (c MeshConfig) withDefaults() MeshConfig {
+	c.Config = c.Config.withDefaults()
+	if c.Retries == 0 {
+		c.Retries = 2
+	}
+	return c
+}
+
+// dedupWindow is how many of a sender's most recent message ids a receiver
+// remembers. A duplicate is a retry of an unacked attempt, so it trails its
+// original by at most Retries × AckTimeout — a handful of messages.
+const dedupWindow = 64
+
+// recentIDs is one sender's dedup window: a ring of the last ids processed.
+// Id 0 is never sent, so the zero value is empty.
+type recentIDs struct {
+	ids  [dedupWindow]uint64
+	next int
+}
+
+// seen reports whether id is in the window, recording it if not.
+func (r *recentIDs) seen(id uint64) bool {
+	for _, v := range r.ids {
+		if v == id {
+			return true
+		}
+	}
+	r.ids[r.next] = id
+	r.next = (r.next + 1) % dedupWindow
+	return false
+}
+
+// MeshNode drives one membership engine over a MeshTransport: the
+// stop-and-wait ack handshake that is the protocol's failure detector,
+// per-sender dedup, the tick loop and the join retry all live here and
+// nowhere else. A deployed process runs one (core.RealNode); a simulated
+// cluster is N of them on a shared transport (MeshCluster).
 //
 // Everything runs on the owning scheduler; drive it from an rt.Loop.
 type MeshNode struct {
@@ -21,7 +84,7 @@ type MeshNode struct {
 
 	nextID    uint64
 	acks      map[uint64]func()
-	processed map[string]bool
+	processed map[string]*recentIDs
 	stopped   bool
 	peerUp    func(name string) bool
 }
@@ -29,15 +92,27 @@ type MeshNode struct {
 // NewMeshNode builds the local member and registers its mesh handler.
 // ring is this node's initial world view: the seed starts with itself (or
 // a known initial ring) and StartWithToken; everyone else starts with
-// {name} and Join(seed). peerUp (optional) reports transport liveness.
+// {name} and Join(seed). peerUp (optional) reports transport liveness: a
+// peer the mesh says is down fails after one attempt instead of burning
+// the full retry budget.
 func NewMeshNode(s *sim.Scheduler, mesh MeshTransport, name string, ring []string, cfg MeshConfig, peerUp func(string) bool) *MeshNode {
+	if cfg.AckTimeout <= 0 {
+		panic("membership: MeshConfig.AckTimeout is required")
+	}
 	m := &MeshNode{
-		s:         s,
-		mesh:      mesh,
-		name:      name,
-		cfg:       cfg.withDefaults(),
+		s:    s,
+		mesh: mesh,
+		name: name,
+		cfg:  cfg.withDefaults(),
+		// Message ids must never repeat across this sender's incarnations:
+		// peers remember the ids they processed and ack-and-drop a repeat,
+		// which would silence a restarted process until its counter overtook
+		// its previous life. Counting up from the wall clock keeps lives
+		// disjoint (the scheduler's clock and RNG both restart with the
+		// process).
+		nextID:    uint64(time.Now().UnixNano()),
 		acks:      make(map[uint64]func()),
-		processed: make(map[string]bool),
+		processed: make(map[string]*recentIDs),
 		peerUp:    peerUp,
 	}
 	m.node = NewNode(name, ring, m.cfg.Config, m)
@@ -56,31 +131,37 @@ func NewMeshNode(s *sim.Scheduler, mesh MeshTransport, name string, ring []strin
 // Node exposes the driven engine (View, HasToken, OnMembershipChange, ...).
 func (m *MeshNode) Node() *Node { return m.node }
 
-// StartWithToken seeds the ring: exactly one process per cluster calls it.
+// StartWithToken seeds the ring: exactly one node per cluster calls it.
 func (m *MeshNode) StartWithToken() { m.node.StartWithToken(int64(m.s.Now())) }
 
-// Join requests admission through seed, retrying every StarveTimeout until
-// a token confirms membership (LocalSeq > 0).
+// Join requests admission through seed (§3.3.2), re-sending every
+// StarveTimeout — the request or the token may get lost — until a token
+// confirms membership (LocalSeq > 0).
 func (m *MeshNode) Join(seed string) {
 	m.node.Join(seed, int64(m.s.Now()))
 	var retry func()
 	retry = func() {
-		if m.stopped || m.node.LocalSeq() > 0 {
+		if m.node.LocalSeq() > 0 {
 			return
 		}
-		m.node.Join(seed, int64(m.s.Now()))
+		if !m.stopped {
+			m.node.Join(seed, int64(m.s.Now()))
+		}
 		m.s.After(m.cfg.StarveTimeout, retry)
 	}
 	m.s.After(m.cfg.StarveTimeout, retry)
 }
 
-// Stop freezes the engine (no ticks, no reception); Restart unfreezes it.
+// Stop freezes the engine (no ticks, no reception); Restart unfreezes it,
+// and the 911 rejoin path reconciles its stale protocol state.
 func (m *MeshNode) Stop()    { m.stopped = true }
 func (m *MeshNode) Restart() { m.stopped = false }
 
-// Send implements Transport with the stop-and-wait ack handshake. A peer
-// the mesh reports down fails after a single unacked attempt — the mesh's
-// liveness signal shortens failure detection without changing its meaning.
+// Stopped reports whether the engine is frozen.
+func (m *MeshNode) Stopped() bool { return m.stopped }
+
+// Send implements Transport: encode, send, and resend until the receiver's
+// ack arrives or the retry budget runs out.
 func (m *MeshNode) Send(to string, msg any, done func(ok bool)) {
 	m.nextID++
 	id := m.nextID
@@ -133,10 +214,13 @@ func (m *MeshNode) onFrame(from string, payload []byte) {
 	// Ack every arrival (the sender may be retrying a lost ack), process
 	// each (sender, id) once.
 	m.mesh.SendService(m.name, from, Service, encodeAck(id))
-	key := from + "#" + itoa(id)
-	if m.processed[key] {
+	seen := m.processed[from]
+	if seen == nil {
+		seen = new(recentIDs)
+		m.processed[from] = seen
+	}
+	if seen.seen(id) {
 		return
 	}
-	m.processed[key] = true
 	m.node.HandleMessage(from, msg, int64(m.s.Now()))
 }

@@ -2,10 +2,8 @@ package membership
 
 import "encoding/binary"
 
-// Wire codec for running the membership protocol over a byte transport (the
-// RUDP mesh service demux, real UDP sockets). The simulator's Cluster passes
-// Go values directly; everything else speaks this hand-rolled binary format:
-// a one-byte message kind, the uvarint envelope id of the stop-and-wait ack
+// Wire codec of the membership protocol, the same on every transport: a
+// one-byte message kind, the uvarint envelope id of the stop-and-wait ack
 // handshake, then the body fields as uvarints and length-prefixed strings.
 
 // Message kinds on the wire.

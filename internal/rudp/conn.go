@@ -10,6 +10,11 @@ import (
 	"rain/internal/telemetry"
 )
 
+// DefaultRTO is the retransmission timeout a zero Config.RTO takes. Layers
+// that time out on top of a Conn (the membership ack handshake) derive their
+// deadlines from it.
+const DefaultRTO = 40 * time.Millisecond
+
 // Config parameterises a Conn. Zero fields take the defaults below.
 type Config struct {
 	// Paths is the number of independent network paths (bundled interface
@@ -37,7 +42,7 @@ func (c Config) withDefaults() Config {
 		c.Window = 64
 	}
 	if c.RTO == 0 {
-		c.RTO = 40 * time.Millisecond
+		c.RTO = DefaultRTO
 	}
 	if c.PingInterval == 0 {
 		c.PingInterval = 10 * time.Millisecond

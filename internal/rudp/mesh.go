@@ -99,8 +99,13 @@ func NewMesh(s *sim.Scheduler, net *sim.Network, nodes []string, cfg Config) (*M
 		loop = func() {
 			if !m.stopped[a] {
 				now := int64(s.Now())
-				for _, c := range m.conns[a] {
-					c.Tick(now)
+				// In roster order, not map order: ticks transmit, and the
+				// network draws jitter per send, so the order is part of
+				// what a seed reproduces.
+				for _, b := range nodes {
+					if c := m.conns[a][b]; c != nil {
+						c.Tick(now)
+					}
 				}
 			}
 			s.After(cfg.PingInterval/2, loop)

@@ -13,6 +13,10 @@ import (
 	"rain/internal/telemetry"
 )
 
+// maxDatagram bounds one received UDP datagram (64 KiB, the protocol
+// maximum).
+const maxDatagram = 64 * 1024
+
 // RealConfig parameterises a RealMesh.
 type RealConfig struct {
 	// Name is the local node's mesh name (how peers address it).
@@ -61,9 +65,12 @@ type realPeer struct {
 // a fresh receiver (or vice versa).
 func (p *realPeer) ready() bool { return p.conn != nil && p.peerInc != 0 }
 
-// RealMesh is the dial-by-address multi-peer real-UDP driver: the simulated
-// Mesh's service demux (Handle/SendService/SendFrame) over one socket per
-// bundled path, with a lazily dialled Conn per peer. It runs entirely on an
+// RealMesh drives Conns over real UDP sockets, dialling peers by address —
+// the deployment the paper ran on its testbed. Like the original RUDP it
+// keeps every piece of protocol state in user space: the kernel is used only
+// for unreliable packet delivery (§2.5). It offers the simulated Mesh's
+// service demux (Handle/SendService/SendFrame) over one socket per bundled
+// path, with a lazily dialled Conn per peer. It runs entirely on an
 // rt.Loop — socket read goroutines only parse and post, so all protocol
 // state keeps the simulator's single-goroutine discipline and every engine
 // built for the simulated mesh (dstore, membership, election) runs on it
@@ -547,7 +554,7 @@ func (m *RealMesh) releaseOutq() {
 }
 
 // tick drives every peer conn's timers and liveness at half the ping
-// interval, the same cadence as the point-to-point UDP driver.
+// interval.
 func (m *RealMesh) tick() {
 	if m.closed {
 		return

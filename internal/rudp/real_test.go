@@ -37,8 +37,10 @@ func TestRealMeshRoundTrip(t *testing.T) {
 	defer lb.Stop()
 	defer b.Close()
 
-	atA := make(chan string, 16)
-	atB := make(chan string, 16)
+	// Handlers run on the loops; the channels hold a whole burst so a failed
+	// assertion never leaves a loop blocked under the deferred Close.
+	atA := make(chan string, 128)
+	atB := make(chan string, 128)
 	la.Call(func() {
 		a.Handle("a", "echo", func(from string, payload []byte) {
 			atA <- from + ":" + string(payload)
@@ -66,6 +68,65 @@ func TestRealMeshRoundTrip(t *testing.T) {
 	}
 	want(atA, "b:hi")
 	want(atB, "a:re-hi")
+
+	// A burst each way arrives complete and in order (the same state
+	// machine the simulator drives, over kernel UDP, §2.5).
+	const burst = 50
+	la.Post(func() {
+		for i := 0; i < burst; i++ {
+			a.SendService("a", "b", "echo", []byte(fmt.Sprintf("a%02d", i)))
+		}
+	})
+	lb.Post(func() {
+		for i := 0; i < burst; i++ {
+			b.SendService("b", "a", "echo", []byte(fmt.Sprintf("b%02d", i)))
+		}
+	})
+	// b hears a's burst interleaved with a's echoes of its own; each
+	// stream must be in order within itself.
+	for i := 0; i < burst; i++ {
+		want(atA, fmt.Sprintf("b:b%02d", i))
+	}
+	nextBurst, nextEcho := 0, 0
+	for nextBurst < burst || nextEcho < burst {
+		select {
+		case got := <-atB:
+			switch got {
+			case fmt.Sprintf("a:a%02d", nextBurst):
+				nextBurst++
+			case fmt.Sprintf("a:re-b%02d", nextEcho):
+				nextEcho++
+			default:
+				t.Fatalf("b got %q out of order (burst at %d, echoes at %d)", got, nextBurst, nextEcho)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("b got %d of a's burst and %d echoes, want %d each", nextBurst, nextEcho, burst)
+		}
+	}
+
+	// Both bundled paths come Up on both ends.
+	for _, end := range []struct {
+		loop *rt.Loop
+		mesh *RealMesh
+		peer string
+	}{{la, a, "b"}, {lb, b, "a"}} {
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			var status [2]string
+			end.loop.Call(func() {
+				for i := range status {
+					status[i] = end.mesh.peers[end.peer].conn.PathStatus(i).String()
+				}
+			})
+			if status == [2]string{"Up", "Up"} {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s's paths to %s not Up: %v", end.mesh.Name(), end.peer, status)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
 
 	// Loopback delivery works without sockets.
 	lb.Post(func() { b.SendService("b", "b", "echo", []byte("self")) })
@@ -168,4 +229,22 @@ func TestRealMeshBacklogCap(t *testing.T) {
 			t.Errorf("backlog %d exceeds cap 8", got)
 		}
 	})
+}
+
+// Construction rejects what cannot bind or pair: no local addresses, an
+// unparseable one, and a peer whose bundle has the wrong path count.
+func TestRealMeshValidation(t *testing.T) {
+	loop := rt.New(3)
+	loop.Start()
+	defer loop.Stop()
+	for _, cfg := range []RealConfig{
+		{Name: "a"},
+		{Name: "a", Locals: []string{"not-an-addr"}},
+		{Name: "a", Locals: []string{"127.0.0.1:0"}, Peers: map[string][]string{"b": {"127.0.0.1:1", "127.0.0.1:2"}}},
+	} {
+		if m, err := NewRealMesh(loop, cfg); err == nil {
+			m.Close()
+			t.Errorf("accepted %+v", cfg)
+		}
+	}
 }

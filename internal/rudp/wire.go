@@ -12,9 +12,9 @@
 // keeps all protocol state in user space: the driver only moves opaque
 // datagrams.
 //
-// Drivers bind Conns to the discrete-event simulator (Mesh, used by MPI,
-// group membership and the applications in tests/experiments) or to real UDP
-// sockets (cmd/rainnode).
+// Two drivers bind Conns to a network: Mesh to the discrete-event simulator
+// (used by MPI, the control protocols and the applications in tests and
+// experiments) and RealMesh to real UDP sockets (a deployed node).
 package rudp
 
 import (

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"time"
 )
 
@@ -226,4 +227,29 @@ func (n *Network) SendSizedDone(from, to Addr, payload any, size int, done func(
 // dropped, and dropped due to cut links.
 func (n *Network) Stats() (sent, delivered, dropped, cutDropped int64) {
 	return n.sent, n.delivered, n.dropped, n.cutDropped
+}
+
+// NIC carries one protocol's byte datagrams between nodes over a dedicated
+// interface index of the network: unreliable and unordered, exactly like the
+// Send underneath. It has the Handle/SendService shape the membership and
+// election drivers run on, so the same driver that rides the RUDP mesh runs
+// over a bare simulated NIC whose links tests cut by address. The service
+// name is ignored — one NIC carries one service.
+type NIC struct {
+	Net   *Network
+	Index int
+}
+
+// Handle attaches fn as node's receiver on this NIC.
+func (n NIC) Handle(node, service string, fn func(from string, payload []byte)) {
+	n.Net.Attach(NodeAddr(node, n.Index), func(p Packet) {
+		from := string(p.From)
+		fn(from[:strings.LastIndexByte(from, ':')], p.Payload.([]byte))
+	})
+}
+
+// SendService sends one datagram from node to node on this NIC. Receivers
+// see the sender's slice, so senders must not mutate a payload after sending.
+func (n NIC) SendService(from, to, service string, payload []byte) {
+	n.Net.Send(NodeAddr(from, n.Index), NodeAddr(to, n.Index), payload)
 }

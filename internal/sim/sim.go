@@ -10,9 +10,9 @@
 //
 // The simulator is intentionally single-threaded: events execute one at a
 // time in (time, sequence) order, which makes protocol interleavings
-// deterministic. Wall-clock drivers for the same engines live next to each
-// protocol package (see cmd/rainnode) — the engines themselves never import
-// sim or time.
+// deterministic. A deployed node runs the same engines and drivers on a
+// Scheduler paced by the wall clock (internal/rt) — the engines themselves
+// never import sim or time.
 package sim
 
 import (

@@ -26,8 +26,10 @@
 //     (internal/checkpoint) and the Rainwall firewall cluster
 //     (internal/rainwall).
 //
-// This package is the facade: erasure codes for standalone use and Cluster,
-// a simulated RAIN deployment wiring every subsystem together. DESIGN.md
+// This package is the facade: erasure codes for standalone use, and the one
+// RAIN stack on its two transports — Cluster wires every subsystem together
+// on the simulated network, Node is one process of a deployed cluster on UDP
+// sockets. Both run the same engines under the same drivers. DESIGN.md
 // documents the layer diagram, the dstore wire protocol, and the mapping
 // from benchmarks to the paper's tables and figures.
 package rain
