@@ -88,40 +88,3 @@ func TestChaosCrashRecoverLoop(t *testing.T) {
 	}
 	checkAll(99)
 }
-
-// TestParallelClientReads exercises the storage layer's concurrency safety:
-// many goroutines reading through the platform simultaneously (the servers
-// are mutex-guarded; the race detector patrols this test).
-func TestParallelClientReads(t *testing.T) {
-	p, err := New(sixNodes, Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 64*1024)
-	rand.New(rand.NewSource(2)).Read(data)
-	if err := p.Put("shared", data); err != nil {
-		t.Fatal(err)
-	}
-	errs := make(chan error, 16)
-	for g := 0; g < 16; g++ {
-		go func() {
-			for i := 0; i < 20; i++ {
-				got, err := p.Store.Get("shared")
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !bytes.Equal(got, data) {
-					errs <- fmt.Errorf("corrupt read")
-					return
-				}
-			}
-			errs <- nil
-		}()
-	}
-	for g := 0; g < 16; g++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-}

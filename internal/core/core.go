@@ -4,13 +4,16 @@
 // one Platform, the "collection of software modules running in conjunction
 // with operating system services and standard network protocols" of Fig 2.
 //
-// A Platform is what the proof-of-concept applications (§5) and Rainwall
-// (§6) instantiate: it owns a simulated cluster of nodes with two network
-// interfaces each, runs the membership ring and the election protocol
-// across them, and exposes distributed store/retrieve operations backed by
-// any of the §4 array codes. Fault injection (node crashes, link cuts,
-// interface failures) is part of the API because exercising failures is the
-// point of the system.
+// That set of modules is assembled once, per node (stack.go): shard backend,
+// storage daemon, store client, self-heal controller and sweep/scrub pacer
+// over the node's mesh endpoint and its membership and election engines. A
+// Platform is N of those nodes on one simulated network and one scheduler —
+// two network interfaces each, the membership ring and the election
+// protocol running across them, distributed store/retrieve operations backed
+// by any of the §4 array codes — with fault injection (node crashes, link
+// cuts, interface failures) part of the API because exercising failures is
+// the point of the system. A RealNode (node.go) is exactly one of those
+// nodes, on UDP sockets and a wall-clock loop.
 package core
 
 import (
@@ -29,21 +32,6 @@ import (
 	"rain/internal/telemetry"
 )
 
-// Sweep cadence for orphaned daemon transfer state (put assemblies and get
-// sessions abandoned by crashed clients).
-const (
-	// SweepInterval is how often every daemon's orphan sweep runs.
-	SweepInterval = 30 * time.Second
-	// OrphanAge is how long a transfer may sit idle before the sweep
-	// reclaims it — comfortably past every client stall/op deadline.
-	OrphanAge = 2 * time.Minute
-	// ScrubInterval is the default cadence of each node's background
-	// integrity scrub step.
-	ScrubInterval = 5 * time.Second
-	// ScrubRate is the default scrub read-bandwidth budget per node.
-	ScrubRate = int64(32 << 20) // bytes/sec
-)
-
 // Options configures a Platform.
 type Options struct {
 	// Seed makes the whole simulated cluster deterministic.
@@ -56,7 +44,7 @@ type Options struct {
 	// object's n shard holders are chosen by per-object rendezvous
 	// placement over the whole cluster (internal/placement). Default:
 	// B-Code when len(nodes) is valid for it, otherwise Reed-Solomon
-	// (n, n-2) over all nodes.
+	// (n, n-2) over all nodes (see defaultCode).
 	Code ecc.Code
 	// Policy selects the retrieve node-selection policy.
 	Policy storage.Policy
@@ -119,35 +107,21 @@ func (o Options) withDefaults(nodes int) (Options, error) {
 		o.LinkDelay = 200 * time.Microsecond
 	}
 	if o.Code == nil {
-		if c, err := ecc.NewBCode(nodes); err == nil {
-			o.Code = c
-		} else if c, err := ecc.NewReedSolomon(nodes, nodes-2); err == nil {
-			o.Code = c
-		} else {
-			return o, fmt.Errorf("core: no default code for %d nodes: %w", nodes, err)
+		c, err := defaultCode(nodes)
+		if err != nil {
+			return o, err
 		}
+		o.Code = c
 	}
 	if o.Code.N() > nodes {
 		return o, fmt.Errorf("core: code n=%d but cluster has only %d nodes", o.Code.N(), nodes)
-	}
-	if o.RebalanceDebounce == 0 {
-		o.RebalanceDebounce = time.Second
-	}
-	if o.ScrubInterval == 0 {
-		o.ScrubInterval = ScrubInterval
-	}
-	if o.ScrubRate == 0 {
-		o.ScrubRate = ScrubRate
 	}
 	return o, nil
 }
 
 // Platform is a running RAIN cluster. Every node runs a storage daemon on
 // the mesh and a client session; Put/Get/Rebuild/Rebalance are mesh
-// operations over per-object rendezvous placements. Store is the direct
-// in-process frontend over the same per-node backends, kept for experiments
-// that poke shards without network traffic; it exists only when the code is
-// exactly as wide as the cluster (it addresses servers positionally).
+// operations over per-object rendezvous placements.
 type Platform struct {
 	Scheduler *sim.Scheduler
 	Network   *sim.Network
@@ -156,7 +130,6 @@ type Platform struct {
 	Mesh       *rudp.Mesh
 	Membership *membership.MeshCluster
 	Election   *election.MeshCluster
-	Store      *storage.Store
 	Backends   map[string]*storage.Backend
 	Daemons    map[string]*dstore.Daemon
 	Clients    map[string]*dstore.Client
@@ -169,8 +142,7 @@ type Platform struct {
 	Telemetry *telemetry.Registry
 	Tracer    *telemetry.Tracer
 
-	servers map[string]*storage.Server
-	healers map[string]*selfHealer
+	healers map[string]*selfHealer // nil entries without Options.SelfHeal
 	opts    Options
 }
 
@@ -236,28 +208,6 @@ func New(nodes []string, opts Options) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	servers := make([]*storage.Server, len(nodes))
-	backends := make([]*storage.Backend, len(nodes))
-	for i, n := range nodes {
-		scope := reg.Node(n)
-		if opts.StorageDir != "" {
-			backends[i], err = storage.NewFileBackend(filepath.Join(opts.StorageDir, n), scope)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			backends[i] = storage.NewBackend(scope)
-		}
-		servers[i] = storage.NewServerWithBackend(n, i, backends[i])
-	}
-	// The positional direct-call frontend only fits a cluster exactly as
-	// wide as the code; wider clusters are placement-only.
-	var store *storage.Store
-	if len(opts.Standby) == 0 && opts.Code.N() == len(nodes) {
-		if store, err = storage.New(opts.Code, servers, opts.Policy, opts.Seed+1); err != nil {
-			return nil, err
-		}
-	}
 	// Membership and election run as live services on the data mesh, not on
 	// private NICs.
 	mcfg := membership.MeshConfig{
@@ -288,127 +238,59 @@ func New(nodes []string, opts Options) (*Platform, error) {
 		Mesh:       mesh,
 		Membership: mbr,
 		Election:   elect,
-		Store:      store,
 		Backends:   make(map[string]*storage.Backend),
 		Daemons:    make(map[string]*dstore.Daemon),
 		Clients:    make(map[string]*dstore.Client),
 		Telemetry:  reg,
 		Tracer:     tracer,
-		servers:    make(map[string]*storage.Server),
+		healers:    make(map[string]*selfHealer),
 		opts:       opts,
 	}
-	simClock := func() time.Time { return time.Unix(0, int64(s.Now())) }
 	for i, n := range nodes {
-		p.Backends[n] = backends[i]
-		p.servers[n] = servers[i]
-		// The daemon reads the backend through the Store seam so the chaos
-		// suite can interpose disk faults.
-		dstoreBackend := dstore.Store(backends[i])
-		if opts.WrapStore != nil {
-			if w := opts.WrapStore(n, backends[i]); w != nil {
-				dstoreBackend = w
-			}
-		}
-		p.Daemons[n] = dstore.NewDaemon(mesh, n, i, dstoreBackend, 0, dstore.WithDaemonClock(simClock), dstore.WithDaemonTelemetry(reg))
-		self := n
-		cl, err := dstore.NewClient(s, mesh, n, dstore.Config{
-			Code: opts.Code,
-			// Placement mode: every object's n shard holders are chosen by
-			// rendezvous hashing over the powered-on cluster, capacity-
-			// weighted and domain-spread when the options say so.
-			Nodes:         active,
-			Weights:       opts.Weights,
-			Domains:       opts.Domains,
-			Policy:        opts.Policy,
-			BlockSize:     opts.BlockSize,
-			RebuildBudget: opts.RebuildBudget,
-			Telemetry:     reg,
-			Tracer:        tracer,
-			// Liveness is the membership protocol's view from this node; the
-			// client's hedging covers the detection gap after a crash.
-			Alive: func(peer string) bool {
-				if peer == self {
-					return true
-				}
-				for _, v := range mbr.Members[self].View() {
-					if v == peer {
-						return true
-					}
-				}
-				return false
+		n := n
+		spec := stackSpec{
+			name:  n,
+			index: i,
+			store: dstore.Config{
+				Code: opts.Code,
+				// Placement mode: every object's n shard holders are chosen by
+				// rendezvous hashing over the powered-on cluster, capacity-
+				// weighted and domain-spread when the options say so.
+				Nodes:         active,
+				Weights:       opts.Weights,
+				Domains:       opts.Domains,
+				Policy:        opts.Policy,
+				BlockSize:     opts.BlockSize,
+				RebuildBudget: opts.RebuildBudget,
+				Telemetry:     reg,
+				Tracer:        tracer,
 			},
-		})
+			selfHeal:          opts.SelfHeal,
+			rebalanceDebounce: opts.RebalanceDebounce,
+			scrubInterval:     opts.ScrubInterval,
+			scrubRate:         opts.ScrubRate,
+		}
+		if opts.StorageDir != "" {
+			spec.storageDir = filepath.Join(opts.StorageDir, n)
+		}
+		if opts.WrapStore != nil {
+			spec.wrapStore = func(b *storage.Backend) dstore.Store { return opts.WrapStore(n, b) }
+		}
+		// Powered off is the mesh endpoint frozen: a crash, or a standby
+		// not yet joined.
+		stopped := func() bool { return mesh.Stopped(n) }
+		st, err := newStack(s, mesh, mbr.Members[n], elect.Members[n], stopped, spec)
 		if err != nil {
 			return nil, err
 		}
-		p.Clients[n] = cl
-		// Corruption the local scrub finds is repaired in place by the
-		// co-located client (same scheduler goroutine, so the callback may
-		// queue directly).
-		p.Daemons[n].OnCorrupt(func(id string, shardIdx int) {
-			cl.QueueRepair(id, shardIdx, self)
-		})
+		p.Backends[n], p.Daemons[n], p.Clients[n] = st.backend, st.daemon, st.client
+		p.healers[n] = st.healer
 	}
-	// Standbys are provisioned dark: server down, mesh endpoint frozen.
-	// Platform.Join powers one up.
+	// Standbys are provisioned dark; Platform.Join powers one up.
 	for _, sb := range opts.Standby {
-		p.servers[sb].SetDown(true)
 		mesh.StopNode(sb)
 	}
-	if opts.SelfHeal {
-		p.healers = make(map[string]*selfHealer, len(nodes))
-		for _, n := range nodes {
-			p.healers[n] = newSelfHealer(p, n)
-		}
-	}
-	// Periodic orphan sweep: transfer state abandoned by crashed clients is
-	// reclaimed on every daemon (the garbage-collection half of the put/get
-	// session protocol).
-	var sweep func()
-	sweep = func() {
-		for _, d := range p.Daemons {
-			d.SweepOrphans(OrphanAge)
-		}
-		s.After(SweepInterval, sweep)
-	}
-	s.After(SweepInterval, sweep)
-	// Background integrity scrub: every live node walks its own shard set
-	// verifying checksums under the read-bandwidth budget; corruption found
-	// here is quarantined by the backend and handed to the co-located
-	// client for repair-in-place via OnCorrupt.
-	if opts.ScrubInterval > 0 {
-		budget := opts.ScrubRate * int64(opts.ScrubInterval) / int64(time.Second)
-		if budget < 1 {
-			budget = 1
-		}
-		var scrub func()
-		scrub = func() {
-			for _, n := range p.Nodes {
-				if !p.Mesh.Stopped(n) {
-					p.Daemons[n].ScrubStep(budget)
-				}
-			}
-			s.After(opts.ScrubInterval, scrub)
-		}
-		s.After(opts.ScrubInterval, scrub)
-	}
 	return p, nil
-}
-
-// ackTimeout derives the membership driver's per-attempt ack deadline from
-// the transport it rides, for both assemblies. The deadline must outlast the
-// mesh's own retransmission timer, not just the round trip: the transport is
-// reliable, so a lost frame costs one RTO of latency, not delivery. An
-// attempt deadline shorter than the RTO turns every single loss into a
-// burned attempt — and three in a row into a false death vote, which the
-// clients' view-based liveness filter then turns into unreadable objects
-// sitting at bare quorum.
-func ackTimeout(conn rudp.Config, linkDelay time.Duration) time.Duration {
-	rto := conn.RTO
-	if rto == 0 {
-		rto = rudp.DefaultRTO
-	}
-	return 2*rto + 2*linkDelay + 10*time.Millisecond
 }
 
 // Run advances the cluster by d of virtual time.
@@ -491,11 +373,10 @@ func (p *Platform) GetStream(id string, w io.Writer) (int64, error) {
 // placement reconciliation where the delta is one node losing everything;
 // Rebalance handles the general delta.
 func (p *Platform) ReplaceNode(node string) (int, error) {
-	srv := p.serverOf(node)
-	if srv == nil {
-		return 0, fmt.Errorf("core: unknown node %q", node)
+	if err := p.known(node); err != nil {
+		return 0, err
 	}
-	srv.Wipe()
+	p.Backends[node].Wipe()
 	if err := p.Recover(node); err != nil {
 		return 0, err
 	}
@@ -533,17 +414,15 @@ func (p *Platform) RebalanceAsync(done func(dstore.RebalanceStats, error)) error
 }
 
 // Join powers up a standby node and admits it to the running cluster through
-// seed's 911 mechanism (§3.3.2): the storage server comes up empty, the mesh
-// endpoint thaws, and the membership engine requests a ring slot. With
+// seed's 911 mechanism (§3.3.2): the mesh endpoint thaws over its empty
+// backend and the membership engine requests a ring slot. With
 // SelfHeal on, the resulting view change pulls the node into every placement
 // universe and the leader's next debounced pass moves shards onto it; without
 // it, the caller reshapes the universe by hand (SetNodes + Rebalance).
 func (p *Platform) Join(node, seed string) error {
-	srv := p.serverOf(node)
-	if srv == nil {
-		return fmt.Errorf("core: unknown node %q", node)
+	if err := p.known(node); err != nil {
+		return err
 	}
-	srv.SetDown(false)
 	p.Mesh.StartNode(node)
 	p.Election.Restart(node)
 	p.Membership.Join(node, seed)
@@ -571,20 +450,21 @@ func (p *Platform) OnMessage(node string, fn func(from string, payload []byte)) 
 	p.Mesh.OnMessage(node, fn)
 }
 
-// serverOf returns the storage server co-located with a node.
-func (p *Platform) serverOf(node string) *storage.Server {
-	return p.servers[node]
-}
-
-// Crash takes a node down across every subsystem: its storage server goes
-// down, its membership and election engines stop, its RUDP endpoints
-// freeze, and all of its links are cut.
-func (p *Platform) Crash(node string) error {
-	srv := p.serverOf(node)
-	if srv == nil {
+// known rejects a node name outside the cluster.
+func (p *Platform) known(node string) error {
+	if p.Backends[node] == nil {
 		return fmt.Errorf("core: unknown node %q", node)
 	}
-	srv.SetDown(true)
+	return nil
+}
+
+// Crash takes a node down across every subsystem: its membership and
+// election engines stop, its RUDP endpoints freeze (which also silences its
+// daemon, client and controller), and all of its links are cut.
+func (p *Platform) Crash(node string) error {
+	if err := p.known(node); err != nil {
+		return err
+	}
 	p.Membership.Stop(node)
 	p.Election.Stop(node)
 	p.Mesh.StopNode(node)
@@ -596,11 +476,9 @@ func (p *Platform) Crash(node string) error {
 // Recover brings a crashed node back; membership readmits it via the 911
 // mechanism.
 func (p *Platform) Recover(node string) error {
-	srv := p.serverOf(node)
-	if srv == nil {
-		return fmt.Errorf("core: unknown node %q", node)
+	if err := p.known(node); err != nil {
+		return err
 	}
-	srv.SetDown(false)
 	p.Membership.Restart(node)
 	p.Election.Restart(node)
 	p.Mesh.StartNode(node)

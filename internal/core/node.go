@@ -1,16 +1,13 @@
-// One real cluster process. Where Platform assembles a whole simulated
-// cluster in one address space, RealNode assembles exactly one node of a
-// deployed cluster: the dial-by-address UDP mesh, a storage daemon, a store
-// client, the membership and election engines and the self-heal control
-// loop, all running on a single rt.Loop so every engine keeps the
-// simulator's one-goroutine ownership discipline over real sockets.
+// One real cluster process. Where Platform runs N node stacks on one
+// simulated mesh, RealNode runs exactly one — the same newStack build — over
+// the dial-by-address UDP mesh, with its membership and election drivers,
+// all on a single rt.Loop so every engine keeps the simulator's
+// one-goroutine ownership discipline over real sockets.
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"rain/internal/dstore"
@@ -19,7 +16,6 @@ import (
 	"rain/internal/membership"
 	"rain/internal/rt"
 	"rain/internal/rudp"
-	"rain/internal/sim"
 	"rain/internal/storage"
 	"rain/internal/telemetry"
 )
@@ -41,7 +37,8 @@ type NodeConfig struct {
 	// It only has to cover whoever this node dials first — the seed at
 	// minimum; the rest is learned from inbound hellos.
 	Peers map[string][]string
-	// Code is the erasure code; defaults like Options.Code, sized to Ring.
+	// Code is the erasure code; defaults like Options.Code (defaultCode),
+	// sized to Ring.
 	Code ecc.Code
 	// Policy selects the retrieve node-selection policy.
 	Policy storage.Policy
@@ -70,10 +67,13 @@ type NodeConfig struct {
 }
 
 // RealNode is one running cluster process: every engine lives on Loop and
-// must only be touched from loop callbacks. The ctx-taking methods are the
-// goroutine-safe facade; they bridge request contexts onto the loop by
-// posting the operation and cancelling its Handle when the context dies.
+// must only be touched from loop callbacks. The embedded dstore.Bridge is the
+// goroutine-safe facade — Put, Get, PutStream, Stat, List and Delete take a
+// request context, post the operation onto the loop and cancel its Handle
+// when the context dies.
 type RealNode struct {
+	*dstore.Bridge
+
 	Loop       *rt.Loop
 	Mesh       *rudp.RealMesh
 	Backend    *storage.Backend
@@ -84,13 +84,8 @@ type RealNode struct {
 	Telemetry  *telemetry.Registry
 	Tracer     *telemetry.Tracer
 
-	cfg  NodeConfig
-	code ecc.Code
-
-	// self-heal controller state, loop-owned (same shape as selfHealer).
-	healTimer sim.Timer
-	healing   bool
-	rearm     bool
+	code   ecc.Code
+	healer *selfHealer
 }
 
 // StartRealNode builds and starts one cluster process. The loop, mesh and
@@ -107,25 +102,14 @@ func StartRealNode(cfg NodeConfig) (*RealNode, error) {
 		return nil, fmt.Errorf("core: node %q not in ring %v", cfg.Name, cfg.Ring)
 	}
 	if cfg.Code == nil {
-		if c, err := ecc.NewBCode(len(cfg.Ring)); err == nil {
-			cfg.Code = c
-		} else if c, err := ecc.NewReedSolomon(len(cfg.Ring), len(cfg.Ring)-1); err == nil {
-			cfg.Code = c
-		} else {
-			return nil, fmt.Errorf("core: no default code for %d nodes: %w", len(cfg.Ring), err)
+		c, err := defaultCode(len(cfg.Ring))
+		if err != nil {
+			return nil, err
 		}
+		cfg.Code = c
 	}
 	if cfg.Code.N() > len(cfg.Ring) {
 		return nil, fmt.Errorf("core: code n=%d but ring has %d nodes", cfg.Code.N(), len(cfg.Ring))
-	}
-	if cfg.RebalanceDebounce == 0 {
-		cfg.RebalanceDebounce = time.Second
-	}
-	if cfg.ScrubInterval == 0 {
-		cfg.ScrubInterval = ScrubInterval
-	}
-	if cfg.ScrubRate == 0 {
-		cfg.ScrubRate = ScrubRate
 	}
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.Default()
@@ -135,22 +119,24 @@ func StartRealNode(cfg NodeConfig) (*RealNode, error) {
 	}
 	cfg.Conn.Telemetry = cfg.Telemetry
 
-	n := &RealNode{cfg: cfg, code: cfg.Code, Telemetry: cfg.Telemetry, Tracer: cfg.Tracer}
+	n := &RealNode{code: cfg.Code, Telemetry: cfg.Telemetry, Tracer: cfg.Tracer}
 	n.Loop = rt.New(cfg.Seed)
 	n.Loop.Start()
 
 	var err error
-	n.Loop.Call(func() { err = n.buildLocked(self) })
+	n.Loop.Call(func() { err = n.build(cfg, self) })
 	if err != nil {
-		n.Loop.Stop()
+		// Torn down from here, not from build: Mesh.Close waits on the loop
+		// and would deadlock on the loop's own goroutine.
+		n.Stop()
 		return nil, err
 	}
+	n.Bridge = dstore.NewBridge(n.Call, n.Client)
 	return n, nil
 }
 
-// buildLocked wires every engine; runs on the loop.
-func (n *RealNode) buildLocked(self int) error {
-	cfg := n.cfg
+// build wires every engine; runs on the loop.
+func (n *RealNode) build(cfg NodeConfig, self int) error {
 	s := n.Loop.Scheduler()
 	mesh, err := rudp.NewRealMesh(n.Loop, rudp.RealConfig{
 		Name:      cfg.Name,
@@ -163,28 +149,6 @@ func (n *RealNode) buildLocked(self int) error {
 		return err
 	}
 	n.Mesh = mesh
-
-	scope := cfg.Telemetry.Node(cfg.Name)
-	if cfg.StorageDir != "" {
-		n.Backend, err = storage.NewFileBackend(cfg.StorageDir, scope)
-		if err != nil {
-			mesh.Close()
-			return err
-		}
-	} else {
-		n.Backend = storage.NewBackend(scope)
-	}
-	// The daemon's clock is the loop's virtual clock (ns since start):
-	// orphan ages are relative, so any monotonic clock serves.
-	clock := func() time.Time { return time.Unix(0, int64(s.Now())) }
-	dstoreBackend := dstore.Store(n.Backend)
-	if cfg.WrapStore != nil {
-		if w := cfg.WrapStore(n.Backend); w != nil {
-			dstoreBackend = w
-		}
-	}
-	n.Daemon = dstore.NewDaemon(mesh, cfg.Name, self, dstoreBackend, 0,
-		dstore.WithDaemonClock(clock), dstore.WithDaemonTelemetry(cfg.Telemetry))
 
 	// Membership and election over the real mesh. The engines are the same
 	// state machines the simulated cluster runs; liveness shortcuts come
@@ -199,50 +163,30 @@ func (n *RealNode) buildLocked(self int) error {
 	}
 	n.Election = election.NewMeshNode(s, mesh, cfg.Name, peers, election.Config{}, mesh.Backlog)
 
-	cl, err := dstore.NewClient(s, mesh, cfg.Name, dstore.Config{
-		Code:      cfg.Code,
-		Nodes:     cfg.Ring,
-		Policy:    cfg.Policy,
-		BlockSize: cfg.BlockSize,
-		Telemetry: cfg.Telemetry,
-		Tracer:    cfg.Tracer,
-		// Liveness is the membership view; self is always alive.
-		Alive: func(peer string) bool {
-			if peer == cfg.Name {
-				return true
-			}
-			for _, v := range n.Membership.Node().View() {
-				if v == peer {
-					return true
-				}
-			}
-			return false
+	// The process is the node: nothing powers it off under its own loop, so
+	// the stack gets no stopped hook.
+	st, err := newStack(s, mesh, n.Membership.Node(), n.Election.Node(), nil, stackSpec{
+		name:       cfg.Name,
+		index:      self,
+		storageDir: cfg.StorageDir,
+		wrapStore:  cfg.WrapStore,
+		store: dstore.Config{
+			Code:      cfg.Code,
+			Nodes:     cfg.Ring,
+			Policy:    cfg.Policy,
+			BlockSize: cfg.BlockSize,
+			Telemetry: cfg.Telemetry,
+			Tracer:    cfg.Tracer,
 		},
+		selfHeal:          true,
+		rebalanceDebounce: cfg.RebalanceDebounce,
+		scrubInterval:     cfg.ScrubInterval,
+		scrubRate:         cfg.ScrubRate,
 	})
 	if err != nil {
-		mesh.Close()
 		return err
 	}
-	n.Client = cl
-
-	// The self-heal control loop, per-process edition: the view reshapes
-	// the placement universe, the leader drives debounced rebalances, a
-	// deposed leader's pass yields through the gate.
-	n.Membership.Node().OnMembershipChange(func(view []string) {
-		if len(view) >= n.code.N() {
-			cl.SetNodes(view)
-		}
-		n.armHeal()
-	})
-	n.Election.Node().OnLeaderChange(func(leader string, epoch uint64) {
-		if leader == cfg.Name {
-			n.armHeal()
-		}
-	})
-	cl.SetRebalanceGate(func() bool {
-		return n.Election.Node().IsLeader() &&
-			len(n.Membership.Node().View()) >= n.code.N()
-	})
+	n.Backend, n.Daemon, n.Client, n.healer = st.backend, st.daemon, st.client, st.healer
 
 	// Seed or join the ring.
 	if cfg.Ring[0] == cfg.Name {
@@ -250,62 +194,7 @@ func (n *RealNode) buildLocked(self int) error {
 	} else {
 		n.Membership.Join(cfg.Ring[0])
 	}
-
-	// Corruption the local scrub finds is repaired in place by this
-	// node's own client (same loop goroutine, so queueing is direct).
-	n.Daemon.OnCorrupt(func(id string, shardIdx int) {
-		cl.QueueRepair(id, shardIdx, cfg.Name)
-	})
-
-	// Orphaned transfer state left by crashed clients is reclaimed here
-	// like on the simulated platform.
-	var sweep func()
-	sweep = func() {
-		n.Daemon.SweepOrphans(OrphanAge)
-		s.After(SweepInterval, sweep)
-	}
-	s.After(SweepInterval, sweep)
-	// Background integrity scrub over the local shard set, paced by the
-	// read-bandwidth budget.
-	if cfg.ScrubInterval > 0 {
-		budget := cfg.ScrubRate * int64(cfg.ScrubInterval) / int64(time.Second)
-		if budget < 1 {
-			budget = 1
-		}
-		var scrub func()
-		scrub = func() {
-			n.Daemon.ScrubStep(budget)
-			s.After(cfg.ScrubInterval, scrub)
-		}
-		s.After(cfg.ScrubInterval, scrub)
-	}
 	return nil
-}
-
-// armHeal (re)starts the rebalance debounce; loop-owned.
-func (n *RealNode) armHeal() {
-	if n.healing {
-		n.rearm = true
-		return
-	}
-	n.healTimer.Stop()
-	n.healTimer = n.Loop.Scheduler().After(n.cfg.RebalanceDebounce, n.fireHeal)
-}
-
-func (n *RealNode) fireHeal() {
-	if n.healing || !n.Election.Node().IsLeader() ||
-		len(n.Membership.Node().View()) < n.code.N() {
-		return
-	}
-	n.healing = true
-	n.rearm = false
-	n.Client.RebalanceAsync(nil, func(stats dstore.RebalanceStats, err error) {
-		n.healing = false
-		if n.rearm || (err != nil && !errors.Is(err, dstore.ErrYielded)) {
-			n.armHeal()
-		}
-		n.rearm = false
-	})
 }
 
 // Stop tears the process down: mesh sockets close, the loop halts. Pending
@@ -336,6 +225,14 @@ func (n *RealNode) Leader() string {
 	return l
 }
 
+// SelfHealStats reports this node's self-heal controller counters, like
+// Platform.SelfHealStats does for a simulated node.
+func (n *RealNode) SelfHealStats() SelfHealStats {
+	var st SelfHealStats
+	n.Loop.Call(func() { st = n.healer.stats })
+	return st
+}
+
 // WaitReady blocks until this node's membership view spans the code width
 // (the cluster can host full placements) or ctx is cancelled.
 func (n *RealNode) WaitReady(ctx context.Context) error {
@@ -356,213 +253,3 @@ func (n *RealNode) WaitReady(ctx context.Context) error {
 		}
 	}
 }
-
-// Put stores an object across the cluster, aborting the shard fan-out when
-// ctx is cancelled. Goroutine-safe.
-func (n *RealNode) Put(ctx context.Context, id string, data []byte) error {
-	ch := make(chan error, 1)
-	var h *dstore.Handle
-	if !n.Loop.Call(func() {
-		h = n.Client.PutAsync(id, data, func(_ int, e error) { ch <- e })
-	}) {
-		return dstore.ErrCanceled
-	}
-	select {
-	case err := <-ch:
-		return err
-	case <-ctx.Done():
-		if !n.Loop.Call(func() { h.Cancel() }) {
-			return ctx.Err()
-		}
-		return <-ch
-	}
-}
-
-// PutStream stores an object from a reader; the reader is consumed on the
-// calling goroutine so the loop never blocks on it. Goroutine-safe.
-func (n *RealNode) PutStream(ctx context.Context, id string, r io.Reader, size int64) error {
-	f, err := n.NewPutFeed(id, size)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 64<<10)
-	for {
-		m, rerr := r.Read(buf)
-		if m > 0 {
-			if err := f.Offer(ctx, buf[:m]); err != nil {
-				f.Abort()
-				return err
-			}
-		}
-		if rerr == io.EOF {
-			return f.Close(ctx)
-		}
-		if rerr != nil {
-			f.Abort()
-			return rerr
-		}
-	}
-}
-
-// Get retrieves a whole object into memory. Goroutine-safe.
-func (n *RealNode) Get(ctx context.Context, id string) ([]byte, error) {
-	type result struct {
-		data []byte
-		err  error
-	}
-	ch := make(chan result, 1)
-	var h *dstore.Handle
-	if !n.Loop.Call(func() {
-		h = n.Client.GetAsync(id, func(d []byte, e error) { ch <- result{d, e} })
-	}) {
-		return nil, dstore.ErrCanceled
-	}
-	select {
-	case r := <-ch:
-		return r.data, r.err
-	case <-ctx.Done():
-		if !n.Loop.Call(func() { h.Cancel() }) {
-			return nil, ctx.Err()
-		}
-		r := <-ch
-		return r.data, r.err
-	}
-}
-
-// Delete removes an object's shards cluster-wide. Deletes are idempotent,
-// so cancellation just stops the wait. Goroutine-safe.
-func (n *RealNode) Delete(ctx context.Context, id string) error {
-	ch := make(chan error, 1)
-	if !n.Loop.Call(func() {
-		n.Client.DeleteAsync(id, func(e error) { ch <- e })
-	}) {
-		return dstore.ErrCanceled
-	}
-	select {
-	case err := <-ch:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// List walks the cluster inventory. Goroutine-safe.
-func (n *RealNode) List(ctx context.Context) ([]dstore.ObjectStat, error) {
-	type result struct {
-		objs []dstore.ObjectStat
-		err  error
-	}
-	ch := make(chan result, 1)
-	if !n.Loop.Call(func() {
-		n.Client.ListAsync(func(o []dstore.ObjectStat, e error) { ch <- result{o, e} })
-	}) {
-		return nil, dstore.ErrCanceled
-	}
-	select {
-	case r := <-ch:
-		return r.objs, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Stat looks one object up in the merged inventory. Goroutine-safe.
-func (n *RealNode) Stat(ctx context.Context, id string) (dstore.ObjectStat, error) {
-	type result struct {
-		st  dstore.ObjectStat
-		err error
-	}
-	ch := make(chan result, 1)
-	if !n.Loop.Call(func() {
-		n.Client.StatAsync(id, func(st dstore.ObjectStat, e error) { ch <- result{st, e} })
-	}) {
-		return dstore.ObjectStat{}, dstore.ErrCanceled
-	}
-	select {
-	case r := <-ch:
-		return r.st, r.err
-	case <-ctx.Done():
-		return dstore.ObjectStat{}, ctx.Err()
-	}
-}
-
-// Feed is the goroutine-safe push-mode streaming put: dstore.PutFeed bound
-// to the node's loop, with Offer blocking the producer (not the loop) while
-// the credit windows are full. The gateway's PUT path feeds request bodies
-// through it.
-type Feed struct {
-	n      *RealNode
-	f      *dstore.PutFeed
-	room   chan struct{}
-	done   chan struct{}
-	stored int
-	err    error
-}
-
-// NewPutFeed opens a push-mode streaming put of exactly size bytes.
-func (n *RealNode) NewPutFeed(id string, size int64) (*Feed, error) {
-	fd := &Feed{n: n, room: make(chan struct{}, 1), done: make(chan struct{})}
-	var err error
-	if !n.Loop.Call(func() {
-		fd.f, err = n.Client.NewPutFeed(id, size, func(s int, e error) {
-			fd.stored, fd.err = s, e
-			close(fd.done)
-		})
-		if err == nil {
-			fd.f.OnRoom(func() {
-				select {
-				case fd.room <- struct{}{}:
-				default:
-				}
-			})
-		}
-	}) {
-		return nil, dstore.ErrCanceled
-	}
-	if err != nil {
-		return nil, err
-	}
-	return fd, nil
-}
-
-// Offer delivers the next bytes, blocking while the pipeline is full until
-// the windows drain, the put resolves (the outcome surfaces at Close), or
-// ctx is cancelled.
-func (fd *Feed) Offer(ctx context.Context, p []byte) error {
-	room := false
-	if !fd.n.Loop.Call(func() { room = fd.f.Offer(p) }) {
-		return dstore.ErrCanceled
-	}
-	if room {
-		return nil
-	}
-	select {
-	case <-fd.room:
-		return nil
-	case <-fd.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Close completes the stream and waits for the put to resolve; a cancelled
-// ctx aborts the put instead (the daemons' staged writes are poisoned).
-func (fd *Feed) Close(ctx context.Context) error {
-	if !fd.n.Loop.Call(fd.f.Close) {
-		return dstore.ErrCanceled
-	}
-	select {
-	case <-fd.done:
-		return fd.err
-	case <-ctx.Done():
-		if !fd.n.Loop.Call(fd.f.Cancel) {
-			return ctx.Err()
-		}
-		<-fd.done
-		return fd.err
-	}
-}
-
-// Abort cancels the put; done state settles on the loop asynchronously.
-func (fd *Feed) Abort() { fd.n.Loop.Post(fd.f.Cancel) }

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"rain/internal/dstore"
+	"rain/internal/election"
+	"rain/internal/membership"
 	"rain/internal/sim"
 	"rain/internal/telemetry"
 )
@@ -19,17 +21,21 @@ type SelfHealStats struct {
 	Moves       dstore.RebalanceStats
 }
 
-// selfHealer is the per-node autonomic control loop of the tentpole: the
-// membership ring is the sensor, the elected leader is the actuator. Every
-// node reshapes its own client's placement universe on view changes; only
-// the node that currently holds leadership drives a rebalance, debounced so
-// a flapping link costs one pass per stable view, not one per flap. A
-// deposed leader's in-flight pass yields at the next task boundary via the
-// client's rebalance gate, and the new leader re-drives from scratch —
-// reconciliation is delta-exact, so completed moves are no-ops.
+// selfHealer is the per-node autonomic control loop, the same one on a
+// simulated Platform node (Options.SelfHeal) and a deployed RealNode (always
+// on): the membership ring is the sensor, the elected leader is the
+// actuator. Every node reshapes its own client's placement universe on view
+// changes; only the node that currently holds leadership drives a rebalance,
+// debounced so a flapping link costs one pass per stable view, not one per
+// flap. A deposed leader's in-flight pass yields at the next task boundary
+// via the client's rebalance gate, and the new leader re-drives from scratch
+// — reconciliation is delta-exact, so completed moves are no-ops.
 type selfHealer struct {
-	p        *Platform
-	node     string
+	s        *sim.Scheduler
+	client   *dstore.Client
+	mbr      *membership.Node
+	elect    *election.Node
+	stopped  func() bool // nil where the node cannot be powered off under its own loop
 	debounce time.Duration
 
 	timer   sim.Timer
@@ -43,19 +49,23 @@ type selfHealer struct {
 	yields            *telemetry.Counter
 }
 
-func newSelfHealer(p *Platform, node string) *selfHealer {
-	scope := p.Telemetry.Node(node)
+func newSelfHealer(s *sim.Scheduler, client *dstore.Client, mbr *membership.Node, elect *election.Node,
+	stopped func() bool, debounce time.Duration, scope *telemetry.Scope) *selfHealer {
+
 	h := &selfHealer{
-		p:                 p,
-		node:              node,
-		debounce:          p.opts.RebalanceDebounce,
+		s:                 s,
+		client:            client,
+		mbr:               mbr,
+		elect:             elect,
+		stopped:           stopped,
+		debounce:          debounce,
 		viewChanges:       scope.Counter("selfheal.view_changes", "membership view changes seen by the controller"),
 		leaderTransitions: scope.Counter("selfheal.leader_transitions", "leadership handovers seen by the controller"),
 		yields:            scope.Counter("selfheal.yields", "rebalance passes abandoned on leadership loss"),
 	}
-	p.Membership.Members[node].OnMembershipChange(h.onView)
-	p.Election.Members[node].OnLeaderChange(h.onLeader)
-	p.Clients[node].SetRebalanceGate(h.gate)
+	mbr.OnMembershipChange(h.onView)
+	elect.OnLeaderChange(h.onLeader)
+	client.SetRebalanceGate(h.gate)
 	return h
 }
 
@@ -66,8 +76,8 @@ func newSelfHealer(p *Platform, node string) *selfHealer {
 func (h *selfHealer) onView(view []string) {
 	h.stats.ViewChanges++
 	h.viewChanges.Inc()
-	if len(view) >= h.p.opts.Code.N() {
-		h.p.Clients[h.node].SetNodes(view)
+	if len(view) >= h.client.Code().N() {
+		h.client.SetNodes(view)
 	}
 	h.arm()
 }
@@ -77,7 +87,7 @@ func (h *selfHealer) onView(view []string) {
 // always re-drives; delta-exact reconciliation makes the overlap idempotent.
 func (h *selfHealer) onLeader(leader string, epoch uint64) {
 	h.leaderTransitions.Inc()
-	if leader == h.node {
+	if leader == h.client.Node() {
 		h.arm()
 	}
 }
@@ -90,7 +100,7 @@ func (h *selfHealer) arm() {
 		return
 	}
 	h.timer.Stop()
-	h.timer = h.p.Scheduler.After(h.debounce, h.fire)
+	h.timer = h.s.After(h.debounce, h.fire)
 }
 
 // gate is the client's per-task rebalance gate: a pass keeps driving moves
@@ -98,13 +108,13 @@ func (h *selfHealer) arm() {
 // placement. Installed at construction, it also yields manual Rebalance
 // calls on a deposed node — the leader owns reconciliation, full stop.
 func (h *selfHealer) gate() bool {
-	if h.p.Mesh.Stopped(h.node) {
+	if h.stopped != nil && h.stopped() {
 		return false
 	}
-	if !h.p.Election.Members[h.node].IsLeader() {
+	if !h.elect.IsLeader() {
 		return false
 	}
-	return len(h.p.Membership.Members[h.node].View()) >= h.p.opts.Code.N()
+	return len(h.mbr.View()) >= h.client.Code().N()
 }
 
 func (h *selfHealer) fire() {
@@ -114,7 +124,7 @@ func (h *selfHealer) fire() {
 	h.running = true
 	h.rearm = false
 	h.stats.Passes++
-	h.p.Clients[h.node].RebalanceAsync(nil, func(stats dstore.RebalanceStats, err error) {
+	h.client.RebalanceAsync(nil, func(stats dstore.RebalanceStats, err error) {
 		h.running = false
 		h.stats.Moves.Objects += stats.Objects
 		h.stats.Moves.Moved += stats.Moved

@@ -2,7 +2,6 @@ package dstore_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -37,8 +36,14 @@ func TestGetRange(t *testing.T) {
 	for _, hint := range []*dstore.RangeMeta{nil, {DataLen: size, BlockLen: bs}} {
 		for _, tc := range cases {
 			var buf bytes.Buffer
-			n, err := c.clients["b"].GetRangeCtx(context.Background(), "obj", &buf,
-				dstore.GetOptions{Off: tc.off, Length: tc.length, Meta: hint})
+			var n int64
+			var err error
+			finished := false
+			c.clients["b"].GetRangeAsync("obj", &buf,
+				dstore.GetOptions{Off: tc.off, Length: tc.length, Meta: hint},
+				func(written int64, e error) { n, err, finished = written, e, true })
+			for !finished && c.s.Step() {
+			}
 			if err != nil {
 				t.Fatalf("range off=%d len=%d hint=%v: %v", tc.off, tc.length, hint != nil, err)
 			}
@@ -165,7 +170,8 @@ func TestDeleteAndList(t *testing.T) {
 	}
 }
 
-// TestCtxCancellation checks a cancelled context aborts operations with
+// TestCtxCancellation checks that cancelling an in-flight operation's Handle
+// — what a dead request context turns into on a node's loop — aborts it with
 // ErrCanceled and leaks no request handlers.
 func TestCtxCancellation(t *testing.T) {
 	c := newCluster(t, 25, 6, 4, sim.ProfileLAN, nil)
@@ -173,13 +179,23 @@ func TestCtxCancellation(t *testing.T) {
 	if _, err := c.clients["a"].Put("obj", data); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.clients["b"].GetCtx(ctx, "obj"); !errors.Is(err, dstore.ErrCanceled) {
-		t.Fatalf("cancelled get: err=%v, want ErrCanceled", err)
+	// cancelInFlight lets the operation's first event run, cancels it, and
+	// pumps until the cancellation resolves it.
+	cancelInFlight := func(h *dstore.Handle, done *bool) {
+		c.s.Step()
+		h.Cancel()
+		for !*done && c.s.Step() {
+		}
 	}
-	if _, err := c.clients["b"].PutCtx(ctx, "obj2", data); !errors.Is(err, dstore.ErrCanceled) {
-		t.Fatalf("cancelled put: err=%v, want ErrCanceled", err)
+	var getErr, putErr error
+	getDone, putDone := false, false
+	cancelInFlight(c.clients["b"].GetAsync("obj", func(_ []byte, e error) { getErr, getDone = e, true }), &getDone)
+	if !errors.Is(getErr, dstore.ErrCanceled) {
+		t.Fatalf("cancelled get: err=%v, want ErrCanceled", getErr)
+	}
+	cancelInFlight(c.clients["b"].PutAsync("obj2", data, func(_ int, e error) { putErr, putDone = e, true }), &putDone)
+	if !errors.Is(putErr, dstore.ErrCanceled) {
+		t.Fatalf("cancelled put: err=%v, want ErrCanceled", putErr)
 	}
 	c.s.RunFor(2 * time.Second) // cancels and abort poisons settle
 	if got := c.clients["b"].PendingRequests(); got != 0 {

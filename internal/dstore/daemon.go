@@ -52,8 +52,7 @@ type Store interface {
 
 // Daemon is the storage server loop of one node: it owns no transport state
 // beyond a mesh registration and serves the wire protocol against the
-// node-local backend. The same backend may simultaneously back a
-// storage.Server for direct in-process calls.
+// node-local backend.
 //
 // Memory contract: the daemon never materialises a whole shard. Put chunks
 // append to a storage.Stage (a temp file on file-backed backends) and get

@@ -7,10 +7,10 @@
 // object.
 //
 // The client lives on a single-goroutine event loop (an rt.Loop on real
-// nodes, a pumped simulator in tests); the gateway bridges each HTTP
-// request onto it with the call function and never blocks the loop: bodies
-// are read and responses written on the handler goroutine, with the loop
-// touched only in posted closures.
+// nodes, a pumped simulator in tests); requests cross onto it through the
+// same dstore.Bridge the node's own Put/Get facade uses, and the loop is
+// never blocked: bodies are read and responses written on the handler
+// goroutine, with the loop touched only in posted closures.
 //
 // Routes:
 //
@@ -86,10 +86,13 @@ type routeMetrics struct {
 
 // Gateway is an http.Handler serving the object API over one node's dstore
 // client. call must run its closure on the client's owning loop goroutine
-// and report whether it ran (false once the loop is stopped).
+// and report whether it ran (false once the loop is stopped). Whole-object
+// operations cross onto the loop through the shared dstore.Bridge; only the
+// ranged GET, whose pipe needs Handle.Resume, posts to the loop itself.
 type Gateway struct {
 	call   func(func()) bool
 	client *dstore.Client
+	bridge *dstore.Bridge
 	cfg    Config
 	tracer *telemetry.Tracer
 
@@ -129,7 +132,8 @@ func New(call func(func()) bool, client *dstore.Client, cfg Config) *Gateway {
 	if cfg.Tracer == nil {
 		cfg.Tracer = telemetry.DefaultTracer()
 	}
-	g := &Gateway{call: call, client: client, cfg: cfg, tracer: cfg.Tracer, locks: make(map[string]*keyLock)}
+	g := &Gateway{call: call, client: client, bridge: dstore.NewBridge(call, client),
+		cfg: cfg, tracer: cfg.Tracer, locks: make(map[string]*keyLock)}
 	scope := cfg.Telemetry.Label("component", "gateway")
 	mk := func(route string) routeMetrics {
 		return routeMetrics{
@@ -269,60 +273,13 @@ type result struct {
 	err   error
 }
 
-// ---- loop bridges ----
-
 // errStopped is returned when the node's loop has shut down under a request.
 var errStopped = fmt.Errorf("gateway: node stopped: %w", dstore.ErrCanceled)
-
-// getObject fetches a whole (small) object through the loop.
-func (g *Gateway) getObject(ctx context.Context, id string) ([]byte, error) {
-	type res struct {
-		data []byte
-		err  error
-	}
-	ch := make(chan res, 1)
-	var h *dstore.Handle
-	if !g.call(func() {
-		h = g.client.GetAsync(id, func(d []byte, e error) { ch <- res{d, e} })
-	}) {
-		return nil, errStopped
-	}
-	select {
-	case r := <-ch:
-		return r.data, r.err
-	case <-ctx.Done():
-		if !g.call(func() { h.Cancel() }) {
-			return nil, errStopped
-		}
-		r := <-ch
-		return r.data, r.err
-	}
-}
-
-// putObject stores a whole (small) object through the loop.
-func (g *Gateway) putObject(ctx context.Context, id string, data []byte) error {
-	ch := make(chan error, 1)
-	var h *dstore.Handle
-	if !g.call(func() {
-		h = g.client.PutAsync(id, data, func(_ int, e error) { ch <- e })
-	}) {
-		return errStopped
-	}
-	select {
-	case err := <-ch:
-		return err
-	case <-ctx.Done():
-		if !g.call(func() { h.Cancel() }) {
-			return errStopped
-		}
-		return <-ch
-	}
-}
 
 // fetchMeta loads an object's metadata record; ok reports whether one
 // exists (legacy objects stored without the gateway have none).
 func (g *Gateway) fetchMeta(ctx context.Context, key string) (objectMeta, bool, error) {
-	data, err := g.getObject(ctx, metaPrefix+key)
+	data, err := g.bridge.Get(ctx, metaPrefix+key)
 	if errors.Is(err, dstore.ErrNotFound) {
 		return objectMeta{}, false, nil
 	}
@@ -371,34 +328,12 @@ func (g *Gateway) servePut(w http.ResponseWriter, r *http.Request, key string) r
 	return result{bytes: size, took: time.Since(start)}
 }
 
-// doPut feeds the request body through the push-mode put and, on success,
-// writes the metadata record.
+// doPut streams the request body through the bridge's push-mode put,
+// hashing it on the way, and on success writes the metadata record.
 func (g *Gateway) doPut(r *http.Request, key string, size int64) (objectMeta, error) {
 	ctx := r.Context()
-	fd, err := g.newFeed(key, size)
-	if err != nil {
-		return objectMeta{}, err
-	}
 	sum := sha256.New()
-	buf := make([]byte, 64<<10)
-	for {
-		n, rerr := r.Body.Read(buf)
-		if n > 0 {
-			sum.Write(buf[:n])
-			if err := fd.offer(ctx, buf[:n]); err != nil {
-				fd.abort()
-				return objectMeta{}, err
-			}
-		}
-		if errors.Is(rerr, io.EOF) {
-			break
-		}
-		if rerr != nil {
-			fd.abort()
-			return objectMeta{}, fmt.Errorf("%w: reading request body: %v", dstore.ErrCanceled, rerr)
-		}
-	}
-	if err := fd.close(ctx); err != nil {
+	if err := g.bridge.PutStream(ctx, key, io.TeeReader(bodyReader{r.Body}, sum), size); err != nil {
 		return objectMeta{}, err
 	}
 	meta := objectMeta{
@@ -407,81 +342,19 @@ func (g *Gateway) doPut(r *http.Request, key string, size int64) (objectMeta, er
 		SHA256: hex.EncodeToString(sum.Sum(nil)),
 	}
 	mj, _ := json.Marshal(meta)
-	return meta, g.putObject(ctx, metaPrefix+key, mj)
+	return meta, g.bridge.Put(ctx, metaPrefix+key, mj)
 }
 
-// feed bridges a loop-owned dstore.PutFeed to the handler goroutine.
-type feed struct {
-	g    *Gateway
-	f    *dstore.PutFeed
-	room chan struct{}
-	done chan struct{}
-	err  error
-}
+// bodyReader marks a failed request-body read as the client's doing (499),
+// not the store's.
+type bodyReader struct{ r io.Reader }
 
-func (g *Gateway) newFeed(id string, size int64) (*feed, error) {
-	fd := &feed{g: g, room: make(chan struct{}, 1), done: make(chan struct{})}
-	var err error
-	if !g.call(func() {
-		fd.f, err = g.client.NewPutFeed(id, size, func(_ int, e error) {
-			fd.err = e
-			close(fd.done)
-		})
-		if err == nil {
-			fd.f.OnRoom(func() {
-				select {
-				case fd.room <- struct{}{}:
-				default:
-				}
-			})
-		}
-	}) {
-		return nil, errStopped
+func (b bodyReader) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	if err != nil && err != io.EOF {
+		err = fmt.Errorf("%w: reading request body: %v", dstore.ErrCanceled, err)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return fd, nil
-}
-
-// offer delivers bytes, blocking the producer — never the loop — while the
-// credit windows are full.
-func (fd *feed) offer(ctx context.Context, p []byte) error {
-	room := false
-	if !fd.g.call(func() { room = fd.f.Offer(p) }) {
-		return errStopped
-	}
-	if room {
-		return nil
-	}
-	select {
-	case <-fd.room:
-		return nil
-	case <-fd.done:
-		return nil // outcome surfaces at close
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (fd *feed) close(ctx context.Context) error {
-	if !fd.g.call(fd.f.Close) {
-		return errStopped
-	}
-	select {
-	case <-fd.done:
-		return fd.err
-	case <-ctx.Done():
-		if !fd.g.call(fd.f.Cancel) {
-			return errStopped
-		}
-		<-fd.done
-		return fd.err
-	}
-}
-
-func (fd *feed) abort() {
-	fd.g.call(fd.f.Cancel)
+	return n, err
 }
 
 // ---- GET / HEAD ----
@@ -500,7 +373,7 @@ func (g *Gateway) serveGet(w http.ResponseWriter, r *http.Request, key string, b
 	} else {
 		// Legacy object (stored without the gateway): the merged inventory
 		// is the only size authority, and 404s surface here.
-		st, serr := g.stat(ctx, key)
+		st, serr := g.bridge.Stat(ctx, key)
 		if serr != nil {
 			g.httpError(w, serr)
 			return result{took: time.Since(start), err: serr}
@@ -641,26 +514,6 @@ func (g *Gateway) streamRange(w http.ResponseWriter, r *http.Request, key string
 	}
 }
 
-// stat resolves one object in the merged inventory through the loop.
-func (g *Gateway) stat(ctx context.Context, key string) (dstore.ObjectStat, error) {
-	type res struct {
-		st  dstore.ObjectStat
-		err error
-	}
-	ch := make(chan res, 1)
-	if !g.call(func() {
-		g.client.StatAsync(key, func(st dstore.ObjectStat, e error) { ch <- res{st, e} })
-	}) {
-		return dstore.ObjectStat{}, errStopped
-	}
-	select {
-	case r := <-ch:
-		return r.st, r.err
-	case <-ctx.Done():
-		return dstore.ObjectStat{}, ctx.Err()
-	}
-}
-
 // ---- DELETE ----
 
 func (g *Gateway) serveDelete(w http.ResponseWriter, r *http.Request, key string) result {
@@ -679,11 +532,11 @@ func (g *Gateway) serveDelete(w http.ResponseWriter, r *http.Request, key string
 	}
 	tr := g.trace("http.delete", key)
 	unlock := g.lockKey(key)
-	err := g.deleteObject(ctx, key)
+	err := g.bridge.Delete(ctx, key)
 	if err == nil {
 		// Metadata goes second: a half-applied delete leaves the meta
 		// record pointing at a missing object, which reads as 404 anyway.
-		g.deleteObject(ctx, metaPrefix+key)
+		g.bridge.Delete(ctx, metaPrefix+key)
 	}
 	unlock()
 	g.finishTrace(tr, err)
@@ -693,21 +546,6 @@ func (g *Gateway) serveDelete(w http.ResponseWriter, r *http.Request, key string
 	}
 	w.WriteHeader(http.StatusNoContent)
 	return result{took: time.Since(start)}
-}
-
-func (g *Gateway) deleteObject(ctx context.Context, id string) error {
-	ch := make(chan error, 1)
-	if !g.call(func() {
-		g.client.DeleteAsync(id, func(e error) { ch <- e })
-	}) {
-		return errStopped
-	}
-	select {
-	case err := <-ch:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // ---- LIST ----
@@ -726,28 +564,10 @@ type listPage struct {
 
 func (g *Gateway) serveList(w http.ResponseWriter, r *http.Request) result {
 	start := time.Now()
-	ctx := r.Context()
-	type res struct {
-		objs []dstore.ObjectStat
-		err  error
-	}
-	ch := make(chan res, 1)
-	if !g.call(func() {
-		g.client.ListAsync(func(o []dstore.ObjectStat, e error) { ch <- res{o, e} })
-	}) {
-		g.httpError(w, errStopped)
-		return result{took: time.Since(start), err: errStopped}
-	}
-	var objs []dstore.ObjectStat
-	select {
-	case rr := <-ch:
-		if rr.err != nil {
-			g.httpError(w, rr.err)
-			return result{took: time.Since(start), err: rr.err}
-		}
-		objs = rr.objs
-	case <-ctx.Done():
-		return result{took: time.Since(start), err: ctx.Err()}
+	objs, err := g.bridge.List(r.Context())
+	if err != nil {
+		g.httpError(w, err)
+		return result{took: time.Since(start), err: err}
 	}
 
 	max := g.cfg.MaxList

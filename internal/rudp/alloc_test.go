@@ -64,7 +64,7 @@ func TestConnSendReceiveAllocs(t *testing.T) {
 	for i := 0; i < 16; i++ { // warm pools, queue capacity, pending freelist
 		roundTrip()
 	}
-	if n := testing.AllocsPerRun(200, roundTrip); n != 0 {
+	if n := testing.AllocsPerRun(200, roundTrip); n != 0 && !raceEnabled {
 		t.Fatalf("instrumented send/receive allocated %.2f per ack cycle, want 0", n)
 	}
 

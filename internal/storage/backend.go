@@ -34,10 +34,9 @@ type ObjectInfo struct {
 }
 
 // Backend is the node-local shard store: one shard per object id, plus the
-// load counters the balancing policies and experiments read. It is the state
-// shared by the two frontends a RAIN node offers — the direct-call Server
-// used in-process and the dstore daemon serving the same shards over the
-// mesh. Safe for concurrent use.
+// load counters the balancing policies and experiments read. A RAIN node's
+// dstore daemon serves it over the mesh; the direct-call Server wraps a
+// private one. Safe for concurrent use.
 //
 // A backend is either memory-backed (NewBackend) or file-backed
 // (NewFileBackend): the latter spills shard bytes to one file per object so

@@ -16,9 +16,10 @@
 // support the bounded-memory transfer primitives the networked daemon
 // streams through — staged chunk-by-chunk writes (NewStage/Append/Commit,
 // atomic at commit) and ranged ReadAt reads — so a node's heap never scales
-// with the size of what it stores or serves. Server is the direct-call
-// frontend over the same backend; Rank implements the selection policies
-// shared with the networked client.
+// with the size of what it stores or serves. Server and Store are the
+// direct-call (no network) form of the same operations over private
+// backends; Rank implements the selection policies shared with the networked
+// client.
 package storage
 
 import (
@@ -44,9 +45,7 @@ var (
 // Server is a storage node frontend for direct in-process calls: a Backend
 // holding one symbol per object, plus the fault-injection and
 // instrumentation hooks the experiments need (down/up, request counters, a
-// location for the geographic policy). The same Backend may simultaneously
-// serve mesh traffic through a dstore daemon — the two frontends of one RAIN
-// node.
+// location for the geographic policy).
 type Server struct {
 	mu       sync.Mutex
 	name     string
@@ -58,20 +57,11 @@ type Server struct {
 // NewServer creates an empty storage server. distance is an abstract cost
 // used by the Nearest selection policy (e.g. network hops).
 func NewServer(name string, distance int) *Server {
-	return NewServerWithBackend(name, distance, NewBackend())
-}
-
-// NewServerWithBackend creates a server over an existing backend, sharing
-// its shards with any other frontend of the same node.
-func NewServerWithBackend(name string, distance int, b *Backend) *Server {
-	return &Server{name: name, distance: distance, backend: b}
+	return &Server{name: name, distance: distance, backend: NewBackend()}
 }
 
 // Name returns the server's identity.
 func (s *Server) Name() string { return s.name }
-
-// Backend returns the node-local shard store behind this server.
-func (s *Server) Backend() *Backend { return s.backend }
 
 // SetDown injects or clears a failure.
 func (s *Server) SetDown(down bool) {
@@ -124,14 +114,6 @@ func (s *Server) GetShard(id string) (shard []byte, shardIdx int, err error) {
 		return nil, UnknownShard, fmt.Errorf("%w on %s", err, s.name)
 	}
 	return shard, info.Shard, nil
-}
-
-// Stat reports the shard length and recorded object length for an object.
-func (s *Server) Stat(id string) (shardLen, dataLen int, err error) {
-	if s.Down() {
-		return 0, 0, fmt.Errorf("%w: %s", ErrServerDown, s.name)
-	}
-	return s.backend.Stat(id)
 }
 
 // Delete removes an object's symbol.
@@ -300,20 +282,6 @@ func (st *Store) Get(id string) ([]byte, error) {
 	st.mu.Lock()
 	size, known := st.sizes[id]
 	st.mu.Unlock()
-	if !known {
-		// The object may have been written by the other frontend (the mesh
-		// daemon), which records sizes in the backends; ask the servers and
-		// cache the answer so later reads skip the scan.
-		for _, s := range st.servers {
-			if _, dataLen, err := s.Stat(id); err == nil && dataLen != UnknownSize {
-				size, known = dataLen, true
-				st.mu.Lock()
-				st.sizes[id] = size
-				st.mu.Unlock()
-				break
-			}
-		}
-	}
 	if !known {
 		return nil, fmt.Errorf("%w: %s", ErrObjectNotFound, id)
 	}

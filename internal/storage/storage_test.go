@@ -47,6 +47,41 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParallelClientReads exercises the store's concurrency safety: many
+// goroutines reading one object through a shared Store simultaneously (the
+// servers and the size cache are mutex-guarded; the race detector patrols
+// this test).
+func TestParallelClientReads(t *testing.T) {
+	st, _ := newTestStore(t, FirstK)
+	data := make([]byte, 64*1024)
+	rand.New(rand.NewSource(2)).Read(data)
+	if _, err := st.Put("shared", data); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 16)
+	for g := 0; g < 16; g++ {
+		go func() {
+			for i := 0; i < 20; i++ {
+				got, err := st.Get("shared")
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(got, data) {
+					errs <- fmt.Errorf("corrupt read")
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 16; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestSurvivesMaxNodeFailures(t *testing.T) {
 	st, servers := newTestStore(t, FirstK)
 	data := make([]byte, 4096)

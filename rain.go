@@ -27,9 +27,10 @@
 //     (internal/rainwall).
 //
 // This package is the facade: erasure codes for standalone use, and the one
-// RAIN stack on its two transports — Cluster wires every subsystem together
-// on the simulated network, Node is one process of a deployed cluster on UDP
-// sockets. Both run the same engines under the same drivers. DESIGN.md
+// RAIN stack on its two transports — Node is one node of a deployed cluster
+// on UDP sockets, Cluster is N of that same node on the simulated network.
+// Both run one per-node assembly (internal/core): the same engines, drivers,
+// self-heal controller and scrub pacer. DESIGN.md
 // documents the layer diagram, the dstore wire protocol, and the mapping
 // from benchmarks to the paper's tables and figures.
 package rain
@@ -107,14 +108,15 @@ func RebuildStream(code Code, target int, w io.Writer, readers []io.Reader, data
 }
 
 // Cluster is a full RAIN deployment: a simulated set of nodes with bundled
-// network interfaces, running the membership ring, leader election, RUDP
-// communication and erasure-coded storage, with fault injection for every
-// layer. Put, Get, ReplaceNode and Rebalance are distributed operations
-// whose shard traffic crosses the simulated network as dstore protocol
-// messages; PutStream and GetStream are their bounded-memory forms, moving
-// one block codeword at a time so the cluster serves objects far larger
-// than any node's RAM (set ClusterOptions.StorageDir to also keep stored
-// shards on disk).
+// network interfaces, each running what a deployed Node runs — membership
+// ring, leader election, RUDP communication, erasure-coded storage and
+// (ClusterOptions.SelfHeal) the self-heal controller — with fault injection
+// for every layer. Put, Get, ReplaceNode and Rebalance are distributed
+// operations whose shard traffic crosses the simulated network as dstore
+// protocol messages; PutStream and GetStream are their bounded-memory forms,
+// moving one block codeword at a time so the cluster serves objects far
+// larger than any node's RAM (set ClusterOptions.StorageDir to also keep
+// stored shards on disk).
 //
 // Each object's n shard holders are chosen by rendezvous placement over the
 // whole cluster (see Placement), so the cluster may be wider than the code:
@@ -170,10 +172,12 @@ var (
 type NodeConfig = core.NodeConfig
 
 // Node is one running process of a deployed cluster: the dial-by-address
-// UDP mesh, a storage daemon, membership, election and self-heal — the
-// per-process counterpart of the all-in-one simulated Cluster. Its
-// context-taking methods (Put, Get, PutStream, Delete, List, Stat) are
-// goroutine-safe and abort shard fan-out when the context dies.
+// UDP mesh under the same per-node assembly a simulated Cluster runs N of —
+// storage daemon, store client, membership, election, self-heal (always on;
+// SelfHealStats and the selfheal.* counters report it) and the scrub pacer.
+// Its context-taking methods (Put, Get, PutStream, Delete, List, Stat — the
+// embedded dstore.Bridge, shared with the gateway) are goroutine-safe and
+// abort shard fan-out when the context dies.
 type Node = core.RealNode
 
 // GatewayConfig tunes a node's HTTP object gateway.
