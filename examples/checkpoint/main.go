@@ -1,7 +1,8 @@
-// RAINCheck (§5.3): distributed checkpointing with rollback recovery. A
-// leader assigns deterministic jobs to six nodes; every job checkpoints its
-// state into the erasure-coded store; two nodes are killed mid-run and
-// every job still completes with a bit-exact result.
+// RAINCheck (§5.3): distributed checkpointing with rollback recovery. The
+// cluster's elected leader assigns deterministic jobs to six nodes; every
+// job checkpoints its state into the erasure-coded store over the mesh; two
+// nodes are crashed mid-run and every job still completes with a bit-exact
+// result.
 package main
 
 import (
@@ -9,32 +10,20 @@ import (
 	"log"
 	"time"
 
+	"rain"
 	"rain/internal/checkpoint"
-	"rain/internal/ecc"
-	"rain/internal/sim"
-	"rain/internal/storage"
 )
 
 func main() {
-	s := sim.New(7)
-	net := sim.NewNetwork(s)
-	code, err := ecc.NewBCode(6)
+	cluster, err := rain.NewCluster(
+		[]string{"node0", "node1", "node2", "node3", "node4", "node5"},
+		rain.ClusterOptions{Seed: 7, Policy: rain.PolicyLeastLoaded},
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	names := []string{"node0", "node1", "node2", "node3", "node4", "node5"}
-	servers := make([]*storage.Server, len(names))
-	for i, n := range names {
-		servers[i] = storage.NewServer(n, i)
-	}
-	store, err := storage.New(code, servers, storage.LeastLoaded, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sys, err := checkpoint.New(s, net, names, store, checkpoint.Config{CheckpointEvery: 25})
-	if err != nil {
-		log.Fatal(err)
-	}
+	cluster.Run(time.Second) // let the ring and election settle
+	sys := checkpoint.New(cluster, checkpoint.Config{CheckpointEvery: 25})
 
 	var jobs []checkpoint.JobSpec
 	for i := 0; i < 8; i++ {
@@ -45,12 +34,16 @@ func main() {
 	sys.Submit(jobs...)
 	fmt.Println("submitted 8 jobs of 400 steps, checkpoint every 25 steps")
 
-	s.RunFor(617 * time.Millisecond)
+	cluster.Run(617 * time.Millisecond)
 	fmt.Println("killing node2 and node4 mid-run...")
-	sys.Kill("node2")
-	s.RunFor(413 * time.Millisecond)
-	sys.Kill("node4")
-	s.RunFor(40 * time.Second)
+	if err := cluster.Crash("node2"); err != nil {
+		log.Fatal(err)
+	}
+	cluster.Run(413 * time.Millisecond)
+	if err := cluster.Crash("node4"); err != nil {
+		log.Fatal(err)
+	}
+	cluster.Run(40 * time.Second)
 
 	done := sys.Done()
 	correct := 0

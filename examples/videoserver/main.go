@@ -1,34 +1,32 @@
 // RAINVideo (§5.1): a highly-available video server. A video is erasure
-// encoded block by block across six storage nodes; a client streams it
-// while servers are taken down and brought back. Playback survives any two
-// concurrent failures; a third causes visible stalls until a node returns.
+// encoded block by block across a six-node cluster; a client streams it
+// over the mesh while nodes are crashed and brought back. Playback survives
+// any two concurrent failures; a third causes visible stalls until a node
+// returns.
 package main
 
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"rain"
-	"rain/internal/storage"
 	"rain/internal/video"
 )
 
 func main() {
-	code, err := rain.NewBCode(6)
+	nodes := make([]string, 6)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf("video-node-%d", i)
+	}
+	cluster, err := rain.NewCluster(nodes, rain.ClusterOptions{Seed: 7, Policy: rain.PolicyLeastLoaded})
 	if err != nil {
 		log.Fatal(err)
 	}
-	servers := make([]*storage.Server, code.N())
-	for i := range servers {
-		servers[i] = storage.NewServer(fmt.Sprintf("video-node-%d", i), i)
-	}
-	store, err := storage.New(code, servers, storage.LeastLoaded, 7)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sys := video.NewSystem(store, video.Config{BlockSize: 32 * 1024})
+	cluster.Run(time.Second) // let the ring and election settle
+	sys := video.NewSystem(cluster, video.Config{BlockSize: 32 * 1024})
 
-	fmt.Println("encoding video across 6 nodes with the (6,4) B-Code...")
+	fmt.Printf("encoding video across 6 nodes with the %s...\n", cluster.Code().Name())
 	if err := sys.AddVideo("launch.mpg", 60, 2001); err != nil {
 		log.Fatal(err)
 	}
@@ -51,13 +49,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("blocks played: %d\n", rep.BlocksPlayed)
-	fmt.Printf("stalls (fewer than k=4 servers reachable): %d\n", rep.Stalls)
+	fmt.Printf("stalls (fewer than k=%d servers reachable): %d\n", cluster.Code().K(), rep.Stalls)
 	fmt.Printf("corrupt blocks: %d\n", rep.Corrupt)
 	fmt.Printf("bytes served: %d\n", rep.BytesServed)
 
 	fmt.Println("\nper-node read load (least-loaded selection spreads work):")
-	for _, s := range servers {
-		r, w := s.Loads()
-		fmt.Printf("  %-14s reads=%3d writes=%3d\n", s.Name(), r, w)
+	for _, n := range nodes {
+		r, w := cluster.Backends[n].Loads()
+		fmt.Printf("  %-14s reads=%3d writes=%3d\n", n, r, w)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"rain/internal/checkpoint"
-	"rain/internal/ecc"
+	"rain/internal/core"
 	"rain/internal/mpi"
 	"rain/internal/rainwall"
 	"rain/internal/rudp"
@@ -16,17 +16,19 @@ import (
 	"rain/internal/video"
 )
 
-func newStore(policy storage.Policy) (*storage.Store, []*storage.Server, error) {
-	code, err := ecc.NewBCode(6)
+// sixNodes is the application experiments' cluster: wide enough for the
+// paper's (6,4) B-Code, the platform's default code at this size.
+var sixNodes = []string{"node0", "node1", "node2", "node3", "node4", "node5"}
+
+// newPlatform boots the six-node cluster E16, E17 and E19 run on and lets
+// the membership ring and election settle.
+func newPlatform(policy storage.Policy, seed int64) (*core.Platform, error) {
+	p, err := core.New(sixNodes, core.Options{Seed: seed, Policy: policy})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	servers := make([]*storage.Server, code.N())
-	for i := range servers {
-		servers[i] = storage.NewServer(fmt.Sprintf("node%d", i), i)
-	}
-	st, err := storage.New(code, servers, policy, 7)
-	return st, servers, err
+	p.Run(time.Second)
+	return p, nil
 }
 
 // runStorage regenerates the §4.2 behaviour table: retrieve success under a
@@ -34,17 +36,20 @@ func newStore(policy storage.Policy) (*storage.Store, []*storage.Server, error) 
 func runStorage(w io.Writer) error {
 	fmt.Fprintf(w, "%-6s %-20s\n", "kills", "retrieve")
 	for kills := 0; kills <= 3; kills++ {
-		st, servers, err := newStore(storage.FirstK)
+		p, err := newPlatform(storage.FirstK, 7)
 		if err != nil {
 			return err
 		}
-		if _, err := st.Put("obj", make([]byte, 4096)); err != nil {
+		if err := p.Put("obj", make([]byte, 4096)); err != nil {
 			return err
 		}
-		for i := 0; i < kills; i++ {
-			servers[i].SetDown(true)
+		for _, n := range sixNodes[:kills] {
+			if err := p.Crash(n); err != nil {
+				return err
+			}
 		}
-		_, err = st.Get("obj")
+		p.Run(3 * time.Second) // membership excises the dead
+		_, err = p.Get("obj")
 		status := "ok"
 		if err != nil {
 			status = "fails (" + err.Error() + ")"
@@ -54,21 +59,21 @@ func runStorage(w io.Writer) error {
 	fmt.Fprintln(w, "\nread-load distribution over 600 retrieves (k=4 of n=6):")
 	fmt.Fprintf(w, "%-12s %s\n", "policy", "reads per server")
 	for _, pol := range []storage.Policy{storage.FirstK, storage.LeastLoaded, storage.Nearest, storage.RandomK} {
-		st, servers, err := newStore(pol)
+		p, err := newPlatform(pol, 7)
 		if err != nil {
 			return err
 		}
-		if _, err := st.Put("obj", make([]byte, 4096)); err != nil {
+		if err := p.Put("obj", make([]byte, 4096)); err != nil {
 			return err
 		}
 		for i := 0; i < 600; i++ {
-			if _, err := st.Get("obj"); err != nil {
+			if _, err := p.Get("obj"); err != nil {
 				return err
 			}
 		}
 		fmt.Fprintf(w, "%-12s", pol)
-		for _, s := range servers {
-			r, _ := s.Loads()
+		for _, n := range sixNodes {
+			r, _ := p.Backends[n].Loads()
 			fmt.Fprintf(w, " %5d", r)
 		}
 		fmt.Fprintln(w)
@@ -92,11 +97,11 @@ func runVideo(w io.Writer) error {
 			Down: map[int][]int{10: {0, 1, 2}}, Up: map[int][]int{25: {2}}}},
 	}
 	for _, sc := range scenarios {
-		st, _, err := newStore(storage.LeastLoaded)
+		p, err := newPlatform(storage.LeastLoaded, 7)
 		if err != nil {
 			return err
 		}
-		sys := video.NewSystem(st, video.Config{BlockSize: 16 * 1024})
+		sys := video.NewSystem(p, video.Config{BlockSize: 16 * 1024})
 		if err := sys.AddVideo("demo", 40, 11); err != nil {
 			return err
 		}
@@ -160,27 +165,25 @@ func runSnow(w io.Writer) error {
 // bit-exact results across node failures; rollback cost is the re-executed
 // steps.
 func runCheckpoint(w io.Writer) error {
-	s := sim.New(33)
-	net := sim.NewNetwork(s)
-	st, _, err := newStore(storage.LeastLoaded)
+	p, err := newPlatform(storage.LeastLoaded, 33)
 	if err != nil {
 		return err
 	}
-	names := []string{"node0", "node1", "node2", "node3", "node4", "node5"}
-	sys, err := checkpoint.New(s, net, names, st, checkpoint.Config{})
-	if err != nil {
-		return err
-	}
+	sys := checkpoint.New(p, checkpoint.Config{})
 	var jobs []checkpoint.JobSpec
 	for i := 0; i < 8; i++ {
 		jobs = append(jobs, checkpoint.JobSpec{ID: fmt.Sprintf("job%d", i), Steps: 300, Seed: uint64(100 + i)})
 	}
 	sys.Submit(jobs...)
-	s.RunFor(500 * time.Millisecond)
-	sys.Kill("node2")
-	s.RunFor(time.Second)
-	sys.Kill("node4")
-	s.RunFor(30 * time.Second)
+	p.Run(500 * time.Millisecond)
+	if err := p.Crash("node2"); err != nil {
+		return err
+	}
+	p.Run(time.Second)
+	if err := p.Crash("node4"); err != nil {
+		return err
+	}
+	p.Run(30 * time.Second)
 	done := sys.Done()
 	correct := 0
 	for _, sp := range jobs {

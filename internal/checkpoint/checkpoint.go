@@ -1,14 +1,15 @@
 // Package checkpoint implements RAINCheck (§5.3): a distributed checkpoint
-// and rollback/recovery mechanism built on the RAIN storage operations and a
-// leader election protocol.
+// and rollback/recovery mechanism built on a RAIN cluster's storage
+// operations, leader election and reliable messaging.
 //
-// A unique leader (per connected component, from internal/election) assigns
-// jobs to nodes. As each job executes, its state is periodically
-// checkpointed: serialized, erasure-encoded and written to all accessible
-// nodes with a distributed store operation. When a node fails, the leader
-// reassigns its jobs; the new owner retrieves the last checkpoint from any k
-// nodes, decodes it, and resumes execution from there. As long as a
-// connected component of k nodes survives, all jobs execute to completion.
+// The cluster's leader (per connected component, from the platform's
+// election) assigns jobs to nodes. As each job executes, its state is
+// periodically checkpointed: serialized, erasure-encoded and written to all
+// accessible nodes with a distributed store operation from the owning node's
+// store client. When a node fails, the leader reassigns its jobs; the new
+// owner retrieves the last checkpoint from any k nodes, decodes it, and
+// resumes execution from there. As long as a connected component of k nodes
+// survives, all jobs execute to completion.
 //
 // Jobs are deterministic hash-chain computations (see DESIGN.md
 // substitutions): state is a step counter and an accumulator, so tests can
@@ -19,16 +20,11 @@ package checkpoint
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"time"
 
-	"rain/internal/election"
-	"rain/internal/sim"
-	"rain/internal/storage"
+	"rain/internal/core"
 )
-
-// ctrlNIC is the interface index reserved for the job control plane
-// (election heartbeats ride on their own reserved interface).
-const ctrlNIC = 92
 
 // JobSpec describes one deterministic job.
 type JobSpec struct {
@@ -64,8 +60,14 @@ type jobState struct {
 	Acc  uint64 `json:"acc"`
 }
 
-// assignMsg is the leader's periodic assignment broadcast (idempotent,
-// rides unreliable datagrams).
+// jobRun is a worker's volatile view of one job it owns.
+type jobRun struct {
+	jobState
+	loading bool // the rollback read is in flight: the job is parked
+	saving  bool // a checkpoint write is in flight (at most one per job)
+}
+
+// assignMsg is the leader's periodic assignment broadcast (idempotent).
 type assignMsg struct {
 	Seq    uint64
 	Owners map[string]string // job -> node
@@ -78,6 +80,13 @@ type doneMsg struct {
 	Acc uint64
 }
 
+// ctrlMsg is the control-plane datagram on the platform's default message
+// service: exactly one field is set.
+type ctrlMsg struct {
+	Assign *assignMsg `json:",omitempty"`
+	Done   *doneMsg   `json:",omitempty"`
+}
+
 // Config parameterises the system.
 type Config struct {
 	// CheckpointEvery is the number of steps between checkpoints.
@@ -86,8 +95,6 @@ type Config struct {
 	StepsPerTick int
 	// TickInterval is the virtual time between worker ticks.
 	TickInterval time.Duration
-	// Election configures the leader election layer.
-	Election election.Config
 }
 
 func (c Config) withDefaults() Config {
@@ -110,20 +117,18 @@ type worker struct {
 	owners  map[string]string // latest assignment view
 	ownSeq  uint64
 	done    map[string]uint64
-	running map[string]*jobState
+	running map[string]*jobRun
 }
 
-// System is a running RAINCheck deployment.
+// System is a running RAINCheck deployment on a cluster: every node is both
+// a compute node and a storage node. Faults are the platform's to inject
+// (Crash/Recover); a crashed node's worker loses its volatile job state.
 type System struct {
-	S       *sim.Scheduler
-	Net     *sim.Network
-	Elect   *election.Cluster
-	Store   *storage.Store
+	p       *core.Platform
 	cfg     Config
-	names   []string
-	servers map[string]*storage.Server
 	workers map[string]*worker
 	specs   map[string]JobSpec
+	order   []string // job ids in submission order: the one iteration order
 
 	// leader bookkeeping (held by whichever node currently leads; kept
 	// per-node so a new leader rebuilds it from its own view plus Done
@@ -140,100 +145,77 @@ type System struct {
 	reassigns     int
 
 	// grace is the virtual time before which leaders refrain from
-	// assigning work: at startup every node briefly believes itself
-	// leader until heartbeats arrive, and assigning during that window
-	// would duplicate execution.
+	// assigning work — twice the election's failure timeout after New: at
+	// startup every node briefly believes itself leader until heartbeats
+	// arrive, and assigning during that window would duplicate execution.
 	grace int64
 }
 
-// New builds a RAINCheck system: every node is both a compute node and a
-// storage node; the store's code must have n equal to len(names).
-func New(s *sim.Scheduler, net *sim.Network, names []string, store *storage.Store, cfg Config) (*System, error) {
+// New starts RAINCheck on every node of the cluster: a worker ticking on the
+// platform's scheduler, its control messages on the platform's default
+// message service.
+func New(p *core.Platform, cfg Config) *System {
 	cfg = cfg.withDefaults()
-	if len(store.Servers()) != len(names) {
-		return nil, fmt.Errorf("checkpoint: %d nodes but %d storage servers", len(names), len(store.Servers()))
-	}
 	sys := &System{
-		S:             s,
-		Net:           net,
-		Elect:         election.NewCluster(s, net, names, cfg.Election),
-		Store:         store,
+		p:             p,
 		cfg:           cfg,
-		names:         append([]string(nil), names...),
-		servers:       make(map[string]*storage.Server),
 		workers:       make(map[string]*worker),
 		specs:         make(map[string]JobSpec),
 		latest:        make(map[string]int),
 		stepsExecuted: make(map[string]int),
+		grace:         int64(p.Scheduler.Now()) + 2*int64(p.Election.Members[p.Nodes[0]].Timeout()),
 	}
-	electTimeout := cfg.Election.Timeout
-	if electTimeout == 0 {
-		electTimeout = 100 * time.Millisecond
-	}
-	sys.grace = int64(s.Now()) + 2*int64(electTimeout)
-	for i, name := range names {
-		sys.servers[name] = store.Servers()[i]
+	for _, name := range p.Nodes {
 		w := &worker{
 			name:    name,
 			sys:     sys,
 			owners:  make(map[string]string),
 			done:    make(map[string]uint64),
-			running: make(map[string]*jobState),
+			running: make(map[string]*jobRun),
 		}
 		sys.workers[name] = w
-		addr := sim.NodeAddr(name, ctrlNIC)
-		net.Attach(addr, func(p sim.Packet) {
-			if sys.stoppedNode(name) {
-				return
+		p.OnMessage(name, func(_ string, payload []byte) {
+			var m ctrlMsg
+			if json.Unmarshal(payload, &m) == nil {
+				w.onMessage(m)
 			}
-			w.onMessage(p.Payload)
 		})
 		var loop func()
 		loop = func() {
-			if !sys.stoppedNode(name) {
+			if w.down() {
+				clear(w.running) // a crash loses volatile state
+			} else {
 				w.tick()
 			}
-			s.After(cfg.TickInterval, loop)
+			p.Scheduler.After(cfg.TickInterval, loop)
 		}
-		s.After(0, loop)
+		p.Scheduler.After(0, loop)
 	}
-	return sys, nil
+	return sys
 }
 
-func (sys *System) stoppedNode(name string) bool { return sys.servers[name].Down() }
+// down reports the worker's node crashed.
+func (w *worker) down() bool { return w.sys.p.Mesh.Stopped(w.name) }
 
 // Submit registers jobs to execute; call before or during the run.
 func (sys *System) Submit(specs ...JobSpec) {
 	for _, sp := range specs {
+		if _, known := sys.specs[sp.ID]; !known {
+			sys.order = append(sys.order, sp.ID)
+		}
 		sys.specs[sp.ID] = sp
 	}
 }
 
-// Kill crashes a node: its storage server goes down, its worker freezes and
-// its links are cut (the election layer will notice).
-func (sys *System) Kill(name string) {
-	sys.servers[name].SetDown(true)
-	sys.Elect.Stop(name)
-}
-
-// Revive brings a crashed node back (blank worker state; storage shards
-// intact but stale versions are ignored thanks to versioned checkpoints).
-func (sys *System) Revive(name string) {
-	sys.servers[name].SetDown(false)
-	sys.Elect.Restart(name)
-	w := sys.workers[name]
-	w.running = make(map[string]*jobState)
-}
-
 // Done reports the completed jobs and their final accumulators, from the
-// perspective of the current leader's component.
+// perspective of the live nodes.
 func (sys *System) Done() map[string]uint64 {
 	out := map[string]uint64{}
-	for _, name := range sys.names {
-		if sys.stoppedNode(name) {
+	for _, w := range sys.workers {
+		if w.down() {
 			continue
 		}
-		for job, acc := range sys.workers[name].done {
+		for job, acc := range w.done {
 			out[job] = acc
 		}
 	}
@@ -243,11 +225,7 @@ func (sys *System) Done() map[string]uint64 {
 // StepsExecuted returns total steps executed per job, including re-executed
 // work after rollbacks.
 func (sys *System) StepsExecuted() map[string]int {
-	out := make(map[string]int, len(sys.stepsExecuted))
-	for k, v := range sys.stepsExecuted {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(sys.stepsExecuted)
 }
 
 // Reassignments counts leader-initiated job migrations.
@@ -258,28 +236,35 @@ func ckptID(job string, step int) string { return fmt.Sprintf("ckpt/%s/%08d", jo
 
 // --- worker logic ---
 
-func (w *worker) onMessage(payload any) {
-	switch m := payload.(type) {
-	case assignMsg:
-		if m.Seq < w.ownSeq {
-			return
-		}
-		w.ownSeq = m.Seq
-		w.owners = m.Owners
-		for job, acc := range m.Done {
+func (w *worker) onMessage(m ctrlMsg) {
+	if a := m.Assign; a != nil && a.Seq >= w.ownSeq {
+		w.ownSeq = a.Seq
+		w.owners = a.Owners
+		for job, acc := range a.Done {
 			w.done[job] = acc
 		}
-	case doneMsg:
+	}
+	if d := m.Done; d != nil {
 		// Completion report (only meaningful at the leader).
-		w.done[m.Job] = m.Acc
+		w.done[d.Job] = d.Acc
+	}
+}
+
+// send delivers a control message to each listed node over the platform's
+// reliable datagrams.
+func (w *worker) send(m ctrlMsg, to ...string) {
+	raw, err := json.Marshal(m)
+	if err != nil {
+		return
+	}
+	for _, n := range to {
+		w.sys.p.Send(w.name, n, raw)
 	}
 }
 
 func (w *worker) tick() {
-	now := int64(w.sys.S.Now())
-	node := w.sys.Elect.Members[w.name]
-	if node.Leader() == w.name {
-		w.leaderTick(now)
+	if w.sys.p.Leader(w.name) == w.name {
+		w.leaderTick(int64(w.sys.p.Scheduler.Now()))
 	}
 	w.workTick()
 }
@@ -291,7 +276,7 @@ func (w *worker) leaderTick(now int64) {
 	}
 	alive := map[string]bool{}
 	load := map[string]int{}
-	for _, n := range w.sys.Elect.Members[w.name].Alive(now) {
+	for _, n := range w.sys.p.Election.Members[w.name].Alive(now) {
 		alive[n] = true
 		load[n] = 0
 	}
@@ -303,7 +288,7 @@ func (w *worker) leaderTick(now int64) {
 			delete(w.owners, job)
 		}
 	}
-	for id := range w.sys.specs {
+	for _, id := range w.sys.order {
 		if _, isDone := w.done[id]; isDone {
 			continue
 		}
@@ -313,7 +298,7 @@ func (w *worker) leaderTick(now int64) {
 		// Assign to the least-loaded alive node (deterministic
 		// tie-break by name).
 		best := ""
-		for _, n := range w.sys.names {
+		for _, n := range w.sys.p.Nodes {
 			if !alive[n] {
 				continue
 			}
@@ -329,93 +314,112 @@ func (w *worker) leaderTick(now int64) {
 		w.sys.reassigns++
 	}
 	w.sys.assignSeq++
-	msg := assignMsg{Seq: w.sys.assignSeq, Owners: map[string]string{}, Done: map[string]uint64{}}
-	for k, v := range w.owners {
-		msg.Owners[k] = v
-	}
-	for k, v := range w.done {
-		msg.Done[k] = v
-	}
-	for _, n := range w.sys.names {
-		if n == w.name {
-			w.onMessage(msg)
-			continue
+	msg := &assignMsg{Seq: w.sys.assignSeq, Owners: maps.Clone(w.owners), Done: maps.Clone(w.done)}
+	// Only to nodes the election hears: reliable datagrams to a dead peer
+	// would queue until it returns.
+	var peers []string
+	for _, n := range w.sys.p.Nodes {
+		if n != w.name && alive[n] {
+			peers = append(peers, n)
 		}
-		w.sys.Net.Send(sim.NodeAddr(w.name, ctrlNIC), sim.NodeAddr(n, ctrlNIC), msg)
 	}
+	w.onMessage(ctrlMsg{Assign: msg})
+	w.send(ctrlMsg{Assign: msg}, peers...)
 }
 
 // workTick executes assigned jobs, checkpointing and reporting completion.
 func (w *worker) workTick() {
-	for job, owner := range w.owners {
-		if owner != w.name {
+	for _, job := range w.sys.order {
+		_, isDone := w.done[job]
+		if w.owners[job] != w.name || isDone {
 			delete(w.running, job)
 			continue
 		}
-		if _, isDone := w.done[job]; isDone {
-			delete(w.running, job)
+		spec := w.sys.specs[job]
+		r, ok := w.running[job]
+		if !ok {
+			r = w.recover(spec)
+			w.running[job] = r
+		}
+		if r.loading {
 			continue
 		}
-		spec, ok := w.sys.specs[job]
-		if !ok {
-			continue
-		}
-		st, ok := w.running[job]
-		if !ok {
-			st = w.recover(spec)
-			w.running[job] = st
-		}
-		for i := 0; i < w.sys.cfg.StepsPerTick && st.Step < spec.Steps; i++ {
-			st.Acc = advance(st.Acc)
-			st.Step++
+		for i := 0; i < w.sys.cfg.StepsPerTick && r.Step < spec.Steps; i++ {
+			r.Acc = advance(r.Acc)
+			r.Step++
 			w.sys.stepsExecuted[job]++
-			if st.Step%w.sys.cfg.CheckpointEvery == 0 || st.Step == spec.Steps {
-				w.checkpoint(st)
+			if r.Step%w.sys.cfg.CheckpointEvery == 0 || r.Step == spec.Steps {
+				w.checkpoint(r)
 			}
 		}
-		if st.Step >= spec.Steps {
-			w.finish(job, st.Acc)
+		if r.Step >= spec.Steps {
+			w.finish(job, r.Acc)
 		}
 	}
 }
 
-// recover loads the latest checkpoint (rollback) or starts fresh.
-func (w *worker) recover(spec JobSpec) *jobState {
-	if step, ok := w.sys.latest[spec.ID]; ok {
-		if raw, err := w.sys.Store.Get(ckptID(spec.ID, step)); err == nil {
-			var st jobState
-			if json.Unmarshal(raw, &st) == nil && st.ID == spec.ID {
-				return &st
-			}
-		}
+// recover starts a job from its latest checkpoint (rollback) — the job parks
+// until the retrieve resolves — or from scratch when there is none or it
+// cannot be read.
+func (w *worker) recover(spec JobSpec) *jobRun {
+	r := &jobRun{jobState: jobState{ID: spec.ID, Acc: spec.Seed}}
+	step, ok := w.sys.latest[spec.ID]
+	if !ok {
+		return r
 	}
-	return &jobState{ID: spec.ID, Step: 0, Acc: spec.Seed}
+	r.loading = true
+	w.sys.p.Clients[w.name].GetAsync(ckptID(spec.ID, step), func(raw []byte, err error) {
+		var st jobState
+		if err == nil && json.Unmarshal(raw, &st) == nil && st.ID == spec.ID {
+			r.jobState = st
+		}
+		r.loading = false
+	})
+	return r
 }
 
-// checkpoint encodes and distributes the state, then prunes the previous
-// version.
-func (w *worker) checkpoint(st *jobState) {
-	raw, err := json.Marshal(st)
+// checkpoint encodes and distributes the state from this node's store
+// client; once the write commits it becomes the job's latest checkpoint and
+// the version it supersedes is pruned. A checkpoint that comes due while the
+// previous write is still in flight is skipped.
+func (w *worker) checkpoint(r *jobRun) {
+	if r.saving {
+		return
+	}
+	raw, err := json.Marshal(r.jobState)
 	if err != nil {
 		return
 	}
-	if _, err := w.sys.Store.Put(ckptID(st.ID, st.Step), raw); err != nil {
-		return // fewer than k nodes reachable: keep computing, retry later
-	}
-	if prev, ok := w.sys.latest[st.ID]; ok && prev != st.Step {
-		for _, srv := range w.sys.Store.Servers() {
-			srv.Delete(ckptID(st.ID, prev))
+	r.saving = true
+	job, step, cl := r.ID, r.Step, w.sys.p.Clients[w.name]
+	cl.PutAsync(ckptID(job, step), raw, func(_ int, err error) {
+		r.saving = false
+		if w.down() {
+			return
 		}
-	}
-	w.sys.latest[st.ID] = st.Step
+		prev, had := w.sys.latest[job]
+		if err == nil && (!had || step > prev) {
+			w.sys.latest[job] = step
+			if had {
+				cl.DeleteAsync(ckptID(job, prev), func(error) {})
+			}
+			return
+		}
+		// Not the new latest: the write failed (fewer than k nodes reachable:
+		// keep computing, retry at the next interval) or landed behind a newer
+		// version (written before a rollback, or after a restart from step 0).
+		// Its shards are garbage — unless it rewrote the latest itself.
+		if !had || step != prev {
+			cl.DeleteAsync(ckptID(job, step), func(error) {})
+		}
+	})
 }
 
 // finish reports completion to the leader (and records locally).
 func (w *worker) finish(job string, acc uint64) {
 	w.done[job] = acc
 	delete(w.running, job)
-	leader := w.sys.Elect.Members[w.name].Leader()
-	if leader != w.name {
-		w.sys.Net.Send(sim.NodeAddr(w.name, ctrlNIC), sim.NodeAddr(leader, ctrlNIC), doneMsg{Job: job, Acc: acc})
+	if leader := w.sys.p.Leader(w.name); leader != w.name {
+		w.send(ctrlMsg{Done: &doneMsg{Job: job, Acc: acc}}, leader)
 	}
 }

@@ -2,36 +2,24 @@ package checkpoint
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
-	"rain/internal/ecc"
-	"rain/internal/sim"
-	"rain/internal/storage"
+	"rain"
 )
 
-func newTestSystem(t *testing.T) *System {
+// newTestSystem starts RAINCheck on a fresh six-node cluster running the
+// default (6,4) B-Code — the platform's own election, mesh and store.
+func newTestSystem(t *testing.T) (*System, *rain.Cluster) {
 	t.Helper()
-	s := sim.New(4242)
-	net := sim.NewNetwork(s)
-	code, err := ecc.NewBCode(6)
+	p, err := rain.NewCluster([]string{"n1", "n2", "n3", "n4", "n5", "n6"},
+		rain.ClusterOptions{Seed: 4242, Policy: rain.PolicyLeastLoaded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := []string{"n1", "n2", "n3", "n4", "n5", "n6"}
-	servers := make([]*storage.Server, len(names))
-	for i, n := range names {
-		servers[i] = storage.NewServer(n, i)
-	}
-	st, err := storage.New(code, servers, storage.LeastLoaded, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := New(s, net, names, st, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
+	return New(p, Config{}), p
 }
 
 func specs(n, steps int) []JobSpec {
@@ -56,12 +44,36 @@ func wantAllDone(t *testing.T, sys *System, jobs []JobSpec) {
 	}
 }
 
+// wantPruned checks every live node holds exactly one checkpoint object per
+// job: every superseded version, failed write and write that landed late,
+// behind a newer one, was deleted. A node that was down for some of those
+// deletes and came back is the store's to reconcile; name it in except.
+func wantPruned(t *testing.T, p *rain.Cluster, jobs []JobSpec, except ...string) {
+	t.Helper()
+	for _, n := range p.Nodes {
+		if p.Mesh.Stopped(n) || slices.Contains(except, n) {
+			continue
+		}
+		held := map[string][]string{}
+		for _, o := range p.Backends[n].List() {
+			job := strings.Split(o.ID, "/")[1]
+			held[job] = append(held[job], o.ID)
+		}
+		for _, sp := range jobs {
+			if len(held[sp.ID]) != 1 {
+				t.Fatalf("node %s holds %d checkpoints of %s, want the latest only: %v", n, len(held[sp.ID]), sp.ID, held[sp.ID])
+			}
+		}
+	}
+}
+
 func TestJobsCompleteFaultFree(t *testing.T) {
-	sys := newTestSystem(t)
+	sys, p := newTestSystem(t)
 	jobs := specs(8, 100)
 	sys.Submit(jobs...)
-	sys.S.RunFor(10 * time.Second)
+	p.Run(10 * time.Second)
 	wantAllDone(t, sys, jobs)
+	wantPruned(t, p, jobs)
 	// Without failures there is no rollback: executed == spec steps.
 	for _, sp := range jobs {
 		if got := sys.StepsExecuted()[sp.ID]; got != sp.Steps {
@@ -71,11 +83,12 @@ func TestJobsCompleteFaultFree(t *testing.T) {
 }
 
 func TestJobsSpreadAcrossNodes(t *testing.T) {
-	sys := newTestSystem(t)
+	sys, p := newTestSystem(t)
 	jobs := specs(12, 50)
 	sys.Submit(jobs...)
-	sys.S.RunFor(10 * time.Second)
+	p.Run(10 * time.Second)
 	wantAllDone(t, sys, jobs)
+	wantPruned(t, p, jobs)
 	// Twelve jobs over six nodes: the least-loaded assignment gives two
 	// initial jobs per node, i.e. exactly 12 assignments total.
 	if sys.Reassignments() != 12 {
@@ -86,13 +99,14 @@ func TestJobsSpreadAcrossNodes(t *testing.T) {
 func TestNodeFailureRollbackRecovery(t *testing.T) {
 	// E19: kill a worker mid-run; its jobs are reassigned, resume from the
 	// last checkpoint, and complete with bit-exact results.
-	sys := newTestSystem(t)
+	sys, p := newTestSystem(t)
 	jobs := specs(6, 400)
 	sys.Submit(jobs...)
-	sys.S.RunFor(500 * time.Millisecond) // some progress + checkpoints
-	sys.Kill("n2")
-	sys.S.RunFor(20 * time.Second)
+	p.Run(500 * time.Millisecond) // some progress + checkpoints
+	p.Crash("n2")
+	p.Run(25 * time.Second)
 	wantAllDone(t, sys, jobs)
+	wantPruned(t, p, jobs)
 	// Rollback re-executes work: total executed steps must exceed the
 	// failure-free sum.
 	total := 0
@@ -107,38 +121,40 @@ func TestNodeFailureRollbackRecovery(t *testing.T) {
 func TestLeaderFailure(t *testing.T) {
 	// Killing the leader forces re-election AND reassignment of the
 	// leader's own jobs.
-	sys := newTestSystem(t)
+	sys, p := newTestSystem(t)
 	jobs := specs(6, 400)
 	sys.Submit(jobs...)
-	sys.S.RunFor(500 * time.Millisecond)
-	sys.Kill("n1") // smallest id = initial leader
-	sys.S.RunFor(20 * time.Second)
+	p.Run(500 * time.Millisecond)
+	p.Crash("n1") // smallest id = initial leader
+	p.Run(25 * time.Second)
 	wantAllDone(t, sys, jobs)
+	wantPruned(t, p, jobs)
 }
 
 func TestTwoFailuresWithinCodeTolerance(t *testing.T) {
 	// (6,4) code: two dead nodes still leave k=4 storage nodes, so
 	// checkpoints stay retrievable and all jobs finish.
-	sys := newTestSystem(t)
+	sys, p := newTestSystem(t)
 	jobs := specs(8, 300)
 	sys.Submit(jobs...)
-	sys.S.RunFor(400 * time.Millisecond)
-	sys.Kill("n3")
-	sys.S.RunFor(400 * time.Millisecond)
-	sys.Kill("n5")
-	sys.S.RunFor(30 * time.Second)
+	p.Run(400 * time.Millisecond)
+	p.Crash("n3")
+	p.Run(400 * time.Millisecond)
+	p.Crash("n5")
+	p.Run(30 * time.Second)
 	wantAllDone(t, sys, jobs)
+	wantPruned(t, p, jobs)
 }
 
 func TestRevivedNodeRejoinsWorkforce(t *testing.T) {
-	sys := newTestSystem(t)
+	sys, p := newTestSystem(t)
 	jobs := specs(10, 600)
 	sys.Submit(jobs...)
-	sys.S.RunFor(300 * time.Millisecond)
-	sys.Kill("n4")
-	sys.S.RunFor(2 * time.Second)
-	sys.Revive("n4")
-	sys.S.RunFor(30 * time.Second)
+	p.Run(300 * time.Millisecond)
+	p.Crash("n4")
+	p.Run(2 * time.Second)
+	p.Recover("n4")
+	p.Run(30 * time.Second)
 	wantAllDone(t, sys, jobs)
 }
 
@@ -156,22 +172,47 @@ func TestExpectedResultDeterministic(t *testing.T) {
 	}
 }
 
-func TestServerCountValidation(t *testing.T) {
-	s := sim.New(1)
-	net := sim.NewNetwork(s)
-	code, err := ecc.NewBCode(6)
+func TestLateCheckpointsArePruned(t *testing.T) {
+	// Three failures leave fewer than k nodes: checkpoint writes fail, the
+	// reassigned jobs' rollback reads fail (after the store's 15 s operation
+	// deadline) and they restart from step 0. Once a node returns their early
+	// checkpoints commit again, behind the versions already recorded. Neither
+	// the failed writes' remains nor the late ones may pile up.
+	sys, p := newTestSystem(t)
+	jobs := specs(6, 6000)
+	sys.Submit(jobs...)
+	p.Run(4 * time.Second) // ~2000 steps each, checkpointed
+	p.Crash("n2")
+	p.Crash("n3")
+	p.Crash("n4")
+	p.Run(16 * time.Second)
+	p.Recover("n4")
+	p.Run(30 * time.Second)
+	wantAllDone(t, sys, jobs)
+	wantPruned(t, p, jobs, "n4")
+	for _, sp := range jobs[1:4] { // the jobs that ran on n2..n4
+		if got := sys.StepsExecuted()[sp.ID]; got < sp.Steps+1900 {
+			t.Fatalf("job %s executed %d steps; it did not restart from scratch", sp.ID, got)
+		}
+	}
+}
+
+func TestStartupGraceFollowsElectionTimeout(t *testing.T) {
+	// On slow links (250 ms) every node believes itself leader until the
+	// first heartbeats cross them, and the platform stretches the election's
+	// timeouts to match (5 s). The startup grace must stretch with them, or
+	// each node assigns all jobs.
+	p, err := rain.NewCluster([]string{"n1", "n2", "n3", "n4", "n5", "n6"},
+		rain.ClusterOptions{Seed: 4242, LinkDelay: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers := make([]*storage.Server, 6)
-	for i := range servers {
-		servers[i] = storage.NewServer(fmt.Sprintf("s%d", i), i)
-	}
-	st, err := storage.New(code, servers, storage.FirstK, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(s, net, []string{"only", "two"}, st, Config{}); err == nil {
-		t.Fatal("node/server count mismatch accepted")
+	sys := New(p, Config{})
+	jobs := specs(12, 50)
+	sys.Submit(jobs...)
+	p.Run(25 * time.Second)
+	wantAllDone(t, sys, jobs)
+	if sys.Reassignments() != 12 {
+		t.Fatalf("assignments = %d, want 12: more than one node assigned at startup", sys.Reassignments())
 	}
 }

@@ -246,11 +246,10 @@ func New(nodes []string, opts Options) (*Platform, error) {
 		healers:    make(map[string]*selfHealer),
 		opts:       opts,
 	}
-	for i, n := range nodes {
+	for _, n := range nodes {
 		n := n
 		spec := stackSpec{
-			name:  n,
-			index: i,
+			name: n,
 			store: dstore.Config{
 				Code: opts.Code,
 				// Placement mode: every object's n shard holders are chosen by

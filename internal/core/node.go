@@ -92,13 +92,11 @@ type RealNode struct {
 // control engines begin running immediately; storage operations are served
 // as soon as enough of the ring is reachable.
 func StartRealNode(cfg NodeConfig) (*RealNode, error) {
-	self := -1
-	for i, n := range cfg.Ring {
-		if n == cfg.Name {
-			self = i
-		}
+	inRing := false
+	for _, n := range cfg.Ring {
+		inRing = inRing || n == cfg.Name
 	}
-	if self < 0 {
+	if !inRing {
 		return nil, fmt.Errorf("core: node %q not in ring %v", cfg.Name, cfg.Ring)
 	}
 	if cfg.Code == nil {
@@ -124,7 +122,7 @@ func StartRealNode(cfg NodeConfig) (*RealNode, error) {
 	n.Loop.Start()
 
 	var err error
-	n.Loop.Call(func() { err = n.build(cfg, self) })
+	n.Loop.Call(func() { err = n.build(cfg) })
 	if err != nil {
 		// Torn down from here, not from build: Mesh.Close waits on the loop
 		// and would deadlock on the loop's own goroutine.
@@ -136,7 +134,7 @@ func StartRealNode(cfg NodeConfig) (*RealNode, error) {
 }
 
 // build wires every engine; runs on the loop.
-func (n *RealNode) build(cfg NodeConfig, self int) error {
+func (n *RealNode) build(cfg NodeConfig) error {
 	s := n.Loop.Scheduler()
 	mesh, err := rudp.NewRealMesh(n.Loop, rudp.RealConfig{
 		Name:      cfg.Name,
@@ -167,7 +165,6 @@ func (n *RealNode) build(cfg NodeConfig, self int) error {
 	// the stack gets no stopped hook.
 	st, err := newStack(s, mesh, n.Membership.Node(), n.Election.Node(), nil, stackSpec{
 		name:       cfg.Name,
-		index:      self,
 		storageDir: cfg.StorageDir,
 		wrapStore:  cfg.WrapStore,
 		store: dstore.Config{

@@ -49,7 +49,6 @@ type realCluster struct {
 	names []string
 	nodes []*RealNode
 	regs  []*telemetry.Registry
-	down  []bool
 }
 
 func startRealCluster(t *testing.T, names []string, code ecc.Code) *realCluster {
@@ -57,7 +56,7 @@ func startRealCluster(t *testing.T, names []string, code ecc.Code) *realCluster 
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		book := reservePorts(t, names, 2)
-		c := &realCluster{names: names, down: make([]bool, len(names))}
+		c := &realCluster{names: names}
 		for i, name := range names {
 			reg := telemetry.NewRegistry()
 			n, err := StartRealNode(NodeConfig{
@@ -88,18 +87,11 @@ func startRealCluster(t *testing.T, names []string, code ecc.Code) *realCluster 
 	return nil
 }
 
-// stopNode halts node i once (RealNode.Stop closes the mesh, which is not
-// repeatable).
-func (c *realCluster) stopNode(i int) {
-	if !c.down[i] {
-		c.down[i] = true
-		c.nodes[i].Stop()
-	}
-}
-
+// stop halts every node — again, for one a test already stopped:
+// RealNode.Stop is repeatable.
 func (c *realCluster) stop() {
-	for i := range c.nodes {
-		c.stopNode(i)
+	for _, n := range c.nodes {
+		n.Stop()
 	}
 }
 
@@ -240,7 +232,7 @@ func TestRealNodeCluster(t *testing.T) {
 		viewChanges[i] = telemetryCounterTotal(survivorRegs[i].Snapshot(), "selfheal.view_changes")
 		completed += n.SelfHealStats().Completed
 	}
-	c.stopNode(3)
+	c.nodes[3].Stop()
 	// Every survivor drops d from its view and counts the change; the
 	// leader's debounced pass runs to completion.
 	for i, n := range survivors {

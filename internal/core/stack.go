@@ -32,9 +32,6 @@ const (
 // engines. Zero durations and rates take the package defaults.
 type stackSpec struct {
 	name string
-	// index is the node's position in the roster: the shard index its
-	// daemon assumes for a positional (pre-placement) entry.
-	index int
 	// storageDir roots this node's file backend; empty keeps shards in
 	// memory.
 	storageDir string
@@ -104,7 +101,7 @@ func newStack(s *sim.Scheduler, mesh dstore.Mesh, mbr *membership.Node, elect *e
 	// ns since start on a loop): orphan ages are relative, so any monotonic
 	// clock serves.
 	clock := func() time.Time { return time.Unix(0, int64(s.Now())) }
-	st.daemon = dstore.NewDaemon(mesh, spec.name, spec.index, store, 0,
+	st.daemon = dstore.NewDaemon(mesh, spec.name, 0, store, 0,
 		dstore.WithDaemonClock(clock), dstore.WithDaemonTelemetry(reg))
 
 	// Liveness is the membership protocol's view from this node (self is

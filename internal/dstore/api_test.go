@@ -106,6 +106,39 @@ func TestPutFeed(t *testing.T) {
 	}
 }
 
+// TestPutFeedSlowProducer pauses a feed for several stall timeouts with one
+// chunk outstanding per transfer — fewer than the daemons' coalesced acks
+// cover, so they rightly stay silent. The transfers must wait for the
+// producer, not fail against healthy peers.
+func TestPutFeedSlowProducer(t *testing.T) {
+	const block = 16 << 10 // one 4 KiB chunk per shard per block
+	c := newCluster(t, 24, 6, 4, sim.ProfileLAN, func(cfg *dstore.Config) { cfg.BlockSize = block })
+	data := randBytes(124, 4*block)
+	var stored int
+	var ferr error
+	finished := false
+	f, err := c.clients["a"].NewPutFeed("slow", int64(len(data)), func(s int, e error) { stored, ferr, finished = s, e, true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Offer(data[:block])
+	c.s.RunFor(3 * dstore.DefaultReqTimeout)
+	if finished {
+		t.Fatalf("put resolved while its producer was paused: stored %d, err %v", stored, ferr)
+	}
+	f.Offer(data[block:])
+	f.Close()
+	for !finished && c.s.Step() {
+	}
+	if ferr != nil || stored != 6 {
+		t.Fatalf("stored %d of 6 shards, err %v", stored, ferr)
+	}
+	got, err := c.clients["b"].Get("slow")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("slow-fed object: err %v, equal %v", err, bytes.Equal(got, data))
+	}
+}
+
 // TestPutFeedLengthMismatch checks the feed surfaces over- and under-long
 // producers as the typed source errors.
 func TestPutFeedLengthMismatch(t *testing.T) {

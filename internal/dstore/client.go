@@ -39,8 +39,8 @@ const (
 var (
 	// ErrNotEnoughDaemons reports fewer than k shards stored or retrieved.
 	ErrNotEnoughDaemons = errors.New("dstore: quorum not reached")
-	// ErrUnknownSize reports a retrieve of an object whose original length
-	// no reachable daemon recorded.
+	// ErrUnknownSize reports a retrieve whose first chunk carried no object
+	// length — a malformed reply; every stored entry records one.
 	ErrUnknownSize = errors.New("dstore: object size unknown")
 	// ErrUnknownPeer reports a rebuild target that is not in the peer set.
 	ErrUnknownPeer = errors.New("dstore: unknown peer")
@@ -64,25 +64,18 @@ var (
 type Config struct {
 	// Code is the erasure code.
 	Code ecc.Code
-	// Peers, when Nodes is empty, are the daemon nodes in fixed shard
-	// order — every object's shard i lives on Peers[i] and len(Peers) must
-	// be Code.N(). This is the seed's one-shard-per-node layout, kept for
-	// clusters exactly as wide as the code.
-	Peers []string
-	// Nodes, when set, is the cluster node universe (len >= Code.N()):
-	// each object's n shard holders are chosen from it by per-object
-	// rendezvous hashing (internal/placement), so many objects spread over
-	// an arbitrarily wide cluster. SetNodes updates the view on membership
-	// change; Rebalance streams the shards whose target holder moved.
+	// Nodes is the cluster node universe (len >= Code.N()): each object's n
+	// shard holders are chosen from it by per-object rendezvous hashing
+	// (internal/placement), so many objects spread over an arbitrarily wide
+	// cluster. SetNodes updates the view on membership change; Rebalance
+	// streams the shards whose target holder moved.
 	Nodes []string
 	// Weights maps node -> relative capacity weight for placement (missing
-	// or non-positive means 1). Only meaningful with Nodes; see
-	// placement.AssignSpec.
+	// or non-positive means 1); see placement.AssignSpec.
 	Weights map[string]float64
 	// Domains maps node -> failure-domain label (a rack). With enough
 	// domains in the universe, no two shards of an object land in one
 	// domain, so a correlated rack loss costs at most one shard per object.
-	// Only meaningful with Nodes.
 	Domains map[string]string
 	// Policy ranks daemons for retrieves (§4.2 selection freedom).
 	Policy storage.Policy
@@ -151,11 +144,11 @@ type Client struct {
 	node string
 	cfg  Config
 
-	// nodes is the current placement universe (nil in fixed-Peers mode);
-	// SetNodes swaps it on membership change. specs mirrors nodes with the
-	// configured weights and domains attached; it is non-nil only when the
-	// config actually sets either, so unconfigured clusters keep the exact
-	// unweighted Assign path.
+	// nodes is the current placement universe; SetNodes swaps it on
+	// membership change. specs mirrors nodes with the configured weights
+	// and domains attached; it is non-nil only when the config actually
+	// sets either, so unconfigured clusters keep the exact unweighted
+	// Assign path.
 	nodes []string
 	specs []placement.Spec
 
@@ -168,7 +161,6 @@ type Client struct {
 	nextReq uint64
 	pending map[uint64]func(m Msg)
 	loads   map[string]int // per-peer requests issued, for LeastLoaded
-	sizes   map[string]int // object id -> length, learned from own puts
 
 	// encScratch is the reusable shard buffer set for whole-object puts on
 	// BufferEncoder codes; safe to reuse because offer() copies chunks into
@@ -203,12 +195,8 @@ func NewClient(s *sim.Scheduler, mesh Mesh, node string, cfg Config) (*Client, e
 	if cfg.Code == nil {
 		return nil, errors.New("dstore: config needs a code")
 	}
-	if len(cfg.Nodes) > 0 {
-		if len(cfg.Nodes) < cfg.Code.N() {
-			return nil, fmt.Errorf("dstore: %d nodes for an n=%d code", len(cfg.Nodes), cfg.Code.N())
-		}
-	} else if len(cfg.Peers) != cfg.Code.N() {
-		return nil, fmt.Errorf("dstore: %d peers for an n=%d code", len(cfg.Peers), cfg.Code.N())
+	if len(cfg.Nodes) < cfg.Code.N() {
+		return nil, fmt.Errorf("dstore: %d nodes for an n=%d code", len(cfg.Nodes), cfg.Code.N())
 	}
 	c := &Client{
 		s:       s,
@@ -218,7 +206,6 @@ func NewClient(s *sim.Scheduler, mesh Mesh, node string, cfg Config) (*Client, e
 		nodes:   append([]string(nil), cfg.Nodes...),
 		pending: make(map[uint64]func(Msg)),
 		loads:   make(map[string]int),
-		sizes:   make(map[string]int),
 		tracer:  cfg.Tracer,
 	}
 	reg := cfg.Telemetry
@@ -267,23 +254,13 @@ func (c *Client) BlockSize() int { return c.cfg.BlockSize }
 // Code returns the erasure code in effect.
 func (c *Client) Code() ecc.Code { return c.cfg.Code }
 
-// Universe returns the node set placements are computed over: the mutable
-// Nodes view in placement mode, or the fixed Peers list.
-func (c *Client) Universe() []string {
-	if len(c.nodes) > 0 {
-		return append([]string(nil), c.nodes...)
-	}
-	return append([]string(nil), c.cfg.Peers...)
-}
+// Universe returns the node set placements are computed over.
+func (c *Client) Universe() []string { return append([]string(nil), c.nodes...) }
 
 // SetNodes replaces the placement universe — the client's copy of the
 // membership view. It only changes where *future* operations look for
 // shards; call Rebalance to move stored shards onto their new targets.
-// Valid only for clients built with Config.Nodes.
 func (c *Client) SetNodes(nodes []string) error {
-	if len(c.nodes) == 0 {
-		return errors.New("dstore: SetNodes on a fixed-peers client")
-	}
 	if len(nodes) < c.cfg.Code.N() {
 		return fmt.Errorf("dstore: %d nodes for an n=%d code", len(nodes), c.cfg.Code.N())
 	}
@@ -302,15 +279,12 @@ func (c *Client) gateOpen() bool { return c.rebalGate == nil || c.rebalGate() }
 
 // peersFor returns the object's shard holders in shard order: the rendezvous
 // placement over the node universe (weighted and domain-constrained when the
-// config says so), or the fixed Peers list.
+// config says so).
 func (c *Client) peersFor(id string) []string {
 	if len(c.specs) > 0 {
 		return placement.AssignSpec(id, c.specs, c.cfg.Code.N())
 	}
-	if len(c.nodes) > 0 {
-		return placement.Assign(id, c.nodes, c.cfg.Code.N())
-	}
-	return c.cfg.Peers
+	return placement.Assign(id, c.nodes, c.cfg.Code.N())
 }
 
 // PendingRequests reports requests with registered response handlers —
@@ -383,17 +357,15 @@ func (c *Client) putStreamBuf(b []byte) {
 	}
 }
 
-// getResultBuf takes a recycled assembly buffer with at least want capacity
-// (0 = whatever is pooled).
-func (c *Client) getResultBuf(want int) []byte {
+// getResultBuf takes a recycled assembly buffer, or nil for a fresh start;
+// the writer grows it by append.
+func (c *Client) getResultBuf() []byte {
 	if n := len(c.resultBufs); n > 0 {
 		b := c.resultBufs[n-1]
 		c.resultBufs = c.resultBufs[:n-1]
-		if cap(b) >= want {
-			return b[:0]
-		}
+		return b[:0]
 	}
-	return make([]byte, 0, want)
+	return nil
 }
 
 // putResultBuf returns an assembly buffer to the recycle list.
@@ -508,9 +480,6 @@ func (t *transfer) offer(p []byte) {
 	t.pump()
 }
 
-// offerCopy is offer; the name survives from when offer aliased its input.
-func (t *transfer) offerCopy(p []byte) { t.offer(p) }
-
 // backlog reports bytes offered but not yet acked by the daemon.
 func (t *transfer) backlog() int64 { return t.queued + (t.next - t.acked) }
 
@@ -518,9 +487,10 @@ func (t *transfer) backlog() int64 { return t.queued + (t.next - t.acked) }
 // room.
 func (t *transfer) pump() {
 	window := int64(t.c.cfg.Window) * int64(t.c.cfg.ChunkSize)
-	if t.queued > 0 && t.next == t.acked {
-		// Transitioning from fully-acked idle to sending: restart the stall
-		// clock, or a long-idle transfer would look stalled immediately.
+	if !t.owed() {
+		// The peer's turn begins no earlier than this send: restart the stall
+		// clock, or a transfer long held up by its feeder would look stalled
+		// the moment it is owed an ack.
 		t.progress = t.c.s.Now()
 	}
 	for len(t.queue) > 0 && t.next-t.acked+t.queue[0].n <= window {
@@ -533,16 +503,26 @@ func (t *transfer) pump() {
 	}
 }
 
+// owed reports whether the daemon owes this transfer an ack. It coalesces
+// its acks to one per Window/2 chunks, so with fewer than that many chunks'
+// worth of bytes outstanding it may rightly stay silent until more arrive —
+// except at the end of the stream, which it always acks.
+func (t *transfer) owed() bool {
+	out := t.next - t.acked
+	return out > 0 && (t.next >= t.shardLen || out >= int64(t.c.cfg.Window/2)*int64(t.c.cfg.ChunkSize))
+}
+
 // watch re-arms the stall timer until the transfer resolves. Only a
-// transfer with bytes in flight can stall: an idle one (everything offered
-// so far is acked, nothing queued) is waiting on its feeder, not its peer —
-// the operation deadline covers a feeder that never delivers.
+// transfer the daemon owes an ack can stall: otherwise (everything offered
+// so far is acked, or too little is outstanding for a coalesced ack) it is
+// waiting on its feeder, not its peer — the operation deadline covers a
+// feeder that never delivers.
 func (t *transfer) watch() {
 	t.c.s.After(t.c.cfg.ReqTimeout, func() {
 		if t.resolved {
 			return
 		}
-		if t.next > t.acked && t.c.s.Now()-t.progress >= sim.Time(t.c.cfg.ReqTimeout) {
+		if t.owed() && t.c.s.Now()-t.progress >= sim.Time(t.c.cfg.ReqTimeout) {
 			t.resolve(false)
 			return
 		}
@@ -625,12 +605,8 @@ func (op *putOp) finish(err error) {
 	}
 	op.finished = true
 	k := op.c.cfg.Code.K()
-	if err == nil {
-		if op.stored >= k {
-			op.c.sizes[op.id] = int(op.dataLen)
-		} else {
-			err = fmt.Errorf("%w: stored %d of required %d", ErrNotEnoughDaemons, op.stored, k)
-		}
+	if err == nil && op.stored < k {
+		err = fmt.Errorf("%w: stored %d of required %d", ErrNotEnoughDaemons, op.stored, k)
 	}
 	if err == nil {
 		op.c.met.putLatency.Observe(int64(op.c.s.Now() - op.began))
@@ -845,7 +821,7 @@ func (c *Client) PutStreamAsync(id string, r io.Reader, dataLen int64, done func
 				if t != nil && !t.resolved {
 					// The encoder reuses its block buffer, so each piece is
 					// copied into the transfer queue.
-					t.offerCopy(shards[i])
+					t.offer(shards[i])
 				}
 			}
 		}
@@ -871,12 +847,12 @@ type blockSink interface {
 // first get chunk (retrieves) or the survivor inventory (rebuilds).
 type objMeta struct {
 	shardLen int64
-	dataLen  int64 // storage.UnknownSize when no daemon recorded it
+	dataLen  int64
 	blockLen int64 // 0 = single whole-object codeword
 }
 
 // blockSize returns the effective block-codeword size: the recorded block
-// length, or the whole object for the legacy unblocked layout.
+// length, or the whole object for the single-codeword layout.
 func (m objMeta) blockSize() int {
 	if m.blockLen > 0 {
 		return int(m.blockLen)
@@ -964,7 +940,7 @@ type streamGetOp struct {
 
 	meta     objMeta
 	haveMeta bool
-	dataLen  int64 // resolved object length (meta, or local size cache)
+	dataLen  int64 // object length, from meta
 	sink     blockSink
 	blocks   int64
 	nextBlk  int64
@@ -1062,22 +1038,16 @@ func (op *streamGetOp) winChunks() int32 {
 	return int32(win)
 }
 
-// setMeta fixes the object layout, resolves the object length, and builds
-// the sink. Called from the first chunk of whichever stream answers first,
-// or up front from an inventory hint.
+// setMeta fixes the object layout and builds the sink. Called from the first
+// chunk of whichever stream answers first, or up front from an inventory
+// hint.
 func (op *streamGetOp) setMeta(meta objMeta) error {
+	if meta.dataLen < 0 {
+		return fmt.Errorf("%w: %s", ErrUnknownSize, op.id)
+	}
 	op.meta = meta
 	op.haveMeta = true
 	op.dataLen = meta.dataLen
-	if op.dataLen < 0 {
-		// No daemon recorded the length (the direct in-process frontend):
-		// fall back to this client's own put history.
-		cached, known := op.c.sizes[op.id]
-		if !known {
-			return fmt.Errorf("%w: %s", ErrUnknownSize, op.id)
-		}
-		op.dataLen = int64(cached)
-	}
 	op.blocks = ecc.StreamBlocks(op.dataLen, op.meta.blockSize())
 	op.limitBlk = op.blocks
 	if op.rng != nil {
@@ -1601,14 +1571,12 @@ func (c *Client) GetStreamAsync(id string, w io.Writer, done func(n int64, err e
 
 // GetAsync retrieves and decodes an object from any k reachable daemons into
 // memory. The daemons' recorded object length is authoritative — another
-// client may have overwritten the object since this one last put it — with
-// the local cache of own puts as the fallback for objects written through
-// the direct in-process frontend, which records no size.
+// client may have overwritten the object since this one last put it.
 func (c *Client) GetAsync(id string, done func(data []byte, err error)) *Handle {
 	// Assemble in a pooled buffer and hand the caller a copy: the copy is an
 	// append, which for byte slices allocates without zeroing, so each get
 	// pays one memmove instead of clearing a fresh object-sized allocation.
-	w := &resultWriter{buf: c.getResultBuf(c.sizes[id])}
+	w := &resultWriter{buf: c.getResultBuf()}
 	return c.GetStreamAsync(id, w, func(n int64, err error) {
 		defer c.putResultBuf(w.buf)
 		if err != nil {
@@ -1631,13 +1599,13 @@ func (c *Client) rebuildObject(info storage.ObjectInfo, peers []string, targetId
 	exclude := map[int]bool{targetIdx: true}
 	meta := objMeta{shardLen: int64(info.ShardLen), dataLen: int64(info.DataLen), blockLen: int64(info.BlockLen)}
 	// The rebuilder needs only piece sizes, not the true object length: for
-	// the legacy unblocked layout, a synthetic length of k × shardLen yields
+	// the single-codeword layout, a synthetic length of k × shardLen yields
 	// exactly one block of the right piece size, so the op's layout metadata
-	// carries it whenever the recorded length cannot reproduce the stored
-	// stream — unknown (UnknownSize) or zero-but-padded (an empty object's
-	// shards are 1 byte, which zero blocks would never feed the transfer).
+	// carries it when the recorded length cannot reproduce the stored stream
+	// — zero-but-padded (an empty object's shards are 1 byte, which zero
+	// blocks would never feed the transfer).
 	opMeta := meta
-	if opMeta.dataLen <= 0 && opMeta.shardLen > 0 {
+	if opMeta.dataLen == 0 && opMeta.shardLen > 0 {
 		opMeta.dataLen = int64(c.cfg.Code.K()) * meta.shardLen
 	}
 	var out *transfer
@@ -1676,7 +1644,7 @@ func (c *Client) rebuildObject(info storage.ObjectInfo, peers []string, targetId
 	op := c.startStreamGet(info.ID, peers, exclude, &opMeta, rank, tr, nil,
 		func(m objMeta, layoutLen int64) (blockSink, error) {
 			return ecc.NewShardRebuilder(c.cfg.Code, targetIdx, writerFunc(func(p []byte) (int, error) {
-				out.offerCopy(p)
+				out.offer(p)
 				return len(p), nil
 			}), layoutLen, m.blockSize())
 		},

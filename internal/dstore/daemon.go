@@ -63,7 +63,6 @@ type Store interface {
 type Daemon struct {
 	mesh    Mesh
 	node    string
-	shard   int
 	backend Store
 	chunk   int
 	now     func() time.Time
@@ -87,6 +86,10 @@ type Daemon struct {
 	met *daemonMetrics
 	tel *telemetry.Registry
 }
+
+// maxStageReserve bounds what a put's first chunk may make the daemon
+// allocate up front on the strength of its declared shard length alone.
+const maxStageReserve = 4 << 20
 
 // sessKey identifies one transfer: requests are client-scoped, so daemon
 // sessions are keyed by the requesting node plus its request id.
@@ -138,9 +141,10 @@ func WithDaemonTelemetry(r *telemetry.Registry) DaemonOption {
 	return func(d *Daemon) { d.tel = r }
 }
 
-// NewDaemon registers a storage daemon for node on the mesh. shard is the
-// index this node holds in the code's shard order; chunkSize bounds streamed
-// get chunks (0 for the default).
+// NewDaemon registers a storage daemon for node on the mesh. shard is
+// ignored — every stored entry records the index it holds — and stays in the
+// signature only until the benchmark stops passing it (ROADMAP, benchmark-only
+// housekeeping); chunkSize bounds streamed get chunks (0 for the default).
 func NewDaemon(mesh Mesh, node string, shard int, backend Store, chunkSize int, opts ...DaemonOption) *Daemon {
 	if chunkSize <= 0 {
 		chunkSize = DefaultChunkSize
@@ -148,7 +152,6 @@ func NewDaemon(mesh Mesh, node string, shard int, backend Store, chunkSize int, 
 	d := &Daemon{
 		mesh:    mesh,
 		node:    node,
-		shard:   shard,
 		backend: backend,
 		chunk:   chunkSize,
 		now:     time.Now,
@@ -230,7 +233,7 @@ func (d *Daemon) onMessage(from string, payload []byte) {
 		}
 		// m.ID is the continuation token: resume after that object id.
 		page, more := encodeInventoryPage(d.inv, m.ID, MaxListPayload)
-		resp := Msg{Kind: KindListResp, Req: m.Req, Shard: int32(d.shard), Data: page}
+		resp := Msg{Kind: KindListResp, Req: m.Req, Data: page}
 		if more {
 			resp.Win = 1
 		}
@@ -332,14 +335,18 @@ func (d *Daemon) onPutChunk(from string, m Msg) {
 			d.reply(from, Msg{Kind: KindPutAck, Req: m.Req, ID: m.ID, Err: "dstore: no such transfer"})
 			return
 		}
-		if m.Shard < 0 {
-			// Every writer places its objects; an unplaced shard would be
-			// recorded under an index nobody asked for.
-			d.reply(from, Msg{Kind: KindPutAck, Req: m.Req, ID: m.ID, Err: fmt.Sprintf("%v: put chunk with shard index %d", ErrBadRequest, m.Shard)})
+		if m.Shard < 0 || m.ShardLen < 0 || m.DataLen < 0 || m.BlockLen < 0 {
+			// Every writer places its objects and knows their layout: an
+			// unplaced shard would be recorded under an index nobody asked
+			// for, a negative length under a layout no reader can decode.
+			d.reply(from, Msg{Kind: KindPutAck, Req: m.Req, ID: m.ID, Err: fmt.Sprintf("%v: put chunk with shard index %d, lengths %d/%d/%d",
+				ErrBadRequest, m.Shard, m.ShardLen, m.DataLen, m.BlockLen)})
 			return
 		}
 		a = &assembly{id: m.ID, stage: d.backend.NewStage(), shard: int(m.Shard), shardLen: m.ShardLen, dataLen: m.DataLen, blockLen: m.BlockLen, win: m.Win}
-		a.stage.Reserve(m.ShardLen)
+		// The declared length is only a claim: reserve up to the cap and let
+		// the stage grow by append as bytes actually arrive.
+		a.stage.Reserve(min(m.ShardLen, maxStageReserve))
 		d.asm[key] = a
 	}
 	if m.Off != a.stage.Len() || m.ID != a.id {
@@ -396,13 +403,9 @@ func (d *Daemon) onGetReq(from string, m Msg) {
 		d.reply(from, Msg{Kind: KindGetChunk, Req: m.Req, ID: m.ID, Err: fmt.Sprintf("dstore: get offset %d of %d-byte shard", m.Off, shardLen)})
 		return
 	}
-	shard := info.Shard
-	if shard < 0 {
-		shard = d.shard // positional legacy entry
-	}
 	g := &getSession{
 		id:       m.ID,
-		shard:    shard,
+		shard:    info.Shard,
 		shardLen: shardLen,
 		dataLen:  int64(info.DataLen),
 		blockLen: int64(info.BlockLen),

@@ -1,8 +1,8 @@
-// Package dstore is the networked distributed object store of §4.2 run as an
-// actual message protocol: the store/retrieve/rebuild operations that
-// internal/storage performs with direct method calls here cross the RUDP
-// mesh as chunked datagrams, so every experiment exercises the real
-// interleaving of erasure coding with a lossy, laggy, partitionable network.
+// Package dstore is the distributed object store of §4.2 — the only one in
+// the tree — run as an actual message protocol: the store/retrieve/rebuild
+// operations cross the RUDP mesh as chunked datagrams, so every experiment
+// and application exercises the real interleaving of erasure coding with a
+// lossy, laggy, partitionable network.
 //
 // A RAIN node contributes a Daemon — a storage server loop registered as a
 // mesh service, backed by the node-local storage.Backend — and may run a
@@ -35,8 +35,10 @@
 // via GetAck credits — and the daemon never materialises a shard: put
 // chunks append to a storage.Stage and get chunks are ranged reads. The
 // enforced bound is the RAIN_SMOKE CI test (a 256 MiB object under a
-// 128 MiB runtime memory limit). Whole-buffer Put/Get keep the legacy
-// single-codeword layout and hold the object in client memory.
+// 128 MiB runtime memory limit). Whole-buffer Put/Get use the
+// single-codeword layout (block size 0) and hold the object in client
+// memory. Both layouts are placement-mapped: every stored entry records the
+// shard index it holds and the object length, and readers trust only those.
 //
 // Liveness comes from the membership layer (a view callback), not from
 // poking failure flags on server objects: a crashed node is one the

@@ -3,6 +3,7 @@ package dstore_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"rain/internal/dstore"
 	"rain/internal/ecc"
+	"rain/internal/placement"
 	"rain/internal/rudp"
 	"rain/internal/sim"
 	"rain/internal/storage"
@@ -56,7 +58,7 @@ func newCluster(t *testing.T, seed int64, n, k int, link sim.LinkConfig, tweak f
 	for i, node := range nodes {
 		c.backends[node] = storage.NewBackend()
 		c.daemons[node] = dstore.NewDaemon(mesh, node, i, c.backends[node], 4<<10, dstore.WithDaemonClock(simClock))
-		cfg := dstore.Config{Code: code, Peers: nodes, ChunkSize: 4 << 10}
+		cfg := dstore.Config{Code: code, Nodes: nodes, ChunkSize: 4 << 10}
 		if tweak != nil {
 			tweak(&cfg)
 		}
@@ -68,6 +70,22 @@ func newCluster(t *testing.T, seed int64, n, k int, link sim.LinkConfig, tweak f
 	}
 	s.RunFor(100 * time.Millisecond) // let path monitors come up
 	return c
+}
+
+// holder returns the node the placement gives shard i of id.
+func (c *cluster) holder(id string, i int) string {
+	return placement.Assign(id, c.nodes, c.code.N())[i]
+}
+
+// shardOn returns the shard index of id the placement gives node.
+func (c *cluster) shardOn(id, node string) int {
+	for i, n := range placement.Assign(id, c.nodes, c.code.N()) {
+		if n == node {
+			return i
+		}
+	}
+	c.t.Fatalf("%s holds no shard of %s", node, id)
+	return -1
 }
 
 func randBytes(seed int64, n int) []byte {
@@ -124,9 +142,12 @@ func TestAcceptanceEndToEnd(t *testing.T) {
 	}
 
 	// Kill n-k = 2 daemons mid-read: start the retrieve, let the first
-	// chunks fly, then freeze two of the daemons serving it (FirstK ranks
-	// b and c among the chosen). The read must hedge to the spares and
-	// still decode bit-exact.
+	// chunks fly, then freeze two of the daemons serving it (b and c:
+	// checked below to hold two of the first k shards FirstK reads). The
+	// read must hedge to the spares and still decode bit-exact.
+	if i, j := c.shardOn("alpha", "b"), c.shardOn("alpha", "c"); i >= 4 || j >= 4 {
+		t.Fatalf("b and c hold shards %d and %d of alpha: not both among the first k", i, j)
+	}
 	var got []byte
 	var gotErr error
 	finished := false
@@ -183,7 +204,7 @@ func TestAcceptanceEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("replacement missing %s: %v", id, err)
 		}
-		if !bytes.Equal(shard, want[1]) {
+		if !bytes.Equal(shard, want[c.shardOn(id, "b")]) {
 			t.Fatalf("rebuilt shard of %s differs", id)
 		}
 		if dataLen != len(data) {
@@ -241,7 +262,7 @@ func TestRetrieveUnderLoss(t *testing.T) {
 			t.Fatalf("loss %.0f%%: rebuilt shard missing: %v", loss*100, err)
 		}
 		want, _ := c.code.Encode(data)
-		if !bytes.Equal(shard, want[4]) {
+		if !bytes.Equal(shard, want[c.shardOn("obj", "e")]) {
 			t.Fatalf("loss %.0f%%: rebuilt shard differs", loss*100)
 		}
 	}
@@ -376,6 +397,9 @@ func TestClientReleasesPendingHandlers(t *testing.T) {
 	if _, err := c.clients["a"].Put("obj", data); err != nil {
 		t.Fatal(err)
 	}
+	if c.shardOn("obj", "b") >= 3 {
+		t.Fatal("b holds none of the first k shards of obj: the read would never ask it")
+	}
 	c.mesh.StopNode("b") // a chosen peer that will never answer
 	cl := c.clients["a"]
 	if _, err := cl.Get("obj"); err != nil {
@@ -449,25 +473,153 @@ func TestSlowStreamDoesNotHedge(t *testing.T) {
 	}
 }
 
-// TestPolicyLoadAccounting drives many reads under LeastLoaded and checks
-// the per-peer request counters spread across the live daemons.
+// TestPolicyLoadAccounting drives many reads under each §4.2 selection
+// policy and checks its shape where the reads land: the holders' backend
+// read counters.
 func TestPolicyLoadAccounting(t *testing.T) {
-	c := newCluster(t, 7, 6, 3, sim.ProfileLAN, func(cfg *dstore.Config) {
-		cfg.Policy = storage.LeastLoaded
+	const n, k, reads = 6, 3, 120
+	for _, policy := range []storage.Policy{storage.FirstK, storage.LeastLoaded, storage.Nearest, storage.RandomK} {
+		policy := policy
+		t.Run(policy.String(), func(t *testing.T) {
+			c := newCluster(t, 7, n, k, sim.ProfileLAN, func(cfg *dstore.Config) {
+				cfg.Policy = policy
+				// Nearest: the last node in the roster is the closest.
+				cfg.Distance = func(peer string) int { return int('z' - peer[0]) }
+			})
+			data := randBytes(17, 12<<10)
+			if _, err := c.clients["a"].Put("obj", data); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < reads; i++ {
+				if got, err := c.clients["a"].Get("obj"); err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("get %d: %v", i, err)
+				}
+			}
+			load := map[string]int{}
+			for _, node := range c.nodes {
+				load[node], _ = c.backends[node].Loads()
+			}
+			want := map[string]int{} // exact expectation, for the skewing policies
+			switch policy {
+			case storage.FirstK:
+				// Hammers the holders of shards 0..k-1, never the rest.
+				for i := 0; i < k; i++ {
+					want[c.holder("obj", i)] = reads
+				}
+			case storage.Nearest:
+				// The k closest serve everything, the far ones nothing.
+				for _, node := range c.nodes[n-k:] {
+					want[node] = reads
+				}
+			case storage.LeastLoaded:
+				// Self-balancing: everyone near reads*k/n.
+				for node, r := range load {
+					if mean := reads * k / n; r < mean*3/4 || r > mean*5/4 {
+						t.Fatalf("least-loaded: %s served %d reads, mean %d: %v", node, r, mean, load)
+					}
+				}
+				return
+			case storage.RandomK:
+				for node, r := range load {
+					if r == 0 {
+						t.Fatalf("random policy never read from %s: %v", node, load)
+					}
+				}
+				return
+			}
+			for _, node := range c.nodes {
+				if load[node] != want[node] {
+					t.Fatalf("%v: %s served %d reads, want %d: %v", policy, node, load[node], want[node], load)
+				}
+			}
+		})
+	}
+}
+
+// TestQuickRandomObjectsAndFailures is a seed-pinned sweep of the §4.2
+// contract: objects of random size and content, each read back bit-exact
+// with up to n-k random daemons frozen (none of them known dead to the
+// client, so every dead candidate costs a hedge).
+func TestQuickRandomObjectsAndFailures(t *testing.T) {
+	c := newCluster(t, 77, 6, 4, sim.ProfileLAN, func(cfg *dstore.Config) {
+		cfg.Policy = storage.RandomK
 	})
-	data := randBytes(17, 12<<10)
+	rng := rand.New(rand.NewSource(77))
+	for i := 0; i < 50; i++ {
+		data := randBytes(rng.Int63(), 1+rng.Intn(20<<10))
+		id := fmt.Sprintf("q%d", i)
+		if _, err := c.clients[c.nodes[rng.Intn(6)]].Put(id, data); err != nil {
+			t.Fatalf("put %s: %v", id, err)
+		}
+		order := rng.Perm(6)
+		downs, reader := order[:rng.Intn(3)], c.nodes[order[5]]
+		for _, d := range downs {
+			c.mesh.StopNode(c.nodes[d])
+		}
+		got, err := c.clients[reader].Get(id)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("get %s (%d bytes) with %v down: err=%v", id, len(data), downs, err)
+		}
+		for _, d := range downs {
+			c.mesh.StartNode(c.nodes[d])
+		}
+		c.s.RunFor(200 * time.Millisecond) // links re-detected Up
+	}
+}
+
+// reseed rewrites every holder's entry for id through fn, standing in for
+// entries no writer produces any more.
+func (c *cluster) reseed(id string, fn func(info *storage.ObjectInfo)) {
+	c.t.Helper()
+	for _, node := range c.nodes {
+		b := c.backends[node]
+		info, err := b.Info(id)
+		if err != nil {
+			continue
+		}
+		shard, _, err := b.Get(id)
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		fn(&info)
+		if err := b.Put(id, shard, info.Shard, info.DataLen, info.BlockLen); err != nil {
+			c.t.Fatal(err)
+		}
+	}
+}
+
+// TestNoPositionalOrSizeFallback pins the two removed read fallbacks. An
+// entry recorded without a shard index is served with the index it has, and
+// the client kills that stream and hedges rather than guess the holder's
+// position; a first chunk without an object length fails the retrieve with
+// ErrUnknownSize, even on the client that put the object.
+func TestNoPositionalOrSizeFallback(t *testing.T) {
+	c := newCluster(t, 14, 6, 4, sim.ProfileLAN, nil)
+	data := randBytes(61, 24<<10)
 	if _, err := c.clients["a"].Put("obj", data); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ {
-		if _, err := c.clients["a"].Get("obj"); err != nil {
-			t.Fatal(err)
+	first := c.holder("obj", 0)
+	c.reseed("obj", func(info *storage.ObjectInfo) {
+		if info.Shard == 0 {
+			info.Shard = -1
 		}
+	})
+	before := c.clients["b"].Loads()
+	got, err := c.clients["b"].Get("obj")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("get around an unindexed entry: %v", err)
 	}
-	loads := c.clients["a"].Loads()
-	for _, node := range c.nodes {
-		if loads[node] == 0 {
-			t.Fatalf("least-loaded never used %s: %v", node, loads)
-		}
+	asked := 0
+	for node, n := range c.clients["b"].Loads() {
+		asked += n - before[node]
+	}
+	if asked != 5 || c.clients["b"].Loads()[first] == 0 {
+		t.Fatalf("read asked %d holders (%v), want k+1: the unindexed one and a spare for it", asked, c.clients["b"].Loads())
+	}
+
+	c.reseed("obj", func(info *storage.ObjectInfo) { info.DataLen = -1 })
+	if _, err := c.clients["a"].Get("obj"); !errors.Is(err, dstore.ErrUnknownSize) {
+		t.Fatalf("get of entries without a length: err=%v, want ErrUnknownSize", err)
 	}
 }

@@ -120,7 +120,7 @@ func (f *PutFeed) pump() {
 			if t != nil && !t.resolved {
 				// The encoder reuses its block buffers; each piece is copied
 				// into the transfer queue's pooled frames.
-				t.offerCopy(shards[i])
+				t.offer(shards[i])
 			}
 		}
 	}

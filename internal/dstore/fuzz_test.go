@@ -18,7 +18,7 @@ func FuzzUnmarshal(f *testing.F) {
 		{Kind: KindPutAck, Req: 7, ID: "obj0", Off: 32768, ShardLen: 65536},
 		{Kind: KindGetReq, Req: 9, ID: "an object with a longer id", Win: 6},
 		{Kind: KindGetChunk, Req: 9, ID: "obj0", Shard: 3, Off: 0,
-			ShardLen: 65536, DataLen: storage.UnknownSize, Data: []byte{1, 2, 3}},
+			ShardLen: 65536, DataLen: -1, Data: []byte{1, 2, 3}},
 		{Kind: KindGetAck, Req: 9, ID: "obj0", Off: -1},
 		{Kind: KindDeleteResp, Req: 11, ID: "obj0", Err: "storage: object not found"},
 		// Well-formed but refused by the daemon: no get window, no shard index.
@@ -49,7 +49,7 @@ func FuzzDecodeInventory(f *testing.F) {
 	seeds := [][]storage.ObjectInfo{
 		nil,
 		{{ID: "obj0", Shard: 2, DataLen: 262144, ShardLen: 65536, BlockLen: 65536}},
-		{{ID: "a", Shard: storage.UnknownShard, DataLen: storage.UnknownSize, ShardLen: 1},
+		{{ID: "a", Shard: -1, DataLen: -1, ShardLen: 1},
 			{ID: "b", Shard: 0, DataLen: 0, ShardLen: 0, BlockLen: 0}},
 	}
 	for _, infos := range seeds {

@@ -23,7 +23,8 @@ func TestCorruptShardTreatedAsErasure(t *testing.T) {
 	if _, err := c.clients["a"].Put("obj", data); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.backends["b"].CorruptShard("obj", 1); err != nil {
+	b := c.holder("obj", 1) // among the first k the read asks
+	if err := c.backends[b].CorruptShard("obj", 1); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.clients["a"].Get("obj")
@@ -33,16 +34,16 @@ func TestCorruptShardTreatedAsErasure(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("corrupt shard leaked into the decode")
 	}
-	if c.backends["b"].Quarantined() != 1 {
-		t.Fatalf("quarantined on b = %d, want 1", c.backends["b"].Quarantined())
+	if c.backends[b].Quarantined() != 1 {
+		t.Fatalf("quarantined on the holder = %d, want 1", c.backends[b].Quarantined())
 	}
 	// The corrupt NAK queued a repair-in-place; drain it and audit the
 	// holder: the shard must be back, verified clean.
 	c.s.RunFor(5 * time.Second)
-	if _, err := c.backends["b"].Info("obj"); err != nil {
-		t.Fatalf("shard not repaired in place on b: %v", err)
+	if _, err := c.backends[b].Info("obj"); err != nil {
+		t.Fatalf("shard not repaired in place on %s: %v", b, err)
 	}
-	if _, _, err := c.backends["b"].Verify("obj"); err != nil {
+	if _, _, err := c.backends[b].Verify("obj"); err != nil {
 		t.Fatalf("repaired shard fails verification: %v", err)
 	}
 	got, err = c.clients["b"].Get("obj")
@@ -133,10 +134,11 @@ func TestStalledReadHedges(t *testing.T) {
 	if _, err := c.clients["a"].Put("slow", data); err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild node b's daemon over a store whose reads stall (the new
-	// handler displaces the old one on the mesh).
-	st := &stallStore{Backend: c.backends["b"]}
-	c.daemons["b"] = dstore.NewDaemon(c.mesh, "b", 1, st, 4<<10)
+	// Rebuild one of the first k holders' daemon over a store whose reads
+	// stall (the new handler displaces the old one on the mesh).
+	b := c.holder("slow", 1)
+	st := &stallStore{Backend: c.backends[b]}
+	c.daemons[b] = dstore.NewDaemon(c.mesh, b, 0, st, 4<<10)
 	got, err := c.clients["a"].Get("slow")
 	if err != nil {
 		t.Fatalf("get with one stalled disk: %v", err)

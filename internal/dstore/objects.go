@@ -5,7 +5,7 @@ import "fmt"
 // ObjectStat is one stored object as reported by the cluster inventory.
 type ObjectStat struct {
 	ID      string
-	DataLen int64 // storage.UnknownSize (< 0) when no daemon recorded it
+	DataLen int64 // original object length
 	Shards  int   // distinct holders currently reporting a shard
 }
 
@@ -48,10 +48,8 @@ func (c *Client) List() (objs []ObjectStat, err error) {
 // k shards can remain — n−k+1 acks, the destruction quorum mirroring the
 // k-of-n read quorum. Holders that are down miss the delete and their
 // shards linger as stale entries; with fewer than k of them the object is
-// unreconstructable regardless. The local size cache forgets the object
-// either way.
+// unreconstructable regardless.
 func (c *Client) DeleteAsync(id string, done func(err error)) {
-	delete(c.sizes, id)
 	peers := c.peersFor(id)
 	target := make(map[string]bool, len(peers))
 	for _, p := range peers {

@@ -18,7 +18,7 @@ import (
 
 // invEntry aggregates what the queried daemons report about one object.
 type invEntry struct {
-	info    storage.ObjectInfo // best metadata seen (prefers known sizes)
+	info    storage.ObjectInfo // layout metadata, from the first holder to report
 	holders map[string]int     // node -> shard index currently held
 }
 
@@ -43,22 +43,15 @@ func (c *Client) listInventory(nodes []string, done func(entries map[string]*inv
 		}
 		done(entries, responded, nil)
 	}
-	merge := func(node string, defaultShard int, infos []storage.ObjectInfo) {
+	merge := func(node string, infos []storage.ObjectInfo) {
 		for _, in := range infos {
 			e := entries[in.ID]
 			if e == nil {
 				e = &invEntry{info: in, holders: make(map[string]int)}
 				entries[in.ID] = e
-			} else if e.info.DataLen < 0 && in.DataLen >= 0 {
-				in.Shard = e.info.Shard // keep whatever; holders carry indices
-				e.info = in
 			}
-			shard := in.Shard
-			if shard < 0 {
-				shard = defaultShard // positional legacy entry
-			}
-			if shard >= 0 && shard < c.cfg.Code.N() {
-				e.holders[node] = shard
+			if in.Shard >= 0 && in.Shard < c.cfg.Code.N() {
+				e.holders[node] = in.Shard
 			}
 		}
 	}
@@ -89,7 +82,7 @@ func (c *Client) listInventory(nodes []string, done func(entries map[string]*inv
 					first = false
 					responded++
 				}
-				merge(node, int(m.Shard), infos)
+				merge(node, infos)
 				if m.Win == 1 && len(infos) > 0 {
 					requestPage(infos[len(infos)-1].ID)
 					return
@@ -406,7 +399,7 @@ func (c *Client) copyShard(id, src, dst string, shardIdx int, info storage.Objec
 			return // stale or reordered chunk; RUDP is FIFO per pair
 		}
 		if len(m.Data) > 0 {
-			out.offerCopy(m.Data)
+			out.offer(m.Data)
 			received += int64(len(m.Data))
 		}
 		if received >= shardLen {

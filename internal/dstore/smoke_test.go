@@ -21,6 +21,7 @@ import (
 
 	"rain/internal/dstore"
 	"rain/internal/ecc"
+	"rain/internal/placement"
 	"rain/internal/rudp"
 	"rain/internal/sim"
 	"rain/internal/storage"
@@ -139,7 +140,7 @@ func TestStreamSmoke256MiB(t *testing.T) {
 		dstore.NewDaemon(mesh, node, i, b, 0)
 		cl, err := dstore.NewClient(s, mesh, node, dstore.Config{
 			Code:      code,
-			Peers:     nodes,
+			Nodes:     nodes,
 			BlockSize: blockSize,
 			OpTimeout: 10 * time.Minute,
 		})
@@ -155,34 +156,36 @@ func TestStreamSmoke256MiB(t *testing.T) {
 	if _, err := clients["a"].PutStream("big", src, objectSize); err != nil {
 		t.Fatalf("putstream: %v", err)
 	}
-	// Flip one bit of one shard on disk mid-run: the 64 MiB shard on node
-	// c silently rots deep inside. The streaming read must detect it
-	// through the block checksums, swap the holder out as an erasure and
-	// still deliver every byte bit-exact.
-	if err := backends["c"].CorruptShard("big", 32<<20); err != nil {
-		t.Fatalf("corrupting shard on c: %v", err)
+	// Flip one bit of one shard on disk mid-run: the 64 MiB data shard 2
+	// silently rots deep inside. The streaming read must detect it through
+	// the block checksums, swap the holder out as an erasure and still
+	// deliver every byte bit-exact.
+	holder := placement.Assign("big", nodes, code.N()) // holder[i] has shard i
+	rot, swap := holder[2], holder[1]
+	if err := backends[rot].CorruptShard("big", 32<<20); err != nil {
+		t.Fatalf("corrupting shard on %s: %v", rot, err)
 	}
 	verify := &patternVerifier{heap: heap}
-	n, err := clients["b"].GetStream("big", verify)
+	n, err := clients[holder[0]].GetStream("big", verify)
 	if err != nil {
 		t.Fatalf("getstream: %v", err)
 	}
 	if n != objectSize {
 		t.Fatalf("getstream read %d of %d bytes", n, objectSize)
 	}
-	if backends["c"].Quarantined() != 1 {
-		t.Fatalf("quarantined on c = %d, want the rotten shard sidelined", backends["c"].Quarantined())
+	if backends[rot].Quarantined() != 1 {
+		t.Fatalf("quarantined on %s = %d, want the rotten shard sidelined", rot, backends[rot].Quarantined())
 	}
 
-	// Hot-swap rebuild: wipe node b and stream its 64 MiB shard back from
-	// four survivors, block codeword by block codeword.
-	backends["b"].Wipe()
-	if rebuilt, err := clients["d"].Rebuild("b"); err != nil || rebuilt != 1 {
+	// Hot-swap rebuild: wipe shard 1's holder and stream its 64 MiB shard
+	// back from four survivors, block codeword by block codeword.
+	backends[swap].Wipe()
+	if rebuilt, err := clients[holder[3]].Rebuild(swap); err != nil || rebuilt != 1 {
 		t.Fatalf("rebuild: n=%d err=%v", rebuilt, err)
 	}
 	// Verify the rebuilt shard stream against a regenerated encode, block by
 	// block, through bounded ReadAt windows.
-	info, err := backends["b"].Info("big")
+	info, err := backends[swap].Info("big")
 	if err != nil {
 		t.Fatalf("rebuilt shard missing: %v", err)
 	}
@@ -194,7 +197,7 @@ func TestStreamSmoke256MiB(t *testing.T) {
 	cmp := make([]byte, code.ShardSize(blockSize))
 	if err := ecc.EncodeReader(code, rsrc, blockSize, func(blk int, shards [][]byte, dataLen int) error {
 		piece := shards[1]
-		if err := backends["b"].ReadAt("big", cmp[:len(piece)], off); err != nil {
+		if err := backends[swap].ReadAt("big", cmp[:len(piece)], off); err != nil {
 			return err
 		}
 		if !bytes.Equal(cmp[:len(piece)], piece) {

@@ -70,12 +70,12 @@ func TestPutStreamGetStreamRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := string(rune('A' + (300<<10)%26))
-	for i, node := range c.nodes {
+	for _, node := range c.nodes {
 		shard, _, err := c.backends[node].Get(id)
 		if err != nil {
 			t.Fatalf("backend %s: %v", node, err)
 		}
-		if !bytes.Equal(shard, streams[i]) {
+		if !bytes.Equal(shard, streams[c.shardOn(id, node)]) {
 			t.Fatalf("backend %s holds a shard stream that differs from the encoder layout", node)
 		}
 	}
@@ -141,8 +141,8 @@ func TestKillSurvivorMidRebuild(t *testing.T) {
 	if finished {
 		t.Fatal("rebuild finished before the kill — not mid-rebuild")
 	}
-	// Kill one of the survivors serving the rebuild (FirstK ranks a,c,d,e
-	// with b excluded). The op must hedge to f and continue block-wise.
+	// Kill a survivor: with five left for k=4 sources, both objects' rebuilds
+	// either read from it (and must hedge to the spare) or lose their spare.
 	c.mesh.StopNode("e")
 	for !finished && c.s.Step() {
 	}
@@ -169,7 +169,7 @@ func TestKillSurvivorMidRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("replacement missing %s: %v", id, err)
 		}
-		if !bytes.Equal(shard, want[1]) {
+		if !bytes.Equal(shard, want[c.shardOn(id, "b")]) {
 			t.Fatalf("rebuilt shard stream of %s differs", id)
 		}
 		if dataLen != len(data) {
@@ -366,6 +366,12 @@ func TestDaemonRefusesMalformedRequests(t *testing.T) {
 		{"get with a negative window", dstore.Msg{Kind: dstore.KindGetReq, Req: 2, ID: "obj", Win: -3}, dstore.KindGetChunk},
 		{"put chunk without a shard index", dstore.Msg{Kind: dstore.KindPutChunk, Req: 3, ID: "new", Shard: -1,
 			ShardLen: 8, DataLen: 8, Data: []byte("8 bytes!")}, dstore.KindPutAck},
+		{"put chunk with a negative shard length", dstore.Msg{Kind: dstore.KindPutChunk, Req: 4, ID: "new",
+			ShardLen: -8, DataLen: 8, Data: []byte("8 bytes!")}, dstore.KindPutAck},
+		{"put chunk with a negative object length", dstore.Msg{Kind: dstore.KindPutChunk, Req: 5, ID: "new",
+			ShardLen: 8, DataLen: -1, Data: []byte("8 bytes!")}, dstore.KindPutAck},
+		{"put chunk with a negative block length", dstore.Msg{Kind: dstore.KindPutChunk, Req: 6, ID: "new",
+			ShardLen: 8, DataLen: 8, BlockLen: -1, Data: []byte("8 bytes!")}, dstore.KindPutAck},
 	} {
 		replies = nil
 		mesh.SendService("cl", "dm", dstore.ServiceDaemon, tc.msg.Marshal())
@@ -379,10 +385,28 @@ func TestDaemonRefusesMalformedRequests(t *testing.T) {
 		}
 	}
 	if _, err := backend.Info("new"); err == nil {
-		t.Error("unplaced put chunk was committed")
+		t.Error("malformed put chunk was committed")
 	}
-	if st := d.Stats(); st.ChunksServed != 0 || st.ChunksStored != 0 || st.Errors != 3 {
-		t.Errorf("daemon stats %+v, want 3 errors and no chunk traffic", st)
+	if st := d.Stats(); st.ChunksServed != 0 || st.ChunksStored != 0 || st.Errors != 6 {
+		t.Errorf("daemon stats %+v, want 6 errors and no chunk traffic", st)
+	}
+
+	// A forged shard length is only a claim: the first chunk of a "64 TiB
+	// shard" is staged like any other (on the memory backend an unbounded
+	// up-front reservation would end the process here), and the transfer's
+	// abort poison discards it.
+	forged := dstore.Msg{Kind: dstore.KindPutChunk, Req: 7, ID: "new", ShardLen: 1 << 46, DataLen: 1 << 47, Data: []byte("8 bytes!")}
+	replies = nil
+	mesh.SendService("cl", "dm", dstore.ServiceDaemon, forged.Marshal())
+	s.RunFor(time.Second)
+	if len(replies) != 1 || replies[0].Err != "" || replies[0].Off != 8 || d.Assemblies() != 1 {
+		t.Fatalf("forged shard length: replies %+v, %d assemblies, want one clean ack at 8 and one open assembly", replies, d.Assemblies())
+	}
+	forged.Off, forged.Data = -1, nil
+	mesh.SendService("cl", "dm", dstore.ServiceDaemon, forged.Marshal())
+	s.RunFor(time.Second)
+	if _, err := backend.Info("new"); err == nil || d.Assemblies() != 0 {
+		t.Errorf("forged transfer not discarded: %d assemblies, info err %v", d.Assemblies(), err)
 	}
 }
 

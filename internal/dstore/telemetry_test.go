@@ -53,7 +53,7 @@ func newTelemetryCluster(t *testing.T, seed int64, n, k int, tweak func(*dstore.
 		c.backends[node] = storage.NewBackend(reg.Node(node))
 		c.daemons[node] = dstore.NewDaemon(mesh, node, i, c.backends[node], 4<<10,
 			dstore.WithDaemonClock(simClock), dstore.WithDaemonTelemetry(reg))
-		cfg := dstore.Config{Code: code, Peers: nodes, ChunkSize: 4 << 10, Telemetry: reg, Tracer: tracer}
+		cfg := dstore.Config{Code: code, Nodes: nodes, ChunkSize: 4 << 10, Telemetry: reg, Tracer: tracer}
 		if tweak != nil {
 			tweak(&cfg)
 		}
@@ -226,10 +226,10 @@ func TestHedgeTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stop a node the ranked retrieve will pick first (shard-index order
-	// under the default policy: b reads from a, b, c, d). The client's
-	// liveness view is nil here, so only the stall timeout reveals it.
-	c.mesh.StopNode("a")
-	got, err := c.clients["b"].Get("obj")
+	// under the default policy). The client's liveness view is nil here, so
+	// only the stall timeout reveals it.
+	c.mesh.StopNode(c.holder("obj", 0))
+	got, err := c.clients[c.holder("obj", 1)].Get("obj")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,6 @@ func TestRebuildProgressGauges(t *testing.T) {
 // reconstructions, and stale copies as deletes.
 func TestRebalanceMoveTelemetry(t *testing.T) {
 	c := newTelemetryCluster(t, 17, 7, 4, func(cfg *dstore.Config) {
-		cfg.Peers = nil
 		cfg.Nodes = []string{"a", "b", "c", "d", "e", "f", "g"}
 		cfg.Code = mustRS(t, 6, 4)
 	})

@@ -93,7 +93,7 @@ type Msg struct {
 	Win      int32  // flow-control window in chunks (gets require > 0)
 	Off      int64  // chunk offset within the shard stream / acked byte count
 	ShardLen int64  // total shard-stream length of the transfer
-	DataLen  int64  // original object length, storage.UnknownSize if unknown
+	DataLen  int64  // original object length
 	BlockLen int64  // block-codeword size of the layout; 0 = one codeword
 	Err      string // error detail on responses
 	Data     []byte // chunk payload or encoded inventory

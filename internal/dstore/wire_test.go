@@ -16,7 +16,7 @@ func TestMsgRoundtrip(t *testing.T) {
 		{Kind: KindPutAck, Req: 2, ID: "obj", Off: 1024, ShardLen: 4096},
 		{Kind: KindPutAck, Req: 3, ID: "obj", Err: "dstore: no such transfer"},
 		{Kind: KindGetReq, Req: 4, ID: "an object with spaces", Off: 32 << 10, Win: 8},
-		{Kind: KindGetChunk, Req: 5, ID: "obj", Shard: 3, Off: 8192, ShardLen: 1 << 20, DataLen: storage.UnknownSize, BlockLen: 16 << 10, Data: []byte{1, 2, 3}},
+		{Kind: KindGetChunk, Req: 5, ID: "obj", Shard: 3, Off: 8192, ShardLen: 1 << 20, DataLen: -1, BlockLen: 16 << 10, Data: []byte{1, 2, 3}},
 		{Kind: KindListReq, Req: 6},
 		{Kind: KindListResp, Req: 7, Shard: 2, Data: encodeInventory([]storage.ObjectInfo{{ID: "x", DataLen: 9, ShardLen: 3, BlockLen: 4}})},
 		{Kind: KindGetAck, Req: 8, ID: "obj", Off: 48 << 10},
@@ -39,12 +39,12 @@ func TestMsgRoundtrip(t *testing.T) {
 }
 
 func TestMsgNegativeDataLenSurvives(t *testing.T) {
-	m := Msg{Kind: KindGetChunk, Req: 1, ID: "o", DataLen: storage.UnknownSize, Off: -1}
+	m := Msg{Kind: KindGetChunk, Req: 1, ID: "o", DataLen: -1, Off: -1}
 	got, err := Unmarshal(m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.DataLen != storage.UnknownSize || got.Off != -1 {
+	if got.DataLen != -1 || got.Off != -1 {
 		t.Fatalf("negative fields corrupted: %+v", got)
 	}
 }
@@ -67,8 +67,8 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 func TestInventoryRoundtrip(t *testing.T) {
 	infos := []storage.ObjectInfo{
 		{ID: "a", DataLen: 0, ShardLen: 1},
-		{ID: "obj-2", Shard: 3, DataLen: storage.UnknownSize, ShardLen: 4096, BlockLen: 16 << 10},
-		{ID: "big", Shard: storage.UnknownShard, DataLen: 1 << 30, ShardLen: 1 << 27, BlockLen: 1 << 20},
+		{ID: "obj-2", Shard: 3, DataLen: -1, ShardLen: 4096, BlockLen: 16 << 10},
+		{ID: "big", Shard: -1, DataLen: 1 << 30, ShardLen: 1 << 27, BlockLen: 1 << 20},
 	}
 	got, err := decodeInventory(encodeInventory(infos))
 	if err != nil {

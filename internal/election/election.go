@@ -82,6 +82,10 @@ func (n *Node) Leader() string { return n.leader }
 // Epoch returns the current leadership epoch.
 func (n *Node) Epoch() uint64 { return n.epoch }
 
+// Timeout returns how long this node waits without a heartbeat before it
+// suspects a peer.
+func (n *Node) Timeout() time.Duration { return n.cfg.Timeout }
+
 // IsLeader reports whether this node believes itself leader.
 func (n *Node) IsLeader() bool { return n.leader == n.name }
 

@@ -65,7 +65,7 @@ func newHarness(t *testing.T, seed int64, cfg gateway.Config) *harness {
 			h.backends[node] = backend
 			dstore.NewDaemon(mesh, node, i, backend, 4<<10, dstore.WithDaemonClock(clock))
 			cl, cerr := dstore.NewClient(s, mesh, node, dstore.Config{
-				Code: code, Peers: nodes, ChunkSize: 4 << 10,
+				Code: code, Nodes: nodes, ChunkSize: 4 << 10,
 			})
 			if cerr != nil {
 				err = cerr

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"time"
 
 	"rain/internal/netbuf"
@@ -97,6 +98,7 @@ type RealMesh struct {
 	flushTimer bool
 	closed     bool
 	done       chan struct{}
+	closeOnce  sync.Once
 
 	hellosSent *telemetry.Counter
 	resets     *telemetry.Counter
@@ -206,20 +208,22 @@ func (m *RealMesh) advertised() []string {
 func (m *RealMesh) Name() string { return m.cfg.Name }
 
 // Close shuts the mesh down: sockets close (read loops exit on
-// net.ErrClosed) and peer state is torn down on the loop.
+// net.ErrClosed) and peer state is torn down on the loop. Idempotent.
 func (m *RealMesh) Close() {
-	close(m.done)
-	m.closeSocks()
-	m.loop.Call(func() {
-		m.closed = true
-		for _, p := range m.peers {
-			p.probe.Stop()
-			for _, f := range p.pending {
-				f.Release()
+	m.closeOnce.Do(func() {
+		close(m.done)
+		m.closeSocks()
+		m.loop.Call(func() {
+			m.closed = true
+			for _, p := range m.peers {
+				p.probe.Stop()
+				for _, f := range p.pending {
+					f.Release()
+				}
+				p.pending = nil
 			}
-			p.pending = nil
-		}
-		m.releaseOutq()
+			m.releaseOutq()
+		})
 	})
 }
 

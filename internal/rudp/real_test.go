@@ -185,7 +185,9 @@ func TestRealMeshPeerRestart(t *testing.T) {
 	recv("one")
 	waitFlip(true)
 
-	// Kill b; a's ping monitors notice the silence.
+	// Kill b (twice: Close is idempotent); a's ping monitors notice the
+	// silence.
+	b.Close()
 	b.Close()
 	lb.Stop()
 	waitFlip(false)

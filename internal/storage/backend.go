@@ -13,30 +13,19 @@ import (
 	"rain/internal/telemetry"
 )
 
-// UnknownSize marks an object whose original length was not recorded at
-// write time (the direct in-process Put path, where the client keeps sizes).
-// The networked daemon records real sizes so any client can decode.
-const UnknownSize = -1
-
-// UnknownShard marks an object whose shard index was not recorded at write
-// time. Readers fall back to the positional rule (node i holds shard i) for
-// such entries — the pre-placement layout.
-const UnknownShard = -1
-
 // ObjectInfo describes one shard held by a backend, as reported to rebuild
 // coordinators and streamed in dstore inventories.
 type ObjectInfo struct {
 	ID       string
-	Shard    int // shard index held, or UnknownShard (positional layout)
-	DataLen  int // original object length, or UnknownSize
+	Shard    int // shard index held under the object's placement
+	DataLen  int // original object length
 	ShardLen int
 	BlockLen int // block-codeword size of the layout; 0 = one codeword
 }
 
 // Backend is the node-local shard store: one shard per object id, plus the
 // load counters the balancing policies and experiments read. A RAIN node's
-// dstore daemon serves it over the mesh; the direct-call Server wraps a
-// private one. Safe for concurrent use.
+// dstore daemon serves it over the mesh. Safe for concurrent use.
 //
 // A backend is either memory-backed (NewBackend) or file-backed
 // (NewFileBackend): the latter spills shard bytes to one file per object so
@@ -80,7 +69,7 @@ type backendEntry struct {
 	shard    []byte // memory mode only
 	path     string // file mode only
 	shardLen int64
-	shardIdx int // shard index held, or UnknownShard
+	shardIdx int // shard index held
 	dataLen  int
 	blockLen int
 	sums     []uint32 // CRC32C per ChecksumBlock of the shard (last may be short)
@@ -118,10 +107,9 @@ func (b *Backend) shardPath(id string) string {
 }
 
 // Put stores the shard for an object together with the shard index it
-// represents under the object's placement (UnknownShard for the positional
-// layout), the original object length (UnknownSize if the writer does not
-// know it), and the block-codeword size of its layout (0 for a single
-// whole-object codeword). A non-nil error (file-backed mode only: disk
+// represents under the object's placement, the original object length, and
+// the block-codeword size of its layout (0 for a single whole-object
+// codeword). A non-nil error (file-backed mode only: disk
 // full, permissions) means nothing was stored.
 func (b *Backend) Put(id string, shard []byte, shardIdx, dataLen, blockLen int) error {
 	b.mu.Lock()

@@ -1,10 +1,10 @@
 // Package video implements RAINVideo (§5.1): a highly-available video
 // server. Videos are erasure-encoded block by block and written to all n
-// storage nodes with distributed store operations; each client performs a
-// distributed retrieve of k symbols per block, decodes and "displays" it.
-// If network connections break or nodes go down, playback continues without
-// interruption provided each client can still reach at least k servers —
-// the property experiment E17 measures.
+// storage nodes with the cluster's distributed store operation; each client
+// performs a distributed retrieve of k symbols per block over the mesh,
+// decodes and "displays" it. If network connections break or nodes go down,
+// playback continues without interruption provided each client can still
+// reach at least k servers — the property experiment E17 measures.
 //
 // The paper's testbed streamed real video files; block payloads here are
 // seeded pseudo-random bytes, since availability under faults depends only
@@ -17,16 +17,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"time"
 
-	"rain/internal/storage"
+	"rain/internal/core"
 )
 
 // Config parameterises the video system.
 type Config struct {
 	// BlockSize is the size in bytes of one video block.
 	BlockSize int
-	// BlocksPerSecond models the playback rate (blocks consumed per
-	// second of video time); used for throughput reporting.
+	// BlocksPerSecond is the playback rate: Play fetches one block every
+	// 1/BlocksPerSecond of the cluster's virtual time.
 	BlocksPerSecond int
 }
 
@@ -40,10 +41,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// System is a RAINVideo deployment: an erasure-coded store holding videos.
+// System is a RAINVideo deployment: a RAIN cluster holding videos.
 type System struct {
 	cfg   Config
-	store *storage.Store
+	p     *core.Platform
 	metas map[string]videoMeta
 }
 
@@ -53,14 +54,10 @@ type videoMeta struct {
 	sums   [][32]byte // per-block checksum for playback verification
 }
 
-// NewSystem builds a video system over the given store.
-func NewSystem(store *storage.Store, cfg Config) *System {
-	return &System{cfg: cfg.withDefaults(), store: store, metas: make(map[string]videoMeta)}
+// NewSystem builds a video system over a running cluster.
+func NewSystem(p *core.Platform, cfg Config) *System {
+	return &System{cfg: cfg.withDefaults(), p: p, metas: make(map[string]videoMeta)}
 }
-
-// Store exposes the underlying distributed store (experiments kill its
-// servers).
-func (sys *System) Store() *storage.Store { return sys.store }
 
 // blockID names the stored symbol group for one block.
 func blockID(name string, i int) string { return fmt.Sprintf("video/%s/%06d", name, i) }
@@ -83,7 +80,7 @@ func (sys *System) AddVideo(name string, blocks int, seed int64) error {
 	for i := 0; i < blocks; i++ {
 		block := syntheticBlock(seed, i, sys.cfg.BlockSize)
 		meta.sums[i] = sha256.Sum256(block)
-		if _, err := sys.store.Put(blockID(name, i), block); err != nil {
+		if err := sys.p.Put(blockID(name, i), block); err != nil {
 			return fmt.Errorf("video: storing %s block %d: %w", name, i, err)
 		}
 	}
@@ -105,8 +102,10 @@ type Report struct {
 	BytesServed int64
 }
 
-// FaultScript injects faults during playback: before fetching block i, the
-// servers listed in Down[i] are taken down and those in Up[i] brought back.
+// FaultScript injects faults during playback: one block period before block
+// i is fetched, the nodes listed in Down[i] (indices into the cluster's node
+// list) crash and those in Up[i] recover — the period is what membership gets
+// to readmit a recovered node before the viewer needs it.
 type FaultScript struct {
 	Down map[int][]int
 	Up   map[int][]int
@@ -122,15 +121,20 @@ func (sys *System) Play(name string, script FaultScript) (Report, error) {
 		return Report{}, fmt.Errorf("video: unknown video %q", name)
 	}
 	var rep Report
-	servers := sys.store.Servers()
+	period := time.Second / time.Duration(sys.cfg.BlocksPerSecond)
 	for i := 0; i < meta.blocks; i++ {
 		for _, s := range script.Down[i] {
-			servers[s].SetDown(true)
+			if err := sys.p.Crash(sys.p.Nodes[s]); err != nil {
+				return rep, err
+			}
 		}
 		for _, s := range script.Up[i] {
-			servers[s].SetDown(false)
+			if err := sys.p.Recover(sys.p.Nodes[s]); err != nil {
+				return rep, err
+			}
 		}
-		block, err := sys.store.Get(blockID(name, i))
+		sys.p.Run(period)
+		block, err := sys.p.Get(blockID(name, i))
 		if err != nil {
 			rep.Stalls++
 			continue

@@ -1,28 +1,23 @@
 package video
 
 import (
-	"fmt"
 	"testing"
+	"time"
 
-	"rain/internal/ecc"
-	"rain/internal/storage"
+	"rain"
 )
 
-func newTestSystem(t *testing.T) (*System, []*storage.Server) {
+// newTestSystem builds a video system on a six-node cluster running the
+// default (6,4) B-Code, settled to a full membership view.
+func newTestSystem(t *testing.T) (*System, *rain.Cluster) {
 	t.Helper()
-	code, err := ecc.NewBCode(6)
+	p, err := rain.NewCluster([]string{"vs0", "vs1", "vs2", "vs3", "vs4", "vs5"},
+		rain.ClusterOptions{Seed: 7, Policy: rain.PolicyLeastLoaded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	servers := make([]*storage.Server, code.N())
-	for i := range servers {
-		servers[i] = storage.NewServer(fmt.Sprintf("vs%d", i), i)
-	}
-	st, err := storage.New(code, servers, storage.LeastLoaded, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewSystem(st, Config{BlockSize: 4096}), servers
+	p.Run(time.Second)
+	return NewSystem(p, Config{BlockSize: 4096}), p
 }
 
 func TestPlaybackFaultFree(t *testing.T) {
@@ -94,7 +89,7 @@ func TestUnknownVideo(t *testing.T) {
 func TestMultipleClientsLoadBalance(t *testing.T) {
 	// Several concurrent viewers with the least-loaded policy must spread
 	// reads across all n servers, not just k of them.
-	sys, servers := newTestSystem(t)
+	sys, p := newTestSystem(t)
 	if err := sys.AddVideo("demo", 25, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +99,9 @@ func TestMultipleClientsLoadBalance(t *testing.T) {
 			t.Fatalf("client %d: %+v err=%v", c, rep, err)
 		}
 	}
-	for i, s := range servers {
-		r, _ := s.Loads()
-		if r == 0 {
-			t.Fatalf("server %d served no reads despite least-loaded policy", i)
+	for _, n := range p.Nodes {
+		if r, _ := p.Backends[n].Loads(); r == 0 {
+			t.Fatalf("server %s served no reads despite least-loaded policy", n)
 		}
 	}
 }

@@ -17,13 +17,14 @@
 //
 //   - Storage: the B-Code, X-Code and EVENODD MDS array codes plus
 //     Reed-Solomon and RAID baselines (internal/ecc), the node-local shard
-//     backends and selection policies (internal/storage), and the networked
-//     distributed store running store/retrieve/rebuild as chunked messages
+//     backends and selection policies (internal/storage), and the one
+//     distributed store, running store/retrieve/rebuild as chunked messages
 //     over the RUDP mesh (internal/dstore).
 //
-//   - Applications: RAINVideo (internal/video), the SNOW web cluster
-//     (internal/snow), RAINCheck distributed checkpointing
-//     (internal/checkpoint) and the Rainwall firewall cluster
+//   - Applications: RAINVideo (internal/video) and RAINCheck distributed
+//     checkpointing (internal/checkpoint), both running on a Cluster — its
+//     store, election, messaging and fault injection; the SNOW web cluster
+//     (internal/snow) and the Rainwall firewall cluster
 //     (internal/rainwall).
 //
 // This package is the facade: erasure codes for standalone use, and the one
