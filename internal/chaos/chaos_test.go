@@ -37,14 +37,9 @@ func bcode6(t *testing.T) ecc.Code {
 	return code
 }
 
-// TestChaosRackKillAndJoinUnderTraffic is the tentpole's acceptance
-// scenario: two nodes of one rack (including the leader) die at once under
-// live put/get traffic, a fresh standby joins mid-rebuild, and no operator
-// touches anything. The cluster must re-elect, rebalance (debounced), and
-// restore full redundancy — judged through the registry and a bit-exact
-// audit.
-func TestChaosRackKillAndJoinUnderTraffic(t *testing.T) {
-	res, err := Run(Schedule{
+// rackKillAndJoin is the schedule of TestChaosRackKillAndJoinUnderTraffic.
+func rackKillAndJoin(t *testing.T) Schedule {
+	return Schedule{
 		Name:       "rack-kill-and-join",
 		Seed:       1337,
 		Nodes:      rack3.nodes,
@@ -64,7 +59,17 @@ func TestChaosRackKillAndJoinUnderTraffic(t *testing.T) {
 		},
 		Duration: 20 * time.Second,
 		Settle:   20 * time.Second,
-	})
+	}
+}
+
+// TestChaosRackKillAndJoinUnderTraffic is the tentpole's acceptance
+// scenario: two nodes of one rack (including the leader) die at once under
+// live put/get traffic, a fresh standby joins mid-rebuild, and no operator
+// touches anything. The cluster must re-elect, rebalance (debounced), and
+// restore full redundancy — judged through the registry and a bit-exact
+// audit.
+func TestChaosRackKillAndJoinUnderTraffic(t *testing.T) {
+	res, err := Run(rackKillAndJoin(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +103,24 @@ func TestChaosRackKillAndJoinUnderTraffic(t *testing.T) {
 	// per view flap.
 	if res.Passes == 0 || res.Passes > 6 {
 		t.Fatalf("rebalance passes = %d, want 1..6", res.Passes)
+	}
+}
+
+// TestChaosSameSeedSameResult pins determinism by construction: one seed is
+// one run, down to the nanoseconds of the observation window. Everything a
+// schedule executes — the mesh's hello handshake, tick and probe order
+// included — must draw its order and its randomness from the scheduler.
+func TestChaosSameSeedSameResult(t *testing.T) {
+	first, err := Run(rackKillAndJoin(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Run(rackKillAndJoin(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Fatalf("same schedule, same seed, different runs:\n%+v\n%+v", first, second)
 	}
 }
 

@@ -225,8 +225,7 @@ func New(nodes []string, opts Options) (*Platform, error) {
 		ecfg.Timeout = 5 * ecfg.Interval
 	}
 	mbr := membership.NewMeshCluster(s, mesh, active, mcfg)
-	elect := election.NewMeshCluster(s, mesh, nodes, ecfg,
-		func(from, to string) int { return mesh.Conn(from, to).Backlog() })
+	elect := election.NewMeshCluster(s, mesh, nodes, ecfg, mesh.Backlog)
 	for _, sb := range opts.Standby {
 		mbr.AddStandby(sb)
 		elect.Stop(sb)

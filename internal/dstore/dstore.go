@@ -57,8 +57,8 @@ const (
 )
 
 // Mesh is the transport the store runs over: per-service registration and
-// addressed sends. *rudp.Mesh (simulated) and *rudp.RealMesh (UDP sockets)
-// implement it.
+// addressed sends. *rudp.Endpoint (one node, on UDP sockets or the simulator)
+// and *rudp.Mesh (a simulated cluster: N endpoints) implement it.
 //
 // Handler payloads are borrowed: they may alias a pooled transport buffer
 // and are valid only until the handler returns. SendFrame consumes the

@@ -17,8 +17,7 @@ func meshFixture(t *testing.T, names []string) (*sim.Scheduler, *rudp.Mesh, *Mes
 	if err != nil {
 		t.Fatal(err)
 	}
-	backlog := func(from, to string) int { return mesh.Conn(from, to).Backlog() }
-	return s, mesh, NewMeshCluster(s, mesh, names, Config{}, backlog)
+	return s, mesh, NewMeshCluster(s, mesh, names, Config{}, mesh.Backlog)
 }
 
 func TestHeartbeatRoundTrip(t *testing.T) {
@@ -69,7 +68,7 @@ func TestMeshElectionPartitionedLeader(t *testing.T) {
 	// forever; the backlog cap must keep the queues bounded during a long
 	// partition.
 	for _, p := range names[1:] {
-		if b := mesh.Conn(p, "n1").Backlog(); b > meshHeartbeatBacklog+2 {
+		if b := mesh.Backlog(p, "n1"); b > meshHeartbeatBacklog+2 {
 			t.Fatalf("%s->n1 backlog %d: heartbeats accumulating past the cap", p, b)
 		}
 	}

@@ -13,8 +13,9 @@ import (
 const Service = "mbr"
 
 // MeshTransport is the slice of a datagram mesh the driver needs.
-// *rudp.Mesh (simulated RUDP), *rudp.RealMesh (UDP sockets) and sim.NIC (a
-// bare simulated interface) all satisfy it.
+// *rudp.Endpoint (one node's RUDP, on sockets or the simulator), *rudp.Mesh
+// (N simulated endpoints) and sim.NIC (a bare simulated interface) all
+// satisfy it.
 type MeshTransport interface {
 	Handle(node, service string, fn func(from string, payload []byte))
 	SendService(from, to, service string, payload []byte)

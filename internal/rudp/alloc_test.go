@@ -24,13 +24,13 @@ func TestConnSendReceiveAllocs(t *testing.T) {
 	// a's datagrams go to b, b's (acks) go back to a. Wires are queued and
 	// drained after the call returns, like a driver, so ack processing never
 	// re-enters a pump in progress.
-	a, err = NewConn(cfg,
+	a, err = newConn(cfg, nil,
 		func(path int, w Wire) { queue = append(queue, item{path, w, b}) },
 		nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err = NewConn(cfg,
+	b, err = newConn(cfg, nil,
 		func(path int, w Wire) { queue = append(queue, item{path, w, a}) },
 		func([]byte) {})
 	if err != nil {

@@ -29,8 +29,8 @@ type Config struct {
 	// Slack is the link-state protocol slack N (default 2).
 	Slack int
 	// Telemetry is the metrics registry connections report into; nil means
-	// the process-wide telemetry.Default(). The simulated mesh labels series
-	// per node; standalone endpoints use the unlabeled root scope.
+	// the process-wide telemetry.Default(). Simulated endpoints label series
+	// per node; the socket endpoint uses the unlabeled root scope.
 	Telemetry *telemetry.Registry
 }
 
@@ -138,16 +138,10 @@ type connCounters struct {
 	perPathData   []atomic.Uint64
 }
 
-// NewConn builds a connection endpoint. transmit sends a wire datagram on a
-// path (unreliably); deliver receives application datagrams exactly once, in
-// order.
-func NewConn(cfg Config, transmit func(path int, w Wire), deliver func([]byte)) (*Conn, error) {
-	return newConn(cfg, nil, transmit, deliver)
-}
-
-// newConn builds a connection reporting into the given telemetry scope (nil
-// means the configured registry's root scope). The mesh passes per-node
-// scopes so one process full of simulated nodes keeps distinct series.
+// newConn builds a connection endpoint reporting into the given telemetry
+// scope (nil means the configured registry's root scope). transmit sends a
+// wire datagram on a path (unreliably); deliver receives application
+// datagrams exactly once, in order.
 func newConn(cfg Config, scope *telemetry.Scope, transmit func(path int, w Wire), deliver func([]byte)) (*Conn, error) {
 	cfg = cfg.withDefaults()
 	if scope == nil {
@@ -216,23 +210,14 @@ func (c *Conn) Stats() Stats {
 // Backlog reports datagrams queued or in flight but not yet acknowledged.
 func (c *Conn) Backlog() int { return len(c.queue) }
 
-// Send queues one datagram for reliable delivery and attempts immediate
-// transmission. The queue is unbounded; when every path is down the data
-// waits, exactly the paper's MPI-over-RUDP behaviour ("the application may
-// hang until the link is restored"). The payload is copied (into a pooled
-// frame); callers that build their datagrams in frames use SendFrame to skip
-// the copy.
-func (c *Conn) Send(payload []byte, now int64) {
-	f := netbuf.NewFrame(len(payload))
-	copy(f.Payload(), payload)
-	c.SendFrame(f, now)
-}
-
 // SendFrame queues the frame's current datagram bytes (payload plus any
 // service header the caller pushed) for reliable delivery, taking ownership
 // of the caller's frame reference. The wire header is marshaled once into
 // the frame's headroom, so retransmissions re-send the same bytes without
-// re-marshaling, and byte-oriented drivers write the frame directly.
+// re-marshaling, and byte-oriented drivers write the frame directly. The
+// queue is unbounded; when every path is down the data waits, exactly the
+// paper's MPI-over-RUDP behaviour ("the application may hang until the link
+// is restored") — the endpoint above bounds what it lets in.
 func (c *Conn) SendFrame(f *netbuf.Frame, now int64) {
 	payload := f.Datagram()
 	var p *pending

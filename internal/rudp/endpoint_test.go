@@ -1,0 +1,334 @@
+package rudp
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"rain/internal/rt"
+	"rain/internal/sim"
+	"rain/internal/telemetry"
+)
+
+// meshRig runs one table row's endpoints on one packet driver: sockets on
+// rt.Loops against the wall clock (the "udp" row), or sim.Network on one
+// scheduler's virtual clock (the "sim" row) — the same test body over both.
+type meshRig struct {
+	t     *testing.T
+	loops map[*Endpoint]*rt.Loop // udp row
+	mesh  *Mesh                  // sim row: holds the endpoints for the fault helpers
+}
+
+// eachDriver runs body once per packet driver. The sim row's a↔b links lose
+// 5% of packets and are slower one way than the other.
+func eachDriver(t *testing.T, body func(t *testing.T, r *meshRig)) {
+	t.Run("udp", func(t *testing.T) {
+		body(t, &meshRig{t: t, loops: make(map[*Endpoint]*rt.Loop)})
+	})
+	t.Run("sim", func(t *testing.T) {
+		s := sim.New(11)
+		net := sim.NewNetwork(s)
+		sim.ApplyAsymmetric(net, "a", "b", 2, sim.Lossy(sim.ProfileLAN, 0.05), sim.Lossy(sim.ProfileCampus, 0.05))
+		body(t, &meshRig{t: t, mesh: &Mesh{S: s, Net: net, eps: make(map[string]*Endpoint)}})
+	})
+}
+
+// open starts an endpoint that knows the peers in book. locals pins the udp
+// row's bind addresses (nil: ephemeral loopback ports); a sim endpoint's
+// addresses always follow from its name. It is closed with the test.
+func (r *meshRig) open(name string, paths int, locals []string, book map[string][]string) *Endpoint {
+	r.t.Helper()
+	cfg := Config{Paths: paths, Telemetry: telemetry.NewRegistry()}
+	var ep *Endpoint
+	if r.mesh != nil {
+		ep = newSimEndpoint(r.mesh.S, r.mesh.Net, name, cfg.withDefaults())
+		for peer, addrs := range book {
+			if err := ep.addPeer(peer, addrs); err != nil {
+				r.t.Fatalf("mesh %s: %v", name, err)
+			}
+		}
+		r.mesh.eps[name] = ep
+	} else {
+		loop := rt.New(int64(len(r.loops)) + 7)
+		loop.Start()
+		if locals == nil {
+			locals = make([]string, paths)
+			for i := range locals {
+				locals[i] = "127.0.0.1:0"
+			}
+		}
+		var err error
+		ep, err = NewRealMesh(loop, RealConfig{Name: name, Locals: locals, Peers: book, Conn: cfg})
+		if err != nil {
+			loop.Stop()
+			r.t.Fatalf("mesh %s: %v", name, err)
+		}
+		r.loops[ep] = loop
+	}
+	r.t.Cleanup(func() { r.close(ep) })
+	return ep
+}
+
+// close tears an endpoint down for good; repeatable.
+func (r *meshRig) close(ep *Endpoint) {
+	ep.Close()
+	if loop := r.loops[ep]; loop != nil {
+		loop.Stop()
+	}
+}
+
+// on runs fn on ep's protocol goroutine.
+func (r *meshRig) on(ep *Endpoint, fn func()) {
+	if loop := r.loops[ep]; loop != nil {
+		loop.Call(fn)
+		return
+	}
+	fn()
+}
+
+// eventually lets the protocol run until cond holds: up to 5 s of wall
+// clock on sockets, 30 s of virtual time on the simulator.
+func (r *meshRig) eventually(cond func() bool) bool {
+	if r.mesh == nil {
+		for tries := 0; !cond(); tries++ {
+			if tries == 2500 {
+				return false
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		return true
+	}
+	for deadline := r.mesh.S.Now().Add(30 * time.Second); !cond(); r.mesh.S.Step() {
+		if r.mesh.S.Now() > deadline {
+			return false
+		}
+	}
+	return true
+}
+
+// await receives the next value a handler pushed into ch.
+func await[T any](r *meshRig, ch chan T) (v T, ok bool) {
+	ok = r.eventually(func() bool {
+		select {
+		case v = <-ch:
+			return true
+		default:
+			return false
+		}
+	})
+	return v, ok
+}
+
+// Two endpoints exchange service datagrams both ways, including a peer that
+// was only learned from the inbound hello.
+func TestRealMeshRoundTrip(t *testing.T) {
+	eachDriver(t, func(t *testing.T, r *meshRig) {
+		// b knows a from its book; a learns b from b's hello.
+		a := r.open("a", 2, nil, nil)
+		b := r.open("b", 2, nil, map[string][]string{"a": a.LocalAddrs()})
+
+		// Handlers run on the protocol goroutines; the channels hold a whole
+		// burst so a failed assertion never leaves a loop blocked under the
+		// deferred Close.
+		atA := make(chan string, 128)
+		atB := make(chan string, 128)
+		r.on(a, func() {
+			a.Handle("a", "echo", func(from string, payload []byte) {
+				atA <- from + ":" + string(payload)
+				a.SendService("a", from, "echo", append([]byte("re-"), payload...))
+			})
+		})
+		r.on(b, func() {
+			b.Handle("b", "echo", func(from string, payload []byte) {
+				atB <- from + ":" + string(payload)
+			})
+		})
+
+		r.on(b, func() { b.SendService("b", "a", "echo", []byte("hi")) })
+
+		want := func(ch chan string, want string) {
+			t.Helper()
+			if got, ok := await(r, ch); !ok {
+				t.Fatalf("timed out waiting for %q", want)
+			} else if got != want {
+				t.Fatalf("got %q, want %q", got, want)
+			}
+		}
+		want(atA, "b:hi")
+		want(atB, "a:re-hi")
+
+		// A burst each way arrives complete and in order (one state machine,
+		// over kernel UDP or the simulator, §2.5).
+		const burst = 50
+		r.on(a, func() {
+			for i := 0; i < burst; i++ {
+				a.SendService("a", "b", "echo", []byte(fmt.Sprintf("a%02d", i)))
+			}
+		})
+		r.on(b, func() {
+			for i := 0; i < burst; i++ {
+				b.SendService("b", "a", "echo", []byte(fmt.Sprintf("b%02d", i)))
+			}
+		})
+		// b hears a's burst interleaved with a's echoes of its own; each
+		// stream must be in order within itself.
+		for i := 0; i < burst; i++ {
+			want(atA, fmt.Sprintf("b:b%02d", i))
+		}
+		nextBurst, nextEcho := 0, 0
+		for nextBurst < burst || nextEcho < burst {
+			got, ok := await(r, atB)
+			switch {
+			case !ok:
+				t.Fatalf("b got %d of a's burst and %d echoes, want %d each", nextBurst, nextEcho, burst)
+			case got == fmt.Sprintf("a:a%02d", nextBurst):
+				nextBurst++
+			case got == fmt.Sprintf("a:re-b%02d", nextEcho):
+				nextEcho++
+			default:
+				t.Fatalf("b got %q out of order (burst at %d, echoes at %d)", got, nextBurst, nextEcho)
+			}
+		}
+
+		// Both bundled paths come Up on both ends.
+		for _, end := range []struct {
+			mesh *Endpoint
+			peer string
+		}{{a, "b"}, {b, "a"}} {
+			var status [2]string
+			if !r.eventually(func() bool {
+				r.on(end.mesh, func() {
+					for i := range status {
+						status[i] = end.mesh.peers[end.peer].conn.PathStatus(i).String()
+					}
+				})
+				return status == [2]string{"Up", "Up"}
+			}) {
+				t.Fatalf("%s's paths to %s not Up: %v", end.mesh.name, end.peer, status)
+			}
+		}
+
+		// Loopback delivery works without the driver.
+		r.on(b, func() { b.SendService("b", "b", "echo", []byte("self")) })
+		want(atB, "b:self")
+	})
+}
+
+// A restarted peer (same addresses, new incarnation) is detected via the
+// hello handshake: the survivor's conn resets once and traffic resumes, and
+// the liveness callback reports the outage.
+func TestRealMeshPeerRestart(t *testing.T) {
+	eachDriver(t, func(t *testing.T, r *meshRig) {
+		a := r.open("a", 1, nil, nil)
+		b := r.open("b", 1, nil, map[string][]string{"a": a.LocalAddrs()})
+		bAddrs := b.LocalAddrs()
+
+		atA := make(chan string, 64)
+		upDown := make(chan bool, 64)
+		r.on(a, func() {
+			a.Handle("a", "t", func(from string, payload []byte) { atA <- string(payload) })
+			a.OnPeerChange(func(name string, up bool) {
+				if name == "b" {
+					upDown <- up
+				}
+			})
+		})
+		r.on(b, func() { b.SendService("b", "a", "t", []byte("one")) })
+
+		recv := func(want string) {
+			t.Helper()
+			for {
+				if got, ok := await(r, atA); !ok {
+					t.Fatalf("timed out waiting for %q", want)
+				} else if got == want {
+					return
+				}
+			}
+		}
+		waitFlip := func(want bool) {
+			t.Helper()
+			for {
+				if got, ok := await(r, upDown); !ok {
+					t.Fatalf("timed out waiting for up=%v", want)
+				} else if got == want {
+					return
+				}
+			}
+		}
+		recv("one")
+		waitFlip(true)
+
+		// Kill b (twice: Close is idempotent); a's ping monitors notice the
+		// silence.
+		r.close(b)
+		r.close(b)
+		waitFlip(false)
+
+		// Restart b on the same addresses with a fresh incarnation.
+		b2 := r.open("b", 1, bAddrs, map[string][]string{"a": a.LocalAddrs()})
+		if b2.inc == b.inc {
+			t.Fatalf("restarted endpoint reused incarnation %d", b.inc)
+		}
+		r.on(b2, func() { b2.SendService("b", "a", "t", []byte("two")) })
+		recv("two")
+		waitFlip(true)
+		if n := a.resets.Value(); n != 1 {
+			t.Fatalf("rudp.mesh.conn_resets = %d on the survivor, want 1", n)
+		}
+	})
+}
+
+// Sends to an unreachable peer queue up to the backlog cap and are shed
+// beyond it instead of growing without bound, and Close gives every queued
+// frame back.
+func TestRealMeshBacklogCap(t *testing.T) {
+	live := telemetry.Default().Root().Gauge("netbuf.frames.live", "")
+	eachDriver(t, func(t *testing.T, r *meshRig) {
+		start := live.Value()
+		// The dead peer: the discard port on sockets, a stopped node on the
+		// simulator.
+		ghost := []string{"127.0.0.1:9"}
+		if r.mesh != nil {
+			ghost = r.open("b", 1, nil, nil).LocalAddrs()
+		}
+		a := r.open("a", 1, nil, map[string][]string{"b": ghost})
+		if r.mesh != nil {
+			r.mesh.StopNode("b")
+		}
+
+		r.on(a, func() {
+			for i := 0; i < maxBacklog+100; i++ {
+				a.SendService("a", "b", "t", nil)
+			}
+			if got := a.Backlog("b"); got > maxBacklog {
+				t.Errorf("backlog %d exceeds cap %d", got, maxBacklog)
+			}
+			if got := a.shed.Value(); got == 0 {
+				t.Errorf("rudp.mesh.sends_shed = 0 after overrunning the cap")
+			}
+		})
+		r.close(a)
+		// Socket read goroutines give their receive frame back as they exit.
+		if !r.eventually(func() bool { return live.Value() <= start }) {
+			t.Fatalf("netbuf.frames.live = %d after Close, %d before the endpoint existed", live.Value(), start)
+		}
+	})
+}
+
+// Construction rejects what cannot bind or pair: no local addresses, an
+// unparseable one, and a peer whose bundle has the wrong path count.
+func TestRealMeshValidation(t *testing.T) {
+	loop := rt.New(3)
+	loop.Start()
+	defer loop.Stop()
+	for _, cfg := range []RealConfig{
+		{Name: "a"},
+		{Name: "a", Locals: []string{"not-an-addr"}},
+		{Name: "a", Locals: []string{"127.0.0.1:0"}, Peers: map[string][]string{"b": {"127.0.0.1:1", "127.0.0.1:2"}}},
+	} {
+		if m, err := NewRealMesh(loop, cfg); err == nil {
+			m.Close()
+			t.Errorf("accepted %+v", cfg)
+		}
+	}
+}

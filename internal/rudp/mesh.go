@@ -7,203 +7,125 @@ import (
 	"rain/internal/sim"
 )
 
-// envelope is the simulator's wire format: the Wire plus the sender's node
-// name for demultiplexing at the receiver.
-type envelope struct {
-	From string
-	W    Wire
+// simDriver is the simulator packet driver: one sim.Network address per
+// bundled path (node X's NIC i talks to node Y's NIC i, the layout of the
+// paper's testbed). Wires travel by reference — nothing is marshaled — with
+// the sender's frame retained until the network delivers or drops the
+// packet, so an ack that releases the sender's queue cannot recycle the
+// buffer under a still-travelling duplicate.
+type simDriver struct {
+	net    *sim.Network
+	locals []sim.Addr
 }
 
-// Mesh wires a full mesh of RUDP connections between simulated nodes, each
-// pair joined by cfg.Paths independent paths (node X's NIC i talks to node
-// Y's NIC i, the bundled-interface layout of the paper's testbed). It is the
-// communication substrate the simulated MPI jobs, membership rings and
-// applications run on.
+// simAddr is a sim.Addr as a peerAddr.
+type simAddr sim.Addr
+
+func (a simAddr) String() string { return string(a) }
+
+func (d *simDriver) resolve(a string) (peerAddr, error) { return simAddr(a), nil }
+
+func (d *simDriver) send(path int, to peerAddr, w Wire) {
+	var done func()
+	if w.Frame != nil {
+		w.Frame.Retain()
+		done = w.Frame.Release
+	}
+	d.net.SendSizedDone(d.locals[path], sim.Addr(to.(simAddr)), w, w.WireSize(), done)
+}
+
+func (d *simDriver) close(teardown func()) {
+	for _, a := range d.locals {
+		d.net.Detach(a)
+	}
+	teardown()
+}
+
+// newSimEndpoint attaches one endpoint to the network at name's NIC
+// addresses and starts its tick on the scheduler. The incarnation is drawn
+// from the scheduler, so a seed reproduces it and an endpoint rebuilt on
+// the same addresses gets a fresh one. cfg must carry defaults.
+func newSimEndpoint(s *sim.Scheduler, net *sim.Network, name string, cfg Config) *Endpoint {
+	d := &simDriver{net: net, locals: make([]sim.Addr, cfg.Paths)}
+	locals := make([]string, cfg.Paths)
+	for i := range locals {
+		d.locals[i] = sim.NodeAddr(name, i)
+		locals[i] = string(d.locals[i])
+	}
+	ep := newEndpoint(name, cfg, cfg.registry().Node(name), s, d, s.Rand().Uint64()|1, locals, locals)
+	for i, a := range d.locals {
+		i := i
+		net.Attach(a, func(p sim.Packet) { ep.onDatagram(i, string(p.From), p.Payload.(Wire)) })
+	}
+	s.After(0, ep.tick)
+	return ep
+}
+
+// Mesh is a simulated cluster's communication substrate: one Endpoint per
+// node on a shared scheduler and sim.Network, each holding the others in
+// its address book, plus the fault helpers tests and experiments script
+// (cut a cable, freeze a node). MPI jobs, the membership ring and the
+// applications run on it; the deployed node runs one of the same endpoints
+// on sockets.
 //
-// Datagrams are demultiplexed per service: several protocol engines (MPI,
-// the distributed store daemon, the store client) can share one node's
-// connections, each registering its own handler with Handle and addressing
-// peers with SendService. OnMessage/Send are the unnamed default service.
+// Datagrams are demultiplexed per service: several protocol engines can
+// share one node's connections, each registering its own handler with
+// Handle and addressing peers with SendService. OnMessage/Send are the
+// unnamed default service.
 type Mesh struct {
 	S     *sim.Scheduler
 	Net   *sim.Network
 	Nodes []string
 	Paths int
 
-	cfg      Config
-	conns    map[string]map[string]*Conn
-	handlers map[string]map[string]func(from string, payload []byte)
-	stopped  map[string]bool
-	addrs    map[string][]sim.Addr // memoized NodeAddr per node × path
+	eps map[string]*Endpoint
 }
 
-// addr returns the memoized NIC address for a node and path.
-func (m *Mesh) addr(node string, path int) sim.Addr {
-	if a, ok := m.addrs[node]; ok && path < len(a) {
-		return a[path]
-	}
-	return sim.NodeAddr(node, path)
-}
-
-// NewMesh builds the mesh and starts per-node tick loops on the scheduler.
+// NewMesh builds the endpoints and dials every pair, so path monitors
+// settle without waiting for first traffic.
 func NewMesh(s *sim.Scheduler, net *sim.Network, nodes []string, cfg Config) (*Mesh, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Paths < 1 {
+		return nil, fmt.Errorf("rudp: need at least one path, got %d", cfg.Paths)
+	}
 	m := &Mesh{
-		S:        s,
-		Net:      net,
-		Nodes:    append([]string(nil), nodes...),
-		Paths:    cfg.Paths,
-		cfg:      cfg,
-		conns:    make(map[string]map[string]*Conn),
-		handlers: make(map[string]map[string]func(string, []byte)),
-		stopped:  make(map[string]bool),
-		addrs:    make(map[string][]sim.Addr),
+		S:     s,
+		Net:   net,
+		Nodes: append([]string(nil), nodes...),
+		Paths: cfg.Paths,
+		eps:   make(map[string]*Endpoint, len(nodes)),
 	}
 	for _, a := range nodes {
-		nics := make([]sim.Addr, cfg.Paths)
-		for i := range nics {
-			nics[i] = sim.NodeAddr(a, i)
-		}
-		m.addrs[a] = nics
+		m.eps[a] = newSimEndpoint(s, net, a, cfg)
 	}
-	reg := cfg.registry()
 	for _, a := range nodes {
-		m.conns[a] = make(map[string]*Conn)
-		// All of one node's conns share the node's telemetry series —
-		// per-conn series would be N² cardinality for no insight.
-		scope := reg.Node(a)
+		ep := m.eps[a]
 		for _, b := range nodes {
 			if a == b {
 				continue
 			}
-			a, b := a, b
-			conn, err := newConn(cfg, scope,
-				func(path int, w Wire) { m.transmit(a, b, path, w) },
-				func(payload []byte) { m.dispatch(a, b, payload) })
-			if err != nil {
+			if err := ep.addPeer(b, m.eps[b].locals); err != nil {
 				return nil, err
 			}
-			m.conns[a][b] = conn
+			ep.dial(ep.peers[b])
 		}
-	}
-	for _, a := range nodes {
-		for i := 0; i < m.Paths; i++ {
-			addr := sim.NodeAddr(a, i)
-			a, i := a, i
-			net.Attach(addr, func(p sim.Packet) { m.onPacket(a, i, p) })
-		}
-	}
-	for _, a := range nodes {
-		a := a
-		var loop func()
-		loop = func() {
-			if !m.stopped[a] {
-				now := int64(s.Now())
-				// In roster order, not map order: ticks transmit, and the
-				// network draws jitter per send, so the order is part of
-				// what a seed reproduces.
-				for _, b := range nodes {
-					if c := m.conns[a][b]; c != nil {
-						c.Tick(now)
-					}
-				}
-			}
-			s.After(cfg.PingInterval/2, loop)
-		}
-		s.After(0, loop)
 	}
 	return m, nil
 }
 
-func (m *Mesh) transmit(from, to string, path int, w Wire) {
-	if m.stopped[from] {
-		return
+// ep returns a node's endpoint.
+func (m *Mesh) ep(node string) *Endpoint {
+	ep := m.eps[node]
+	if ep == nil {
+		panic(fmt.Sprintf("rudp: no mesh node %q", node))
 	}
-	// The in-flight packet aliases the sender's frame (no copy); hold a
-	// reference until the network delivers or drops it, so an ack that
-	// releases the sender's queue cannot recycle the buffer under a
-	// still-travelling duplicate.
-	var done func()
-	if w.Frame != nil {
-		w.Frame.Retain()
-		done = w.Frame.Release
-	}
-	m.Net.SendSizedDone(m.addr(from, path), m.addr(to, path), envelope{From: from, W: w}, w.WireSize(), done)
-}
-
-func (m *Mesh) onPacket(node string, path int, p sim.Packet) {
-	if m.stopped[node] {
-		return
-	}
-	env := p.Payload.(envelope)
-	conn, ok := m.conns[node][env.From]
-	if !ok {
-		return
-	}
-	conn.OnWire(path, env.W, int64(m.S.Now()))
-}
-
-// FrameService prefixes a payload with its service name (1-byte length +
-// name); the receiver strips the frame with SplitService and routes to the
-// service's handler. The default service "" costs one byte. Shared by the
-// simulated mesh and real-socket drivers speaking the same multiplexing.
-func FrameService(service string, payload []byte) []byte {
-	if len(service) > 255 {
-		panic(fmt.Sprintf("rudp: service name %q too long", service))
-	}
-	buf := make([]byte, 1+len(service)+len(payload))
-	buf[0] = byte(len(service))
-	copy(buf[1:], service)
-	copy(buf[1+len(service):], payload)
-	return buf
-}
-
-// PushService prepends the service frame into a frame's headroom — the
-// zero-copy FrameService. The service name must leave room for the wire
-// header that Conn.SendFrame pushes below it.
-func PushService(f *netbuf.Frame, service string) {
-	if 1+len(service)+wireHeader > netbuf.Headroom-f.Pushed() {
-		panic(fmt.Sprintf("rudp: service name %q does not fit the frame headroom", service))
-	}
-	hdr := f.Push(1 + len(service))
-	hdr[0] = byte(len(service))
-	copy(hdr[1:], service)
-}
-
-// SplitService undoes FrameService. ok is false for malformed frames.
-func SplitService(framed []byte) (service string, payload []byte, ok bool) {
-	if len(framed) < 1 {
-		return "", nil, false
-	}
-	n := int(framed[0])
-	if len(framed) < 1+n {
-		return "", nil, false
-	}
-	return string(framed[1 : 1+n]), framed[1+n:], true
-}
-
-// dispatch strips the service frame and routes the datagram to the handler
-// registered for (node, service). Unknown services are dropped silently,
-// like UDP ports nobody listens on.
-func (m *Mesh) dispatch(node, from string, framed []byte) {
-	service, payload, ok := SplitService(framed)
-	if !ok {
-		return
-	}
-	if h := m.handlers[node][service]; h != nil {
-		h(from, payload)
-	}
+	return ep
 }
 
 // Handle registers the handler for datagrams addressed to a service on a
 // node (from any peer), replacing any previous handler for that service.
 func (m *Mesh) Handle(node, service string, fn func(from string, payload []byte)) {
-	hs, ok := m.handlers[node]
-	if !ok {
-		hs = make(map[string]func(string, []byte))
-		m.handlers[node] = hs
-	}
-	hs[service] = fn
+	m.ep(node).Handle(node, service, fn)
 }
 
 // OnMessage registers the handler for the default service on a node.
@@ -211,38 +133,17 @@ func (m *Mesh) OnMessage(node string, fn func(from string, payload []byte)) {
 	m.Handle(node, "", fn)
 }
 
-// SendService queues a reliable datagram from one node to another, addressed
-// to the named service on the receiver. A node may send to itself: loopback
-// datagrams skip the network and deliver on the next scheduler event. The
-// payload is copied; senders that build datagrams in frames use SendFrame.
+// SendService queues a reliable datagram from one node to another,
+// addressed to the named service on the receiver (Endpoint.SendService on
+// from's endpoint).
 func (m *Mesh) SendService(from, to, service string, payload []byte) {
-	f := netbuf.NewFrame(len(payload))
-	copy(f.Payload(), payload)
-	m.SendFrame(from, to, service, f)
+	m.ep(from).SendService(from, to, service, payload)
 }
 
-// SendFrame queues a reliable datagram whose bytes live in f's payload
-// region, consuming the caller's frame reference — the zero-copy
-// SendService. The service header is pushed into the frame's headroom and
-// the framed bytes travel by reference all the way through the connection's
-// retransmit queue and the simulated network.
+// SendFrame is the zero-copy SendService (Endpoint.SendFrame on from's
+// endpoint); it consumes the caller's frame reference.
 func (m *Mesh) SendFrame(from, to, service string, f *netbuf.Frame) {
-	PushService(f, service)
-	if from == to {
-		framed := f.Datagram()
-		m.S.After(0, func() {
-			if !m.stopped[from] {
-				m.dispatch(from, from, framed)
-			}
-			f.Release()
-		})
-		return
-	}
-	conn, ok := m.conns[from][to]
-	if !ok {
-		panic(fmt.Sprintf("rudp: no conn %s->%s", from, to))
-	}
-	conn.SendFrame(f, int64(m.S.Now()))
+	m.ep(from).SendFrame(from, to, service, f)
 }
 
 // Send queues a reliable datagram from one node to another on the default
@@ -251,9 +152,18 @@ func (m *Mesh) Send(from, to string, payload []byte) {
 	m.SendService(from, to, "", payload)
 }
 
-// Conn exposes the connection state machine from node a toward node b,
-// for tests and experiments inspecting path status and stats.
-func (m *Mesh) Conn(a, b string) *Conn { return m.conns[a][b] }
+// Backlog reports from's unacknowledged-plus-pending datagrams toward to.
+func (m *Mesh) Backlog(from, to string) int { return m.ep(from).Backlog(to) }
+
+// Conn exposes the connection state machine from node a toward node b, for
+// tests and experiments inspecting path status and stats. It is nil until
+// the pair's first hello lands.
+func (m *Mesh) Conn(a, b string) *Conn {
+	if p := m.ep(a).peers[b]; p != nil {
+		return p.conn
+	}
+	return nil
+}
 
 // CutPath severs path i between two nodes in both directions.
 func (m *Mesh) CutPath(a, b string, path int) {
@@ -265,22 +175,29 @@ func (m *Mesh) HealPath(a, b string, path int) {
 	m.Net.Heal(sim.NodeAddr(a, path), sim.NodeAddr(b, path))
 }
 
-// StopNode freezes a node: it stops ticking, transmitting and receiving —
-// the simulator's process crash. The network links are also cut so
-// in-flight traffic dies.
+// StopNode freezes a node: its endpoint stops ticking, transmitting,
+// receiving and delivering, and its links are cut so in-flight traffic
+// dies. Peers see every path to it go Down, probe it with hellos and shed
+// sends beyond the backlog cap.
 func (m *Mesh) StopNode(node string) {
-	m.stopped[node] = true
+	m.ep(node).paused = true
 	m.Net.CutNode(node)
 }
 
-// StartNode revives a stopped node and heals its links. Connection state
-// machines retain their sequence numbers, modelling a process that was
-// paused rather than restarted; full crash-restart semantics are the
-// business of the membership layer above.
+// StartNode thaws a stopped node and heals its links. This is a pause, not
+// a restart: the endpoint keeps its incarnation and its connections their
+// sequence numbers, so peers resume without a conn reset. Crash-restart
+// semantics are the business of the membership layer above.
 func (m *Mesh) StartNode(node string) {
-	m.stopped[node] = false
+	ep := m.ep(node)
+	ep.paused = false
 	m.Net.HealNode(node)
+	// Its hello backoff ran out the whole time it was frozen; peers it never
+	// shook hands with (a standby powered on) should not wait for that.
+	for _, p := range ep.order {
+		ep.reprobe(p)
+	}
 }
 
 // Stopped reports whether a node is currently stopped.
-func (m *Mesh) Stopped(node string) bool { return m.stopped[node] }
+func (m *Mesh) Stopped(node string) bool { return m.ep(node).paused }

@@ -2,10 +2,10 @@ package rudp
 
 import "rain/internal/telemetry"
 
-// connMetrics are the registry series a Conn reports into. In the simulated
-// mesh every Conn of one node shares the node's series (per-conn series
-// would be N² cardinality); the real-UDP driver uses the unlabeled root
-// scope. All handles are created at construction, so the families export
+// connMetrics are the registry series a Conn reports into. Every Conn of
+// one endpoint shares the endpoint's series (per-conn series would be N²
+// cardinality): node-labeled in a simulated mesh, the unlabeled root scope
+// on sockets. All handles are created at construction, so the families export
 // even at zero.
 type connMetrics struct {
 	sent          *telemetry.Counter

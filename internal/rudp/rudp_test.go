@@ -280,7 +280,7 @@ func TestStopNodeAndRestart(t *testing.T) {
 }
 
 func TestConnRejectsZeroPaths(t *testing.T) {
-	if _, err := NewConn(Config{Paths: -1}, nil, nil); err == nil {
+	if _, err := newConn(Config{Paths: -1}, nil, nil, nil); err == nil {
 		t.Fatal("negative paths accepted")
 	}
 }
@@ -289,7 +289,7 @@ func TestExactlyOnceUnderDuplication(t *testing.T) {
 	// Feed a Conn duplicate data directly: deliver must fire once.
 	var out [][]byte
 	var sentWires []Wire
-	c, err := NewConn(Config{Paths: 1},
+	c, err := newConn(Config{Paths: 1}, nil,
 		func(path int, w Wire) { sentWires = append(sentWires, w) },
 		func(p []byte) { out = append(out, p) })
 	if err != nil {
@@ -325,7 +325,7 @@ func TestExactlyOnceUnderDuplication(t *testing.T) {
 
 func TestOutOfOrderArrivalReordered(t *testing.T) {
 	var out []string
-	c, err := NewConn(Config{Paths: 1},
+	c, err := newConn(Config{Paths: 1}, nil,
 		func(int, Wire) {},
 		func(p []byte) { out = append(out, string(p)) })
 	if err != nil {

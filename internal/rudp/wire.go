@@ -12,9 +12,12 @@
 // keeps all protocol state in user space: the driver only moves opaque
 // datagrams.
 //
-// Two drivers bind Conns to a network: Mesh to the discrete-event simulator
-// (used by MPI, the control protocols and the applications in tests and
-// experiments) and RealMesh to real UDP sockets (a deployed node).
+// Endpoint is one node's end of the mesh: a Conn per peer behind an
+// incarnation-stamped hello handshake, and a service demux on top. It runs
+// over a packet driver — UDP sockets for a deployed node (NewRealMesh),
+// sim.Network for a simulated cluster, which is N endpoints on one scheduler
+// (NewMesh; used by MPI, the control protocols and the applications in tests
+// and experiments).
 package rudp
 
 import (
@@ -37,7 +40,7 @@ const (
 	KindAck
 	// KindPing carries the link-state monitoring protocol.
 	KindPing
-	// KindHello is the real-mesh dial handshake: Seq carries the sender's
+	// KindHello is the endpoint dial handshake: Seq carries the sender's
 	// incarnation, Ack echoes the incarnation the sender believes the
 	// receiver is running, and the payload advertises the sender's name and
 	// address bundle. Hellos travel outside any Conn — they are what decides
@@ -102,24 +105,15 @@ func (w Wire) PushHeader(f *netbuf.Frame) {
 	w.marshalHeader(f.Push(wireHeader))
 }
 
-// Marshal encodes w for transmission over a byte-oriented transport. The
-// simulator passes Wire values directly and skips this; the real-UDP driver
-// uses it only for datagrams without a pre-marshaled Frame (acks, pings).
+// Marshal encodes w into a fresh buffer — the reference encoding the decoder
+// is fuzzed against. The drivers never call it: the simulator passes Wire
+// values by reference, and the socket driver writes pre-marshaled frames or
+// marshals into pooled ones.
 func (w Wire) Marshal() []byte {
 	buf := make([]byte, wireHeader+len(w.Payload))
 	w.marshalHeader(buf)
 	copy(buf[wireHeader:], w.Payload)
 	return buf
-}
-
-// AppendMarshal appends the encoded datagram to dst and returns the extended
-// slice — Marshal without the per-call allocation.
-func (w Wire) AppendMarshal(dst []byte) []byte {
-	off := len(dst)
-	dst = append(dst, make([]byte, wireHeader+len(w.Payload))...)
-	w.marshalHeader(dst[off:])
-	copy(dst[off+wireHeader:], w.Payload)
-	return dst
 }
 
 // ErrBadWire reports a malformed encoded datagram.
