@@ -169,6 +169,33 @@ func TestPutFeedLengthMismatch(t *testing.T) {
 	}
 }
 
+// TestPutFeedOverlongAfterFinalBlock offers exactly the declared length and
+// then one byte more. The block that completes the stream must wait for
+// Close, so the extra byte fails the put with ErrLongSource while no daemon
+// holds a whole shard — nothing is committed, nothing silently truncated.
+func TestPutFeedOverlongAfterFinalBlock(t *testing.T) {
+	c := newCluster(t, 26, 6, 4, sim.ProfileLAN, nil)
+	var putErr error
+	finished := false
+	f, err := c.clients["a"].NewPutFeed("x", 10, func(_ int, e error) { putErr, finished = e, true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Offer(randBytes(5, 10))
+	c.s.RunFor(50 * time.Millisecond)
+	if finished {
+		t.Fatalf("put resolved before Close: err %v", putErr)
+	}
+	f.Offer([]byte{1})
+	if !finished || !errors.Is(putErr, dstore.ErrLongSource) {
+		t.Fatalf("over-long feed: finished %v, err %v, want ErrLongSource", finished, putErr)
+	}
+	c.s.RunFor(time.Second)
+	if _, err := c.clients["b"].Get("x"); !errors.Is(err, dstore.ErrNotFound) {
+		t.Fatalf("get of over-long put: err %v, want ErrNotFound", err)
+	}
+}
+
 // TestDeleteAndList stores three objects, lists them, deletes one and
 // checks it is gone from both reads (ErrNotFound) and the listing.
 func TestDeleteAndList(t *testing.T) {

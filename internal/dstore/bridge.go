@@ -95,11 +95,11 @@ func (b *Bridge) Delete(ctx context.Context, id string) error {
 	return err
 }
 
-// PutStream stores an object of exactly size bytes from r through the
-// push-mode put feed. r is read on the calling goroutine, and while the
-// daemons' credit windows are full it is the caller that parks, so a slow
-// cluster throttles the producer and never the loop. A read error or a dead
-// ctx aborts the put (the daemons' staged writes are poisoned).
+// PutStream stores an object of exactly size bytes from r through a
+// PutFeed. r is read on the calling goroutine, and while a block is buffered
+// and the daemons' credit windows are full it is the caller that parks, so a
+// slow cluster throttles the producer and never the loop. A read error or a
+// dead ctx aborts the put (the daemons' staged writes are poisoned).
 func (b *Bridge) PutStream(ctx context.Context, id string, r io.Reader, size int64) error {
 	var (
 		feed   *PutFeed
@@ -131,9 +131,10 @@ func (b *Bridge) PutStream(ctx context.Context, id string, r io.Reader, size int
 		b.call(feed.Cancel)
 		return err
 	}
-	// One byte past size is enough to see the EOF (or an overlong source)
-	// of a small object without a 64 KiB buffer per request.
-	buf := make([]byte, min(64<<10, size+1))
+	// Up to a block per read, what the feed asks for before it pauses; one
+	// byte past size is enough to see the EOF (or an overlong source) of a
+	// small object without a block-sized buffer per request.
+	buf := make([]byte, min(int64(b.client.BlockSize()), size+1))
 	for {
 		n, rerr := r.Read(buf)
 		if n > 0 {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rain/internal/ecc"
-	"rain/internal/netbuf"
 	"rain/internal/placement"
 	"rain/internal/sim"
 	"rain/internal/storage"
@@ -383,469 +382,6 @@ func (w *resultWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// ---- shard transfers (the put direction) ----
-
-// transfer streams one shard stream to one daemon: a windowed sequence of
-// PutChunk datagrams, resolved by the daemon's cumulative acks or by a stall
-// timeout. The source feeds it incrementally with offer; backlog exposes the
-// un-acked/un-sent byte count so feeders (the streaming encoder, the block
-// rebuilder) can stop producing when the peer lags — that backpressure is
-// what bounds put-side memory.
-type transfer struct {
-	c        *Client
-	peer     string
-	req      uint64
-	id       string
-	shard    int   // shard index being stored, recorded by the daemon
-	shardLen int64 // total stream length, declared up front
-	dataLen  int64
-	blockLen int64
-	queue    []putChunk // marshaled, not-yet-sent chunks
-	queued   int64      // total unsent payload bytes across queue
-	next     int64      // next stream offset to send
-	acked    int64
-	progress sim.Time  // virtual time of last ack progress
-	stall    sim.Timer // the armed stall check, stopped at resolve
-	resolved bool
-	onAck    func() // feeder backpressure hook, fired on ack progress
-	onDone   func(ok bool)
-}
-
-// putChunk is one fully marshaled, not-yet-sent chunk of a put transfer: the
-// wire bytes live in a pooled frame built at offer time, so sending is a
-// reference handoff.
-type putChunk struct {
-	f *netbuf.Frame
-	n int64 // payload bytes
-}
-
-// startTransfer begins a shard-stream transfer; onDone fires exactly once.
-// The caller feeds bytes with offer (an empty stream needs no offers and
-// commits on an initial empty chunk).
-func (c *Client) startTransfer(peer, id string, shard int, shardLen, dataLen, blockLen int64, onDone func(ok bool)) *transfer {
-	c.nextReq++
-	t := &transfer{
-		c:        c,
-		peer:     peer,
-		req:      c.nextReq,
-		id:       id,
-		shard:    shard,
-		shardLen: shardLen,
-		dataLen:  dataLen,
-		blockLen: blockLen,
-		progress: c.s.Now(),
-		onDone:   onDone,
-	}
-	c.pending[t.req] = t.onAckMsg
-	if shardLen == 0 {
-		c.send(peer, t.chunkHdr(0)) // metadata-only commit
-	}
-	t.watch()
-	return t
-}
-
-// chunkHdr builds the header of the put chunk at stream offset off. Win
-// carries the client's send window so the daemon can coalesce its acks.
-func (t *transfer) chunkHdr(off int64) Msg {
-	return Msg{
-		Kind:     KindPutChunk,
-		Req:      t.req,
-		ID:       t.id,
-		Shard:    int32(t.shard),
-		Win:      int32(t.c.cfg.Window),
-		Off:      off,
-		ShardLen: t.shardLen,
-		DataLen:  t.dataLen,
-		BlockLen: t.blockLen,
-	}
-}
-
-// offer appends bytes to the outgoing stream. The bytes are marshaled into
-// chunk-sized pooled frames immediately — the put path's single payload copy
-// — so the caller may reuse p (the streaming encoder's block buffers).
-func (t *transfer) offer(p []byte) {
-	if t.resolved || len(p) == 0 {
-		return
-	}
-	chunk := t.c.cfg.ChunkSize
-	for off := 0; off < len(p); off += chunk {
-		n := len(p) - off
-		if n > chunk {
-			n = chunk
-		}
-		f, data := NewMsgFrame(t.chunkHdr(t.next+t.queued), n)
-		copy(data, p[off:off+n])
-		t.queue = append(t.queue, putChunk{f: f, n: int64(n)})
-		t.queued += int64(n)
-	}
-	t.pump()
-}
-
-// backlog reports bytes offered but not yet acked by the daemon.
-func (t *transfer) backlog() int64 { return t.queued + (t.next - t.acked) }
-
-// pump hands marshaled chunks to the mesh while the in-flight window has
-// room.
-func (t *transfer) pump() {
-	window := int64(t.c.cfg.Window) * int64(t.c.cfg.ChunkSize)
-	if !t.owed() {
-		// The peer's turn begins no earlier than this send: restart the stall
-		// clock, or a transfer long held up by its feeder would look stalled
-		// the moment it is owed an ack.
-		t.progress = t.c.s.Now()
-	}
-	for len(t.queue) > 0 && t.next-t.acked+t.queue[0].n <= window {
-		pc := t.queue[0]
-		t.queue[0] = putChunk{}
-		t.queue = t.queue[1:]
-		t.queued -= pc.n
-		t.next += pc.n
-		t.c.mesh.SendFrame(t.c.node, t.peer, ServiceDaemon, pc.f)
-	}
-}
-
-// owed reports whether the daemon owes this transfer an ack. It coalesces
-// its acks to one per Window/2 chunks, so with fewer than that many chunks'
-// worth of bytes outstanding it may rightly stay silent until more arrive —
-// except at the end of the stream, which it always acks.
-func (t *transfer) owed() bool {
-	out := t.next - t.acked
-	return out > 0 && (t.next >= t.shardLen || out >= int64(t.c.cfg.Window/2)*int64(t.c.cfg.ChunkSize))
-}
-
-// watch re-arms the stall timer until the transfer resolves. Only a
-// transfer the daemon owes an ack can stall: otherwise (everything offered
-// so far is acked, or too little is outstanding for a coalesced ack) it is
-// waiting on its feeder, not its peer — the operation deadline covers a
-// feeder that never delivers.
-func (t *transfer) watch() {
-	t.stall = t.c.s.After(t.c.cfg.ReqTimeout, func() {
-		if t.resolved {
-			return
-		}
-		if t.owed() && t.c.s.Now()-t.progress >= sim.Time(t.c.cfg.ReqTimeout) {
-			t.resolve(false)
-			return
-		}
-		t.watch()
-	})
-}
-
-func (t *transfer) onAckMsg(m Msg) {
-	if t.resolved {
-		return
-	}
-	if m.Err != "" {
-		t.resolve(false)
-		return
-	}
-	if m.Off > t.acked {
-		t.acked = m.Off
-		t.progress = t.c.s.Now()
-	}
-	if t.acked >= t.shardLen {
-		t.resolve(true)
-		return
-	}
-	t.pump()
-	if t.onAck != nil {
-		t.onAck()
-	}
-}
-
-func (t *transfer) resolve(ok bool) {
-	if t.resolved {
-		return
-	}
-	t.resolved = true
-	t.stall.Stop()
-	for i := range t.queue {
-		t.queue[i].f.Release()
-		t.queue[i] = putChunk{}
-	}
-	t.queue = nil
-	t.queued = 0
-	delete(t.c.pending, t.req)
-	if !ok && t.next > 0 && t.acked < t.shardLen {
-		// The daemon holds a staged partial write that will now never
-		// complete. A chunk at offset -1 can never match the stage length, so
-		// the daemon aborts the stage at once instead of leaking it until the
-		// orphan sweep. (Its error reply is ignored; the handler is gone.)
-		t.c.send(t.peer, Msg{Kind: KindPutChunk, Req: t.req, ID: t.id, Off: -1, ShardLen: t.shardLen})
-	}
-	// Both hooks fire for the last time here; dropping them lets go of the
-	// feeder (a PutFeed, a rebuild's decode) even while the transfer itself
-	// stays reachable from its operation.
-	onDone, onAck := t.onDone, t.onAck
-	t.onDone, t.onAck = nil, nil
-	onDone(ok)
-	if onAck != nil {
-		onAck() // unblock a feeder waiting on this transfer
-	}
-}
-
-// ---- store ----
-
-// putOp tracks the shard fan-out shared by PutAsync and PutStreamAsync.
-type putOp struct {
-	c          *Client
-	id         string
-	peers      []string // the object's placement, shard i on peers[i]
-	dataLen    int64
-	transfers  []*transfer // nil entries: peer was dead at start
-	unresolved int
-	stored     int
-	finished   bool
-	done       func(stored int, err error)
-	deadline   sim.Timer // OpTimeout, stopped at finish
-	began      sim.Time
-	trace      *telemetry.Trace
-}
-
-func (c *Client) newPutOp(id string, dataLen int64, done func(int, error)) *putOp {
-	return &putOp{c: c, id: id, peers: c.peersFor(id), dataLen: dataLen, done: done,
-		began: c.s.Now(), trace: c.trace("put", id)}
-}
-
-func (op *putOp) finish(err error) {
-	if op.finished {
-		return
-	}
-	op.finished = true
-	op.deadline.Stop()
-	k := op.c.cfg.Code.K()
-	if err == nil && op.stored < k {
-		err = fmt.Errorf("%w: stored %d of required %d", ErrNotEnoughDaemons, op.stored, k)
-	}
-	if err == nil {
-		op.c.met.putLatency.Observe(int64(op.c.s.Now() - op.began))
-		op.c.met.putBytes.Add(op.dataLen)
-	}
-	op.trace.Finish(op.c.nowNS(), err)
-	for _, t := range op.transfers {
-		if t != nil {
-			t.resolve(t.acked >= t.shardLen)
-		}
-	}
-	done := op.done
-	op.done = nil
-	done(op.stored, err)
-}
-
-func (op *putOp) resolveOne(ok bool) {
-	if ok {
-		op.stored++
-		if op.stored == op.c.cfg.Code.K() && !op.finished {
-			op.c.met.quorumWait.Observe(int64(op.c.s.Now() - op.began))
-			op.trace.Event(op.c.nowNS(), "quorum", "", int64(op.stored))
-		}
-	}
-	op.unresolved--
-	if op.unresolved == 0 && !op.finished {
-		op.finish(nil)
-	}
-}
-
-// start opens one transfer per placement holder (dead peers resolve
-// immediately) and arms the operation deadline.
-func (op *putOp) start(shardLen, blockLen int64) {
-	n := op.c.cfg.Code.N()
-	op.transfers = make([]*transfer, n)
-	op.unresolved = n
-	for i := 0; i < n; i++ {
-		peer := op.peers[i]
-		if !op.c.alive(peer) {
-			op.resolveOne(false)
-			continue
-		}
-		op.trace.Event(op.c.nowNS(), "shard_fanout", peer, int64(i))
-		op.transfers[i] = op.c.startTransfer(peer, op.id, i, shardLen, op.dataLen, blockLen, op.resolveOne)
-	}
-	if op.unresolved > 0 {
-		op.deadline = op.c.s.After(op.c.cfg.OpTimeout, func() { op.finish(nil) })
-	}
-}
-
-// PutAsync encodes data as one codeword and fans the n shards out to the
-// daemons in parallel, each transfer windowed and independently timed out.
-// done fires once with the number of shards stored; err is nil when at least
-// k daemons committed. The whole object is held in memory — use
-// PutStreamAsync for objects that should stream. The returned handle
-// cancels the fan-out (staged daemon writes are poisoned, not leaked).
-func (c *Client) PutAsync(id string, data []byte, done func(stored int, err error)) *Handle {
-	shards, err := c.encodeForPut(data)
-	if err != nil {
-		done(0, err)
-		return &Handle{}
-	}
-	op := c.newPutOp(id, int64(len(data)), done)
-	op.start(int64(len(shards[0])), 0)
-	for i, t := range op.transfers {
-		if t != nil {
-			t.offer(shards[i])
-		}
-	}
-	return &Handle{cancel: func() { op.finish(ErrCanceled) }}
-}
-
-// encodeForPut produces the n outbound shards for a whole-object put with
-// as little copying as the code allows. All three paths are safe against
-// the caller mutating data after PutAsync returns, because offer() copies
-// every chunk into a pooled frame before PutAsync completes:
-//
-//   - contiguous-layout codes with a parity-only encoder: full data shards
-//     alias data directly; only parity (plus a padded tail shard, if any)
-//     lands in the client's scratch — zero data copies;
-//   - BufferEncoder codes: encode into the reusable scratch — one copy,
-//     no allocation;
-//   - otherwise: the code's allocating Encode.
-func (c *Client) encodeForPut(data []byte) ([][]byte, error) {
-	code := c.cfg.Code
-	pe, parityOK := code.(ecc.ParityEncoder)
-	_, contig := code.(ecc.ContiguousLayout)
-	if parityOK && contig {
-		k, n := code.K(), code.N()
-		shardLen := code.ShardSize(len(data))
-		scratch := c.encodeScratch(len(data))
-		if len(c.encShards) != n {
-			c.encShards = make([][]byte, n)
-		}
-		shards := c.encShards
-		full := 0
-		if shardLen > 0 {
-			if full = len(data) / shardLen; full > k {
-				full = k
-			}
-		}
-		for i := 0; i < full; i++ {
-			shards[i] = data[i*shardLen : (i+1)*shardLen : (i+1)*shardLen]
-		}
-		for i := full; i < k; i++ {
-			s := scratch[i]
-			pad := 0
-			if off := i * shardLen; off < len(data) {
-				pad = copy(s, data[off:])
-			}
-			clear(s[pad:])
-			shards[i] = s
-		}
-		for i := k; i < n; i++ {
-			shards[i] = scratch[i]
-		}
-		if err := pe.EncodeParityInto(shards[:k], shards[k:]); err != nil {
-			return nil, err
-		}
-		return shards, nil
-	}
-	if be, ok := code.(ecc.BufferEncoder); ok {
-		shards := c.encodeScratch(len(data))
-		return shards, be.EncodeInto(data, shards)
-	}
-	return code.Encode(data)
-}
-
-// encodeScratch returns the client's reusable shard buffer set, sized for a
-// dataLen-byte object.
-func (c *Client) encodeScratch(dataLen int) [][]byte {
-	n := c.cfg.Code.N()
-	size := c.cfg.Code.ShardSize(dataLen)
-	if len(c.encScratch) != n || (len(c.encScratch) > 0 && len(c.encScratch[0]) != size) {
-		c.encScratch = make([][]byte, n)
-		buf := make([]byte, n*size)
-		for i := range c.encScratch {
-			c.encScratch[i] = buf[i*size : (i+1)*size : (i+1)*size]
-		}
-	}
-	return c.encScratch
-}
-
-// PutStreamAsync encodes r through the block-codeword streaming layout and
-// fans the n shard streams out in parallel. dataLen must be the exact number
-// of bytes r will deliver. The encoder only reads another block once every
-// live transfer's backlog has drained below the window, so client memory is
-// bounded by O(BlockSize × n) no matter how large the object is. The
-// returned handle cancels the fan-out mid-stream.
-func (c *Client) PutStreamAsync(id string, r io.Reader, dataLen int64, done func(stored int, err error)) *Handle {
-	if dataLen < 0 {
-		done(0, fmt.Errorf("dstore: negative object length %d", dataLen))
-		return &Handle{}
-	}
-	code := c.cfg.Code
-	blockSize := c.cfg.BlockSize
-	shardLen := ecc.StreamShardLen(code, dataLen, blockSize)
-	op := c.newPutOp(id, dataLen, done)
-	op.start(shardLen, int64(blockSize))
-	h := &Handle{cancel: func() { op.finish(ErrCanceled) }}
-	enc, err := ecc.NewStreamEncoder(code, io.LimitReader(r, dataLen), blockSize)
-	if err != nil {
-		op.finish(err)
-		return h
-	}
-	highWater := int64(c.cfg.Window) * int64(c.cfg.ChunkSize)
-	var encoded int64
-	encDone := false
-	probed := false
-	// probeExcess checks the raw reader for bytes past the declared length —
-	// a caller bug the put must surface, not silently truncate. It runs
-	// before the stream-completing block is offered (and, for empty streams,
-	// at EOF), so no daemon can have committed a shard of the bad put: every
-	// stage is still short and the abort poison discards it.
-	probeExcess := func() bool {
-		probed = true
-		var probe [1]byte
-		if pn, _ := r.Read(probe[:]); pn > 0 {
-			op.finish(fmt.Errorf("%w: declared %d bytes", ErrLongSource, dataLen))
-			return false
-		}
-		return true
-	}
-	var feed func()
-	feed = func() {
-		for !op.finished && !encDone {
-			for _, t := range op.transfers {
-				if t != nil && !t.resolved && t.backlog() >= highWater {
-					c.met.creditStalls.Inc()
-					return // a live peer is lagging; its ack will re-feed
-				}
-			}
-			shards, n, err := enc.Next()
-			if err == io.EOF {
-				encDone = true
-				if encoded != dataLen {
-					op.finish(fmt.Errorf("%w: read %d of %d bytes", ErrShortSource, encoded, dataLen))
-					return
-				}
-				if !probed {
-					probeExcess() // zero-block stream: nothing was offered
-				}
-				return
-			}
-			if err != nil {
-				op.finish(err)
-				return
-			}
-			encoded += int64(n)
-			if encoded == dataLen && !probeExcess() {
-				return // over-long source: final block withheld, stages abort
-			}
-			for i, t := range op.transfers {
-				if t != nil && !t.resolved {
-					// The encoder reuses its block buffer, so each piece is
-					// copied into the transfer queue.
-					t.offer(shards[i])
-				}
-			}
-		}
-	}
-	for _, t := range op.transfers {
-		if t != nil {
-			t.onAck = feed
-		}
-	}
-	feed()
-	return h
-}
-
 // ---- retrieve / rebuild: windowed shard streams into a block sink ----
 
 // blockSink consumes one block codeword's worth of shard pieces at a time:
@@ -901,17 +437,27 @@ func (st *shardStream) bytes() []byte { return st.buf[st.off:] }
 // size returns the buffered, not-yet-consumed byte count.
 func (st *shardStream) size() int64 { return int64(len(st.buf) - st.off) }
 
-// appendData buffers an arrived chunk. The consumed prefix is kept in place
-// (dropping is O(1)) and reclaimed only when the buffer would otherwise
-// grow, so the allocation steadies at the flow-control window.
-func (st *shardStream) appendData(p []byte) {
-	if st.off == len(st.buf) {
-		st.buf, st.off = st.buf[:0], 0
-	} else if st.off > 0 && len(st.buf)+len(p) > cap(st.buf) {
-		n := copy(st.buf, st.buf[st.off:])
-		st.buf, st.off = st.buf[:n], 0
+// appendReclaim appends p to a stream buffer whose unconsumed bytes are
+// buf[off:] — the one rule both directions' stream buffers follow (a get's
+// shardStream, a put's PutFeed). Consuming is an O(1) offset bump; the
+// consumed prefix is reclaimed, the tail moved to the front, only when p
+// would not otherwise fit; and a buffer that must still grow grows to what
+// it holds, but at least to bound bytes, never to a multiple of it. The
+// allocation therefore steadies at the flow-control bound instead of growing
+// with the stream.
+func appendReclaim(buf []byte, off int, p []byte, bound int) ([]byte, int) {
+	if off == len(buf) {
+		buf, off = buf[:0], 0
+	} else if off > 0 && len(buf)+len(p) > cap(buf) {
+		n := copy(buf, buf[off:])
+		buf, off = buf[:n], 0
 	}
-	st.buf = append(st.buf, p...)
+	if need := len(buf) + len(p); need > cap(buf) {
+		grown := make([]byte, len(buf), max(need, bound))
+		copy(grown, buf)
+		buf = grown
+	}
+	return append(buf, p...), off
 }
 
 // drop consumes n buffered bytes from the front.
@@ -1297,7 +843,7 @@ func (op *streamGetOp) onChunk(st *shardStream, m Msg) {
 		// window with an immediate ack.
 		op.ackStreams(true)
 	}
-	st.appendData(m.Data)
+	st.buf, st.off = appendReclaim(st.buf, st.off, m.Data, int(op.winChunks())*op.c.cfg.ChunkSize)
 	op.advance(st)
 	op.tryDecode()
 	if !op.finished {

@@ -10,8 +10,9 @@
 //
 //   - stores by encoding with any ecc.Code and fanning the n shard streams
 //     out to the daemons in parallel, each transfer a windowed stream of
-//     chunks sized under the datagram limit (PutStream encodes one block
-//     codeword at a time, gated on the slowest peer's acks);
+//     chunks sized under the datagram limit (a PutFeed — behind PutStream
+//     and the gateway alike — encodes one block codeword at a time, gated
+//     on the slowest peer's acks);
 //   - retrieves by ranking reachable daemons with the §4.2 selection
 //     policies (least-loaded, nearest, random), racing credit-windowed
 //     shard streams from a chosen k-subset, hedging to the remaining n-k
@@ -30,7 +31,8 @@
 //
 // # Bounded memory
 //
-// The streaming operations hold O(BlockSize × n) on the client — per-stream
+// The streaming operations hold O(BlockSize × n) on the client — a put's
+// feed buffers at most a block plus the offer in hand, a get's per-stream
 // buffers are bounded by the flow-control window the client itself grants
 // via GetAck credits — and the daemon never materialises a shard: put
 // chunks append to a storage.Stage and get chunks are ranged reads. The

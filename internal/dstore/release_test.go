@@ -30,18 +30,16 @@ func collected(flag *atomic.Bool) bool {
 	return flag.Load()
 }
 
-// TestFinishedOpsReleased pins the op-lifetime rule: a finished operation
-// holds nothing of what it moved — not the get's sink writer, not the put's
-// done callback, not the feed's buffered bytes or encoder — even though its
-// handle (and the feed) are still held and its OpTimeout is far off. A
-// deadline closure that outlived its op kept all of it reachable for 15 s.
-func TestFinishedOpsReleased(t *testing.T) {
+// newClients starts an RS(6,4) daemon on each of six simulated LAN nodes
+// a..f and a client configured by cfg on each node named in on.
+func newClients(t *testing.T, seed int64, cfg Config, on ...string) (*sim.Scheduler, []*Client) {
+	t.Helper()
 	code, err := ecc.NewReedSolomon(6, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nodes := []string{"a", "b", "c", "d", "e", "f"}
-	s := sim.New(31)
+	s := sim.New(seed)
 	net := sim.NewNetwork(s)
 	sim.ApplyProfile(net, nodes, 2, sim.ProfileLAN)
 	mesh, err := rudp.NewMesh(s, net, nodes, rudp.Config{})
@@ -49,13 +47,73 @@ func TestFinishedOpsReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, n := range nodes {
-		NewDaemon(mesh, n, i, storage.NewBackend(), 4<<10)
+		NewDaemon(mesh, n, i, storage.NewBackend(), cfg.ChunkSize)
 	}
-	cl, err := NewClient(s, mesh, "a", Config{Code: code, Nodes: nodes, ChunkSize: 4 << 10})
+	cfg.Code, cfg.Nodes = code, nodes
+	var clients []*Client
+	for _, n := range on {
+		cl, err := NewClient(s, mesh, n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, cl)
+	}
+	s.RunFor(100 * time.Millisecond) // let path monitors come up
+	return s, clients
+}
+
+// TestPutFeedBufferBounded pins the feed's memory bound: a producer that
+// honours Offer's backpressure never makes the feed buffer more than one
+// block plus the offer in hand, however long the object. The buffer used to
+// be reset only when it drained to exactly zero bytes, which misaligned
+// offers almost never do, so it grew to the whole object.
+func TestPutFeedBufferBounded(t *testing.T) {
+	const (
+		size  = 8 << 20
+		piece = 7001 // misaligned with chunk and block sizes
+	)
+	s, clients := newClients(t, 32, Config{}, "a", "b")
+	data := make([]byte, size)
+	for i := range data {
+		data[i] = byte(i*7 + i>>13)
+	}
+	finished := false
+	var putErr error
+	f, err := clients[0].NewPutFeed("big", size, func(_ int, err error) { putErr, finished = err, true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunFor(100 * time.Millisecond) // let path monitors come up
+	room := true
+	f.OnRoom(func() { room = true })
+	bound := DefaultBlockSize + piece
+	for off := 0; off < size && !finished; off += piece {
+		room = f.Offer(data[off:min(off+piece, size)])
+		if c := cap(f.pipe); c > bound {
+			t.Fatalf("after %d bytes offered the feed buffers %d bytes of capacity, want <= %d", off+piece, c, bound)
+		}
+		for !room && !finished && s.Step() {
+		}
+	}
+	f.Close()
+	for !finished && s.Step() {
+	}
+	if putErr != nil {
+		t.Fatal(putErr)
+	}
+	got, err := clients[1].Get("big")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back: err %v, equal %v", err, bytes.Equal(got, data))
+	}
+}
+
+// TestFinishedOpsReleased pins the op-lifetime rule: a finished operation
+// holds nothing of what it moved — not the get's sink writer, not the put's
+// done callback, not the feed's buffered bytes or encoder — even though its
+// handle (and the feed) are still held and its OpTimeout is far off. A
+// deadline closure that outlived its op kept all of it reachable for 15 s.
+func TestFinishedOpsReleased(t *testing.T) {
+	s, clients := newClients(t, 31, Config{ChunkSize: 4 << 10}, "a")
+	cl := clients[0]
 	began := s.Now()
 	run := func(what string, finished *bool) {
 		t.Helper()

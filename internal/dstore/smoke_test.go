@@ -27,19 +27,19 @@ import (
 	"rain/internal/storage"
 )
 
-// patternByte is the deterministic content of the smoke object at offset p:
-// cheap to generate on both ends, so neither side ever holds the object.
+// patternFill writes the deterministic content of the smoke object at
+// offsets [off, off+len(p)): cheap to generate on both ends, so neither side
+// ever holds the object. Byte q is byte q%8 of a mixed counter q/8, so any
+// split of the stream into reads yields the same bytes.
 func patternFill(p []byte, off int64) {
-	// Fill 8 bytes at a time from a mixed counter.
-	i := 0
-	for ; i+8 <= len(p); i += 8 {
-		x := uint64(off+int64(i)) / 8
+	var w [8]byte
+	for i := 0; i < len(p); {
+		q := off + int64(i)
+		x := uint64(q) / 8
 		x = (x + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
 		x ^= x >> 27
-		binary.LittleEndian.PutUint64(p[i:], x)
-	}
-	for ; i < len(p); i++ {
-		p[i] = byte(off + int64(i))
+		binary.LittleEndian.PutUint64(w[:], x)
+		i += copy(p[i:], w[q%8:])
 	}
 }
 
@@ -57,8 +57,6 @@ func (r *patternReader) Read(p []byte) (int, error) {
 	if rest := r.total - r.off; rest < n {
 		n = rest
 	}
-	// The streaming layout slices blocks at 8-byte-unaligned boundaries only
-	// at the tail; keep the fill aligned by always filling from r.off.
 	patternFill(p[:n], r.off)
 	r.off += n
 	r.heap.sample()
@@ -208,6 +206,39 @@ func TestStreamSmoke256MiB(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatalf("rebuilt shard verification: %v", err)
+	}
+
+	// Push mode: the same object through a PutFeed in odd-sized offers, the
+	// way the gateway feeds an HTTP body. The feed holds one block plus the
+	// offer in hand; an append-only buffer would need the whole object.
+	fsrc := &patternReader{total: objectSize, heap: heap}
+	piece := make([]byte, 100003)
+	fed, room := false, true
+	var fedErr error
+	feed, err := clients["b"].NewPutFeed("fed", objectSize, func(_ int, e error) { fedErr, fed = e, true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed.OnRoom(func() { room = true })
+	for !fed {
+		n, rerr := fsrc.Read(piece)
+		if n > 0 {
+			room = feed.Offer(piece[:n])
+		}
+		if rerr == io.EOF {
+			feed.Close()
+			break
+		}
+		for !room && !fed && s.Step() {
+		}
+	}
+	for !fed && s.Step() {
+	}
+	if fedErr != nil {
+		t.Fatalf("feed put: %v", fedErr)
+	}
+	if n, err := clients["c"].GetStream("fed", &patternVerifier{heap: heap}); err != nil || n != objectSize {
+		t.Fatalf("getstream of fed object: %d bytes, %v", n, err)
 	}
 
 	// The bound: live heap must stay far below the object size. With the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sort"
 	"time"
 
@@ -47,6 +48,7 @@ type udpDriver struct {
 	bufAsked, rcvBuf, sndBuf int
 
 	outq       []udpPkt
+	bufs       [][]byte // flush's per-batch scratch
 	flushTimer bool
 	closed     bool
 	done       chan struct{}
@@ -192,26 +194,24 @@ func (d *udpDriver) send(path int, to peerAddr, w Wire) {
 	}
 }
 
+// flush sends the staged datagrams, one batch per (path, destination) run.
+// outq's backing array and the bufs scratch are reused from flush to flush:
+// nothing stages a send while a flush runs, and both are cleared before it
+// returns, so neither pins a released frame.
 func (d *udpDriver) flush() {
 	d.flushTimer = false
 	q := d.outq
-	d.outq = nil
-	if d.closed {
-		for i := range q {
-			q[i].frame.Release()
-		}
-		return
-	}
-	for i := 0; i < len(q); {
+	for i := 0; i < len(q) && !d.closed; {
 		j := i + 1
 		for j < len(q) && q[j].path == q[i].path && q[j].addr == q[i].addr {
 			j++
 		}
-		bufs := make([][]byte, 0, j-i)
+		d.bufs = d.bufs[:0]
 		for _, p := range q[i:j] {
-			bufs = append(bufs, p.buf)
+			d.bufs = append(d.bufs, p.buf)
 		}
-		sendBatch(d.socks[q[i].path], q[i].addr, bufs)
+		sendBatch(d.socks[q[i].path], q[i].addr, d.bufs)
+		clear(d.bufs)
 		d.batchSize.Observe(int64(j - i))
 		i = j
 	}
@@ -219,14 +219,18 @@ func (d *udpDriver) flush() {
 		q[i].frame.Release()
 		q[i] = udpPkt{}
 	}
+	d.outq = q[:0]
 }
 
 // readLoop receives on one path's socket, parses off-loop, and posts the
 // protocol work to the loop — the only goroutine that touches mesh state.
 func (d *udpDriver) readLoop(path int, recv func(path int, src string, w Wire)) {
+	// A run of datagrams from one sender reuses its address string.
+	var last netip.AddrPort
+	var from string
 	for {
 		f := netbuf.NewFrame(maxDatagram)
-		sz, src, err := d.socks[path].ReadFromUDP(f.Payload())
+		sz, src, err := d.socks[path].ReadFromUDPAddrPort(f.Payload())
 		if err != nil {
 			f.Release()
 			if errors.Is(err, net.ErrClosed) {
@@ -245,9 +249,14 @@ func (d *udpDriver) readLoop(path int, recv func(path int, src string, w Wire)) 
 			continue
 		}
 		w.Frame = f
-		from := src.String()
+		if src != last {
+			// Unmapped, so an IPv4 peer on a dual-stack socket reads as the
+			// net.UDPAddr form its hellos are keyed by.
+			last, from = src, netip.AddrPortFrom(src.Addr().Unmap(), src.Port()).String()
+		}
+		srcName := from // the closure runs on the loop, after from may move on
 		d.loop.Post(func() {
-			recv(path, from, w)
+			recv(path, srcName, w)
 			f.Release()
 		})
 	}
