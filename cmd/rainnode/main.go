@@ -6,7 +6,7 @@
 //	                 HTTP object gateway, all from a single config
 //	rainnode put     store stdin or a file through a gateway
 //	rainnode get     fetch an object (optionally a byte range) from a gateway
-//	rainnode scrub   verify a node's shard files offline
+//	rainnode scrub   verify a node's stored shards offline
 //
 // A three-node cluster on loopback (each node bundles two paths):
 //
@@ -68,8 +68,8 @@ Usage:
   rainnode get -gw http://host:8080 -key k [-out path] [-range bytes=a-b]
       fetch an object (optionally a byte range) through a gateway
   rainnode scrub -dir path [-v]
-      verify every shard file in a node's store directory against its
-      checksum footer, offline; exits 1 if any shard is corrupt
+      verify every record in a node's store directory against the checksums
+      its log's sidecars hold, offline; exits 1 if any record is corrupt
   rainnode help
       print this text
 `)

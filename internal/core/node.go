@@ -194,13 +194,17 @@ func (n *RealNode) build(cfg NodeConfig) error {
 	return nil
 }
 
-// Stop tears the process down: mesh sockets close, the loop halts. Pending
-// operations resolve as cancelled where their callers still wait.
+// Stop tears the process down: mesh sockets close, the loop halts, and the
+// shard backend releases its files. Pending operations resolve as cancelled
+// where their callers still wait.
 func (n *RealNode) Stop() {
 	if n.Mesh != nil {
 		n.Mesh.Close()
 	}
 	n.Loop.Stop()
+	if n.Backend != nil {
+		n.Backend.Close()
+	}
 }
 
 // Call runs fn on the node's event loop and reports whether it ran — the

@@ -143,7 +143,8 @@ func newStack(s *sim.Scheduler, mesh dstore.Mesh, mbr *membership.Node, elect *e
 	s.After(SweepInterval, sweep)
 	// Integrity scrub: the node walks its own shard set verifying checksums
 	// under the read-bandwidth budget; what it finds is quarantined by the
-	// backend and handed to OnCorrupt above.
+	// backend and handed to OnCorrupt above. The same step, under the same
+	// budget, compacts a file backend's log.
 	if spec.scrubInterval > 0 {
 		budget := spec.scrubRate * int64(spec.scrubInterval) / int64(time.Second)
 		if budget < 1 {
@@ -153,6 +154,7 @@ func newStack(s *sim.Scheduler, mesh dstore.Mesh, mbr *membership.Node, elect *e
 		scrub = func() {
 			if stopped == nil || !stopped() {
 				st.daemon.ScrubStep(budget)
+				st.backend.Compact(budget)
 			}
 			s.After(spec.scrubInterval, scrub)
 		}

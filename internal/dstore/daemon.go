@@ -55,7 +55,7 @@ type Store interface {
 // node-local backend.
 //
 // Memory contract: the daemon never materialises a whole shard. Put chunks
-// append to a storage.Stage (a temp file on file-backed backends) and get
+// append to a storage.Stage (the log's tail on file-backed backends) and get
 // chunks are ranged ReadAt reads, so daemon heap is bounded by in-flight
 // chunks regardless of shard size. The daemon is pure request/response — it
 // needs no timers — so it runs unchanged over real sockets; the owner

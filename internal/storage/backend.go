@@ -1,8 +1,9 @@
 package storage
 
 import (
-	"encoding/hex"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -28,22 +29,29 @@ type ObjectInfo struct {
 // dstore daemon serves it over the mesh. Safe for concurrent use.
 //
 // A backend is either memory-backed (NewBackend) or file-backed
-// (NewFileBackend): the latter spills shard bytes to one file per object so
-// a daemon's heap stays bounded by in-flight chunks, not by what it stores —
-// the §4.2 store cannot otherwise hold objects larger than RAM. Both modes
-// support the streaming write path (NewStage/Append/Commit) and ranged reads
-// (ReadAt) that the dstore daemon uses to move shards chunk by chunk.
+// (NewFileBackend): the latter appends shard bytes to one log of segment
+// files (segment.go) so a daemon's heap stays bounded by in-flight chunks,
+// not by what it stores — the §4.2 store cannot otherwise hold objects larger
+// than RAM — and no file is created, renamed or unlinked per shard. Both
+// modes support the streaming write path (NewStage/Append/Commit) and ranged
+// reads (ReadAt) that the dstore daemon uses to move shards chunk by chunk.
 type Backend struct {
-	mu       sync.Mutex
-	dir      string // "" = memory-backed
-	shards   map[string]backendEntry
-	quar     map[string]quarEntry // corrupt shards sidelined by quarantine
-	gen      uint64               // bumped on every shard-set mutation
-	reads    int
-	writes   int
-	stageSeq int
-	spare    [][]byte // retired shard buffers, recycled into new stages
-	met      *backendMetrics
+	mu     sync.Mutex
+	dir    string // "" = memory-backed
+	shards map[string]backendEntry
+	quar   map[string]backendEntry // corrupt shards sidelined by quarantine
+	gen    uint64                  // bumped on every shard-set mutation
+	reads  int
+	writes int
+	spare  [][]byte // retired shard buffers, recycled into new stages
+	met    *backendMetrics
+
+	// File mode: the log.
+	segs    []*segment // every segment on disk, oldest first; the last is active
+	segSize int64      // roll threshold: segmentSize
+	lastSeg int        // number of the newest segment created
+	scratch []byte     // sidecar entry being encoded
+	closed  bool
 }
 
 // takeSpare pops a retired shard buffer for reuse, or returns nil.
@@ -66,8 +74,8 @@ func (b *Backend) keepSpare(buf []byte) {
 }
 
 type backendEntry struct {
-	shard    []byte // memory mode only
-	path     string // file mode only
+	shard    []byte   // memory mode only
+	ext      []extent // file mode only: where the bytes sit in the log
 	shardLen int64
 	shardIdx int // shard index held
 	dataLen  int
@@ -76,89 +84,85 @@ type backendEntry struct {
 	seq      uint64   // b.gen at publish; guards quarantine against stale reads
 }
 
+// readAt copies the stored bytes at [off, off+len(p)) into p, from memory or
+// through the log extents. A medium holding fewer bytes than asked (a torn
+// shard) returns how many it had and io.ErrUnexpectedEOF.
+func (e *backendEntry) readAt(p []byte, off int64) (int, error) {
+	if e.ext == nil {
+		if n := copy(p, e.shard[min(off, int64(len(e.shard))):]); n < len(p) {
+			return n, io.ErrUnexpectedEOF
+		}
+		return len(p), nil
+	}
+	done := 0
+	for i := 0; i < len(e.ext) && done < len(p); i++ {
+		x := e.ext[i]
+		if off >= x.n {
+			off -= x.n
+			continue
+		}
+		k := int(min(int64(len(p)-done), x.n-off))
+		n, err := x.seg.log.ReadAt(p[done:done+k], x.off+off)
+		done += n
+		if err == io.EOF {
+			return done, io.ErrUnexpectedEOF
+		} else if err != nil {
+			return done, err
+		}
+		off = 0
+	}
+	if done < len(p) {
+		return done, io.ErrUnexpectedEOF
+	}
+	return done, nil
+}
+
 // NewBackend returns an empty memory-backed backend. The optional telemetry
 // scope labels the backend's metric series (a platform passes per-node
 // scopes); omitted, metrics aggregate into the default registry's root.
 func NewBackend(scope ...*telemetry.Scope) *Backend {
-	return &Backend{shards: make(map[string]backendEntry), met: newBackendMetrics(first(scope))}
+	var sc *telemetry.Scope
+	if len(scope) > 0 {
+		sc = scope[0]
+	}
+	return &Backend{shards: map[string]backendEntry{}, quar: map[string]backendEntry{}, met: newBackendMetrics(sc)}
 }
 
-// NewFileBackend returns an empty backend storing shard bytes as one file
-// per object under dir (created if missing). Metadata stays in memory; shard
-// bytes live on disk, so stored objects do not occupy heap.
+// NewFileBackend returns an empty backend appending shard bytes to a log of
+// segment files under dir (created if missing). Metadata stays in memory and
+// no start reads the log back, so whatever a previous process left in dir —
+// its segments and sidecars, and the shard, stage and quarantine files of
+// the older file-per-shard layout — is removed: no entry can reference it.
 func NewFileBackend(dir string, scope ...*telemetry.Scope) (*Backend, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: file backend: %w", err)
 	}
-	return &Backend{dir: dir, shards: make(map[string]backendEntry), met: newBackendMetrics(first(scope))}, nil
-}
-
-func first(scopes []*telemetry.Scope) *telemetry.Scope {
-	if len(scopes) > 0 {
-		return scopes[0]
+	for _, pat := range []string{"seg-*.log", "seg-*.idx", "*.shard", ".stage-*", "*.quarantine"} {
+		matches, _ := filepath.Glob(filepath.Join(dir, pat)) // the pattern is well-formed
+		for _, m := range matches {
+			if err := os.Remove(m); err != nil {
+				return nil, fmt.Errorf("storage: file backend: %w", err)
+			}
+		}
 	}
-	return nil
-}
-
-// shardPath maps an object id to its shard file. Hex encoding keeps any id
-// filesystem-safe and collision-free.
-func (b *Backend) shardPath(id string) string {
-	return filepath.Join(b.dir, hex.EncodeToString([]byte(id))+".shard")
+	b := NewBackend(scope...)
+	b.dir, b.segSize = dir, segmentSize
+	return b, nil
 }
 
 // Put stores the shard for an object together with the shard index it
 // represents under the object's placement, the original object length, and
 // the block-codeword size of its layout (0 for a single whole-object
-// codeword). A non-nil error (file-backed mode only: disk
-// full, permissions) means nothing was stored.
+// codeword). A non-nil error (file-backed mode only: disk full, a closed
+// backend) means nothing was stored.
 func (b *Backend) Put(id string, shard []byte, shardIdx, dataLen, blockLen int) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e := backendEntry{shardLen: int64(len(shard)), shardIdx: shardIdx, dataLen: dataLen, blockLen: blockLen}
-	e.sums = blockSums(shard)
-	if b.dir == "" {
-		var buf []byte
-		if n := len(b.spare); n > 0 {
-			buf, b.spare = b.spare[n-1][:0], b.spare[:n-1]
-		}
-		e.shard = append(buf, shard...)
-	} else {
-		e.path = b.shardPath(id)
-		if err := writeShardFile(e.path, shard, e.sums); err != nil {
-			return fmt.Errorf("storage: put %s: %w", id, err)
-		}
+	s := b.NewStage()
+	s.Reserve(int64(len(shard)))
+	if err := s.Append(shard); err != nil {
+		s.Abort()
+		return fmt.Errorf("storage: put %s: %w", id, err)
 	}
-	if old, ok := b.shards[id]; ok {
-		b.keepSpare(old.shard)
-		b.met.bytes.Add(-old.shardLen)
-	} else {
-		b.met.objects.Inc()
-	}
-	b.met.bytes.Add(e.shardLen)
-	b.met.writes.Inc()
-	b.gen++
-	e.seq = b.gen
-	b.shards[id] = e
-	b.writes++
-	return nil
-}
-
-// writeShardFile writes payload plus the checksum footer the offline scrub
-// path reads back.
-func writeShardFile(path string, shard []byte, sums []uint32) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(shard); err != nil {
-		f.Close()
-		return err
-	}
-	if _, err := f.Write(checksumFooter(sums)); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return b.Commit(s, id, shardIdx, dataLen, blockLen)
 }
 
 // Generation returns a counter that changes whenever the shard set does —
@@ -185,34 +189,32 @@ func (b *Backend) Get(id string) (shard []byte, dataLen int, err error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s", ErrObjectNotFound, id)
 	}
-	if b.dir == "" {
-		if int64(len(e.shard)) < e.shardLen { // torn on the medium
-			return nil, 0, b.corrupt(id, e, len(e.shard)/ChecksumBlock)
-		}
-		shard = append([]byte(nil), e.shard[:e.shardLen]...)
-	} else {
-		file, rerr := os.ReadFile(e.path)
-		if rerr != nil {
-			return nil, 0, fmt.Errorf("storage: %s: %w", id, rerr)
-		}
-		if int64(len(file)) < e.shardLen { // torn past the recorded length
-			return nil, 0, b.corrupt(id, e, len(file)/ChecksumBlock)
-		}
-		shard = file[:e.shardLen] // drop the checksum footer
-	}
-	if err := b.verifyRange(id, e, shard, 0, nil); err != nil {
+	shard = make([]byte, e.shardLen)
+	if err := b.read(id, &e, shard, 0); err != nil {
 		return nil, 0, err
 	}
 	return shard, e.dataLen, nil
+}
+
+// read fills p from e's bytes at off and verifies them (verifyRange).
+func (b *Backend) read(id string, e *backendEntry, p []byte, off int64) error {
+	if n, err := e.readAt(p, off); err == io.ErrUnexpectedEOF {
+		// The medium is shorter than the recorded shard length: a torn
+		// write surfaces as corruption, not as a short read.
+		return b.corrupt(id, *e, int((off+int64(n))/ChecksumBlock))
+	} else if err != nil {
+		return fmt.Errorf("storage: %s: %w", id, err)
+	}
+	return b.verifyRange(id, e, p, off)
 }
 
 // ReadAt copies len(p) shard bytes starting at off into p — the ranged read
 // the dstore daemon streams get chunks from, bounded-memory in both backend
 // modes. A read starting at offset 0 counts as one read for the balancing
 // policies. Short ranges past the end return io.ErrUnexpectedEOF. File I/O
-// happens outside the backend lock (entries are immutable once published;
-// a concurrent Delete surfaces as a read error, the same as an object that
-// was never stored).
+// happens outside the backend lock, on the segment's open file (entries are
+// immutable once published; a read racing the reclaim of its segment fails
+// with a plain error, the same as an object that was never stored).
 //
 // Every byte returned is verified against the at-rest checksums: blocks the
 // range only partially covers are completed from the medium. A mismatch — or
@@ -235,39 +237,14 @@ func (b *Backend) ReadAt(id string, p []byte, off int64) error {
 		return fmt.Errorf("storage: %s: range [%d,%d) outside shard of %d bytes: %w",
 			id, off, off+int64(len(p)), e.shardLen, io.ErrUnexpectedEOF)
 	}
-	if e.path == "" {
-		if off+int64(len(p)) > int64(len(e.shard)) { // torn on the medium
-			return b.corrupt(id, e, len(e.shard)/ChecksumBlock)
-		}
-		copy(p, e.shard[off:])
-		return b.verifyRange(id, e, p, off, nil)
-	}
-	f, err := os.Open(e.path)
-	if err != nil {
-		return fmt.Errorf("storage: %s: %w", id, err)
-	}
-	defer f.Close()
-	if n, err := f.ReadAt(p, off); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			// The file is shorter than the recorded shard length: a torn
-			// write surfaces as corruption, not as a short read.
-			return b.corrupt(id, e, int((off+int64(n))/ChecksumBlock))
-		}
-		return fmt.Errorf("storage: %s: %w", id, err)
-	}
-	return b.verifyRange(id, e, p, off, f)
+	return b.read(id, &e, p, off)
 }
 
 // Stat reports the shard length and recorded object length without counting
 // a read.
 func (b *Backend) Stat(id string) (shardLen, dataLen int, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.shards[id]
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: %s", ErrObjectNotFound, id)
-	}
-	return int(e.shardLen), e.dataLen, nil
+	info, err := b.Info(id)
+	return info.ShardLen, info.DataLen, err
 }
 
 // Info reports the full metadata for one object without counting a read.
@@ -292,10 +269,8 @@ func (b *Backend) Delete(id string) {
 	if !ok {
 		return
 	}
-	if e.path != "" {
-		os.Remove(e.path)
-	}
 	b.keepSpare(e.shard)
+	b.releaseLocked(e.ext)
 	delete(b.shards, id)
 	b.gen++
 	b.met.deletes.Inc()
@@ -330,49 +305,51 @@ func (b *Backend) Objects() int {
 }
 
 // Wipe discards all shards (a replaced blank node), including quarantined
-// corpses and orphaned stage temp files — a rebuilt node starts from nothing
-// and must not be able to resurrect bad or half-written shards.
+// corpses and the bytes of in-flight stages — a rebuilt node starts from
+// nothing and must not be able to resurrect bad or half-written shards. A
+// file-backed backend unlinks every segment; a stage begun before the wipe
+// can no longer commit.
 func (b *Backend) Wipe() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, e := range b.shards {
-		if e.path != "" {
-			os.Remove(e.path)
-		}
 		b.met.bytes.Add(-e.shardLen)
 	}
 	b.met.objects.Add(-int64(len(b.shards)))
 	b.shards = make(map[string]backendEntry)
-	for _, q := range b.quar {
-		if q.path != "" {
-			os.Remove(q.path)
-		}
-	}
 	b.met.quarantined.Add(-int64(len(b.quar)))
-	b.quar = nil
-	if b.dir != "" {
-		// Sweep the directory for remains no live entry points at: stage
-		// temp files from writes interrupted mid-flight and quarantine
-		// files a previous process sidelined.
-		for _, pat := range []string{".stage-*", "*.quarantine"} {
-			if matches, err := filepath.Glob(filepath.Join(b.dir, pat)); err == nil {
-				for _, m := range matches {
-					os.Remove(m)
-				}
-			}
-		}
+	b.quar = map[string]backendEntry{}
+	for len(b.segs) > 0 {
+		b.dropSegmentLocked(b.segs[0])
 	}
 	b.gen++
 }
 
+// Close releases a file-backed backend's open segment files, leaving them on
+// disk for an offline `rainnode scrub`; writes after Close fail. A no-op for
+// a memory-backed backend, and for a second call.
+func (b *Backend) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed || b.dir == "" {
+		return nil
+	}
+	b.closed = true
+	var errs []error
+	for _, seg := range b.segs {
+		errs = append(errs, seg.log.Close(), seg.idx.Close())
+	}
+	return errors.Join(errs...)
+}
+
 // Stage is an in-progress streaming shard write: chunks append as they
 // arrive off the wire, and the shard becomes visible atomically at Commit.
-// In a file-backed backend the bytes accumulate in a temporary file, so an
+// In a file-backed backend the bytes go straight to the log's tail, so an
 // assembling daemon holds no more heap than one chunk.
 type Stage struct {
 	b        *Backend
 	buf      []byte   // memory mode
-	f        *os.File // file mode
+	ext      []extent // file mode
 	n        int64
 	err      error
 	finished bool // staged-bytes gauge settled (committed or aborted)
@@ -389,18 +366,7 @@ type Stage struct {
 // Abort.
 func (b *Backend) NewStage() *Stage {
 	s := &Stage{b: b}
-	if b.dir != "" {
-		b.mu.Lock()
-		b.stageSeq++
-		seq := b.stageSeq
-		b.mu.Unlock()
-		f, err := os.CreateTemp(b.dir, fmt.Sprintf(".stage-%d-*", seq))
-		if err != nil {
-			s.err = fmt.Errorf("storage: stage: %w", err)
-			return s
-		}
-		s.f = f
-	} else {
+	if b.dir == "" {
 		s.buf = b.takeSpare()
 	}
 	return s
@@ -412,8 +378,12 @@ func (s *Stage) Append(p []byte) error {
 	if s.err != nil {
 		return s.err
 	}
-	if s.f != nil {
-		if _, err := s.f.Write(p); err != nil {
+	if s.b.dir != "" {
+		s.b.mu.Lock()
+		ext, err := s.b.appendLocked(s.ext, p)
+		s.ext = ext
+		s.b.mu.Unlock()
+		if err != nil {
 			s.err = fmt.Errorf("storage: stage: %w", err)
 			return s.err
 		}
@@ -421,11 +391,8 @@ func (s *Stage) Append(p []byte) error {
 		s.buf = append(s.buf, p...)
 	}
 	for q := p; len(q) > 0; {
-		room := ChecksumBlock - s.crcN
-		if room > len(q) {
-			room = len(q)
-		}
-		s.crc = crc32Update(s.crc, q[:room])
+		room := min(ChecksumBlock-s.crcN, len(q))
+		s.crc = crc32.Update(s.crc, castagnoli, q[:room])
 		s.crcN += room
 		q = q[room:]
 		if s.crcN == ChecksumBlock {
@@ -442,7 +409,7 @@ func (s *Stage) Append(p []byte) error {
 // buffer once instead of growing append by append. A no-op for file-backed
 // stages and for hints at or below the current capacity.
 func (s *Stage) Reserve(size int64) {
-	if s.err != nil || s.f != nil || size <= int64(cap(s.buf)) {
+	if s.err != nil || s.b.dir != "" || size <= int64(cap(s.buf)) {
 		return
 	}
 	buf := make([]byte, len(s.buf), size)
@@ -460,11 +427,11 @@ func (s *Stage) Abort() {
 		s.b.met.stagedBytes.Add(-s.n)
 		s.b.met.stageAborts.Inc()
 	}
-	if s.f != nil {
-		name := s.f.Name()
-		s.f.Close()
-		os.Remove(name)
-		s.f = nil
+	if s.ext != nil {
+		s.b.mu.Lock()
+		s.b.releaseLocked(s.ext)
+		s.b.mu.Unlock()
+		s.ext = nil
 	}
 	if s.buf != nil {
 		s.b.mu.Lock()
@@ -477,41 +444,30 @@ func (s *Stage) Abort() {
 
 // Commit atomically publishes the staged bytes as the shard for id, with the
 // recorded shard index, object length and block-codeword size. The stage is
-// consumed.
+// consumed. A file-backed commit appends the record's sidecar entry; the
+// bytes are already in the log.
 func (b *Backend) Commit(s *Stage, id string, shardIdx, dataLen, blockLen int) error {
 	if s.err != nil {
 		return s.err
 	}
 	commitStart := time.Now()
-	e := backendEntry{shardLen: s.n, shardIdx: shardIdx, dataLen: dataLen, blockLen: blockLen}
+	e := backendEntry{shard: s.buf, ext: s.ext, shardLen: s.n, shardIdx: shardIdx, dataLen: dataLen, blockLen: blockLen}
 	e.sums = s.sums
 	if s.crcN > 0 { // finalize the short final block
 		e.sums = append(e.sums, s.crc)
 	}
-	if s.f != nil {
-		name := s.f.Name()
-		if _, err := s.f.Write(checksumFooter(e.sums)); err != nil {
-			s.f.Close()
-			os.Remove(name)
-			return fmt.Errorf("storage: commit %s: %w", id, err)
-		}
-		if err := s.f.Close(); err != nil {
-			os.Remove(name)
-			return fmt.Errorf("storage: commit %s: %w", id, err)
-		}
-		e.path = b.shardPath(id)
-		if err := os.Rename(name, e.path); err != nil {
-			os.Remove(name)
-			return fmt.Errorf("storage: commit %s: %w", id, err)
-		}
-		s.f = nil
-	} else {
-		e.shard = s.buf
-		s.buf = nil
-	}
 	b.mu.Lock()
+	if b.dir != "" {
+		if err := b.indexLocked(&e); err != nil {
+			b.mu.Unlock()
+			s.Abort()
+			return fmt.Errorf("storage: commit %s: %w", id, err)
+		}
+	}
+	s.buf, s.ext = nil, nil
 	if old, ok := b.shards[id]; ok {
 		b.keepSpare(old.shard)
+		b.releaseLocked(old.ext)
 		b.met.bytes.Add(-old.shardLen)
 	} else {
 		b.met.objects.Inc()

@@ -1,12 +1,12 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
+	"path/filepath"
+	"slices"
 )
 
 // ChecksumBlock is the granularity of at-rest integrity checksums: every
@@ -31,9 +31,10 @@ var ErrCorrupt = errors.New("storage: shard corrupt")
 // when a disk hangs — so hedged reads carry the request.
 var ErrStalled = errors.New("storage: read stalled")
 
-// ErrNoChecksum reports a shard file without a checksum footer (written by a
-// pre-integrity build, or truncated past the footer).
-var ErrNoChecksum = errors.New("storage: shard file has no checksum footer")
+// ErrNoChecksum reports sidecar bytes that hold no whole, self-consistent
+// entry — a torn or damaged tail — so the records they described cannot be
+// checked offline.
+var ErrNoChecksum = errors.New("storage: sidecar entry unreadable")
 
 // CorruptError reports a shard whose stored bytes no longer match the
 // checksum recorded when they were written. The shard has been quarantined:
@@ -51,37 +52,14 @@ func (e *CorruptError) Error() string {
 // Is makes errors.Is(err, ErrCorrupt) match.
 func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
 
-// crc32Update folds p into a running CRC32C.
-func crc32Update(crc uint32, p []byte) uint32 { return crc32.Update(crc, castagnoli, p) }
-
-// blockSums computes the per-block CRC32C ladder for a fully materialised
-// shard (the non-streaming Put path).
-func blockSums(shard []byte) []uint32 {
-	if len(shard) == 0 {
-		return nil
-	}
-	n := (len(shard) + ChecksumBlock - 1) / ChecksumBlock
-	sums := make([]uint32, n)
-	for i := range sums {
-		lo := i * ChecksumBlock
-		hi := lo + ChecksumBlock
-		if hi > len(shard) {
-			hi = len(shard)
-		}
-		sums[i] = crc32.Checksum(shard[lo:hi], castagnoli)
-	}
-	return sums
-}
-
 // verifyRange checks every checksum block overlapping [off, off+len(p))
 // against the entry's recorded sums, assuming p already holds the shard
 // bytes for that range. Blocks only partially covered by p are completed
-// from the medium (f in file mode, e.shard in memory mode), so a read of any
-// range verifies every byte it returns. Aligned streaming reads — the dstore
-// daemon's chunk pump — never take the partial-block path and allocate
-// nothing. On a mismatch the shard is quarantined and a *CorruptError names
-// the failing block.
-func (b *Backend) verifyRange(id string, e backendEntry, p []byte, off int64, f *os.File) error {
+// from the medium, so a read of any range verifies every byte it returns.
+// Aligned streaming reads — the dstore daemon's chunk pump — never take the
+// partial-block path and allocate nothing. On a mismatch the shard is
+// quarantined and a *CorruptError names the failing block.
+func (b *Backend) verifyRange(id string, e *backendEntry, p []byte, off int64) error {
 	if len(e.sums) == 0 || len(p) == 0 {
 		return nil
 	}
@@ -91,55 +69,50 @@ func (b *Backend) verifyRange(id string, e backendEntry, p []byte, off int64, f 
 	var edge []byte // lazily allocated; only unaligned reads need it
 	for blk := first; blk <= last; blk++ {
 		bs := blk * ChecksumBlock
-		be := bs + ChecksumBlock
-		if be > e.shardLen {
-			be = e.shardLen
-		}
+		be := min(bs+ChecksumBlock, e.shardLen)
 		var crc uint32
+		var err error
 		if bs < off { // head fragment before the caller's range
-			frag, err := e.fragment(f, &edge, bs, off)
-			if err != nil {
-				return b.corrupt(id, e, int(blk))
-			}
-			crc = crc32.Update(crc, castagnoli, frag)
+			crc, err = e.foldMedium(crc, &edge, bs, off)
 			bs = off
 		}
-		ve := be
-		if ve > end {
-			ve = end
+		crc = crc32.Update(crc, castagnoli, p[bs-off:min(be, end)-off])
+		if be > end && err == nil { // tail fragment past the caller's range
+			crc, err = e.foldMedium(crc, &edge, end, be)
 		}
-		crc = crc32.Update(crc, castagnoli, p[bs-off:ve-off])
-		if be > end { // tail fragment past the caller's range
-			frag, err := e.fragment(f, &edge, end, be)
-			if err != nil {
-				return b.corrupt(id, e, int(blk))
-			}
-			crc = crc32.Update(crc, castagnoli, frag)
-		}
-		if crc != e.sums[blk] {
-			return b.corrupt(id, e, int(blk))
+		if err != nil || crc != e.sums[blk] {
+			return b.corrupt(id, *e, int(blk))
 		}
 	}
 	return nil
 }
 
-// fragment returns shard bytes [lo, hi) straight from the medium — the
-// sliver of a checksum block that a ranged read did not cover.
-func (e backendEntry) fragment(f *os.File, edge *[]byte, lo, hi int64) ([]byte, error) {
-	if e.path == "" {
-		if hi > int64(len(e.shard)) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return e.shard[lo:hi], nil
-	}
+// foldMedium folds shard bytes [lo, hi) into crc, read straight from the
+// medium — the sliver of a checksum block that a ranged read did not cover.
+func (e *backendEntry) foldMedium(crc uint32, edge *[]byte, lo, hi int64) (uint32, error) {
 	if *edge == nil {
 		*edge = make([]byte, ChecksumBlock)
 	}
 	buf := (*edge)[:hi-lo]
-	if _, err := f.ReadAt(buf, lo); err != nil {
-		return nil, err
+	_, err := e.readAt(buf, lo)
+	return crc32.Update(crc, castagnoli, buf), err
+}
+
+// verifyBlocks re-reads the whole record block by block into buf (at least
+// ChecksumBlock bytes) and checks each block against its recorded sum. It
+// reports how much verified and the first block that did not (unreadable or
+// mismatched), or -1.
+func (e *backendEntry) verifyBlocks(buf []byte) (blocks int, bytes int64, bad int) {
+	for blk := range e.sums {
+		lo := int64(blk) * ChecksumBlock
+		part := buf[:min(lo+ChecksumBlock, e.shardLen)-lo]
+		if _, err := e.readAt(part, lo); err != nil || crc32.Checksum(part, castagnoli) != e.sums[blk] {
+			return blocks, bytes, blk
+		}
+		blocks++
+		bytes += int64(len(part))
 	}
-	return buf, nil
+	return blocks, bytes, -1
 }
 
 // corrupt quarantines the shard and returns the typed error readers fold
@@ -151,11 +124,11 @@ func (b *Backend) corrupt(id string, e backendEntry, blk int) error {
 
 // quarantine sidelines a shard that failed verification: it disappears from
 // the serving set and the inventory (so reconciliation re-creates it from
-// the survivors) but the bytes are renamed aside, not deleted — forensics
-// and the "never resurrect bad shards" guarantee both want the evidence
-// kept until Delete or Wipe. The seq guard skips shards overwritten since
-// the failing read was issued; a stale read is not evidence against the new
-// bytes.
+// the survivors) but its bytes are kept where they are, still counted live
+// in their segment — forensics and the "never resurrect bad shards"
+// guarantee both want the evidence kept until Delete or Wipe. The seq guard
+// skips shards overwritten or moved since the failing read was issued; a
+// stale read is not evidence against the current bytes.
 func (b *Backend) quarantine(id string, seq uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -168,41 +141,22 @@ func (b *Backend) quarantine(id string, seq uint64) {
 	b.met.objects.Dec()
 	b.met.bytes.Add(-e.shardLen)
 	b.met.corruptions.Inc()
-	q := quarEntry{shard: e.shard}
-	if e.path != "" {
-		q.path = e.path + ".quarantine"
-		if err := os.Rename(e.path, q.path); err != nil {
-			q.path = ""
-		}
-	}
-	if b.quar == nil {
-		b.quar = make(map[string]quarEntry)
-	}
 	if old, ok := b.quar[id]; ok {
-		if old.path != "" && old.path != q.path {
-			os.Remove(old.path)
-		}
+		b.releaseLocked(old.ext)
 	} else {
 		b.met.quarantined.Inc()
 	}
-	b.quar[id] = q
-}
-
-type quarEntry struct {
-	shard []byte // memory mode: the bad bytes, kept out of the spare pool
-	path  string // file mode: the renamed-aside shard file
+	b.quar[id] = e
 }
 
 // dropQuarantineLocked removes the quarantined remains for id, if any.
-// Caller holds b.mu.
+// Memory-mode bytes are not recycled into the spare pool. Caller holds b.mu.
 func (b *Backend) dropQuarantineLocked(id string) {
 	q, ok := b.quar[id]
 	if !ok {
 		return
 	}
-	if q.path != "" {
-		os.Remove(q.path)
-	}
+	b.releaseLocked(q.ext)
 	delete(b.quar, id)
 	b.met.quarantined.Dec()
 }
@@ -222,49 +176,30 @@ func (b *Backend) Quarantined() int {
 func (b *Backend) Verify(id string) (blocks int, bytes int64, err error) {
 	b.mu.Lock()
 	e, ok := b.shards[id]
+	closed := b.closed
 	b.mu.Unlock()
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: %s", ErrObjectNotFound, id)
 	}
-	if len(e.sums) == 0 {
-		return 0, 0, nil
+	if closed {
+		return 0, 0, errClosed
 	}
-	var f *os.File
-	if e.path != "" {
-		f, err = os.Open(e.path)
-		if err != nil {
-			// The file vanished out from under its metadata: torn off the
-			// medium entirely. Quarantine drops the dangling entry.
-			return 0, 0, b.corrupt(id, e, 0)
-		}
-		defer f.Close()
-	}
-	buf := make([]byte, ChecksumBlock)
-	for blk := range e.sums {
-		lo := int64(blk) * ChecksumBlock
-		hi := lo + ChecksumBlock
-		if hi > e.shardLen {
-			hi = e.shardLen
-		}
-		var part []byte
-		if f == nil {
-			if hi > int64(len(e.shard)) {
-				return blocks, bytes, b.corrupt(id, e, blk)
-			}
-			part = e.shard[lo:hi]
-		} else {
-			part = buf[:hi-lo]
-			if _, rerr := f.ReadAt(part, lo); rerr != nil {
-				return blocks, bytes, b.corrupt(id, e, blk)
-			}
-		}
-		if crc32.Checksum(part, castagnoli) != e.sums[blk] {
-			return blocks, bytes, b.corrupt(id, e, blk)
-		}
-		blocks++
-		bytes += hi - lo
+	blocks, bytes, bad := e.verifyBlocks(make([]byte, ChecksumBlock))
+	if bad >= 0 {
+		return blocks, bytes, b.corrupt(id, e, bad)
 	}
 	return blocks, bytes, nil
+}
+
+// locate maps shard offset off to the segment and file offset holding it.
+func (e *backendEntry) locate(off int64) (*segment, int64) {
+	for _, x := range e.ext {
+		if off < x.n {
+			return x.seg, x.off + off
+		}
+		off -= x.n
+	}
+	return nil, 0
 }
 
 // CorruptShard flips one bit of the stored shard at the given byte offset
@@ -274,33 +209,28 @@ func (b *Backend) Verify(id string) (blocks int, bytes int64, err error) {
 // scrubber.
 func (b *Backend) CorruptShard(id string, off int64) error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	e, ok := b.shards[id]
-	b.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrObjectNotFound, id)
 	}
 	if off < 0 || off >= e.shardLen {
 		return fmt.Errorf("storage: corrupt %s: offset %d outside shard of %d bytes", id, off, e.shardLen)
 	}
-	if e.path == "" {
-		b.mu.Lock()
-		if cur, ok := b.shards[id]; ok && cur.seq == e.seq && off < int64(len(cur.shard)) {
-			cur.shard[off] ^= 0x01
+	if e.ext == nil {
+		if off < int64(len(e.shard)) {
+			e.shard[off] ^= 0x01
 		}
-		b.mu.Unlock()
 		return nil
 	}
-	f, err := os.OpenFile(e.path, os.O_RDWR, 0)
-	if err != nil {
-		return fmt.Errorf("storage: corrupt %s: %w", id, err)
-	}
-	defer f.Close()
+	seg, at := e.locate(off)
 	var one [1]byte
-	if _, err := f.ReadAt(one[:], off); err != nil {
-		return fmt.Errorf("storage: corrupt %s: %w", id, err)
+	_, err := seg.log.ReadAt(one[:], at)
+	if err == nil {
+		one[0] ^= 0x01
+		_, err = seg.log.WriteAt(one[:], at)
 	}
-	one[0] ^= 0x01
-	if _, err := f.WriteAt(one[:], off); err != nil {
+	if err != nil {
 		return fmt.Errorf("storage: corrupt %s: %w", id, err)
 	}
 	return nil
@@ -308,7 +238,9 @@ func (b *Backend) CorruptShard(id string, off int64) error {
 
 // TruncateShard tears the stored shard down to n bytes on the medium while
 // leaving its recorded length and checksums untouched — the torn-final-block
-// injection hook. Subsequent reads past n surface as corruption.
+// injection hook. Subsequent reads past n surface as corruption. In a
+// file-backed backend the segment is cut at that byte, which tears every
+// later record in it too, as a torn log tail does.
 func (b *Backend) TruncateShard(id string, n int64) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -319,99 +251,78 @@ func (b *Backend) TruncateShard(id string, n int64) error {
 	if n < 0 || n > e.shardLen {
 		return fmt.Errorf("storage: truncate %s: %d outside shard of %d bytes", id, n, e.shardLen)
 	}
-	if e.path == "" {
+	if e.ext == nil {
 		e.shard = e.shard[:n]
 		b.shards[id] = e
 		return nil
 	}
-	if err := os.Truncate(e.path, n); err != nil {
-		return fmt.Errorf("storage: truncate %s: %w", id, err)
+	if seg, at := e.locate(n); seg != nil { // nil: n is the whole shard
+		if err := seg.log.Truncate(at); err != nil {
+			return fmt.Errorf("storage: truncate %s: %w", id, err)
+		}
 	}
 	return nil
 }
 
-// Shard files carry their checksum ladder in a footer after the payload:
-//
-//	payload bytes … | sums (4B BE each) | nsums | block size | magic
-//
-// A footer (not a header) because staged writes learn their length only at
-// Commit; appending keeps the payload at offset 0 so ranged reads need no
-// translation. The in-memory metadata is authoritative while the process
-// lives; the footer is what an offline `rainnode scrub` pass verifies
-// against after a restart.
-const (
-	footerMagic = 0x524e4331 // "RNC1"
-	footerTail  = 12         // nsums + block size + magic
-)
-
-// checksumFooter encodes the footer for a sum ladder.
-func checksumFooter(sums []uint32) []byte {
-	buf := make([]byte, 4*len(sums)+footerTail)
-	for i, s := range sums {
-		binary.BigEndian.PutUint32(buf[4*i:], s)
-	}
-	tail := buf[4*len(sums):]
-	binary.BigEndian.PutUint32(tail[0:], uint32(len(sums)))
-	binary.BigEndian.PutUint32(tail[4:], ChecksumBlock)
-	binary.BigEndian.PutUint32(tail[8:], footerMagic)
-	return buf
+// Scrubbed is one record an offline scrub checked.
+type Scrubbed struct {
+	Name    string // segment@offset of its first byte; sidecar@position for an unreadable tail
+	Payload int64
+	Blocks  int   // blocks verified
+	Err     error // nil, a *CorruptError (ID = Name), or ErrNoChecksum
 }
 
-// VerifyShardFile checks a shard file's payload against its embedded
-// checksum footer, reading in block-sized steps. It returns the payload
-// length and blocks verified; a *CorruptError (with the failing block) on a
-// mismatch; ErrNoChecksum when no footer is present. This is the offline
-// scrub path — it needs no in-memory metadata, so `rainnode scrub` can
-// audit a data directory with no daemon running.
-func VerifyShardFile(path string) (payload int64, blocks int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, 0, err
-	}
-	size := st.Size()
-	if size < footerTail {
-		return 0, 0, ErrNoChecksum
-	}
-	var tail [footerTail]byte
-	if _, err := f.ReadAt(tail[:], size-footerTail); err != nil {
-		return 0, 0, err
-	}
-	if binary.BigEndian.Uint32(tail[8:]) != footerMagic {
-		return 0, 0, ErrNoChecksum
-	}
-	nsums := int64(binary.BigEndian.Uint32(tail[0:]))
-	block := int64(binary.BigEndian.Uint32(tail[4:]))
-	if block <= 0 || nsums < 0 || size-footerTail < 4*nsums {
-		return 0, 0, ErrNoChecksum
-	}
-	payload = size - footerTail - 4*nsums
-	if nsums > 0 && (payload <= (nsums-1)*block || payload > nsums*block) {
-		return payload, 0, &CorruptError{ID: path, Block: 0}
-	}
-	sums := make([]byte, 4*nsums)
-	if _, err := f.ReadAt(sums, payload); err != nil {
-		return payload, 0, err
-	}
-	buf := make([]byte, block)
-	for blk := int64(0); blk < nsums; blk++ {
-		lo := blk * block
-		hi := lo + block
-		if hi > payload {
-			hi = payload
+// VerifyDir is the offline scrub: it walks the sidecars of the log under dir
+// and checks every record they list against its recorded checksums, block by
+// block, calling fn once per record — no in-memory metadata needed, so
+// `rainnode scrub` can audit a data directory with no daemon running. A
+// sidecar whose tail does not parse yields one ErrNoChecksum result. Records
+// deleted or overwritten are checked too while their segment is on disk
+// (their bytes are never rewritten); one with bytes in a segment already
+// unlinked is skipped, since segments go only once nothing in them is live.
+func VerifyDir(dir string, fn func(Scrubbed)) error {
+	logs, _ := filepath.Glob(filepath.Join(dir, "seg-*.log")) // sorted; the pattern is well-formed
+	segs := map[int]*segment{}
+	var order []*segment
+	for _, path := range logs {
+		var no int
+		if _, err := fmt.Sscanf(filepath.Base(path), "seg-%d.log", &no); err != nil {
+			continue // not a segment a backend wrote
 		}
-		part := buf[:hi-lo]
-		if _, err := f.ReadAt(part, lo); err != nil {
-			return payload, int(blk), &CorruptError{ID: path, Block: int(blk)}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
 		}
-		if crc32.Checksum(part, castagnoli) != binary.BigEndian.Uint32(sums[4*blk:]) {
-			return payload, int(blk), &CorruptError{ID: path, Block: int(blk)}
-		}
-		blocks++
+		defer f.Close()
+		segs[no] = &segment{no: no, log: f}
+		order = append(order, segs[no])
 	}
-	return payload, blocks, nil
+	buf := make([]byte, ChecksumBlock)
+	for _, seg := range order {
+		raw, err := os.ReadFile(filepath.Join(dir, segName(seg.no)+".idx"))
+		if err != nil {
+			return err
+		}
+		for pos := 0; pos < len(raw); {
+			e, n, ok := decodeIndexEntry(raw[pos:], seg.no)
+			if !ok {
+				fn(Scrubbed{Name: fmt.Sprintf("%s.idx@%d", segName(seg.no), pos), Err: ErrNoChecksum})
+				break
+			}
+			pos += n
+			r := Scrubbed{Name: fmt.Sprintf("%s@%d", segName(e.ext[0].seg.no), e.ext[0].off), Payload: e.shardLen}
+			for i, x := range e.ext {
+				e.ext[i].seg = segs[x.seg.no]
+			}
+			if slices.ContainsFunc(e.ext, func(x extent) bool { return x.seg == nil }) {
+				continue
+			}
+			var bad int
+			if r.Blocks, _, bad = e.verifyBlocks(buf); bad >= 0 {
+				r.Err = &CorruptError{ID: r.Name, Block: bad}
+			}
+			fn(r)
+		}
+	}
+	return nil
 }

@@ -2,7 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -258,40 +261,76 @@ func TestWipeDropsQuarantineAndStages(t *testing.T) {
 	}
 }
 
-// TestVerifyShardFileOffline exercises the footer parser the offline
-// `rainnode scrub` command uses: a committed shard file verifies without
-// any in-memory metadata, a flipped bit fails with the block named, and a
-// file without a footer reports ErrNoChecksum.
+// TestVerifyShardFileOffline exercises the sidecar walk the offline
+// `rainnode scrub` command uses: committed records verify without any
+// in-memory metadata, a flipped bit fails with its block and segment@offset
+// named, and a torn sidecar tail reports as unchecked, not as a crash.
 func TestVerifyShardFileOffline(t *testing.T) {
 	dir := t.TempDir()
 	b, err := NewFileBackend(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer b.Close()
 	shard := make([]byte, 2*ChecksumBlock+9)
 	rand.New(rand.NewSource(10)).Read(shard)
 	b.Put("obj", shard, 0, len(shard), 0)
-	files, err := filepath.Glob(filepath.Join(dir, "*.shard"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("shard files: %v %v", files, err)
+	b.Put("next", shard[:100], 0, 100, 0)
+	scrub := func() map[string]Scrubbed {
+		t.Helper()
+		got := map[string]Scrubbed{}
+		if err := VerifyDir(dir, func(r Scrubbed) { got[r.Name] = r }); err != nil {
+			t.Fatal(err)
+		}
+		return got
 	}
-	payload, blocks, err := VerifyShardFile(files[0])
-	if err != nil || payload != int64(len(shard)) || blocks != 3 {
-		t.Fatalf("offline verify: payload=%d blocks=%d err=%v", payload, blocks, err)
+	clean := scrub()
+	if r := clean["seg-000001@0"]; len(clean) != 2 || r.Err != nil || r.Payload != int64(len(shard)) || r.Blocks != 3 {
+		t.Fatalf("offline verify: %+v", clean)
 	}
+	if r := clean[fmt.Sprintf("seg-000001@%d", len(shard))]; r.Err != nil || r.Blocks != 1 {
+		t.Fatalf("second record: %+v", clean)
+	}
+
 	if err := b.CorruptShard("obj", ChecksumBlock+1); err != nil {
 		t.Fatal(err)
 	}
 	var ce *CorruptError
-	if _, _, err := VerifyShardFile(files[0]); !errors.As(err, &ce) || ce.Block != 1 {
-		t.Fatalf("offline verify of corrupt file: %v", err)
+	if r := scrub()["seg-000001@0"]; !errors.As(r.Err, &ce) || ce.Block != 1 || ce.ID != "seg-000001@0" || r.Blocks != 1 {
+		t.Fatalf("offline verify of corrupt record: %+v", r)
 	}
-	plain := filepath.Join(dir, "plain.shard")
-	if err := os.WriteFile(plain, shard, 0o644); err != nil {
+
+	idx := filepath.Join(dir, "seg-000001.idx")
+	st, err := os.Stat(idx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := VerifyShardFile(plain); !errors.Is(err, ErrNoChecksum) {
-		t.Fatalf("footer-less file: %v", err)
+	if err := os.Truncate(idx, st.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	torn := scrub()
+	if len(torn) != 2 || !errors.Is(torn["seg-000001@0"].Err, ErrCorrupt) {
+		t.Fatalf("after tearing the sidecar: %+v", torn)
+	}
+	first := int64(4*3 + 12) // the first record's entry: 3 sums + 12 bytes
+	if r := torn[fmt.Sprintf("seg-000001.idx@%d", first)]; !errors.Is(r.Err, ErrNoChecksum) {
+		t.Fatalf("torn sidecar tail: %+v", torn)
+	}
+
+	// A tail that checksums but lists no extents is damage too, not a record.
+	empty := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(nil, multiExtent), 0)
+	empty = binary.BigEndian.AppendUint32(empty, crc32.Checksum(empty, castagnoli))
+	if err := os.Truncate(idx, first); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(idx, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(empty)
+	f.Close()
+	if r := scrub()[fmt.Sprintf("seg-000001.idx@%d", first)]; !errors.Is(r.Err, ErrNoChecksum) {
+		t.Fatalf("extent-less sidecar entry: %+v", r)
 	}
 }
 
@@ -322,20 +361,22 @@ func TestOverwriteDefusesStaleCorruption(t *testing.T) {
 }
 
 // TestReadAtVerifyZeroAllocs pins the streaming read path's verification
-// cost: an aligned block read on the memory backend — the daemon chunk
-// pump's shape — must not allocate.
+// cost: an aligned block read — the daemon chunk pump's shape — must not
+// allocate, on either backend (the file backend reads through the open
+// segment, not a file opened per call).
 func TestReadAtVerifyZeroAllocs(t *testing.T) {
-	b := NewBackend()
-	shard := make([]byte, 16*ChecksumBlock)
-	rand.New(rand.NewSource(13)).Read(shard)
-	b.Put("obj", shard, 0, len(shard), 0)
-	buf := make([]byte, ChecksumBlock)
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := b.ReadAt("obj", buf, 4*ChecksumBlock); err != nil {
-			t.Fatal(err)
+	backendModes(t, func(t *testing.T, b *Backend) {
+		shard := make([]byte, 16*ChecksumBlock)
+		rand.New(rand.NewSource(13)).Read(shard)
+		b.Put("obj", shard, 0, len(shard), 0)
+		buf := make([]byte, ChecksumBlock)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := b.ReadAt("obj", buf, 4*ChecksumBlock); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("aligned verified ReadAt allocates %v per op, want 0", allocs)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("aligned verified ReadAt allocates %v per op, want 0", allocs)
-	}
 }

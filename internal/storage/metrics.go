@@ -17,6 +17,7 @@ type backendMetrics struct {
 	corruptions   *telemetry.Counter
 	commitLatency *telemetry.Histogram
 	stageAborts   *telemetry.Counter
+	filesCreated  *telemetry.Counter
 }
 
 func newBackendMetrics(scope *telemetry.Scope) *backendMetrics {
@@ -35,5 +36,6 @@ func newBackendMetrics(scope *telemetry.Scope) *backendMetrics {
 		corruptions:   scope.Counter("storage.backend.corruptions", "checksum verifications failed (shard quarantined)"),
 		commitLatency: scope.Histogram("storage.backend.commit_latency_ns", "wall time of stage commits"),
 		stageAborts:   scope.Counter("storage.backend.stage_aborts", "stages discarded before commit"),
+		filesCreated:  scope.Counter("storage.files_created", "files the backend created (log segments and their sidecars)"),
 	}
 }
