@@ -1,8 +1,8 @@
 package rain
 
-// Benchmarks regenerating the computational side of every paper artifact;
-// `go run ./cmd/rainbench` produces the corresponding tables. The mapping
-// from benchmarks to tables/figures is the per-experiment index in
+// Benchmarks timing the computational side of the paper artifacts; the
+// tests beside each package assert the claims themselves. The mapping from
+// benchmarks and tests to tables/figures is the per-experiment index in
 // DESIGN.md.
 
 import (

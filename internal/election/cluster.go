@@ -64,53 +64,3 @@ func (c *MeshCluster) Leaders(names []string) []string {
 	sort.Strings(out)
 	return out
 }
-
-// electNIC is the interface index reserved for election heartbeats on the
-// bare simulated network.
-const electNIC = 91
-
-// Cluster is a MeshCluster over a dedicated NIC of the simulated network:
-// heartbeats ride unreliable datagrams (the protocol tolerates loss by
-// design), and tests partition the cluster by cutting NIC links.
-type Cluster struct {
-	*MeshCluster
-	Net *sim.Network
-}
-
-// NewCluster builds one election node per name on a full mesh over net.
-func NewCluster(s *sim.Scheduler, net *sim.Network, names []string, cfg Config) *Cluster {
-	return &Cluster{
-		MeshCluster: NewMeshCluster(s, sim.NIC{Net: net, Index: electNIC}, names, cfg, nil),
-		Net:         net,
-	}
-}
-
-// Stop crashes a node (stops its heartbeats and reception, cuts links).
-func (c *Cluster) Stop(name string) {
-	c.MeshCluster.Stop(name)
-	c.Net.CutNode(name)
-}
-
-// Restart revives a stopped node.
-func (c *Cluster) Restart(name string) {
-	c.MeshCluster.Restart(name)
-	c.Net.HealNode(name)
-}
-
-// Partition cuts every link between the two groups.
-func (c *Cluster) Partition(groupA, groupB []string) {
-	for _, a := range groupA {
-		for _, b := range groupB {
-			c.Net.Cut(sim.NodeAddr(a, electNIC), sim.NodeAddr(b, electNIC))
-		}
-	}
-}
-
-// Heal restores every link between the two groups.
-func (c *Cluster) Heal(groupA, groupB []string) {
-	for _, a := range groupA {
-		for _, b := range groupB {
-			c.Net.Heal(sim.NodeAddr(a, electNIC), sim.NodeAddr(b, electNIC))
-		}
-	}
-}

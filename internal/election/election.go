@@ -13,8 +13,8 @@
 // so observers can tell re-elections apart.
 //
 // The engine is a pure state machine (Tick + OnHeartbeat); MeshNode is the
-// one driver, over any datagram mesh — a simulated NIC (Cluster), the
-// simulated RUDP mesh (MeshCluster) or UDP sockets (core.RealNode).
+// one driver, over any datagram mesh — the simulated RUDP mesh
+// (MeshCluster) or UDP sockets (core.RealNode).
 package election
 
 import (

@@ -4,14 +4,51 @@ import (
 	"testing"
 	"time"
 
+	"rain/internal/rudp"
 	"rain/internal/sim"
 )
 
-func newTestCluster(t *testing.T, names ...string) *Cluster {
+// testCluster is the election on a simulated two-path RUDP mesh. Stop and
+// Restart freeze a node's endpoint together with its engine; Partition and
+// Heal cut and restore every bundled path between two groups.
+type testCluster struct {
+	*MeshCluster
+	mesh *rudp.Mesh
+}
+
+func newTestCluster(t *testing.T, names ...string) *testCluster {
 	t.Helper()
 	s := sim.New(555)
 	net := sim.NewNetwork(s)
-	return NewCluster(s, net, names, Config{})
+	sim.ApplyProfile(net, names, 2, sim.ProfileLAN)
+	mesh, err := rudp.NewMesh(s, net, names, rudp.Config{Paths: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &testCluster{MeshCluster: NewMeshCluster(s, mesh, names, Config{}, mesh.Backlog), mesh: mesh}
+}
+
+func (c *testCluster) Stop(name string) {
+	c.MeshCluster.Stop(name)
+	c.mesh.StopNode(name)
+}
+
+func (c *testCluster) Restart(name string) {
+	c.mesh.StartNode(name)
+	c.MeshCluster.Restart(name)
+}
+
+func (c *testCluster) Partition(groupA, groupB []string) { c.setPaths(groupA, groupB, c.mesh.CutPath) }
+func (c *testCluster) Heal(groupA, groupB []string)      { c.setPaths(groupA, groupB, c.mesh.HealPath) }
+
+func (c *testCluster) setPaths(groupA, groupB []string, set func(a, b string, path int)) {
+	for _, a := range groupA {
+		for _, b := range groupB {
+			for p := 0; p < c.mesh.Paths; p++ {
+				set(a, b, p)
+			}
+		}
+	}
 }
 
 func TestUniqueLeaderFaultFree(t *testing.T) {

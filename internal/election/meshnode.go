@@ -10,9 +10,8 @@ import (
 const Service = "elect"
 
 // MeshTransport is the slice of a datagram mesh the driver needs.
-// *rudp.Endpoint (one node's RUDP, on sockets or the simulator), *rudp.Mesh
-// (N simulated endpoints) and sim.NIC (a bare simulated interface) all
-// satisfy it.
+// *rudp.Endpoint (one node's RUDP, on sockets or the simulator) and
+// *rudp.Mesh (N simulated endpoints) satisfy it.
 type MeshTransport interface {
 	Handle(node, service string, fn func(from string, payload []byte))
 	SendService(from, to, service string, payload []byte)

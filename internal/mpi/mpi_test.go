@@ -296,6 +296,49 @@ func TestDoubleLinkFailureStallsUntilRepair(t *testing.T) {
 	}
 }
 
+// TestBundledPathsAddBandwidth reproduces the bandwidth half of the claim
+// (§2.5: bundling "provides increased network bandwidth by utilizing the
+// redundant hardware"): moving 200 KiB from rank 0 to rank 1 over two bundled
+// 33 Mbps paths takes well under the one-path time (E22).
+func TestBundledPathsAddBandwidth(t *testing.T) {
+	transfer := func(paths int) time.Duration {
+		s := sim.New(8)
+		net := sim.NewNetwork(s)
+		for p := 0; p < paths; p++ {
+			net.SetLink(sim.NodeAddr("r0", p), sim.NodeAddr("r1", p),
+				sim.LinkConfig{Delay: time.Millisecond, RateMbps: 33})
+		}
+		mesh, err := rudp.NewMesh(s, net, []string{"r0", "r1"}, rudp.Config{Paths: paths, Window: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const volume = 200
+		start := s.Now()
+		err = NewRuntime(mesh).Run(2, time.Minute, func(c *Comm) {
+			if c.Rank() == 0 {
+				for i := 0; i < volume; i++ {
+					c.Send(1, 1, make([]byte, 1024))
+				}
+				c.Recv(1, 2)
+			} else {
+				for i := 0; i < volume; i++ {
+					c.Recv(0, 1)
+				}
+				c.Send(0, 2, nil)
+			}
+		})
+		if err != nil {
+			t.Fatalf("%d path(s): %v", paths, err)
+		}
+		return time.Duration(s.Now() - start)
+	}
+	one, two := transfer(1), transfer(2)
+	t.Logf("200 KiB over 1 path: %v, over 2 paths: %v (virtual)", one, two)
+	if float64(two) > 0.6*float64(one) {
+		t.Fatalf("two bundled paths took %v, over 0.6 × the one-path %v", two, one)
+	}
+}
+
 func TestRunSizeValidation(t *testing.T) {
 	rt, _ := newRuntime(t, 2, 0)
 	if err := rt.Run(0, time.Second, func(*Comm) {}); err == nil {

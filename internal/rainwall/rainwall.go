@@ -381,19 +381,6 @@ func (c *Cluster) ThroughputMbps() float64 {
 	return total / elapsed
 }
 
-// PerGatewayMbps returns processed throughput per gateway.
-func (c *Cluster) PerGatewayMbps() map[string]float64 {
-	elapsed := time.Duration(c.S.Now() - c.trafficAt).Seconds()
-	out := map[string]float64{}
-	if elapsed <= 0 {
-		return out
-	}
-	for gw, m := range c.processed {
-		out[gw] = m / elapsed
-	}
-	return out
-}
-
 // DroppedMbits returns the traffic dropped so far (fail-over windows and
 // over-capacity).
 func (c *Cluster) DroppedMbits() float64 { return c.dropped }

@@ -6,7 +6,8 @@
 // pulling cables and powering off boxes were the fault injectors. Here the
 // same protocol code runs over a simulated network whose links can be cut,
 // healed, delayed, and made lossy at scripted virtual times, so every
-// experiment in EXPERIMENTS.md is exactly repeatable from a seed.
+// experiment test in DESIGN.md's per-experiment index is exactly repeatable
+// from a seed.
 //
 // The simulator is intentionally single-threaded: events execute one at a
 // time in (time, sequence) order, which makes protocol interleavings

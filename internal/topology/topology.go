@@ -7,14 +7,11 @@
 // diameter construction of Construction 2.1 / Fig 5 (provably tolerant of
 // any 3 faults with at most min(n, 6) nodes lost, and optimal in that no
 // dc=2 construction tolerates arbitrary 4 faults), its generalisation to
-// higher node degree, and exhaustive/sampled fault-injection analysis used
-// by experiments E1-E3.
+// higher node degree, and the exhaustive fault-injection analysis used by
+// experiments E1-E3.
 package topology
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Element identifies a failable element of the topology.
 type ElementKind int
@@ -327,13 +324,8 @@ func (t *Topology) WorstCase(elems []Element, f int) (worst Result, witness []El
 		if depth == f {
 			r := t.Evaluate(NewFaultSet(chosen...))
 			if r.NodesLost > worst.NodesLost || witness == nil {
-				if r.NodesLost > worst.NodesLost {
-					worst = r
-					witness = append([]Element(nil), chosen...)
-				} else if witness == nil {
-					worst = r
-					witness = append([]Element(nil), chosen...)
-				}
+				worst = r
+				witness = append([]Element(nil), chosen...)
 			}
 			return
 		}
@@ -351,29 +343,4 @@ func (t *Topology) WorstCase(elems []Element, f int) (worst Result, witness []El
 func (t *Topology) SwitchElements() []Element {
 	elems := t.Elements()
 	return elems[:t.Switches]
-}
-
-// SampleWorstCase estimates the worst-case NodesLost over fault sets of size
-// f via `samples` uniform random draws; used where exhaustive enumeration is
-// too expensive (e.g. 4 faults over all elements of a large topology).
-func (t *Topology) SampleWorstCase(elems []Element, f, samples int, rng *rand.Rand) (worst Result, witness []Element) {
-	idx := make([]int, len(elems))
-	for i := range idx {
-		idx[i] = i
-	}
-	chosen := make([]Element, f)
-	for s := 0; s < samples; s++ {
-		// Partial Fisher-Yates for a uniform f-subset.
-		for j := 0; j < f; j++ {
-			k := j + rng.Intn(len(idx)-j)
-			idx[j], idx[k] = idx[k], idx[j]
-			chosen[j] = elems[idx[j]]
-		}
-		r := t.Evaluate(NewFaultSet(chosen...))
-		if r.NodesLost > worst.NodesLost || witness == nil {
-			worst = r
-			witness = append(witness[:0], chosen...)
-		}
-	}
-	return worst, append([]Element(nil), witness...)
 }

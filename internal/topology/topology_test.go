@@ -235,16 +235,6 @@ func TestInvalidParameters(t *testing.T) {
 	}
 }
 
-func TestSampleWorstCaseNeverExceedsExhaustive(t *testing.T) {
-	top := mustDiameter(t, RingFabric, 10, 10)
-	exact, _ := top.WorstCase(top.SwitchElements(), 3)
-	rng := rand.New(rand.NewSource(5))
-	sampled, _ := top.SampleWorstCase(top.SwitchElements(), 3, 500, rng)
-	if sampled.NodesLost > exact.NodesLost {
-		t.Fatalf("sampled worst %d exceeds exhaustive worst %d", sampled.NodesLost, exact.NodesLost)
-	}
-}
-
 func TestQuickEvaluateInvariants(t *testing.T) {
 	top := mustDiameter(t, RingFabric, 12, 12)
 	elems := top.Elements()

@@ -3,6 +3,12 @@ package rain
 import (
 	"bytes"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -186,6 +192,87 @@ func TestFacadePlacedCluster(t *testing.T) {
 		got, err := cl.Get(id)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s after hot swap: %v", id, err)
+		}
+	}
+}
+
+// TestExperimentIndexNamesTests keeps DESIGN.md's per-experiment index
+// honest: every backticked Test/Benchmark/Fuzz name in its table is a
+// function declared in some _test.go of the module, and every experiment
+// E1-E23 sits in a row that names at least one test.
+func TestExperimentIndexNamesTests(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, index, ok := strings.Cut(string(design), "\n## Per-experiment index\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no per-experiment index")
+	}
+	index, _, _ = strings.Cut(index, "\n## ")
+
+	declared := map[string]bool{}
+	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range funcRE.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	nameRE := regexp.MustCompile(`^(Test|Benchmark|Fuzz)\w*$`)
+	tickRE := regexp.MustCompile("`([^`]+)`")
+	idRE := regexp.MustCompile(`E(\d+)(?:-E(\d+))?`)
+	tested := map[int]bool{}
+	for _, row := range strings.Split(index, "\n") {
+		cells := strings.Split(row, "|")
+		if len(cells) < 4 {
+			continue
+		}
+		namesTest := false
+		for _, m := range tickRE.FindAllStringSubmatch(strings.Join(cells[2:], "|"), -1) {
+			name := m[1]
+			if !strings.HasPrefix(name, "Test") && !strings.HasPrefix(name, "Benchmark") && !strings.HasPrefix(name, "Fuzz") {
+				continue
+			}
+			if !nameRE.MatchString(name) || !declared[name] {
+				t.Errorf("index names %q, which no _test.go declares", name)
+			}
+			namesTest = namesTest || strings.HasPrefix(name, "Test")
+		}
+		if !namesTest {
+			continue
+		}
+		for _, m := range idRE.FindAllStringSubmatch(cells[1], -1) {
+			lo, _ := strconv.Atoi(m[1])
+			hi := lo
+			if m[2] != "" {
+				hi, _ = strconv.Atoi(m[2])
+			}
+			for e := lo; e <= hi; e++ {
+				tested[e] = true
+			}
+		}
+	}
+	for e := 1; e <= 23; e++ {
+		if !tested[e] {
+			t.Errorf("experiment E%d has no index row naming a test", e)
 		}
 	}
 }
