@@ -16,6 +16,7 @@ func backendModes(t *testing.T, fn func(t *testing.T, b *Backend)) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { b.Close() })
 		fn(t, b)
 	})
 }

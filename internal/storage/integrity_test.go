@@ -214,6 +214,7 @@ func TestWipeDropsQuarantineAndStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer b.Close()
 	shard := make([]byte, 2*ChecksumBlock)
 	rand.New(rand.NewSource(9)).Read(shard)
 	b.Put("keep", shard, 0, len(shard), 0)
