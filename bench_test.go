@@ -16,6 +16,7 @@ import (
 	"rain/internal/ecc"
 	"rain/internal/linkstate"
 	"rain/internal/membership"
+	"rain/internal/rudp"
 	"rain/internal/sim"
 	"rain/internal/topology"
 )
@@ -515,8 +516,14 @@ func BenchmarkLinkStateProtocol(b *testing.B) {
 // revolution of a 4-node ring (Fig 9a dynamics).
 func BenchmarkMembershipTokenRound(b *testing.B) {
 	s := sim.New(5)
-	net := sim.NewNetwork(s)
-	c := membership.NewCluster(s, net, []string{"A", "B", "C", "D"}, membership.Config{})
+	names := []string{"A", "B", "C", "D"}
+	conn := rudp.Config{Paths: 2}
+	mesh, err := rudp.NewMesh(s, sim.NewNetwork(s), names, conn)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mcfg := membership.MeshConfig{AckTimeout: membership.AckTimeout(conn, sim.DefaultLink.Delay)}
+	c := membership.NewMeshCluster(s, mesh, names, mcfg)
 	s.RunFor(500 * time.Millisecond)
 	b.ResetTimer()
 	start := c.Members["A"].TokenVisits()

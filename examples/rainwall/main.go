@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"sort"
 	"time"
 
@@ -24,7 +25,10 @@ func main() {
 	}
 	vips[2].Sticky, vips[2].Preferred = true, "gw3" // pin vip2 to gw3
 
-	c := rainwall.New(s, net, gateways, vips, rainwall.Config{})
+	c, err := rainwall.New(s, net, gateways, vips, rainwall.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, l := range loads {
 		c.SetVIPLoad(fmt.Sprintf("vip%d", i), l)
 	}

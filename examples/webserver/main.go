@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"rain/internal/membership"
@@ -16,10 +17,13 @@ func main() {
 	s := sim.New(2024)
 	net := sim.NewNetwork(s)
 	names := []string{"web1", "web2", "web3", "web4"}
-	cluster := snow.New(s, net, names, snow.Config{
+	cluster, err := snow.New(s, net, names, snow.Config{
 		Membership: membership.Config{Detection: membership.Aggressive},
 		MaxPerHold: 4,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	s.RunFor(500 * time.Millisecond) // ring settles
 
 	fmt.Println("submitting 120 requests round-robin across the 4 servers...")
@@ -33,7 +37,7 @@ func main() {
 	for _, n := range names {
 		if !cluster.M.Members[n].HasToken() {
 			fmt.Println("killing", n, "mid-run")
-			cluster.M.Stop(n)
+			cluster.Stop(n)
 			break
 		}
 	}

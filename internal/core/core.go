@@ -212,7 +212,7 @@ func New(nodes []string, opts Options) (*Platform, error) {
 	// private NICs.
 	mcfg := membership.MeshConfig{
 		Config:     membership.Config{Detection: opts.Detection},
-		AckTimeout: ackTimeout(rcfg, opts.LinkDelay),
+		AckTimeout: membership.AckTimeout(rcfg, opts.LinkDelay),
 	}
 	ecfg := election.Config{}
 	if opts.LinkDelay > 5*time.Millisecond {

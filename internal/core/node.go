@@ -151,7 +151,7 @@ func (n *RealNode) build(cfg NodeConfig) error {
 	// Membership and election over the real mesh. The engines are the same
 	// state machines the simulated cluster runs; liveness shortcuts come
 	// from the mesh's handshake state.
-	mcfg := membership.MeshConfig{AckTimeout: ackTimeout(cfg.Conn, 0)}
+	mcfg := membership.MeshConfig{AckTimeout: membership.AckTimeout(cfg.Conn, 0)}
 	n.Membership = membership.NewMeshNode(s, mesh, cfg.Name, []string{cfg.Name}, mcfg, mesh.PeerUp)
 	peers := make([]string, 0, len(cfg.Ring)-1)
 	for _, p := range cfg.Ring {

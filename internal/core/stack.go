@@ -8,7 +8,6 @@ import (
 	"rain/internal/ecc"
 	"rain/internal/election"
 	"rain/internal/membership"
-	"rain/internal/rudp"
 	"rain/internal/sim"
 	"rain/internal/storage"
 )
@@ -180,20 +179,4 @@ func defaultCode(n int) (ecc.Code, error) {
 		return nil, fmt.Errorf("core: no default code for %d nodes: %w", n, err)
 	}
 	return c, nil
-}
-
-// ackTimeout derives the membership driver's per-attempt ack deadline from
-// the transport it rides, for both assemblies. The deadline must outlast the
-// mesh's own retransmission timer, not just the round trip: the transport is
-// reliable, so a lost frame costs one RTO of latency, not delivery. An
-// attempt deadline shorter than the RTO turns every single loss into a
-// burned attempt — and three in a row into a false death vote, which the
-// clients' view-based liveness filter then turns into unreadable objects
-// sitting at bare quorum.
-func ackTimeout(conn rudp.Config, linkDelay time.Duration) time.Duration {
-	rto := conn.RTO
-	if rto == 0 {
-		rto = rudp.DefaultRTO
-	}
-	return 2*rto + 2*linkDelay + 10*time.Millisecond
 }

@@ -38,15 +38,13 @@ func (c *testCluster) Restart(name string) {
 	c.MeshCluster.Restart(name)
 }
 
-func (c *testCluster) Partition(groupA, groupB []string) { c.setPaths(groupA, groupB, c.mesh.CutPath) }
-func (c *testCluster) Heal(groupA, groupB []string)      { c.setPaths(groupA, groupB, c.mesh.HealPath) }
+func (c *testCluster) Partition(groupA, groupB []string) { c.setLinks(groupA, groupB, c.mesh.CutLink) }
+func (c *testCluster) Heal(groupA, groupB []string)      { c.setLinks(groupA, groupB, c.mesh.HealLink) }
 
-func (c *testCluster) setPaths(groupA, groupB []string, set func(a, b string, path int)) {
+func (c *testCluster) setLinks(groupA, groupB []string, set func(a, b string)) {
 	for _, a := range groupA {
 		for _, b := range groupB {
-			for p := 0; p < c.mesh.Paths; p++ {
-				set(a, b, p)
-			}
+			set(a, b)
 		}
 	}
 }

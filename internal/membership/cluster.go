@@ -2,16 +2,15 @@ package membership
 
 import (
 	"sort"
-	"time"
 
 	"rain/internal/sim"
 )
 
 // MeshCluster is a whole membership ring in one address space: N MeshNodes
-// on a shared transport and scheduler, plus the cluster-wide queries tests
-// and core.Platform ask. Stop and Restart only freeze the engines; cutting
-// the node's links is the transport owner's business (core.Platform crashes
-// a node by stopping the whole mesh endpoint).
+// on a shared mesh (a rudp.Mesh) and scheduler, plus the cluster-wide
+// queries tests, the applications and core.Platform ask. Stop and Restart
+// only freeze the engines; cutting the node's links is the mesh owner's
+// business (a crash also stops the node's mesh endpoint).
 type MeshCluster struct {
 	S *sim.Scheduler
 
@@ -120,50 +119,4 @@ func (c *MeshCluster) TokenHolders() []string {
 		}
 	}
 	return out
-}
-
-// mbrNIC is the interface index reserved for membership traffic on the bare
-// simulated network, so the protocol coexists with RUDP data paths
-// (0..paths-1) on the same nodes.
-const mbrNIC = 90
-
-// Cluster is a MeshCluster over a dedicated NIC of the simulated network —
-// the substrate for Fig 9 and the 911 scenarios, where tests cut individual
-// membership links. The NIC neither retransmits nor orders, so the driver's
-// attempt deadline only has to cover a round trip.
-type Cluster struct {
-	*MeshCluster
-	Net *sim.Network
-}
-
-// NewCluster builds nodes for every name (in initial ring order) on net
-// and hands the initial token to names[0].
-func NewCluster(s *sim.Scheduler, net *sim.Network, names []string, cfg Config) *Cluster {
-	mcfg := MeshConfig{Config: cfg, AckTimeout: 25 * time.Millisecond, Retries: 2}
-	return &Cluster{
-		MeshCluster: NewMeshCluster(s, sim.NIC{Net: net, Index: mbrNIC}, names, mcfg),
-		Net:         net,
-	}
-}
-
-// Stop freezes a node and severs its links: a crash.
-func (c *Cluster) Stop(name string) {
-	c.MeshCluster.Stop(name)
-	c.Net.CutNode(name)
-}
-
-// Restart revives a stopped node (process resume).
-func (c *Cluster) Restart(name string) {
-	c.MeshCluster.Restart(name)
-	c.Net.HealNode(name)
-}
-
-// CutLink severs the (single) membership link between two nodes.
-func (c *Cluster) CutLink(a, b string) {
-	c.Net.Cut(sim.NodeAddr(a, mbrNIC), sim.NodeAddr(b, mbrNIC))
-}
-
-// HealLink restores the link between two nodes.
-func (c *Cluster) HealLink(a, b string) {
-	c.Net.Heal(sim.NodeAddr(a, mbrNIC), sim.NodeAddr(b, mbrNIC))
 }

@@ -26,9 +26,9 @@
 // hook.
 //
 // Node is a pure state machine: inputs are messages, clock ticks and
-// transport acknowledgements. MeshNode is the one driver, over any datagram
-// mesh — a simulated NIC (Cluster), the simulated RUDP mesh (MeshCluster) or
-// UDP sockets (core.RealNode).
+// transport acknowledgements. MeshNode is the one driver, over RUDP — the
+// simulated mesh (MeshCluster: the Fig 9 tests, SNOW, Rainwall,
+// core.Platform) or UDP sockets (core.RealNode).
 package membership
 
 import (

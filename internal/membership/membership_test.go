@@ -4,18 +4,64 @@ import (
 	"testing"
 	"time"
 
+	"rain/internal/rudp"
 	"rain/internal/sim"
 )
 
-func newTestCluster(t *testing.T, det Detection, names ...string) *Cluster {
-	t.Helper()
-	s := sim.New(1312)
-	net := sim.NewNetwork(s)
-	// Fast timers keep simulated scenarios short: 20ms hold, 1s starve.
-	return NewCluster(s, net, names, Config{Detection: det})
+// testCluster is the ring on a simulated two-path RUDP mesh, the transport
+// every deployed node runs it on. Stop and Restart freeze a node's endpoint
+// together with its engine (a crash, then a process resume); tests pull a
+// pair's cables with mesh.CutLink. Standby nodes sit on the mesh powered off
+// until Join.
+type testCluster struct {
+	*MeshCluster
+	mesh *rudp.Mesh
 }
 
-func wantConsensus(t *testing.T, c *Cluster, want []string) {
+// newRing builds the ring over names, links configured as link, with the
+// driver's ack deadline derived from the mesh's timers.
+func newRing(t *testing.T, seed int64, det Detection, link sim.LinkConfig, names []string, standby ...string) *testCluster {
+	t.Helper()
+	s := sim.New(seed)
+	net := sim.NewNetwork(s)
+	all := append(append([]string(nil), names...), standby...)
+	sim.ApplyProfile(net, all, 2, link)
+	conn := rudp.Config{Paths: 2}
+	mesh, err := rudp.NewMesh(s, net, all, conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := MeshConfig{Config: Config{Detection: det}, AckTimeout: AckTimeout(conn, link.Delay)}
+	c := &testCluster{MeshCluster: NewMeshCluster(s, mesh, names, cfg), mesh: mesh}
+	for _, sb := range standby {
+		c.AddStandby(sb)
+		mesh.StopNode(sb)
+	}
+	return c
+}
+
+func newTestCluster(t *testing.T, det Detection, names ...string) *testCluster {
+	t.Helper()
+	return newRing(t, 1312, det, sim.ProfileLAN, names)
+}
+
+func (c *testCluster) Stop(name string) {
+	c.MeshCluster.Stop(name)
+	c.mesh.StopNode(name)
+}
+
+func (c *testCluster) Restart(name string) {
+	c.mesh.StartNode(name)
+	c.MeshCluster.Restart(name)
+}
+
+// Join powers a standby up and asks seed to admit it.
+func (c *testCluster) Join(name, seed string) *Node {
+	c.mesh.StartNode(name)
+	return c.MeshCluster.Join(name, seed)
+}
+
+func wantConsensus(t *testing.T, c *testCluster, want []string) {
 	t.Helper()
 	view, ok := c.ConsensusView()
 	if !ok {
@@ -76,7 +122,7 @@ func TestFig9bAggressiveLinkFailure(t *testing.T) {
 			excluded = true
 		}
 	})
-	c.CutLink("A", "B")
+	c.mesh.CutLink("A", "B")
 	c.S.RunFor(2 * time.Second)
 	if !excluded {
 		t.Fatal("aggressive detection never excluded the partially disconnected node B")
@@ -104,7 +150,7 @@ func TestFig9cConservativeLinkFailure(t *testing.T) {
 			}
 		})
 	}
-	c.CutLink("A", "B")
+	c.mesh.CutLink("A", "B")
 	c.S.RunFor(4 * time.Second)
 	if bExcluded {
 		t.Fatal("conservative detection excluded a partially disconnected node")
@@ -121,6 +167,41 @@ func TestFig9cConservativeLinkFailure(t *testing.T) {
 	c.S.RunFor(2 * time.Second)
 	if c.Members["B"].TokenVisits() == before {
 		t.Fatal("token stopped visiting B after reorder")
+	}
+}
+
+// TestSinglePathCutInvisibleToRing: the ring rides the bundled mesh, so
+// pulling one of the two cables between every pair is masked below it
+// (§2.5): no view changes, no regeneration, the token keeps circulating.
+// Only a pair that loses both cables (Fig 9b/9c) reaches the protocol.
+func TestSinglePathCutInvisibleToRing(t *testing.T) {
+	names := []string{"A", "B", "C", "D"}
+	for _, det := range []Detection{Aggressive, Conservative} {
+		c := newTestCluster(t, det, names...)
+		c.S.RunFor(time.Second)
+		changes := 0
+		for _, n := range names {
+			c.Members[n].OnMembershipChange(func([]string) { changes++ })
+		}
+		for i, a := range names {
+			for _, b := range names[i+1:] {
+				c.mesh.CutPath(a, b, 0)
+			}
+		}
+		before := c.Members["D"].TokenVisits()
+		c.S.RunFor(4 * time.Second)
+		if changes != 0 {
+			t.Fatalf("det=%v: %d view changes after a single-path cut", det, changes)
+		}
+		wantConsensus(t, c, names)
+		for _, n := range names {
+			if c.Members[n].Regenerations() != 0 {
+				t.Fatalf("det=%v: %s regenerated the token", det, n)
+			}
+		}
+		if c.Members["D"].TokenVisits() <= before {
+			t.Fatalf("det=%v: token stopped circulating", det)
+		}
 	}
 }
 
@@ -205,10 +286,12 @@ func TestTokenRegeneration(t *testing.T) {
 	}
 }
 
-// TestDynamicJoin: a brand-new node joins via 911 (E11, §3.3.2).
+// TestDynamicJoin: a brand-new node, provisioned powered off on the mesh,
+// joins via 911 (E11, §3.3.2).
 func TestDynamicJoin(t *testing.T) {
-	c := newTestCluster(t, Aggressive, "A", "B", "C")
+	c := newRing(t, 1312, Aggressive, sim.ProfileLAN, []string{"A", "B", "C"}, "E")
 	c.S.RunFor(time.Second)
+	wantConsensus(t, c, []string{"A", "B", "C"}) // the powered-off E is not a member
 	c.Join("E", "B")
 	c.S.RunFor(5 * time.Second)
 	wantConsensus(t, c, []string{"A", "B", "C", "E"})
@@ -289,7 +372,7 @@ func TestPartitionFormsIndependentComponents(t *testing.T) {
 	// Partition {A,B} | {C,D}.
 	for _, x := range []string{"A", "B"} {
 		for _, y := range []string{"C", "D"} {
-			c.CutLink(x, y)
+			c.mesh.CutLink(x, y)
 		}
 	}
 	c.S.RunFor(8 * time.Second)

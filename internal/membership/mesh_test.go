@@ -9,22 +9,6 @@ import (
 	"rain/internal/sim"
 )
 
-// testAckTimeout outlasts two of rudp's default 40ms retransmission timers
-// plus a LAN round trip — the bound core derives for the same transport.
-const testAckTimeout = 90 * time.Millisecond
-
-func meshFixture(t *testing.T, names []string, cfg MeshConfig) (*sim.Scheduler, *rudp.Mesh, *MeshCluster) {
-	t.Helper()
-	s := sim.New(11)
-	net := sim.NewNetwork(s)
-	sim.ApplyProfile(net, names, 2, sim.ProfileLAN)
-	mesh, err := rudp.NewMesh(s, net, names, rudp.Config{Paths: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, mesh, NewMeshCluster(s, mesh, names, cfg)
-}
-
 func TestWireRoundTrip(t *testing.T) {
 	msgs := []any{
 		&Token{Seq: 42, Ring: []string{"a", "b", "c"}, Failures: map[string]int{"b": 1}, Payload: []byte("state")},
@@ -57,79 +41,6 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMeshClusterConsensus runs the ring as a live mesh service: all nodes
-// converge on one view with a single circulating token.
-func TestMeshClusterConsensus(t *testing.T) {
-	names := []string{"a", "b", "c", "d", "e"}
-	s, _, c := meshFixture(t, names, MeshConfig{AckTimeout: testAckTimeout})
-	s.RunFor(2 * time.Second)
-	view, ok := c.ConsensusView()
-	if !ok || len(view) != len(names) {
-		t.Fatalf("no consensus on full ring: %v ok=%v", view, ok)
-	}
-	if h := c.TokenHolders(); len(h) > 1 {
-		t.Fatalf("multiple token holders: %v", h)
-	}
-}
-
-// TestMeshClusterCrashAndRejoin crashes a node at the mesh level (endpoint
-// stopped, links cut), expects the survivors to excise it, then revives it
-// and expects the 911 rejoin to readmit it.
-func TestMeshClusterCrashAndRejoin(t *testing.T) {
-	names := []string{"a", "b", "c", "d", "e"}
-	s, mesh, c := meshFixture(t, names, MeshConfig{AckTimeout: testAckTimeout})
-	s.RunFor(time.Second)
-
-	c.Stop("d")
-	mesh.StopNode("d")
-	s.RunFor(3 * time.Second)
-	view, ok := c.ConsensusView()
-	if !ok || len(view) != 4 {
-		t.Fatalf("survivors did not converge on 4 nodes: %v ok=%v", view, ok)
-	}
-	for _, v := range view {
-		if v == "d" {
-			t.Fatalf("dead node still in view %v", view)
-		}
-	}
-
-	mesh.StartNode("d")
-	c.Restart("d")
-	s.RunFor(5 * time.Second)
-	view, ok = c.ConsensusView()
-	if !ok || len(view) != 5 {
-		t.Fatalf("revived node did not rejoin: %v ok=%v", view, ok)
-	}
-}
-
-// TestMeshClusterStandbyJoin provisions a powered-off node, joins it through
-// a seed member, and expects the whole ring to admit it.
-func TestMeshClusterStandbyJoin(t *testing.T) {
-	names := []string{"a", "b", "c", "d", "standby"}
-	s := sim.New(12)
-	net := sim.NewNetwork(s)
-	sim.ApplyProfile(net, names, 2, sim.ProfileLAN)
-	mesh, err := rudp.NewMesh(s, net, names, rudp.Config{Paths: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewMeshCluster(s, mesh, names[:4], MeshConfig{AckTimeout: testAckTimeout})
-	c.AddStandby("standby")
-	mesh.StopNode("standby")
-	s.RunFor(time.Second)
-	if view, ok := c.ConsensusView(); !ok || len(view) != 4 {
-		t.Fatalf("pre-join consensus: %v ok=%v", view, ok)
-	}
-
-	mesh.StartNode("standby")
-	c.Join("standby", "b")
-	s.RunFor(5 * time.Second)
-	view, ok := c.ConsensusView()
-	if !ok || len(view) != 5 {
-		t.Fatalf("standby did not join: %v ok=%v", view, ok)
-	}
-}
-
 // TestMeshNodeRestartRejoins is a process restart as peers see it: node c
 // lives long enough to send a few hundred messages, dies, is excised, and a
 // brand-new driver for c (fresh engine, fresh id counter) asks to join. The
@@ -141,11 +52,12 @@ func TestMeshNodeRestartRejoins(t *testing.T) {
 	s := sim.New(13)
 	net := sim.NewNetwork(s)
 	sim.ApplyProfile(net, names, 2, sim.ProfileLAN)
-	mesh, err := rudp.NewMesh(s, net, names, rudp.Config{Paths: 2})
+	conn := rudp.Config{Paths: 2}
+	mesh, err := rudp.NewMesh(s, net, names, conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := MeshConfig{AckTimeout: testAckTimeout}
+	cfg := MeshConfig{AckTimeout: AckTimeout(conn, sim.ProfileLAN.Delay)}
 	nodes := map[string]*MeshNode{}
 	for _, n := range names {
 		nodes[n] = NewMeshNode(s, mesh, n, names, cfg, nil)

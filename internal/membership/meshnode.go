@@ -3,6 +3,7 @@ package membership
 import (
 	"time"
 
+	"rain/internal/rudp"
 	"rain/internal/sim"
 )
 
@@ -13,9 +14,8 @@ import (
 const Service = "mbr"
 
 // MeshTransport is the slice of a datagram mesh the driver needs.
-// *rudp.Endpoint (one node's RUDP, on sockets or the simulator), *rudp.Mesh
-// (N simulated endpoints) and sim.NIC (a bare simulated interface) all
-// satisfy it.
+// *rudp.Endpoint (one node's RUDP, on sockets or the simulator) and
+// *rudp.Mesh (N simulated endpoints) satisfy it.
 type MeshTransport interface {
 	Handle(node, service string, fn func(from string, payload []byte))
 	SendService(from, to, service string, payload []byte)
@@ -28,26 +28,37 @@ type MeshConfig struct {
 	// handshake. Required: it must outlast the transport's own
 	// retransmission timer plus a round trip, or every frame the transport
 	// recovers reads as a failed attempt — whoever assembles the transport
-	// knows that bound, so there is no default. Delivery to a dead or
-	// partitioned peer stalls forever on a reliable mesh; this timeout turns
-	// the stall into the protocol's failure-detection signal.
+	// knows that bound, so there is no default (AckTimeout derives it for
+	// RUDP). Delivery to a dead or partitioned peer stalls forever on a
+	// reliable mesh; this timeout turns the stall into the protocol's
+	// failure-detection signal.
 	AckTimeout time.Duration
-	// Retries is how many times an unacked attempt is re-sent before the
-	// transport reports failure (default 2: three attempts in all).
-	Retries int
 }
 
-func (c MeshConfig) withDefaults() MeshConfig {
-	c.Config = c.Config.withDefaults()
-	if c.Retries == 0 {
-		c.Retries = 2
+// retries is how many times an unacked attempt is re-sent before the
+// driver reports failure: three attempts in all.
+const retries = 2
+
+// AckTimeout derives MeshConfig.AckTimeout for a driver riding RUDP with
+// config conn over links of one-way delay linkDelay, for every assembly:
+// 2×RTO + 2×link delay + 10 ms. The deadline must outlast the mesh's own
+// retransmission timer, not just the round trip: the transport is reliable,
+// so a lost frame costs one RTO of latency, not delivery. An attempt
+// deadline shorter than the RTO turns every single loss into a burned
+// attempt — and three in a row into a false death vote, which the clients'
+// view-based liveness filter then turns into unreadable objects sitting at
+// bare quorum.
+func AckTimeout(conn rudp.Config, linkDelay time.Duration) time.Duration {
+	rto := conn.RTO
+	if rto == 0 {
+		rto = rudp.DefaultRTO
 	}
-	return c
+	return 2*rto + 2*linkDelay + 10*time.Millisecond
 }
 
 // dedupWindow is how many of a sender's most recent message ids a receiver
 // remembers. A duplicate is a retry of an unacked attempt, so it trails its
-// original by at most Retries × AckTimeout — a handful of messages.
+// original by at most retries × AckTimeout — a handful of messages.
 const dedupWindow = 64
 
 // recentIDs is one sender's dedup window: a ring of the last ids processed.
@@ -100,11 +111,12 @@ func NewMeshNode(s *sim.Scheduler, mesh MeshTransport, name string, ring []strin
 	if cfg.AckTimeout <= 0 {
 		panic("membership: MeshConfig.AckTimeout is required")
 	}
+	cfg.Config = cfg.Config.withDefaults()
 	m := &MeshNode{
 		s:    s,
 		mesh: mesh,
 		name: name,
-		cfg:  cfg.withDefaults(),
+		cfg:  cfg,
 		// Message ids must never repeat across this sender's incarnations:
 		// peers remember the ids they processed and ack-and-drop a repeat,
 		// which would silence a restarted process until its counter overtook
@@ -174,7 +186,7 @@ func (m *MeshNode) Send(to string, msg any, done func(ok bool)) {
 		if finished {
 			return
 		}
-		budget := m.cfg.Retries
+		budget := retries
 		if m.peerUp != nil && !m.peerUp(to) {
 			budget = 0
 		}

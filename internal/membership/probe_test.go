@@ -15,7 +15,7 @@ func TestProbeMergesSplitRings(t *testing.T) {
 	// Hard partition {A,B} | {C,D}.
 	for _, x := range []string{"A", "B"} {
 		for _, y := range []string{"C", "D"} {
-			c.CutLink(x, y)
+			c.mesh.CutLink(x, y)
 		}
 	}
 	c.S.RunFor(8 * time.Second)
@@ -23,7 +23,7 @@ func TestProbeMergesSplitRings(t *testing.T) {
 	// partition test); heal and wait for the probes to reconcile.
 	for _, x := range []string{"A", "B"} {
 		for _, y := range []string{"C", "D"} {
-			c.HealLink(x, y)
+			c.mesh.HealLink(x, y)
 		}
 	}
 	c.S.RunFor(30 * time.Second)

@@ -8,20 +8,17 @@ import (
 	"rain/internal/sim"
 )
 
-// lossyCluster builds a cluster whose membership links drop packets with
-// probability loss — exercising the retry/ack transport and the 911
-// machinery under an unreliable network, the regime §3 is designed for.
-func lossyCluster(t *testing.T, det Detection, loss float64, names ...string) *Cluster {
+// lossyCluster builds a cluster whose links drop packets with probability
+// loss — exercising the ack/retry driver, the transport's retransmission
+// and the 911 machinery under an unreliable network, the regime §3 is
+// designed for.
+func lossyCluster(t *testing.T, det Detection, loss float64, names ...string) *testCluster {
 	t.Helper()
-	s := sim.New(777)
-	net := sim.NewNetwork(s)
-	for i, a := range names {
-		for _, b := range names[i+1:] {
-			net.SetLink(sim.NodeAddr(a, mbrNIC), sim.NodeAddr(b, mbrNIC),
-				sim.LinkConfig{Delay: time.Millisecond, Jitter: time.Millisecond, Loss: loss})
-		}
-	}
-	return NewCluster(s, net, names, Config{Detection: det})
+	return newRing(t, 777, det, lossyLink(loss), names)
+}
+
+func lossyLink(loss float64) sim.LinkConfig {
+	return sim.LinkConfig{Delay: time.Millisecond, Jitter: time.Millisecond, Loss: loss}
 }
 
 func TestConsensusUnderModerateLoss(t *testing.T) {
@@ -46,19 +43,10 @@ func TestEventualRecoveryUnderHeavyLossBurst(t *testing.T) {
 	// membership.
 	c := lossyCluster(t, Aggressive, 0, "A", "B", "C", "D")
 	c.S.RunFor(time.Second)
-	for i, a := range []string{"A", "B", "C", "D"} {
-		for _, b := range []string{"A", "B", "C", "D"}[i+1:] {
-			c.Net.SetLink(sim.NodeAddr(a, mbrNIC), sim.NodeAddr(b, mbrNIC),
-				sim.LinkConfig{Delay: time.Millisecond, Loss: 0.6})
-		}
-	}
+	names := []string{"A", "B", "C", "D"}
+	sim.ApplyProfile(c.mesh.Net, names, c.mesh.Paths, sim.LinkConfig{Delay: time.Millisecond, Loss: 0.6})
 	c.S.RunFor(5 * time.Second) // chaos
-	for i, a := range []string{"A", "B", "C", "D"} {
-		for _, b := range []string{"A", "B", "C", "D"}[i+1:] {
-			c.Net.SetLink(sim.NodeAddr(a, mbrNIC), sim.NodeAddr(b, mbrNIC),
-				sim.LinkConfig{Delay: time.Millisecond})
-		}
-	}
+	sim.ApplyProfile(c.mesh.Net, names, c.mesh.Paths, sim.LinkConfig{Delay: time.Millisecond})
 	c.S.RunFor(20 * time.Second) // recover
 	view, ok := c.ConsensusView()
 	if !ok || len(view) != 4 {
@@ -107,7 +95,7 @@ func TestLargerRing(t *testing.T) {
 }
 
 func TestTwoSimultaneousJoins(t *testing.T) {
-	c := lossyCluster(t, Aggressive, 0, "A", "B", "C")
+	c := newRing(t, 777, Aggressive, lossyLink(0), []string{"A", "B", "C"}, "X", "Y")
 	c.S.RunFor(time.Second)
 	c.Join("X", "A")
 	c.Join("Y", "B")

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"rain/internal/membership"
+	"rain/internal/rudp"
 	"rain/internal/sim"
 )
 
@@ -120,11 +121,14 @@ type Gateway struct {
 // Name returns the gateway's identity.
 func (g *Gateway) Name() string { return g.name }
 
-// Cluster is a running Rainwall deployment over the simulated network.
+// Cluster is a running Rainwall deployment: the gateways' membership ring
+// runs as a service on a simulated RUDP mesh, two bundled paths per pair
+// (the paper's testbed layout) — the transport a deployed node runs it on.
 type Cluster struct {
-	S   *sim.Scheduler
-	M   *membership.Cluster
-	cfg Config
+	S    *sim.Scheduler
+	M    *membership.MeshCluster
+	mesh *rudp.Mesh
+	cfg  Config
 
 	gateways map[string]*Gateway
 	order    []string
@@ -141,12 +145,19 @@ type Cluster struct {
 	events    []FailoverEvent
 }
 
-// New builds a Rainwall cluster with the given gateways and VIP pool.
-func New(s *sim.Scheduler, net *sim.Network, gateways []string, vips []VIP, cfg Config) *Cluster {
+// New builds a Rainwall cluster with the given gateways and VIP pool on net.
+func New(s *sim.Scheduler, net *sim.Network, gateways []string, vips []VIP, cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
+	conn := rudp.Config{Paths: 2}
+	mesh, err := rudp.NewMesh(s, net, gateways, conn)
+	if err != nil {
+		return nil, err
+	}
+	mcfg := membership.MeshConfig{Config: cfg.Membership, AckTimeout: membership.AckTimeout(conn, sim.DefaultLink.Delay)}
 	c := &Cluster{
 		S:         s,
-		M:         membership.NewCluster(s, net, gateways, cfg.Membership),
+		M:         membership.NewMeshCluster(s, mesh, gateways, mcfg),
+		mesh:      mesh,
 		cfg:       cfg,
 		gateways:  make(map[string]*Gateway),
 		order:     append([]string(nil), gateways...),
@@ -179,7 +190,7 @@ func New(s *sim.Scheduler, net *sim.Network, gateways []string, vips []VIP, cfg 
 		s.After(50*time.Millisecond, poll)
 	}
 	s.After(0, poll)
-	return c
+	return c, nil
 }
 
 // SetVIPLoad sets the offered load in Mbps for one VIP.
@@ -197,11 +208,13 @@ func (c *Cluster) Assignments() map[string]string {
 // Events returns all recorded ownership changes in order.
 func (c *Cluster) Events() []FailoverEvent { return append([]FailoverEvent(nil), c.events...) }
 
-// KillGateway crashes a gateway (cluster failure detection will migrate its
+// KillGateway crashes a gateway: its membership engine and mesh endpoint
+// freeze and its links are cut (cluster failure detection will migrate its
 // VIPs).
 func (c *Cluster) KillGateway(name string) {
 	c.killed[name] = true
 	c.M.Stop(name)
+	c.mesh.StopNode(name)
 }
 
 // RecoverGateway brings a crashed gateway back; it rejoins via the 911
@@ -210,6 +223,7 @@ func (c *Cluster) RecoverGateway(name string) {
 	c.killed[name] = false
 	d := c.gateways[name].Detector
 	d.NICUp, d.FirewallUp, d.RemotePingOK = true, true, true
+	c.mesh.StartNode(name)
 	c.M.Restart(name)
 }
 

@@ -16,7 +16,6 @@ var zipfLoads = []float64{100, 70, 50, 30, 20, 15, 10, 5} // total 300 Mbps
 func newTestCluster(t *testing.T, gateways int, sticky bool) *Cluster {
 	t.Helper()
 	s := sim.New(616)
-	net := sim.NewNetwork(s)
 	names := make([]string, gateways)
 	for i := range names {
 		names[i] = fmt.Sprintf("gw%d", i+1)
@@ -29,7 +28,10 @@ func newTestCluster(t *testing.T, gateways int, sticky bool) *Cluster {
 			vips[i].Preferred = names[0]
 		}
 	}
-	c := New(s, net, names, vips, Config{})
+	c, err := New(s, sim.NewNetwork(s), names, vips, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, l := range zipfLoads {
 		c.SetVIPLoad(fmt.Sprintf("vip%d", i), l)
 	}

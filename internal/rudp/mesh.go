@@ -175,6 +175,21 @@ func (m *Mesh) HealPath(a, b string, path int) {
 	m.Net.Heal(sim.NodeAddr(a, path), sim.NodeAddr(b, path))
 }
 
+// CutLink severs every bundled path between two nodes: the pair can no
+// longer talk directly, while each still reaches everyone else.
+func (m *Mesh) CutLink(a, b string) {
+	for p := 0; p < m.Paths; p++ {
+		m.CutPath(a, b, p)
+	}
+}
+
+// HealLink restores every path between two nodes.
+func (m *Mesh) HealLink(a, b string) {
+	for p := 0; p < m.Paths; p++ {
+		m.HealPath(a, b, p)
+	}
+}
+
 // StopNode freezes a node: its endpoint stops ticking, transmitting,
 // receiving and delivering, and its links are cut so in-flight traffic
 // dies. Peers see every path to it go Down, probe it with hellos and shed

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 	"time"
 )
 
@@ -73,9 +72,6 @@ func NewNetwork(s *Scheduler) *Network {
 		links:    make(map[linkKey]*linkState),
 	}
 }
-
-// Scheduler returns the scheduler driving this network.
-func (n *Network) Scheduler() *Scheduler { return n.s }
 
 // Attach registers the packet handler for an endpoint, replacing any
 // previous handler.
@@ -156,17 +152,12 @@ func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
 // Delivery (or silent loss) happens via the scheduler according to the link
 // config. Sending to an unknown endpoint is a silent drop, like UDP.
 func (n *Network) Send(from, to Addr, payload any) {
-	n.SendSized(from, to, payload, 0)
+	n.SendSizedDone(from, to, payload, 0, nil)
 }
 
-// SendSized queues a datagram of the given size in bytes; on rate-limited
-// links packets serialize back to back at the configured capacity before
-// incurring the propagation delay.
-func (n *Network) SendSized(from, to Addr, payload any, size int) {
-	n.SendSizedDone(from, to, payload, size, nil)
-}
-
-// SendSizedDone is SendSized with a completion hook: done (when non-nil) is
+// SendSizedDone queues a datagram of the given size in bytes; on
+// rate-limited links packets serialize back to back at the configured
+// capacity before incurring the propagation delay. done (when non-nil) is
 // called exactly once when the packet leaves the network — after its handler
 // returns, or at the moment it is dropped. Senders whose payloads alias
 // reusable buffers use it to know when the network no longer references the
@@ -227,29 +218,4 @@ func (n *Network) SendSizedDone(from, to Addr, payload any, size int, done func(
 // dropped, and dropped due to cut links.
 func (n *Network) Stats() (sent, delivered, dropped, cutDropped int64) {
 	return n.sent, n.delivered, n.dropped, n.cutDropped
-}
-
-// NIC carries one protocol's byte datagrams between nodes over a dedicated
-// interface index of the network: unreliable and unordered, exactly like the
-// Send underneath. It has the Handle/SendService shape the membership and
-// election drivers run on, so the same driver that rides the RUDP mesh runs
-// over a bare simulated NIC whose links tests cut by address. The service
-// name is ignored — one NIC carries one service.
-type NIC struct {
-	Net   *Network
-	Index int
-}
-
-// Handle attaches fn as node's receiver on this NIC.
-func (n NIC) Handle(node, service string, fn func(from string, payload []byte)) {
-	n.Net.Attach(NodeAddr(node, n.Index), func(p Packet) {
-		from := string(p.From)
-		fn(from[:strings.LastIndexByte(from, ':')], p.Payload.([]byte))
-	})
-}
-
-// SendService sends one datagram from node to node on this NIC. Receivers
-// see the sender's slice, so senders must not mutate a payload after sending.
-func (n NIC) SendService(from, to, service string, payload []byte) {
-	n.Net.Send(NodeAddr(from, n.Index), NodeAddr(to, n.Index), payload)
 }

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 
 	"rain/internal/membership"
+	"rain/internal/rudp"
 	"rain/internal/sim"
 )
 
@@ -102,9 +103,12 @@ func (s *Server) onHold(tok *membership.Token) {
 	}
 }
 
-// Cluster is a running SNOW deployment over the simulated network.
+// Cluster is a running SNOW deployment: the servers' membership ring runs
+// as a service on a simulated RUDP mesh, two bundled paths per pair (the
+// paper's testbed layout) — the transport a deployed node runs it on.
 type Cluster struct {
-	M       *membership.Cluster
+	M       *membership.MeshCluster
+	mesh    *rudp.Mesh
 	Servers map[string]*Server
 	cfg     Config
 
@@ -112,13 +116,20 @@ type Cluster struct {
 	onReply func(server, reqID string)
 }
 
-// New builds a SNOW cluster of the named servers.
-func New(s *sim.Scheduler, net *sim.Network, names []string, cfg Config) *Cluster {
+// New builds a SNOW cluster of the named servers on net.
+func New(s *sim.Scheduler, net *sim.Network, names []string, cfg Config) (*Cluster, error) {
 	if cfg.MaxPerHold == 0 {
 		cfg.MaxPerHold = 4
 	}
+	conn := rudp.Config{Paths: 2}
+	mesh, err := rudp.NewMesh(s, net, names, conn)
+	if err != nil {
+		return nil, err
+	}
+	mcfg := membership.MeshConfig{Config: cfg.Membership, AckTimeout: membership.AckTimeout(conn, sim.DefaultLink.Delay)}
 	c := &Cluster{
-		M:       membership.NewCluster(s, net, names, cfg.Membership),
+		M:       membership.NewMeshCluster(s, mesh, names, mcfg),
+		mesh:    mesh,
 		Servers: make(map[string]*Server),
 		cfg:     cfg,
 		replies: make(map[string][]string),
@@ -128,7 +139,14 @@ func New(s *sim.Scheduler, net *sim.Network, names []string, cfg Config) *Cluste
 		c.Servers[name] = srv
 		c.M.Members[name].OnHold(srv.onHold)
 	}
-	return c
+	return c, nil
+}
+
+// Stop crashes a server: its membership engine and mesh endpoint freeze and
+// its links are cut, so the ring excludes it and its inbox is lost.
+func (c *Cluster) Stop(name string) {
+	c.M.Stop(name)
+	c.mesh.StopNode(name)
 }
 
 // OnReply registers an observer invoked for every reply (server, request).

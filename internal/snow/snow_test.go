@@ -12,8 +12,11 @@ import (
 func newTestCluster(t *testing.T, names ...string) *Cluster {
 	t.Helper()
 	s := sim.New(808)
-	net := sim.NewNetwork(s)
-	return New(s, net, names, Config{MaxPerHold: 4})
+	c, err := New(s, sim.NewNetwork(s), names, Config{MaxPerHold: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func submitBatch(c *Cluster, names []string, n int, prefix string) []string {
@@ -80,7 +83,7 @@ func TestServerFailureDoesNotDuplicate(t *testing.T) {
 			break
 		}
 	}
-	c.M.Stop(victim)
+	c.Stop(victim)
 	c.M.S.RunFor(10 * time.Second)
 	replies := c.Replies()
 	for _, id := range ids {
@@ -96,7 +99,7 @@ func TestContinuousServiceAcrossFailure(t *testing.T) {
 	names := []string{"A", "B", "C", "D"}
 	c := newTestCluster(t, names...)
 	c.M.S.RunFor(500 * time.Millisecond)
-	c.M.Stop("D")
+	c.Stop("D")
 	c.M.S.RunFor(3 * time.Second) // membership reconfigures to {A,B,C}
 	live := []string{"A", "B", "C"}
 	ids := submitBatch(c, live, 90, "late")
@@ -150,7 +153,10 @@ func TestMembershipConfigPassthrough(t *testing.T) {
 	s := sim.New(9)
 	net := sim.NewNetwork(s)
 	cfg := Config{Membership: membership.Config{Detection: membership.Conservative}, MaxPerHold: 2}
-	c := New(s, net, []string{"A", "B"}, cfg)
+	c, err := New(s, net, []string{"A", "B"}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.RunFor(time.Second)
 	c.Submit("A", "one")
 	s.RunFor(2 * time.Second)
