@@ -53,8 +53,8 @@ type Options struct {
 	// LinkDelay and LinkLoss configure every simulated link.
 	LinkDelay time.Duration
 	LinkLoss  float64
-	// BlockSize is the block-codeword size for the streaming store
-	// operations (PutStream/GetStream); 0 takes the dstore default.
+	// BlockSize is the block-codeword size every put writes (Put and
+	// PutStream alike); 0 takes the dstore default.
 	BlockSize int
 	// StorageDir, when set, gives every node a file-backed shard store
 	// under StorageDir/<node> instead of the in-memory backend, so stored

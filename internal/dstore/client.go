@@ -19,7 +19,7 @@ const (
 	DefaultChunkSize = 32 << 10
 	// DefaultWindow bounds un-acked chunks in flight per peer transfer.
 	DefaultWindow = 4
-	// DefaultBlockSize is the block-codeword size for streaming puts: the
+	// DefaultBlockSize is the block-codeword size every put writes: the
 	// unit of independent decode, and the granularity at which retrieves
 	// and rebuilds bound their memory.
 	DefaultBlockSize = 64 << 10
@@ -38,8 +38,9 @@ const (
 var (
 	// ErrNotEnoughDaemons reports fewer than k shards stored or retrieved.
 	ErrNotEnoughDaemons = errors.New("dstore: quorum not reached")
-	// ErrUnknownSize reports a retrieve whose first chunk carried no object
-	// length — a malformed reply; every stored entry records one.
+	// ErrUnknownSize reports a retrieve or rebuild whose first chunk or
+	// inventory entry carried no usable layout — a negative object length or
+	// a block length below one. Every stored entry records both.
 	ErrUnknownSize = errors.New("dstore: object size unknown")
 	// ErrUnknownPeer reports a rebuild target that is not in the peer set.
 	ErrUnknownPeer = errors.New("dstore: unknown peer")
@@ -91,7 +92,7 @@ type Config struct {
 	// directions: put transfers stop sending and get streams stop being fed
 	// by the daemon when the window is full.
 	Window int
-	// BlockSize is the block-codeword size used by PutStream.
+	// BlockSize is the block-codeword size every put writes.
 	BlockSize int
 	// RebuildBudget bounds concurrent rebuild/rebalance memory in bytes:
 	// objects are pipelined while the sum of their block × n buffer costs
@@ -161,13 +162,6 @@ type Client struct {
 	pending map[uint64]func(m Msg)
 	loads   map[string]int // per-peer requests issued, for LeastLoaded
 
-	// encScratch is the reusable shard buffer set for whole-object puts on
-	// BufferEncoder codes; safe to reuse because offer() copies chunks into
-	// pooled frames before returning.
-	encScratch [][]byte
-	// encShards is the reusable per-put shard slice header set (the shard
-	// byte buffers live in encScratch or alias the caller's data).
-	encShards [][]byte
 	// streamBufs recycles shard-stream receive windows across get operations.
 	streamBufs [][]byte
 	// resultBufs recycles whole-object assembly buffers across GetAsync
@@ -339,818 +333,6 @@ func (c *Client) send(to string, m Msg) {
 	c.mesh.SendFrame(c.node, to, ServiceDaemon, m.MarshalFrame())
 }
 
-// getStreamBuf takes a recycled receive window, or nil for a fresh start.
-func (c *Client) getStreamBuf() []byte {
-	if n := len(c.streamBufs); n > 0 {
-		b := c.streamBufs[n-1]
-		c.streamBufs = c.streamBufs[:n-1]
-		return b[:0]
-	}
-	return nil
-}
-
-// putStreamBuf returns a receive window to the recycle list.
-func (c *Client) putStreamBuf(b []byte) {
-	if cap(b) > 0 && len(c.streamBufs) < 16 {
-		c.streamBufs = append(c.streamBufs, b)
-	}
-}
-
-// getResultBuf takes a recycled assembly buffer, or nil for a fresh start;
-// the writer grows it by append.
-func (c *Client) getResultBuf() []byte {
-	if n := len(c.resultBufs); n > 0 {
-		b := c.resultBufs[n-1]
-		c.resultBufs = c.resultBufs[:n-1]
-		return b[:0]
-	}
-	return nil
-}
-
-// putResultBuf returns an assembly buffer to the recycle list.
-func (c *Client) putResultBuf(b []byte) {
-	if cap(b) > 0 && len(c.resultBufs) < 4 {
-		c.resultBufs = append(c.resultBufs, b)
-	}
-}
-
-// resultWriter assembles a decoded object in a client-pooled buffer.
-type resultWriter struct{ buf []byte }
-
-func (w *resultWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-// ---- retrieve / rebuild: windowed shard streams into a block sink ----
-
-// blockSink consumes one block codeword's worth of shard pieces at a time:
-// ecc.StreamDecoder on retrieves, ecc.ShardRebuilder on rebuilds.
-type blockSink interface {
-	NextBlock(shards [][]byte) error
-}
-
-// objMeta is the layout metadata of one stored object, learned from the
-// first get chunk (retrieves) or the survivor inventory (rebuilds).
-type objMeta struct {
-	shardLen int64
-	dataLen  int64
-	blockLen int64 // 0 = single whole-object codeword
-}
-
-// blockSize returns the effective block-codeword size: the recorded block
-// length, or the whole object for the single-codeword layout.
-func (m objMeta) blockSize() int {
-	if m.blockLen > 0 {
-		return int(m.blockLen)
-	}
-	if m.dataLen > 0 {
-		return int(m.dataLen)
-	}
-	return 1
-}
-
-// shardStream is one windowed shard read within a streamGetOp. peerIdx is
-// the shard index the stream delivers; it starts as the placement's
-// expectation for peer and is re-pointed at the daemon's recorded index if
-// the first chunk reports a different one (a not-yet-rebalanced entry).
-type shardStream struct {
-	peer      string // daemon node serving the stream
-	peerIdx   int
-	req       uint64
-	pos       int64  // stream offset of the first unconsumed byte
-	buf       []byte // receive window; unconsumed bytes are buf[off:]
-	off       int    // consumed prefix of buf
-	lastAck   int64
-	progress  sim.Time // virtual time of the last chunk received
-	confirmed bool     // a chunk arrived: peerIdx is the daemon's real index
-	complete  bool     // delivered and fully consumed by the decoder
-	dead      bool     // the daemon answered with an error
-	hedged    bool     // a spare was already issued on this stream's behalf
-	spare     bool     // this stream itself was issued beyond the first k
-	credited  bool     // the stream's bytes have fed a decode (hedge won)
-}
-
-// bytes returns the buffered, not-yet-consumed bytes.
-func (st *shardStream) bytes() []byte { return st.buf[st.off:] }
-
-// size returns the buffered, not-yet-consumed byte count.
-func (st *shardStream) size() int64 { return int64(len(st.buf) - st.off) }
-
-// appendReclaim appends p to a stream buffer whose unconsumed bytes are
-// buf[off:] — the one rule both directions' stream buffers follow (a get's
-// shardStream, a put's PutFeed). Consuming is an O(1) offset bump; the
-// consumed prefix is reclaimed, the tail moved to the front, only when p
-// would not otherwise fit; and a buffer that must still grow grows to what
-// it holds, but at least to bound bytes, never to a multiple of it. The
-// allocation therefore steadies at the flow-control bound instead of growing
-// with the stream.
-func appendReclaim(buf []byte, off int, p []byte, bound int) ([]byte, int) {
-	if off == len(buf) {
-		buf, off = buf[:0], 0
-	} else if off > 0 && len(buf)+len(p) > cap(buf) {
-		n := copy(buf, buf[off:])
-		buf, off = buf[:n], 0
-	}
-	if need := len(buf) + len(p); need > cap(buf) {
-		grown := make([]byte, len(buf), max(need, bound))
-		copy(grown, buf)
-		buf = grown
-	}
-	return append(buf, p...), off
-}
-
-// drop consumes n buffered bytes from the front.
-func (st *shardStream) drop(n int64) {
-	st.off += int(n)
-	st.pos += n
-	if st.off == len(st.buf) {
-		st.buf, st.off = st.buf[:0], 0
-	}
-}
-
-// deliveredTo reports whether the stream has received every byte through
-// the end of the shard stream (it may still hold bytes the decoder has not
-// consumed). Such a stream will never produce another chunk, so it neither
-// stalls nor hedges.
-func (st *shardStream) deliveredTo(shardLen int64) bool {
-	return st.pos+st.size() >= shardLen
-}
-
-// streamGetOp drives a block-wise retrieve or rebuild: ranked windowed shard
-// streams from a k-subset of daemons, hedging to spares on stalls or errors,
-// each block codeword handed to the sink the moment k pieces of it have
-// assembled. Consumed bytes are acked back to the daemons (the per-stream
-// flow control), so no participant ever buffers more than a window beyond
-// the decode frontier.
-type streamGetOp struct {
-	c       *Client
-	id      string
-	peers   []string // shard i is expected on peers[i]; "" = unknown holder
-	exclude map[int]bool
-
-	// mkSink builds the block consumer once the object layout is known;
-	// ready (nil = always) gates decoding on downstream backpressure. finish
-	// drops them, the sink and done: a finished op holds no payload.
-	mkSink   func(meta objMeta, dataLen int64) (blockSink, error)
-	ready    func() bool
-	done     func(meta objMeta, err error)
-	deadline sim.Timer // OpTimeout, stopped at finish
-
-	meta     objMeta
-	haveMeta bool
-	dataLen  int64 // object length, from meta
-	sink     blockSink
-	blocks   int64
-	nextBlk  int64
-	consumed int64 // stream offset of the decode frontier
-
-	// Ranged retrieves decode only blocks [startBlk, limitBlk): with a
-	// layout hint the shard streams are requested from startBlk's offset
-	// (never touching the prefix), and the op finishes — cancelling daemon
-	// sessions — once limitBlk is decoded. Without a range, limitBlk is the
-	// block count.
-	rng      *getRange
-	startBlk int64
-	limitBlk int64
-
-	candidates []int
-	cursor     int
-	streams    []*shardStream
-	lastErr    string
-	notFound   int // dead streams whose daemon answered "object not found"
-	deadOther  int // dead streams with any other error
-	corrupt    int // dead streams killed by a corruption NAK (subset of deadOther)
-	finished   bool
-	firstK     bool
-	trace      *telemetry.Trace
-}
-
-// getRange is the byte range a retrieve is asked for: [off, end), with
-// end < 0 meaning through the end of the object. nil means everything.
-type getRange struct {
-	off int64
-	end int64
-}
-
-// startStreamGet launches the state machine over the object's placement
-// (peers[i] holds shard i). If metaHint is non-nil the layout is known up
-// front (rebuild, from the inventory; ranged gets, from the caller's
-// metadata record) and decoding can begin without waiting for a first
-// chunk. rank, when non-nil, overrides the policy ranking of candidate
-// shard indices — the rebuild pipeline injects its survivor-load spreading
-// there. rng, when non-nil, bounds decoding to the blocks covering that
-// byte range; combined with a metaHint the shard streams start at the
-// range's first block, so the prefix never crosses the wire.
-func (c *Client) startStreamGet(id string, peers []string, exclude map[int]bool, metaHint *objMeta, rank func() []int, trace *telemetry.Trace, rng *getRange,
-	mkSink func(objMeta, int64) (blockSink, error), ready func() bool, done func(objMeta, error)) *streamGetOp {
-	op := &streamGetOp{
-		c:       c,
-		id:      id,
-		peers:   peers,
-		exclude: exclude,
-		mkSink:  mkSink,
-		ready:   ready,
-		done:    done,
-		rng:     rng,
-		trace:   trace,
-	}
-	if rank != nil {
-		op.candidates = rank()
-	} else {
-		op.candidates = c.rank(peers, exclude)
-	}
-	if metaHint != nil {
-		if err := op.setMeta(*metaHint); err != nil {
-			op.finish(err)
-			return op
-		}
-		if op.nextBlk >= op.limitBlk {
-			op.finish(nil) // empty or past-the-end range: nothing to fetch
-			return op
-		}
-	}
-	need := c.cfg.Code.K()
-	for i := 0; i < need && op.cursor < len(op.candidates); i++ {
-		op.issueNext()
-	}
-	op.tryDecode() // zero-block objects finish without any traffic
-	op.failIfStuck()
-	// The deadline covers stale liveness views: candidates that never
-	// answer and never error (crashed peers) are only resolved by time.
-	if !op.finished {
-		op.deadline = c.s.After(c.cfg.OpTimeout, func() {
-			op.finish(fmt.Errorf("%w: %d of %d blocks decoded (%w)", ErrNotEnoughDaemons, op.nextBlk, op.blocks, ErrTimeout))
-		})
-	}
-	return op
-}
-
-// winChunks is the flow-control window the daemons are asked to keep in
-// flight: enough for a whole block piece plus the configured window, so the
-// decode frontier always has a full piece arriving behind it.
-func (op *streamGetOp) winChunks() int32 {
-	chunk := op.c.cfg.ChunkSize
-	win := op.c.cfg.Window
-	if op.haveMeta {
-		piece := op.c.cfg.Code.ShardSize(op.meta.blockSize())
-		win += (piece + chunk - 1) / chunk
-	}
-	return int32(win)
-}
-
-// setMeta fixes the object layout and builds the sink. Called from the first
-// chunk of whichever stream answers first, or up front from an inventory
-// hint.
-func (op *streamGetOp) setMeta(meta objMeta) error {
-	if meta.dataLen < 0 {
-		return fmt.Errorf("%w: %s", ErrUnknownSize, op.id)
-	}
-	op.meta = meta
-	op.haveMeta = true
-	op.dataLen = meta.dataLen
-	op.blocks = ecc.StreamBlocks(op.dataLen, op.meta.blockSize())
-	op.limitBlk = op.blocks
-	if op.rng != nil {
-		bs := int64(op.meta.blockSize())
-		if len(op.streams) == 0 && op.rng.off > 0 {
-			// Layout known before any stream was issued: start the streams
-			// (and the decode frontier) at the range's first block. Once
-			// streams are in flight at offset 0 skipping is no longer safe —
-			// the un-hinted path decodes from the front and trims instead.
-			op.startBlk = op.rng.off / bs
-			if op.startBlk > op.blocks {
-				op.startBlk = op.blocks
-			}
-			op.nextBlk = op.startBlk
-			op.consumed = ecc.StreamShardOff(op.c.cfg.Code, int(bs), op.startBlk)
-		}
-		end := op.dataLen
-		if op.rng.end >= 0 && op.rng.end < end {
-			end = op.rng.end
-		}
-		op.limitBlk = (end + bs - 1) / bs
-		if op.limitBlk > op.blocks {
-			op.limitBlk = op.blocks
-		}
-		if op.limitBlk < op.nextBlk {
-			op.limitBlk = op.nextBlk
-		}
-	}
-	sink, err := op.mkSink(op.meta, op.dataLen)
-	if err != nil {
-		return err
-	}
-	op.sink = sink
-	return nil
-}
-
-// issueNext sends a windowed GetReq to the next unused candidate, starting
-// at the current decode frontier (spares never re-fetch decoded blocks).
-func (op *streamGetOp) issueNext() {
-	if op.finished || op.cursor >= len(op.candidates) {
-		return
-	}
-	idx := op.candidates[op.cursor]
-	op.cursor++
-	peer := op.peers[idx]
-	op.c.loads[peer]++
-	op.c.nextReq++
-	st := &shardStream{peer: peer, peerIdx: idx, req: op.c.nextReq, pos: op.consumed, lastAck: op.consumed, progress: op.c.s.Now(), buf: op.c.getStreamBuf(),
-		spare: len(op.streams) >= op.c.cfg.Code.K()}
-	op.trace.Event(op.c.nowNS(), "shard_fanout", peer, int64(idx))
-	op.streams = append(op.streams, st)
-	op.c.pending[st.req] = func(m Msg) { op.onChunk(st, m) }
-	op.c.send(peer, Msg{Kind: KindGetReq, Req: st.req, ID: op.id, Off: op.consumed, Win: op.winChunks()})
-	op.watch(st)
-}
-
-// watch re-arms a stall timer on the stream: a hedge fires only when no
-// chunk has arrived for ReqTimeout (a slow-but-flowing stream is left
-// alone), and at most once per stream. The stalled request itself stays
-// outstanding in case its chunks straggle in later.
-func (op *streamGetOp) watch(st *shardStream) {
-	op.c.s.After(op.c.cfg.ReqTimeout, func() {
-		if op.finished || st.complete || st.dead || st.hedged {
-			return
-		}
-		if op.haveMeta && st.deliveredTo(op.meta.shardLen) {
-			return // fully delivered; the decoder is waiting on other streams
-		}
-		if op.c.s.Now()-st.progress >= sim.Time(op.c.cfg.ReqTimeout) {
-			op.hedge(st)
-			op.failIfStuck()
-			return
-		}
-		op.watch(st)
-	})
-}
-
-// hedge issues a spare stream on st's behalf (stall, error or duplicate
-// index). The hedge only counts as fired when a spare candidate actually
-// exists to issue.
-func (op *streamGetOp) hedge(st *shardStream) {
-	st.hedged = true
-	if !op.finished && op.cursor < len(op.candidates) {
-		op.c.met.hedgesFired.Inc()
-		op.trace.Event(op.c.nowNS(), "hedge_fire", st.peer, int64(st.peerIdx))
-	}
-	op.issueNext()
-}
-
-// failIfStuck fails the op early once no outstanding stream can still
-// deliver bytes and no spare candidates remain — e.g. every daemon answered
-// "object not found" — instead of waiting out the deadline.
-func (op *streamGetOp) failIfStuck() {
-	if op.finished || op.cursor < len(op.candidates) {
-		return
-	}
-	if op.ready != nil && !op.ready() {
-		return // decode is paused on downstream backpressure, not starved
-	}
-	for _, st := range op.streams {
-		if st.dead || st.complete {
-			continue
-		}
-		if !op.haveMeta || !st.deliveredTo(op.meta.shardLen) {
-			return // still in flight (possibly stalled; the deadline rules)
-		}
-		// Fully delivered but unconsumed: this stream can make no further
-		// progress on its own.
-	}
-	if op.notFound > 0 && op.deadOther == 0 && !op.firstK {
-		// Every daemon that answered said it has no shard, nothing was ever
-		// decoded: the object does not exist (vs. a quorum problem, where
-		// holders are down or erroring and a retry later could succeed).
-		op.finish(fmt.Errorf("%w: %s", ErrNotFound, op.id))
-		return
-	}
-	if op.corrupt > 0 {
-		// At least one holder NAKed with verified corruption and the read
-		// still could not assemble k pieces: the object exists but is
-		// unreadable right now. Name it — the gateway's 502 body carries
-		// this text to the caller — and distinguish it from a plain quorum
-		// failure, which a retry against healthy holders could fix.
-		op.finish(fmt.Errorf("%w: %s (%d corrupt, %d failed, %d of %d blocks)",
-			ErrCorrupt, op.id, op.corrupt, op.deadOther, op.nextBlk, op.blocks))
-		return
-	}
-	detail := op.lastErr
-	if detail == "" {
-		detail = fmt.Sprintf("no reachable daemons (%d of %d blocks)", op.nextBlk, op.blocks)
-	}
-	op.finish(fmt.Errorf("%w: %s", ErrNotEnoughDaemons, detail))
-}
-
-func (op *streamGetOp) onChunk(st *shardStream, m Msg) {
-	if op.finished || st.complete || st.dead {
-		return
-	}
-	if m.Err == "" && int(m.Shard) != st.peerIdx {
-		// The daemon holds a different shard index than the placement map
-		// expects — an entry an unfinished rebalance has not moved yet. The
-		// chunk states its true index, and any k distinct indices decode,
-		// so adopt the reported index while the stream is still fresh
-		// (nothing buffered or consumed under the old one). An index
-		// outside the code, one this operation must not read (a rebuild's
-		// own target), or one another stream has already confirmed kills
-		// the stream instead — a duplicate would complete without feeding
-		// the decoder and, being "fully delivered", would never hedge to
-		// the spare that has the piece actually needed. (Unconfirmed
-		// streams don't block adoption: their placement-guessed index may
-		// itself be wrong.)
-		idx := int(m.Shard)
-		adopt := idx >= 0 && idx < op.c.cfg.Code.N() && !op.exclude[idx] && st.size() == 0 && !st.complete
-		if adopt {
-			for _, other := range op.streams {
-				if other != st && !other.dead && other.confirmed && other.peerIdx == idx {
-					adopt = false
-					break
-				}
-			}
-		}
-		if adopt {
-			st.peerIdx = idx
-		} else {
-			m.Err = fmt.Sprintf("dstore: %s holds shard %d of %s, expected %d",
-				st.peer, m.Shard, op.id, st.peerIdx)
-		}
-	}
-	if m.Err != "" {
-		st.dead = true
-		op.lastErr = m.Err
-		if isNotFoundText(m.Err) {
-			op.notFound++
-		} else {
-			// Corruption is an erasure, not an absence: the holder HAS the
-			// slot, its bytes just failed verification (and are quarantined
-			// there). Counting it as deadOther keeps failIfStuck from
-			// concluding "object does not exist", and the hedge below swaps
-			// in a survivor or reconstructs from parity. The repair queue
-			// re-creates the bad shard in place asynchronously.
-			op.deadOther++
-			if isCorruptText(m.Err) {
-				op.corrupt++
-				op.c.met.corruptNaks.Inc()
-				op.trace.Event(op.c.nowNS(), "corrupt_nak", st.peer, int64(st.peerIdx))
-				op.c.queueRepair(op.id, st.peerIdx, st.peer)
-			}
-		}
-		delete(op.c.pending, st.req)
-		// Cancel the daemon session: for locally-synthesized errors (index
-		// conflicts) the daemon is healthy and mid-stream, and even a
-		// daemon-reported mid-stream error leaves its get session
-		// registered until the orphan sweep. Cancelling an already-gone
-		// session is a no-op.
-		op.c.send(st.peer, Msg{Kind: KindGetAck, Req: st.req, ID: op.id, Off: -1})
-		if !st.hedged {
-			op.hedge(st)
-		}
-		op.failIfStuck()
-		return
-	}
-	if m.Off != st.pos+st.size() {
-		return // out-of-protocol chunk; RUDP is FIFO so this is a stale req
-	}
-	st.progress = op.c.s.Now()
-	st.confirmed = true
-	for _, other := range op.streams {
-		if other == st || other.dead || !other.confirmed || other.peerIdx != st.peerIdx {
-			continue
-		}
-		// Another stream already delivers this shard index (two placement
-		// slots resolved to entries with the same index). A redundant
-		// stream must not linger: fully delivered, it would neither stall
-		// nor hedge, silently starving the decoder of a spare that has a
-		// piece it actually needs.
-		st.dead = true
-		op.deadOther++
-		delete(op.c.pending, st.req)
-		op.c.send(st.peer, Msg{Kind: KindGetAck, Req: st.req, ID: op.id, Off: -1})
-		if !st.hedged {
-			op.hedge(st)
-		}
-		op.failIfStuck()
-		return
-	}
-	if !op.haveMeta {
-		if err := op.setMeta(objMeta{shardLen: m.ShardLen, dataLen: m.DataLen, blockLen: m.BlockLen}); err != nil {
-			op.finish(err)
-			return
-		}
-		// The layout may demand a larger window than the initial request
-		// asked for (a whole piece must fit): refresh every live stream's
-		// window with an immediate ack.
-		op.ackStreams(true)
-	}
-	st.buf, st.off = appendReclaim(st.buf, st.off, m.Data, int(op.winChunks())*op.c.cfg.ChunkSize)
-	op.advance(st)
-	op.tryDecode()
-	if !op.finished {
-		op.failIfStuck()
-	}
-}
-
-// advance drops the stream's buffered bytes that fall behind the decode
-// frontier (blocks already decoded from other streams) and marks streams
-// that have delivered and drained through the end of the shard stream.
-func (op *streamGetOp) advance(st *shardStream) {
-	if st.pos < op.consumed {
-		drop := op.consumed - st.pos
-		if drop > st.size() {
-			drop = st.size()
-		}
-		st.drop(drop)
-	}
-	if op.haveMeta && !st.complete && st.pos >= op.meta.shardLen {
-		st.complete = true
-		delete(op.c.pending, st.req)
-		if st.lastAck < op.meta.shardLen {
-			// Final credit: coalesced acks may not have covered the tail, and
-			// the daemon only closes the get session once the whole stream is
-			// both sent and acknowledged.
-			st.lastAck = op.meta.shardLen
-			op.c.send(st.peer, Msg{Kind: KindGetAck, Req: st.req, ID: op.id, Off: op.meta.shardLen, Win: op.winChunks()})
-		}
-	}
-}
-
-// ackStreams sends flow-control credits, coalesced: a live stream is acked
-// once the decode frontier has advanced half a window past its last credit
-// (half keeps the daemon's pipe full with half the return traffic), or
-// unconditionally with force (a window refresh after the layout is learned).
-// Streams that complete get their final credit in advance.
-func (op *streamGetOp) ackStreams(force bool) {
-	win := op.winChunks()
-	half := int64(win) * int64(op.c.cfg.ChunkSize) / 2
-	for _, st := range op.streams {
-		if st.dead || st.complete {
-			continue
-		}
-		if (op.consumed > st.lastAck && op.consumed-st.lastAck >= half) || force {
-			st.lastAck = op.consumed
-			op.c.send(st.peer, Msg{Kind: KindGetAck, Req: st.req, ID: op.id, Off: op.consumed, Win: win})
-		}
-	}
-}
-
-// tryDecode hands block codewords to the sink while k pieces of the current
-// block are buffered (and downstream is ready for more), advancing the
-// frontier and acking the daemons for each consumed block.
-func (op *streamGetOp) tryDecode() {
-	if op.finished || !op.haveMeta {
-		return
-	}
-	code := op.c.cfg.Code
-	shards := make([][]byte, code.N())
-	var used []*shardStream
-	for op.nextBlk < op.limitBlk {
-		if op.ready != nil && !op.ready() {
-			op.c.met.creditStalls.Inc()
-			return
-		}
-		pieceLen := int64(code.ShardSize(ecc.StreamBlockLen(op.dataLen, op.meta.blockSize(), op.nextBlk)))
-		have := 0
-		for i := range shards {
-			shards[i] = nil
-		}
-		used = used[:0]
-		for _, st := range op.streams {
-			if st.dead || shards[st.peerIdx] != nil {
-				continue
-			}
-			if st.pos == op.consumed && st.size() >= pieceLen {
-				shards[st.peerIdx] = st.bytes()[:pieceLen]
-				used = append(used, st)
-				have++
-			}
-		}
-		if have < code.K() {
-			return
-		}
-		if !op.firstK {
-			op.firstK = true
-			op.trace.Event(op.c.nowNS(), "first_k", "", int64(have))
-		}
-		for _, st := range used {
-			if st.spare && !st.credited {
-				st.credited = true
-				op.c.met.hedgesWon.Inc()
-				op.trace.Event(op.c.nowNS(), "hedge_won", st.peer, int64(st.peerIdx))
-			}
-		}
-		if err := op.sink.NextBlock(shards); err != nil {
-			op.finish(err)
-			return
-		}
-		op.trace.Event(op.c.nowNS(), "decode", "", op.nextBlk)
-		op.consumed += pieceLen
-		op.nextBlk++
-		for _, st := range op.streams {
-			op.advance(st)
-		}
-		op.ackStreams(false)
-	}
-	if op.nextBlk >= op.limitBlk {
-		op.finish(nil)
-	}
-}
-
-// resumeDecode is the downstream backpressure hook: a rebuild's outgoing
-// transfer calls it as acks drain its backlog.
-func (op *streamGetOp) resumeDecode() {
-	if !op.finished {
-		op.tryDecode()
-	}
-}
-
-func (op *streamGetOp) finish(err error) {
-	if op.finished {
-		return
-	}
-	op.finished = true
-	// Unregister every stream and cancel leftover daemon sessions: spares
-	// the retrieve outran would otherwise idle server-side until the orphan
-	// sweep.
-	for _, st := range op.streams {
-		delete(op.c.pending, st.req)
-		if !st.dead && !st.complete {
-			op.c.send(st.peer, Msg{Kind: KindGetAck, Req: st.req, ID: op.id, Off: -1})
-		}
-		op.c.putStreamBuf(st.buf)
-		st.buf, st.off = nil, 0
-	}
-	op.deadline.Stop()
-	done := op.done
-	op.sink, op.mkSink, op.ready, op.done = nil, nil, nil, nil
-	done(op.meta, err)
-}
-
-// ---- retrieve frontends ----
-
-// RangeMeta is the stored layout a ranged retrieve's caller already knows —
-// typically from a metadata record written alongside the object. With it,
-// GetRangeAsync starts the shard streams at the range's first block instead
-// of decoding (and shipping) the whole prefix.
-type RangeMeta struct {
-	DataLen  int64 // exact object length in bytes
-	BlockLen int64 // block-codeword size it was stored with; 0 = one codeword
-}
-
-// GetOptions parameterises GetRangeAsync.
-type GetOptions struct {
-	// Off is the first byte wanted; Length the number of bytes, with a
-	// negative Length meaning through the end of the object. (A Length of 0
-	// retrieves nothing — callers wanting everything must pass -1.)
-	Off    int64
-	Length int64
-	// Meta, when non-nil, lets the retrieve skip to the range's first block
-	// on the wire. Without it the range is still honored, but the prefix
-	// blocks are fetched, decoded and discarded.
-	Meta *RangeMeta
-	// Ready, when non-nil, gates decoding on downstream backpressure; a
-	// false return pauses the decode until the handle's Resume.
-	Ready func() bool
-}
-
-// trimWriter adapts the decoder's block-granular output to a byte range: it
-// discards the first skip bytes, forwards at most limit bytes (<0 = all) to
-// w, and counts what it forwarded. Overshoot past the limit is swallowed —
-// the decoder always emits whole blocks — while an error from w (the HTTP
-// client hung up) aborts the decode.
-type trimWriter struct {
-	w     io.Writer
-	skip  int64
-	limit int64
-	n     int64
-}
-
-func (t *trimWriter) Write(p []byte) (int, error) {
-	total := len(p)
-	if t.skip > 0 {
-		if int64(total) <= t.skip {
-			t.skip -= int64(total)
-			return total, nil
-		}
-		p = p[t.skip:]
-		t.skip = 0
-	}
-	if t.limit >= 0 {
-		rem := t.limit - t.n
-		if rem <= 0 {
-			return total, nil
-		}
-		if int64(len(p)) > rem {
-			p = p[:rem]
-		}
-	}
-	m, err := t.w.Write(p)
-	t.n += int64(m)
-	if err != nil {
-		return m, err
-	}
-	return total, nil
-}
-
-// GetRangeAsync retrieves a byte range of an object from any k reachable
-// daemons, writing the decoded range to w as the shard streams arrive. done
-// fires once with the number of range bytes written. With opts.Meta the
-// transfer touches only the blocks covering the range; the operation
-// finishes — cancelling the daemon sessions — as soon as the range's last
-// block is decoded either way. The returned handle cancels the retrieve
-// (Cancel) and re-drives a decode paused by opts.Ready (Resume).
-func (c *Client) GetRangeAsync(id string, w io.Writer, opts GetOptions, done func(n int64, err error)) *Handle {
-	if opts.Off < 0 {
-		done(0, fmt.Errorf("dstore: negative range offset %d", opts.Off))
-		return &Handle{}
-	}
-	rng := &getRange{off: opts.Off, end: -1}
-	if opts.Length >= 0 {
-		rng.end = opts.Off + opts.Length
-	}
-	var hint *objMeta
-	if m := opts.Meta; m != nil && m.DataLen >= 0 {
-		bs := int(m.BlockLen)
-		if bs <= 0 {
-			// Single-codeword layout: the whole object is one block.
-			bs = int(m.DataLen)
-			if bs <= 0 {
-				bs = 1
-			}
-		}
-		hint = &objMeta{
-			shardLen: ecc.StreamShardLen(c.cfg.Code, m.DataLen, bs),
-			dataLen:  m.DataLen,
-			blockLen: m.BlockLen,
-		}
-	}
-	tw := &trimWriter{w: w, limit: opts.Length}
-	if opts.Length < 0 {
-		tw.limit = -1
-	}
-	began := c.s.Now()
-	tr := c.trace("get", id)
-	op := c.startStreamGet(id, c.peersFor(id), nil, hint, nil, tr, rng,
-		func(meta objMeta, dataLen int64) (blockSink, error) {
-			bs := meta.blockSize()
-			startBlk := int64(0)
-			if hint != nil {
-				// Mirrors setMeta's skip: streams start at the range's first
-				// block, so the decoder must too.
-				startBlk = opts.Off / int64(bs)
-				if max := ecc.StreamBlocks(dataLen, bs); startBlk > max {
-					startBlk = max
-				}
-			}
-			tw.skip = opts.Off - startBlk*int64(bs)
-			dec, err := ecc.NewStreamDecoder(c.cfg.Code, tw, dataLen, bs)
-			if err == nil && startBlk > 0 {
-				err = dec.SeekBlock(startBlk)
-			}
-			return dec, err
-		},
-		opts.Ready,
-		func(meta objMeta, err error) {
-			if err == nil {
-				c.met.getLatency.Observe(int64(c.s.Now() - began))
-				c.met.getBytes.Add(tw.n)
-			}
-			tr.Finish(c.nowNS(), err)
-			done(tw.n, err)
-		})
-	return &Handle{
-		cancel: func() { op.finish(ErrCanceled) },
-		resume: op.resumeDecode,
-	}
-}
-
-// GetStreamAsync retrieves an object from any k reachable daemons, writing
-// decoded data to w block by block as the shard streams arrive. done fires
-// once with the number of bytes written. Client memory stays bounded by
-// O(BlockSize × n) for objects stored with PutStream; objects stored as a
-// single codeword decode in one piece.
-func (c *Client) GetStreamAsync(id string, w io.Writer, done func(n int64, err error)) *Handle {
-	return c.GetRangeAsync(id, w, GetOptions{Length: -1}, done)
-}
-
-// GetAsync retrieves and decodes an object from any k reachable daemons into
-// memory. The daemons' recorded object length is authoritative — another
-// client may have overwritten the object since this one last put it.
-func (c *Client) GetAsync(id string, done func(data []byte, err error)) *Handle {
-	// Assemble in a pooled buffer and hand the caller a copy: the copy is an
-	// append, which for byte slices allocates without zeroing, so each get
-	// pays one memmove instead of clearing a fresh object-sized allocation.
-	w := &resultWriter{buf: c.getResultBuf()}
-	return c.GetStreamAsync(id, w, func(n int64, err error) {
-		defer c.putResultBuf(w.buf)
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		done(append([]byte(nil), w.buf...), nil)
-	})
-}
-
 // ---- rebuild ----
 
 // rebuildObject streams one object's missing shard to the target node
@@ -1162,16 +344,6 @@ func (c *Client) GetAsync(id string, done func(data []byte, err error)) *Handle 
 func (c *Client) rebuildObject(info storage.ObjectInfo, peers []string, targetIdx int, rank func() []int, done func(error)) {
 	exclude := map[int]bool{targetIdx: true}
 	meta := objMeta{shardLen: int64(info.ShardLen), dataLen: int64(info.DataLen), blockLen: int64(info.BlockLen)}
-	// The rebuilder needs only piece sizes, not the true object length: for
-	// the single-codeword layout, a synthetic length of k × shardLen yields
-	// exactly one block of the right piece size, so the op's layout metadata
-	// carries it when the recorded length cannot reproduce the stored stream
-	// — zero-but-padded (an empty object's shards are 1 byte, which zero
-	// blocks would never feed the transfer).
-	opMeta := meta
-	if opMeta.dataLen == 0 && opMeta.shardLen > 0 {
-		opMeta.dataLen = int64(c.cfg.Code.K()) * meta.shardLen
-	}
 	var out *transfer
 	transferDone := false
 	var opErr error
@@ -1207,12 +379,12 @@ func (c *Client) rebuildObject(info storage.ObjectInfo, peers []string, targetId
 		}
 	})
 	highWater := int64(c.cfg.Window) * int64(c.cfg.ChunkSize)
-	op := c.startStreamGet(info.ID, peers, exclude, &opMeta, rank, tr, nil,
-		func(m objMeta, layoutLen int64) (blockSink, error) {
+	op := c.startStreamGet(info.ID, peers, exclude, &meta, rank, tr, nil,
+		func(m objMeta, dataLen int64) (blockSink, error) {
 			return ecc.NewShardRebuilder(c.cfg.Code, targetIdx, writerFunc(func(p []byte) (int, error) {
 				out.offer(p)
 				return len(p), nil
-			}), layoutLen, m.blockSize())
+			}), dataLen, int(m.blockLen))
 		},
 		func() bool { return out.backlog() < highWater },
 		func(m objMeta, err error) {
@@ -1257,8 +429,8 @@ func (c *Client) drive(done *bool) {
 	}
 }
 
-// Put stores an object as a single codeword, blocking in virtual time until
-// the operation resolves. It returns the number of shards stored.
+// Put stores an object from a buffer, blocking in virtual time until the
+// operation resolves. It returns the number of shards stored.
 func (c *Client) Put(id string, data []byte) (stored int, err error) {
 	finished := false
 	c.PutAsync(id, data, func(s int, e error) { stored, err, finished = s, e, true })

@@ -335,10 +335,11 @@ func (d *Daemon) onPutChunk(from string, m Msg) {
 			d.reply(from, Msg{Kind: KindPutAck, Req: m.Req, ID: m.ID, Err: "dstore: no such transfer"})
 			return
 		}
-		if m.Shard < 0 || m.ShardLen < 0 || m.DataLen < 0 || m.BlockLen < 0 {
-			// Every writer places its objects and knows their layout: an
-			// unplaced shard would be recorded under an index nobody asked
-			// for, a negative length under a layout no reader can decode.
+		if m.Shard < 0 || m.ShardLen < 0 || m.DataLen < 0 || m.BlockLen < 1 {
+			// Every writer places its objects and writes them as block
+			// codewords: an unplaced shard would be recorded under an index
+			// nobody asked for, a negative length or a missing block length
+			// under a layout no reader can decode.
 			d.reply(from, Msg{Kind: KindPutAck, Req: m.Req, ID: m.ID, Err: fmt.Sprintf("%v: put chunk with shard index %d, lengths %d/%d/%d",
 				ErrBadRequest, m.Shard, m.ShardLen, m.DataLen, m.BlockLen)})
 			return
@@ -377,8 +378,8 @@ func (d *Daemon) onPutChunk(from string, m Msg) {
 	} else if a.win > 1 && a.sinceAck < a.win/2 {
 		// Coalesce put acks: the client declared a win-chunk send window, so
 		// acking every win/2 chunks (acks are cumulative) keeps its pipe full
-		// with half the return traffic. Commit, error and the legacy win==0
-		// stream still ack every chunk.
+		// with half the return traffic. Commit, error and a window of one
+		// chunk still ack every chunk.
 		return
 	}
 	a.sinceAck = 0

@@ -10,9 +10,9 @@
 //
 //   - stores by encoding with any ecc.Code and fanning the n shard streams
 //     out to the daemons in parallel, each transfer a windowed stream of
-//     chunks sized under the datagram limit (a PutFeed — behind PutStream
-//     and the gateway alike — encodes one block codeword at a time, gated
-//     on the slowest peer's acks);
+//     chunks sized under the datagram limit (a PutFeed — behind Put,
+//     PutStream and the gateway alike — encodes one block codeword at a
+//     time, gated on the slowest peer's acks);
 //   - retrieves by ranking reachable daemons with the §4.2 selection
 //     policies (least-loaded, nearest, random), racing credit-windowed
 //     shard streams from a chosen k-subset, hedging to the remaining n-k
@@ -37,10 +37,10 @@
 // via GetAck credits — and the daemon never materialises a shard: put
 // chunks append to a storage.Stage and get chunks are ranged reads. The
 // enforced bound is the RAIN_SMOKE CI test (a 256 MiB object under a
-// 128 MiB runtime memory limit). Whole-buffer Put/Get use the
-// single-codeword layout (block size 0) and hold the object in client
-// memory. Both layouts are placement-mapped: every stored entry records the
-// shard index it holds and the object length, and readers trust only those.
+// 128 MiB runtime memory limit). Whole-buffer Put/Get hold the object in
+// client memory but write and read the same block layout. Every stored
+// entry records the shard index it holds, the object length and the block
+// length, and readers trust only those.
 //
 // Liveness comes from the membership layer (a view callback), not from
 // poking failure flags on server objects: a crashed node is one the

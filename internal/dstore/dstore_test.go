@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -86,6 +87,22 @@ func (c *cluster) shardOn(id, node string) int {
 	}
 	c.t.Fatalf("%s holds no shard of %s", node, id)
 	return -1
+}
+
+// shardStreams returns the n shard streams the block-codeword encoder makes
+// of data at the given block size: what every holder of the object stores.
+func shardStreams(t *testing.T, code ecc.Code, data []byte, block int) [][]byte {
+	t.Helper()
+	streams := make([][]byte, code.N())
+	if err := ecc.EncodeReader(code, bytes.NewReader(data), block, func(_ int, shards [][]byte, _ int) error {
+		for i, s := range shards {
+			streams[i] = append(streams[i], s...)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return streams
 }
 
 func randBytes(seed int64, n int) []byte {
@@ -196,10 +213,7 @@ func TestAcceptanceEndToEnd(t *testing.T) {
 	}
 	// Bit-exact shards: what b holds must equal what encoding produces.
 	for id, data := range objects {
-		want, err := c.code.Encode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := shardStreams(t, c.code, data, dstore.DefaultBlockSize)
 		shard, dataLen, err := c.backends["b"].Get(id)
 		if err != nil {
 			t.Fatalf("replacement missing %s: %v", id, err)
@@ -450,9 +464,9 @@ func TestOverwriteByAnotherClient(t *testing.T) {
 // the client must not treat the slow stream as stalled and fan out to the
 // spare daemons.
 func TestSlowStreamDoesNotHedge(t *testing.T) {
-	link := sim.LinkConfig{Delay: 2 * time.Millisecond, Jitter: 500 * time.Microsecond, RateMbps: 8}
+	link := sim.LinkConfig{Delay: 2 * time.Millisecond, Jitter: 500 * time.Microsecond, RateMbps: 4}
 	c := newCluster(t, 11, 5, 3, link, nil)
-	data := randBytes(41, 2<<20) // ~683 KiB shards: >500ms at 8 Mbps
+	data := randBytes(41, 2<<20) // ~683 KiB shards: >500ms at 4 Mbps
 	if _, err := c.clients["a"].Put("obj", data); err != nil {
 		t.Fatal(err)
 	}
@@ -588,11 +602,14 @@ func (c *cluster) reseed(id string, fn func(info *storage.ObjectInfo)) {
 	}
 }
 
-// TestNoPositionalOrSizeFallback pins the two removed read fallbacks. An
-// entry recorded without a shard index is served with the index it has, and
-// the client kills that stream and hedges rather than guess the holder's
-// position; a first chunk without an object length fails the retrieve with
-// ErrUnknownSize, even on the client that put the object.
+// TestNoPositionalOrSizeFallback pins the removed read fallbacks. An entry
+// recorded without a shard index is served with the index it has, and the
+// client kills that stream and hedges rather than guess the holder's
+// position; a first chunk without an object length, or without a block
+// length, fails the retrieve with ErrUnknownSize, even on the client that
+// put the object — as does a rebuild whose inventory lacks the block length
+// and a ranged get whose layout hint does — instead of guessing a layout (or
+// dividing by a zero block size on the client's loop).
 func TestNoPositionalOrSizeFallback(t *testing.T) {
 	c := newCluster(t, 14, 6, 4, sim.ProfileLAN, nil)
 	data := randBytes(61, 24<<10)
@@ -621,5 +638,23 @@ func TestNoPositionalOrSizeFallback(t *testing.T) {
 	c.reseed("obj", func(info *storage.ObjectInfo) { info.DataLen = -1 })
 	if _, err := c.clients["a"].Get("obj"); !errors.Is(err, dstore.ErrUnknownSize) {
 		t.Fatalf("get of entries without a length: err=%v, want ErrUnknownSize", err)
+	}
+
+	c.reseed("obj", func(info *storage.ObjectInfo) { info.DataLen, info.BlockLen = len(data), 0 })
+	if _, err := c.clients["a"].Get("obj"); !errors.Is(err, dstore.ErrUnknownSize) {
+		t.Fatalf("get of entries without a block length: err=%v, want ErrUnknownSize", err)
+	}
+	var rangeErr error
+	finished := false
+	c.clients["a"].GetRangeAsync("obj", io.Discard, dstore.GetOptions{Off: 1, Length: 2, Meta: &dstore.RangeMeta{DataLen: int64(len(data))}},
+		func(_ int64, err error) { rangeErr, finished = err, true })
+	for !finished && c.s.Step() {
+	}
+	if !errors.Is(rangeErr, dstore.ErrUnknownSize) {
+		t.Fatalf("ranged get with a hint without a block length: err=%v, want ErrUnknownSize", rangeErr)
+	}
+	c.backends[first].Wipe()
+	if _, err := c.clients["a"].Rebuild(first); !errors.Is(err, dstore.ErrUnknownSize) {
+		t.Fatalf("rebuild from an inventory without a block length: err=%v, want ErrUnknownSize", err)
 	}
 }

@@ -1,7 +1,8 @@
 package dstore
 
-// The put half of the client: shard transfers, the whole-object store and
-// the streaming store (PutFeed and its pull driver, PutStreamAsync).
+// The put half of the client: shard transfers and the one store operation,
+// PutFeed, with its two drivers (PutAsync for a whole buffer, PutStreamAsync
+// for an io.Reader).
 
 import (
 	"bytes"
@@ -217,7 +218,7 @@ func (t *transfer) resolve(ok bool) {
 
 // ---- store ----
 
-// putOp tracks the shard fan-out shared by PutAsync and PutFeed.
+// putOp tracks a PutFeed's shard fan-out.
 type putOp struct {
 	c          *Client
 	id         string
@@ -297,108 +298,33 @@ func (op *putOp) start(shardLen, blockLen int64) {
 	}
 }
 
-// PutAsync encodes data as one codeword and fans the n shards out to the
-// daemons in parallel, each transfer windowed and independently timed out.
+// PutAsync stores data through a PutFeed — one Offer, then Close — so a
+// whole-buffer put writes the same block-codeword layout as a streamed one.
 // done fires once with the number of shards stored; err is nil when at least
-// k daemons committed. The whole object is held in memory — use
-// PutStreamAsync for objects that should stream. The returned handle
-// cancels the fan-out (staged daemon writes are poisoned, not leaked).
+// k daemons committed. The feed copies data, so the caller may reuse it once
+// PutAsync returns. The returned handle cancels the fan-out (staged daemon
+// writes are poisoned, not leaked).
 func (c *Client) PutAsync(id string, data []byte, done func(stored int, err error)) *Handle {
-	shards, err := c.encodeForPut(data)
+	f, err := c.NewPutFeed(id, int64(len(data)), done)
 	if err != nil {
 		done(0, err)
 		return &Handle{}
 	}
-	op := c.newPutOp(id, int64(len(data)), done)
-	op.start(int64(len(shards[0])), 0)
-	for i, t := range op.transfers {
-		if t != nil {
-			t.offer(shards[i])
-		}
-	}
-	return &Handle{cancel: func() { op.finish(ErrCanceled) }}
+	f.Offer(data)
+	f.Close()
+	return &Handle{cancel: f.Cancel}
 }
 
-// encodeForPut produces the n outbound shards for a whole-object put with
-// as little copying as the code allows. All three paths are safe against
-// the caller mutating data after PutAsync returns, because offer() copies
-// every chunk into a pooled frame before PutAsync completes:
-//
-//   - contiguous-layout codes with a parity-only encoder: full data shards
-//     alias data directly; only parity (plus a padded tail shard, if any)
-//     lands in the client's scratch — zero data copies;
-//   - BufferEncoder codes: encode into the reusable scratch — one copy,
-//     no allocation;
-//   - otherwise: the code's allocating Encode.
-func (c *Client) encodeForPut(data []byte) ([][]byte, error) {
-	code := c.cfg.Code
-	pe, parityOK := code.(ecc.ParityEncoder)
-	_, contig := code.(ecc.ContiguousLayout)
-	if parityOK && contig {
-		k, n := code.K(), code.N()
-		shardLen := code.ShardSize(len(data))
-		scratch := c.encodeScratch(len(data))
-		if len(c.encShards) != n {
-			c.encShards = make([][]byte, n)
-		}
-		shards := c.encShards
-		full := 0
-		if shardLen > 0 {
-			if full = len(data) / shardLen; full > k {
-				full = k
-			}
-		}
-		for i := 0; i < full; i++ {
-			shards[i] = data[i*shardLen : (i+1)*shardLen : (i+1)*shardLen]
-		}
-		for i := full; i < k; i++ {
-			s := scratch[i]
-			pad := 0
-			if off := i * shardLen; off < len(data) {
-				pad = copy(s, data[off:])
-			}
-			clear(s[pad:])
-			shards[i] = s
-		}
-		for i := k; i < n; i++ {
-			shards[i] = scratch[i]
-		}
-		if err := pe.EncodeParityInto(shards[:k], shards[k:]); err != nil {
-			return nil, err
-		}
-		return shards, nil
-	}
-	if be, ok := code.(ecc.BufferEncoder); ok {
-		shards := c.encodeScratch(len(data))
-		return shards, be.EncodeInto(data, shards)
-	}
-	return code.Encode(data)
-}
+// ---- the feed ----
 
-// encodeScratch returns the client's reusable shard buffer set, sized for a
-// dataLen-byte object.
-func (c *Client) encodeScratch(dataLen int) [][]byte {
-	n := c.cfg.Code.N()
-	size := c.cfg.Code.ShardSize(dataLen)
-	if len(c.encScratch) != n || (len(c.encScratch) > 0 && len(c.encScratch[0]) != size) {
-		c.encScratch = make([][]byte, n)
-		buf := make([]byte, n*size)
-		for i := range c.encScratch {
-			c.encScratch[i] = buf[i*size : (i+1)*size : (i+1)*size]
-		}
-	}
-	return c.encScratch
-}
-
-// ---- streaming store ----
-
-// PutFeed is the one streaming put: the producer delivers the object's bytes
-// with Offer as they arrive (an HTTP request body, a pipe) and each block
-// codeword is encoded and fanned out once it is whole. Offer reports whether
-// the producer should keep sending and OnRoom signals when a paused one may
-// resume, so a slow network source never wedges the single-threaded event
-// loop; PutStreamAsync is the pull driver that turns an io.Reader into that
-// loop. Memory is one block: more bytes are asked for only while less than a
+// PutFeed is the one encoder on the write path: the producer delivers the
+// object's bytes with Offer as they arrive (an HTTP request body, a pipe, a
+// whole buffer) and each block codeword is encoded and fanned out once it is
+// whole. Offer reports whether the producer should keep sending and OnRoom
+// signals when a paused one may resume, so a slow network source never
+// wedges the single-threaded event loop; PutStreamAsync is the pull driver
+// that turns an io.Reader into that loop. Memory is one block for a producer
+// that honours Offer's answer: more bytes are asked for only while less than a
 // block is buffered, no block is encoded while a live transfer's backlog is
 // above the credit window, and the consumed prefix is reclaimed before the
 // buffer grows (appendReclaim), so a put holds O(BlockSize × n) whatever the

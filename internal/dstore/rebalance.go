@@ -174,16 +174,11 @@ func (c *Client) runTasks(n int, cost func(int) int64, run func(i int, taskDone 
 // bound, exposed for the budget tests.
 func (c *Client) TaskBytesHighWater() int64 { return c.taskHighWater }
 
-// taskCost is the budget charge of pipelining one object: a block codeword
-// across all n shards, the working set its rebuild holds.
+// taskCost is the budget charge of pipelining one object: its largest block
+// codeword — a whole block, or the object when it is shorter — across all n
+// shards, the working set its rebuild holds.
 func (c *Client) taskCost(e *invEntry) int64 {
-	block := int64(e.info.BlockLen)
-	if block <= 0 {
-		if block = int64(e.info.DataLen); block <= 0 {
-			block = int64(e.info.ShardLen) * int64(c.cfg.Code.K())
-		}
-	}
-	return block * int64(c.cfg.Code.N())
+	return int64(max(min(e.info.BlockLen, e.info.DataLen), 1)) * int64(c.cfg.Code.N())
 }
 
 // spreadRank orders one object's survivor shard indices for rebuild reads:

@@ -520,7 +520,7 @@ func TestRebuildPagedInventory(t *testing.T) {
 		}
 		place := placement.Assign(id, c.nodes, n)
 		for shard, node := range place {
-			if err := c.backends[node].Put(id, shards[shard], shard, len(data), 0); err != nil {
+			if err := c.backends[node].Put(id, shards[shard], shard, len(data), dstore.DefaultBlockSize); err != nil {
 				t.Fatal(err)
 			}
 		}

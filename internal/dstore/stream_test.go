@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"rain/internal/dstore"
-	"rain/internal/ecc"
 	"rain/internal/rudp"
 	"rain/internal/sim"
 	"rain/internal/storage"
@@ -49,26 +48,17 @@ func TestPutStreamGetStreamRoundtrip(t *testing.T) {
 			t.Fatalf("whole-buffer get of blocked object (%d bytes): %v", size, err)
 		}
 	}
-	// Cross-layout: a legacy single-codeword put reads back through
-	// GetStream.
+	// A whole-buffer put reads back through GetStream.
 	data := randBytes(77, 90<<10)
-	if _, err := c.clients["a"].Put("legacy", data); err != nil {
+	if _, err := c.clients["a"].Put("whole", data); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if n, err := c.clients["b"].GetStream("legacy", &out); err != nil || n != int64(len(data)) || !bytes.Equal(out.Bytes(), data) {
-		t.Fatalf("getstream of legacy layout: n=%d err=%v", n, err)
+	if n, err := c.clients["b"].GetStream("whole", &out); err != nil || n != int64(len(data)) || !bytes.Equal(out.Bytes(), data) {
+		t.Fatalf("getstream of a whole-buffer put: n=%d err=%v", n, err)
 	}
 	// The shard streams on disk are the encoder's block layout, bit for bit.
-	streams := make([][]byte, 6)
-	if err := ecc.EncodeReader(c.code, bytes.NewReader(randBytes(int64(300<<10), 300<<10)), block, func(b int, shards [][]byte, dataLen int) error {
-		for i, s := range shards {
-			streams[i] = append(streams[i], s...)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	streams := shardStreams(t, c.code, randBytes(int64(300<<10), 300<<10), block)
 	id := string(rune('A' + (300<<10)%26))
 	for _, node := range c.nodes {
 		shard, _, err := c.backends[node].Get(id)
@@ -77,6 +67,71 @@ func TestPutStreamGetStreamRoundtrip(t *testing.T) {
 		}
 		if !bytes.Equal(shard, streams[c.shardOn(id, node)]) {
 			t.Fatalf("backend %s holds a shard stream that differs from the encoder layout", node)
+		}
+	}
+}
+
+// TestPutAndPutStreamStoreOneLayout pins the one object layout: a
+// whole-buffer Put and a PutStream of the same bytes leave bit-identical
+// shard streams and equal ObjectInfo, block length B, on every holder, for
+// sizes around the block boundary and the empty object; a rebuilt holder
+// gets exactly those back.
+func TestPutAndPutStreamStoreOneLayout(t *testing.T) {
+	const block = 8 << 10
+	c := newCluster(t, 29, 5, 3, sim.ProfileLAN, func(cfg *dstore.Config) {
+		cfg.BlockSize = block
+	})
+	type held struct {
+		shard []byte
+		info  storage.ObjectInfo
+	}
+	holdings := func(id string, nodes ...string) map[string]held {
+		out := make(map[string]held)
+		for _, node := range nodes {
+			shard, _, err := c.backends[node].Get(id)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", id, node, err)
+			}
+			info, err := c.backends[node].Info(id)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", id, node, err)
+			}
+			out[node] = held{shard: append([]byte(nil), shard...), info: info}
+		}
+		return out
+	}
+	stored := make(map[string]map[string]held)
+	for _, size := range []int{0, 1, block - 1, block, block + 1, 3*block + 7} {
+		id := fmt.Sprintf("obj-%d", size)
+		data := randBytes(int64(size)+90, size)
+		if _, err := c.clients["a"].Put(id, data); err != nil {
+			t.Fatalf("put %d bytes: %v", size, err)
+		}
+		put := holdings(id, c.nodes...)
+		if _, err := c.clients["b"].PutStream(id, bytes.NewReader(data), int64(size)); err != nil {
+			t.Fatalf("putstream %d bytes: %v", size, err)
+		}
+		streamed := holdings(id, c.nodes...)
+		for _, node := range c.nodes {
+			p, s := put[node], streamed[node]
+			if !bytes.Equal(p.shard, s.shard) || p.info != s.info {
+				t.Fatalf("%d bytes on %s: Put left %+v, PutStream %+v (shards equal: %v)",
+					size, node, p.info, s.info, bytes.Equal(p.shard, s.shard))
+			}
+			if p.info.BlockLen != block {
+				t.Fatalf("%d bytes on %s: block length %d, want %d", size, node, p.info.BlockLen, block)
+			}
+		}
+		stored[id] = put
+	}
+	c.backends["e"].Wipe()
+	if n, err := c.clients["a"].Rebuild("e"); err != nil || n != len(stored) {
+		t.Fatalf("rebuild: %d objects, %v", n, err)
+	}
+	for id, want := range stored {
+		got := holdings(id, "e")["e"]
+		if !bytes.Equal(got.shard, want["e"].shard) || got.info != want["e"].info {
+			t.Fatalf("rebuilt %s: %+v, want %+v (shards equal: %v)", id, got.info, want["e"].info, bytes.Equal(got.shard, want["e"].shard))
 		}
 	}
 }
@@ -153,18 +208,7 @@ func TestKillSurvivorMidRebuild(t *testing.T) {
 		t.Fatalf("rebuilt %d objects, want %d", rebuilt, len(objects))
 	}
 	for id, data := range objects {
-		var want [][]byte
-		if err := ecc.EncodeReader(c.code, bytes.NewReader(data), block, func(b int, shards [][]byte, dataLen int) error {
-			if want == nil {
-				want = make([][]byte, len(shards))
-			}
-			for i, s := range shards {
-				want[i] = append(want[i], s...)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		want := shardStreams(t, c.code, data, block)
 		shard, dataLen, err := c.backends["b"].Get(id)
 		if err != nil {
 			t.Fatalf("replacement missing %s: %v", id, err)
@@ -181,13 +225,12 @@ func TestKillSurvivorMidRebuild(t *testing.T) {
 	}
 }
 
-// TestRebuildEmptyObjects hot-swaps a node holding empty objects in both
-// layouts: the legacy single-codeword put pads empty objects to 1-byte
-// shards (which the rebuild must regenerate, not skip), while the blocked
-// layout stores genuinely empty shard streams.
+// TestRebuildEmptyObjects hot-swaps a node holding empty objects: both
+// puts store genuinely empty shard streams, which the rebuild must recreate
+// (a metadata-only commit), not skip.
 func TestRebuildEmptyObjects(t *testing.T) {
 	c := newCluster(t, 27, 5, 3, sim.ProfileLAN, nil)
-	if _, err := c.clients["a"].Put("legacy-empty", nil); err != nil {
+	if _, err := c.clients["a"].Put("put-empty", nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.clients["a"].PutStream("blocked-empty", bytes.NewReader(nil), 0); err != nil {
@@ -201,15 +244,12 @@ func TestRebuildEmptyObjects(t *testing.T) {
 	if rebuilt != 2 {
 		t.Fatalf("rebuilt %d objects, want 2", rebuilt)
 	}
-	want, _ := c.code.Encode(nil)
-	shard, dataLen, err := c.backends["e"].Get("legacy-empty")
-	if err != nil || !bytes.Equal(shard, want[4]) || dataLen != 0 {
-		t.Fatalf("legacy empty shard: %v %v dataLen=%d", shard, err, dataLen)
+	for _, id := range []string{"put-empty", "blocked-empty"} {
+		if shard, dataLen, err := c.backends["e"].Get(id); err != nil || len(shard) != 0 || dataLen != 0 {
+			t.Fatalf("%s shard: %v %v dataLen=%d", id, shard, err, dataLen)
+		}
 	}
-	if shard, dataLen, err := c.backends["e"].Get("blocked-empty"); err != nil || len(shard) != 0 || dataLen != 0 {
-		t.Fatalf("blocked empty shard: %v %v dataLen=%d", shard, err, dataLen)
-	}
-	for _, id := range []string{"legacy-empty", "blocked-empty"} {
+	for _, id := range []string{"put-empty", "blocked-empty"} {
 		if got, err := c.clients["d"].Get(id); err != nil || len(got) != 0 {
 			t.Fatalf("get %s after rebuild: %q %v", id, got, err)
 		}
@@ -230,6 +270,7 @@ func TestOrphanedSessionsReaped(t *testing.T) {
 		Off:      0,
 		ShardLen: 64 << 10,
 		DataLen:  64 << 10,
+		BlockLen: 64 << 10,
 		Data:     randBytes(1, 4<<10),
 	}.Marshal())
 	// A windowed get whose client never acks: store something first.
@@ -372,6 +413,8 @@ func TestDaemonRefusesMalformedRequests(t *testing.T) {
 			ShardLen: 8, DataLen: -1, Data: []byte("8 bytes!")}, dstore.KindPutAck},
 		{"put chunk with a negative block length", dstore.Msg{Kind: dstore.KindPutChunk, Req: 6, ID: "new",
 			ShardLen: 8, DataLen: 8, BlockLen: -1, Data: []byte("8 bytes!")}, dstore.KindPutAck},
+		{"put chunk without a block length", dstore.Msg{Kind: dstore.KindPutChunk, Req: 7, ID: "new",
+			ShardLen: 8, DataLen: 8, Data: []byte("8 bytes!")}, dstore.KindPutAck},
 	} {
 		replies = nil
 		mesh.SendService("cl", "dm", dstore.ServiceDaemon, tc.msg.Marshal())
@@ -387,15 +430,15 @@ func TestDaemonRefusesMalformedRequests(t *testing.T) {
 	if _, err := backend.Info("new"); err == nil {
 		t.Error("malformed put chunk was committed")
 	}
-	if st := d.Stats(); st.ChunksServed != 0 || st.ChunksStored != 0 || st.Errors != 6 {
-		t.Errorf("daemon stats %+v, want 6 errors and no chunk traffic", st)
+	if st := d.Stats(); st.ChunksServed != 0 || st.ChunksStored != 0 || st.Errors != 7 {
+		t.Errorf("daemon stats %+v, want 7 errors and no chunk traffic", st)
 	}
 
 	// A forged shard length is only a claim: the first chunk of a "64 TiB
 	// shard" is staged like any other (on the memory backend an unbounded
 	// up-front reservation would end the process here), and the transfer's
 	// abort poison discards it.
-	forged := dstore.Msg{Kind: dstore.KindPutChunk, Req: 7, ID: "new", ShardLen: 1 << 46, DataLen: 1 << 47, Data: []byte("8 bytes!")}
+	forged := dstore.Msg{Kind: dstore.KindPutChunk, Req: 8, ID: "new", ShardLen: 1 << 46, DataLen: 1 << 47, BlockLen: 64 << 10, Data: []byte("8 bytes!")}
 	replies = nil
 	mesh.SendService("cl", "dm", dstore.ServiceDaemon, forged.Marshal())
 	s.RunFor(time.Second)

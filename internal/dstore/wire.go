@@ -94,7 +94,7 @@ type Msg struct {
 	Off      int64  // chunk offset within the shard stream / acked byte count
 	ShardLen int64  // total shard-stream length of the transfer
 	DataLen  int64  // original object length
-	BlockLen int64  // block-codeword size of the layout; 0 = one codeword
+	BlockLen int64  // block-codeword size of the layout (puts require >= 1)
 	Err      string // error detail on responses
 	Data     []byte // chunk payload or encoded inventory
 }

@@ -1,9 +1,9 @@
-package rain
+package ecc
 
-// Benchmarks timing the computational side of the paper artifacts; the
-// tests beside each package assert the claims themselves. The mapping from
-// benchmarks and tests to tables/figures is the per-experiment index in
-// DESIGN.md.
+// Micro-benchmarks timing the computational side of the paper artifacts
+// this package implements; the tests beside them assert the claims
+// themselves. DESIGN.md's per-experiment index maps both to the paper's
+// tables and figures.
 
 import (
 	"bytes"
@@ -11,26 +11,18 @@ import (
 	"io"
 	"math/rand"
 	"testing"
-	"time"
-
-	"rain/internal/ecc"
-	"rain/internal/linkstate"
-	"rain/internal/membership"
-	"rain/internal/rudp"
-	"rain/internal/sim"
-	"rain/internal/topology"
 )
 
 // --- E12-E15: Tables 1a/1b/2 and the §4.1 code comparison ---
 
-func benchCodes(b *testing.B) []ecc.Code {
+func benchCodes(b *testing.B) []Code {
 	b.Helper()
-	var out []ecc.Code
-	for _, ctor := range []func() (ecc.Code, error){
-		func() (ecc.Code, error) { return ecc.NewBCode(6) },
-		func() (ecc.Code, error) { return ecc.NewXCode(7) },
-		func() (ecc.Code, error) { return ecc.NewEvenOdd(5) },
-		func() (ecc.Code, error) { return ecc.NewReedSolomon(6, 4) },
+	var out []Code
+	for _, ctor := range []func() (Code, error){
+		func() (Code, error) { return NewBCode(6) },
+		func() (Code, error) { return NewXCode(7) },
+		func() (Code, error) { return NewEvenOdd(5) },
+		func() (Code, error) { return NewReedSolomon(6, 4) },
 	} {
 		c, err := ctor()
 		if err != nil {
@@ -108,7 +100,7 @@ func BenchmarkReconstructOneShard(b *testing.B) {
 	}
 }
 
-// --- ISSUE 1: GF(2^8) slice kernels + parallel Reed-Solomon pipeline ---
+// --- GF(2^8) slice kernels + parallel Reed-Solomon pipeline ---
 
 // rsBenchSizes are the block sizes the perf trajectory tracks.
 var rsBenchSizes = []struct {
@@ -124,17 +116,17 @@ var rsBenchSizes = []struct {
 // arithmetic backends: the seed byte-at-a-time exp/log path ("scalar"), the
 // fused 256-byte-table slice kernels on one goroutine ("kernel"), and the
 // default chunked GOMAXPROCS fan-out on top of the kernels ("parallel").
-// The kernel-vs-scalar ratio at 1 MiB is the speedup quoted in ISSUE 1.
+// The kernel-vs-scalar ratio at 1 MiB is the slice kernels' speedup.
 func BenchmarkRSEncode(b *testing.B) {
 	for _, m := range []struct {
 		name string
-		opts []ecc.RSOption
+		opts []RSOption
 	}{
-		{"scalar", []ecc.RSOption{ecc.RSScalar()}},
-		{"kernel", []ecc.RSOption{ecc.RSSerial()}},
+		{"scalar", []RSOption{RSScalar()}},
+		{"kernel", []RSOption{RSSerial()}},
 		{"parallel", nil},
 	} {
-		c, err := ecc.NewReedSolomon(10, 8, m.opts...)
+		c, err := NewReedSolomon(10, 8, m.opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,13 +150,13 @@ func BenchmarkRSEncode(b *testing.B) {
 func BenchmarkRSDecode(b *testing.B) {
 	for _, m := range []struct {
 		name string
-		opts []ecc.RSOption
+		opts []RSOption
 	}{
-		{"scalar", []ecc.RSOption{ecc.RSScalar()}},
-		{"kernel", []ecc.RSOption{ecc.RSSerial()}},
+		{"scalar", []RSOption{RSScalar()}},
+		{"kernel", []RSOption{RSSerial()}},
 		{"parallel", nil},
 	} {
-		c, err := ecc.NewReedSolomon(10, 8, m.opts...)
+		c, err := NewReedSolomon(10, 8, m.opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,16 +186,16 @@ func BenchmarkRSDecode(b *testing.B) {
 // BenchmarkRSRepairSingleErasure measures the §4.2 common repair case — one
 // lost data shard with parity P surviving — with the SWAR XOR fast path
 // ("xor") against the general decode-matrix route ("general"). The xor/
-// general ratio at 1 MiB is the ISSUE 2 satellite's before/after number.
+// general ratio at 1 MiB is the fast path's speedup.
 func BenchmarkRSRepairSingleErasure(b *testing.B) {
 	for _, m := range []struct {
 		name string
-		opts []ecc.RSOption
+		opts []RSOption
 	}{
 		{"xor", nil},
-		{"general", []ecc.RSOption{ecc.RSNoXorRepair()}},
+		{"general", []RSOption{RSNoXorRepair()}},
 	} {
-		c, err := ecc.NewReedSolomon(10, 8, m.opts...)
+		c, err := NewReedSolomon(10, 8, m.opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -229,7 +221,7 @@ func BenchmarkRSRepairSingleErasure(b *testing.B) {
 	}
 }
 
-// --- ISSUE 5: array-code fast path (fused XOR kernels + cached plans) ---
+// --- array-code fast path (fused XOR kernels + cached plans) ---
 
 // arrayBenchModes are the three array-code backends the perf trajectory
 // tracks: the seed per-term XorSlice path ("scalar"), the fused
@@ -237,10 +229,10 @@ func BenchmarkRSRepairSingleErasure(b *testing.B) {
 // GOMAXPROCS fan-out on top of the kernels ("parallel").
 var arrayBenchModes = []struct {
 	name string
-	opts []ecc.ArrayOption
+	opts []ArrayOption
 }{
-	{"scalar", []ecc.ArrayOption{ecc.ArrayScalar()}},
-	{"kernel", []ecc.ArrayOption{ecc.ArraySerial()}},
+	{"scalar", []ArrayOption{ArrayScalar()}},
+	{"kernel", []ArrayOption{ArraySerial()}},
 	{"parallel", nil},
 }
 
@@ -248,10 +240,10 @@ var arrayBenchModes = []struct {
 // three backends, plus the reused-buffer EncodeInto path ("into") that the
 // streaming encoder rides — the buffer reuse removes the n×ShardSize
 // allocate-and-zero from every block. The kernel- and into-vs-scalar ratios
-// at 1 MiB extend the PR 1 before/after trajectory to the array codes.
+// at 1 MiB are the array codes' counterpart of the RS kernel speedup.
 func BenchmarkArrayEncode(b *testing.B) {
 	for _, m := range arrayBenchModes {
-		c, err := ecc.NewXCode(13, m.opts...)
+		c, err := NewXCode(13, m.opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -268,11 +260,11 @@ func BenchmarkArrayEncode(b *testing.B) {
 			})
 		}
 	}
-	c, err := ecc.NewXCode(13)
+	c, err := NewXCode(13)
 	if err != nil {
 		b.Fatal(err)
 	}
-	be := c.(ecc.BufferEncoder)
+	be := c.(BufferEncoder)
 	for _, size := range rsBenchSizes[1:] {
 		data := make([]byte, size.n)
 		rand.New(rand.NewSource(41)).Read(data)
@@ -298,12 +290,12 @@ func BenchmarkArrayEncode(b *testing.B) {
 func BenchmarkArrayReconstruct(b *testing.B) {
 	for _, m := range []struct {
 		name string
-		opts []ecc.ArrayOption
+		opts []ArrayOption
 	}{
-		{"scalar", []ecc.ArrayOption{ecc.ArrayScalar()}},
+		{"scalar", []ArrayOption{ArrayScalar()}},
 		{"planned", nil},
 	} {
-		c, err := ecc.NewXCode(13, m.opts...)
+		c, err := NewXCode(13, m.opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -328,7 +320,7 @@ func BenchmarkArrayReconstruct(b *testing.B) {
 	}
 }
 
-// --- ISSUE 3: streaming decode vs whole-shard decode ---
+// --- streaming decode vs whole-shard decode ---
 
 // BenchmarkStreamDecode measures block-wise streaming decode of a 4 MiB
 // object at the trajectory's block sizes against the whole-shard Decode
@@ -337,7 +329,7 @@ func BenchmarkArrayReconstruct(b *testing.B) {
 // and writes decoded data through an io.Writer — the dstore retrieve shape
 // — with memory bounded by the block size instead of the object size.
 func BenchmarkStreamDecode(b *testing.B) {
-	code, err := ecc.NewReedSolomon(10, 8)
+	code, err := NewReedSolomon(10, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -363,7 +355,7 @@ func BenchmarkStreamDecode(b *testing.B) {
 	})
 	for _, size := range rsBenchSizes {
 		streams := make([][]byte, code.N())
-		if err := ecc.EncodeReader(code, bytes.NewReader(data), size.n, func(blk int, shards [][]byte, dataLen int) error {
+		if err := EncodeReader(code, bytes.NewReader(data), size.n, func(blk int, shards [][]byte, dataLen int) error {
 			for i, s := range shards {
 				streams[i] = append(streams[i], s...)
 			}
@@ -380,31 +372,31 @@ func BenchmarkStreamDecode(b *testing.B) {
 				}
 				readers[i%code.K()] = nil
 				readers[(i+1)%code.K()] = nil
-				n, err := ecc.DecodeStreams(code, io.Discard, readers, objectSize, size.n)
+				n, err := DecodeStreams(code, io.Discard, readers, objectSize, size.n)
 				if err != nil || n != objectSize {
 					b.Fatalf("n=%d err=%v", n, err)
 				}
 			}
 		})
 	}
-	// Array-code cases (ISSUE 5): same object, xcode(13,11), two data
+	// Array-code cases: same object, xcode(13,11), two data
 	// columns erased so every block pays reconstruction. "scalar" routes
 	// each block through the seed path (work-copy + fresh GF(2) Gaussian
 	// solve + whole-column materialisation); "planned" replays the cached
 	// XOR schedule for the erasure pattern straight into the reused block
-	// buffer, allocation-free. Their ratio is the ISSUE 5 streaming-decode
-	// before/after number.
-	scalarX, err := ecc.NewXCode(13, ecc.ArrayScalar())
+	// buffer, allocation-free. Their ratio is the plans' streaming-decode
+	// speedup.
+	scalarX, err := NewXCode(13, ArrayScalar())
 	if err != nil {
 		b.Fatal(err)
 	}
-	plannedX, err := ecc.NewXCode(13)
+	plannedX, err := NewXCode(13)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, size := range rsBenchSizes[:2] { // 4KiB, 64KiB blocks
 		streams := make([][]byte, plannedX.N())
-		if err := ecc.EncodeReader(plannedX, bytes.NewReader(data), size.n, func(blk int, shards [][]byte, dataLen int) error {
+		if err := EncodeReader(plannedX, bytes.NewReader(data), size.n, func(blk int, shards [][]byte, dataLen int) error {
 			for i, s := range shards {
 				streams[i] = append(streams[i], s...)
 			}
@@ -414,7 +406,7 @@ func BenchmarkStreamDecode(b *testing.B) {
 		}
 		for _, m := range []struct {
 			name string
-			code ecc.Code
+			code Code
 		}{{"scalar", scalarX}, {"planned", plannedX}} {
 			b.Run(fmt.Sprintf("xcode13/%s/%s", m.name, size.name), func(b *testing.B) {
 				b.SetBytes(objectSize)
@@ -425,114 +417,12 @@ func BenchmarkStreamDecode(b *testing.B) {
 					}
 					readers[i%m.code.N()] = nil
 					readers[(i+1)%m.code.N()] = nil
-					n, err := ecc.DecodeStreams(m.code, io.Discard, readers, objectSize, size.n)
+					n, err := DecodeStreams(m.code, io.Discard, readers, objectSize, size.n)
 					if err != nil || n != objectSize {
 						b.Fatalf("n=%d err=%v", n, err)
 					}
 				}
 			})
-		}
-	}
-}
-
-// --- E1-E3: Figs 3-5 / Theorem 2.1 ---
-
-// BenchmarkTopologyWorstCase3Faults measures exhaustive 3-fault analysis of
-// the two constructions (the computation behind E1/E2's table).
-func BenchmarkTopologyWorstCase3Faults(b *testing.B) {
-	naive, err := topology.NewNaive(topology.RingFabric, 10, 10, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	diam, err := topology.NewDiameter(topology.RingFabric, 10, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		top  *topology.Topology
-	}{{"naive", naive}, {"diameter", diam}} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				worst, _ := tc.top.WorstCase(tc.top.SwitchElements(), 3)
-				if worst.NodesLost > 6 {
-					b.Fatalf("bound violated: %d", worst.NodesLost)
-				}
-			}
-		})
-	}
-}
-
-// --- E4-E6: Figs 6-8 ---
-
-// BenchmarkLinkStateProtocol measures the token-counting engine under an
-// adversarial event mix.
-func BenchmarkLinkStateProtocol(b *testing.B) {
-	for _, slack := range []int{2, 8} {
-		b.Run(fmt.Sprintf("slack=%d", slack), func(b *testing.B) {
-			a, err := linkstate.NewEndpoint(slack, linkstate.TinOnToken)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, err := linkstate.NewEndpoint(slack, linkstate.TinOnToken)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var qAB, qBA []int
-			rng := rand.New(rand.NewSource(9))
-			for i := 0; i < b.N; i++ {
-				switch rng.Intn(4) {
-				case 0:
-					if n := a.Tout(); n > 0 {
-						qAB = append(qAB, n)
-					}
-				case 1:
-					if n := p.Tout(); n > 0 {
-						qBA = append(qBA, n)
-					}
-				case 2:
-					if len(qAB) > 0 {
-						qAB = qAB[1:]
-						if n := p.Token(); n > 0 {
-							qBA = append(qBA, n)
-						}
-					}
-				case 3:
-					if len(qBA) > 0 {
-						qBA = qBA[1:]
-						if n := a.Token(); n > 0 {
-							qAB = append(qAB, n)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// --- E7-E11: Fig 9 ---
-
-// BenchmarkMembershipTokenRound measures simulated wall time per full token
-// revolution of a 4-node ring (Fig 9a dynamics).
-func BenchmarkMembershipTokenRound(b *testing.B) {
-	s := sim.New(5)
-	names := []string{"A", "B", "C", "D"}
-	conn := rudp.Config{Paths: 2}
-	mesh, err := rudp.NewMesh(s, sim.NewNetwork(s), names, conn)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mcfg := membership.MeshConfig{AckTimeout: membership.AckTimeout(conn, sim.DefaultLink.Delay)}
-	c := membership.NewMeshCluster(s, mesh, names, mcfg)
-	s.RunFor(500 * time.Millisecond)
-	b.ResetTimer()
-	start := c.Members["A"].TokenVisits()
-	for i := 0; i < b.N; i++ {
-		target := start + uint64(i+1)
-		for c.Members["A"].TokenVisits() < target {
-			if !s.Step() {
-				b.Fatal("simulation drained")
-			}
 		}
 	}
 }

@@ -107,18 +107,6 @@ type ContiguousLayout interface {
 	ContiguousData()
 }
 
-// ParityEncoder is optionally implemented by codes that can compute just the
-// parity shards of an encode from caller-supplied, fully-padded data shards.
-// Combined with ContiguousLayout it lets whole-object writers alias data
-// shards straight out of the message and pay only for the parity
-// computation — no data copy, no allocation. dataShards must hold exactly K
-// equal-length shards and parity exactly N-K buffers of the same length;
-// every parity byte is overwritten, no parity buffer may alias an input,
-// and the data shards are not modified.
-type ParityEncoder interface {
-	EncodeParityInto(dataShards, parity [][]byte) error
-}
-
 // Errors shared by all code implementations.
 var (
 	// ErrTooFewShards reports that fewer than K shards were available.

@@ -324,52 +324,6 @@ func (c *rsCode) EncodeInto(data []byte, shards [][]byte) error {
 	return nil
 }
 
-// EncodeParityInto implements ParityEncoder: it computes the n-k parity
-// shards from k caller-supplied padded data shards, overwriting every parity
-// byte. With the contiguous layout this is the zero-copy whole-object
-// encode: data shards alias the message, only parity is computed.
-func (c *rsCode) EncodeParityInto(dataShards, parity [][]byte) error {
-	if len(dataShards) != c.k {
-		return fmt.Errorf("%w: got %d data shards, want %d", ErrShardCount, len(dataShards), c.k)
-	}
-	if len(parity) != c.n-c.k {
-		return fmt.Errorf("%w: got %d parity shards, want %d", ErrShardCount, len(parity), c.n-c.k)
-	}
-	shardLen := len(dataShards[0])
-	for i, s := range dataShards {
-		if len(s) != shardLen {
-			return fmt.Errorf("%w: data shard %d is %d bytes, want %d", ErrShardSize, i, len(s), shardLen)
-		}
-	}
-	for i, s := range parity {
-		if len(s) != shardLen {
-			return fmt.Errorf("%w: parity shard %d is %d bytes, want %d", ErrShardSize, i, len(s), shardLen)
-		}
-	}
-	if shardLen == 0 {
-		return nil
-	}
-	if c.mode == rsScalarRef {
-		for _, s := range parity {
-			clear(s) // applyRows accumulates in scalar mode
-		}
-		c.applyRows(c.parity, dataShards, parity)
-		return nil
-	}
-	c.chunked(dataShards, parity, func(ins, outs [][]byte) {
-		if c.pq {
-			if len(outs) == 2 {
-				gf.PQSlice(ins, outs[0], outs[1])
-			} else {
-				gf.XorVecSlice(ins, outs[0])
-			}
-			return
-		}
-		c.parity.MulVecSlices(ins, outs)
-	})
-	return nil
-}
-
 // Reconstruct implements Code.
 func (c *rsCode) Reconstruct(shards [][]byte) error { return c.reconstruct(shards, false) }
 

@@ -371,56 +371,3 @@ func TestRSEncodeIntoMatchesEncode(t *testing.T) {
 		}
 	}
 }
-
-// TestRSEncodeParityInto pins the ParityEncoder contract: parity computed
-// from caller-padded data shards (the aliasing whole-object put path) must
-// equal a fresh Encode's parity, for every shape and mode.
-func TestRSEncodeParityInto(t *testing.T) {
-	for _, shape := range rsTestShapes {
-		for _, opts := range [][]RSOption{nil, {RSScalar()}} {
-			c, err := NewReedSolomon(shape[0], shape[1], opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pe := c.(ParityEncoder)
-			k, n := c.K(), c.N()
-			for _, size := range []int{1, 1000, 4096, 65537} {
-				msg := make([]byte, size)
-				rand.New(rand.NewSource(int64(size + 7))).Read(msg)
-				want, err := c.Encode(msg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				shardLen := c.ShardSize(size)
-				dataShards := make([][]byte, k)
-				for i := range dataShards {
-					dataShards[i] = make([]byte, shardLen)
-					if off := i * shardLen; off < size {
-						copy(dataShards[i], msg[off:])
-					}
-				}
-				parity := make([][]byte, n-k)
-				for i := range parity {
-					parity[i] = make([]byte, shardLen)
-					for j := range parity[i] {
-						parity[i][j] = 0x55
-					}
-				}
-				if err := pe.EncodeParityInto(dataShards, parity); err != nil {
-					t.Fatalf("rs%v len %d: %v", shape, size, err)
-				}
-				for i := range parity {
-					if !bytes.Equal(parity[i], want[k+i]) {
-						t.Fatalf("rs%v len %d: parity shard %d differs", shape, size, i)
-					}
-				}
-			}
-			if err := pe.EncodeParityInto(make([][]byte, k+1), make([][]byte, n-k)); err == nil {
-				t.Fatalf("rs%v: EncodeParityInto accepted wrong data shard count", shape)
-			}
-			if err := pe.EncodeParityInto(make([][]byte, k), make([][]byte, n-k+1)); err == nil {
-				t.Fatalf("rs%v: EncodeParityInto accepted wrong parity count", shape)
-			}
-		}
-	}
-}

@@ -16,8 +16,8 @@ import (
 //   - Shard stream i is the concatenation of every block's shard i. All
 //     shards of one block have equal size ShardSize(blockLen), so block b's
 //     piece of any shard stream sits at offset b*ShardSize(B).
-//   - Block size 0 (the "unblocked" legacy layout) means one codeword over
-//     the whole object: a single block of blockSize = dataLen.
+//   - An object no longer than B is one block, so its shards are those of
+//     a single whole-object codeword; an empty object has no blocks.
 //
 // Decoding therefore needs only (dataLen, blockSize) to locate every piece
 // of every stream, and any k shard streams reconstruct the object one block

@@ -153,9 +153,9 @@ func TestRebuildStreamMatchesEncoder(t *testing.T) {
 	}
 }
 
-// TestStreamDecodeUnblockedLayout checks blockSize == dataLen (the legacy
-// single-codeword layout, wire blockLen 0 normalised by the caller) decodes
-// identically to the whole-buffer Decode path.
+// TestStreamDecodeUnblockedLayout checks blockSize == dataLen (an object
+// that fits in one block) decodes identically to the whole-buffer Decode
+// path.
 func TestStreamDecodeUnblockedLayout(t *testing.T) {
 	code, err := NewReedSolomon(5, 3)
 	if err != nil {

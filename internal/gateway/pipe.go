@@ -44,8 +44,9 @@ func newGetPipe(pool *sync.Pool, max int) *getPipe {
 
 // Write copies decoded bytes into the ring's free space; loop-side (the
 // decoder's sink). A write larger than the free space — a block bigger than
-// the ring was sized for, such as a single-codeword object's — grows this
-// pipe's ring instead of blocking the loop.
+// the ring was sized for, which only an object stored by a node run with a
+// larger -block produces — grows this pipe's ring instead of blocking the
+// loop.
 func (p *getPipe) Write(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

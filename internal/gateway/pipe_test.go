@@ -62,9 +62,9 @@ func TestGetPipeWraparound(t *testing.T) {
 	}
 }
 
-// A single write larger than the ring — a whole-object block, with the
-// consumer still holding a run of the old ring — grows this pipe, keeps the
-// held run intact, and the grown ring is not pooled.
+// A single write larger than the ring — a block stored with a larger block
+// size, with the consumer still holding a run of the old ring — grows this
+// pipe, keeps the held run intact, and the grown ring is not pooled.
 func TestGetPipeWriteLargerThanRing(t *testing.T) {
 	pool := ringPool(8)
 	p := newGetPipe(pool, 6)

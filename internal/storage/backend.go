@@ -21,7 +21,7 @@ type ObjectInfo struct {
 	Shard    int // shard index held under the object's placement
 	DataLen  int // original object length
 	ShardLen int
-	BlockLen int // block-codeword size of the layout; 0 = one codeword
+	BlockLen int // block-codeword size of the layout (dstore writes at least 1)
 }
 
 // Backend is the node-local shard store: one shard per object id, plus the
