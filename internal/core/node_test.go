@@ -149,7 +149,7 @@ func TestRealNodeCluster(t *testing.T) {
 				t.Errorf("put %s: %v", small, err)
 				return
 			}
-			if err := w.PutStream(ctx, big, bytes.NewReader(stream), int64(len(stream))); err != nil {
+			if _, err := w.PutStream(ctx, big, bytes.NewReader(stream), int64(len(stream))); err != nil {
 				t.Errorf("putstream %s: %v", big, err)
 				return
 			}

@@ -2,6 +2,7 @@ package dstore_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"testing"
 	"time"
@@ -12,7 +13,9 @@ import (
 
 // TestGetRange exercises ranged retrieves at block boundaries ±1, suffix
 // ranges and past-the-end clamping — both un-hinted (decode from the front,
-// trim) and hinted (streams start at the range's first block).
+// trim) and hinted (streams start at the range's first block) — and checks
+// that a hint naming another version fails the retrieve instead of decoding
+// this one's shards.
 func TestGetRange(t *testing.T) {
 	c := newCluster(t, 21, 6, 4, sim.ProfileLAN, nil)
 	const size = 200 << 10
@@ -33,7 +36,7 @@ func TestGetRange(t *testing.T) {
 		{0, -1},               // everything
 		{0, 0},                // nothing
 	}
-	for _, hint := range []*dstore.RangeMeta{nil, {DataLen: size, BlockLen: bs}} {
+	for _, hint := range []*dstore.ObjectMeta{nil, {DataLen: size, BlockLen: bs, Digest: sha256.Sum256(data)}} {
 		for _, tc := range cases {
 			var buf bytes.Buffer
 			var n int64
@@ -60,6 +63,17 @@ func TestGetRange(t *testing.T) {
 		if got := c.clients["b"].PendingRequests(); got != 0 {
 			t.Fatalf("hint=%v: %d request handlers leaked", hint != nil, got)
 		}
+	}
+
+	stale := &dstore.ObjectMeta{DataLen: size, BlockLen: bs, Digest: sha256.Sum256(data[1:])}
+	var err error
+	finished := false
+	c.clients["b"].GetRangeAsync("obj", &bytes.Buffer{}, dstore.GetOptions{Off: bs, Length: 10, Meta: stale},
+		func(_ int64, e error) { err, finished = e, true })
+	for !finished && c.s.Step() {
+	}
+	if !errors.Is(err, dstore.ErrNotEnoughDaemons) {
+		t.Fatalf("range pinned to another version: err %v, want ErrNotEnoughDaemons", err)
 	}
 }
 
@@ -88,7 +102,7 @@ func TestPutFeed(t *testing.T) {
 			c.s.RunFor(2 * time.Millisecond) // let acks drain the window
 		}
 	}
-	f.Close()
+	f.Close(sha256.Sum256(data))
 	for !finished && c.s.Step() {
 	}
 	if ferr != nil {
@@ -127,7 +141,7 @@ func TestPutFeedSlowProducer(t *testing.T) {
 		t.Fatalf("put resolved while its producer was paused: stored %d, err %v", stored, ferr)
 	}
 	f.Offer(data[block:])
-	f.Close()
+	f.Close(sha256.Sum256(data))
 	for !finished && c.s.Step() {
 	}
 	if ferr != nil || stored != 6 {
@@ -161,7 +175,7 @@ func TestPutFeedLengthMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Offer(make([]byte, 5))
-	f.Close()
+	f.Close(sha256.Sum256(make([]byte, 5)))
 	for !short && c.s.Step() {
 	}
 	if !errors.Is(errShort, dstore.ErrShortSource) {

@@ -2,7 +2,10 @@ package dstore
 
 import (
 	"context"
+	"crypto/sha256"
 	"io"
+
+	"rain/internal/storage"
 )
 
 // Bridge is the goroutine-safe front of a loop-owned Client. The client and
@@ -69,6 +72,13 @@ func (b *Bridge) Get(ctx context.Context, id string) ([]byte, error) {
 	})
 }
 
+// Head runs the metadata probe (HeadAsync).
+func (b *Bridge) Head(ctx context.Context, id string) (ObjectMeta, error) {
+	return await(ctx, b, func(done func(ObjectMeta, error)) *Handle {
+		return b.client.HeadAsync(id, done)
+	})
+}
+
 // Stat looks one object up in the merged inventory.
 func (b *Bridge) Stat(ctx context.Context, id string) (ObjectStat, error) {
 	return await(ctx, b, func(done func(ObjectStat, error)) *Handle {
@@ -96,17 +106,20 @@ func (b *Bridge) Delete(ctx context.Context, id string) error {
 }
 
 // PutStream stores an object of exactly size bytes from r through a
-// PutFeed. r is read on the calling goroutine, and while a block is buffered
-// and the daemons' credit windows are full it is the caller that parks, so a
-// slow cluster throttles the producer and never the loop. A read error or a
-// dead ctx aborts the put (the daemons' staged writes are poisoned).
-func (b *Bridge) PutStream(ctx context.Context, id string, r io.Reader, size int64) error {
+// PutFeed and returns its SHA-256. r is read and hashed on the calling
+// goroutine, and while a block is buffered and the daemons' credit windows
+// are full it is the caller that parks, so a slow cluster throttles the
+// producer and never the loop. A read error or a dead ctx aborts the put
+// (the daemons' staged writes are poisoned).
+func (b *Bridge) PutStream(ctx context.Context, id string, r io.Reader, size int64) (storage.Digest, error) {
 	var (
-		feed   *PutFeed
-		room   = make(chan struct{}, 1)
-		done   = make(chan struct{})
-		putErr error // written on the loop before done closes
-		err    error
+		feed    *PutFeed
+		room    = make(chan struct{}, 1)
+		done    = make(chan struct{})
+		putErr  error // written on the loop before done closes
+		err     error
+		none    storage.Digest
+		hashing = sha256.New()
 	)
 	if !b.call(func() {
 		feed, err = b.client.NewPutFeed(id, size, func(_ int, e error) {
@@ -122,14 +135,14 @@ func (b *Bridge) PutStream(ctx context.Context, id string, r io.Reader, size int
 			})
 		}
 	}) {
-		return ErrCanceled
+		return none, ErrCanceled
 	}
 	if err != nil {
-		return err
+		return none, err
 	}
-	abort := func(err error) error {
+	abort := func(err error) (storage.Digest, error) {
 		b.call(feed.Cancel)
-		return err
+		return none, err
 	}
 	// Up to a block per read, what the feed asks for before it pauses; one
 	// byte past size is enough to see the EOF (or an overlong source) of a
@@ -138,9 +151,10 @@ func (b *Bridge) PutStream(ctx context.Context, id string, r io.Reader, size int
 	for {
 		n, rerr := r.Read(buf)
 		if n > 0 {
+			hashing.Write(buf[:n])
 			hasRoom := false
 			if !b.call(func() { hasRoom = feed.Offer(buf[:n]) }) {
-				return ErrCanceled
+				return none, ErrCanceled
 			}
 			if !hasRoom {
 				select {
@@ -158,16 +172,20 @@ func (b *Bridge) PutStream(ctx context.Context, id string, r io.Reader, size int
 			return abort(rerr)
 		}
 	}
-	if !b.call(feed.Close) {
-		return ErrCanceled
+	digest := sum(hashing)
+	if !b.call(func() { feed.Close(digest) }) {
+		return none, ErrCanceled
 	}
 	select {
 	case <-done:
 	case <-ctx.Done():
 		if !b.call(feed.Cancel) {
-			return ctx.Err()
+			return none, ctx.Err()
 		}
 		<-done
 	}
-	return putErr
+	if putErr != nil {
+		return none, putErr
+	}
+	return digest, nil
 }

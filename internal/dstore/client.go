@@ -343,7 +343,7 @@ func (c *Client) send(to string, m Msg) {
 // (decode pauses while the newcomer lags).
 func (c *Client) rebuildObject(info storage.ObjectInfo, peers []string, targetIdx int, rank func() []int, done func(error)) {
 	exclude := map[int]bool{targetIdx: true}
-	meta := objMeta{shardLen: int64(info.ShardLen), dataLen: int64(info.DataLen), blockLen: int64(info.BlockLen)}
+	meta := infoMeta(info)
 	var out *transfer
 	transferDone := false
 	var opErr error
@@ -367,7 +367,8 @@ func (c *Client) rebuildObject(info storage.ObjectInfo, peers []string, targetId
 		tr.Finish(c.nowNS(), err)
 		done(err)
 	}
-	out = c.startTransfer(peers[targetIdx], info.ID, targetIdx, meta.shardLen, meta.dataLen, meta.blockLen, func(ok bool) {
+	info.Shard = targetIdx
+	out = c.startTransfer(peers[targetIdx], info, func(ok bool) {
 		transferDone = true
 		switch {
 		case opErr != nil:

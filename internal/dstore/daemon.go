@@ -112,16 +112,16 @@ type assembly struct {
 }
 
 // getSession is one credit-windowed get stream: the daemon keeps at most
-// win bytes beyond the client's last consumed-ack in flight.
+// win bytes beyond the client's last consumed-ack in flight. The stream
+// serves one version of the object — the entry info describes — and ends
+// with an error if a commit replaces that entry mid-stream.
 type getSession struct {
-	id       string
-	shard    int // recorded shard index of the stored entry
+	info     storage.ObjectInfo
 	shardLen int64
-	dataLen  int64
-	blockLen int64
 	sent     int64 // next stream offset to send
 	credit   int64 // client's consumed offset (GetAck)
 	win      int64 // window beyond credit, bytes
+	told     bool  // a chunk went out: the digest rode on it
 	touched  time.Time
 }
 
@@ -367,6 +367,7 @@ func (d *Daemon) onPutChunk(from string, m Msg) {
 	d.cnt.chunksStored.Add(1)
 	d.met.chunksStored.Inc()
 	if a.stage.Len() >= a.shardLen {
+		a.stage.SetDigest(m.Digest) // the commit chunk carries the object's digest
 		if err := d.backend.Commit(a.stage, a.id, a.shard, int(a.dataLen), int(a.blockLen)); err != nil {
 			delete(d.asm, key)
 			d.reply(from, Msg{Kind: KindPutAck, Req: m.Req, ID: m.ID, Err: err.Error()})
@@ -405,11 +406,8 @@ func (d *Daemon) onGetReq(from string, m Msg) {
 		return
 	}
 	g := &getSession{
-		id:       m.ID,
-		shard:    info.Shard,
+		info:     info,
 		shardLen: shardLen,
-		dataLen:  int64(info.DataLen),
-		blockLen: int64(info.BlockLen),
 		sent:     m.Off,
 		credit:   m.Off,
 		win:      int64(m.Win) * int64(d.chunk),
@@ -455,16 +453,20 @@ func (d *Daemon) onGetAck(from string, m Msg) {
 // times.
 func (d *Daemon) pumpGet(from string, req uint64, g *getSession) {
 	hdr := func(off int64) Msg {
-		return Msg{
+		m := Msg{
 			Kind:     KindGetChunk,
 			Req:      req,
-			ID:       g.id,
-			Shard:    int32(g.shard),
+			ID:       g.info.ID,
+			Shard:    int32(g.info.Shard),
 			Off:      off,
 			ShardLen: g.shardLen,
-			DataLen:  g.dataLen,
-			BlockLen: g.blockLen,
+			DataLen:  int64(g.info.DataLen),
+			BlockLen: int64(g.info.BlockLen),
 		}
+		if !g.told {
+			m.Digest = g.info.Digest
+		}
+		return m
 	}
 	if g.shardLen == 0 {
 		if g.sent == 0 {
@@ -476,6 +478,12 @@ func (d *Daemon) pumpGet(from string, req uint64, g *getSession) {
 		return
 	}
 	for g.sent < g.shardLen && g.sent-g.credit < g.win {
+		if cur, err := d.backend.Info(g.info.ID); err == nil && cur != g.info {
+			// A commit replaced the entry: the rest of this stream would be
+			// another version's bytes at this version's offsets.
+			d.reply(from, Msg{Kind: KindGetChunk, Req: req, ID: g.info.ID, Err: fmt.Sprintf("dstore: %s was overwritten mid-stream", g.info.ID)})
+			return
+		}
 		n := int64(d.chunk)
 		if rest := g.shardLen - g.sent; rest < n {
 			n = rest
@@ -484,7 +492,7 @@ func (d *Daemon) pumpGet(from string, req uint64, g *getSession) {
 			n = room
 		}
 		f, data := NewMsgFrame(hdr(g.sent), int(n))
-		if err := d.backend.ReadAt(g.id, data, g.sent); err != nil {
+		if err := d.backend.ReadAt(g.info.ID, data, g.sent); err != nil {
 			f.Release()
 			if errors.Is(err, storage.ErrStalled) {
 				// A hung disk sends nothing — no NAK, no chunk. The client's
@@ -495,12 +503,13 @@ func (d *Daemon) pumpGet(from string, req uint64, g *getSession) {
 			// Everything else NAKs with the error text; a *CorruptError's
 			// text is what the client folds back into corruption-as-erasure
 			// (the shard is already quarantined locally).
-			d.reply(from, Msg{Kind: KindGetChunk, Req: req, ID: g.id, Err: err.Error()})
+			d.reply(from, Msg{Kind: KindGetChunk, Req: req, ID: g.info.ID, Err: err.Error()})
 			return
 		}
 		d.cnt.chunksServed.Add(1)
 		d.met.chunksServed.Inc()
 		d.mesh.SendFrame(d.node, from, ServiceClient, f)
 		g.sent += n
+		g.told = true
 	}
 }

@@ -646,7 +646,7 @@ func TestNoPositionalOrSizeFallback(t *testing.T) {
 	}
 	var rangeErr error
 	finished := false
-	c.clients["a"].GetRangeAsync("obj", io.Discard, dstore.GetOptions{Off: 1, Length: 2, Meta: &dstore.RangeMeta{DataLen: int64(len(data))}},
+	c.clients["a"].GetRangeAsync("obj", io.Discard, dstore.GetOptions{Off: 1, Length: 2, Meta: &dstore.ObjectMeta{DataLen: int64(len(data))}},
 		func(_ int64, err error) { rangeErr, finished = err, true })
 	for !finished && c.s.Step() {
 	}

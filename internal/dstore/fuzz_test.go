@@ -2,6 +2,7 @@ package dstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
 	"rain/internal/storage"
@@ -24,6 +25,11 @@ func FuzzUnmarshal(f *testing.F) {
 		// Well-formed but refused by the daemon: no get window, no shard index.
 		{Kind: KindGetReq, Req: 12, ID: "obj0"},
 		{Kind: KindPutChunk, Req: 13, ID: "obj0", Shard: -1, ShardLen: 8, DataLen: 8, Data: []byte("8 bytes!")},
+		// The digest on a commit chunk and on a stream's first get chunk.
+		{Kind: KindPutChunk, Req: 14, ID: "obj0", Shard: 2, Off: 49152, ShardLen: 65536,
+			DataLen: 262144, BlockLen: 65536, Win: 4, Digest: sha256.Sum256([]byte("obj0")), Data: []byte("last chunk")},
+		{Kind: KindGetChunk, Req: 15, ID: "obj0", Shard: 1, ShardLen: 65536, DataLen: 262144,
+			BlockLen: 65536, Digest: sha256.Sum256([]byte("obj0")), Data: []byte{4, 5, 6}},
 	}
 	for _, m := range seeds {
 		f.Add(m.Marshal())
@@ -48,7 +54,7 @@ func FuzzUnmarshal(f *testing.F) {
 func FuzzDecodeInventory(f *testing.F) {
 	seeds := [][]storage.ObjectInfo{
 		nil,
-		{{ID: "obj0", Shard: 2, DataLen: 262144, ShardLen: 65536, BlockLen: 65536}},
+		{{ID: "obj0", Shard: 2, DataLen: 262144, ShardLen: 65536, BlockLen: 65536, Digest: sha256.Sum256([]byte("obj0"))}},
 		{{ID: "a", Shard: -1, DataLen: -1, ShardLen: 1},
 			{ID: "b", Shard: 0, DataLen: 0, ShardLen: 0, BlockLen: 0}},
 	}

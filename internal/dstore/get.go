@@ -11,6 +11,7 @@ import (
 
 	"rain/internal/ecc"
 	"rain/internal/sim"
+	"rain/internal/storage"
 	"rain/internal/telemetry"
 )
 
@@ -65,12 +66,22 @@ type blockSink interface {
 	NextBlock(shards [][]byte) error
 }
 
-// objMeta is the layout metadata of one stored object, learned from the
-// first get chunk (retrieves) or the survivor inventory (rebuilds).
+// objMeta is the layout and digest of one stored object version, learned
+// from the first get chunk (retrieves) or the survivor inventory (rebuilds).
+// Every stream of an operation must report the same one.
 type objMeta struct {
 	shardLen int64
 	dataLen  int64
 	blockLen int64 // block-codeword size, at least 1
+	digest   storage.Digest
+}
+
+// chunkMeta is the object version a stream's first get chunk reports.
+func chunkMeta(m Msg) objMeta { return objMeta{m.ShardLen, m.DataLen, m.BlockLen, m.Digest} }
+
+// infoMeta is the object version an inventory entry describes.
+func infoMeta(in storage.ObjectInfo) objMeta {
+	return objMeta{int64(in.ShardLen), int64(in.DataLen), int64(in.BlockLen), in.Digest}
 }
 
 // shardStream is one windowed shard read within a streamGetOp. peerIdx is
@@ -197,14 +208,15 @@ type getRange struct {
 }
 
 // startStreamGet launches the state machine over the object's placement
-// (peers[i] holds shard i). If metaHint is non-nil the layout is known up
-// front (rebuild, from the inventory; ranged gets, from the caller's
-// metadata record) and decoding can begin without waiting for a first
-// chunk. rank, when non-nil, overrides the policy ranking of candidate
-// shard indices — the rebuild pipeline injects its survivor-load spreading
-// there. rng, when non-nil, bounds decoding to the blocks covering that
-// byte range; combined with a metaHint the shard streams start at the
-// range's first block, so the prefix never crosses the wire.
+// (peers[i] holds shard i). If metaHint is non-nil the version is known up
+// front (rebuild, from the inventory; ranged gets, from the caller's probe)
+// and decoding can begin without waiting for a first chunk; either way every
+// stream must report that one version. rank, when non-nil, overrides the
+// policy ranking of candidate shard indices — the rebuild pipeline injects
+// its survivor-load spreading there. rng, when non-nil, bounds decoding to
+// the blocks covering that byte range; combined with a metaHint the shard
+// streams start at the range's first block, so the prefix never crosses
+// the wire.
 func (c *Client) startStreamGet(id string, peers []string, exclude map[int]bool, metaHint *objMeta, rank func() []int, trace *telemetry.Trace, rng *getRange,
 	mkSink func(objMeta, int64) (blockSink, error), ready func() bool, done func(objMeta, error)) *streamGetOp {
 	op := &streamGetOp{
@@ -249,10 +261,17 @@ func (c *Client) startStreamGet(id string, peers []string, exclude map[int]bool,
 	return op
 }
 
+// probe reports whether the op reads no bytes, only the object's version:
+// one stream's first chunk is all it needs.
+func (op *streamGetOp) probe() bool { return op.rng != nil && op.rng.end == op.rng.off }
+
 // winChunks is the flow-control window the daemons are asked to keep in
 // flight: enough for a whole block piece plus the configured window, so the
 // decode frontier always has a full piece arriving behind it.
 func (op *streamGetOp) winChunks() int32 {
+	if op.probe() {
+		return 1 // the layout rides on each stream's first chunk
+	}
 	chunk := op.c.cfg.ChunkSize
 	win := op.c.cfg.Window
 	if op.haveMeta {
@@ -363,25 +382,40 @@ func (op *streamGetOp) hedge(st *shardStream) {
 	op.issueNext()
 }
 
-// failIfStuck fails the op early once no outstanding stream can still
-// deliver bytes and no spare candidates remain — e.g. every daemon answered
-// "object not found" — instead of waiting out the deadline.
+// failIfStuck fails the op early once no spare candidates remain and either
+// fewer than k streams are alive or no live stream can still deliver bytes —
+// e.g. every daemon answered "object not found", or too many holders serve
+// another version — instead of waiting out the deadline.
 func (op *streamGetOp) failIfStuck() {
 	if op.finished || op.cursor < len(op.candidates) {
 		return
 	}
-	if op.ready != nil && !op.ready() {
-		return // decode is paused on downstream backpressure, not starved
-	}
+	live, need := 0, op.c.cfg.Code.K()
 	for _, st := range op.streams {
-		if st.dead || st.complete {
-			continue
+		if !st.dead {
+			live++
 		}
-		if !op.haveMeta || !st.deliveredTo(op.meta.shardLen) {
-			return // still in flight (possibly stalled; the deadline rules)
+	}
+	if op.probe() {
+		need = 1
+	}
+	// Fewer live streams than a block needs can never assemble it, whatever
+	// they still deliver (a stream waiting on credit the decode cannot give
+	// would otherwise hold the op until its deadline).
+	if live >= need {
+		if op.ready != nil && !op.ready() {
+			return // decode is paused on downstream backpressure, not starved
 		}
-		// Fully delivered but unconsumed: this stream can make no further
-		// progress on its own.
+		for _, st := range op.streams {
+			if st.dead || st.complete {
+				continue
+			}
+			if !op.haveMeta || !st.deliveredTo(op.meta.shardLen) {
+				return // still in flight (possibly stalled; the deadline rules)
+			}
+			// Fully delivered but unconsumed: this stream can make no
+			// further progress on its own.
+		}
 	}
 	if op.notFound > 0 && op.deadOther == 0 && !op.firstK {
 		// Every daemon that answered said it has no shard, nothing was ever
@@ -441,6 +475,12 @@ func (op *streamGetOp) onChunk(st *shardStream, m Msg) {
 				st.peer, m.Shard, op.id, st.peerIdx)
 		}
 	}
+	if m.Err == "" && !st.confirmed && op.haveMeta && chunkMeta(m) != op.meta {
+		// The stream serves another version than the one this operation
+		// decodes (a put landed between the holders, or after the layout
+		// hint was read): its pieces would decode to neither version.
+		m.Err = fmt.Sprintf("dstore: %s holds another version of %s", st.peer, op.id)
+	}
 	if m.Err != "" {
 		st.dead = true
 		op.lastErr = m.Err
@@ -499,8 +539,12 @@ func (op *streamGetOp) onChunk(st *shardStream, m Msg) {
 		return
 	}
 	if !op.haveMeta {
-		if err := op.setMeta(objMeta{shardLen: m.ShardLen, dataLen: m.DataLen, blockLen: m.BlockLen}); err != nil {
+		if err := op.setMeta(chunkMeta(m)); err != nil {
 			op.finish(err)
+			return
+		}
+		if op.nextBlk >= op.limitBlk {
+			op.finish(nil) // a probe or an empty range: the layout was all it needed
 			return
 		}
 		// The layout may demand a larger window than the initial request
@@ -653,13 +697,14 @@ func (op *streamGetOp) finish(err error) {
 
 // ---- retrieve frontends ----
 
-// RangeMeta is the stored layout a ranged retrieve's caller already knows —
-// typically from a metadata record written alongside the object. With it,
-// GetRangeAsync starts the shard streams at the range's first block instead
-// of decoding (and shipping) the whole prefix.
-type RangeMeta struct {
-	DataLen  int64 // exact object length in bytes
-	BlockLen int64 // block-codeword size it was stored with
+// ObjectMeta is one stored object version as every shard of it records it.
+// The first chunk of each get stream reports it, HeadAsync returns it, and
+// a ranged retrieve given it (GetOptions.Meta) starts the shard streams at
+// the range's first block instead of decoding (and shipping) the prefix.
+type ObjectMeta struct {
+	DataLen  int64          // exact object length in bytes
+	BlockLen int64          // block-codeword size it was stored with
+	Digest   storage.Digest // SHA-256 of the object's bytes
 }
 
 // GetOptions parameterises GetRangeAsync.
@@ -670,9 +715,15 @@ type GetOptions struct {
 	Off    int64
 	Length int64
 	// Meta, when non-nil, lets the retrieve skip to the range's first block
-	// on the wire. Without it (or with no BlockLen in it) the range is still
-	// honored, but the prefix blocks are fetched, decoded and discarded.
-	Meta *RangeMeta
+	// on the wire and pins it to that version: a stream reporting another
+	// digest or layout is dropped like a failed one. Without it (or with no
+	// BlockLen in it) the range is still honored, but the prefix blocks are
+	// fetched, decoded and discarded.
+	Meta *ObjectMeta
+	// OnMeta, when non-nil, is called on the scheduler goroutine once the
+	// version being read is known — from Meta, or from the first chunk to
+	// arrive — and before any byte is written.
+	OnMeta func(ObjectMeta)
 	// Ready, when non-nil, gates decoding on downstream backpressure; a
 	// false return pauses the decode until the handle's Resume.
 	Ready func() bool
@@ -739,6 +790,7 @@ func (c *Client) GetRangeAsync(id string, w io.Writer, opts GetOptions, done fun
 			shardLen: ecc.StreamShardLen(c.cfg.Code, m.DataLen, int(m.BlockLen)),
 			dataLen:  m.DataLen,
 			blockLen: m.BlockLen,
+			digest:   m.Digest,
 		}
 	}
 	tw := &trimWriter{w: w, limit: opts.Length}
@@ -749,6 +801,9 @@ func (c *Client) GetRangeAsync(id string, w io.Writer, opts GetOptions, done fun
 	tr := c.trace("get", id)
 	op := c.startStreamGet(id, c.peersFor(id), nil, hint, nil, tr, rng,
 		func(meta objMeta, dataLen int64) (blockSink, error) {
+			if opts.OnMeta != nil {
+				opts.OnMeta(ObjectMeta{DataLen: meta.dataLen, BlockLen: meta.blockLen, Digest: meta.digest})
+			}
 			bs := int(meta.blockLen)
 			startBlk := int64(0)
 			if hint != nil {
@@ -779,6 +834,15 @@ func (c *Client) GetRangeAsync(id string, w io.Writer, opts GetOptions, done fun
 		cancel: func() { op.finish(ErrCanceled) },
 		resume: op.resumeDecode,
 	}
+}
+
+// HeadAsync is the metadata probe: a retrieve of no bytes, whose shard
+// streams each move at most one chunk before the first to arrive reports the
+// object's version. A missing object reports ErrNotFound.
+func (c *Client) HeadAsync(id string, done func(ObjectMeta, error)) *Handle {
+	var meta ObjectMeta
+	return c.GetRangeAsync(id, io.Discard, GetOptions{OnMeta: func(m ObjectMeta) { meta = m }},
+		func(_ int64, err error) { done(meta, err) })
 }
 
 // GetStreamAsync retrieves an object from any k reachable daemons, writing

@@ -100,8 +100,9 @@ func (c *Client) Delete(id string) error {
 	return err
 }
 
-// StatAsync looks up one object in the merged inventory — the gateway's
-// HEAD fallback. A missing object reports ErrNotFound.
+// StatAsync looks up one object in the merged inventory, counting its
+// holders; HeadAsync is the cheaper probe when the count is not needed. A
+// missing object reports ErrNotFound.
 func (c *Client) StatAsync(id string, done func(stat ObjectStat, err error)) {
 	c.listInventory(c.Universe(), func(entries map[string]*invEntry, _ int, err error) {
 		if err != nil {

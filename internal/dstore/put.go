@@ -6,12 +6,15 @@ package dstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"hash"
 	"io"
 
 	"rain/internal/ecc"
 	"rain/internal/netbuf"
 	"rain/internal/sim"
+	"rain/internal/storage"
 	"rain/internal/telemetry"
 )
 
@@ -24,14 +27,13 @@ import (
 // rebuilder) can stop producing when the peer lags — that backpressure is
 // what bounds put-side memory.
 type transfer struct {
-	c        *Client
-	peer     string
-	req      uint64
-	id       string
-	shard    int   // shard index being stored, recorded by the daemon
-	shardLen int64 // total stream length, declared up front
-	dataLen  int64
-	blockLen int64
+	c    *Client
+	peer string
+	req  uint64
+	// info is what the daemon records: the shard index, the layout and —
+	// on the commit chunk only, so a put feed may set it last — the digest.
+	info     storage.ObjectInfo
+	shardLen int64      // total stream length, declared up front
 	queue    []putChunk // marshaled, not-yet-sent chunks
 	queued   int64      // total unsent payload bytes across queue
 	next     int64      // next stream offset to send
@@ -51,45 +53,47 @@ type putChunk struct {
 	n int64 // payload bytes
 }
 
-// startTransfer begins a shard-stream transfer; onDone fires exactly once.
-// The caller feeds bytes with offer (an empty stream needs no offers and
-// commits on an initial empty chunk).
-func (c *Client) startTransfer(peer, id string, shard int, shardLen, dataLen, blockLen int64, onDone func(ok bool)) *transfer {
+// startTransfer begins a transfer of the shard stream info describes to
+// peer; onDone fires exactly once. The caller feeds bytes with offer (an
+// empty stream needs no offers and commits on an initial empty chunk).
+func (c *Client) startTransfer(peer string, info storage.ObjectInfo, onDone func(ok bool)) *transfer {
 	c.nextReq++
 	t := &transfer{
 		c:        c,
 		peer:     peer,
 		req:      c.nextReq,
-		id:       id,
-		shard:    shard,
-		shardLen: shardLen,
-		dataLen:  dataLen,
-		blockLen: blockLen,
+		info:     info,
+		shardLen: int64(info.ShardLen),
 		progress: c.s.Now(),
 		onDone:   onDone,
 	}
 	c.pending[t.req] = t.onAckMsg
-	if shardLen == 0 {
-		c.send(peer, t.chunkHdr(0)) // metadata-only commit
+	if t.shardLen == 0 {
+		c.send(peer, t.chunkHdr(0, 0)) // metadata-only commit
 	}
 	t.watch()
 	return t
 }
 
-// chunkHdr builds the header of the put chunk at stream offset off. Win
+// chunkHdr builds the header of the n-byte put chunk at stream offset off;
+// the chunk that completes the stream commits it and carries the digest. Win
 // carries the client's send window so the daemon can coalesce its acks.
-func (t *transfer) chunkHdr(off int64) Msg {
-	return Msg{
+func (t *transfer) chunkHdr(off int64, n int) Msg {
+	m := Msg{
 		Kind:     KindPutChunk,
 		Req:      t.req,
-		ID:       t.id,
-		Shard:    int32(t.shard),
+		ID:       t.info.ID,
+		Shard:    int32(t.info.Shard),
 		Win:      int32(t.c.cfg.Window),
 		Off:      off,
 		ShardLen: t.shardLen,
-		DataLen:  t.dataLen,
-		BlockLen: t.blockLen,
+		DataLen:  int64(t.info.DataLen),
+		BlockLen: int64(t.info.BlockLen),
 	}
+	if off+int64(n) >= t.shardLen {
+		m.Digest = t.info.Digest
+	}
+	return m
 }
 
 // offer appends bytes to the outgoing stream. The bytes are marshaled into
@@ -105,7 +109,7 @@ func (t *transfer) offer(p []byte) {
 		if n > chunk {
 			n = chunk
 		}
-		f, data := NewMsgFrame(t.chunkHdr(t.next+t.queued), n)
+		f, data := NewMsgFrame(t.chunkHdr(t.next+t.queued, n), n)
 		copy(data, p[off:off+n])
 		t.queue = append(t.queue, putChunk{f: f, n: int64(n)})
 		t.queued += int64(n)
@@ -203,7 +207,7 @@ func (t *transfer) resolve(ok bool) {
 		// complete. A chunk at offset -1 can never match the stage length, so
 		// the daemon aborts the stage at once instead of leaking it until the
 		// orphan sweep. (Its error reply is ignored; the handler is gone.)
-		t.c.send(t.peer, Msg{Kind: KindPutChunk, Req: t.req, ID: t.id, Off: -1, ShardLen: t.shardLen})
+		t.c.send(t.peer, Msg{Kind: KindPutChunk, Req: t.req, ID: t.info.ID, Off: -1, ShardLen: t.shardLen})
 	}
 	// Both hooks fire for the last time here; dropping them lets go of the
 	// feeder (a PutFeed, a rebuild's decode) even while the transfer itself
@@ -279,8 +283,9 @@ func (op *putOp) resolveOne(ok bool) {
 }
 
 // start opens one transfer per placement holder (dead peers resolve
-// immediately) and arms the operation deadline.
-func (op *putOp) start(shardLen, blockLen int64) {
+// immediately), shard i of the layout info describes to peers[i], and arms
+// the operation deadline.
+func (op *putOp) start(info storage.ObjectInfo) {
 	n := op.c.cfg.Code.N()
 	op.transfers = make([]*transfer, n)
 	op.unresolved = n
@@ -291,15 +296,17 @@ func (op *putOp) start(shardLen, blockLen int64) {
 			continue
 		}
 		op.trace.Event(op.c.nowNS(), "shard_fanout", peer, int64(i))
-		op.transfers[i] = op.c.startTransfer(peer, op.id, i, shardLen, op.dataLen, blockLen, op.resolveOne)
+		info.Shard = i
+		op.transfers[i] = op.c.startTransfer(peer, info, op.resolveOne)
 	}
 	if op.unresolved > 0 {
 		op.deadline = op.c.s.After(op.c.cfg.OpTimeout, func() { op.finish(nil) })
 	}
 }
 
-// PutAsync stores data through a PutFeed — one Offer, then Close — so a
-// whole-buffer put writes the same block-codeword layout as a streamed one.
+// PutAsync stores data through a PutFeed — one Offer, then Close with the
+// buffer's SHA-256 — so a whole-buffer put writes the same block-codeword
+// layout as a streamed one.
 // done fires once with the number of shards stored; err is nil when at least
 // k daemons committed. The feed copies data, so the caller may reuse it once
 // PutAsync returns. The returned handle cancels the fan-out (staged daemon
@@ -311,7 +318,7 @@ func (c *Client) PutAsync(id string, data []byte, done func(stored int, err erro
 		return &Handle{}
 	}
 	f.Offer(data)
-	f.Close()
+	f.Close(sha256.Sum256(data))
 	return &Handle{cancel: f.Cancel}
 }
 
@@ -333,7 +340,9 @@ func (c *Client) PutAsync(id string, data []byte, done func(stored int, err erro
 // The block that completes the stream is encoded only at Close, once the
 // producer has shown it has nothing more: an over-long producer fails with
 // ErrLongSource while every daemon still lacks the final piece of its shard
-// stream, so none can commit and the abort poison discards every stage.
+// stream, so none can commit and the abort poison discards every stage. The
+// producer hashes the bytes where it reads them and hands the digest to
+// Close; it rides on each stream's final (commit) chunk.
 //
 // All methods must run on the client's scheduler goroutine; real nodes post
 // them through their loop.
@@ -381,7 +390,7 @@ func (c *Client) NewPutFeed(id string, dataLen int64, done func(stored int, err 
 		done(stored, err)
 	})
 	if dataLen > 0 {
-		f.start()
+		f.start(storage.Digest{}) // Close supplies the digest before the commit chunks
 	}
 	return f, nil
 }
@@ -398,9 +407,10 @@ func (f *PutFeed) bufHint() int {
 
 // start opens the shard transfers. An empty object's transfers commit the
 // moment they open (a metadata-only chunk), so its feed opens them at Close.
-func (f *PutFeed) start() {
+func (f *PutFeed) start(digest storage.Digest) {
 	bs := f.c.cfg.BlockSize
-	f.op.start(ecc.StreamShardLen(f.c.cfg.Code, f.dataLen, bs), int64(bs))
+	f.op.start(storage.ObjectInfo{ID: f.op.id, DataLen: int(f.dataLen), BlockLen: bs, Digest: digest,
+		ShardLen: int(ecc.StreamShardLen(f.c.cfg.Code, f.dataLen, bs))})
 	for _, t := range f.op.transfers {
 		if t != nil {
 			t.onAck = f.pump
@@ -478,9 +488,10 @@ func (f *PutFeed) Offer(p []byte) bool {
 }
 
 // Close marks the stream complete: every declared byte must have been
-// offered, or the put fails with ErrShortSource. The final block is encoded
-// now, and the put resolves once the daemons ack the fanned-out shards.
-func (f *PutFeed) Close() {
+// offered, or the put fails with ErrShortSource. digest is the SHA-256 of
+// those bytes, recorded beside every shard. The final block is encoded now,
+// and the put resolves once the daemons ack the fanned-out shards.
+func (f *PutFeed) Close(digest storage.Digest) {
 	if f.closed || f.op.finished {
 		return
 	}
@@ -490,9 +501,20 @@ func (f *PutFeed) Close() {
 		return
 	}
 	if f.dataLen == 0 {
-		f.start()
+		f.start(digest)
+	}
+	for _, t := range f.op.transfers {
+		if t != nil {
+			t.info.Digest = digest // no commit chunk is marshaled before the final block
+		}
 	}
 	f.pump()
+}
+
+// sum is h's digest.
+func sum(h hash.Hash) (d storage.Digest) {
+	h.Sum(d[:0])
+	return d
 }
 
 // Cancel aborts the put: done reports ErrCanceled and staged daemon writes
@@ -518,14 +540,16 @@ func (c *Client) PutStreamAsync(id string, r io.Reader, dataLen int64, done func
 		return &Handle{}
 	}
 	buf := make([]byte, min(int64(c.cfg.BlockSize), dataLen+1))
+	h := sha256.New()
 	paused := false
 	pull := func() {
 		for !f.op.finished && !f.closed {
 			n, rerr := r.Read(buf[:min(int64(len(buf)), dataLen-f.offered+1)])
+			h.Write(buf[:n])
 			room := n == 0 || f.Offer(buf[:n])
 			switch {
 			case rerr == io.EOF:
-				f.Close()
+				f.Close(sum(h))
 			case rerr != nil:
 				f.op.finish(fmt.Errorf("dstore: reading put source: %w", rerr))
 			case !room:

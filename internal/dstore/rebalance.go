@@ -336,7 +336,8 @@ func sortedIDs(entries map[string]*invEntry) []string {
 // unit of rebalance movement, costing one shard of network traffic where a
 // reconstruct would read k. The relay is windowed on both legs: source
 // chunks are acked only as the outgoing transfer drains, so the client
-// buffers no more than a window of the stream.
+// buffers no more than a window of the stream. The copy records info's
+// layout and digest, so a source holding another version fails it.
 func (c *Client) copyShard(id, src, dst string, shardIdx int, info storage.ObjectInfo, done func(error)) {
 	shardLen := int64(info.ShardLen)
 	finished := false
@@ -358,7 +359,8 @@ func (c *Client) copyShard(id, src, dst string, shardIdx int, info storage.Objec
 	var out *transfer
 	var inReq uint64
 	var received, lastAck int64
-	out = c.startTransfer(dst, id, shardIdx, shardLen, int64(info.DataLen), int64(info.BlockLen), func(ok bool) {
+	info.ID, info.Shard = id, shardIdx
+	out = c.startTransfer(dst, info, func(ok bool) {
 		delete(c.pending, inReq)
 		if !ok {
 			finish(fmt.Errorf("dstore: copy %s to %s: transfer failed", id, dst))
@@ -383,6 +385,9 @@ func (c *Client) copyShard(id, src, dst string, shardIdx int, info storage.Objec
 		}
 		if m.Err == "" && int(m.Shard) != shardIdx {
 			m.Err = fmt.Sprintf("dstore: %s holds shard %d of %s, expected %d", src, m.Shard, id, shardIdx)
+		}
+		if m.Err == "" && received == 0 && m.Off == 0 && chunkMeta(m) != infoMeta(info) {
+			m.Err = fmt.Sprintf("dstore: %s holds another version of %s", src, id)
 		}
 		if m.Err != "" {
 			delete(c.pending, inReq)

@@ -2,6 +2,8 @@ package dstore_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -556,4 +558,107 @@ func TestRebuildPagedInventory(t *testing.T) {
 			t.Fatalf("%s after rebuild: %v", id, err)
 		}
 	}
+}
+
+// TestDigestSurvivesShardMovement moves one object's shards the three ways
+// the store re-creates a shard — a replaced node's rebuild, a rebalance
+// copy off a draining node, and a repair in place — and checks that every
+// holder still records the digest the put computed, and that a read whose
+// first chunk comes from the new holder reports it.
+func TestDigestSurvivesShardMovement(t *testing.T) {
+	const m, n, k = 8, 6, 4
+	c := newPlacedCluster(t, 47, m, n, k, sim.ProfileLAN, nil)
+	data := randBytes(470, 40<<10) // three 4 KiB chunks per shard
+	want := storage.Digest(sha256.Sum256(data))
+	if _, err := c.clients[c.nodes[0]].Put("obj", data); err != nil {
+		t.Fatal(err)
+	}
+	// firstFrom probes the object through a view in which node is the only
+	// live holder, so the version the probe reports is node's first chunk.
+	firstFrom := func(node string) storage.Digest {
+		for _, other := range c.nodes {
+			c.down[other] = other != node
+		}
+		defer clear(c.down)
+		var meta dstore.ObjectMeta
+		var err error
+		finished := false
+		c.clients[node].HeadAsync("obj", func(m dstore.ObjectMeta, e error) { meta, err, finished = m, e, true })
+		for !finished && c.s.Step() {
+		}
+		if err != nil || meta.DataLen != int64(len(data)) {
+			t.Fatalf("probe through %s: %+v, %v", node, meta, err)
+		}
+		return meta.Digest
+	}
+	check := func(step, moved string, universe []string) {
+		t.Helper()
+		holders := 0
+		for node, b := range c.backends {
+			info, err := b.Info("obj")
+			if err != nil {
+				continue
+			}
+			holders++
+			if info.Digest != want {
+				t.Fatalf("after the %s, %s records digest %x, want %x", step, node, info.Digest, want)
+			}
+		}
+		if holders != n {
+			t.Fatalf("after the %s, %d nodes hold a shard, want %d", step, holders, n)
+		}
+		if placement.ShardOf(placement.Assign("obj", universe, n), moved) < 0 {
+			t.Fatalf("after the %s, %s is not a holder", step, moved)
+		}
+		if got := firstFrom(moved); got != want {
+			t.Fatalf("after the %s, a read starting at %s reports digest %x, want %x", step, moved, got, want)
+		}
+		if got, err := c.clients[c.nodes[1]].Get("obj"); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("after the %s: get %v", step, err)
+		}
+	}
+
+	peers := placement.Assign("obj", c.nodes, n)
+	victim := peers[0]
+	c.backends[victim].Wipe()
+	if objs, err := c.clients[c.nodes[0]].Rebuild(victim); err != nil || objs != 1 {
+		t.Fatalf("rebuild: %d objects, %v", objs, err)
+	}
+	check("rebuild", victim, c.nodes)
+
+	leaver := peers[1]
+	var remaining []string
+	for _, node := range c.nodes {
+		if node != leaver {
+			remaining = append(remaining, node)
+		}
+	}
+	for _, node := range c.nodes {
+		if err := c.clients[node].SetNodes(remaining); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := c.clients[c.nodes[0]].Rebalance(leaver)
+	if err != nil || stats.Moved != 1 || stats.Rebuilt != 0 {
+		t.Fatalf("rebalance: %+v, %v; want one copied shard", stats, err)
+	}
+	newPeers := placement.Assign("obj", remaining, n)
+	arrival := ""
+	for _, node := range newPeers {
+		if placement.ShardOf(peers, node) < 0 {
+			arrival = node
+		}
+	}
+	check("rebalance copy", arrival, remaining)
+
+	target := newPeers[2]
+	if err := c.backends[target].CorruptShard("obj", 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.backends[target].Verify("obj"); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("verify of the damaged shard: %v", err)
+	}
+	c.clients[c.nodes[0]].QueueRepair("obj", 2, target)
+	c.s.RunFor(5 * time.Second)
+	check("repair in place", target, remaining)
 }

@@ -2,6 +2,7 @@ package dstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -94,7 +95,7 @@ func TestPutFeedBufferBounded(t *testing.T) {
 		for !room && !finished && s.Step() {
 		}
 	}
-	f.Close()
+	f.Close(sha256.Sum256(data))
 	for !finished && s.Step() {
 	}
 	if putErr != nil {
@@ -168,7 +169,7 @@ func TestFinishedOpsReleased(t *testing.T) {
 	}
 	feed.Offer(data)
 	pipeGone, encGone := tracked(&feed.pipe[:1][0]), tracked(feed.enc)
-	feed.Close()
+	feed.Close(sha256.Sum256(data))
 	run("feed put", &feedFinished)
 
 	if el := s.Now() - began; el >= sim.Time(DefaultOpTimeout) {

@@ -10,6 +10,7 @@ package dstore_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -220,13 +221,15 @@ func TestStreamSmoke256MiB(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed.OnRoom(func() { room = true })
+	hash := sha256.New()
 	for !fed {
 		n, rerr := fsrc.Read(piece)
 		if n > 0 {
+			hash.Write(piece[:n])
 			room = feed.Offer(piece[:n])
 		}
 		if rerr == io.EOF {
-			feed.Close()
+			feed.Close(storage.Digest(hash.Sum(nil)))
 			break
 		}
 		for !room && !fed && s.Step() {

@@ -21,7 +21,8 @@ const (
 	// KindPutChunk carries one chunk of a shard stream being stored. Chunks
 	// of one transfer share a Req and arrive in offset order (RUDP is FIFO
 	// per node pair); the daemon appends each chunk to a staged write and
-	// commits the shard when the last byte lands.
+	// commits the shard when the last byte lands. That last (commit) chunk
+	// carries the object's Digest, which the daemon records beside the shard.
 	KindPutChunk Kind = iota + 1
 	// KindPutAck acknowledges put progress through Off bytes (or an error).
 	KindPutAck
@@ -34,7 +35,8 @@ const (
 	// KindGetChunk carries one chunk of a streamed shard (or an error).
 	// Every chunk carries the object metadata (ShardLen, DataLen, BlockLen)
 	// so the client can lay out the block codewords from the first chunk of
-	// whichever stream answers first.
+	// whichever stream answers first; a stream's first chunk also carries
+	// the recorded Digest, which names the version the stream serves.
 	KindGetChunk
 	// KindListReq asks a daemon for a page of its object inventory. ID is
 	// the continuation token: the object id to resume after, empty for the
@@ -87,28 +89,44 @@ func (k Kind) String() string {
 // fields are zero.
 type Msg struct {
 	Kind     Kind
-	Req      uint64 // request id, chosen by the client, echoed by the daemon
-	ID       string // object id
-	Shard    int32  // shard index held by the daemon
-	Win      int32  // flow-control window in chunks (gets require > 0)
-	Off      int64  // chunk offset within the shard stream / acked byte count
-	ShardLen int64  // total shard-stream length of the transfer
-	DataLen  int64  // original object length
-	BlockLen int64  // block-codeword size of the layout (puts require >= 1)
-	Err      string // error detail on responses
-	Data     []byte // chunk payload or encoded inventory
+	Req      uint64         // request id, chosen by the client, echoed by the daemon
+	ID       string         // object id
+	Shard    int32          // shard index held by the daemon
+	Win      int32          // flow-control window in chunks (gets require > 0)
+	Off      int64          // chunk offset within the shard stream / acked byte count
+	ShardLen int64          // total shard-stream length of the transfer
+	DataLen  int64          // original object length
+	BlockLen int64          // block-codeword size of the layout (puts require >= 1)
+	Err      string         // error detail on responses
+	Digest   storage.Digest // object digest on commit and first get chunks; zero = absent
+	Data     []byte         // chunk payload or encoded inventory
 }
 
 // ErrBadMsg reports a malformed encoded dstore message.
 var ErrBadMsg = errors.New("dstore: malformed message")
 
 // msgHeader is the fixed wire header:
-// kind req shard win off shardLen dataLen blockLen idLen errLen dataLen32.
-const msgHeader = 1 + 8 + 4 + 4 + 8 + 8 + 8 + 8 + 2 + 2 + 4
+// kind req shard win off shardLen dataLen blockLen idLen errLen dataLen32
+// digestLen. The variable part follows: id, err, digest (0 or 32 bytes),
+// data.
+const msgHeader = 1 + 8 + 4 + 4 + 8 + 8 + 8 + 8 + 2 + 2 + 4 + 1
 
-// marshalInto encodes the header, ID and Err into buf (sized by the caller),
-// declaring dataLen payload bytes, and returns the data region for the caller
-// to fill.
+// digestLen is the wire length of m's digest: a zero digest is not sent.
+func (m *Msg) digestLen() int {
+	if m.Digest == (storage.Digest{}) {
+		return 0
+	}
+	return len(m.Digest)
+}
+
+// wireLen is the encoded size of m with dataLen payload bytes.
+func (m *Msg) wireLen(dataLen int) int {
+	return msgHeader + len(m.ID) + len(m.Err) + m.digestLen() + dataLen
+}
+
+// marshalInto encodes the header, ID, Err and Digest into buf (sized by the
+// caller), declaring dataLen payload bytes, and returns the data region for
+// the caller to fill.
 func (m Msg) marshalInto(buf []byte, dataLen int) []byte {
 	if len(m.ID) > 0xffff || len(m.Err) > 0xffff {
 		panic("dstore: id or error string too long")
@@ -124,16 +142,19 @@ func (m Msg) marshalInto(buf []byte, dataLen int) []byte {
 	binary.BigEndian.PutUint16(buf[49:], uint16(len(m.ID)))
 	binary.BigEndian.PutUint16(buf[51:], uint16(len(m.Err)))
 	binary.BigEndian.PutUint32(buf[53:], uint32(dataLen))
+	dl := m.digestLen()
+	buf[57] = byte(dl)
 	off := msgHeader
 	off += copy(buf[off:], m.ID)
 	off += copy(buf[off:], m.Err)
+	off += copy(buf[off:], m.Digest[:dl])
 	return buf[off : off+dataLen]
 }
 
 // Marshal encodes m for transmission as one mesh datagram, allocating a fresh
 // buffer. The hot paths use NewMsgFrame instead.
 func (m Msg) Marshal() []byte {
-	buf := make([]byte, msgHeader+len(m.ID)+len(m.Err)+len(m.Data))
+	buf := make([]byte, m.wireLen(len(m.Data)))
 	copy(m.marshalInto(buf, len(m.Data)), m.Data)
 	return buf
 }
@@ -144,7 +165,7 @@ func (m Msg) Marshal() []byte {
 // write the bytes in place — the zero-copy Marshal. m.Data is ignored; the
 // caller owns the returned frame reference.
 func NewMsgFrame(m Msg, dataLen int) (*netbuf.Frame, []byte) {
-	f := netbuf.NewFrame(msgHeader + len(m.ID) + len(m.Err) + dataLen)
+	f := netbuf.NewFrame(m.wireLen(dataLen))
 	return f, m.marshalInto(f.Payload(), dataLen)
 }
 
@@ -178,24 +199,36 @@ func Unmarshal(buf []byte) (Msg, error) {
 	idLen := int(binary.BigEndian.Uint16(buf[49:]))
 	errLen := int(binary.BigEndian.Uint16(buf[51:]))
 	dataLen := int(binary.BigEndian.Uint32(buf[53:]))
-	if len(buf) != msgHeader+idLen+errLen+dataLen {
-		return Msg{}, fmt.Errorf("%w: %d bytes for id=%d err=%d data=%d", ErrBadMsg, len(buf), idLen, errLen, dataLen)
+	digLen := int(buf[57])
+	if digLen != 0 && digLen != len(m.Digest) {
+		return Msg{}, fmt.Errorf("%w: %d-byte digest", ErrBadMsg, digLen)
+	}
+	if len(buf) != msgHeader+idLen+errLen+digLen+dataLen {
+		return Msg{}, fmt.Errorf("%w: %d bytes for id=%d err=%d digest=%d data=%d", ErrBadMsg, len(buf), idLen, errLen, digLen, dataLen)
 	}
 	off := msgHeader
 	m.ID = string(buf[off : off+idLen])
 	off += idLen
 	m.Err = string(buf[off : off+errLen])
 	off += errLen
+	off += copy(m.Digest[:digLen], buf[off:])
+	if digLen != 0 && m.Digest == (storage.Digest{}) {
+		// A zero digest is never sent; accepting one would not round-trip.
+		return Msg{}, fmt.Errorf("%w: zero digest on the wire", ErrBadMsg)
+	}
 	if dataLen > 0 {
 		m.Data = buf[off:]
 	}
 	return m, nil
 }
 
-// inventoryEntrySize is the encoded size of one inventory entry:
-// idLen id shard dataLen shardLen blockLen.
+// inventoryFixed is the encoded size of one inventory entry less its id:
+// idLen shard dataLen shardLen blockLen digest.
+const inventoryFixed = 2 + 4 + 8 + 8 + 8 + len(storage.Digest{})
+
+// inventoryEntrySize is the encoded size of one inventory entry.
 func inventoryEntrySize(in storage.ObjectInfo) int {
-	return 2 + len(in.ID) + 4 + 8 + 8 + 8
+	return inventoryFixed + len(in.ID)
 }
 
 // MaxListPayload bounds one ListResp page so the message stays comfortably
@@ -223,6 +256,7 @@ func encodeInventory(infos []storage.ObjectInfo) []byte {
 		off += 8
 		binary.BigEndian.PutUint64(buf[off:], uint64(int64(in.BlockLen)))
 		off += 8
+		off += copy(buf[off:], in.Digest[:])
 	}
 	return buf
 }
@@ -253,10 +287,10 @@ func decodeInventory(buf []byte) ([]storage.ObjectInfo, error) {
 		return nil, fmt.Errorf("%w: inventory %d bytes", ErrBadMsg, len(buf))
 	}
 	n := int(binary.BigEndian.Uint32(buf))
-	// An entry is at least 30 bytes (empty id); reject counts the buffer
-	// cannot possibly hold before sizing the slice, so a corrupt or hostile
-	// count can't force a multi-gigabyte allocation.
-	if n > (len(buf)-4)/30 {
+	// An entry is at least inventoryFixed bytes (empty id); reject counts
+	// the buffer cannot possibly hold before sizing the slice, so a corrupt
+	// or hostile count can't force a multi-gigabyte allocation.
+	if n > (len(buf)-4)/inventoryFixed {
 		return nil, fmt.Errorf("%w: inventory count %d exceeds %d payload bytes", ErrBadMsg, n, len(buf))
 	}
 	infos := make([]storage.ObjectInfo, 0, n)
@@ -267,20 +301,21 @@ func decodeInventory(buf []byte) ([]storage.ObjectInfo, error) {
 		}
 		idLen := int(binary.BigEndian.Uint16(buf[off:]))
 		off += 2
-		if off+idLen+28 > len(buf) {
+		if off+idLen+inventoryFixed-2 > len(buf) {
 			return nil, fmt.Errorf("%w: truncated inventory", ErrBadMsg)
 		}
-		id := string(buf[off : off+idLen])
+		in := storage.ObjectInfo{ID: string(buf[off : off+idLen])}
 		off += idLen
-		shard := int32(binary.BigEndian.Uint32(buf[off:]))
+		in.Shard = int(int32(binary.BigEndian.Uint32(buf[off:])))
 		off += 4
-		dataLen := int64(binary.BigEndian.Uint64(buf[off:]))
+		in.DataLen = int(int64(binary.BigEndian.Uint64(buf[off:])))
 		off += 8
-		shardLen := int64(binary.BigEndian.Uint64(buf[off:]))
+		in.ShardLen = int(int64(binary.BigEndian.Uint64(buf[off:])))
 		off += 8
-		blockLen := int64(binary.BigEndian.Uint64(buf[off:]))
+		in.BlockLen = int(int64(binary.BigEndian.Uint64(buf[off:])))
 		off += 8
-		infos = append(infos, storage.ObjectInfo{ID: id, Shard: int(shard), DataLen: int(dataLen), ShardLen: int(shardLen), BlockLen: int(blockLen)})
+		off += copy(in.Digest[:], buf[off:])
+		infos = append(infos, in)
 	}
 	if off != len(buf) {
 		return nil, fmt.Errorf("%w: %d trailing inventory bytes", ErrBadMsg, len(buf)-off)

@@ -2,6 +2,7 @@ package dstore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"strings"
@@ -10,8 +11,17 @@ import (
 	"rain/internal/storage"
 )
 
+// digestOf is a recognisable test digest.
+func digestOf(s string) storage.Digest { return sha256.Sum256([]byte(s)) }
+
 func TestMsgRoundtrip(t *testing.T) {
 	msgs := []Msg{
+		// The digest rides on a commit chunk, a stream's first get chunk
+		// (here an empty shard's only one) and every inventory entry.
+		{Kind: KindPutChunk, Req: 15, ID: "obj", Shard: 1, Off: 3072, ShardLen: 4096, DataLen: 12345, BlockLen: 64 << 10, Digest: digestOf("v1"), Data: bytes.Repeat([]byte{9}, 1024)},
+		{Kind: KindGetChunk, Req: 16, ID: "obj", Shard: 4, ShardLen: 4096, DataLen: 12345, BlockLen: 64 << 10, Digest: digestOf("v1"), Data: []byte{5, 6}},
+		{Kind: KindGetChunk, Req: 17, ID: "empty", BlockLen: 64 << 10, Digest: digestOf("")},
+		{Kind: KindListResp, Req: 18, Data: encodeInventory([]storage.ObjectInfo{{ID: "z", Shard: 1, DataLen: 9, ShardLen: 3, BlockLen: 4, Digest: digestOf("z")}})},
 		{Kind: KindPutChunk, Req: 1, ID: "obj", Off: 0, ShardLen: 4096, DataLen: 12345, BlockLen: 64 << 10, Data: bytes.Repeat([]byte{7}, 1024)},
 		{Kind: KindPutAck, Req: 2, ID: "obj", Off: 1024, ShardLen: 4096},
 		{Kind: KindPutAck, Req: 3, ID: "obj", Err: "dstore: no such transfer"},
@@ -56,6 +66,8 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		bytes.Repeat([]byte{0}, msgHeader), // kind 0
 		append(Msg{Kind: KindGetReq, ID: "obj"}.Marshal(), 0xFF), // trailing byte
 		Msg{Kind: KindGetReq, ID: "obj"}.Marshal()[:msgHeader+1], // truncated id
+		withDigestLen(Msg{Kind: KindGetChunk, ID: "obj", Digest: digestOf("x")}.Marshal(), 31),
+		withDigestLen(append(Msg{Kind: KindGetChunk}.Marshal(), make([]byte, 32)...), 32), // a zero digest is never sent
 	}
 	for i, buf := range cases {
 		if _, err := Unmarshal(buf); err == nil {
@@ -64,9 +76,15 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
+// withDigestLen overwrites an encoded message's digest-length byte.
+func withDigestLen(buf []byte, n byte) []byte {
+	buf[msgHeader-1] = n
+	return buf
+}
+
 func TestInventoryRoundtrip(t *testing.T) {
 	infos := []storage.ObjectInfo{
-		{ID: "a", DataLen: 0, ShardLen: 1},
+		{ID: "a", DataLen: 0, ShardLen: 1, Digest: digestOf("a")},
 		{ID: "obj-2", Shard: 3, DataLen: -1, ShardLen: 4096, BlockLen: 16 << 10},
 		{ID: "big", Shard: -1, DataLen: 1 << 30, ShardLen: 1 << 27, BlockLen: 1 << 20},
 	}

@@ -12,18 +12,25 @@
 // never blocked: bodies are read and responses written on the handler
 // goroutine, with the loop touched only in posted closures.
 //
+// Each request is one store operation. The object's size, block size and
+// SHA-256 (its ETag) are recorded beside every shard and ride on the first
+// chunk of every get stream, so the gateway keeps no records of its own;
+// only the requests that must know the size before they read — HEAD, a
+// ranged GET, a conditional DELETE — first run the store's metadata probe.
+//
 // Routes:
 //
 //	PUT    /o/{key}   store an object (Content-Length required)
 //	GET    /o/{key}   retrieve, honoring Range and If-Match
-//	HEAD   /o/{key}   metadata only
-//	DELETE /o/{key}   drop the object cluster-wide
+//	HEAD   /o/{key}   metadata only (the probe)
+//	DELETE /o/{key}   drop the object cluster-wide (If-Match: probe first)
 //	GET    /o/        list objects (?start= continuation, ?max= page size)
+//
+// Keys starting with '.' are a reserved namespace: refused, and never listed.
 package gateway
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -37,13 +44,9 @@ import (
 	"time"
 
 	"rain/internal/dstore"
+	"rain/internal/storage"
 	"rain/internal/telemetry"
 )
-
-// metaPrefix keys the per-object metadata records. User keys must not start
-// with a dot, so the hidden namespace cannot collide and listings simply
-// skip it.
-const metaPrefix = ".m:"
 
 // StatusClientClosed is reported when the requesting client vanished
 // mid-transfer (nginx's 499, the conventional code for it).
@@ -52,17 +55,6 @@ const StatusClientClosed = 499
 // drainChunk bounds one response write from the GET pipe, so the decode
 // is resumed as soon as a write's worth of the ring is free.
 const drainChunk = 64 << 10
-
-// objectMeta is the metadata record written alongside every object the
-// gateway stores: the exact length and block size aim ranged reads at the
-// right shard blocks, the content hash serves ETag / If-Match.
-type objectMeta struct {
-	Size   int64  `json:"size"`
-	Block  int64  `json:"block"`
-	SHA256 string `json:"sha256"`
-}
-
-func (m objectMeta) etag() string { return `"` + m.SHA256 + `"` }
 
 // Config parameterises a Gateway.
 type Config struct {
@@ -251,7 +243,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if strings.HasPrefix(key, ".") {
-		http.Error(w, "keys must not start with '.'", http.StatusBadRequest)
+		http.Error(w, "keys must not start with '.' (reserved)", http.StatusBadRequest)
 		return
 	}
 	switch r.Method {
@@ -288,21 +280,23 @@ type result struct {
 // errStopped is returned when the node's loop has shut down under a request.
 var errStopped = fmt.Errorf("gateway: node stopped: %w", dstore.ErrCanceled)
 
-// fetchMeta loads an object's metadata record; ok reports whether one
-// exists (legacy objects stored without the gateway have none).
-func (g *Gateway) fetchMeta(ctx context.Context, key string) (objectMeta, bool, error) {
-	data, err := g.bridge.Get(ctx, metaPrefix+key)
-	if errors.Is(err, dstore.ErrNotFound) {
-		return objectMeta{}, false, nil
-	}
-	if err != nil {
-		return objectMeta{}, false, err
-	}
-	var m objectMeta
-	if json.Unmarshal(data, &m) != nil {
-		return objectMeta{}, false, nil // unreadable record: treat as absent
-	}
-	return m, true, nil
+// errPrecondition reports a failed If-Match.
+var errPrecondition = errors.New("precondition failed")
+
+// etag is the strong entity tag of the object version with digest d.
+func etag(d storage.Digest) string { return `"` + hex.EncodeToString(d[:]) + `"` }
+
+// ifMatch reports whether r's If-Match precondition, if any, holds for the
+// object version m.
+func ifMatch(r *http.Request, m dstore.ObjectMeta) bool {
+	im := r.Header.Get("If-Match")
+	return im == "" || im == "*" || matchETag(im, etag(m.Digest))
+}
+
+// preconditionFailed answers 412.
+func preconditionFailed(w http.ResponseWriter, start time.Time) result {
+	http.Error(w, errPrecondition.Error(), http.StatusPreconditionFailed)
+	return result{took: time.Since(start), err: errPrecondition}
 }
 
 // ---- PUT ----
@@ -328,33 +322,18 @@ func (g *Gateway) servePut(w http.ResponseWriter, r *http.Request, key string) r
 	unlock := g.lockKey(key)
 	defer unlock()
 
+	// The bridge reads and hashes the body on this goroutine and hands the
+	// digest to the feed, which records it beside every shard.
 	tr := g.trace("http.put", key)
-	meta, err := g.doPut(r, key, size)
+	digest, err := g.bridge.PutStream(r.Context(), key, bodyReader{r.Body}, size)
 	g.finishTrace(tr, err)
 	if err != nil {
 		g.httpError(w, err)
 		return result{took: time.Since(start), err: err}
 	}
-	w.Header().Set("ETag", meta.etag())
+	w.Header().Set("ETag", etag(digest))
 	w.WriteHeader(http.StatusOK)
 	return result{bytes: size, took: time.Since(start)}
-}
-
-// doPut streams the request body through the bridge's push-mode put,
-// hashing it on the way, and on success writes the metadata record.
-func (g *Gateway) doPut(r *http.Request, key string, size int64) (objectMeta, error) {
-	ctx := r.Context()
-	sum := sha256.New()
-	if err := g.bridge.PutStream(ctx, key, io.TeeReader(bodyReader{r.Body}, sum), size); err != nil {
-		return objectMeta{}, err
-	}
-	meta := objectMeta{
-		Size:   size,
-		Block:  int64(g.client.BlockSize()),
-		SHA256: hex.EncodeToString(sum.Sum(nil)),
-	}
-	mj, _ := json.Marshal(meta)
-	return meta, g.bridge.Put(ctx, metaPrefix+key, mj)
 }
 
 // bodyReader marks a failed request-body read as the client's doing (499),
@@ -371,37 +350,28 @@ func (b bodyReader) Read(p []byte) (int, error) {
 
 // ---- GET / HEAD ----
 
+// serveGet answers GET and HEAD. A plain GET is one retrieve, whose headers
+// come from the version its first chunk reports. HEAD and a ranged GET must
+// know the size before they answer or aim the range, so they probe first
+// and then read the range pinned to the probed version.
 func (g *Gateway) serveGet(w http.ResponseWriter, r *http.Request, key string, body bool) result {
 	start := time.Now()
-	ctx := r.Context()
-	meta, hasMeta, err := g.fetchMeta(ctx, key)
+	rng := r.Header.Get("Range")
+	if body && rng == "" {
+		return g.streamGet(w, r, key, nil, 0, -1, http.StatusOK, start)
+	}
+	meta, err := g.bridge.Head(r.Context(), key)
 	if err != nil {
 		g.httpError(w, err)
 		return result{took: time.Since(start), err: err}
 	}
-	size := int64(-1)
-	if hasMeta {
-		size = meta.Size
-	} else {
-		// Legacy object (stored without the gateway): the merged inventory
-		// is the only size authority, and 404s surface here.
-		st, serr := g.bridge.Stat(ctx, key)
-		if serr != nil {
-			g.httpError(w, serr)
-			return result{took: time.Since(start), err: serr}
-		}
-		size = st.DataLen
+	if !ifMatch(r, meta) {
+		return preconditionFailed(w, start)
 	}
-	if im := r.Header.Get("If-Match"); im != "" && im != "*" {
-		if !hasMeta || !matchETag(im, meta.etag()) {
-			http.Error(w, "precondition failed", http.StatusPreconditionFailed)
-			return result{took: time.Since(start), err: errors.New("precondition failed")}
-		}
-	}
-
+	size := meta.DataLen
 	off, length := int64(0), int64(-1)
 	status := http.StatusOK
-	if rng := r.Header.Get("Range"); rng != "" && size >= 0 {
+	if rng != "" {
 		var ok bool
 		off, length, ok = parseRange(rng, size)
 		if !ok {
@@ -415,55 +385,47 @@ func (g *Gateway) serveGet(w http.ResponseWriter, r *http.Request, key string, b
 			length = -1 // the whole object: serve it as a plain 200
 		}
 	}
-
-	h := w.Header()
-	h.Set("Accept-Ranges", "bytes")
-	if hasMeta {
-		h.Set("ETag", meta.etag())
-	}
 	want := length
-	if want < 0 && size >= 0 {
+	if want < 0 {
 		want = size - off
 	}
-	if want >= 0 {
-		h.Set("Content-Length", strconv.FormatInt(want, 10))
-	}
+	setHeaders(w.Header(), meta, want)
 	if status == http.StatusPartialContent {
-		h.Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, off+want-1, size))
+		w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", off, off+want-1, size))
 	}
-	if !body {
+	if !body || want == 0 {
 		w.WriteHeader(status)
 		return result{took: time.Since(start)}
 	}
-	if want == 0 {
-		w.WriteHeader(status)
-		return result{took: time.Since(start)}
-	}
+	return g.streamGet(w, r, key, &meta, off, length, status, start)
+}
+
+// setHeaders describes the object version m, of which want bytes follow.
+func setHeaders(h http.Header, m dstore.ObjectMeta, want int64) {
+	h.Set("Accept-Ranges", "bytes")
+	h.Set("ETag", etag(m.Digest))
+	h.Set("Content-Length", strconv.FormatInt(want, 10))
+}
+
+// streamGet runs the retrieve on the loop, draining the decode pipe to the
+// response writer on the handler goroutine. With meta nil (a plain GET) the
+// headers and the If-Match check come from the version the retrieve
+// reports before its first byte; otherwise the caller has set them and the
+// retrieve is pinned to meta's version. The status line is written once the
+// first bytes (or the operation's outcome) arrive, so a retrieve that fails
+// outright still reports its real status.
+func (g *Gateway) streamGet(w http.ResponseWriter, r *http.Request, key string,
+	meta *dstore.ObjectMeta, off, length int64, status int, start time.Time) result {
 
 	if !g.reserve(int64(g.cfg.PipeBuffer)) {
 		g.httpError(w, fmt.Errorf("%w: gateway at its in-flight byte cap", dstore.ErrOverloaded))
 		return result{took: time.Since(start), err: dstore.ErrOverloaded}
 	}
 	defer g.release(int64(g.cfg.PipeBuffer))
-
-	n, err := g.streamRange(w, r, key, meta, hasMeta, off, length, status)
-	return result{bytes: n, took: time.Since(start), err: err}
-}
-
-// streamRange runs the ranged retrieve on the loop, draining the decode
-// pipe to the response writer on the handler goroutine. Headers are written
-// once the first bytes (or the operation's outcome) arrive, so a retrieve
-// that fails outright still reports its real status.
-func (g *Gateway) streamRange(w http.ResponseWriter, r *http.Request, key string,
-	meta objectMeta, hasMeta bool, off, length int64, status int) (int64, error) {
-
 	ctx := r.Context()
 	pipe := newGetPipe(&g.rings, g.cfg.PipeBuffer)
 	defer pipe.release()
-	opts := dstore.GetOptions{Off: off, Length: length, Ready: pipe.ready}
-	if hasMeta {
-		opts.Meta = &dstore.RangeMeta{DataLen: meta.Size, BlockLen: meta.Block}
-	}
+	opts := dstore.GetOptions{Off: off, Length: length, Ready: pipe.ready, Meta: meta, OnMeta: pipe.setMeta}
 	tr := g.trace("http.get", key)
 	var h *dstore.Handle
 	if !g.call(func() {
@@ -471,7 +433,11 @@ func (g *Gateway) streamRange(w http.ResponseWriter, r *http.Request, key string
 			pipe.closeWrite(err)
 		})
 	}) {
-		return 0, errStopped
+		return result{took: time.Since(start), err: errStopped}
+	}
+	cancel := func() {
+		pipe.kill()
+		g.call(func() { h.Cancel() })
 	}
 	// A vanished client must cancel the retrieve even while the decode is
 	// paused on backpressure (nothing else would wake it).
@@ -480,12 +446,19 @@ func (g *Gateway) streamRange(w http.ResponseWriter, r *http.Request, key string
 	go func() {
 		select {
 		case <-ctx.Done():
-			pipe.kill()
-			g.call(func() { h.Cancel() })
+			cancel()
 		case <-watch:
 		}
 	}()
 
+	if m, ok := pipe.waitMeta(); ok && meta == nil {
+		if !ifMatch(r, m) {
+			cancel()
+			g.finishTrace(tr, errPrecondition)
+			return preconditionFailed(w, start)
+		}
+		setHeaders(w.Header(), m, m.DataLen)
+	}
 	var written int64
 	headerSent := false
 	for {
@@ -496,10 +469,10 @@ func (g *Gateway) streamRange(w http.ResponseWriter, r *http.Request, key string
 				headerSent = true
 			}
 			if _, werr := w.Write(run); werr != nil {
-				pipe.kill()
-				g.call(func() { h.Cancel() })
+				cancel()
 				g.finishTrace(tr, werr)
-				return written, fmt.Errorf("%w: client went away: %v", dstore.ErrCanceled, werr)
+				err := fmt.Errorf("%w: client went away: %v", dstore.ErrCanceled, werr)
+				return result{bytes: written, took: time.Since(start), err: err}
 			}
 			written += int64(len(run))
 			if f, ok := w.(http.Flusher); ok {
@@ -514,14 +487,13 @@ func (g *Gateway) streamRange(w http.ResponseWriter, r *http.Request, key string
 			g.finishTrace(tr, err)
 			if err != nil {
 				if !headerSent {
+					w.Header().Del("ETag")
 					g.httpError(w, err)
 				}
-				return written, err
-			}
-			if !headerSent {
+			} else if !headerSent {
 				w.WriteHeader(status)
 			}
-			return written, nil
+			return result{bytes: written, took: time.Since(start), err: err}
 		}
 	}
 }
@@ -532,24 +504,18 @@ func (g *Gateway) serveDelete(w http.ResponseWriter, r *http.Request, key string
 	start := time.Now()
 	ctx := r.Context()
 	if im := r.Header.Get("If-Match"); im != "" && im != "*" {
-		meta, hasMeta, err := g.fetchMeta(ctx, key)
-		if err != nil {
+		meta, err := g.bridge.Head(ctx, key)
+		if err != nil && !errors.Is(err, dstore.ErrNotFound) {
 			g.httpError(w, err)
 			return result{took: time.Since(start), err: err}
 		}
-		if !hasMeta || !matchETag(im, meta.etag()) {
-			http.Error(w, "precondition failed", http.StatusPreconditionFailed)
-			return result{took: time.Since(start), err: errors.New("precondition failed")}
+		if err != nil || !ifMatch(r, meta) {
+			return preconditionFailed(w, start)
 		}
 	}
 	tr := g.trace("http.delete", key)
 	unlock := g.lockKey(key)
 	err := g.bridge.Delete(ctx, key)
-	if err == nil {
-		// Metadata goes second: a half-applied delete leaves the meta
-		// record pointing at a missing object, which reads as 404 anyway.
-		g.bridge.Delete(ctx, metaPrefix+key)
-	}
 	unlock()
 	g.finishTrace(tr, err)
 	if err != nil && !errors.Is(err, dstore.ErrNotFound) {
@@ -592,7 +558,7 @@ func (g *Gateway) serveList(w http.ResponseWriter, r *http.Request) result {
 	page := listPage{Objects: []listEntry{}}
 	for _, o := range objs {
 		if strings.HasPrefix(o.ID, ".") || (after != "" && o.ID <= after) {
-			continue // hidden namespace, or before the continuation token
+			continue // reserved namespace, or before the continuation token
 		}
 		if len(page.Objects) == max {
 			page.Truncated = true

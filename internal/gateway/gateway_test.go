@@ -22,6 +22,7 @@ import (
 	"rain/internal/rudp"
 	"rain/internal/sim"
 	"rain/internal/storage"
+	"rain/internal/telemetry"
 )
 
 // harness is a 6-node simulated dstore cluster driven by an rt.Loop against
@@ -33,6 +34,7 @@ type harness struct {
 	loop     *rt.Loop
 	client   *dstore.Client
 	backends map[string]*storage.Backend
+	reg      *telemetry.Registry // the daemons', backends' and client's metrics
 	gw       *gateway.Gateway
 	srv      *httptest.Server
 }
@@ -47,7 +49,7 @@ func newHarness(t *testing.T, seed int64, cfg gateway.Config) *harness {
 	for i := range nodes {
 		nodes[i] = string(rune('a' + i))
 	}
-	h := &harness{t: t, loop: rt.New(seed), backends: make(map[string]*storage.Backend)}
+	h := &harness{t: t, loop: rt.New(seed), backends: make(map[string]*storage.Backend), reg: telemetry.NewRegistry()}
 	h.loop.Start()
 	t.Cleanup(h.loop.Stop)
 	ok := h.loop.Call(func() {
@@ -61,11 +63,11 @@ func newHarness(t *testing.T, seed int64, cfg gateway.Config) *harness {
 		}
 		clock := func() time.Time { return time.Unix(0, int64(s.Now())) }
 		for i, node := range nodes {
-			backend := storage.NewBackend()
+			backend := storage.NewBackend(h.reg.Node(node))
 			h.backends[node] = backend
-			dstore.NewDaemon(mesh, node, i, backend, 4<<10, dstore.WithDaemonClock(clock))
+			dstore.NewDaemon(mesh, node, i, backend, 4<<10, dstore.WithDaemonClock(clock), dstore.WithDaemonTelemetry(h.reg))
 			cl, cerr := dstore.NewClient(s, mesh, node, dstore.Config{
-				Code: code, Nodes: nodes, ChunkSize: 4 << 10,
+				Code: code, Nodes: nodes, ChunkSize: 4 << 10, Telemetry: h.reg,
 			})
 			if cerr != nil {
 				err = cerr
@@ -121,6 +123,23 @@ func (h *harness) get(key string, hdr map[string]string) (*http.Response, []byte
 		h.t.Fatal(err)
 	}
 	return resp, body
+}
+
+// count sums a counter family of the harness registry across its series.
+func (h *harness) count(name string) uint64 {
+	h.t.Helper()
+	for _, f := range h.reg.Snapshot().Families {
+		if f.Name != name {
+			continue
+		}
+		var total uint64
+		for _, s := range f.Series {
+			total += s.Counter
+		}
+		return total
+	}
+	h.t.Fatalf("no counter %s", name)
+	return 0
 }
 
 // pending reads the client's live request-handler count on the loop.
@@ -194,7 +213,8 @@ func TestPutGetRoundtrip(t *testing.T) {
 		t.Fatalf("head status %d length %q", hr.StatusCode, hr.Header.Get("Content-Length"))
 	}
 
-	// Dotted keys are the gateway's hidden namespace.
+	// Dotted keys are a reserved namespace (no gateway records live there
+	// any more; the namespace is kept so it can hold some again).
 	if resp := h.put(".sneaky", []byte("x")); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("dotted key: status %d", resp.StatusCode)
 	}
@@ -298,7 +318,7 @@ func TestClientDisconnectMidTransfer(t *testing.T) {
 }
 
 // TestListPagination walks a listing in pages through the continuation
-// token and checks the hidden metadata namespace never shows.
+// token and checks the reserved dotted namespace never shows.
 func TestListPagination(t *testing.T) {
 	h := newHarness(t, 4, gateway.Config{})
 	keys := []string{"k1", "k2", "k3", "k4", "k5"}
@@ -349,9 +369,13 @@ func TestListPagination(t *testing.T) {
 	h.waitDrained()
 }
 
-// TestConcurrentPutsSameKey races two writers on one key: both must
-// succeed, and the final object must be exactly one of the two bodies
-// (never an interleaving) with its metadata in agreement.
+// TestConcurrentPutsSameKey races two writers on one key while readers
+// fetch it: every put must succeed, and the final object must be exactly one
+// of the two bodies (never an interleaving) with its ETag in agreement. Every
+// read answered 200 in full must be one version whole — its ETag the SHA-256
+// of its body, its Content-Length the body's length — and a read the store
+// cannot finish after its headers went out is cut short, never completed
+// with another version's bytes.
 func TestConcurrentPutsSameKey(t *testing.T) {
 	h := newHarness(t, 5, gateway.Config{})
 	a := randBytes(100, 100<<10)
@@ -362,19 +386,71 @@ func TestConcurrentPutsSameKey(t *testing.T) {
 		wg.Add(1)
 		go func(i int, body []byte) {
 			defer wg.Done()
-			req, _ := http.NewRequest(http.MethodPut, h.url("contended"), bytes.NewReader(body))
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Errorf("put %d: %v", i, err)
-				return
+			for round := 0; round < 4; round++ {
+				req, _ := http.NewRequest(http.MethodPut, h.url("contended"), bytes.NewReader(body))
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Errorf("put %d: %v", i, err)
+					return
+				}
+				resp.Body.Close()
+				if status[i] = resp.StatusCode; status[i] != http.StatusOK {
+					return
+				}
 			}
-			resp.Body.Close()
-			status[i] = resp.StatusCode
 		}(i, body)
 	}
+	writing := make(chan struct{})
+	var readers sync.WaitGroup
+	var mu sync.Mutex
+	whole := 0 // 200s read to the end
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-writing:
+					return
+				default:
+				}
+				resp, err := http.Get(h.url("contended"))
+				if err != nil {
+					t.Errorf("get: %v", err)
+					return
+				}
+				body, rerr := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					continue // not there yet, or no k holders agreed on a version
+				}
+				if rerr != nil {
+					if int64(len(body)) >= resp.ContentLength {
+						t.Errorf("read failed after the whole %d-byte body: %v", len(body), rerr)
+					}
+					continue
+				}
+				sum := sha256.Sum256(body)
+				if etag := `"` + hex.EncodeToString(sum[:]) + `"`; resp.Header.Get("ETag") != etag {
+					t.Errorf("200 with ETag %s over a body hashing to %s", resp.Header.Get("ETag"), etag)
+				}
+				if resp.ContentLength != int64(len(body)) || (!bytes.Equal(body, a) && !bytes.Equal(body, b)) {
+					t.Errorf("200 with Content-Length %d over a %d-byte body that is neither writer's", resp.ContentLength, len(body))
+				}
+				mu.Lock()
+				whole++
+				mu.Unlock()
+			}
+		}()
+	}
 	wg.Wait()
+	close(writing)
+	readers.Wait()
 	if status[0] != http.StatusOK || status[1] != http.StatusOK {
 		t.Fatalf("put statuses %v", status)
+	}
+	if whole == 0 {
+		t.Fatal("no read overlapping the writers was answered in full")
 	}
 	resp, body := h.get("contended", nil)
 	if resp.StatusCode != http.StatusOK {
@@ -464,4 +540,71 @@ func TestCorruptObjectIs502(t *testing.T) {
 		t.Fatalf("502 body does not name the object: %q", body)
 	}
 	h.waitDrained()
+}
+
+// TestOneStoreOperationPerRequest counts what each request costs the store:
+// a 4 KiB PUT commits exactly n shard records, a GET opens exactly k daemon
+// get sessions, a DELETE reaches n daemons — one store operation each. A
+// HEAD is the metadata probe, which moves at most one chunk per stream even
+// when every shard stream is many chunks long.
+func TestOneStoreOperationPerRequest(t *testing.T) {
+	h := newHarness(t, 7, gateway.Config{})
+	const n, k = 6, 4
+	data := randBytes(70, 4<<10)
+	step := func(what string, want map[string]uint64, do func()) {
+		t.Helper()
+		before := make(map[string]uint64, len(want))
+		for name := range want {
+			before[name] = h.count(name)
+		}
+		do()
+		h.waitDrained()
+		for name, w := range want {
+			if got := h.count(name) - before[name]; got != w {
+				t.Errorf("%s: %s rose by %d, want %d", what, name, got, w)
+			}
+		}
+	}
+	step("PUT", map[string]uint64{"storage.backend.commits": n}, func() {
+		if resp := h.put("small", data); resp.StatusCode != http.StatusOK {
+			t.Fatalf("put status %d", resp.StatusCode)
+		}
+	})
+	step("GET", map[string]uint64{"storage.backend.reads": k, "dstore.daemon.chunks_served": k, "dstore.client.hedges_fired": 0}, func() {
+		if resp, body := h.get("small", nil); resp.StatusCode != http.StatusOK || !bytes.Equal(body, data) {
+			t.Fatalf("get status %d", resp.StatusCode)
+		}
+	})
+	step("DELETE", map[string]uint64{"storage.backend.deletes": n, "rebalance.shards_deleted": n}, func() {
+		req, _ := http.NewRequest(http.MethodDelete, h.url("small"), nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("delete status %d", resp.StatusCode)
+		}
+	})
+
+	big := randBytes(71, 150<<10) // ten 4 KiB chunks per shard stream
+	if resp := h.put("big", big); resp.StatusCode != http.StatusOK {
+		t.Fatalf("put status %d", resp.StatusCode)
+	}
+	h.waitDrained()
+	served := h.count("dstore.daemon.chunks_served")
+	req, _ := http.NewRequest(http.MethodHead, h.url("big"), nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	sum := sha256.Sum256(big)
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(big)) || resp.Header.Get("ETag") != `"`+hex.EncodeToString(sum[:])+`"` {
+		t.Fatalf("head: status %d, length %d, ETag %s", resp.StatusCode, resp.ContentLength, resp.Header.Get("ETag"))
+	}
+	h.waitDrained()
+	if moved := h.count("dstore.daemon.chunks_served") - served; moved == 0 || moved > k {
+		t.Fatalf("head moved %d chunks, want 1 to %d (one per probe stream)", moved, k)
+	}
 }

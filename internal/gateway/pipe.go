@@ -3,6 +3,8 @@ package gateway
 import (
 	"errors"
 	"sync"
+
+	"rain/internal/dstore"
 )
 
 // getPipe is the bounded ring buffer between the loop-side streaming decode
@@ -28,7 +30,8 @@ type getPipe struct {
 	paused  bool // producer saw a full pipe: the consumer must Resume it
 	wclosed bool // producer finished (werr holds the outcome)
 	werr    error
-	dead    bool // consumer gone
+	dead    bool               // consumer gone
+	meta    *dstore.ObjectMeta // the version being read, once the producer knows it
 }
 
 var errConsumerGone = errors.New("gateway: response consumer gone")
@@ -91,6 +94,28 @@ func (p *getPipe) ready() bool {
 		return false
 	}
 	return true
+}
+
+// setMeta records the version being read, before any byte; loop-side.
+func (p *getPipe) setMeta(m dstore.ObjectMeta) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.meta = &m
+	p.cond.Broadcast()
+}
+
+// waitMeta blocks until the producer names the version it reads, finishes
+// without one, or the consumer is gone; ok reports the first. Consumer-side.
+func (p *getPipe) waitMeta() (m dstore.ObjectMeta, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.meta == nil && !p.wclosed && !p.dead {
+		p.cond.Wait()
+	}
+	if p.meta == nil {
+		return m, false
+	}
+	return *p.meta, true
 }
 
 // closeWrite marks the producer done with its outcome; loop-side.

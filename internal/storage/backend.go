@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -21,8 +22,15 @@ type ObjectInfo struct {
 	Shard    int // shard index held under the object's placement
 	DataLen  int // original object length
 	ShardLen int
-	BlockLen int // block-codeword size of the layout (dstore writes at least 1)
+	BlockLen int    // block-codeword size of the layout (dstore writes at least 1)
+	Digest   Digest // SHA-256 of the whole object, the same on every shard of one version
 }
+
+// Digest is the SHA-256 of an object's bytes. It is recorded beside every
+// shard of the object and travels with the layout, so it names the version a
+// shard belongs to and serves as the object's ETag. The zero value means none
+// was recorded.
+type Digest [sha256.Size]byte
 
 // Backend is the node-local shard store: one shard per object id, plus the
 // load counters the balancing policies and experiments read. A RAIN node's
@@ -80,6 +88,7 @@ type backendEntry struct {
 	shardIdx int // shard index held
 	dataLen  int
 	blockLen int
+	digest   Digest   // in memory only: the sidecar does not record it
 	sums     []uint32 // CRC32C per ChecksumBlock of the shard (last may be short)
 	seq      uint64   // b.gen at publish; guards quarantine against stale reads
 }
@@ -255,7 +264,12 @@ func (b *Backend) Info(id string) (ObjectInfo, error) {
 	if !ok {
 		return ObjectInfo{}, fmt.Errorf("%w: %s", ErrObjectNotFound, id)
 	}
-	return ObjectInfo{ID: id, Shard: e.shardIdx, DataLen: e.dataLen, ShardLen: int(e.shardLen), BlockLen: e.blockLen}, nil
+	return e.info(id), nil
+}
+
+// info is the ObjectInfo view of an entry stored under id.
+func (e *backendEntry) info(id string) ObjectInfo {
+	return ObjectInfo{ID: id, Shard: e.shardIdx, DataLen: e.dataLen, ShardLen: int(e.shardLen), BlockLen: e.blockLen, Digest: e.digest}
 }
 
 // Delete removes an object's shard, along with any quarantined remains of
@@ -284,7 +298,7 @@ func (b *Backend) List() []ObjectInfo {
 	defer b.mu.Unlock()
 	out := make([]ObjectInfo, 0, len(b.shards))
 	for id, e := range b.shards {
-		out = append(out, ObjectInfo{ID: id, Shard: e.shardIdx, DataLen: e.dataLen, ShardLen: int(e.shardLen), BlockLen: e.blockLen})
+		out = append(out, e.info(id))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -360,6 +374,8 @@ type Stage struct {
 	sums []uint32
 	crc  uint32
 	crcN int
+
+	digest Digest // recorded at Commit
 }
 
 // NewStage opens a streaming write. The caller must finish it with Commit or
@@ -417,6 +433,10 @@ func (s *Stage) Reserve(size int64) {
 	s.buf = buf
 }
 
+// SetDigest names the object version the stage belongs to; Commit records
+// it beside the shard.
+func (s *Stage) SetDigest(d Digest) { s.digest = d }
+
 // Len returns the number of bytes appended so far.
 func (s *Stage) Len() int64 { return s.n }
 
@@ -443,7 +463,8 @@ func (s *Stage) Abort() {
 }
 
 // Commit atomically publishes the staged bytes as the shard for id, with the
-// recorded shard index, object length and block-codeword size. The stage is
+// recorded shard index, object length and block-codeword size, and the
+// digest the stage was given (SetDigest). The stage is
 // consumed. A file-backed commit appends the record's sidecar entry; the
 // bytes are already in the log.
 func (b *Backend) Commit(s *Stage, id string, shardIdx, dataLen, blockLen int) error {
@@ -451,7 +472,7 @@ func (b *Backend) Commit(s *Stage, id string, shardIdx, dataLen, blockLen int) e
 		return s.err
 	}
 	commitStart := time.Now()
-	e := backendEntry{shard: s.buf, ext: s.ext, shardLen: s.n, shardIdx: shardIdx, dataLen: dataLen, blockLen: blockLen}
+	e := backendEntry{shard: s.buf, ext: s.ext, shardLen: s.n, shardIdx: shardIdx, dataLen: dataLen, blockLen: blockLen, digest: s.digest}
 	e.sums = s.sums
 	if s.crcN > 0 { // finalize the short final block
 		e.sums = append(e.sums, s.crc)

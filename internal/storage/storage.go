@@ -8,12 +8,12 @@
 //
 // The node-local state is a Backend: one shard per object id plus the shard
 // index it holds, the object length and block-codeword size (the dstore
-// layout contract), with per-block checksums verified on every read
-// (integrity.go). Backends are memory-backed or file-backed (NewFileBackend)
-// and support the bounded-memory transfer primitives the daemon streams
-// through — staged chunk-by-chunk writes (NewStage/Append/Commit, atomic at
-// commit) and ranged ReadAt reads — so a node's heap never scales with the
-// size of what it stores or serves.
+// layout contract) and the object's digest, with per-block checksums
+// verified on every read (integrity.go). Backends are memory-backed or
+// file-backed (NewFileBackend) and support the bounded-memory transfer
+// primitives the daemon streams through — staged chunk-by-chunk writes
+// (NewStage/Append/Commit, atomic at commit) and ranged ReadAt reads — so a
+// node's heap never scales with the size of what it stores or serves.
 //
 // Rank implements the §4.2 selection policies (first-k, least-loaded,
 // geographically nearest, random) the client ranks shard holders with;
