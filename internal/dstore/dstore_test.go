@@ -609,12 +609,25 @@ func (c *cluster) reseed(id string, fn func(info *storage.ObjectInfo)) {
 // length, fails the retrieve with ErrUnknownSize, even on the client that
 // put the object — as does a rebuild whose inventory lacks the block length
 // and a ranged get whose layout hint does — instead of guessing a layout (or
-// dividing by a zero block size on the client's loop).
+// dividing by a zero block size on the client's loop). A hint without a
+// digest is ignored, not matched against the holders' digests.
 func TestNoPositionalOrSizeFallback(t *testing.T) {
 	c := newCluster(t, 14, 6, 4, sim.ProfileLAN, nil)
 	data := randBytes(61, 24<<10)
 	if _, err := c.clients["a"].Put("obj", data); err != nil {
 		t.Fatal(err)
+	}
+	// A layout hint without a digest names no version: the ranged get
+	// ignores it and reads the version the holders agree on.
+	var ranged bytes.Buffer
+	var rangeErr error
+	finished := false
+	c.clients["a"].GetRangeAsync("obj", &ranged, dstore.GetOptions{Off: 1, Length: 2, Meta: &dstore.ObjectMeta{DataLen: int64(len(data)), BlockLen: 64 << 10}},
+		func(_ int64, err error) { rangeErr, finished = err, true })
+	for !finished && c.s.Step() {
+	}
+	if rangeErr != nil || !bytes.Equal(ranged.Bytes(), data[1:3]) {
+		t.Fatalf("ranged get with a hint without a digest: %v, %x", rangeErr, ranged.Bytes())
 	}
 	first := c.holder("obj", 0)
 	c.reseed("obj", func(info *storage.ObjectInfo) {
@@ -644,8 +657,7 @@ func TestNoPositionalOrSizeFallback(t *testing.T) {
 	if _, err := c.clients["a"].Get("obj"); !errors.Is(err, dstore.ErrUnknownSize) {
 		t.Fatalf("get of entries without a block length: err=%v, want ErrUnknownSize", err)
 	}
-	var rangeErr error
-	finished := false
+	finished = false
 	c.clients["a"].GetRangeAsync("obj", io.Discard, dstore.GetOptions{Off: 1, Length: 2, Meta: &dstore.ObjectMeta{DataLen: int64(len(data))}},
 		func(_ int64, err error) { rangeErr, finished = err, true })
 	for !finished && c.s.Step() {

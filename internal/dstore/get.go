@@ -8,6 +8,7 @@ package dstore
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"rain/internal/ecc"
 	"rain/internal/sim"
@@ -91,13 +92,14 @@ func infoMeta(in storage.ObjectInfo) objMeta {
 type shardStream struct {
 	peer      string // daemon node serving the stream
 	peerIdx   int
+	ver       objMeta // the version the stream's first chunk reported
 	req       uint64
 	pos       int64  // stream offset of the first unconsumed byte
 	buf       []byte // receive window; unconsumed bytes are buf[off:]
 	off       int    // consumed prefix of buf
 	lastAck   int64
 	progress  sim.Time // virtual time of the last chunk received
-	confirmed bool     // a chunk arrived: peerIdx is the daemon's real index
+	confirmed bool     // a chunk arrived: peerIdx is the daemon's real index, ver is set
 	complete  bool     // delivered and fully consumed by the decoder
 	dead      bool     // the daemon answered with an error
 	hedged    bool     // a spare was already issued on this stream's behalf
@@ -160,7 +162,7 @@ func (st *shardStream) deliveredTo(shardLen int64) bool {
 type streamGetOp struct {
 	c       *Client
 	id      string
-	peers   []string // shard i is expected on peers[i]; "" = unknown holder
+	peers   []string // shard i is expected on peers[i]; "" = unknown holder; strays follow the first n
 	exclude map[int]bool
 
 	// mkSink builds the block consumer once the object layout is known;
@@ -197,6 +199,8 @@ type streamGetOp struct {
 	corrupt    int // dead streams killed by a corruption NAK (subset of deadOther)
 	finished   bool
 	firstK     bool
+	seen       bool // some stream reported a version: the object exists
+	spilled    bool // the strays were added to the candidates
 	trace      *telemetry.Trace
 }
 
@@ -210,10 +214,11 @@ type getRange struct {
 // startStreamGet launches the state machine over the object's placement
 // (peers[i] holds shard i). If metaHint is non-nil the version is known up
 // front (rebuild, from the inventory; ranged gets, from the caller's probe)
-// and decoding can begin without waiting for a first chunk; either way every
-// stream must report that one version. rank, when non-nil, overrides the
-// policy ranking of candidate shard indices — the rebuild pipeline injects
-// its survivor-load spreading there. rng, when non-nil, bounds decoding to
+// and decoding can begin without waiting for a first chunk. Otherwise the op
+// adopts the version once k streams' first chunks agree on it (see adopt);
+// either way every stream it decodes from reports that one version. rank,
+// when non-nil, overrides the policy ranking of candidate shard indices —
+// the rebuild pipeline injects its survivor-load spreading there. rng, when non-nil, bounds decoding to
 // the blocks covering that byte range; combined with a metaHint the shard
 // streams start at the range's first block, so the prefix never crosses
 // the wire.
@@ -262,7 +267,7 @@ func (c *Client) startStreamGet(id string, peers []string, exclude map[int]bool,
 }
 
 // probe reports whether the op reads no bytes, only the object's version:
-// one stream's first chunk is all it needs.
+// k agreeing first chunks are all it needs.
 func (op *streamGetOp) probe() bool { return op.rng != nil && op.rng.end == op.rng.off }
 
 // winChunks is the flow-control window the daemons are asked to keep in
@@ -281,9 +286,8 @@ func (op *streamGetOp) winChunks() int32 {
 	return int32(win)
 }
 
-// setMeta fixes the object layout and builds the sink. Called from the first
-// chunk of whichever stream answers first, or up front from an inventory
-// hint.
+// setMeta fixes the object layout and builds the sink. Called once k streams'
+// first chunks agree on a version (adopt), or up front from a hint.
 func (op *streamGetOp) setMeta(meta objMeta) error {
 	if meta.dataLen < 0 || meta.blockLen < 1 {
 		// Every writer records a block layout, empty objects included; a
@@ -361,6 +365,10 @@ func (op *streamGetOp) watch(st *shardStream) {
 		if op.haveMeta && st.deliveredTo(op.meta.shardLen) {
 			return // fully delivered; the decoder is waiting on other streams
 		}
+		if !op.haveMeta && st.confirmed {
+			op.watch(st) // reported its version; waiting on the other holders to agree
+			return
+		}
 		if op.c.s.Now()-st.progress >= sim.Time(op.c.cfg.ReqTimeout) {
 			op.hedge(st)
 			op.failIfStuck()
@@ -382,22 +390,26 @@ func (op *streamGetOp) hedge(st *shardStream) {
 	op.issueNext()
 }
 
-// failIfStuck fails the op early once no spare candidates remain and either
-// fewer than k streams are alive or no live stream can still deliver bytes —
-// e.g. every daemon answered "object not found", or too many holders serve
-// another version — instead of waiting out the deadline.
+// failIfStuck keeps k streams able to serve the version alive while spare
+// candidates remain (the strays too, once a holder has shown the object
+// exists: see spill), and fails the op early once none remain and either
+// fewer than k such streams are alive or no live stream can still deliver
+// bytes — e.g. every daemon answered "object not found", or too many holders
+// serve another version — instead of waiting out the deadline.
 func (op *streamGetOp) failIfStuck() {
-	if op.finished || op.cursor < len(op.candidates) {
+	if op.finished {
 		return
 	}
-	live, need := 0, op.c.cfg.Code.K()
-	for _, st := range op.streams {
-		if !st.dead {
-			live++
-		}
+	need := op.c.cfg.Code.K()
+	live, open := op.viable()
+	for ; live < need && (op.cursor < len(op.candidates) || op.spill()); live++ {
+		op.issueNext() // e.g. a holder reported a version the others outvote
 	}
-	if op.probe() {
-		need = 1
+	if op.cursor < len(op.candidates) {
+		return
+	}
+	if live < need && open > 0 && !op.spilled && len(op.strays()) > 0 {
+		return // a stream yet to report may show the object exists, making the strays worth asking
 	}
 	// Fewer live streams than a block needs can never assemble it, whatever
 	// they still deliver (a stream waiting on credit the decode cannot give
@@ -445,6 +457,10 @@ func (op *streamGetOp) onChunk(st *shardStream, m Msg) {
 	if op.finished || st.complete || st.dead {
 		return
 	}
+	ver := st.ver
+	if !st.confirmed {
+		ver = chunkMeta(m) // only a stream's first chunk carries the digest
+	}
 	if m.Err == "" && int(m.Shard) != st.peerIdx {
 		// The daemon holds a different shard index than the placement map
 		// expects — an entry an unfinished rebalance has not moved yet. The
@@ -457,12 +473,12 @@ func (op *streamGetOp) onChunk(st *shardStream, m Msg) {
 		// the decoder and, being "fully delivered", would never hedge to
 		// the spare that has the piece actually needed. (Unconfirmed
 		// streams don't block adoption: their placement-guessed index may
-		// itself be wrong.)
+		// itself be wrong; nor do streams of another version.)
 		idx := int(m.Shard)
 		adopt := idx >= 0 && idx < op.c.cfg.Code.N() && !op.exclude[idx] && st.size() == 0 && !st.complete
 		if adopt {
 			for _, other := range op.streams {
-				if other != st && !other.dead && other.confirmed && other.peerIdx == idx {
+				if other != st && !other.dead && other.confirmed && other.peerIdx == idx && other.ver == ver {
 					adopt = false
 					break
 				}
@@ -475,11 +491,20 @@ func (op *streamGetOp) onChunk(st *shardStream, m Msg) {
 				st.peer, m.Shard, op.id, st.peerIdx)
 		}
 	}
-	if m.Err == "" && !st.confirmed && op.haveMeta && chunkMeta(m) != op.meta {
+	if m.Err == "" && !st.confirmed && op.haveMeta && ver != op.meta {
 		// The stream serves another version than the one this operation
 		// decodes (a put landed between the holders, or after the layout
 		// hint was read): its pieces would decode to neither version.
 		m.Err = fmt.Sprintf("dstore: %s holds another version of %s", st.peer, op.id)
+	}
+	if m.Err != "" && op.stray(st) {
+		// A stray that holds no usable shard is what a stray is expected to
+		// be: it says nothing about the object, so it counts as no failure.
+		st.dead = true
+		delete(op.c.pending, st.req)
+		op.c.send(st.peer, Msg{Kind: KindGetAck, Req: st.req, ID: op.id, Off: -1})
+		op.failIfStuck()
+		return
 	}
 	if m.Err != "" {
 		st.dead = true
@@ -518,16 +543,17 @@ func (op *streamGetOp) onChunk(st *shardStream, m Msg) {
 		return // out-of-protocol chunk; RUDP is FIFO so this is a stale req
 	}
 	st.progress = op.c.s.Now()
-	st.confirmed = true
+	st.confirmed, st.ver = true, ver
+	op.seen = true
 	for _, other := range op.streams {
-		if other == st || other.dead || !other.confirmed || other.peerIdx != st.peerIdx {
+		if other == st || other.dead || !other.confirmed || other.peerIdx != st.peerIdx || other.ver != st.ver {
 			continue
 		}
-		// Another stream already delivers this shard index (two placement
-		// slots resolved to entries with the same index). A redundant
-		// stream must not linger: fully delivered, it would neither stall
-		// nor hedge, silently starving the decoder of a spare that has a
-		// piece it actually needs.
+		// Another stream already delivers this shard index of this
+		// version (two placement slots resolved to entries with the same
+		// index). A redundant stream must not linger: fully delivered, it
+		// would neither stall nor hedge, silently starving the decoder of a
+		// spare that has a piece it actually needs.
 		st.dead = true
 		op.deadOther++
 		delete(op.c.pending, st.req)
@@ -538,26 +564,143 @@ func (op *streamGetOp) onChunk(st *shardStream, m Msg) {
 		op.failIfStuck()
 		return
 	}
-	if !op.haveMeta {
-		if err := op.setMeta(chunkMeta(m)); err != nil {
-			op.finish(err)
-			return
-		}
-		if op.nextBlk >= op.limitBlk {
-			op.finish(nil) // a probe or an empty range: the layout was all it needed
-			return
-		}
-		// The layout may demand a larger window than the initial request
-		// asked for (a whole piece must fit): refresh every live stream's
-		// window with an immediate ack.
-		op.ackStreams(true)
-	}
 	st.buf, st.off = appendReclaim(st.buf, st.off, m.Data, int(op.winChunks())*op.c.cfg.ChunkSize)
-	op.advance(st)
-	op.tryDecode()
+	if !op.haveMeta {
+		op.adopt()
+	} else {
+		op.advance(st)
+		op.tryDecode()
+	}
 	if !op.finished {
 		op.failIfStuck()
 	}
+}
+
+// spill adds the strays — the live universe nodes outside the object's
+// placement — to the candidates, once, and reports whether it added any. It
+// does so only for an object some holder has reported: when the universe
+// changes, the client's placement moves at once, but the shards move only
+// when the rebalance pass reaches the object, so until then a shard may sit
+// on a node the new placement no longer names. A stray's first chunk states
+// its index, which the stream adopts like a not-yet-rebalanced entry's.
+func (op *streamGetOp) spill() bool {
+	if op.spilled || !op.seen {
+		return false
+	}
+	op.spilled = true
+	strays := op.strays()
+	for i := range strays {
+		op.candidates = append(op.candidates, len(op.peers)+i)
+	}
+	// A fresh slice: appending must not write into the caller's.
+	op.peers = append(op.peers[:len(op.peers):len(op.peers)], strays...)
+	return op.cursor < len(op.candidates)
+}
+
+// strays lists the live universe nodes outside the object's placement.
+func (op *streamGetOp) strays() []string {
+	var out []string
+	for _, node := range op.c.nodes {
+		if op.c.alive(node) && !slices.Contains(op.peers, node) {
+			out = append(out, node)
+		}
+	}
+	return out
+}
+
+// stray reports whether st reads from a node outside the object's placement
+// whose index is not yet known.
+func (op *streamGetOp) stray(st *shardStream) bool { return st.peerIdx >= op.c.cfg.Code.N() }
+
+// tally returns the version most live streams' first chunks report, how many
+// report it, and how many live streams have yet to report any.
+func (op *streamGetOp) tally() (lead objMeta, votes, open int) {
+	for _, st := range op.streams {
+		switch {
+		case st.dead:
+		case !st.confirmed:
+			open++
+		default:
+			n := 0
+			for _, other := range op.streams {
+				if !other.dead && other.confirmed && other.ver == st.ver {
+					n++
+				}
+			}
+			if n > votes {
+				lead, votes = st.ver, n
+			}
+		}
+	}
+	return lead, votes, open
+}
+
+// viable counts the live streams that can still serve the version the op
+// reads — all live ones once it is adopted; before that, the leading
+// version's holders plus the streams yet to report — and, of those, the
+// streams yet to report.
+func (op *streamGetOp) viable() (live, open int) {
+	if !op.haveMeta {
+		_, votes, open := op.tally()
+		return votes + open, open
+	}
+	for _, st := range op.streams {
+		if !st.dead {
+			live++
+			if !st.confirmed {
+				open++
+			}
+		}
+	}
+	return live, open
+}
+
+// adopt fixes the version the op reads once k streams' first chunks report
+// it. One holder's word is not enough: a node that was down during an
+// overwrite keeps the old version's shard, and a failed put can leave
+// shards of a version that was never stored; k holders agreeing on a
+// version are enough to decode it. Streams of any other version are
+// dropped, and the rest get the window the layout calls for. Until then the
+// streams buffer what they deliver and failIfStuck widens the read while
+// the leading version plus the streams yet to report fall short of k.
+func (op *streamGetOp) adopt() {
+	meta, votes, _ := op.tally()
+	if votes < op.c.cfg.Code.K() {
+		return
+	}
+	if err := op.setMeta(meta); err != nil {
+		op.finish(err)
+		return
+	}
+	now := op.c.s.Now()
+	for _, st := range op.streams {
+		if st.dead || !st.confirmed {
+			continue
+		}
+		if st.ver == meta {
+			st.progress = now // it waited on the others: its stall clock starts now
+			continue
+		}
+		st.dead = true
+		op.deadOther++
+		op.lastErr = fmt.Sprintf("dstore: %s holds another version of %s", st.peer, op.id)
+		delete(op.c.pending, st.req)
+		op.c.send(st.peer, Msg{Kind: KindGetAck, Req: st.req, ID: op.id, Off: -1})
+	}
+	if op.nextBlk >= op.limitBlk {
+		op.finish(nil) // a probe or an empty range: the version was all it needed
+		return
+	}
+	for _, st := range op.streams {
+		if !st.dead {
+			op.advance(st)
+		}
+	}
+	// The layout may demand a larger window than the initial request asked
+	// for (a whole piece must fit): refresh every live stream's window with
+	// an immediate ack.
+	op.ackStreams(true)
+	op.tryDecode()
 }
 
 // advance drops the stream's buffered bytes that fall behind the decode
@@ -625,8 +768,8 @@ func (op *streamGetOp) tryDecode() {
 		}
 		used = used[:0]
 		for _, st := range op.streams {
-			if st.dead || shards[st.peerIdx] != nil {
-				continue
+			if st.dead || !st.confirmed || shards[st.peerIdx] != nil {
+				continue // (an unconfirmed stream holds no bytes, and a stray no index yet)
 			}
 			if st.pos == op.consumed && st.size() >= pieceLen {
 				shards[st.peerIdx] = st.bytes()[:pieceLen]
@@ -717,12 +860,13 @@ type GetOptions struct {
 	// Meta, when non-nil, lets the retrieve skip to the range's first block
 	// on the wire and pins it to that version: a stream reporting another
 	// digest or layout is dropped like a failed one. Without it (or with no
-	// BlockLen in it) the range is still honored, but the prefix blocks are
-	// fetched, decoded and discarded.
+	// BlockLen or no Digest in it: such a hint names no version) the range
+	// is still honored, but the prefix blocks are fetched, decoded and
+	// discarded, from the version k holders agree on.
 	Meta *ObjectMeta
 	// OnMeta, when non-nil, is called on the scheduler goroutine once the
-	// version being read is known — from Meta, or from the first chunk to
-	// arrive — and before any byte is written.
+	// version being read is known — from Meta, or once k streams' first
+	// chunks agree on it — and before any byte is written.
 	OnMeta func(ObjectMeta)
 	// Ready, when non-nil, gates decoding on downstream backpressure; a
 	// false return pauses the decode until the handle's Resume.
@@ -785,7 +929,7 @@ func (c *Client) GetRangeAsync(id string, w io.Writer, opts GetOptions, done fun
 		rng.end = opts.Off + opts.Length
 	}
 	var hint *objMeta
-	if m := opts.Meta; m != nil && m.DataLen >= 0 && m.BlockLen > 0 {
+	if m := opts.Meta; m != nil && m.DataLen >= 0 && m.BlockLen > 0 && m.Digest != (storage.Digest{}) {
 		hint = &objMeta{
 			shardLen: ecc.StreamShardLen(c.cfg.Code, m.DataLen, int(m.BlockLen)),
 			dataLen:  m.DataLen,
@@ -837,8 +981,8 @@ func (c *Client) GetRangeAsync(id string, w io.Writer, opts GetOptions, done fun
 }
 
 // HeadAsync is the metadata probe: a retrieve of no bytes, whose shard
-// streams each move at most one chunk before the first to arrive reports the
-// object's version. A missing object reports ErrNotFound.
+// streams each move at most one chunk, and which reports the version once k
+// of those first chunks agree on it. A missing object reports ErrNotFound.
 func (c *Client) HeadAsync(id string, done func(ObjectMeta, error)) *Handle {
 	var meta ObjectMeta
 	return c.GetRangeAsync(id, io.Discard, GetOptions{OnMeta: func(m ObjectMeta) { meta = m }},

@@ -563,8 +563,8 @@ func TestRebuildPagedInventory(t *testing.T) {
 // TestDigestSurvivesShardMovement moves one object's shards the three ways
 // the store re-creates a shard — a replaced node's rebuild, a rebalance
 // copy off a draining node, and a repair in place — and checks that every
-// holder still records the digest the put computed, and that a read whose
-// first chunk comes from the new holder reports it.
+// holder still records the digest the put computed, and that a read which
+// cannot agree on a version without the new holder's first chunk reports it.
 func TestDigestSurvivesShardMovement(t *testing.T) {
 	const m, n, k = 8, 6, 4
 	c := newPlacedCluster(t, 47, m, n, k, sim.ProfileLAN, nil)
@@ -573,11 +573,18 @@ func TestDigestSurvivesShardMovement(t *testing.T) {
 	if _, err := c.clients[c.nodes[0]].Put("obj", data); err != nil {
 		t.Fatal(err)
 	}
-	// firstFrom probes the object through a view in which node is the only
-	// live holder, so the version the probe reports is node's first chunk.
-	firstFrom := func(node string) storage.Digest {
+	// probeWith probes the object through a view in which node and k-1
+	// other holders are the only live ones: the probe adopts a version only
+	// when k first chunks agree on it, so node's first chunk must be one.
+	probeWith := func(node string) storage.Digest {
+		live := map[string]bool{node: true}
 		for _, other := range c.nodes {
-			c.down[other] = other != node
+			if _, err := c.backends[other].Info("obj"); err == nil && len(live) < k {
+				live[other] = true
+			}
+		}
+		for _, other := range c.nodes {
+			c.down[other] = !live[other]
 		}
 		defer clear(c.down)
 		var meta dstore.ObjectMeta
@@ -610,8 +617,8 @@ func TestDigestSurvivesShardMovement(t *testing.T) {
 		if placement.ShardOf(placement.Assign("obj", universe, n), moved) < 0 {
 			t.Fatalf("after the %s, %s is not a holder", step, moved)
 		}
-		if got := firstFrom(moved); got != want {
-			t.Fatalf("after the %s, a read starting at %s reports digest %x, want %x", step, moved, got, want)
+		if got := probeWith(moved); got != want {
+			t.Fatalf("after the %s, a read that needs %s's first chunk reports digest %x, want %x", step, moved, got, want)
 		}
 		if got, err := c.clients[c.nodes[1]].Get("obj"); err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("after the %s: get %v", step, err)
@@ -661,4 +668,56 @@ func TestDigestSurvivesShardMovement(t *testing.T) {
 	c.clients[c.nodes[0]].QueueRepair("obj", 2, target)
 	c.s.RunFor(5 * time.Second)
 	check("repair in place", target, remaining)
+}
+
+// TestReadFindsShardsThePlacementLeftBehind reads an object after nodes
+// joined the universe but before any rebalance pass moved a shard: the new
+// placement names more newcomers (who hold nothing) than the code can
+// spare, so only the old holders outside it can complete the read. The
+// retrieve must find them there, and a missing object must still cost no
+// more than its placement.
+func TestReadFindsShardsThePlacementLeftBehind(t *testing.T) {
+	const m, n, k = 12, 6, 4
+	c := newPlacedCluster(t, 48, m, n, k, sim.ProfileLAN, nil)
+	old := c.nodes[:n]
+	id := ""
+	for i := 0; id == ""; i++ {
+		cand := fmt.Sprintf("obj-%d", i)
+		kept := 0
+		for _, node := range placement.Assign(cand, c.nodes, n) {
+			if placement.ShardOf(old, node) >= 0 {
+				kept++
+			}
+		}
+		if kept > 0 && kept < k { // some holder left to say the object exists
+			id = cand
+		}
+	}
+	for _, node := range c.nodes {
+		if err := c.clients[node].SetNodes(old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := randBytes(480, 20<<10)
+	if _, err := c.clients[old[0]].Put(id, data); err != nil {
+		t.Fatal(err)
+	}
+	reader := c.clients[c.nodes[m-1]]
+	if err := reader.SetNodes(c.nodes); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reader.Get(id); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("get across the moved placement: %v", err)
+	}
+	before := reader.Loads()
+	if _, err := reader.Get("never-stored"); !errors.Is(err, dstore.ErrNotFound) {
+		t.Fatalf("get of a missing object: %v, want ErrNotFound", err)
+	}
+	asked := 0
+	for node, l := range reader.Loads() {
+		asked += l - before[node]
+	}
+	if asked != n {
+		t.Fatalf("a missing object asked %d nodes, want its %d placed ones", asked, n)
+	}
 }

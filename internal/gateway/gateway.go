@@ -351,7 +351,7 @@ func (b bodyReader) Read(p []byte) (int, error) {
 // ---- GET / HEAD ----
 
 // serveGet answers GET and HEAD. A plain GET is one retrieve, whose headers
-// come from the version its first chunk reports. HEAD and a ranged GET must
+// come from the version k holders' first chunks agree on. HEAD and a ranged GET must
 // know the size before they answer or aim the range, so they probe first
 // and then read the range pinned to the probed version.
 func (g *Gateway) serveGet(w http.ResponseWriter, r *http.Request, key string, body bool) result {

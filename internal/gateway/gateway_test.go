@@ -545,8 +545,9 @@ func TestCorruptObjectIs502(t *testing.T) {
 // TestOneStoreOperationPerRequest counts what each request costs the store:
 // a 4 KiB PUT commits exactly n shard records, a GET opens exactly k daemon
 // get sessions, a DELETE reaches n daemons — one store operation each. A
-// HEAD is the metadata probe, which moves at most one chunk per stream even
-// when every shard stream is many chunks long.
+// HEAD is the metadata probe, which moves one chunk from each of the k
+// streams that must agree on the version, even when every shard stream is
+// many chunks long.
 func TestOneStoreOperationPerRequest(t *testing.T) {
 	h := newHarness(t, 7, gateway.Config{})
 	const n, k = 6, 4
@@ -604,7 +605,87 @@ func TestOneStoreOperationPerRequest(t *testing.T) {
 		t.Fatalf("head: status %d, length %d, ETag %s", resp.StatusCode, resp.ContentLength, resp.Header.Get("ETag"))
 	}
 	h.waitDrained()
-	if moved := h.count("dstore.daemon.chunks_served") - served; moved == 0 || moved > k {
-		t.Fatalf("head moved %d chunks, want 1 to %d (one per probe stream)", moved, k)
+	if moved := h.count("dstore.daemon.chunks_served") - served; moved != k {
+		t.Fatalf("head moved %d chunks, want %d (one per probe stream)", moved, k)
+	}
+}
+
+// TestStaleHolderIsOutvoted keeps one holder on an older version — as a node
+// that was down during an overwrite does — and checks that no request takes
+// that holder's word for the object's version, whichever holder it is (the
+// client's own node, whose chunk arrives first, included). HEAD and GET
+// report the current version, an If-Match naming it is honored, and a
+// conditional DELETE naming the old version is refused.
+func TestStaleHolderIsOutvoted(t *testing.T) {
+	h := newHarness(t, 8, gateway.Config{})
+	tag := func(data []byte) string {
+		sum := sha256.Sum256(data)
+		return `"` + hex.EncodeToString(sum[:]) + `"`
+	}
+	for i, node := range []string{"a", "b", "c", "d", "e", "f"} {
+		key := "stale-" + node
+		old, cur := randBytes(int64(80+i), 20<<10), randBytes(int64(90+i), 30<<10)
+		if resp := h.put(key, old); resp.StatusCode != http.StatusOK {
+			t.Fatalf("put status %d", resp.StatusCode)
+		}
+		h.waitDrained()
+		b := h.backends[node]
+		var info storage.ObjectInfo
+		var shard []byte
+		var err error
+		h.loop.Call(func() {
+			if info, err = b.Info(key); err == nil {
+				shard, _, err = b.Get(key)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard = append([]byte(nil), shard...)
+		if resp := h.put(key, cur); resp.StatusCode != http.StatusOK {
+			t.Fatalf("put status %d", resp.StatusCode)
+		}
+		h.waitDrained()
+		h.loop.Call(func() {
+			st := b.NewStage()
+			st.SetDigest(info.Digest)
+			if err = st.Append(shard); err == nil {
+				err = b.Commit(st, key, info.Shard, info.DataLen, info.BlockLen)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		req, _ := http.NewRequest(http.MethodHead, h.url(key), nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(cur)) || resp.Header.Get("ETag") != tag(cur) {
+			t.Fatalf("stale %s: head status %d, length %d, ETag %s; want the current version",
+				node, resp.StatusCode, resp.ContentLength, resp.Header.Get("ETag"))
+		}
+		resp, body := h.get(key, map[string]string{"If-Match": tag(cur)})
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(body, cur) || resp.Header.Get("ETag") != tag(cur) {
+			t.Fatalf("stale %s: get status %d, ETag %s, current body %v", node, resp.StatusCode, resp.Header.Get("ETag"), bytes.Equal(body, cur))
+		}
+		for _, c := range []struct {
+			etag string
+			want int
+		}{{tag(old), http.StatusPreconditionFailed}, {tag(cur), http.StatusNoContent}} {
+			req, _ = http.NewRequest(http.MethodDelete, h.url(key), nil)
+			req.Header.Set("If-Match", c.etag)
+			resp, err = http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Fatalf("stale %s: delete If-Match %s: status %d, want %d", node, c.etag, resp.StatusCode, c.want)
+			}
+		}
+		h.waitDrained()
 	}
 }
