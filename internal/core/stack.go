@@ -107,15 +107,7 @@ func newStack(s *sim.Scheduler, mesh dstore.Mesh, mbr *membership.Node, elect *e
 	// always alive); the client's hedging covers the detection gap after a
 	// crash.
 	spec.store.Alive = func(peer string) bool {
-		if peer == spec.name {
-			return true
-		}
-		for _, v := range mbr.View() {
-			if v == peer {
-				return true
-			}
-		}
-		return false
+		return peer == spec.name || mbr.InView(peer)
 	}
 	cl, err := dstore.NewClient(s, mesh, spec.name, spec.store)
 	if err != nil {

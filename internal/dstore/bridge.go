@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"io"
+	"sync"
 
 	"rain/internal/storage"
 )
@@ -20,6 +21,7 @@ import (
 type Bridge struct {
 	call   func(func()) bool
 	client *Client
+	bufs   sync.Pool // PutStream's block-sized read buffers (*[]byte)
 }
 
 // NewBridge bridges onto c. call must run its closure on the goroutine that
@@ -107,26 +109,47 @@ func (b *Bridge) Delete(ctx context.Context, id string) error {
 
 // PutStream stores an object of exactly size bytes from r through a
 // PutFeed and returns its SHA-256. r is read and hashed on the calling
-// goroutine, and while a block is buffered and the daemons' credit windows
-// are full it is the caller that parks, so a slow cluster throttles the
-// producer and never the loop. A read error or a dead ctx aborts the put
-// (the daemons' staged writes are poisoned).
+// goroutine into a pooled buffer, filled to a block (or to EOF) before each
+// loop call: the first call opens the feed and offers, and the call that
+// has seen EOF also closes it, so an object of at most a block costs one
+// loop round trip. While a block is buffered and the daemons' credit
+// windows are full it is the caller that parks, so a slow cluster throttles
+// the producer and never the loop. A read error or a dead ctx aborts the
+// put (the daemons' staged writes are poisoned).
 func (b *Bridge) PutStream(ctx context.Context, id string, r io.Reader, size int64) (storage.Digest, error) {
+	var none storage.Digest
+	if err := checkLen(size); err != nil {
+		return none, err
+	}
+	bp := b.readBuf()
+	buf, reuse := *bp, true
+	defer func() {
+		if reuse {
+			b.bufs.Put(bp)
+		}
+	}()
 	var (
 		feed    *PutFeed
 		room    = make(chan struct{}, 1)
 		done    = make(chan struct{})
 		putErr  error // written on the loop before done closes
-		err     error
-		none    storage.Digest
+		openErr error
+		hasRoom bool
+		n       int
+		eof     bool
+		read    int64
+		digest  storage.Digest
 		hashing = sha256.New()
 	)
-	if !b.call(func() {
-		feed, err = b.client.NewPutFeed(id, size, func(_ int, e error) {
-			putErr = e
-			close(done)
-		})
-		if err == nil {
+	step := func() {
+		if feed == nil {
+			feed, openErr = b.client.NewPutFeed(id, size, func(_ int, e error) {
+				putErr = e
+				close(done)
+			})
+			if openErr != nil {
+				return
+			}
 			feed.OnRoom(func() {
 				select {
 				case room <- struct{}{}:
@@ -134,47 +157,53 @@ func (b *Bridge) PutStream(ctx context.Context, id string, r io.Reader, size int
 				}
 			})
 		}
-	}) {
-		return none, ErrCanceled
+		hasRoom = n == 0 || feed.Offer(buf[:n])
+		if eof {
+			feed.Close(digest)
+		}
 	}
-	if err != nil {
-		return none, err
-	}
-	abort := func(err error) (storage.Digest, error) {
-		b.call(feed.Cancel)
-		return none, err
-	}
-	// Up to a block per read, what the feed asks for before it pauses; one
-	// byte past size is enough to see the EOF (or an overlong source) of a
-	// small object without a block-sized buffer per request.
-	buf := make([]byte, min(int64(b.client.BlockSize()), size+1))
-	for {
-		n, rerr := r.Read(buf)
-		if n > 0 {
-			hashing.Write(buf[:n])
-			hasRoom := false
-			if !b.call(func() { hasRoom = feed.Offer(buf[:n]) }) {
-				return none, ErrCanceled
+	for !eof {
+		// Up to a block per call, what the feed asks for before it pauses;
+		// once at most a block is left, one byte more, which reads the EOF
+		// (or reveals an over-long source) in the same call.
+		want := int64(len(buf) - 1)
+		if left := size - read; left <= want {
+			want = max(left, 0) + 1
+		}
+		var rerr error
+		n, rerr = fill(r, buf[:want])
+		read += int64(n)
+		hashing.Write(buf[:n])
+		if rerr != nil && rerr != io.EOF {
+			if feed != nil {
+				b.call(feed.Cancel)
 			}
-			if !hasRoom {
-				select {
-				case <-room:
-				case <-done: // resolved early: the outcome surfaces below
-				case <-ctx.Done():
-					return abort(ctx.Err())
-				}
+			return none, rerr
+		}
+		if eof = rerr == io.EOF; eof {
+			digest = sum(hashing)
+		}
+		if !b.call(step) {
+			reuse = false // the loop stopped, maybe mid-call, with buf in hand
+			return none, ErrCanceled
+		}
+		if openErr != nil {
+			return none, openErr
+		}
+		if !hasRoom {
+			select {
+			case <-room:
+			case <-done: // resolved early: the outcome surfaces below
+			case <-ctx.Done():
+				b.call(feed.Cancel)
+				return none, ctx.Err()
 			}
 		}
-		if rerr == io.EOF {
-			break
+		select {
+		case <-done: // resolved before the source ended: it failed
+			eof = true
+		default:
 		}
-		if rerr != nil {
-			return abort(rerr)
-		}
-	}
-	digest := sum(hashing)
-	if !b.call(func() { feed.Close(digest) }) {
-		return none, ErrCanceled
 	}
 	select {
 	case <-done:
@@ -188,4 +217,26 @@ func (b *Bridge) PutStream(ctx context.Context, id string, r io.Reader, size int
 		return none, putErr
 	}
 	return digest, nil
+}
+
+// readBuf borrows a PutStream read buffer: a block plus the probe byte.
+func (b *Bridge) readBuf() *[]byte {
+	if bp, ok := b.bufs.Get().(*[]byte); ok {
+		return bp
+	}
+	buf := make([]byte, b.client.BlockSize()+1)
+	return &buf
+}
+
+// fill reads into buf until it is full, r reports EOF, or a read fails.
+func fill(r io.Reader, buf []byte) (int, error) {
+	n := 0
+	for n < len(buf) {
+		m, err := r.Read(buf[n:])
+		n += m
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }

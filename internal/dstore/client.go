@@ -167,6 +167,11 @@ type Client struct {
 	// resultBufs recycles whole-object assembly buffers across GetAsync
 	// calls; the caller gets a copy, so the assembly area never escapes.
 	resultBufs [][]byte
+	// pipes recycles put-feed pipes across puts (getPipe/putPipe).
+	pipes [][]byte
+	// encBufs is the put side's shard scratch, one block codeword's shards
+	// reused by every feed; encShards are the per-block views into it.
+	encBufs, encShards [][]byte
 
 	// taskHighWater is the peak budgeted cost admitted by concurrent
 	// rebuild/rebalance pipelines — the enforced memory bound, for tests.

@@ -5,7 +5,6 @@ package dstore
 // for an io.Reader).
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"hash"
@@ -349,9 +348,7 @@ func (c *Client) PutAsync(id string, data []byte, done func(stored int, err erro
 type PutFeed struct {
 	c         *Client
 	op        *putOp
-	enc       *ecc.StreamEncoder
-	blk       bytes.Reader // the encoder's source: one whole block of pipe
-	pipe      []byte       // buffered, not-yet-encoded bytes are pipe[off:]
+	pipe      []byte // buffered, not-yet-encoded bytes are pipe[off:]
 	off       int
 	dataLen   int64
 	offered   int64
@@ -366,27 +363,23 @@ type PutFeed struct {
 // with the number of shards stored; err is nil when at least k daemons
 // committed.
 func (c *Client) NewPutFeed(id string, dataLen int64, done func(stored int, err error)) (*PutFeed, error) {
-	if dataLen < 0 {
-		return nil, fmt.Errorf("dstore: negative object length %d", dataLen)
+	if err := checkLen(dataLen); err != nil {
+		return nil, err
 	}
 	f := &PutFeed{
 		c:         c,
+		pipe:      c.getPipe(),
 		dataLen:   dataLen,
 		blocks:    ecc.StreamBlocks(dataLen, c.cfg.BlockSize),
 		highWater: int64(c.cfg.Window) * int64(c.cfg.ChunkSize),
 	}
-	enc, err := ecc.NewStreamEncoder(c.cfg.Code, &f.blk, f.bufHint())
-	if err != nil {
-		return nil, err
-	}
-	f.enc = enc
 	f.op = c.newPutOp(id, dataLen, func(stored int, err error) {
-		// Resolved: nothing is encoded again, so the buffered bytes, the
-		// encoder's block buffers and the producer's resume hook (a pull
-		// driver's reader) go now, not when the producer lets go. The
-		// transfers' last acks have already woken a paused producer.
-		f.enc, f.pipe, f.off, f.onRoom = nil, nil, 0, nil
-		f.blk.Reset(nil)
+		// Resolved: nothing is encoded again, so the pipe goes back to the
+		// client and the producer's resume hook (a pull driver's reader) is
+		// dropped now, not when the producer lets go. The transfers' last
+		// acks have already woken a paused producer.
+		c.putPipe(f.pipe)
+		f.pipe, f.off, f.onRoom = nil, 0, nil
 		done(stored, err)
 	})
 	if dataLen > 0 {
@@ -395,9 +388,8 @@ func (c *Client) NewPutFeed(id string, dataLen int64, done func(stored int, err 
 	return f, nil
 }
 
-// bufHint is the feed's working size: one block, or the whole object when
-// it is shorter (a 4 KiB put encodes the same shards from 4 KiB buffers as
-// from 64 KiB ones).
+// bufHint is the size a pipe grows to: one block, or the whole object when
+// it is shorter (a 4 KiB put needs a 4 KiB pipe, not a 64 KiB one).
 func (f *PutFeed) bufHint() int {
 	if f.dataLen > 0 && f.dataLen < int64(f.c.cfg.BlockSize) {
 		return int(f.dataLen)
@@ -446,18 +438,18 @@ func (f *PutFeed) pump() {
 			f.c.met.creditStalls.Inc()
 			break
 		}
-		f.blk.Reset(f.pipe[f.off : f.off+need])
-		shards, _, err := f.enc.Next()
+		shards, err := f.c.encodeBlock(f.pipe[f.off : f.off+need])
 		if err != nil {
-			op.finish(err)
+			op.finish(fmt.Errorf("dstore: encoding block %d: %w", f.nextBlk, err))
 			break
 		}
 		f.off += need
 		f.nextBlk++
 		for i, t := range op.transfers {
 			if t != nil && !t.resolved {
-				// The encoder reuses its block buffers; each piece is copied
-				// into the transfer queue's pooled frames.
+				// The shards are the client's scratch (or alias the pipe);
+				// offer copies each piece into the transfer queue's pooled
+				// frames before the next block, or another feed, reuses them.
 				t.offer(shards[i])
 			}
 		}
@@ -509,6 +501,65 @@ func (f *PutFeed) Close(digest storage.Digest) {
 		}
 	}
 	f.pump()
+}
+
+// checkLen rejects a negative declared object length.
+func checkLen(dataLen int64) error {
+	if dataLen < 0 {
+		return fmt.Errorf("dstore: negative object length %d", dataLen)
+	}
+	return nil
+}
+
+// maxPipes caps the client's recycle list of put-feed pipes.
+const maxPipes = 16
+
+// getPipe takes a recycled put-feed pipe, or nil for a fresh start; the feed
+// grows it by appendReclaim.
+func (c *Client) getPipe() []byte {
+	if n := len(c.pipes); n > 0 {
+		b := c.pipes[n-1]
+		c.pipes[n-1] = nil
+		c.pipes = c.pipes[:n-1]
+		return b[:0]
+	}
+	return nil
+}
+
+// putPipe returns a resolved feed's pipe to the recycle list. Only pipes of
+// at most one block are kept, so a reused pipe never exceeds a feed's
+// one-block-plus-an-offer bound.
+func (c *Client) putPipe(b []byte) {
+	if cap(b) > 0 && cap(b) <= c.cfg.BlockSize && len(c.pipes) < maxPipes {
+		c.pipes = append(c.pipes, b)
+	}
+}
+
+// encodeBlock encodes one block codeword into the client's shard scratch,
+// one buffer set reused by every put feed (codes without BufferEncoder fall
+// back to Code.Encode, whose data shards may alias blk). The shards are
+// valid until the next call: the loop is single-threaded and a feed's
+// transfers copy them into frames before pump returns.
+func (c *Client) encodeBlock(blk []byte) ([][]byte, error) {
+	into, ok := c.cfg.Code.(ecc.BufferEncoder)
+	if !ok {
+		return c.cfg.Code.Encode(blk)
+	}
+	if c.encBufs == nil {
+		// Sized for a full block; a short block only shrinks the shard size.
+		size := c.cfg.Code.ShardSize(c.cfg.BlockSize)
+		backing := make([]byte, c.cfg.Code.N()*size)
+		c.encBufs = make([][]byte, c.cfg.Code.N())
+		c.encShards = make([][]byte, c.cfg.Code.N())
+		for i := range c.encBufs {
+			c.encBufs[i] = backing[i*size : (i+1)*size : (i+1)*size]
+		}
+	}
+	size := c.cfg.Code.ShardSize(len(blk))
+	for i := range c.encShards {
+		c.encShards[i] = c.encBufs[i][:size]
+	}
+	return c.encShards, into.EncodeInto(blk, c.encShards)
 }
 
 // sum is h's digest.

@@ -1,0 +1,225 @@
+package dstore
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"rain/internal/ecc"
+	"rain/internal/rt"
+	"rain/internal/rudp"
+	"rain/internal/sim"
+	"rain/internal/storage"
+)
+
+// maxSmallOpAllocs and maxSmallOpBytes bound what one warmed-up 4 KiB put
+// plus get allocates on a simulated six-node cluster — client, daemons,
+// backends and the simulated mesh together. The put feed encodes into the
+// client's shard scratch from a recycled pipe, and a storage commit makes no
+// error value: 271 objects and about 20 KB per op. With a stream encoder
+// and a fresh pipe per put, and an error made per commit, the same op
+// allocated 289 objects and about 35 KB.
+const (
+	maxSmallOpAllocs = 280
+	maxSmallOpBytes  = 26 << 10
+)
+
+// TestSmallPutGetAllocs pins the allocations of a 4 KiB put plus get.
+func TestSmallPutGetAllocs(t *testing.T) {
+	s, clients := newClients(t, 33, Config{}, "a")
+	cl := clients[0]
+	data := bytes.Repeat([]byte("4KiB"), 1<<10)
+	op := func() {
+		put := false
+		cl.PutAsync("small", data, func(_ int, err error) {
+			if err != nil {
+				t.Errorf("put: %v", err)
+			}
+			put = true
+		})
+		for !put && s.Step() {
+		}
+		got := false
+		cl.GetAsync("small", func(b []byte, err error) {
+			if err != nil || !bytes.Equal(b, data) {
+				t.Errorf("get: %d bytes, %v", len(b), err)
+			}
+			got = true
+		})
+		for !got && s.Step() {
+		}
+	}
+	for i := 0; i < 32; i++ { // warm pools, recycle lists, maps
+		op()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := testing.AllocsPerRun(200, op) // 201 runs: one warm-up, then 200
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / 201
+	t.Logf("4 KiB put+get: %.1f allocations, %d bytes per op", n, perOp)
+	if raceEnabled {
+		return
+	}
+	if n > maxSmallOpAllocs {
+		t.Errorf("4 KiB put+get allocated %.1f objects per op, want <= %d", n, maxSmallOpAllocs)
+	}
+	if perOp > maxSmallOpBytes {
+		t.Errorf("4 KiB put+get allocated %d bytes per op, want <= %d", perOp, maxSmallOpBytes)
+	}
+}
+
+// TestPutFeedScratchNotShared interleaves two feeds' blocks through the
+// client's one shard scratch — full blocks of one between full and short
+// blocks of the other — and reads both objects back bit-exact: no feed's
+// pump exposes bytes another feed's encode left in the scratch.
+func TestPutFeedScratchNotShared(t *testing.T) {
+	s, clients := newClients(t, 34, Config{}, "a", "b")
+	cl := clients[0]
+	objects := map[string][]byte{
+		"first":  bytes.Repeat([]byte{0xA5}, 3*DefaultBlockSize+1000),
+		"second": bytes.Repeat([]byte{0x3C}, 2*DefaultBlockSize+77),
+	}
+	type feedState struct {
+		f    *PutFeed
+		data []byte
+		off  int
+		room bool
+		done bool
+		err  error
+	}
+	var feeds []*feedState
+	for _, id := range []string{"first", "second"} {
+		st := &feedState{data: objects[id], room: true}
+		f, err := cl.NewPutFeed(id, int64(len(st.data)), func(_ int, err error) { st.err, st.done = err, true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.OnRoom(func() { st.room = true })
+		st.f = f
+		feeds = append(feeds, st)
+	}
+	// One block of each feed in turn; a feed whose pipe is full waits.
+	for pending := true; pending; {
+		pending = false
+		for _, st := range feeds {
+			if st.off == len(st.data) {
+				continue
+			}
+			pending = true
+			for !st.room && !st.done && s.Step() {
+			}
+			end := min(st.off+DefaultBlockSize, len(st.data))
+			st.room = st.f.Offer(st.data[st.off:end])
+			st.off = end
+			if st.off == len(st.data) {
+				st.f.Close(sha256.Sum256(st.data))
+			}
+		}
+	}
+	for _, st := range feeds {
+		for !st.done && s.Step() {
+		}
+		if st.err != nil {
+			t.Fatal(st.err)
+		}
+	}
+	for id, want := range objects {
+		got, err := clients[1].Get(id)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s read back: err %v, %s", id, err, firstDiff(got, want))
+		}
+	}
+}
+
+// firstDiff describes where got first departs from want.
+func firstDiff(got, want []byte) string {
+	for i := 0; i < min(len(got), len(want)); i++ {
+		if got[i] != want[i] {
+			return fmt.Sprintf("byte %d is %#x, want %#x", i, got[i], want[i])
+		}
+	}
+	return fmt.Sprintf("%d bytes, want %d", len(got), len(want))
+}
+
+// TestBridgePutStreamLoopCalls pins the bridge's hand-offs: PutStream fills
+// its read buffer to a block (or to EOF) before each loop call, so an object
+// of at most one block is opened, offered and closed in a single call, and a
+// longer one costs one call per block.
+func TestBridgePutStreamLoopCalls(t *testing.T) {
+	loop := rt.New(35)
+	loop.Start()
+	defer loop.Stop()
+	var cl *Client
+	var err error
+	loop.Call(func() {
+		s := loop.Scheduler()
+		code, cerr := ecc.NewReedSolomon(6, 4)
+		if cerr != nil {
+			err = cerr
+			return
+		}
+		nodes := []string{"a", "b", "c", "d", "e", "f"}
+		net := sim.NewNetwork(s)
+		sim.ApplyProfile(net, nodes, 2, sim.ProfileLAN)
+		mesh, merr := rudp.NewMesh(s, net, nodes, rudp.Config{})
+		if merr != nil {
+			err = merr
+			return
+		}
+		for i, n := range nodes {
+			NewDaemon(mesh, n, i, storage.NewBackend(), 0)
+		}
+		cl, err = NewClient(s, mesh, "a", Config{Code: code, Nodes: nodes})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	b := NewBridge(func(fn func()) bool {
+		calls++
+		return loop.Call(fn)
+	}, cl)
+	data := make([]byte, 2*DefaultBlockSize+5)
+	for i := range data {
+		data[i] = byte(i * 31)
+	}
+	for _, tc := range []struct {
+		size, calls int
+	}{
+		{0, 1},
+		{4 << 10, 1},
+		{DefaultBlockSize, 1},
+		{DefaultBlockSize + 1, 2},
+		{2*DefaultBlockSize + 5, 3},
+	} {
+		id := fmt.Sprintf("obj-%d", tc.size)
+		want := data[:tc.size]
+		calls = 0
+		digest, err := b.PutStream(context.Background(), id, bytes.NewReader(want), int64(tc.size))
+		if err != nil {
+			t.Fatalf("%d-byte put: %v", tc.size, err)
+		}
+		if calls != tc.calls {
+			t.Errorf("%d-byte put made %d loop calls, want %d", tc.size, calls, tc.calls)
+		}
+		if digest != sha256.Sum256(want) {
+			t.Errorf("%d-byte put returned digest %x, want the body's", tc.size, digest)
+		}
+		got, err := b.Get(context.Background(), id)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte object read back: err %v, %s", tc.size, err, firstDiff(got, want))
+		}
+	}
+	// An over-long source fails and a short one too, each without hanging.
+	if _, err := b.PutStream(context.Background(), "long", bytes.NewReader(data[:100]), 99); !errors.Is(err, ErrLongSource) {
+		t.Errorf("over-long source: %v, want ErrLongSource", err)
+	}
+	if _, err := b.PutStream(context.Background(), "short", bytes.NewReader(data[:100]), DefaultBlockSize+1); !errors.Is(err, ErrShortSource) {
+		t.Errorf("short source: %v, want ErrShortSource", err)
+	}
+}

@@ -3,6 +3,7 @@ package dstore
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -109,9 +110,10 @@ func TestPutFeedBufferBounded(t *testing.T) {
 
 // TestFinishedOpsReleased pins the op-lifetime rule: a finished operation
 // holds nothing of what it moved — not the get's sink writer, not the put's
-// done callback, not the feed's buffered bytes or encoder — even though its
-// handle (and the feed) are still held and its OpTimeout is far off. A
-// deadline closure that outlived its op kept all of it reachable for 15 s.
+// done callback, not the feed's buffered bytes (its pipe goes back to the
+// client's bounded recycle list) — even though its handle (and the feed) are
+// still held and its OpTimeout is far off. A deadline closure that outlived
+// its op kept all of it reachable for 15 s.
 func TestFinishedOpsReleased(t *testing.T) {
 	s, clients := newClients(t, 31, Config{ChunkSize: 4 << 10}, "a")
 	cl := clients[0]
@@ -156,7 +158,8 @@ func TestFinishedOpsReleased(t *testing.T) {
 	}()
 	run("get", &getFinished)
 
-	// A feed put, offered in one piece so its pipe is one allocation.
+	// A feed put, offered a block at a time as a producer that honours
+	// Offer's answer does, so its pipe stays within one block.
 	feedFinished := false
 	feed, err := cl.NewPutFeed("fed", int64(len(data)), func(_ int, err error) {
 		if err != nil {
@@ -167,11 +170,29 @@ func TestFinishedOpsReleased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed.Offer(data)
-	pipeGone, encGone := tracked(&feed.pipe[:1][0]), tracked(feed.enc)
+	room := true
+	feed.OnRoom(func() { room = true })
+	for off := 0; off < len(data); off += DefaultBlockSize {
+		room = feed.Offer(data[off:min(off+DefaultBlockSize, len(data))])
+		for !room && !feedFinished && s.Step() {
+		}
+	}
+	pipe := &feed.pipe[:1][0]
 	feed.Close(sha256.Sum256(data))
 	run("feed put", &feedFinished)
 
+	// The resolved feed holds no buffer: its pipe is on the client's
+	// recycle list, for the next feed.
+	if feed.pipe != nil {
+		t.Errorf("resolved PutFeed still holds a %d-byte pipe", cap(feed.pipe))
+	}
+	recycled := false
+	for _, p := range cl.pipes {
+		recycled = recycled || &p[:1][0] == pipe
+	}
+	if !recycled {
+		t.Errorf("PutFeed's pipe is not on the client's recycle list (%d pipes there)", len(cl.pipes))
+	}
 	if el := s.Now() - began; el >= sim.Time(DefaultOpTimeout) {
 		t.Fatalf("operations took %v of virtual time; the check needs them inside OpTimeout", time.Duration(el))
 	}
@@ -181,12 +202,30 @@ func TestFinishedOpsReleased(t *testing.T) {
 	}{
 		{"PutAsync's done callback", doneGone},
 		{"GetRangeAsync's sink writer", sinkGone},
-		{"PutFeed's pipe", pipeGone},
-		{"PutFeed's encoder", encGone},
 	} {
 		if !collected(c.gone) {
 			t.Errorf("%s still reachable after its op finished", c.what)
 		}
+	}
+
+	// More puts in flight than the list holds: it keeps at most its cap.
+	inFlight := 0
+	for i := 0; i < maxPipes+4; i++ {
+		inFlight++
+		cl.PutAsync(fmt.Sprintf("small-%d", i), data[:4<<10], func(_ int, err error) {
+			if err != nil {
+				t.Errorf("small put: %v", err)
+			}
+			inFlight--
+		})
+	}
+	for inFlight > 0 && s.Step() {
+	}
+	if inFlight > 0 {
+		t.Fatalf("%d small puts never finished", inFlight)
+	}
+	if len(cl.pipes) > maxPipes {
+		t.Errorf("%d pipes on the recycle list, cap %d", len(cl.pipes), maxPipes)
 	}
 	runtime.KeepAlive(putHandle)
 	runtime.KeepAlive(getHandle)

@@ -206,6 +206,17 @@ func (n *Node) Name() string { return n.name }
 // View returns the node's current membership view in ring order.
 func (n *Node) View() []string { return append([]string(nil), n.ring...) }
 
+// InView reports whether peer is in the node's current view, without the
+// copy View makes.
+func (n *Node) InView(peer string) bool {
+	for _, p := range n.ring {
+		if p == peer {
+			return true
+		}
+	}
+	return false
+}
+
 // HasToken reports whether this node currently holds the token.
 func (n *Node) HasToken() bool { return n.hasToken }
 

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/netip"
 	"sort"
+	"sync"
 	"time"
 
 	"rain/internal/netbuf"
@@ -37,23 +38,43 @@ type RealConfig struct {
 
 // udpDriver is the socket packet driver — the deployment the paper ran on
 // its testbed: one UDP socket per bundled path, a read goroutine per socket
-// that only parses and posts to the loop, and staged sends that leave as one
-// sendmmsg per (path, destination) run.
+// that only parses and queues for the loop, and staged sends that leave as
+// one sendmmsg per (path, destination) run.
 type udpDriver struct {
 	loop  *rt.Loop
 	socks []*net.UDPConn
+
+	// inbound holds the datagrams the read goroutines parsed and the loop has
+	// not yet delivered. A reader posts drainFn only when it finds the queue
+	// empty, so one loop event carries every datagram that arrived since the
+	// last drain. spare is the loop's other half of the double buffer.
+	inMu     sync.Mutex
+	inbound  []inDatagram
+	inClosed bool
+	spare    []inDatagram
+	drainFn  func()
+	recv     func(path int, src string, w Wire)
 
 	// bufAsked is the per-socket buffer request; rcvBuf and sndBuf the
 	// smallest the kernel granted across the path sockets.
 	bufAsked, rcvBuf, sndBuf int
 
 	outq       []udpPkt
-	bufs       [][]byte // flush's per-batch scratch
+	bufs       [][]byte   // flush's per-batch scratch
+	batch      batchState // sendBatch's syscall scratch, reused across flushes
 	flushTimer bool
 	closed     bool
 	done       chan struct{}
 
 	batchSize *telemetry.Histogram
+	inDropped *telemetry.Counter
+}
+
+// inDatagram is one received datagram waiting for the loop.
+type inDatagram struct {
+	path int
+	src  string
+	w    Wire
 }
 
 // udpPkt is one staged outgoing datagram with its resolved destination.
@@ -80,6 +101,7 @@ func NewRealMesh(loop *rt.Loop, cfg RealConfig) (*RealMesh, error) {
 		loop:      loop,
 		done:      make(chan struct{}),
 		batchSize: scope.Histogram("rudp.udp.batch_datagrams", "datagrams per coalesced same-path socket batch (sendmmsg)"),
+		inDropped: scope.Counter("rudp.udp.inbound_dropped", "received datagrams dropped because the loop had a full queue of them undelivered"),
 		// Every path socket buffers a whole window of largest datagrams, so
 		// the kernel never drops what the window lets a peer put in flight
 		// (its ~208 KiB default held about six 32 KiB frames of a 64-frame
@@ -132,8 +154,10 @@ func NewRealMesh(loop *rt.Loop, cfg RealConfig) (*RealMesh, error) {
 			return nil, err
 		}
 	}
+	d.recv = m.onDatagram
+	d.drainFn = d.drain
 	for i := range d.socks {
-		go d.readLoop(i, m.onDatagram)
+		go d.readLoop(i)
 	}
 	loop.Post(m.tick)
 	return m, nil
@@ -159,7 +183,8 @@ func (d *udpDriver) closeSocks() {
 func (d *udpDriver) resolve(a string) (peerAddr, error) { return net.ResolveUDPAddr("udp", a) }
 
 // close shuts the sockets (read loops exit on net.ErrClosed) and tears down
-// on the loop; a closed flush releases what was staged instead of sending.
+// on the loop; a closed flush releases what was staged instead of sending,
+// and received datagrams no drain delivered are released too.
 func (d *udpDriver) close(teardown func()) {
 	close(d.done)
 	d.closeSocks()
@@ -168,6 +193,13 @@ func (d *udpDriver) close(teardown func()) {
 		d.closed = true
 		d.flush()
 	})
+	d.inMu.Lock()
+	d.inClosed = true
+	for i := range d.inbound {
+		d.inbound[i].w.Frame.Release()
+	}
+	d.inbound = nil
+	d.inMu.Unlock()
 }
 
 // send stages one outgoing datagram for the batched flush. It runs at the
@@ -210,7 +242,7 @@ func (d *udpDriver) flush() {
 		for _, p := range q[i:j] {
 			d.bufs = append(d.bufs, p.buf)
 		}
-		sendBatch(d.socks[q[i].path], q[i].addr, d.bufs)
+		sendBatch(d.socks[q[i].path], q[i].addr, d.bufs, &d.batch)
 		clear(d.bufs)
 		d.batchSize.Observe(int64(j - i))
 		i = j
@@ -222,12 +254,12 @@ func (d *udpDriver) flush() {
 	d.outq = q[:0]
 }
 
-// readLoop receives on one path's socket, parses off-loop, and posts the
-// protocol work to the loop — the only goroutine that touches mesh state.
-func (d *udpDriver) readLoop(path int, recv func(path int, src string, w Wire)) {
-	// A run of datagrams from one sender reuses its address string.
-	var last netip.AddrPort
-	var from string
+// readLoop receives on one path's socket, parses off-loop, and queues the
+// datagram for the loop — the only goroutine that touches mesh state.
+func (d *udpDriver) readLoop(path int) {
+	// Source address strings are interned per socket, so a datagram from a
+	// known sender allocates nothing.
+	names := make(map[netip.AddrPort]string)
 	for {
 		f := netbuf.NewFrame(maxDatagram)
 		sz, src, err := d.socks[path].ReadFromUDPAddrPort(f.Payload())
@@ -249,15 +281,60 @@ func (d *udpDriver) readLoop(path int, recv func(path int, src string, w Wire)) 
 			continue
 		}
 		w.Frame = f
-		if src != last {
+		from, ok := names[src]
+		if !ok {
+			if len(names) >= maxInterned {
+				clear(names)
+			}
 			// Unmapped, so an IPv4 peer on a dual-stack socket reads as the
 			// net.UDPAddr form its hellos are keyed by.
-			last, from = src, netip.AddrPortFrom(src.Addr().Unmap(), src.Port()).String()
+			from = netip.AddrPortFrom(src.Addr().Unmap(), src.Port()).String()
+			names[src] = from
 		}
-		srcName := from // the closure runs on the loop, after from may move on
-		d.loop.Post(func() {
-			recv(path, srcName, w)
+		d.inMu.Lock()
+		if d.inClosed {
+			d.inMu.Unlock()
 			f.Release()
-		})
+			return
+		}
+		if len(d.inbound) >= maxInbound {
+			// The loop is far behind (or stopped): drop here, as a full
+			// socket buffer would, rather than pin frames without bound.
+			d.inMu.Unlock()
+			f.Release()
+			d.inDropped.Inc()
+			continue
+		}
+		wake := len(d.inbound) == 0
+		d.inbound = append(d.inbound, inDatagram{path: path, src: from, w: w})
+		d.inMu.Unlock()
+		if wake {
+			d.loop.Post(d.drainFn)
+		}
 	}
+}
+
+const (
+	// maxInterned bounds a read goroutine's source-address cache.
+	maxInterned = 1024
+	// maxInbound bounds the datagrams queued for the loop across a driver's
+	// sockets, each pinning a receive frame.
+	maxInbound = 1024
+)
+
+// drain delivers every queued datagram on the loop and releases its frame.
+// It swaps the queue for the spare first, so the readers keep appending
+// while it works, and the next arrival posts the next drain.
+func (d *udpDriver) drain() {
+	d.inMu.Lock()
+	q := d.inbound
+	d.inbound, d.spare = d.spare[:0], nil
+	d.inMu.Unlock()
+	for i := range q {
+		in := &q[i]
+		d.recv(in.path, in.src, in.w)
+		in.w.Frame.Release()
+		q[i] = inDatagram{}
+	}
+	d.spare = q[:0]
 }

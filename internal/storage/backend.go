@@ -504,6 +504,10 @@ func (b *Backend) Commit(s *Stage, id string, shardIdx, dataLen, blockLen int) e
 	s.finished = true
 	b.met.stagedBytes.Add(-s.n)
 	b.met.commitLatency.Observe(int64(time.Since(commitStart)))
-	s.err = fmt.Errorf("storage: stage already committed")
+	s.err = errStageCommitted
 	return nil
 }
+
+// errStageCommitted fails any use of a committed stage; a sentinel, so a
+// commit allocates no error.
+var errStageCommitted = errors.New("storage: stage already committed")
