@@ -38,8 +38,8 @@ type RealConfig struct {
 
 // udpDriver is the socket packet driver — the deployment the paper ran on
 // its testbed: one UDP socket per bundled path, a read goroutine per socket
-// that only parses and queues for the loop, and staged sends that leave as
-// one sendmmsg per (path, destination) run.
+// that only parses and queues for the loop, and sends written to the socket
+// as the loop makes them.
 type udpDriver struct {
 	loop  *rt.Loop
 	socks []*net.UDPConn
@@ -59,15 +59,13 @@ type udpDriver struct {
 	// smallest the kernel granted across the path sockets.
 	bufAsked, rcvBuf, sndBuf int
 
-	outq       []udpPkt
-	bufs       [][]byte   // flush's per-batch scratch
-	batch      batchState // sendBatch's syscall scratch, reused across flushes
-	flushTimer bool
-	closed     bool
-	done       chan struct{}
+	// scratch is where a frameless wire is marshaled: only the loop sends,
+	// and the write is done before send returns.
+	scratch []byte
+	done    chan struct{}
 
-	batchSize *telemetry.Histogram
-	inDropped *telemetry.Counter
+	sendErrors *telemetry.Counter
+	inDropped  *telemetry.Counter
 }
 
 // inDatagram is one received datagram waiting for the loop.
@@ -75,14 +73,6 @@ type inDatagram struct {
 	path int
 	src  string
 	w    Wire
-}
-
-// udpPkt is one staged outgoing datagram with its resolved destination.
-type udpPkt struct {
-	path  int
-	addr  *net.UDPAddr
-	buf   []byte
-	frame *netbuf.Frame
 }
 
 // NewRealMesh binds the local sockets and starts one endpoint's read and
@@ -98,10 +88,10 @@ func NewRealMesh(loop *rt.Loop, cfg RealConfig) (*RealMesh, error) {
 	cfg.Conn = cfg.Conn.withDefaults()
 	scope := cfg.Conn.registry().Root()
 	d := &udpDriver{
-		loop:      loop,
-		done:      make(chan struct{}),
-		batchSize: scope.Histogram("rudp.udp.batch_datagrams", "datagrams per coalesced same-path socket batch (sendmmsg)"),
-		inDropped: scope.Counter("rudp.udp.inbound_dropped", "received datagrams dropped because the loop had a full queue of them undelivered"),
+		loop:       loop,
+		done:       make(chan struct{}),
+		sendErrors: scope.Counter("rudp.udp.send_errors", "datagrams the kernel refused to send (an oversize datagram, a full buffer, an unreachable network)"),
+		inDropped:  scope.Counter("rudp.udp.inbound_dropped", "received datagrams dropped because the loop had a full queue of them undelivered"),
 		// Every path socket buffers a whole window of largest datagrams, so
 		// the kernel never drops what the window lets a peer put in flight
 		// (its ~208 KiB default held about six 32 KiB frames of a 64-frame
@@ -182,17 +172,13 @@ func (d *udpDriver) closeSocks() {
 
 func (d *udpDriver) resolve(a string) (peerAddr, error) { return net.ResolveUDPAddr("udp", a) }
 
-// close shuts the sockets (read loops exit on net.ErrClosed) and tears down
-// on the loop; a closed flush releases what was staged instead of sending,
-// and received datagrams no drain delivered are released too.
+// close shuts the sockets (read loops exit on net.ErrClosed, and later sends
+// are dropped with it) and tears down on the loop; received datagrams no
+// drain delivered are released.
 func (d *udpDriver) close(teardown func()) {
 	close(d.done)
 	d.closeSocks()
-	d.loop.Call(func() {
-		teardown()
-		d.closed = true
-		d.flush()
-	})
+	d.loop.Call(teardown)
 	d.inMu.Lock()
 	d.inClosed = true
 	for i := range d.inbound {
@@ -202,56 +188,28 @@ func (d *udpDriver) close(teardown func()) {
 	d.inMu.Unlock()
 }
 
-// send stages one outgoing datagram for the batched flush. It runs at the
-// current instant, right after the event that staged the datagrams, so a
-// whole window leaves as one sendmmsg per (path, destination) run.
+// send writes one datagram to the path's socket before it returns. A
+// frame-backed wire is written in place (the kernel copies it, so the frame
+// stays the caller's); any other is marshaled into the driver's scratch.
+// Errors other than a closed socket are counted and otherwise ignored, as
+// UDP loss: RUDP retransmits, and the link monitor sees a dead peer as
+// silence.
 func (d *udpDriver) send(path int, to peerAddr, w Wire) {
-	pkt := udpPkt{path: path, addr: to.(*net.UDPAddr)}
+	var buf []byte
 	if w.Frame != nil {
-		w.Frame.Retain()
-		pkt.frame = w.Frame
-		pkt.buf = w.Frame.Datagram()
+		buf = w.Frame.Datagram()
 	} else {
-		f := netbuf.NewFrame(w.WireSize())
-		w.marshalHeader(f.Payload())
-		copy(f.Payload()[wireHeader:], w.Payload)
-		pkt.frame = f
-		pkt.buf = f.Payload()
-	}
-	d.outq = append(d.outq, pkt)
-	if !d.flushTimer {
-		d.flushTimer = true
-		s := d.loop.Scheduler()
-		s.At(s.Now(), d.flush)
-	}
-}
-
-// flush sends the staged datagrams, one batch per (path, destination) run.
-// outq's backing array and the bufs scratch are reused from flush to flush:
-// nothing stages a send while a flush runs, and both are cleared before it
-// returns, so neither pins a released frame.
-func (d *udpDriver) flush() {
-	d.flushTimer = false
-	q := d.outq
-	for i := 0; i < len(q) && !d.closed; {
-		j := i + 1
-		for j < len(q) && q[j].path == q[i].path && q[j].addr == q[i].addr {
-			j++
+		n := w.WireSize()
+		if cap(d.scratch) < n {
+			d.scratch = make([]byte, n)
 		}
-		d.bufs = d.bufs[:0]
-		for _, p := range q[i:j] {
-			d.bufs = append(d.bufs, p.buf)
-		}
-		sendBatch(d.socks[q[i].path], q[i].addr, d.bufs, &d.batch)
-		clear(d.bufs)
-		d.batchSize.Observe(int64(j - i))
-		i = j
+		buf = d.scratch[:n]
+		w.marshalHeader(buf)
+		copy(buf[wireHeader:], w.Payload)
 	}
-	for i := range q {
-		q[i].frame.Release()
-		q[i] = udpPkt{}
+	if _, err := d.socks[path].WriteToUDP(buf, to.(*net.UDPAddr)); err != nil && !errors.Is(err, net.ErrClosed) {
+		d.sendErrors.Inc()
 	}
-	d.outq = q[:0]
 }
 
 // readLoop receives on one path's socket, parses off-loop, and queues the

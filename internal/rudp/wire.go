@@ -108,7 +108,7 @@ func (w Wire) PushHeader(f *netbuf.Frame) {
 // Marshal encodes w into a fresh buffer — the reference encoding the decoder
 // is fuzzed against. The drivers never call it: the simulator passes Wire
 // values by reference, and the socket driver writes pre-marshaled frames or
-// marshals into pooled ones.
+// marshals into its scratch buffer.
 func (w Wire) Marshal() []byte {
 	buf := make([]byte, wireHeader+len(w.Payload))
 	w.marshalHeader(buf)
