@@ -144,7 +144,7 @@ func TestRealNodeCluster(t *testing.T) {
 			w, r := c.nodes[i], c.nodes[(i+1)%len(c.nodes)]
 			small, big := fmt.Sprintf("obj-%d", i), fmt.Sprintf("stream-%d", i)
 			data := selfHealPayload(i, 12<<10)
-			stream := selfHealPayload(i+10, 200<<10) // several 64 KiB blocks
+			stream := selfHealPayload(i+10, 200<<10) // more than one block
 			if err := w.Put(ctx, small, data); err != nil {
 				t.Errorf("put %s: %v", small, err)
 				return

@@ -18,8 +18,8 @@ import (
 // this one's shards.
 func TestGetRange(t *testing.T) {
 	c := newCluster(t, 21, 6, 4, sim.ProfileLAN, nil)
-	const size = 200 << 10
-	const bs = 64 << 10 // the client's default block size
+	const bs = dstore.DefaultBlockSize // the client's block size (RS(6,4) needs no trim)
+	const size = 3*bs + 8<<10
 	data := randBytes(99, size)
 	if _, err := c.clients["a"].PutStream("obj", bytes.NewReader(data), size); err != nil {
 		t.Fatal(err)

@@ -114,8 +114,9 @@ func (b *Bridge) Delete(ctx context.Context, id string) error {
 // has seen EOF also closes it, so an object of at most a block costs one
 // loop round trip. While a block is buffered and the daemons' credit
 // windows are full it is the caller that parks, so a slow cluster throttles
-// the producer and never the loop. A read error or a dead ctx aborts the
-// put (the daemons' staged writes are poisoned).
+// the producer and never the loop; OnRoom fires only to end such a pause, so
+// the feed never holds more than one block. A read error or a dead ctx
+// aborts the put (the daemons' staged writes are poisoned).
 func (b *Bridge) PutStream(ctx context.Context, id string, r io.Reader, size int64) (storage.Digest, error) {
 	var none storage.Digest
 	if err := checkLen(size); err != nil {

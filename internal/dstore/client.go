@@ -21,8 +21,11 @@ const (
 	DefaultWindow = 4
 	// DefaultBlockSize is the block-codeword size every put writes: the
 	// unit of independent decode, and the granularity at which retrieves
-	// and rebuilds bound their memory.
-	DefaultBlockSize = 64 << 10
+	// and rebuilds bound their memory. It is k × DefaultChunkSize for the
+	// k = 4 codes the product runs (RS(6,4), B-Code(6)), so each block's
+	// shard piece fills one put datagram (withDefaults trims it to whole
+	// cells for an array code).
+	DefaultBlockSize = 4 * DefaultChunkSize
 	// DefaultReqTimeout is how long a request may stall before the client
 	// gives up on the peer (and, on retrieves, hedges to another).
 	DefaultReqTimeout = 500 * time.Millisecond
@@ -92,7 +95,8 @@ type Config struct {
 	// directions: put transfers stop sending and get streams stop being fed
 	// by the daemon when the window is full.
 	Window int
-	// BlockSize is the block-codeword size every put writes.
+	// BlockSize is the block-codeword size every put writes. Zero means
+	// DefaultBlockSize, trimmed to a multiple of the code's cell count.
 	BlockSize int
 	// RebuildBudget bounds concurrent rebuild/rebalance memory in bytes:
 	// objects are pipelined while the sum of their block × n buffer costs
@@ -116,6 +120,13 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BlockSize <= 0 {
 		c.BlockSize = DefaultBlockSize
+		// An array code rounds a block up to whole cells (B-Code(6) cuts
+		// 128 KiB into 12 cells of 10,923 bytes, a 32,769-byte piece that
+		// spills a 1-byte chunk): step down to a cell multiple, whose piece
+		// fits the chunk again.
+		for c.Code != nil && c.Code.K()*c.Code.ShardSize(c.BlockSize) > c.BlockSize {
+			c.BlockSize--
+		}
 	}
 	if c.RebuildBudget <= 0 {
 		c.RebuildBudget = DefaultRebuildBudget

@@ -622,7 +622,7 @@ func TestNoPositionalOrSizeFallback(t *testing.T) {
 	var ranged bytes.Buffer
 	var rangeErr error
 	finished := false
-	c.clients["a"].GetRangeAsync("obj", &ranged, dstore.GetOptions{Off: 1, Length: 2, Meta: &dstore.ObjectMeta{DataLen: int64(len(data)), BlockLen: 64 << 10}},
+	c.clients["a"].GetRangeAsync("obj", &ranged, dstore.GetOptions{Off: 1, Length: 2, Meta: &dstore.ObjectMeta{DataLen: int64(len(data)), BlockLen: dstore.DefaultBlockSize}},
 		func(_ int64, err error) { rangeErr, finished = err, true })
 	for !finished && c.s.Step() {
 	}

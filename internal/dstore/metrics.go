@@ -56,6 +56,7 @@ type clientMetrics struct {
 	hedgesWon    *telemetry.Counter
 	creditStalls *telemetry.Counter
 	corruptNaks  *telemetry.Counter
+	pipesFresh   *telemetry.Counter
 
 	repairsQueued *telemetry.Counter
 	repairsDone   *telemetry.Counter
@@ -84,6 +85,7 @@ func newClientMetrics(s *telemetry.Scope) *clientMetrics {
 		hedgesWon:    s.Counter("dstore.client.hedges_won", "hedged streams whose data fed a decode"),
 		creditStalls: s.Counter("dstore.client.credit_stalls", "stream pauses waiting for flow-control credit"),
 		corruptNaks:  s.Counter("dstore.client.corrupt_naks", "corruption NAKs received (shard treated as erased)"),
+		pipesFresh:   s.Counter("dstore.put.pipes_fresh", "put-feed pipes allocated: the recycle list was empty or its pipe was outgrown"),
 
 		repairsQueued: s.Counter("scrub.repairs_queued", "corrupt-shard repairs admitted to the repair queue"),
 		repairsDone:   s.Counter("scrub.repairs_done", "corrupt shards re-encoded and re-committed in place"),

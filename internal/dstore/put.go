@@ -327,14 +327,14 @@ func (c *Client) PutAsync(id string, data []byte, done func(stored int, err erro
 // object's bytes with Offer as they arrive (an HTTP request body, a pipe, a
 // whole buffer) and each block codeword is encoded and fanned out once it is
 // whole. Offer reports whether the producer should keep sending and OnRoom
-// signals when a paused one may resume, so a slow network source never
-// wedges the single-threaded event loop; PutStreamAsync is the pull driver
-// that turns an io.Reader into that loop. Memory is one block for a producer
-// that honours Offer's answer: more bytes are asked for only while less than a
-// block is buffered, no block is encoded while a live transfer's backlog is
-// above the credit window, and the consumed prefix is reclaimed before the
-// buffer grows (appendReclaim), so a put holds O(BlockSize × n) whatever the
-// object's size.
+// signals, once per false answer, when that paused producer may resume, so
+// a slow network source never wedges the single-threaded event loop;
+// PutStreamAsync is the pull driver that turns an io.Reader into that loop.
+// Memory is one block for a producer that honours Offer's answer: more bytes
+// are asked for only while less than a block is buffered, no block is
+// encoded while a live transfer's backlog is above the credit window, and
+// the consumed prefix is reclaimed before the buffer grows (appendReclaim),
+// so a put holds O(BlockSize × n) whatever the object's size.
 //
 // The block that completes the stream is encoded only at Close, once the
 // producer has shown it has nothing more: an over-long producer fails with
@@ -355,6 +355,7 @@ type PutFeed struct {
 	blocks    int64
 	nextBlk   int64
 	closed    bool
+	waiting   bool // Offer answered false and OnRoom has not fired since
 	onRoom    func()
 	highWater int64
 }
@@ -389,7 +390,7 @@ func (c *Client) NewPutFeed(id string, dataLen int64, done func(stored int, err 
 }
 
 // bufHint is the size a pipe grows to: one block, or the whole object when
-// it is shorter (a 4 KiB put needs a 4 KiB pipe, not a 64 KiB one).
+// it is shorter (a 4 KiB put needs a 4 KiB pipe, not a whole block).
 func (f *PutFeed) bufHint() int {
 	if f.dataLen > 0 && f.dataLen < int64(f.c.cfg.BlockSize) {
 		return int(f.dataLen)
@@ -418,8 +419,9 @@ func (f *PutFeed) room() bool {
 
 // pump encodes and fans out as many fully-buffered blocks as the transfers'
 // credit windows allow — the final block only once the feed is closed — then
-// wakes a paused producer if there is room (or the put has resolved and
-// waiting is pointless).
+// wakes the paused producer if there is room (or the put has resolved and
+// waiting is pointless). A producer that was not told to pause is not woken:
+// a wake-up it did not wait for would let it offer past the one-block bound.
 func (f *PutFeed) pump() {
 	op := f.op
 	for !op.finished && f.nextBlk < f.blocks && (f.closed || f.nextBlk < f.blocks-1) {
@@ -454,7 +456,8 @@ func (f *PutFeed) pump() {
 			}
 		}
 	}
-	if f.onRoom != nil && (op.finished || f.room()) {
+	if f.waiting && f.onRoom != nil && (op.finished || f.room()) {
+		f.waiting = false
 		f.onRoom()
 	}
 }
@@ -473,10 +476,16 @@ func (f *PutFeed) Offer(p []byte) bool {
 		f.op.finish(fmt.Errorf("%w: declared %d bytes", ErrLongSource, f.dataLen))
 		return true
 	}
+	f.waiting = false
 	f.offered += int64(len(p))
+	had := cap(f.pipe)
 	f.pipe, f.off = appendReclaim(f.pipe, f.off, p, f.bufHint())
+	if cap(f.pipe) != had {
+		f.c.met.pipesFresh.Inc()
+	}
 	f.pump()
-	return f.op.finished || f.room()
+	f.waiting = !f.op.finished && !f.room()
+	return !f.waiting
 }
 
 // Close marks the stream complete: every declared byte must have been
@@ -572,9 +581,10 @@ func sum(h hash.Hash) (d storage.Digest) {
 // are poisoned, not leaked.
 func (f *PutFeed) Cancel() { f.op.finish(ErrCanceled) }
 
-// OnRoom registers the resume hook, fired on the scheduler goroutine
-// whenever a paused producer may offer again — and when the put resolves,
-// so a waiting producer never hangs on a failed put.
+// OnRoom registers the resume hook, fired on the scheduler goroutine once
+// after each Offer that answered false, when that producer may offer again —
+// or when the put resolves, so a waiting producer never hangs on a failed
+// put.
 func (f *PutFeed) OnRoom(fn func()) { f.onRoom = fn }
 
 // PutStreamAsync stores exactly dataLen bytes read from r through the block
@@ -592,7 +602,6 @@ func (c *Client) PutStreamAsync(id string, r io.Reader, dataLen int64, done func
 	}
 	buf := make([]byte, min(int64(c.cfg.BlockSize), dataLen+1))
 	h := sha256.New()
-	paused := false
 	pull := func() {
 		for !f.op.finished && !f.closed {
 			n, rerr := r.Read(buf[:min(int64(len(buf)), dataLen-f.offered+1)])
@@ -604,17 +613,11 @@ func (c *Client) PutStreamAsync(id string, r io.Reader, dataLen int64, done func
 			case rerr != nil:
 				f.op.finish(fmt.Errorf("dstore: reading put source: %w", rerr))
 			case !room:
-				paused = true
 				return
 			}
 		}
 	}
-	f.OnRoom(func() {
-		if paused {
-			paused = false
-			pull()
-		}
-	})
+	f.OnRoom(pull)
 	pull()
 	return &Handle{cancel: f.Cancel}
 }

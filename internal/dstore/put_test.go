@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
 	"rain/internal/ecc"
 	"rain/internal/rt"
 	"rain/internal/rudp"
 	"rain/internal/sim"
 	"rain/internal/storage"
+	"rain/internal/telemetry"
 )
 
 // maxSmallOpAllocs and maxSmallOpBytes bound what one warmed-up 4 KiB put
@@ -146,14 +148,14 @@ func firstDiff(got, want []byte) string {
 	return fmt.Sprintf("%d bytes, want %d", len(got), len(want))
 }
 
-// TestBridgePutStreamLoopCalls pins the bridge's hand-offs: PutStream fills
-// its read buffer to a block (or to EOF) before each loop call, so an object
-// of at most one block is opened, offered and closed in a single call, and a
-// longer one costs one call per block.
-func TestBridgePutStreamLoopCalls(t *testing.T) {
-	loop := rt.New(35)
+// newLoopClient starts an RS(6,4) daemon on each of six simulated nodes
+// a..f joined by link, driven by a started rt.Loop in wall time, and a
+// client configured by cfg on node a. The loop stops when the test ends.
+func newLoopClient(t *testing.T, seed int64, link sim.LinkConfig, cfg Config) (*rt.Loop, *Client) {
+	t.Helper()
+	loop := rt.New(seed)
 	loop.Start()
-	defer loop.Stop()
+	t.Cleanup(loop.Stop)
 	var cl *Client
 	var err error
 	loop.Call(func() {
@@ -165,7 +167,7 @@ func TestBridgePutStreamLoopCalls(t *testing.T) {
 		}
 		nodes := []string{"a", "b", "c", "d", "e", "f"}
 		net := sim.NewNetwork(s)
-		sim.ApplyProfile(net, nodes, 2, sim.ProfileLAN)
+		sim.ApplyProfile(net, nodes, 2, link)
 		mesh, merr := rudp.NewMesh(s, net, nodes, rudp.Config{})
 		if merr != nil {
 			err = merr
@@ -174,11 +176,21 @@ func TestBridgePutStreamLoopCalls(t *testing.T) {
 		for i, n := range nodes {
 			NewDaemon(mesh, n, i, storage.NewBackend(), 0)
 		}
-		cl, err = NewClient(s, mesh, "a", Config{Code: code, Nodes: nodes})
+		cfg.Code, cfg.Nodes = code, nodes
+		cl, err = NewClient(s, mesh, "a", cfg)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return loop, cl
+}
+
+// TestBridgePutStreamLoopCalls pins the bridge's hand-offs: PutStream fills
+// its read buffer to a block (or to EOF) before each loop call, so an object
+// of at most one block is opened, offered and closed in a single call, and a
+// longer one costs one call per block.
+func TestBridgePutStreamLoopCalls(t *testing.T) {
+	loop, cl := newLoopClient(t, 35, sim.ProfileLAN, Config{})
 	calls := 0
 	b := NewBridge(func(fn func()) bool {
 		calls++
@@ -221,5 +233,103 @@ func TestBridgePutStreamLoopCalls(t *testing.T) {
 	}
 	if _, err := b.PutStream(context.Background(), "short", bytes.NewReader(data[:100]), DefaultBlockSize+1); !errors.Is(err, ErrShortSource) {
 		t.Errorf("short source: %v, want ErrShortSource", err)
+	}
+}
+
+// TestBridgePutStreamHoldsOneBlock pins the bridge's one-block bound under
+// backpressure: over 10 ms links a 40-block put fills its credit windows and
+// parks the request goroutine on full blocks, and each wake-up must answer a
+// pause, not an earlier pump. A stale wake-up let the bridge offer a block
+// on top of one not yet encoded; the feed's pipe grew to two blocks, the
+// recycle list refused it, and every large put allocated a fresh one.
+func TestBridgePutStreamHoldsOneBlock(t *testing.T) {
+	loop, cl := newLoopClient(t, 36, sim.LinkConfig{Delay: 10 * time.Millisecond}, Config{Telemetry: telemetry.NewRegistry()})
+	b := NewBridge(loop.Call, cl)
+	data := make([]byte, 40*DefaultBlockSize)
+	for i := range data {
+		data[i] = byte(i*13 + i>>11)
+	}
+	var pipes []int // capacities on the recycle list
+	var fresh uint64
+	put := func(id string) {
+		t.Helper()
+		if _, err := b.PutStream(context.Background(), id, bytes.NewReader(data), int64(len(data))); err != nil {
+			t.Fatalf("put %s: %v", id, err)
+		}
+		loop.Call(func() {
+			pipes = pipes[:0]
+			for _, p := range cl.pipes {
+				pipes = append(pipes, cap(p))
+			}
+			fresh = cl.met.pipesFresh.Value()
+		})
+	}
+	put("first")
+	stalls := cl.met.creditStalls.Value()
+	t.Logf("first put: %d credit stalls, %d fresh pipes", stalls, fresh)
+	if stalls == 0 {
+		t.Fatal("the credit windows never filled: the bound went untested")
+	}
+	if len(pipes) != 1 || pipes[0] > DefaultBlockSize {
+		t.Fatalf("after one put the recycle list holds pipes of capacity %v, want one of at most %d", pipes, DefaultBlockSize)
+	}
+	before := fresh
+	put("second")
+	if fresh != before {
+		t.Errorf("the second put allocated %d fresh pipes, want its pipe from the recycle list", fresh-before)
+	}
+	if len(pipes) != 1 || pipes[0] > DefaultBlockSize {
+		t.Errorf("after two puts the recycle list holds pipes of capacity %v, want one of at most %d", pipes, DefaultBlockSize)
+	}
+	got, err := b.Get(context.Background(), "second")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read back: err %v, %s", err, firstDiff(got, data))
+	}
+}
+
+// TestPutChunksFillTheChunk pins the default layout's datagram count: a
+// block's shard piece fills one chunk, so an object of m full blocks reaches
+// each daemon as m PutChunk datagrams — the fewest its shard stream fits —
+// under both k = 4 codes the product runs. A 64 KiB block sent two
+// half-empty datagrams per 128 KiB of object.
+func TestPutChunksFillTheChunk(t *testing.T) {
+	const m = 5
+	rs, err := ecc.NewReedSolomon(6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcode, err := ecc.NewBCode(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, code := range []ecc.Code{rs, bcode} {
+		reg := telemetry.NewRegistry()
+		_, clients := newClients(t, 37, Config{Code: code, Telemetry: reg}, "a")
+		cl := clients[0]
+		piece := code.ShardSize(cl.BlockSize())
+		if piece > DefaultChunkSize {
+			t.Fatalf("%s: a %d-byte block makes %d-byte pieces, over the %d-byte chunk", code.Name(), cl.BlockSize(), piece, DefaultChunkSize)
+		}
+		data := bytes.Repeat([]byte{0x5A}, m*cl.BlockSize())
+		if _, err := cl.Put("obj", data); err != nil {
+			t.Fatalf("%s: %v", code.Name(), err)
+		}
+		want := uint64((m*piece + DefaultChunkSize - 1) / DefaultChunkSize)
+		stored := 0
+		for _, f := range reg.Snapshot().Families {
+			if f.Name != "dstore.daemon.chunks_stored" {
+				continue
+			}
+			for _, series := range f.Series {
+				stored++
+				if series.Counter != want {
+					t.Errorf("%s: a daemon took %d PutChunk datagrams for its %d-byte shard stream, want %d",
+						code.Name(), series.Counter, m*piece, want)
+				}
+			}
+		}
+		if stored != code.N() {
+			t.Errorf("%s: %d daemons reported stored chunks, want %d", code.Name(), stored, code.N())
+		}
 	}
 }

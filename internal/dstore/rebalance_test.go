@@ -721,3 +721,117 @@ func TestReadFindsShardsThePlacementLeftBehind(t *testing.T) {
 		t.Fatalf("a missing object asked %d nodes, want its %d placed ones", asked, n)
 	}
 }
+
+// TestMixedBlockLayouts pins that an object's stored BlockLen, never the
+// reader's configured block size, drives every decode. Node n00's client
+// runs at the old 64 KiB block and every other client at the default; an
+// object written by one side is read by the other whole, in hinted and
+// unhinted ranges across the 64 KiB boundaries, and by HEAD, then rebuilt
+// onto a wiped holder and reconstructed by a crash-leave rebalance. This is
+// what lets nodes run with different -block values share a cluster.
+func TestMixedBlockLayouts(t *testing.T) {
+	const m, n, k, old = 8, 6, 4, 64 << 10
+	configured := 0
+	c := newPlacedCluster(t, 62, m, n, k, sim.ProfileLAN, func(cfg *dstore.Config) {
+		if configured == 0 { // the harness configures n00 first
+			cfg.BlockSize = old
+		}
+		configured++
+	})
+	oldCl, newCl := c.clients["n00"], c.clients["n01"]
+	if oldCl.BlockSize() != old || newCl.BlockSize() != dstore.DefaultBlockSize {
+		t.Fatalf("block sizes %d and %d, want %d and %d", oldCl.BlockSize(), newCl.BlockSize(), old, dstore.DefaultBlockSize)
+	}
+	universe := c.nodes
+	for i, dir := range []struct{ writer, reader *dstore.Client }{{oldCl, newCl}, {newCl, oldCl}} {
+		id := fmt.Sprintf("mixed-%d", i)
+		data := randBytes(int64(70+i), 3*dstore.DefaultBlockSize+5000)
+		size := int64(len(data))
+		if _, err := dir.writer.PutStream(id, bytes.NewReader(data), size); err != nil {
+			t.Fatalf("%s: put: %v", id, err)
+		}
+		check := func(stage string) {
+			t.Helper()
+			got, err := dir.reader.Get(id)
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("%s %s: whole get: err %v, equal %v", id, stage, err, bytes.Equal(got, data))
+			}
+		}
+		check("as written")
+
+		var meta dstore.ObjectMeta
+		var headErr error
+		finished := false
+		dir.reader.HeadAsync(id, func(mt dstore.ObjectMeta, err error) { meta, headErr, finished = mt, err, true })
+		for !finished && c.s.Step() {
+		}
+		if headErr != nil || meta.DataLen != size || meta.BlockLen != int64(dir.writer.BlockSize()) || meta.Digest != sha256.Sum256(data) {
+			t.Fatalf("%s: head: %+v, %v; want length %d, block %d", id, meta, headErr, size, dir.writer.BlockSize())
+		}
+		for _, hint := range []*dstore.ObjectMeta{nil, &meta} {
+			for b := int64(1); b*old < size; b++ {
+				for _, r := range [][2]int64{{b*old - 1, 2}, {b*old + 1, old}} {
+					var buf bytes.Buffer
+					var err error
+					finished = false
+					dir.reader.GetRangeAsync(id, &buf, dstore.GetOptions{Off: r[0], Length: r[1], Meta: hint},
+						func(_ int64, e error) { err, finished = e, true })
+					for !finished && c.s.Step() {
+					}
+					want := data[r[0]:min(r[0]+r[1], size)]
+					if err != nil || !bytes.Equal(buf.Bytes(), want) {
+						t.Fatalf("%s: range off=%d len=%d hint=%v: err %v, %d bytes, want %d",
+							id, r[0], r[1], hint != nil, err, buf.Len(), len(want))
+					}
+				}
+			}
+		}
+
+		streams := shardStreams(t, c.code, data, dir.writer.BlockSize())
+		holdersHoldTheLayout := func(stage string) {
+			t.Helper()
+			for s, node := range placement.Assign(id, universe, n) {
+				shard, _, err := c.backends[node].Get(id)
+				if err != nil || !bytes.Equal(shard, streams[s]) {
+					t.Fatalf("%s %s: shard %d on %s: err %v, equal %v", id, stage, s, node, err, bytes.Equal(shard, streams[s]))
+				}
+				if info, _ := c.backends[node].Info(id); info.BlockLen != dir.writer.BlockSize() {
+					t.Fatalf("%s %s: shard %d on %s records block %d, want %d", id, stage, s, node, info.BlockLen, dir.writer.BlockSize())
+				}
+			}
+		}
+		wiped := placement.Assign(id, universe, n)[0]
+		c.backends[wiped].Wipe()
+		if _, err := dir.reader.Rebuild(wiped); err != nil {
+			t.Fatalf("%s: rebuild %s: %v", id, wiped, err)
+		}
+		holdersHoldTheLayout("after rebuild")
+
+		var dead string // a holder, but neither client's node
+		for _, node := range placement.Assign(id, universe, n) {
+			if node != oldCl.Node() && node != newCl.Node() {
+				dead = node
+				break
+			}
+		}
+		c.kill(dead)
+		var remaining []string
+		for _, node := range universe {
+			if node != dead {
+				remaining = append(remaining, node)
+			}
+		}
+		universe = remaining
+		for _, node := range universe {
+			if err := c.clients[node].SetNodes(universe); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stats, err := dir.reader.Rebalance()
+		if err != nil || stats.Rebuilt == 0 {
+			t.Fatalf("%s: crash-leave rebalance: %+v, %v; want a reconstruction", id, stats, err)
+		}
+		holdersHoldTheLayout("after rebalance")
+		check("after rebalance")
+	}
+}

@@ -32,13 +32,17 @@ func collected(flag *atomic.Bool) bool {
 	return flag.Load()
 }
 
-// newClients starts an RS(6,4) daemon on each of six simulated LAN nodes
-// a..f and a client configured by cfg on each node named in on.
+// newClients starts a daemon on each of six simulated LAN nodes a..f and a
+// client configured by cfg on each node named in on. The code is RS(6,4)
+// unless cfg names one; the daemons report into cfg.Telemetry.
 func newClients(t *testing.T, seed int64, cfg Config, on ...string) (*sim.Scheduler, []*Client) {
 	t.Helper()
-	code, err := ecc.NewReedSolomon(6, 4)
-	if err != nil {
-		t.Fatal(err)
+	if cfg.Code == nil {
+		code, err := ecc.NewReedSolomon(6, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Code = code
 	}
 	nodes := []string{"a", "b", "c", "d", "e", "f"}
 	s := sim.New(seed)
@@ -49,9 +53,9 @@ func newClients(t *testing.T, seed int64, cfg Config, on ...string) (*sim.Schedu
 		t.Fatal(err)
 	}
 	for i, n := range nodes {
-		NewDaemon(mesh, n, i, storage.NewBackend(), cfg.ChunkSize)
+		NewDaemon(mesh, n, i, storage.NewBackend(), cfg.ChunkSize, WithDaemonTelemetry(cfg.Telemetry))
 	}
-	cfg.Code, cfg.Nodes = code, nodes
+	cfg.Nodes = nodes
 	var clients []*Client
 	for _, n := range on {
 		cl, err := NewClient(s, mesh, n, cfg)

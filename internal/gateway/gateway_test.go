@@ -226,12 +226,12 @@ func TestPutGetRoundtrip(t *testing.T) {
 }
 
 // TestRangedReads exercises Range GETs at block boundaries ±1 — the stored
-// block size is 64 KiB — plus suffix and clamped ranges, all served off the
-// decode frontier with the metadata hint.
+// block size is the client's default — plus suffix and clamped ranges, all
+// served off the decode frontier with the metadata hint.
 func TestRangedReads(t *testing.T) {
 	h := newHarness(t, 2, gateway.Config{})
-	const size = 200 << 10
-	const bs = 64 << 10
+	const bs = dstore.DefaultBlockSize
+	const size = 3*bs + 8<<10
 	data := randBytes(7, size)
 	if resp := h.put("obj", data); resp.StatusCode != http.StatusOK {
 		t.Fatalf("put status %d", resp.StatusCode)
