@@ -183,6 +183,9 @@ type Client struct {
 	// encBufs is the put side's shard scratch, one block codeword's shards
 	// reused by every feed; encShards are the per-block views into it.
 	encBufs, encShards [][]byte
+	// decScratch is where every get and rebuild stream of this client
+	// reconstructs a block: the loop runs one NextBlock at a time.
+	decScratch ecc.Scratch
 
 	// taskHighWater is the peak budgeted cost admitted by concurrent
 	// rebuild/rebalance pipelines — the enforced memory bound, for tests.
@@ -398,10 +401,14 @@ func (c *Client) rebuildObject(info storage.ObjectInfo, peers []string, targetId
 	highWater := int64(c.cfg.Window) * int64(c.cfg.ChunkSize)
 	op := c.startStreamGet(info.ID, peers, exclude, &meta, rank, tr, nil,
 		func(m objMeta, dataLen int64) (blockSink, error) {
-			return ecc.NewShardRebuilder(c.cfg.Code, targetIdx, writerFunc(func(p []byte) (int, error) {
+			rb, err := ecc.NewShardRebuilder(c.cfg.Code, targetIdx, writerFunc(func(p []byte) (int, error) {
 				out.offer(p)
 				return len(p), nil
 			}), dataLen, int(m.blockLen))
+			if err == nil {
+				rb.UseScratch(&c.decScratch)
+			}
+			return rb, err
 		},
 		func() bool { return out.backlog() < highWater },
 		func(m objMeta, err error) {

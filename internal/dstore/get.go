@@ -190,6 +190,11 @@ type streamGetOp struct {
 	startBlk int64
 	limitBlk int64
 
+	// tryDecode's per-block scratch: the pieces offered to the sink and the
+	// streams they came from.
+	shards [][]byte
+	used   []*shardStream
+
 	candidates []int
 	cursor     int
 	streams    []*shardStream
@@ -754,8 +759,12 @@ func (op *streamGetOp) tryDecode() {
 		return
 	}
 	code := op.c.cfg.Code
-	shards := make([][]byte, code.N())
-	var used []*shardStream
+	if op.shards == nil {
+		// One stream per shard index feeds a block, so used never outgrows n.
+		op.shards = make([][]byte, code.N())
+		op.used = make([]*shardStream, 0, code.N())
+	}
+	shards, used := op.shards, op.used
 	for op.nextBlk < op.limitBlk {
 		if op.ready != nil && !op.ready() {
 			op.c.met.creditStalls.Inc()
@@ -763,9 +772,7 @@ func (op *streamGetOp) tryDecode() {
 		}
 		pieceLen := int64(code.ShardSize(ecc.StreamBlockLen(op.dataLen, int(op.meta.blockLen), op.nextBlk)))
 		have := 0
-		for i := range shards {
-			shards[i] = nil
-		}
+		clear(shards)
 		used = used[:0]
 		for _, st := range op.streams {
 			if st.dead || !st.confirmed || shards[st.peerIdx] != nil {
@@ -832,6 +839,7 @@ func (op *streamGetOp) finish(err error) {
 		op.c.putStreamBuf(st.buf)
 		st.buf, st.off = nil, 0
 	}
+	clear(op.shards) // they point into the stream buffers just recycled
 	op.deadline.Stop()
 	done := op.done
 	op.sink, op.mkSink, op.ready, op.done = nil, nil, nil, nil
@@ -960,8 +968,11 @@ func (c *Client) GetRangeAsync(id string, w io.Writer, opts GetOptions, done fun
 			}
 			tw.skip = opts.Off - startBlk*int64(bs)
 			dec, err := ecc.NewStreamDecoder(c.cfg.Code, tw, dataLen, bs)
-			if err == nil && startBlk > 0 {
-				err = dec.SeekBlock(startBlk)
+			if err == nil {
+				dec.UseScratch(&c.decScratch)
+				if startBlk > 0 {
+					err = dec.SeekBlock(startBlk)
+				}
 			}
 			return dec, err
 		},

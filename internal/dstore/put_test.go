@@ -75,6 +75,77 @@ func TestSmallPutGetAllocs(t *testing.T) {
 	}
 }
 
+// maxDegradedGetBytes bounds what one warmed 1 MiB GetAsync allocates on a
+// simulated six-node cluster with the holder of data shard 0 out of the
+// view, so every block restores that piece. The caller's 1 MiB copy of the
+// object is most of it: rs(6,4) reads 1052 KiB per op and bcode(6) 1075
+// KiB. When a decoder restored each lost piece into a fresh buffer, rs(6,4)
+// read 1321 KiB (a 32 KiB piece per 128 KiB block), and when each decoder
+// held a block buffer of its own, bcode(6) read 1256 KiB.
+const maxDegradedGetBytes = 1152 << 10
+
+// TestDegradedGetAllocs pins the bytes a degraded 1 MiB get allocates, for
+// Reed-Solomon and for the B-Code rainnode serves.
+func TestDegradedGetAllocs(t *testing.T) {
+	for _, mk := range []func() (ecc.Code, error){
+		func() (ecc.Code, error) { return ecc.NewReedSolomon(6, 4) },
+		func() (ecc.Code, error) { return ecc.NewBCode(6) },
+	} {
+		code, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(code.Name(), func(t *testing.T) {
+			down := ""
+			s, clients := newClients(t, 35, Config{Code: code, Alive: func(peer string) bool { return peer != down }}, "a")
+			cl := clients[0]
+			data := make([]byte, 1<<20)
+			for i := range data {
+				data[i] = byte(i*31 + i>>11)
+			}
+			put := false
+			cl.PutAsync("degraded", data, func(_ int, err error) {
+				if err != nil {
+					t.Errorf("put: %v", err)
+				}
+				put = true
+			})
+			for !put && s.Step() {
+			}
+			down = cl.peersFor("degraded")[0] // the holder of data shard 0
+			op := func() {
+				got := false
+				cl.GetAsync("degraded", func(b []byte, err error) {
+					if err != nil || !bytes.Equal(b, data) {
+						t.Errorf("get: %d bytes, %v", len(b), err)
+					}
+					got = true
+				})
+				for !got && s.Step() {
+				}
+			}
+			for i := 0; i < 8; i++ { // warm pools, plans and recycle lists
+				op()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			const runs = 32
+			for i := 0; i < runs; i++ {
+				op()
+			}
+			runtime.ReadMemStats(&after)
+			perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("degraded 1 MiB get: %d bytes per op", perOp)
+			if raceEnabled {
+				return
+			}
+			if perOp > maxDegradedGetBytes {
+				t.Errorf("degraded 1 MiB get allocated %d bytes per op, want <= %d", perOp, maxDegradedGetBytes)
+			}
+		})
+	}
+}
+
 // TestPutFeedScratchNotShared interleaves two feeds' blocks through the
 // client's one shard scratch — full blocks of one between full and short
 // blocks of the other — and reads both objects back bit-exact: no feed's

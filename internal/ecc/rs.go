@@ -3,6 +3,7 @@ package ecc
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -51,17 +52,14 @@ func RSSerial() RSOption { return func(c *rsCode) { c.mode = rsKernelSerial } }
 // the default.
 func RSScalar() RSOption { return func(c *rsCode) { c.mode = rsScalarRef } }
 
-// RSNoXorRepair disables the single-erasure XOR repair fast path, forcing
-// the general decode-matrix route. It exists for before/after benchmarks;
-// production callers want the default.
-func RSNoXorRepair() RSOption { return func(c *rsCode) { c.noXorRepair = true } }
-
 // rsCode is a systematic Reed-Solomon (n, k) code over GF(2^8), the paper's
 // §4.1 example of a general MDS code. It tolerates any n-k erasures but pays
 // one field multiplication per byte per parity row, the cost the XOR-only
 // array codes avoid. Encode and Reconstruct run on the fused slice kernels
-// of internal/gf and fan out across goroutines for large blocks; the value
-// is immutable after construction and safe for concurrent use.
+// of internal/gf and fan out across goroutines for large blocks, and a
+// reconstruction replays a decode plan solved once per erasure pattern. The
+// generator is immutable after construction and the plan cache race-safe,
+// so the value is safe for concurrent use.
 //
 // Two generator constructions are used. For n-k <= 2 (the RAID-6 shape) the
 // parity block is P+Q: row P is all ones (pure 64-bit XOR) and row Q is
@@ -80,14 +78,11 @@ type rsCode struct {
 	mode rsMode
 	// pq marks the P+Q fast-path generator described above.
 	pq bool
-	// noXorRepair disables the single-erasure XOR repair path (benchmarks).
-	noXorRepair bool
 	// gen is the n x k systematic generator matrix: the top k rows are the
 	// identity, the bottom n-k rows produce parity.
 	gen *gf.Matrix
-	// parity aliases the bottom n-k rows of gen as an (n-k) x k matrix, the
-	// shape Encode feeds to MulVecSlices.
-	parity *gf.Matrix
+	// plans caches one decode plan per erasure pattern (see rsPlan).
+	plans planCache[shardSet, *rsPlan]
 }
 
 // NewReedSolomon constructs a systematic Reed-Solomon code with k data
@@ -113,7 +108,6 @@ func NewReedSolomon(n, k int, opts ...RSOption) (Code, error) {
 		}
 		c.gen = v.Mul(inv)
 	}
-	c.parity = &gf.Matrix{Rows: n - k, Cols: k, Data: c.gen.Data[k*k:]}
 	return c, nil
 }
 
@@ -152,82 +146,91 @@ func (c *rsCode) shardLen(dataLen int) int {
 
 func (c *rsCode) ShardSize(dataLen int) int { return c.shardLen(dataLen) }
 
-// forEachChunk cuts the column range [0, shardLen) into rsChunkSize pieces
-// and applies fn to each so the per-pass working set stays cache-resident.
-// In the default mode, chunks of large shards are distributed over up to
-// GOMAXPROCS worker goroutines pulling from a shared atomic counter; fn must
-// therefore be safe to call concurrently on disjoint ranges.
-func (c *rsCode) forEachChunk(shardLen int, fn func(off, end int)) {
-	chunks := ceilDiv(shardLen, rsChunkSize)
-	workers := 1
-	if c.mode == rsKernelParallel && shardLen >= rsParallelMinShard {
-		workers = min(runtime.GOMAXPROCS(0), chunks)
-	}
-	if workers <= 1 {
-		for off := 0; off < shardLen; off += rsChunkSize {
-			fn(off, min(off+rsChunkSize, shardLen))
-		}
+// apply computes out[r] = rows[r] · in for every output over the full
+// piece length: rows holds len(out) coefficient rows of len(in) bytes each,
+// and nil rows is a P+Q code's parity block, which the SWAR kernels
+// evaluate. Every input must be at least len(out[0]) bytes and no output
+// may alias an input. The column range is cut into rsChunkSize pieces so
+// each pass stays cache-resident; pieces below rsParallelMinShard run on
+// this goroutine through sc's chunk headers, allocation-free, and in the
+// default mode larger ones fan out over up to GOMAXPROCS workers pulling
+// chunks from a shared counter.
+func (c *rsCode) apply(rows []byte, in, out [][]byte, sc *blockScratch) {
+	pieceLen := len(out[0])
+	if c.mode == rsScalarRef {
+		c.applyChunk(rows, in, out)
 		return
 	}
+	if c.mode == rsKernelParallel && pieceLen >= rsParallelMinShard {
+		if workers := min(runtime.GOMAXPROCS(0), ceilDiv(pieceLen, rsChunkSize)); workers > 1 {
+			c.applyParallel(rows, in, out, workers)
+			return
+		}
+	}
+	ins, outs := headers(&sc.cin, len(in)), headers(&sc.cout, len(out))
+	for off := 0; off < pieceLen; off += rsChunkSize {
+		end := min(off+rsChunkSize, pieceLen)
+		c.applyChunk(rows, cut(ins, in, off, end), cut(outs, out, off, end))
+	}
+}
+
+func (c *rsCode) applyParallel(rows []byte, in, out [][]byte, workers int) {
+	pieceLen := len(out[0])
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			ins, outs := make([][]byte, len(in)), make([][]byte, len(out))
 			for {
 				off := (int(next.Add(1)) - 1) * rsChunkSize
-				if off >= shardLen {
+				if off >= pieceLen {
 					return
 				}
-				fn(off, min(off+rsChunkSize, shardLen))
+				end := min(off+rsChunkSize, pieceLen)
+				c.applyChunk(rows, cut(ins, in, off, end), cut(outs, out, off, end))
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// chunked runs fn over per-chunk subslices of in and out, scheduling the
-// column ranges through forEachChunk. len(out) must be > 0 and every slice
-// must be at least len(out[0]) bytes.
-func (c *rsCode) chunked(in, out [][]byte, fn func(ins, outs [][]byte)) {
-	c.forEachChunk(len(out[0]), func(off, end int) {
-		ins := make([][]byte, len(in))
-		outs := make([][]byte, len(out))
-		for j := range in {
-			ins[j] = in[j][off:end]
-		}
-		for r := range out {
-			outs[r] = out[r][off:end]
-		}
-		fn(ins, outs)
-	})
+// cut sets dst[i] = src[i][off:end] for every source and returns dst.
+func cut(dst, src [][]byte, off, end int) [][]byte {
+	for i, s := range src {
+		dst[i] = s[off:end]
+	}
+	return dst
 }
 
-// applyRows computes out[r] = sum_j mat[r][j] * in[j] for every row, over
-// the full shard length. All out slices must have equal length, every input
-// must be at least that long, and — in scalar mode only — out must be
-// zeroed.
-func (c *rsCode) applyRows(mat *gf.Matrix, in, out [][]byte) {
-	if len(out) == 0 {
-		return
-	}
-	shardLen := len(out[0])
-	if shardLen == 0 {
-		return
-	}
-	if c.mode == rsScalarRef {
-		for r := range out {
-			row := mat.Row(r)
-			for j := range in {
-				gf.MulAddSliceRef(row[j], in[j][:shardLen], out[r])
+// applyChunk is apply over one column range.
+func (c *rsCode) applyChunk(rows []byte, ins, outs [][]byte) {
+	switch {
+	case c.mode == rsScalarRef:
+		for r, o := range outs {
+			clear(o) // the reference kernel accumulates
+			for j, s := range ins {
+				gf.MulAddSliceRef(rows[r*len(ins)+j], s[:len(o)], o)
 			}
 		}
-		return
+	case rows == nil && len(outs) == 2:
+		gf.PQSlice(ins, outs[0], outs[1])
+	case rows == nil:
+		gf.XorVecSlice(ins, outs[0])
+	default:
+		m := gf.Matrix{Rows: len(outs), Cols: len(ins), Data: rows}
+		m.MulVecSlices(ins, outs)
 	}
-	c.chunked(in, out, func(ins, outs [][]byte) {
-		mat.MulVecSlices(ins, outs)
-	})
+}
+
+// parityRows returns the coefficient rows Encode applies: nil for a P+Q
+// code (the SWAR kernels), else the generator's bottom n-k rows.
+func (c *rsCode) parityRows() []byte {
+	if c.pq {
+		return nil
+	}
+	return c.gen.Data[c.k*c.k:]
 }
 
 // Encode implements Code.
@@ -263,21 +266,9 @@ func (c *rsCode) Encode(data []byte) ([][]byte, error) {
 			copy(shards[i], data[off:min(off+shardLen, len(data))])
 		}
 	}
-	if c.mode == rsScalarRef {
-		c.applyRows(c.parity, shards[:c.k], shards[c.k:])
-		return shards, nil
-	}
-	c.chunked(shards[:c.k], shards[c.k:], func(ins, outs [][]byte) {
-		if c.pq {
-			if len(outs) == 2 {
-				gf.PQSlice(ins, outs[0], outs[1])
-			} else {
-				gf.XorVecSlice(ins, outs[0])
-			}
-			return
-		}
-		c.parity.MulVecSlices(ins, outs)
-	})
+	sc := scratchPool.Get().(*blockScratch)
+	c.apply(c.parityRows(), shards[:c.k], shards[c.k:], sc)
+	sc.release()
 	return shards, nil
 }
 
@@ -303,144 +294,124 @@ func (c *rsCode) EncodeInto(data []byte, shards [][]byte) error {
 		}
 		clear(shards[i][n:])
 	}
-	if c.mode == rsScalarRef {
-		for _, s := range shards[c.k:] {
-			clear(s) // applyRows accumulates in scalar mode
+	sc := scratchPool.Get().(*blockScratch)
+	c.apply(c.parityRows(), shards[:c.k], shards[c.k:], sc)
+	sc.release()
+	return nil
+}
+
+// shardSet is a bitmask over shard indices, wide enough for n <= 256.
+type shardSet [4]uint64
+
+// rsPlan is the decode plan for one erasure pattern, solved once and cached
+// on the code: it reads the first k present shards (inputs), and restores
+// each missing shard, data or parity alike, as one coefficient row over
+// them. The row of missing shard m is gen[m] · (gen[inputs])^-1, so a
+// lone missing data shard with P present gets an all-ones row, which
+// gf.MulVecSlice runs on the SWAR XOR kernel.
+type rsPlan struct {
+	err     error // singular pattern (cached so repeats skip the inversion)
+	inputs  []int
+	missing []int  // ascending, so missing data shards come first
+	data    int    // number of missing data shards
+	rows    []byte // len(missing) rows of k coefficients
+}
+
+func (c *rsCode) compilePlan(set shardSet) *rsPlan {
+	p := &rsPlan{}
+	sub := gf.NewMatrix(c.k, c.k)
+	for i := 0; i < c.n; i++ {
+		switch {
+		case set[i/64]&(1<<(i%64)) != 0:
+			p.missing = append(p.missing, i)
+			if i < c.k {
+				p.data++
+			}
+		case len(p.inputs) < c.k:
+			copy(sub.Row(len(p.inputs)), c.gen.Row(i))
+			p.inputs = append(p.inputs, i)
 		}
-		c.applyRows(c.parity, shards[:c.k], shards[c.k:])
+	}
+	dec, ok := sub.Invert()
+	if !ok {
+		p.err = fmt.Errorf("ecc: %s: decode matrix singular", c.name)
+		return p
+	}
+	gen := gf.NewMatrix(len(p.missing), c.k)
+	for i, m := range p.missing {
+		copy(gen.Row(i), c.gen.Row(m))
+	}
+	p.rows = gen.Mul(dec).Data
+	return p
+}
+
+// What fill restores besides a single shard index.
+const (
+	fillData = -1 // every missing data shard
+	fillAll  = -2 // every missing shard
+)
+
+// fill restores the missing shards of one codeword that want selects (a
+// shard index, fillData or fillAll) in one row application from the cached
+// plan for its erasure pattern. The restored pieces are fresh when fresh is
+// set, and belong to the caller; otherwise they are cut from sc and valid
+// only until its next use. shards must have passed checkShards.
+func (c *rsCode) fill(shards [][]byte, want int, fresh bool, sc *blockScratch) error {
+	var set shardSet
+	for i, s := range shards {
+		if s == nil {
+			set[i/64] |= 1 << (i % 64)
+		}
+	}
+	p := c.plans.get(set, c.compilePlan)
+	if p.err != nil {
+		return p.err
+	}
+	lo, hi := 0, len(p.missing)
+	switch {
+	case want == fillData:
+		hi = p.data
+	case want >= 0:
+		lo = slices.Index(p.missing, want)
+		hi = lo + 1
+	}
+	if lo < 0 || lo >= hi {
 		return nil
 	}
-	c.chunked(shards[:c.k], shards[c.k:], func(ins, outs [][]byte) {
-		if c.pq {
-			if len(outs) == 2 {
-				gf.PQSlice(ins, outs[0], outs[1])
-			} else {
-				gf.XorVecSlice(ins, outs[0])
-			}
-			return
-		}
-		c.parity.MulVecSlices(ins, outs)
-	})
+	pieceLen := len(shards[p.inputs[0]])
+	var backing []byte
+	if fresh {
+		backing = make([]byte, (hi-lo)*pieceLen)
+	} else {
+		backing = sc.colSlot(0, 1, (hi-lo)*pieceLen)
+	}
+	in, out := headers(&sc.in, c.k), headers(&sc.out, hi-lo)
+	for j, src := range p.inputs {
+		in[j] = shards[src]
+	}
+	for i := range out {
+		out[i] = backing[i*pieceLen : (i+1)*pieceLen : (i+1)*pieceLen]
+		shards[p.missing[lo+i]] = out[i]
+	}
+	c.apply(p.rows[lo*c.k:hi*c.k], in, out, sc)
 	return nil
 }
 
 // Reconstruct implements Code.
-func (c *rsCode) Reconstruct(shards [][]byte) error { return c.reconstruct(shards, false) }
+func (c *rsCode) Reconstruct(shards [][]byte) error { return c.reconstruct(shards, fillAll) }
 
 // ReconstructData implements DataReconstructor: it restores missing data
 // shards exactly like Reconstruct but leaves missing parity shards nil,
-// skipping the parity row application that retrieval paths never need.
-func (c *rsCode) ReconstructData(shards [][]byte) error { return c.reconstruct(shards, true) }
+// skipping the parity rows that retrieval paths never need.
+func (c *rsCode) ReconstructData(shards [][]byte) error { return c.reconstruct(shards, fillData) }
 
-func (c *rsCode) reconstruct(shards [][]byte, dataOnly bool) error {
-	shardLen, present, err := checkShards(shards, c.n, c.k)
-	if err != nil {
+func (c *rsCode) reconstruct(shards [][]byte, want int) error {
+	if _, present, err := checkShards(shards, c.n, c.k); err != nil || present == c.n {
 		return err
 	}
-	if present == c.n {
-		return nil
-	}
-	// Single-erasure XOR fast path: with the P+Q generator, parity row P is
-	// the plain XOR of the data shards, so a lone missing data shard with P
-	// surviving is P + (the other data shards), straight onto the SWAR XOR
-	// kernel. The general route below reaches the same kernel through
-	// MulVecSlice's unit-coefficient dispatch but first pays a k x k matrix
-	// inversion and row setup per call — fixed overhead that dominates
-	// small-shard repair (~2x at 4 KiB blocks; see
-	// BenchmarkRSRepairSingleErasure). Any additional missing parity is
-	// recomputed by the general tail below.
-	if c.pq && !c.noXorRepair && shards[c.k] != nil {
-		missing := -1
-		for j := 0; j < c.k; j++ {
-			if shards[j] == nil {
-				if missing >= 0 {
-					missing = -1
-					break
-				}
-				missing = j
-			}
-		}
-		if missing >= 0 {
-			in := make([][]byte, 0, c.k)
-			for j := 0; j < c.k; j++ {
-				if j != missing {
-					in = append(in, shards[j])
-				}
-			}
-			in = append(in, shards[c.k])
-			out := make([]byte, shardLen)
-			c.forEachChunk(shardLen, func(off, end int) {
-				ins := make([][]byte, len(in))
-				for i := range in {
-					ins[i] = in[i][off:end]
-				}
-				gf.XorVecSlice(ins, out[off:end])
-			})
-			shards[missing] = out
-		}
-	}
-	// Recover all missing data shards in one fused row application, through
-	// a decode matrix obtained by inverting the generator rows of k present
-	// shards.
-	var missingData []int
-	for j := 0; j < c.k; j++ {
-		if shards[j] == nil {
-			missingData = append(missingData, j)
-		}
-	}
-	if len(missingData) > 0 {
-		sub := gf.NewMatrix(c.k, c.k)
-		chosen := make([]int, 0, c.k)
-		for i := 0; i < c.n && len(chosen) < c.k; i++ {
-			if shards[i] != nil {
-				copy(sub.Row(len(chosen)), c.gen.Row(i))
-				chosen = append(chosen, i)
-			}
-		}
-		dec, ok := sub.Invert()
-		if !ok {
-			return fmt.Errorf("ecc: %s: decode matrix singular", c.name)
-		}
-		in := make([][]byte, c.k)
-		for i, src := range chosen {
-			in[i] = shards[src]
-		}
-		rows := gf.NewMatrix(len(missingData), c.k)
-		out := make([][]byte, len(missingData))
-		backing := make([]byte, len(missingData)*shardLen)
-		for i, j := range missingData {
-			copy(rows.Row(i), dec.Row(j))
-			out[i] = backing[i*shardLen : (i+1)*shardLen : (i+1)*shardLen]
-		}
-		c.applyRows(rows, in, out)
-		for i, j := range missingData {
-			shards[j] = out[i]
-		}
-	}
-	// Recompute any missing parity shards from the (now complete) data.
-	if dataOnly {
-		return nil
-	}
-	var missingParity []int
-	for r := c.k; r < c.n; r++ {
-		if shards[r] == nil {
-			missingParity = append(missingParity, r)
-		}
-	}
-	if len(missingParity) > 0 {
-		rows := gf.NewMatrix(len(missingParity), c.k)
-		out := make([][]byte, len(missingParity))
-		backing := make([]byte, len(missingParity)*shardLen)
-		for i, r := range missingParity {
-			copy(rows.Row(i), c.gen.Row(r))
-			out[i] = backing[i*shardLen : (i+1)*shardLen : (i+1)*shardLen]
-		}
-		c.applyRows(rows, shards[:c.k], out)
-		for i, r := range missingParity {
-			shards[r] = out[i]
-		}
-	}
-	return nil
+	sc := scratchPool.Get().(*blockScratch)
+	defer sc.release()
+	return c.fill(shards, want, true, sc)
 }
 
 // Decode implements Code.

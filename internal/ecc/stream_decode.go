@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // This file is the decode half of the block-codeword streaming contract
@@ -89,8 +90,27 @@ type blockStream struct {
 	work      [][]byte // reused shard-header scratch, one entry per shard
 	contig    bool     // data shards are contiguous message slices
 	arr       *xorCode // plan-cached array code (kernel mode), else nil
-	xs        xorScratch
-	buf       []byte // reused decoded-block buffer (array-code decode path)
+	rs        *rsCode  // Reed-Solomon, else nil
+	sc        *blockScratch
+}
+
+// Scratch is the working memory a stream decoder or rebuilder reconstructs
+// a block in: the decoded-block buffer, restored pieces and kernel headers.
+// A stream allocates its own on first use and keeps it; streams whose
+// NextBlock calls never overlap (those one goroutine drives) can share one
+// through UseScratch instead, so a client serving many short streams
+// allocates it once rather than once per stream.
+type Scratch struct{ blockScratch }
+
+// UseScratch makes the stream reconstruct in sc, which it borrows only for
+// the duration of each NextBlock call.
+func (s *blockStream) UseScratch(sc *Scratch) { s.sc = &sc.blockScratch }
+
+func (s *blockStream) scratch() *blockScratch {
+	if s.sc == nil {
+		s.sc = new(blockScratch)
+	}
+	return s.sc
 }
 
 func newBlockStream(code Code, dataLen int64, blockSize int) (blockStream, error) {
@@ -112,6 +132,7 @@ func newBlockStream(code Code, dataLen int64, blockSize int) (blockStream, error
 	if xc, ok := code.(*xorCode); ok && xc.planned() {
 		bs.arr = xc
 	}
+	bs.rs, _ = code.(*rsCode)
 	return bs, nil
 }
 
@@ -163,9 +184,10 @@ func (s *blockStream) take(shards [][]byte) (blockLen, pieceLen int, err error) 
 // The pieces passed to NextBlock are never retained: they may be reused by
 // the caller as soon as the call returns. When all k data shards of a block
 // are present, their bytes are written straight through with no
-// reconstruction work at all; a block with exactly one missing data shard
-// hits the code's single-erasure XOR fast path (Reed-Solomon P+Q), and any
-// other erasure pattern pays one decode-matrix solve per block.
+// reconstruction work at all. Otherwise the missing data is restored by
+// replaying the code's cached plan for the block's erasure pattern (one row
+// application for Reed-Solomon, an XOR schedule for the array codes) into
+// the stream's Scratch, so a warm decoder allocates nothing per block.
 type StreamDecoder struct {
 	blockStream
 	w       io.Writer
@@ -209,62 +231,60 @@ func (d *StreamDecoder) NextBlock(shards [][]byte) error {
 	if err != nil {
 		return err
 	}
+	if err := d.decode(blockLen, pieceLen); err != nil {
+		return fmt.Errorf("ecc: stream block %d: %w", d.block, err)
+	}
+	d.written += int64(blockLen)
+	d.block++
+	return nil
+}
+
+// decode writes the data bytes of the block take loaded.
+func (d *StreamDecoder) decode(blockLen, pieceLen int) error {
 	if !d.contig {
 		// Scattered layout (XOR array codes): gather the block's message out
-		// of the shard cells. On the plan-cached path this is allocation-free
-		// — present data cells are strided copies into the reused block
-		// buffer, missing ones replay the cached XOR schedule for this
-		// erasure pattern directly into place (no whole-column
-		// reconstruction, no parity recompute, no per-block solver). Unknown
-		// scattered codes fall back to their own Decode, whose per-block
-		// allocation is bounded by the block size and short-lived.
-		var buf []byte
-		if d.arr != nil {
-			if cap(d.buf) < blockLen {
-				d.buf = make([]byte, blockLen)
+		// of the shard cells. On the plan-cached path present data cells are
+		// strided copies into the scratch's block buffer, and missing ones
+		// replay the cached XOR schedule for this erasure pattern directly
+		// into place (no whole-column reconstruction, no parity recompute).
+		// Unknown scattered codes fall back to their own Decode, whose
+		// per-block allocation is bounded by the block size and short-lived.
+		if d.arr == nil {
+			buf, err := d.code.Decode(d.work, blockLen)
+			if err != nil {
+				return err
 			}
-			buf = d.buf[:blockLen]
-			if err := d.arr.decodeInto(buf, d.work, pieceLen/d.arr.rows, &d.xs); err != nil {
-				return fmt.Errorf("ecc: stream block %d: %w", d.block, err)
-			}
-		} else {
-			var err error
-			if buf, err = d.code.Decode(d.work, blockLen); err != nil {
-				return fmt.Errorf("ecc: stream block %d: %w", d.block, err)
-			}
+			_, err = d.w.Write(buf)
+			return err
 		}
-		if _, err := d.w.Write(buf); err != nil {
-			return fmt.Errorf("ecc: stream block %d: %w", d.block, err)
+		sc := d.scratch()
+		buf := sc.blockBuf(blockLen)
+		if err := d.arr.decodeInto(buf, d.work, pieceLen/d.arr.rows, sc); err != nil {
+			return err
 		}
-		d.written += int64(blockLen)
-		d.block++
-		return nil
+		_, err := d.w.Write(buf)
+		return err
 	}
 	// Contiguous layout: reconstruct only if a data shard is missing (a pure
 	// parity erasure costs nothing on the read path), then write the data
 	// shards straight through, truncating the padded tail.
-	for i := 0; i < d.code.K(); i++ {
-		if d.work[i] == nil {
-			if err := reconstructData(d.code, d.work); err != nil {
-				return fmt.Errorf("ecc: stream block %d: %w", d.block, err)
-			}
-			break
+	k := d.code.K()
+	if slices.ContainsFunc(d.work[:k], func(p []byte) bool { return p == nil }) {
+		var err error
+		if d.rs != nil {
+			err = d.rs.fill(d.work, fillData, false, d.scratch())
+		} else {
+			err = reconstructData(d.code, d.work)
+		}
+		if err != nil {
+			return err
 		}
 	}
-	for i := 0; i < d.code.K(); i++ {
-		n := blockLen - i*pieceLen
-		if n <= 0 {
-			break
-		}
-		if n > pieceLen {
-			n = pieceLen
-		}
-		if _, err := d.w.Write(d.work[i][:n]); err != nil {
-			return fmt.Errorf("ecc: stream block %d: %w", d.block, err)
+	for i := 0; i < k && i*pieceLen < blockLen; i++ {
+		if _, err := d.w.Write(d.work[i][:min(blockLen-i*pieceLen, pieceLen)]); err != nil {
+			return err
 		}
 	}
-	d.written += int64(blockLen)
-	d.block++
 	return nil
 }
 
@@ -307,15 +327,19 @@ func (r *ShardRebuilder) NextBlock(shards [][]byte) error {
 		return err
 	}
 	r.work[r.target] = nil
-	if r.arr != nil {
-		// Plan-cached array path: the missing columns (the target plus any
-		// absent survivors) are restored into scratch buffers replayed from
-		// the cached schedule — allocation-free per block, and the restored
-		// buffers live only until the write below returns.
-		err = r.arr.planReconstruct(r.work, pieceLen/r.arr.rows, false, false, &r.xs)
-	} else if r.target < r.code.K() {
+	// Plan-cached paths restore into the stream's Scratch: the array codes
+	// replay the cached schedule for the missing columns (the target plus
+	// any absent survivors), and Reed-Solomon applies only the target's row.
+	// Allocation-free per block; the restored piece lives only until the
+	// write below returns.
+	switch {
+	case r.arr != nil:
+		err = r.arr.planReconstruct(r.work, pieceLen/r.arr.rows, false, false, r.scratch())
+	case r.rs != nil:
+		err = r.rs.fill(r.work, r.target, false, r.scratch())
+	case r.target < r.code.K():
 		err = reconstructData(r.code, r.work)
-	} else {
+	default:
 		err = r.code.Reconstruct(r.work)
 	}
 	if err != nil {

@@ -100,7 +100,7 @@ type xorCode struct {
 	// plans caches compiled reconstruction schedules keyed by
 	// missing-column bitmask; see xorplan.go. Unused in scalar mode and for
 	// n > 64.
-	plans planCache
+	plans planCache[uint64, *xorPlan]
 
 	// fastReconstruct, when non-nil, attempts a specialised reconstruction
 	// of the missing columns on the scalar path. It returns false to fall

@@ -43,8 +43,9 @@ import (
 // construction, so a plan never needs invalidation; the cache key is the
 // bitmask of missing columns (whence the n <= 64 guard — wider layouts fall
 // back to the generic solver). At most sum_{i<=n-k} C(n,i) patterns exist,
-// so the cache is finite and tiny in practice. Unsolvable patterns are
-// cached too (as an error), so repeated failures skip the elimination.
+// so the cache is finite and tiny in practice (and stops growing at
+// maxCachedPlans). Unsolvable patterns are cached too (as an error), so
+// repeated failures skip the elimination.
 
 // cellRef packs a (column, row) cell coordinate for plan schedules.
 type cellRef int32
@@ -75,41 +76,60 @@ type xorPlan struct {
 	maxSrc  int // longest source list across all phases (gather sizing)
 }
 
-// planCache is a race-safe, grow-only map from missing-column bitmask to
-// compiled plan. Lookups are a single atomic load (the hot path of every
-// streamed block); misses take the mutex, compile, and publish a copied map.
-type planCache struct {
+// maxCachedPlans bounds a plan cache. Every insert copies the map, so a
+// walk over a vast pattern space (VerifyMDS tries all 65,536 erasure
+// patterns of rs(17,9)) would otherwise pay quadratic copying: 37 s against
+// 0.2 s. Patterns past the bound are compiled per call instead. The codes
+// deployed here have far fewer patterns: 22 for rs(6,4) or bcode(6).
+const maxCachedPlans = 256
+
+// planCache is a race-safe, grow-only map from an erasure pattern to its
+// compiled plan, shared by the array codes (keyed by missing-column bitmask)
+// and Reed-Solomon (keyed by shardSet). Lookups are a single atomic load
+// (the hot path of every streamed block); misses take the mutex, compile,
+// and publish a copied map.
+type planCache[K comparable, P any] struct {
 	mu sync.Mutex
-	m  atomic.Pointer[map[uint64]*xorPlan]
+	m  atomic.Pointer[map[K]P]
+}
+
+// get returns the plan cached under key, compiling and caching it on first
+// use.
+func (pc *planCache[K, P]) get(key K, compile func(K) P) P {
+	if m := pc.m.Load(); m != nil {
+		if p, ok := (*m)[key]; ok {
+			return p
+		}
+	}
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	old := pc.m.Load()
+	if old != nil {
+		if p, ok := (*old)[key]; ok {
+			return p
+		}
+	}
+	p := compile(key)
+	if old != nil && len(*old) >= maxCachedPlans {
+		return p
+	}
+	next := make(map[K]P, 1)
+	if old != nil {
+		next = make(map[K]P, len(*old)+1)
+		for k, v := range *old {
+			next[k] = v
+		}
+	}
+	next[key] = p
+	pc.m.Store(&next)
+	return p
 }
 
 // planFor returns the plan for the given missing-column mask, compiling and
 // caching it on first use. The returned error is the plan's cached
 // solvability verdict.
 func (c *xorCode) planFor(mask uint64) (*xorPlan, error) {
-	if m := c.plans.m.Load(); m != nil {
-		if p, ok := (*m)[mask]; ok {
-			return p, p.err
-		}
-	}
-	c.plans.mu.Lock()
-	defer c.plans.mu.Unlock()
-	old := c.plans.m.Load()
-	if old != nil {
-		if p, ok := (*old)[mask]; ok {
-			return p, p.err
-		}
-	}
-	p := c.compilePlan(mask)
-	next := make(map[uint64]*xorPlan, 1)
-	if old != nil {
-		next = make(map[uint64]*xorPlan, len(*old)+1)
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[mask] = p
-	c.plans.m.Store(&next)
+	p := c.plans.get(mask, c.compilePlan)
 	return p, p.err
 }
 
@@ -284,37 +304,59 @@ func (c *xorCode) compilePlan(mask uint64) *xorPlan {
 	return plan
 }
 
-// xorScratch holds the reusable buffers a plan replay needs: the gather
-// slice fed to gf.XorVecSlice, the syndrome slots, and (for the streaming
-// rebuild path) backing for missing columns. Streams own one scratch each;
-// the one-shot entry points borrow from xorScratchPool. A warmed scratch
-// makes plan replay allocation-free.
-type xorScratch struct {
-	gather [][]byte
-	syn    [][]byte
-	synBuf []byte
-	colBuf []byte
+// blockScratch is the working memory of one block's reconstruction: header
+// slices for the fused kernels, the syndrome slots of an array-code plan,
+// backing for restored columns or pieces, and a decoded-block buffer. The
+// streaming decoder and rebuilder reconstruct in their Scratch, and the
+// one-shot entry points borrow one from scratchPool for the call, so warm
+// scratch makes block reconstruction allocation-free.
+type blockScratch struct {
+	gather    [][]byte // XorVecSlice sources
+	in, out   [][]byte // Reed-Solomon row inputs and outputs
+	cin, cout [][]byte // the same, cut to one column chunk
+	syn       [][]byte
+	synBuf    []byte
+	colBuf    []byte
+	block     []byte
 }
 
-var xorScratchPool = sync.Pool{New: func() any { return new(xorScratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
 
 // release drops references into caller-owned shard memory before the
 // scratch returns to the pool, so pooling never extends shard lifetimes.
-func (xs *xorScratch) release() {
-	clear(xs.gather[:cap(xs.gather)])
-	xorScratchPool.Put(xs)
+func (xs *blockScratch) release() {
+	for _, h := range [][][]byte{xs.gather, xs.in, xs.out, xs.cin, xs.cout} {
+		clear(h[:cap(h)])
+	}
+	scratchPool.Put(xs)
 }
 
-func (xs *xorScratch) gatherSlot(n int) [][]byte {
+// headers returns (*p)[:n], growing *p first if it is shorter.
+func headers(p *[][]byte, n int) [][]byte {
+	if cap(*p) < n {
+		*p = make([][]byte, n)
+	}
+	return (*p)[:n]
+}
+
+func (xs *blockScratch) gatherSlot(n int) [][]byte {
 	if cap(xs.gather) < n {
 		xs.gather = make([][]byte, 0, n)
 	}
 	return xs.gather[:0]
 }
 
+// blockBuf returns the decoded-block buffer, n bytes long.
+func (xs *blockScratch) blockBuf(n int) []byte {
+	if cap(xs.block) < n {
+		xs.block = make([]byte, n)
+	}
+	return xs.block[:n]
+}
+
 // synSlots returns n syndrome slots of chunkLen bytes each, backed by one
 // grown-on-demand buffer.
-func (xs *xorScratch) synSlots(n, chunkLen int) [][]byte {
+func (xs *blockScratch) synSlots(n, chunkLen int) [][]byte {
 	if need := n * chunkLen; cap(xs.synBuf) < need {
 		xs.synBuf = make([]byte, need)
 	}
@@ -330,7 +372,7 @@ func (xs *xorScratch) synSlots(n, chunkLen int) [][]byte {
 
 // colSlot returns the i-th reusable missing-column buffer of size bytes,
 // from a backing sized for count columns.
-func (xs *xorScratch) colSlot(i, count, size int) []byte {
+func (xs *blockScratch) colSlot(i, count, size int) []byte {
 	if need := count * size; cap(xs.colBuf) < need {
 		xs.colBuf = make([]byte, need)
 	}
@@ -345,7 +387,7 @@ func cellOf(shards [][]byte, r cellRef, chunkLen int) []byte {
 
 // runSyndromes materialises the plan's syndrome slots from the surviving
 // cells. The returned slice aliases the scratch.
-func (c *xorCode) runSyndromes(plan *xorPlan, shards [][]byte, chunkLen int, xs *xorScratch) [][]byte {
+func (c *xorCode) runSyndromes(plan *xorPlan, shards [][]byte, chunkLen int, xs *blockScratch) [][]byte {
 	syn := xs.synSlots(len(plan.syn), chunkLen)
 	gather := xs.gatherSlot(plan.maxSrc)
 	for i, srcs := range plan.syn {
@@ -366,7 +408,7 @@ func (c *xorCode) runSyndromes(plan *xorPlan, shards [][]byte, chunkLen int, xs 
 // the caller); otherwise they come from the scratch and are only valid until
 // its next use (the streaming rebuilder's per-block path). xs may be nil, in
 // which case a pooled scratch is used.
-func (c *xorCode) planReconstruct(shards [][]byte, chunkLen int, dataOnly, fresh bool, xs *xorScratch) error {
+func (c *xorCode) planReconstruct(shards [][]byte, chunkLen int, dataOnly, fresh bool, xs *blockScratch) error {
 	var mask uint64
 	for col, s := range shards {
 		if s == nil {
@@ -378,7 +420,7 @@ func (c *xorCode) planReconstruct(shards [][]byte, chunkLen int, dataOnly, fresh
 		return err
 	}
 	if xs == nil {
-		xs = xorScratchPool.Get().(*xorScratch)
+		xs = scratchPool.Get().(*blockScratch)
 		defer xs.release()
 	}
 	// Materialise destination columns. Every cell of a restored column is
@@ -435,7 +477,7 @@ func (c *xorCode) planReconstruct(shards [][]byte, chunkLen int, dataOnly, fresh
 // into place — no work-copy of the shard slice, no materialised missing
 // columns, and no parity recompute. shards must already have passed
 // checkShards for this code. A nil xs borrows a pooled scratch.
-func (c *xorCode) decodeInto(dst []byte, shards [][]byte, chunkLen int, xs *xorScratch) error {
+func (c *xorCode) decodeInto(dst []byte, shards [][]byte, chunkLen int, xs *blockScratch) error {
 	var mask uint64
 	missingData := false
 	for col, s := range shards {
@@ -466,7 +508,7 @@ func (c *xorCode) decodeInto(dst []byte, shards [][]byte, chunkLen int, xs *xorS
 		return err
 	}
 	if xs == nil {
-		xs = xorScratchPool.Get().(*xorScratch)
+		xs = scratchPool.Get().(*blockScratch)
 		defer xs.release()
 	}
 	syn := c.runSyndromes(plan, shards, chunkLen, xs)

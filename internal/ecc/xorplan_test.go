@@ -263,59 +263,65 @@ func TestStreamDecodeArrayAllocFree(t *testing.T) {
 
 // TestConcurrentStreamsSharedPlanCache hammers one shared code instance —
 // and therefore one shared plan cache — from many concurrent streams, each
-// with its own erasure pattern so compilation and lookup race. Run under
-// -race in CI.
+// with its own erasure pattern so compilation and lookup race, for an array
+// code and for Reed-Solomon. Run under -race in CI.
 func TestConcurrentStreamsSharedPlanCache(t *testing.T) {
-	code, err := NewXCode(7)
+	xcode, err := NewXCode(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const blockSize = 4 << 10
-	const objectSize = 64 << 10
-	data := make([]byte, objectSize)
-	rand.New(rand.NewSource(9)).Read(data)
-	streams := make([][]byte, code.N())
-	if err := EncodeReader(code, bytes.NewReader(data), blockSize, func(blk int, shards [][]byte, dataLen int) error {
-		for i, s := range shards {
-			streams[i] = append(streams[i], s...)
-		}
-		return nil
-	}); err != nil {
+	rs, err := NewReedSolomon(6, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var pats [][]int
-	for _, p := range erasurePatterns(code.N(), code.N()-code.K()) {
-		pats = append(pats, p)
-	}
-	workers := 4 * runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		pat := pats[w%len(pats)]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for iter := 0; iter < 8; iter++ {
-				readers := make([]io.Reader, code.N())
-				for i := range streams {
-					readers[i] = bytes.NewReader(streams[i])
-				}
-				for _, e := range pat {
-					readers[e] = nil
-				}
-				var out bytes.Buffer
-				n, err := DecodeStreams(code, &out, readers, objectSize, blockSize)
-				if err != nil || n != objectSize || !bytes.Equal(out.Bytes(), data) {
-					errs <- fmt.Errorf("pattern %v: n=%d err=%v", pat, n, err)
-					return
-				}
+	for _, code := range []Code{xcode, rs} {
+		const blockSize = 4 << 10
+		const objectSize = 64 << 10
+		data := make([]byte, objectSize)
+		rand.New(rand.NewSource(9)).Read(data)
+		streams := make([][]byte, code.N())
+		if err := EncodeReader(code, bytes.NewReader(data), blockSize, func(blk int, shards [][]byte, dataLen int) error {
+			for i, s := range shards {
+				streams[i] = append(streams[i], s...)
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var pats [][]int
+		for _, p := range erasurePatterns(code.N(), code.N()-code.K()) {
+			pats = append(pats, p)
+		}
+		workers := 4 * runtime.GOMAXPROCS(0)
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			pat := pats[w%len(pats)]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for iter := 0; iter < 8; iter++ {
+					readers := make([]io.Reader, code.N())
+					for i := range streams {
+						readers[i] = bytes.NewReader(streams[i])
+					}
+					for _, e := range pat {
+						readers[e] = nil
+					}
+					var out bytes.Buffer
+					n, err := DecodeStreams(code, &out, readers, objectSize, blockSize)
+					if err != nil || n != objectSize || !bytes.Equal(out.Bytes(), data) {
+						errs <- fmt.Errorf("pattern %v: n=%d err=%v", pat, n, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
 	}
 }
 

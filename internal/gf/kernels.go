@@ -171,13 +171,14 @@ func MulVecSlice(coeffs []byte, in [][]byte, out []byte) {
 	if len(out) == 0 {
 		return
 	}
-	var generalBuf, onesBuf [8]int
+	var generalBuf [8]int
+	var onesBuf [8][]byte
 	general, ones := generalBuf[:0], onesBuf[:0]
 	for j, c := range coeffs {
 		switch c {
 		case 0:
 		case 1:
-			ones = append(ones, j)
+			ones = append(ones, in[j])
 		default:
 			general = append(general, j)
 		}
@@ -215,24 +216,20 @@ func MulVecSlice(coeffs []byte, in [][]byte, out []byte) {
 	}
 	// Unit coefficients: pure XOR at 8 bytes per op.
 	if len(ones) > 0 {
-		onesIn := make([][]byte, len(ones))
-		for i, idx := range ones {
-			onesIn[i] = in[idx]
-		}
 		if !wrote {
-			XorVecSlice(onesIn, out)
+			XorVecSlice(ones, out)
 			return
 		}
 		k := 0
-		for ; k+4 <= len(onesIn); k += 4 {
-			xorAddVec4(onesIn[k], onesIn[k+1], onesIn[k+2], onesIn[k+3], out)
+		for ; k+4 <= len(ones); k += 4 {
+			xorAddVec4(ones[k], ones[k+1], ones[k+2], ones[k+3], out)
 		}
-		if k+2 <= len(onesIn) {
-			xorAddVec2(onesIn[k], onesIn[k+1], out)
+		if k+2 <= len(ones) {
+			xorAddVec2(ones[k], ones[k+1], out)
 			k += 2
 		}
-		if k < len(onesIn) {
-			XorSlice(onesIn[k][:len(out)], out)
+		if k < len(ones) {
+			XorSlice(ones[k][:len(out)], out)
 		}
 		return
 	}

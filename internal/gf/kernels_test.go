@@ -200,6 +200,36 @@ func TestMatrixMulVecSlices(t *testing.T) {
 	}
 }
 
+// TestMulVecSliceUnitCoefficientsAllocFree pins the unit-coefficient route
+// of MulVecSlice (a Reed-Solomon decode row for one lost data shard with P
+// present is all ones) at zero allocations, alone and after a table-fused
+// group. It used to gather the unit inputs into a fresh slice per call.
+func TestMulVecSliceUnitCoefficientsAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(108))
+	in := make([][]byte, 8)
+	for j := range in {
+		in[j] = randBytes(rng, 4096)
+	}
+	out := make([]byte, 4096)
+	for _, coeffs := range [][]byte{
+		{1, 1, 1, 1, 1, 1, 1, 1},
+		{1, 1, 1},
+		{7, 1, 9, 1, 1, 0, 3, 1},
+	} {
+		ref := make([]byte, len(out))
+		for j, c := range coeffs {
+			MulAddSliceRef(c, in[j], ref)
+		}
+		allocs := testing.AllocsPerRun(50, func() { MulVecSlice(coeffs, in[:len(coeffs)], out) })
+		if !bytes.Equal(out, ref) {
+			t.Fatalf("MulVecSlice(%v) wrong", coeffs)
+		}
+		if allocs != 0 {
+			t.Fatalf("MulVecSlice(%v): %.1f allocs per call, want 0", coeffs, allocs)
+		}
+	}
+}
+
 func TestMulVecSliceShapeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
