@@ -120,7 +120,7 @@ func (o Options) withDefaults(nodes int) (Options, error) {
 }
 
 // Platform is a running RAIN cluster. Every node runs a storage daemon on
-// the mesh and a client session; Put/Get/Rebuild/Rebalance are mesh
+// the mesh and a client session; Put/Get/ReplaceNode/Rebalance are mesh
 // operations over per-object rendezvous placements.
 type Platform struct {
 	Scheduler *sim.Scheduler
@@ -364,12 +364,14 @@ func (p *Platform) GetStream(id string, w io.Writer) (int64, error) {
 
 // ReplaceNode hot-swaps a blank node in at the given name (dynamic
 // reconfiguration, §4.2): the node's shards are wiped, the node is revived
-// across every subsystem, and a surviving node's client rebuilds its shards
-// entirely over the mesh — several objects pipelined at once under the
-// rebuild memory budget, each reading a survivor k-subset chosen to spread
-// load. Returns the number of objects rebuilt. This is the special case of
-// placement reconciliation where the delta is one node losing everything;
-// Rebalance handles the general delta.
+// across every subsystem, and once a survivor's membership view holds it
+// again (waiting at most dstore.DefaultOpTimeout), one reconciliation pass
+// from that survivor's client re-creates its shards over the mesh — several
+// objects pipelined under the rebuild memory budget, each reading a
+// survivor k-subset chosen to spread load. A hot swap is the reconciliation
+// delta of one node losing everything, so it runs the same pass Rebalance
+// does. Under SelfHeal the leader's client drives it, since the rebalance
+// gate yields any other. Returns the number of shards moved or rebuilt.
 func (p *Platform) ReplaceNode(node string) (int, error) {
 	if err := p.known(node); err != nil {
 		return 0, err
@@ -378,11 +380,22 @@ func (p *Platform) ReplaceNode(node string) (int, error) {
 	if err := p.Recover(node); err != nil {
 		return 0, err
 	}
-	cl, err := p.client(node)
-	if err != nil {
-		return 0, err
+	var cl *dstore.Client
+	deadline := p.Scheduler.Now().Add(dstore.DefaultOpTimeout)
+	for {
+		var err error
+		if cl, err = p.client(node); err != nil {
+			return 0, err
+		}
+		if leader := p.Leader(cl.Node()); p.opts.SelfHeal && leader != "" && !p.Mesh.Stopped(leader) {
+			cl = p.Clients[leader]
+		}
+		if p.Membership.Members[cl.Node()].InView(node) || p.Scheduler.Now() >= deadline || !p.Scheduler.Step() {
+			break
+		}
 	}
-	return cl.Rebuild(node)
+	stats, err := cl.Rebalance()
+	return stats.Moved + stats.Rebuilt, err
 }
 
 // Rebalance reconciles every stored object with its target placement from a

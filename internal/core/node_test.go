@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -158,9 +159,9 @@ func TestRealNodeCluster(t *testing.T) {
 				if err != nil || !bytes.Equal(got, want) {
 					t.Errorf("get %s: err=%v equal=%v", id, err, bytes.Equal(got, want))
 				}
-				st, err := r.Stat(ctx, id)
-				if err != nil || st.DataLen != int64(len(want)) || st.Shards < code.K() {
-					t.Errorf("stat %s = %+v, %v", id, st, err)
+				meta, err := r.Head(ctx, id)
+				if err != nil || meta.DataLen != int64(len(want)) {
+					t.Errorf("head %s = %+v, %v", id, meta, err)
 				}
 				mu.Lock()
 				objects[id] = want
@@ -175,6 +176,11 @@ func TestRealNodeCluster(t *testing.T) {
 	listed, err := c.nodes[2].List(ctx)
 	if err != nil || len(listed) != len(objects) {
 		t.Fatalf("list: %d objects, err=%v, want %d", len(listed), err, len(objects))
+	}
+	for _, st := range listed {
+		if st.DataLen != int64(len(objects[st.ID])) || st.Shards < code.K() {
+			t.Fatalf("listed %+v, want %d bytes on at least %d holders", st, len(objects[st.ID]), code.K())
+		}
 	}
 	if err := c.nodes[3].Delete(ctx, "obj-0"); err != nil {
 		t.Fatalf("delete: %v", err)
@@ -250,6 +256,14 @@ func TestRealNodeCluster(t *testing.T) {
 			now += n.SelfHealStats().Completed
 		}
 		return now > completed
+	}, func() string {
+		var b strings.Builder
+		for i, n := range survivors {
+			st := n.SelfHealStats()
+			fmt.Fprintf(&b, "\n  %s: passes %d, completed %d, yields %d, failures %d; view %v",
+				names[i], st.Passes, st.Completed, st.Yields, st.Failures, n.View())
+		}
+		return b.String()
 	})
 	for id, want := range objects {
 		got, err := survivors[1].Get(ctx, id)
@@ -259,13 +273,18 @@ func TestRealNodeCluster(t *testing.T) {
 	}
 }
 
-// waitFor polls cond every 20 ms until it holds or the deadline passes.
-func waitFor(t *testing.T, limit time.Duration, what string, cond func() bool) {
+// waitFor polls cond every 20 ms until it holds or the deadline passes. A
+// timeout's failure message appends whatever the explain funcs report.
+func waitFor(t *testing.T, limit time.Duration, what string, cond func() bool, explain ...func() string) {
 	t.Helper()
 	deadline := time.Now().Add(limit)
 	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out after %v waiting for %s", limit, what)
+			var state string
+			for _, e := range explain {
+				state += e()
+			}
+			t.Fatalf("timed out after %v waiting for %s%s", limit, what, state)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

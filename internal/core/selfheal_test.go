@@ -216,3 +216,50 @@ func TestSelfHealLeaderAssassinationSingleDriver(t *testing.T) {
 		}
 	}
 }
+
+// TestReplaceNodeUnderSelfHeal hot-swaps a node on a self-healing cluster.
+// The rebalance gate yields every client but the leader's, so ReplaceNode
+// drives its one pass from the leader: the pass rebuilds the blank node's
+// shards, and the controller's own debounced pass then finds nothing left.
+// The nodes are listed largest name first, so the first live node (n6) is
+// not the leader (n1, the smallest name).
+func TestReplaceNodeUnderSelfHeal(t *testing.T) {
+	p, err := New([]string{"n6", "n5", "n4", "n3", "n2", "n1"}, Options{Seed: 31, SelfHeal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Run(time.Second)
+	const objects = 4
+	for i := 0; i < objects; i++ {
+		if err := p.Put(fmt.Sprintf("obj-%d", i), selfHealPayload(i, 12<<10)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	if err := p.Crash("n4"); err != nil {
+		t.Fatal(err)
+	}
+	p.Run(3 * time.Second) // membership excises n4
+	rebuilt, err := p.ReplaceNode("n4")
+	if err != nil || rebuilt != objects {
+		t.Fatalf("replace under self-heal: rebuilt %d, %v; want %d", rebuilt, err, objects)
+	}
+	if got := p.Backends["n4"].Objects(); got != objects {
+		t.Fatalf("replacement holds %d shards, want %d", got, objects)
+	}
+	p.Run(5 * time.Second) // the controller's debounced pass fires and finds no work
+	if moves := p.SelfHealStats("n1").Moves; moves.Moved+moves.Rebuilt != 0 {
+		t.Fatalf("controller pass after the hot swap still moved shards: %+v", moves)
+	}
+	for _, n := range []string{"n2", "n3"} {
+		if err := p.Crash(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.Run(2 * time.Second)
+	for i := 0; i < objects; i++ {
+		id := fmt.Sprintf("obj-%d", i)
+		if got, err := p.Get(id); err != nil || !bytes.Equal(got, selfHealPayload(i, 12<<10)) {
+			t.Fatalf("get %s through the replacement: %v", id, err)
+		}
+	}
+}

@@ -114,11 +114,11 @@ func newStack(s *sim.Scheduler, mesh dstore.Mesh, mbr *membership.Node, elect *e
 		return nil, err
 	}
 	st.client = cl
-	// Corruption the local scrub finds is repaired in place by the
+	// Corruption the local scrub finds is queued for repair on the
 	// co-located client (same scheduler goroutine, so the callback may
 	// queue directly).
-	st.daemon.OnCorrupt(func(id string, shardIdx int) {
-		cl.QueueRepair(id, shardIdx, spec.name)
+	st.daemon.OnCorrupt(func(id string, _ int) {
+		cl.QueueRepair(id, spec.name)
 	})
 	if spec.selfHeal {
 		st.healer = newSelfHealer(s, cl, mbr, elect, stopped, spec.rebalanceDebounce, reg.Node(spec.name))

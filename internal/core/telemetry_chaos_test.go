@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rain/internal/dstore"
 	"rain/internal/ecc"
 	"rain/internal/telemetry"
 )
@@ -114,7 +115,9 @@ func TestChaosTelemetryKillNodeMidRebuild(t *testing.T) {
 	var rebuilt int
 	var rebuildErr error
 	finished := false
-	p.Clients["n1"].RebuildAsync("n6", func(n int, err error) { rebuilt, rebuildErr, finished = n, err, true })
+	p.Clients["n1"].RebalanceAsync(nil, func(st dstore.RebalanceStats, err error) {
+		rebuilt, rebuildErr, finished = st.Moved+st.Rebuilt, err, true
+	})
 	crashed := false
 	for !finished && p.Scheduler.Step() {
 		if crashed {

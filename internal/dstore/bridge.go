@@ -81,14 +81,6 @@ func (b *Bridge) Head(ctx context.Context, id string) (ObjectMeta, error) {
 	})
 }
 
-// Stat looks one object up in the merged inventory.
-func (b *Bridge) Stat(ctx context.Context, id string) (ObjectStat, error) {
-	return await(ctx, b, func(done func(ObjectStat, error)) *Handle {
-		b.client.StatAsync(id, done)
-		return nil
-	})
-}
-
 // List walks the cluster inventory.
 func (b *Bridge) List(ctx context.Context) ([]ObjectStat, error) {
 	return await(ctx, b, func(done func([]ObjectStat, error)) *Handle {

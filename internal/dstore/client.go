@@ -45,8 +45,6 @@ var (
 	// inventory entry carried no usable layout — a negative object length or
 	// a block length below one. Every stored entry records both.
 	ErrUnknownSize = errors.New("dstore: object size unknown")
-	// ErrUnknownPeer reports a rebuild target that is not in the peer set.
-	ErrUnknownPeer = errors.New("dstore: unknown peer")
 	// ErrTimeout reports an operation that hit its deadline.
 	ErrTimeout = errors.New("dstore: operation deadline exceeded")
 	// ErrShortSource reports a streaming put whose reader ended before the
@@ -144,11 +142,11 @@ func (c Config) withDefaults() Config {
 // node. All operations are asynchronous state machines driven by the
 // simulator's scheduler: requests carry ids, responses are demultiplexed to
 // per-request handlers, stalled peers time out, and retrieves hedge to spare
-// daemons. The streaming operations (PutStream, GetStream, Rebuild) move one
-// block codeword at a time, so client memory stays bounded by
-// O(BlockSize × n) regardless of object size. The blocking wrappers
-// (Put/Get/Rebuild/...) pump the scheduler and must only be called from
-// outside scheduler callbacks.
+// daemons. The streaming operations (PutStream, GetStream, a rebalance's
+// rebuilds) move one block codeword at a time, so client memory stays
+// bounded by O(BlockSize × n) regardless of object size. The blocking
+// wrappers (Put/Get/Rebalance/...) pump the scheduler and must only be
+// called from outside scheduler callbacks.
 type Client struct {
 	s    *sim.Scheduler
 	mesh Mesh
@@ -356,11 +354,11 @@ func (c *Client) send(to string, m Msg) {
 
 // rebuildObject streams one object's missing shard to the target node
 // peers[targetIdx], reading block codewords from the other holders in peers
-// (shard j on peers[j]; empty entries mark unknown holders). rank, when
-// non-nil, overrides the survivor ranking. The inventory provides the
-// layout up front; the outgoing transfer's backlog gates the block pipeline
-// (decode pauses while the newcomer lags).
-func (c *Client) rebuildObject(info storage.ObjectInfo, peers []string, targetIdx int, rank func() []int, done func(error)) {
+// (shard j on peers[j]; empty entries mark unknown holders), ranked by
+// spreadRank. The inventory provides the layout up front; the outgoing
+// transfer's backlog gates the block pipeline (decode pauses while the
+// newcomer lags).
+func (c *Client) rebuildObject(info storage.ObjectInfo, peers []string, targetIdx int, done func(error)) {
 	exclude := map[int]bool{targetIdx: true}
 	meta := infoMeta(info)
 	var out *transfer
@@ -399,6 +397,7 @@ func (c *Client) rebuildObject(info storage.ObjectInfo, peers []string, targetId
 		}
 	})
 	highWater := int64(c.cfg.Window) * int64(c.cfg.ChunkSize)
+	rank := func() []int { return c.spreadRank(info.ID, peers, exclude) }
 	op := c.startStreamGet(info.ID, peers, exclude, &meta, rank, tr, nil,
 		func(m objMeta, dataLen int64) (blockSink, error) {
 			rb, err := ecc.NewShardRebuilder(c.cfg.Code, targetIdx, writerFunc(func(p []byte) (int, error) {
@@ -487,13 +486,4 @@ func (c *Client) GetStream(id string, w io.Writer) (n int64, err error) {
 	c.GetStreamAsync(id, w, func(written int64, e error) { n, err, finished = written, e, true })
 	c.drive(&finished)
 	return n, err
-}
-
-// Rebuild restores a replaced node's shards, blocking in virtual time. It
-// returns the number of objects rebuilt.
-func (c *Client) Rebuild(target string) (objects int, err error) {
-	finished := false
-	c.RebuildAsync(target, func(n int, e error) { objects, err, finished = n, e, true })
-	c.drive(&finished)
-	return objects, err
 }

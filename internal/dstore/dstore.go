@@ -18,16 +18,16 @@
 //     shard streams from a chosen k-subset, hedging to the remaining n-k
 //     when peers stall, and decoding each block codeword the moment k
 //     pieces of it assemble (GetStream writes data out as it decodes); and
-//   - rebuilds a replaced node by streaming block codewords from k
-//     survivors, reconstructing the missing shard piece by piece and
-//     streaming it to the newcomer — entirely over the mesh, no shared
-//     memory between nodes, several objects pipelined at once under a
-//     memory budget with survivor read load spread across k-subsets; and
-//   - rebalances after membership changes: each object's n shard holders
-//     come from a rendezvous placement map over the node universe
+//   - repairs through one reconciliation pass: each object's n shard
+//     holders come from a rendezvous placement map over the node universe
 //     (internal/placement), and Rebalance streams exactly the shards whose
-//     target holder moved, deleting stale copies only after their
-//     replacements commit.
+//     target holder moved or went missing — after a membership change, a
+//     node's replacement or a quarantined corruption — copying from a
+//     current holder or reconstructing from k survivors block codeword by
+//     block codeword, entirely over the mesh, several objects pipelined
+//     under a memory budget with survivor read load spread across
+//     k-subsets, and deleting stale copies only after their replacements
+//     commit.
 //
 // # Bounded memory
 //

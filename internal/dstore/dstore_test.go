@@ -146,7 +146,10 @@ func TestPutGetRoundtrip(t *testing.T) {
 // replacement node, and verify its shards were rebuilt entirely via mesh
 // messages.
 func TestAcceptanceEndToEnd(t *testing.T) {
-	c := newCluster(t, 2, 6, 4, sim.ProfileLAN, nil)
+	dead := map[string]bool{}
+	c := newCluster(t, 2, 6, 4, sim.ProfileLAN, func(cfg *dstore.Config) {
+		cfg.Alive = func(peer string) bool { return !dead[peer] }
+	})
 	objects := map[string][]byte{
 		"alpha": randBytes(10, 200<<10),
 		"beta":  randBytes(11, 37<<10),
@@ -186,7 +189,9 @@ func TestAcceptanceEndToEnd(t *testing.T) {
 
 	// Hot-swap node b: blank replacement joins under the same name and a
 	// survivor's client rebuilds its shards by streaming reads from k
-	// survivors across the mesh. Node c stays dead throughout.
+	// survivors across the mesh. Node c stays dead throughout, and the
+	// liveness view now says so.
+	dead["c"] = true
 	c.backends["b"].Wipe()
 	c.mesh.StartNode("b")
 	c.s.RunFor(200 * time.Millisecond) // links re-detected Up
@@ -195,11 +200,11 @@ func TestAcceptanceEndToEnd(t *testing.T) {
 	}
 	preStats := c.daemons["b"].Stats()
 	_, deliveredBefore, _, _ := c.net.Stats()
-	rebuilt, err := c.clients["d"].Rebuild("b")
+	stats, err := c.clients["d"].Rebalance()
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
-	if rebuilt != len(objects) {
+	if rebuilt := stats.Moved + stats.Rebuilt; rebuilt != len(objects) {
 		t.Fatalf("rebuilt %d objects, want %d", rebuilt, len(objects))
 	}
 	// The shards arrived as mesh messages: the replacement daemon committed
@@ -246,7 +251,10 @@ func TestAcceptanceEndToEnd(t *testing.T) {
 // tolerating n-k dead daemons.
 func TestRetrieveUnderLoss(t *testing.T) {
 	for _, loss := range []float64{0.01, 0.05, 0.10} {
-		c := newCluster(t, int64(1000*loss), 5, 3, sim.Lossy(sim.ProfileLAN, loss), nil)
+		dead := map[string]bool{}
+		c := newCluster(t, int64(1000*loss), 5, 3, sim.Lossy(sim.ProfileLAN, loss), func(cfg *dstore.Config) {
+			cfg.Alive = func(peer string) bool { return !dead[peer] }
+		})
 		// Responses from d crawl back over a WAN-ish return path while
 		// requests arrive quickly: the asymmetric regime.
 		sim.ApplyAsymmetric(c.net, "a", "d", 2, sim.Lossy(sim.ProfileLAN, loss), sim.Lossy(sim.ProfileWAN, loss))
@@ -264,12 +272,14 @@ func TestRetrieveUnderLoss(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatalf("loss %.0f%%: corrupted", loss*100)
 		}
-		// Hot-swap e and verify the rebuild also survives the loss.
+		// Hot-swap e and verify the rebuild also survives the loss; b stays
+		// dead, and the liveness view says so.
+		dead["b"] = true
 		c.backends["e"].Wipe()
 		c.mesh.StartNode("e")
 		c.s.RunFor(200 * time.Millisecond)
-		if n, err := c.clients["c"].Rebuild("e"); err != nil || n != 1 {
-			t.Fatalf("loss %.0f%%: rebuild: n=%d err=%v", loss*100, n, err)
+		if st, err := c.clients["c"].Rebalance(); err != nil || st.Moved+st.Rebuilt != 1 {
+			t.Fatalf("loss %.0f%%: rebuild: n=%d err=%v", loss*100, st.Moved+st.Rebuilt, err)
 		}
 		shard, _, err := c.backends["e"].Get("obj")
 		if err != nil {
@@ -403,9 +413,11 @@ func TestGetFailsFastBelowQuorumView(t *testing.T) {
 // TestClientReleasesPendingHandlers checks that operations against dead or
 // missing peers do not leak response handlers in the client.
 func TestClientReleasesPendingHandlers(t *testing.T) {
+	dead := map[string]bool{}
 	c := newCluster(t, 9, 5, 3, sim.ProfileLAN, func(cfg *dstore.Config) {
 		cfg.ReqTimeout = 150 * time.Millisecond
 		cfg.OpTimeout = 2 * time.Second
+		cfg.Alive = func(peer string) bool { return !dead[peer] }
 	})
 	data := randBytes(21, 16<<10)
 	if _, err := c.clients["a"].Put("obj", data); err != nil {
@@ -425,8 +437,10 @@ func TestClientReleasesPendingHandlers(t *testing.T) {
 	if _, err := cl.Put("obj2", data); err != nil {
 		t.Fatal(err)
 	}
+	// The rebuild pass leaves b's slots alone once the view drops it.
+	dead["b"] = true
 	c.backends["e"].Wipe()
-	if _, err := cl.Rebuild("e"); err != nil {
+	if _, err := cl.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
 	// Let every straggling per-request deadline fire, then nothing may
@@ -666,7 +680,7 @@ func TestNoPositionalOrSizeFallback(t *testing.T) {
 		t.Fatalf("ranged get with a hint without a block length: err=%v, want ErrUnknownSize", rangeErr)
 	}
 	c.backends[first].Wipe()
-	if _, err := c.clients["a"].Rebuild(first); !errors.Is(err, dstore.ErrUnknownSize) {
+	if _, err := c.clients["a"].Rebalance(); !errors.Is(err, dstore.ErrUnknownSize) {
 		t.Fatalf("rebuild from an inventory without a block length: err=%v, want ErrUnknownSize", err)
 	}
 }

@@ -522,13 +522,13 @@ func (op *streamGetOp) onChunk(st *shardStream, m Msg) {
 			// there). Counting it as deadOther keeps failIfStuck from
 			// concluding "object does not exist", and the hedge below swaps
 			// in a survivor or reconstructs from parity. The repair queue
-			// re-creates the bad shard in place asynchronously.
+			// re-creates the bad shard asynchronously.
 			op.deadOther++
 			if isCorruptText(m.Err) {
 				op.corrupt++
 				op.c.met.corruptNaks.Inc()
 				op.trace.Event(op.c.nowNS(), "corrupt_nak", st.peer, int64(st.peerIdx))
-				op.c.queueRepair(op.id, st.peerIdx, st.peer)
+				op.c.QueueRepair(op.id, st.peer)
 			}
 		}
 		delete(op.c.pending, st.req)

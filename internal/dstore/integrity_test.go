@@ -90,8 +90,8 @@ func TestScrubStepFindsAndRepairs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.daemons["c"].OnCorrupt(func(id string, shardIdx int) {
-		c.clients["c"].QueueRepair(id, shardIdx, "c")
+	c.daemons["c"].OnCorrupt(func(id string, _ int) {
+		c.clients["c"].QueueRepair(id, "c")
 	})
 	if err := c.backends["c"].CorruptShard("two", 7); err != nil {
 		t.Fatal(err)

@@ -43,8 +43,8 @@ func newDaemonMetrics(s *telemetry.Scope) *daemonMetrics {
 // clientMetrics are the registry series one store client reports into,
 // labeled by node. Latencies are in the client's clock — virtual nanoseconds
 // under the simulator, wall nanoseconds over real sockets. The rebalance.*
-// families cover both reconciliation passes and node rebuilds (rebuild is
-// reconciliation's special case); the per-pass gauges make a long rebalance
+// families cover every reconciliation pass, whatever triggered it (a view
+// change, a hot swap or a corruption repair); the per-pass gauges make a long rebalance
 // visible while it runs instead of only through the done callback.
 type clientMetrics struct {
 	putLatency   *telemetry.Histogram
@@ -88,8 +88,8 @@ func newClientMetrics(s *telemetry.Scope) *clientMetrics {
 		pipesFresh:   s.Counter("dstore.put.pipes_fresh", "put-feed pipes allocated: the recycle list was empty or its pipe was outgrown"),
 
 		repairsQueued: s.Counter("scrub.repairs_queued", "corrupt-shard repairs admitted to the repair queue"),
-		repairsDone:   s.Counter("scrub.repairs_done", "corrupt shards re-encoded and re-committed in place"),
-		repairsFailed: s.Counter("scrub.repairs_failed", "repair attempts that gave up (left to reconciliation)"),
+		repairsDone:   s.Counter("scrub.repairs_done", "corrupt shards whose object a repair pass reconciled"),
+		repairsFailed: s.Counter("scrub.repairs_failed", "corrupt-shard repairs whose pass failed (left to the next pass)"),
 
 		passes:             s.Counter("rebalance.passes", "reconciliation passes started"),
 		repairDuration:     s.Histogram("rebalance.repair_duration_ns", "per-object shard repair duration (the MTTDL numerator)"),

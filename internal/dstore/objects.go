@@ -99,21 +99,3 @@ func (c *Client) Delete(id string) error {
 	c.drive(&finished)
 	return err
 }
-
-// StatAsync looks up one object in the merged inventory, counting its
-// holders; HeadAsync is the cheaper probe when the count is not needed. A
-// missing object reports ErrNotFound.
-func (c *Client) StatAsync(id string, done func(stat ObjectStat, err error)) {
-	c.listInventory(c.Universe(), func(entries map[string]*invEntry, _ int, err error) {
-		if err != nil {
-			done(ObjectStat{}, err)
-			return
-		}
-		e, ok := entries[id]
-		if !ok {
-			done(ObjectStat{}, fmt.Errorf("%w: %s", ErrNotFound, id))
-			return
-		}
-		done(ObjectStat{ID: id, DataLen: int64(e.info.DataLen), Shards: len(e.holders)}, nil)
-	})
-}

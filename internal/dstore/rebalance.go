@@ -10,12 +10,13 @@ import (
 )
 
 // This file is the placement-reconciliation half of the client: the paged
-// cluster inventory walk, the budget-bounded concurrent task pipeline, the
-// concurrent node rebuild, and the rebalancer that moves shards onto their
-// target holders after a membership change. ReplaceNode-style rebuild is
-// the special case of reconciliation where the delta is "one node lost
-// everything"; a membership change is "every object whose rendezvous
-// placement changed" — both run the same per-object machinery.
+// cluster inventory walk, the budget-bounded concurrent task pipeline, and
+// the reconciler that moves shards onto their target holders. It is the
+// store's one repair path, with three triggers: a membership change ("every
+// object whose rendezvous placement changed", RebalanceAsync), a hot swap
+// (core's ReplaceNode: one pass whose delta is "one node lost everything")
+// and detected corruption (repair.go: a pass over the objects whose shards
+// were quarantined). All run reconcile over reconcileObject.
 
 // invEntry aggregates what the queried daemons report about one object.
 type invEntry struct {
@@ -214,83 +215,13 @@ func (c *Client) spreadRank(id string, peers []string, skip map[int]bool) []int 
 	return out
 }
 
-// ---- concurrent node rebuild ----
-
-// RebuildAsync restores a replaced node's shard streams entirely over the
-// mesh: it gathers the paged object inventory from the survivors, then
-// pipelines per-object rebuilds — several objects in flight at once, bounded
-// by Config.RebuildBudget at block × n bytes each — each streaming block
-// codewords from a survivor k-subset chosen to spread read load, and the
-// reconstructed pieces to the newcomer. Objects whose placement does not
-// include the target are skipped. done receives the number of objects
-// rebuilt.
-func (c *Client) RebuildAsync(target string, done func(objects int, err error)) {
-	universe := c.Universe()
-	survivors := make([]string, 0, len(universe))
-	seen := false
-	for _, node := range universe {
-		if node == target {
-			seen = true
-			continue
-		}
-		survivors = append(survivors, node)
-	}
-	if !seen {
-		done(0, fmt.Errorf("%w: %s", ErrUnknownPeer, target))
-		return
-	}
-	c.listInventory(survivors, func(entries map[string]*invEntry, _ int, err error) {
-		if err != nil {
-			done(0, err)
-			return
-		}
-		type job struct {
-			id        string
-			e         *invEntry
-			targetIdx int
-			srcPeers  []string
-		}
-		var jobs []job
-		for _, id := range sortedIDs(entries) {
-			e := entries[id]
-			peers := c.peersFor(id)
-			targetIdx := placement.ShardOf(peers, target)
-			if targetIdx < 0 {
-				continue
-			}
-			jobs = append(jobs, job{id: id, e: e, targetIdx: targetIdx, srcPeers: srcPeersFor(peers, e.holders, targetIdx, target, target)})
-		}
-		rebuilt := 0
-		c.runTasks(len(jobs),
-			func(i int) int64 { return c.taskCost(jobs[i].e) },
-			func(i int, taskDone func(error)) {
-				j := jobs[i]
-				info := j.e.info
-				info.ID = j.id
-				rank := func() []int { return c.spreadRank(j.id, j.srcPeers, map[int]bool{j.targetIdx: true}) }
-				c.rebuildObject(info, j.srcPeers, j.targetIdx, rank, func(err error) {
-					if err != nil {
-						taskDone(fmt.Errorf("rebuilding %s: %w", j.id, err))
-						return
-					}
-					rebuilt++
-					taskDone(nil)
-				})
-			},
-			func(err error) { done(rebuilt, err) })
-	})
-}
-
 // srcPeersFor lays the observed holders over the target placement: shard j
 // is fetched from the node actually holding it when the inventory saw one,
-// falling back to the placement's expectation. The target index points at
-// the rebuild destination. exclude, when non-empty, names a node whose
-// entries must not serve as sources (a wiped node being rebuilt — its stale
-// inventory, if any, is gone); the reconcile path passes "" because every
-// observed holder, including the destination's own stale entry, is valid
-// source data (the staged write only replaces it after every source byte
-// has been read).
-func srcPeersFor(peers []string, holders map[string]int, targetIdx int, target, exclude string) []string {
+// falling back to the placement's expectation; slot targetIdx stays the
+// rebuild destination. Every observed holder, including the destination's
+// own stale entry, is valid source data: the staged write only replaces it
+// after every source byte has been read.
+func srcPeersFor(peers []string, holders map[string]int, targetIdx int) []string {
 	src := append([]string(nil), peers...)
 	// Two nodes can hold the same shard index mid-rebalance; visit holders
 	// in name order so which one serves as the source is not left to map
@@ -301,11 +232,10 @@ func srcPeersFor(peers []string, holders map[string]int, targetIdx int, target, 
 	}
 	sort.Strings(nodes)
 	for _, node := range nodes {
-		if sh := holders[node]; node != exclude && sh >= 0 && sh < len(src) && sh != targetIdx {
+		if sh := holders[node]; sh >= 0 && sh < len(src) && sh != targetIdx {
 			src[sh] = node
 		}
 	}
-	src[targetIdx] = target
 	// Blank placement-fallback slots whose node is known to hold a
 	// different shard: leaving them would query one node for two indices,
 	// and the duplicate answer wastes a read the op then has to hedge
@@ -477,47 +407,67 @@ type RebalanceStats struct {
 // yields the rest of the pass with ErrYielded — committed moves stand, and
 // whoever drives next re-derives exactly the remaining delta.
 func (c *Client) RebalanceAsync(drain []string, done func(RebalanceStats, error)) {
-	var stats RebalanceStats
 	c.met.passes.Inc()
 	if !c.gateOpen() {
-		done(stats, ErrYielded)
+		done(RebalanceStats{}, ErrYielded)
 		return
 	}
-	universe := c.Universe()
-	sources := universe
+	sources := c.Universe()
 	for _, node := range drain {
 		if placement.ShardOf(sources, node) < 0 {
-			sources = append(append([]string(nil), sources...), node)
+			sources = append(sources, node)
 		}
 	}
 	c.listInventory(sources, func(entries map[string]*invEntry, _ int, err error) {
 		if err != nil {
-			done(stats, err)
+			done(RebalanceStats{}, err)
 			return
 		}
-		type job struct {
-			id string
-			e  *invEntry
-		}
-		var jobs []job
-		for _, id := range sortedIDs(entries) {
-			e := entries[id]
-			if c.reconcileNeeded(id, e) {
-				jobs = append(jobs, job{id: id, e: e})
-			}
-		}
-		c.runTasks(len(jobs),
-			func(i int) int64 { return c.taskCost(jobs[i].e) },
-			func(i int, taskDone func(error)) {
-				if !c.gateOpen() {
-					taskDone(ErrYielded)
-					return
-				}
-				stats.Objects++
-				c.reconcileObject(jobs[i].id, jobs[i].e, &stats, taskDone)
-			},
-			func(err error) { done(stats, err) })
+		c.reconcile(entries, sortedIDs(entries), true, nil, done)
 	})
+}
+
+// reconcile is the one repair path: it keeps the ids whose observed holders
+// differ from their placement and runs reconcileObject on each, pipelined
+// under the rebuild budget. When gated, the rebalance gate is consulted
+// before each object (a closed gate yields it with ErrYielded). settle,
+// when non-nil, hears every id's outcome: ErrNotFound when no node
+// reported it, nil when it already matched its placement. done fires once
+// every selected object has resolved, with the pass's first error.
+func (c *Client) reconcile(entries map[string]*invEntry, ids []string, gated bool,
+	settle func(id string, err error), done func(RebalanceStats, error)) {
+
+	if settle == nil {
+		settle = func(string, error) {}
+	}
+	var stats RebalanceStats
+	var jobs []string
+	for _, id := range ids {
+		switch e := entries[id]; {
+		case e == nil:
+			settle(id, fmt.Errorf("%w: %s", ErrNotFound, id))
+		case c.reconcileNeeded(id, e):
+			jobs = append(jobs, id)
+		default:
+			settle(id, nil)
+		}
+	}
+	c.runTasks(len(jobs),
+		func(i int) int64 { return c.taskCost(entries[jobs[i]]) },
+		func(i int, taskDone func(error)) {
+			id := jobs[i]
+			finish := func(err error) {
+				settle(id, err)
+				taskDone(err)
+			}
+			if gated && !c.gateOpen() {
+				finish(ErrYielded)
+				return
+			}
+			stats.Objects++
+			c.reconcileObject(id, entries[id], &stats, finish)
+		},
+		func(err error) { done(stats, err) })
 }
 
 // reconcileNeeded reports whether an object's observed holders differ from
@@ -614,9 +564,7 @@ func (c *Client) reconcileObject(id string, e *invEntry, stats *RebalanceStats, 
 	var fillSlot func(pos int)
 	var finishDeletes func()
 	rebuildTo := func(i int, next func(error)) {
-		src := srcPeersFor(peers, holders, i, peers[i], "")
-		rank := func() []int { return c.spreadRank(id, src, map[int]bool{i: true}) }
-		c.rebuildObject(info, src, i, rank, next)
+		c.rebuildObject(info, srcPeersFor(peers, holders, i), i, next)
 	}
 	var slotErr error
 	fillSlot = func(pos int) {

@@ -15,6 +15,7 @@ import (
 	"rain/internal/rudp"
 	"rain/internal/sim"
 	"rain/internal/storage"
+	"rain/internal/telemetry"
 )
 
 // placedCluster is the placement-mode test harness: m mesh nodes each
@@ -532,11 +533,11 @@ func TestRebuildPagedInventory(t *testing.T) {
 	}
 
 	c.backends[target].Wipe()
-	rebuilt, err := c.clients[c.nodes[0]].Rebuild(target)
+	stats, err := c.clients[c.nodes[0]].Rebalance()
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
-	if rebuilt != expectOnTarget {
+	if rebuilt := stats.Moved + stats.Rebuilt; rebuilt != expectOnTarget {
 		t.Fatalf("rebuilt %d objects, want %d — inventory truncated?", rebuilt, expectOnTarget)
 	}
 	if got := c.backends[target].Objects(); got != expectOnTarget {
@@ -628,8 +629,8 @@ func TestDigestSurvivesShardMovement(t *testing.T) {
 	peers := placement.Assign("obj", c.nodes, n)
 	victim := peers[0]
 	c.backends[victim].Wipe()
-	if objs, err := c.clients[c.nodes[0]].Rebuild(victim); err != nil || objs != 1 {
-		t.Fatalf("rebuild: %d objects, %v", objs, err)
+	if st, err := c.clients[c.nodes[0]].Rebalance(); err != nil || st.Moved+st.Rebuilt != 1 {
+		t.Fatalf("rebuild: %d objects, %v", st.Moved+st.Rebuilt, err)
 	}
 	check("rebuild", victim, c.nodes)
 
@@ -665,9 +666,66 @@ func TestDigestSurvivesShardMovement(t *testing.T) {
 	if _, _, err := c.backends[target].Verify("obj"); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("verify of the damaged shard: %v", err)
 	}
-	c.clients[c.nodes[0]].QueueRepair("obj", 2, target)
+	c.clients[c.nodes[0]].QueueRepair("obj", target)
 	c.s.RunFor(5 * time.Second)
 	check("repair in place", target, remaining)
+}
+
+// TestRepairRelocatesWhenPlacementMoved queues a corruption repair on a
+// holder whose slot a join has since given to the newcomer, before any
+// rebalance pass ran. The repair is a reconciliation of the object, so the
+// shard is re-created where the placement now puts it, not refused.
+func TestRepairRelocatesWhenPlacementMoved(t *testing.T) {
+	const m, n, k = 8, 6, 4
+	reg := telemetry.NewRegistry()
+	c := newPlacedCluster(t, 49, m, n, k, sim.ProfileLAN, func(cfg *dstore.Config) { cfg.Telemetry = reg })
+	old, newcomer := c.nodes[:m-1], c.nodes[m-1]
+	// An object whose only placement change is the newcomer taking over
+	// one old holder's slot.
+	var id, holder string
+	slot := -1
+	for i := 0; slot < 0; i++ {
+		id = fmt.Sprintf("obj-%d", i)
+		before, after := placement.Assign(id, old, n), placement.Assign(id, c.nodes, n)
+		if s := placement.ShardOf(after, newcomer); s >= 0 && placement.Moves(before, after) == 1 {
+			slot, holder = s, before[s]
+		}
+	}
+	for _, node := range c.nodes {
+		if err := c.clients[node].SetNodes(old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := randBytes(490, 20<<10)
+	if _, err := c.clients[old[0]].Put(id, data); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range c.nodes {
+		if err := c.clients[node].SetNodes(c.nodes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The old holder's scrub finds its shard rotten and quarantines it.
+	if err := c.backends[holder].CorruptShard(id, 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.backends[holder].Verify(id); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("verify of the damaged shard: %v", err)
+	}
+	c.clients[holder].QueueRepair(id, holder)
+	c.s.RunFor(5 * time.Second)
+
+	info, err := c.backends[newcomer].Info(id)
+	if err != nil || info.Shard != slot {
+		t.Fatalf("newcomer %s: info %+v, %v; want shard %d", newcomer, info, err, slot)
+	}
+	snap := reg.Snapshot()
+	if done, failed := counterTotal(t, snap, "scrub.repairs_done"), counterTotal(t, snap, "scrub.repairs_failed"); done != 1 || failed != 0 {
+		t.Fatalf("repairs done %d, failed %d; want 1 and 0", done, failed)
+	}
+	if got, err := c.clients[c.nodes[1]].Get(id); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("get after the relocating repair: %v", err)
+	}
 }
 
 // TestReadFindsShardsThePlacementLeftBehind reads an object after nodes
@@ -802,7 +860,7 @@ func TestMixedBlockLayouts(t *testing.T) {
 		}
 		wiped := placement.Assign(id, universe, n)[0]
 		c.backends[wiped].Wipe()
-		if _, err := dir.reader.Rebuild(wiped); err != nil {
+		if _, err := dir.reader.Rebalance(); err != nil {
 			t.Fatalf("%s: rebuild %s: %v", id, wiped, err)
 		}
 		holdersHoldTheLayout("after rebuild")

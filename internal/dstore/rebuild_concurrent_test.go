@@ -87,8 +87,8 @@ func TestConcurrentRebuildChaos(t *testing.T) {
 	var rebuilt int
 	var rbErr error
 	finished := false
-	c.clients[rebuilder].RebuildAsync(target, func(objects int, err error) {
-		rebuilt, rbErr = objects, err
+	c.clients[rebuilder].RebalanceAsync(nil, func(st dstore.RebalanceStats, err error) {
+		rebuilt, rbErr = st.Moved+st.Rebuilt, err
 		finished = true
 	})
 	// Chaos: once the pipeline is demonstrably mid-flight (a quarter of the
@@ -186,10 +186,11 @@ func TestConcurrentRebuildSpeedupAndBalance(t *testing.T) {
 			before[node] = r
 		}
 		start := c.s.Now()
-		rebuilt, err := c.clients[c.nodes[0]].Rebuild(target)
+		stats, err := c.clients[c.nodes[0]].Rebalance()
 		if err != nil {
 			t.Fatalf("rebuild: %v", err)
 		}
+		rebuilt = stats.Moved + stats.Rebuilt
 		if want := len(c.onTarget(objects, target)); rebuilt != want {
 			t.Fatalf("rebuilt %d, want %d", rebuilt, want)
 		}

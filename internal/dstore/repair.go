@@ -1,40 +1,35 @@
 package dstore
 
-import "fmt"
-
 // Repair-in-place: when verified corruption surfaces — a corruption NAK on
 // the read path, or the background scrub — the bad shard has already been
-// quarantined on its holder, so the object is one erasure further from its
-// redundancy target. The repair queue re-encodes that one shard from the
-// survivors and re-commits it to the same holder, reusing rebuildObject and
-// the rebalance pipeline's byte budget (runTasks), so a burst of detected
-// corruption cannot blow the client's memory bound any more than a
+// quarantined on its holder, which drops it from that holder's inventory.
+// The object is then one erasure further from its placement, so the repair
+// queue runs the same per-object reconciliation a rebalance pass does
+// (reconcile): the missing shard is re-created on whichever node the
+// placement now names for it, under the pass's byte budget, so a burst of
+// detected corruption cannot blow the client's memory bound any more than a
 // rebalance pass can.
 
-// repairJob is one corrupt shard awaiting re-creation: shard targetIdx of
-// object id, re-committed to the holder that quarantined it.
+// repairJob is one corrupt shard awaiting re-creation: object id's shard,
+// quarantined by target. Which shard index it was does not matter: the
+// object's reconciliation finds every slot its placement leaves empty.
 type repairJob struct {
-	id        string
-	targetIdx int
-	target    string
+	id     string
+	target string
 }
 
 func (j repairJob) key() string { return j.id + "\x00" + j.target }
 
-// QueueRepair schedules an asynchronous repair-in-place of one shard. It is
+// QueueRepair schedules an asynchronous repair of one shard. It is
 // idempotent per (object, holder) while the repair is pending — a scrub
 // discovery and a concurrent read NAK collapse into one job. Must run on
 // the client's scheduler goroutine; the platform wires daemon scrub
 // callbacks (same goroutine) straight here.
-func (c *Client) QueueRepair(id string, targetIdx int, target string) {
-	c.queueRepair(id, targetIdx, target)
-}
-
-func (c *Client) queueRepair(id string, targetIdx int, target string) {
-	if id == "" || target == "" || targetIdx < 0 || targetIdx >= c.cfg.Code.N() {
+func (c *Client) QueueRepair(id, target string) {
+	if id == "" || target == "" {
 		return
 	}
-	job := repairJob{id: id, targetIdx: targetIdx, target: target}
+	job := repairJob{id: id, target: target}
 	if c.repairing[job.key()] {
 		return
 	}
@@ -50,11 +45,10 @@ func (c *Client) queueRepair(id string, targetIdx int, target string) {
 	}
 }
 
-// drainRepairs runs the queued batch: one inventory walk resolves the
-// layout metadata for every job (the daemons' recorded sizes are what
-// rebuildObject sizes its pipeline from), then the batch flows through the
-// budgeted task window. Jobs queued while a batch is in flight drain in the
-// next round.
+// drainRepairs runs the queued batch as one ungated reconciliation over the
+// batch's objects: one inventory walk, then each object reconciled once,
+// with every job of that object settling on its outcome. Jobs queued while
+// a batch is in flight drain in the next round.
 func (c *Client) drainRepairs() {
 	if len(c.repairQ) == 0 {
 		c.repairActive = false
@@ -62,64 +56,33 @@ func (c *Client) drainRepairs() {
 	}
 	batch := c.repairQ
 	c.repairQ = nil
+	var ids []string
+	byObject := make(map[string][]repairJob)
+	for _, job := range batch {
+		if byObject[job.id] == nil {
+			ids = append(ids, job.id)
+		}
+		byObject[job.id] = append(byObject[job.id], job)
+	}
+	settle := func(id string, err error) {
+		for _, job := range byObject[id] {
+			delete(c.repairing, job.key())
+			if err != nil {
+				c.met.repairsFailed.Inc()
+			} else {
+				c.met.repairsDone.Inc()
+			}
+		}
+	}
+	next := func(RebalanceStats, error) { c.s.After(0, c.drainRepairs) }
 	c.listInventory(c.Universe(), func(entries map[string]*invEntry, _ int, err error) {
 		if err != nil {
-			for _, job := range batch {
-				c.settleRepair(job, err)
+			for _, id := range ids {
+				settle(id, err)
 			}
-			c.s.After(0, c.drainRepairs)
+			next(RebalanceStats{}, err)
 			return
 		}
-		c.runTasks(len(batch),
-			func(i int) int64 {
-				if e := entries[batch[i].id]; e != nil {
-					return c.taskCost(e)
-				}
-				return 1
-			},
-			func(i int, taskDone func(error)) {
-				c.repairOne(batch[i], entries[batch[i].id], taskDone)
-			},
-			func(error) { c.s.After(0, c.drainRepairs) })
+		c.reconcile(entries, ids, false, settle, next)
 	})
-}
-
-// repairOne re-creates one quarantined shard in place via rebuildObject —
-// the same survivor-read → re-encode → stream-to-holder machinery node
-// rebuild uses, which also counts it into rebalance.shards_rebuilt and the
-// repair-latency histogram.
-func (c *Client) repairOne(job repairJob, e *invEntry, done func(error)) {
-	if e == nil {
-		// No survivor reports the object at all: nothing to rebuild from.
-		c.settleRepair(job, fmt.Errorf("%w: %s", ErrNotFound, job.id))
-		done(nil)
-		return
-	}
-	peers := c.peersFor(job.id)
-	if job.targetIdx >= len(peers) || peers[job.targetIdx] != job.target || !c.alive(job.target) {
-		// Placement has moved on or the holder is gone — relocation is the
-		// reconciler's job, not a spot repair's.
-		c.settleRepair(job, fmt.Errorf("dstore: repair %s: %s no longer holds shard %d", job.id, job.target, job.targetIdx))
-		done(nil)
-		return
-	}
-	info := e.info
-	info.ID = job.id
-	c.rebuildObject(info, peers, job.targetIdx, nil, func(err error) {
-		c.settleRepair(job, err)
-		// A failed spot repair must not poison sibling repairs in the batch;
-		// the object stays under-replicated until scrub or reconciliation
-		// retries it.
-		done(nil)
-	})
-}
-
-// settleRepair closes out a job's dedupe entry and counts the outcome.
-func (c *Client) settleRepair(job repairJob, err error) {
-	delete(c.repairing, job.key())
-	if err != nil {
-		c.met.repairsFailed.Inc()
-	} else {
-		c.met.repairsDone.Inc()
-	}
 }

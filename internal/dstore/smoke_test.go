@@ -176,11 +176,23 @@ func TestStreamSmoke256MiB(t *testing.T) {
 		t.Fatalf("quarantined on %s = %d, want the rotten shard sidelined", rot, backends[rot].Quarantined())
 	}
 
+	// The read queued a repair of the rotten shard. Let it land before the
+	// hot swap, so the swap's reconciliation pass has exactly one slot to
+	// fill.
+	for {
+		if _, err := backends[rot].Info("big"); err == nil || !s.Step() {
+			break
+		}
+	}
+	if info, err := backends[rot].Info("big"); err != nil || info.Shard != 2 {
+		t.Fatalf("rotten shard on %s not repaired: %+v, %v", rot, info, err)
+	}
+
 	// Hot-swap rebuild: wipe shard 1's holder and stream its 64 MiB shard
 	// back from four survivors, block codeword by block codeword.
 	backends[swap].Wipe()
-	if rebuilt, err := clients[holder[3]].Rebuild(swap); err != nil || rebuilt != 1 {
-		t.Fatalf("rebuild: n=%d err=%v", rebuilt, err)
+	if st, err := clients[holder[3]].Rebalance(); err != nil || st.Moved+st.Rebuilt != 1 {
+		t.Fatalf("rebuild: n=%d err=%v", st.Moved+st.Rebuilt, err)
 	}
 	// Verify the rebuilt shard stream against a regenerated encode, block by
 	// block, through bounded ReadAt windows.

@@ -125,8 +125,8 @@ func TestPutAndPutStreamStoreOneLayout(t *testing.T) {
 		stored[id] = put
 	}
 	c.backends["e"].Wipe()
-	if n, err := c.clients["a"].Rebuild("e"); err != nil || n != len(stored) {
-		t.Fatalf("rebuild: %d objects, %v", n, err)
+	if st, err := c.clients["a"].Rebalance(); err != nil || st.Moved+st.Rebuilt != len(stored) {
+		t.Fatalf("rebuild: %d objects, %v", st.Moved+st.Rebuilt, err)
 	}
 	for id, want := range stored {
 		got := holdings(id, "e")["e"]
@@ -191,7 +191,9 @@ func TestKillSurvivorMidRebuild(t *testing.T) {
 	finished := false
 	var rebuilt int
 	var rebuildErr error
-	c.clients["d"].RebuildAsync("b", func(n int, err error) { rebuilt, rebuildErr, finished = n, err, true })
+	c.clients["d"].RebalanceAsync(nil, func(st dstore.RebalanceStats, err error) {
+		rebuilt, rebuildErr, finished = st.Moved+st.Rebuilt, err, true
+	})
 	c.s.RunFor(2 * time.Millisecond) // survivor streams flowing, first blocks moving
 	if finished {
 		t.Fatal("rebuild finished before the kill — not mid-rebuild")
@@ -237,11 +239,11 @@ func TestRebuildEmptyObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.backends["e"].Wipe()
-	rebuilt, err := c.clients["b"].Rebuild("e")
+	stats, err := c.clients["b"].Rebalance()
 	if err != nil {
 		t.Fatalf("rebuild of empty objects: %v", err)
 	}
-	if rebuilt != 2 {
+	if rebuilt := stats.Moved + stats.Rebuilt; rebuilt != 2 {
 		t.Fatalf("rebuilt %d objects, want 2", rebuilt)
 	}
 	for _, id := range []string{"put-empty", "blocked-empty"} {

@@ -269,7 +269,9 @@ func TestRebuildProgressGauges(t *testing.T) {
 	var rebuilt int
 	var rebuildErr error
 	finished := false
-	c.clients["a"].RebuildAsync("f", func(n int, err error) { rebuilt, rebuildErr, finished = n, err, true })
+	c.clients["a"].RebalanceAsync(nil, func(st dstore.RebalanceStats, err error) {
+		rebuilt, rebuildErr, finished = st.Moved+st.Rebuilt, err, true
+	})
 
 	sawMid := false
 	var peakInFlight int64

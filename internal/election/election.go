@@ -106,10 +106,15 @@ func (n *Node) Alive(now int64) []string {
 	return out
 }
 
-// electFrom recomputes the leader from the alive set.
+// electFrom recomputes the leader: the smallest identity in the alive set,
+// found by scanning in place because it runs on every heartbeat.
 func (n *Node) electFrom(now int64) {
-	alive := n.Alive(now)
-	newLeader := alive[0] // smallest identity leads
+	newLeader := n.name
+	for _, p := range n.peers {
+		if t, ok := n.lastHeard[p]; ok && now-t <= int64(n.cfg.Timeout) && p < newLeader {
+			newLeader = p
+		}
+	}
 	if newLeader != n.leader {
 		n.leader = newLeader
 		n.epoch++

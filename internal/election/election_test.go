@@ -49,6 +49,29 @@ func (c *testCluster) setLinks(groupA, groupB []string, set func(a, b string)) {
 	}
 }
 
+// TestSteadyStateHeartbeatAllocsNothing pins the election hot path: with
+// every peer heard and the leader settled, a heartbeat and a tick recompute
+// the leader without allocating.
+func TestSteadyStateHeartbeatAllocsNothing(t *testing.T) {
+	peers := []string{"n1", "n2", "n3", "n5", "n6"}
+	n := NewNode("n4", peers, Config{})
+	now := int64(0)
+	beat := func() {
+		now += int64(time.Millisecond)
+		for _, p := range peers {
+			n.OnHeartbeat(Heartbeat{From: p, Epoch: n.Epoch(), Leader: "n1"}, now)
+		}
+		n.Tick(now)
+	}
+	beat()
+	if allocs := testing.AllocsPerRun(100, beat); allocs != 0 {
+		t.Fatalf("steady-state heartbeat and tick allocate %.1f times per round, want 0", allocs)
+	}
+	if n.Leader() != "n1" {
+		t.Fatalf("leader %s, want n1", n.Leader())
+	}
+}
+
 func TestUniqueLeaderFaultFree(t *testing.T) {
 	c := newTestCluster(t, "n1", "n2", "n3", "n4")
 	c.S.RunFor(time.Second)

@@ -122,10 +122,12 @@ func RebuildStream(code Code, target int, w io.Writer, readers []io.Reader, data
 // Each object's n shard holders are chosen by rendezvous placement over the
 // whole cluster (see Placement), so the cluster may be wider than the code:
 // pass a ClusterOptions.Code with N below the node count and many objects
-// spread over all nodes. ReplaceNode rebuilds a node's shards concurrently
-// — several objects pipelined under ClusterOptions.RebuildBudget — and
-// Rebalance reconciles every object with its target placement after
-// membership or data changes. See internal/core for the composition.
+// spread over all nodes. Rebalance reconciles every object with its target
+// placement, pipelining several objects under ClusterOptions.RebuildBudget,
+// and is the one repair path: ReplaceNode wipes and revives a node and runs
+// one Rebalance pass, whose delta is that node's shards, and detected
+// corruption runs the same pass over the affected objects. See
+// internal/core for the composition.
 type Cluster = core.Platform
 
 // Placement returns the ordered n-node assignment rendezvous hashing gives
