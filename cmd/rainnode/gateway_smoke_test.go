@@ -19,10 +19,10 @@ import (
 
 // TestGatewayClusterSmoke is the end-to-end proof of the PR's surface: three
 // `rainnode serve` processes on real UDP loopback sockets form a cluster
-// (mesh handshakes, token membership, election, self-heal), objects round
-// trip bit-exact through any node's HTTP gateway — whole, ranged and
-// deleted — and the cluster keeps serving while one node is SIGKILLed and
-// rejoins. Gated on RAIN_GW_SMOKE because it binds dozens of real sockets
+// (mesh handshakes, token membership and the leader it names, self-heal),
+// objects round trip bit-exact through any node's HTTP gateway — whole,
+// ranged and deleted — and the cluster keeps serving while one node is
+// SIGKILLed and rejoins. Gated on RAIN_GW_SMOKE because it binds dozens of real sockets
 // and shells out to the toolchain; CI runs it as the gateway e2e job.
 func TestGatewayClusterSmoke(t *testing.T) {
 	if os.Getenv("RAIN_GW_SMOKE") == "" {

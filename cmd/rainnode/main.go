@@ -2,7 +2,7 @@
 // subcommands:
 //
 //	rainnode serve   run one cluster node: the dial-by-address UDP mesh,
-//	                 storage daemon, membership, election, self-heal and the
+//	                 storage daemon, membership, self-heal and the
 //	                 HTTP object gateway, all from a single config
 //	rainnode put     store stdin or a file through a gateway
 //	rainnode get     fetch an object (optionally a byte range) from a gateway
@@ -61,8 +61,8 @@ func usage(w io.Writer) {
 Usage:
 
   rainnode serve -name a -ring a,b,c -local addr[,addr] [flags]
-      run one cluster node: UDP mesh, storage daemon, membership, election,
-      self-heal and the HTTP object gateway, from a single config
+      run one cluster node: UDP mesh, storage daemon, membership, self-heal
+      and the HTTP object gateway, from a single config
   rainnode put -gw http://host:8080 -key k [-file path]
       store stdin or a file through a gateway
   rainnode get -gw http://host:8080 -key k [-out path] [-range bytes=a-b]

@@ -18,8 +18,8 @@ import (
 )
 
 // runServe runs one full cluster node from a single config: the
-// dial-by-address UDP mesh, the storage daemon, membership, election, the
-// leader-gated self-heal loop, and the HTTP object gateway with the /debug
+// dial-by-address UDP mesh, the storage daemon, membership, the self-heal
+// loop gated on the view's leader, and the HTTP object gateway with the /debug
 // telemetry surface on the same listener.
 func runServe(args []string) {
 	fs := flag.NewFlagSet("rainnode serve", flag.ExitOnError)

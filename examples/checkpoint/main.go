@@ -1,8 +1,8 @@
 // RAINCheck (§5.3): distributed checkpointing with rollback recovery. The
-// cluster's elected leader assigns deterministic jobs to six nodes; every
-// job checkpoints its state into the erasure-coded store over the mesh; two
-// nodes are crashed mid-run and every job still completes with a bit-exact
-// result.
+// cluster's leader (the smallest name in the membership view) assigns
+// deterministic jobs to six nodes; every job checkpoints its state into the
+// erasure-coded store over the mesh; two nodes are crashed mid-run and every
+// job still completes with a bit-exact result.
 package main
 
 import (
@@ -22,7 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Run(time.Second) // let the ring and election settle
+	cluster.Run(time.Second) // let the membership ring settle
 	sys := checkpoint.New(cluster, checkpoint.Config{CheckpointEvery: 25})
 
 	var jobs []checkpoint.JobSpec

@@ -30,8 +30,8 @@ func main() {
 	}
 	fmt.Printf("B-Code round trip with 2 of 6 shards lost: %q\n", decoded)
 
-	// 2. A full cluster: bundled interfaces, membership ring, leader
-	// election and erasure-coded storage over six simulated nodes.
+	// 2. A full cluster: bundled interfaces, membership ring (whose smallest
+	// name leads) and erasure-coded storage over six simulated nodes.
 	cluster, err := rain.NewCluster(
 		[]string{"n1", "n2", "n3", "n4", "n5", "n6"},
 		rain.ClusterOptions{Seed: 42, Policy: rain.PolicyLeastLoaded},
@@ -39,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Run(time.Second) // let the ring and election settle
+	cluster.Run(time.Second) // let the membership ring settle
 	view, _ := cluster.Consensus()
 	fmt.Printf("membership: %v, leader: %s\n", view, cluster.Leader("n1"))
 

@@ -23,7 +23,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Run(time.Second) // let the ring and election settle
+	cluster.Run(time.Second) // let the membership ring settle
 	sys := video.NewSystem(cluster, video.Config{BlockSize: 32 * 1024})
 
 	fmt.Printf("encoding video across 6 nodes with the %s...\n", cluster.Code().Name())

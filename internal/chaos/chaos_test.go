@@ -65,9 +65,9 @@ func rackKillAndJoin(t *testing.T) Schedule {
 // TestChaosRackKillAndJoinUnderTraffic is the tentpole's acceptance
 // scenario: two nodes of one rack (including the leader) die at once under
 // live put/get traffic, a fresh standby joins mid-rebuild, and no operator
-// touches anything. The cluster must re-elect, rebalance (debounced), and
-// restore full redundancy — judged through the registry and a bit-exact
-// audit.
+// touches anything. The cluster must move leadership, rebalance
+// (debounced), and restore full redundancy — judged through the registry
+// and a bit-exact audit.
 func TestChaosRackKillAndJoinUnderTraffic(t *testing.T) {
 	res, err := Run(rackKillAndJoin(t))
 	if err != nil {

@@ -1,14 +1,14 @@
 // Package checkpoint implements RAINCheck (§5.3): a distributed checkpoint
 // and rollback/recovery mechanism built on a RAIN cluster's storage
-// operations, leader election and reliable messaging.
+// operations, group membership and reliable messaging.
 //
-// The cluster's leader (per connected component, from the platform's
-// election) assigns jobs to nodes. As each job executes, its state is
-// periodically checkpointed: serialized, erasure-encoded and written to all
-// accessible nodes with a distributed store operation from the owning node's
-// store client. When a node fails, the leader reassigns its jobs; the new
-// owner retrieves the last checkpoint from any k nodes, decodes it, and
-// resumes execution from there. As long as a connected component of k nodes
+// The cluster's leader (per connected component: the smallest name in the
+// platform's membership view) assigns jobs to the nodes in its view. As each
+// job executes, its state is periodically checkpointed: serialized,
+// erasure-encoded and written to all accessible nodes with a distributed
+// store operation from the owning node's store client. When a node fails,
+// the leader reassigns its jobs; the new owner retrieves the last checkpoint
+// from any k nodes, decodes it, and resumes execution from there. As long as a connected component of k nodes
 // survives, all jobs execute to completion.
 //
 // Jobs are deterministic hash-chain computations (see DESIGN.md
@@ -143,12 +143,6 @@ type System struct {
 	// instrumentation
 	stepsExecuted map[string]int
 	reassigns     int
-
-	// grace is the virtual time before which leaders refrain from
-	// assigning work — twice the election's failure timeout after New: at
-	// startup every node briefly believes itself leader until heartbeats
-	// arrive, and assigning during that window would duplicate execution.
-	grace int64
 }
 
 // New starts RAINCheck on every node of the cluster: a worker ticking on the
@@ -163,7 +157,6 @@ func New(p *core.Platform, cfg Config) *System {
 		specs:         make(map[string]JobSpec),
 		latest:        make(map[string]int),
 		stepsExecuted: make(map[string]int),
-		grace:         int64(p.Scheduler.Now()) + 2*int64(p.Election.Members[p.Nodes[0]].Timeout()),
 	}
 	for _, name := range p.Nodes {
 		w := &worker{
@@ -263,20 +256,20 @@ func (w *worker) send(m ctrlMsg, to ...string) {
 }
 
 func (w *worker) tick() {
-	if w.sys.p.Leader(w.name) == w.name {
-		w.leaderTick(int64(w.sys.p.Scheduler.Now()))
+	// A starving node's view is unconfirmed (a revived node's is the ring it
+	// crashed with), so it does not lead until the token reaches it.
+	if m := w.sys.p.Membership.Members[w.name]; m.Leader() == w.name && !m.Starving() {
+		w.leaderTick(m.View())
 	}
 	w.workTick()
 }
 
-// leaderTick reconciles assignments and broadcasts them.
-func (w *worker) leaderTick(now int64) {
-	if now < w.sys.grace {
-		return
-	}
+// leaderTick reconciles assignments over the live nodes in the leader's
+// view and broadcasts them.
+func (w *worker) leaderTick(view []string) {
 	alive := map[string]bool{}
 	load := map[string]int{}
-	for _, n := range w.sys.p.Election.Members[w.name].Alive(now) {
+	for _, n := range view {
 		alive[n] = true
 		load[n] = 0
 	}
@@ -315,8 +308,8 @@ func (w *worker) leaderTick(now int64) {
 	}
 	w.sys.assignSeq++
 	msg := &assignMsg{Seq: w.sys.assignSeq, Owners: maps.Clone(w.owners), Done: maps.Clone(w.done)}
-	// Only to nodes the election hears: reliable datagrams to a dead peer
-	// would queue until it returns.
+	// Only to nodes in the view: reliable datagrams to a dead peer would
+	// queue until it returns.
 	var peers []string
 	for _, n := range w.sys.p.Nodes {
 		if n != w.name && alive[n] {
@@ -394,8 +387,16 @@ func (w *worker) checkpoint(r *jobRun) {
 	job, step, cl := r.ID, r.Step, w.sys.p.Clients[w.name]
 	cl.PutAsync(ckptID(job, step), raw, func(_ int, err error) {
 		r.saving = false
-		if w.down() {
-			return
+		if w.down() && err == nil {
+			// Committed after its writer crashed: the job may be done, so
+			// nobody rewrites it, and its pruning must land even if the
+			// writer never returns. (A failed write's delete queues behind
+			// its data on the writer's frozen endpoint, landing after it.)
+			live := w.sys.p.Membership.Alive()
+			if len(live) == 0 {
+				return
+			}
+			cl = w.sys.p.Clients[live[0]]
 		}
 		prev, had := w.sys.latest[job]
 		if err == nil && (!had || step > prev) {

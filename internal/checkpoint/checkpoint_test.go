@@ -11,7 +11,7 @@ import (
 )
 
 // newTestSystem starts RAINCheck on a fresh six-node cluster running the
-// default (6,4) B-Code — the platform's own election, mesh and store.
+// default (6,4) B-Code — the platform's own membership, mesh and store.
 func newTestSystem(t *testing.T) (*System, *rain.Cluster) {
 	t.Helper()
 	p, err := rain.NewCluster([]string{"n1", "n2", "n3", "n4", "n5", "n6"},
@@ -197,11 +197,11 @@ func TestLateCheckpointsArePruned(t *testing.T) {
 	}
 }
 
-func TestStartupGraceFollowsElectionTimeout(t *testing.T) {
-	// On slow links (250 ms) every node believes itself leader until the
-	// first heartbeats cross them, and the platform stretches the election's
-	// timeouts to match (5 s). The startup grace must stretch with them, or
-	// each node assigns all jobs.
+func TestSlowLinksStartWithOneLeader(t *testing.T) {
+	// On slow links (250 ms) no message crosses the cluster for a while
+	// after startup. The leader is the smallest name in each node's view,
+	// and every view starts as the full ring, so exactly one node assigns
+	// from t=0 — no node waits, and none assigns jobs another also took.
 	p, err := rain.NewCluster([]string{"n1", "n2", "n3", "n4", "n5", "n6"},
 		rain.ClusterOptions{Seed: 4242, LinkDelay: 250 * time.Millisecond})
 	if err != nil {

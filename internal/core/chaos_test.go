@@ -11,7 +11,7 @@ import (
 // TestChaosCrashRecoverLoop subjects a full platform to a scripted sequence
 // of crashes, recoveries and path cuts while continuously writing and
 // reading objects: the integration test that every layer (storage code,
-// membership, election, RUDP) survives together.
+// membership and its leader, RUDP) survives together.
 func TestChaosCrashRecoverLoop(t *testing.T) {
 	p, err := New(sixNodes, Options{Seed: 99, LinkLoss: 0.02})
 	if err != nil {

@@ -1,19 +1,20 @@
 // Package core assembles the RAIN building blocks — fault-tolerant
 // communication (RUDP over bundled interfaces), token-based group
-// membership, leader election, and erasure-coded distributed storage — into
-// one Platform, the "collection of software modules running in conjunction
-// with operating system services and standard network protocols" of Fig 2.
+// membership (whose view also names the leader: its smallest name), and
+// erasure-coded distributed storage — into one Platform, the "collection of
+// software modules running in conjunction with operating system services and
+// standard network protocols" of Fig 2.
 //
 // That set of modules is assembled once, per node (stack.go): shard backend,
 // storage daemon, store client, self-heal controller and sweep/scrub pacer
-// over the node's mesh endpoint and its membership and election engines. A
-// Platform is N of those nodes on one simulated network and one scheduler —
-// two network interfaces each, the membership ring and the election
-// protocol running across them, distributed store/retrieve operations backed
-// by any of the §4 array codes — with fault injection (node crashes, link
-// cuts, interface failures) part of the API because exercising failures is
-// the point of the system. A RealNode (node.go) is exactly one of those
-// nodes, on UDP sockets and a wall-clock loop.
+// over the node's mesh endpoint and its membership engine. A Platform is N
+// of those nodes on one simulated network and one scheduler — two network
+// interfaces each, the membership ring running across them, distributed
+// store/retrieve operations backed by any of the §4 array codes — with fault
+// injection (node crashes, link cuts, interface failures) part of the API
+// because exercising failures is the point of the system. A RealNode
+// (node.go) is exactly one of those nodes, on UDP sockets and a wall-clock
+// loop.
 package core
 
 import (
@@ -24,7 +25,6 @@ import (
 
 	"rain/internal/dstore"
 	"rain/internal/ecc"
-	"rain/internal/election"
 	"rain/internal/membership"
 	"rain/internal/rudp"
 	"rain/internal/sim"
@@ -78,8 +78,9 @@ type Options struct {
 	Standby []string
 	// SelfHeal starts the autonomic control loop on every node: membership
 	// view changes refresh the local client's placement universe, and the
-	// elected leader — only the leader — drives a debounced rebalance that
-	// resigns cleanly on leadership loss. See selfheal.go.
+	// leader (the smallest name in the view) — only the leader — drives a
+	// debounced rebalance that resigns cleanly on leadership loss. See
+	// selfheal.go.
 	SelfHeal bool
 	// RebalanceDebounce is how long the membership view must stay
 	// unchanged before the leader's self-heal pass fires (default 1s).
@@ -129,7 +130,6 @@ type Platform struct {
 
 	Mesh       *rudp.Mesh
 	Membership *membership.MeshCluster
-	Election   *election.MeshCluster
 	Backends   map[string]*storage.Backend
 	Daemons    map[string]*dstore.Daemon
 	Clients    map[string]*dstore.Client
@@ -147,8 +147,8 @@ type Platform struct {
 }
 
 // New builds and starts a platform over the named nodes. The membership
-// ring, election heartbeats and RUDP mesh begin running immediately (in
-// virtual time; call Run to advance it).
+// ring and RUDP mesh begin running immediately (in virtual time; call Run to
+// advance it).
 func New(nodes []string, opts Options) (*Platform, error) {
 	if len(nodes) < 2 {
 		return nil, fmt.Errorf("core: need at least 2 nodes, got %d", len(nodes))
@@ -208,27 +208,21 @@ func New(nodes []string, opts Options) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Membership and election run as live services on the data mesh, not on
-	// private NICs.
+	// Membership runs as a live service on the data mesh, not on a private
+	// NIC.
 	mcfg := membership.MeshConfig{
 		Config:     membership.Config{Detection: opts.Detection},
 		AckTimeout: membership.AckTimeout(rcfg, opts.LinkDelay),
 	}
-	ecfg := election.Config{}
 	if opts.LinkDelay > 5*time.Millisecond {
-		// Slow links: pace the control loops with the latency so token
-		// rotation outruns the starve clock and a single retransmitted
-		// heartbeat doesn't read as a dead leader.
+		// Slow links: pace the token with the latency so its rotation
+		// outruns the starve clock.
 		mcfg.HoldInterval = 2 * opts.LinkDelay
 		mcfg.StarveTimeout = 2 * time.Second
-		ecfg.Interval = 4 * opts.LinkDelay
-		ecfg.Timeout = 5 * ecfg.Interval
 	}
 	mbr := membership.NewMeshCluster(s, mesh, active, mcfg)
-	elect := election.NewMeshCluster(s, mesh, nodes, ecfg, mesh.Backlog)
 	for _, sb := range opts.Standby {
 		mbr.AddStandby(sb)
-		elect.Stop(sb)
 	}
 	p := &Platform{
 		Scheduler:  s,
@@ -236,7 +230,6 @@ func New(nodes []string, opts Options) (*Platform, error) {
 		Nodes:      append([]string(nil), nodes...),
 		Mesh:       mesh,
 		Membership: mbr,
-		Election:   elect,
 		Backends:   make(map[string]*storage.Backend),
 		Daemons:    make(map[string]*dstore.Daemon),
 		Clients:    make(map[string]*dstore.Client),
@@ -277,7 +270,7 @@ func New(nodes []string, opts Options) (*Platform, error) {
 		// Powered off is the mesh endpoint frozen: a crash, or a standby
 		// not yet joined.
 		stopped := func() bool { return mesh.Stopped(n) }
-		st, err := newStack(s, mesh, mbr.Members[n], elect.Members[n], stopped, spec)
+		st, err := newStack(s, mesh, mbr.Members[n], stopped, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -435,11 +428,7 @@ func (p *Platform) Join(node, seed string) error {
 		return err
 	}
 	p.Mesh.StartNode(node)
-	p.Election.Restart(node)
 	p.Membership.Join(node, seed)
-	if h := p.healers[node]; h != nil {
-		h.arm()
-	}
 	return nil
 }
 
@@ -469,15 +458,14 @@ func (p *Platform) known(node string) error {
 	return nil
 }
 
-// Crash takes a node down across every subsystem: its membership and
-// election engines stop, its RUDP endpoints freeze (which also silences its
-// daemon, client and controller), and all of its links are cut.
+// Crash takes a node down across every subsystem: its membership engine
+// stops, its RUDP endpoints freeze (which also silences its daemon, client
+// and controller), and all of its links are cut.
 func (p *Platform) Crash(node string) error {
 	if err := p.known(node); err != nil {
 		return err
 	}
 	p.Membership.Stop(node)
-	p.Election.Stop(node)
 	p.Mesh.StopNode(node)
 	// StopNode/Stop each cut links; heal-order on recovery is handled in
 	// Recover.
@@ -491,12 +479,10 @@ func (p *Platform) Recover(node string) error {
 		return err
 	}
 	p.Membership.Restart(node)
-	p.Election.Restart(node)
 	p.Mesh.StartNode(node)
 	// A revived node may see no view change (its frozen ring can match the
-	// post-rejoin reality) and no leader transition (it always believed it
-	// led), so nudge its controller explicitly; the gate decides at fire
-	// time whether it really leads.
+	// post-rejoin reality), so nudge its controller explicitly; the gate
+	// decides at fire time whether it really leads.
 	if h := p.healers[node]; h != nil {
 		h.arm()
 	}
@@ -510,8 +496,9 @@ func (p *Platform) CutPath(a, b string, path int) { p.Mesh.CutPath(a, b, path) }
 // HealPath restores a previously cut interface pair.
 func (p *Platform) HealPath(a, b string, path int) { p.Mesh.HealPath(a, b, path) }
 
-// Leader returns the cluster leader as seen by the given node.
-func (p *Platform) Leader(node string) string { return p.Election.Members[node].Leader() }
+// Leader returns the cluster leader as seen by the given node: the smallest
+// name in its membership view.
+func (p *Platform) Leader(node string) string { return p.Membership.Members[node].Leader() }
 
 // MembershipView returns the membership ring as seen by the given node.
 func (p *Platform) MembershipView(node string) []string {

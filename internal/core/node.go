@@ -1,8 +1,8 @@
 // One real cluster process. Where Platform runs N node stacks on one
 // simulated mesh, RealNode runs exactly one — the same newStack build — over
-// the dial-by-address UDP mesh, with its membership and election drivers,
-// all on a single rt.Loop so every engine keeps the simulator's
-// one-goroutine ownership discipline over real sockets.
+// the dial-by-address UDP mesh, with its membership driver, all on a single
+// rt.Loop so every engine keeps the simulator's one-goroutine ownership
+// discipline over real sockets.
 package core
 
 import (
@@ -12,7 +12,6 @@ import (
 
 	"rain/internal/dstore"
 	"rain/internal/ecc"
-	"rain/internal/election"
 	"rain/internal/membership"
 	"rain/internal/rt"
 	"rain/internal/rudp"
@@ -80,7 +79,6 @@ type RealNode struct {
 	Daemon     *dstore.Daemon
 	Client     *dstore.Client
 	Membership *membership.MeshNode
-	Election   *election.MeshNode
 	Telemetry  *telemetry.Registry
 	Tracer     *telemetry.Tracer
 
@@ -148,22 +146,15 @@ func (n *RealNode) build(cfg NodeConfig) error {
 	}
 	n.Mesh = mesh
 
-	// Membership and election over the real mesh. The engines are the same
-	// state machines the simulated cluster runs; liveness shortcuts come
-	// from the mesh's handshake state.
+	// Membership over the real mesh. The engine is the same state machine
+	// the simulated cluster runs; liveness shortcuts come from the mesh's
+	// handshake state.
 	mcfg := membership.MeshConfig{AckTimeout: membership.AckTimeout(cfg.Conn, 0)}
 	n.Membership = membership.NewMeshNode(s, mesh, cfg.Name, []string{cfg.Name}, mcfg, mesh.PeerUp)
-	peers := make([]string, 0, len(cfg.Ring)-1)
-	for _, p := range cfg.Ring {
-		if p != cfg.Name {
-			peers = append(peers, p)
-		}
-	}
-	n.Election = election.NewMeshNode(s, mesh, cfg.Name, peers, election.Config{}, mesh.Backlog)
 
 	// The process is the node: nothing powers it off under its own loop, so
 	// the stack gets no stopped hook.
-	st, err := newStack(s, mesh, n.Membership.Node(), n.Election.Node(), nil, stackSpec{
+	st, err := newStack(s, mesh, n.Membership.Node(), nil, stackSpec{
 		name:       cfg.Name,
 		storageDir: cfg.StorageDir,
 		wrapStore:  cfg.WrapStore,
@@ -219,10 +210,11 @@ func (n *RealNode) View() []string {
 	return v
 }
 
-// Leader returns the cluster leader as this node currently sees it.
+// Leader returns the cluster leader as this node currently sees it: the
+// smallest name in its membership view.
 func (n *RealNode) Leader() string {
 	var l string
-	n.Loop.Call(func() { l = n.Election.Node().Leader() })
+	n.Loop.Call(func() { l = n.Membership.Node().Leader() })
 	return l
 }
 

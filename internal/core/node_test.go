@@ -260,8 +260,8 @@ func TestRealNodeCluster(t *testing.T) {
 		var b strings.Builder
 		for i, n := range survivors {
 			st := n.SelfHealStats()
-			fmt.Fprintf(&b, "\n  %s: passes %d, completed %d, yields %d, failures %d; view %v",
-				names[i], st.Passes, st.Completed, st.Yields, st.Failures, n.View())
+			fmt.Fprintf(&b, "\n  %s: passes %d, completed %d, yields %d, failures %d; view %v, leader %s",
+				names[i], st.Passes, st.Completed, st.Yields, st.Failures, n.View(), n.Leader())
 		}
 		return b.String()
 	})

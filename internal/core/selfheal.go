@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rain/internal/dstore"
-	"rain/internal/election"
 	"rain/internal/membership"
 	"rain/internal/sim"
 	"rain/internal/telemetry"
@@ -16,31 +15,32 @@ type SelfHealStats struct {
 	ViewChanges int // membership view changes observed
 	Passes      int // rebalance passes this node started as leader
 	Completed   int // passes that ran to the end
-	Yields      int // passes abandoned on leadership loss or crash
+	Yields      int // passes abandoned on leadership loss, starvation or crash
 	Failures    int // passes that died on a store error
 	Moves       dstore.RebalanceStats
 }
 
 // selfHealer is the per-node autonomic control loop, the same one on a
 // simulated Platform node (Options.SelfHeal) and a deployed RealNode (always
-// on): the membership ring is the sensor, the elected leader is the
-// actuator. Every node reshapes its own client's placement universe on view
-// changes; only the node that currently holds leadership drives a rebalance,
-// debounced so a flapping link costs one pass per stable view, not one per
-// flap. A deposed leader's in-flight pass yields at the next task boundary
-// via the client's rebalance gate, and the new leader re-drives from scratch
-// — reconciliation is delta-exact, so completed moves are no-ops.
+// on): the membership ring is the sensor, and its view names the actuator —
+// the leader is the smallest name in the view (membership.Node.Leader), so
+// leadership moves only when the view does. Every node reshapes its own
+// client's placement universe on view changes; only the leader drives a
+// rebalance, debounced so a flapping link costs one pass per stable view, not
+// one per flap. A deposed leader's in-flight pass yields at the next task
+// boundary via the client's rebalance gate, and the new leader re-drives from
+// scratch — reconciliation is delta-exact, so completed moves are no-ops.
 type selfHealer struct {
 	s        *sim.Scheduler
 	client   *dstore.Client
 	mbr      *membership.Node
-	elect    *election.Node
 	stopped  func() bool // nil where the node cannot be powered off under its own loop
 	debounce time.Duration
 
 	timer   sim.Timer
-	running bool // a pass this node drives is in flight
-	rearm   bool // view moved (or leadership arrived) during that pass
+	running bool   // a pass this node drives is in flight
+	rearm   bool   // view moved during that pass
+	leader  string // the last view's smallest name, for leader_transitions
 
 	stats SelfHealStats
 
@@ -49,22 +49,21 @@ type selfHealer struct {
 	yields            *telemetry.Counter
 }
 
-func newSelfHealer(s *sim.Scheduler, client *dstore.Client, mbr *membership.Node, elect *election.Node,
+func newSelfHealer(s *sim.Scheduler, client *dstore.Client, mbr *membership.Node,
 	stopped func() bool, debounce time.Duration, scope *telemetry.Scope) *selfHealer {
 
 	h := &selfHealer{
 		s:                 s,
 		client:            client,
 		mbr:               mbr,
-		elect:             elect,
 		stopped:           stopped,
+		leader:            mbr.Leader(),
 		debounce:          debounce,
 		viewChanges:       scope.Counter("selfheal.view_changes", "membership view changes seen by the controller"),
 		leaderTransitions: scope.Counter("selfheal.leader_transitions", "leadership handovers seen by the controller"),
 		yields:            scope.Counter("selfheal.yields", "rebalance passes abandoned on leadership loss"),
 	}
 	mbr.OnMembershipChange(h.onView)
-	elect.OnLeaderChange(h.onLeader)
 	client.SetRebalanceGate(h.gate)
 	return h
 }
@@ -72,24 +71,21 @@ func newSelfHealer(s *sim.Scheduler, client *dstore.Client, mbr *membership.Node
 // onView tracks the ring: the local client's placement universe follows the
 // consensus view (never shrinking below code width — losing quorum must not
 // wedge reads that could still succeed on the old universe), and the
-// debounce re-arms so the pass fires only once the view holds still.
+// debounce re-arms so the pass fires only once the view holds still. A new
+// leader is always a view change, so this also arms a freshly promoted
+// leader, which cannot know whether its predecessor's pass finished and
+// re-drives; delta-exact reconciliation makes the overlap idempotent.
 func (h *selfHealer) onView(view []string) {
 	h.stats.ViewChanges++
 	h.viewChanges.Inc()
+	if leader := h.mbr.Leader(); leader != h.leader {
+		h.leader = leader
+		h.leaderTransitions.Inc()
+	}
 	if len(view) >= h.client.Code().N() {
 		h.client.SetNodes(view)
 	}
 	h.arm()
-}
-
-// onLeader arms a pass whenever leadership lands here. A freshly elected
-// coordinator cannot know whether its predecessor's pass finished, so it
-// always re-drives; delta-exact reconciliation makes the overlap idempotent.
-func (h *selfHealer) onLeader(leader string, epoch uint64) {
-	h.leaderTransitions.Inc()
-	if leader == h.client.Node() {
-		h.arm()
-	}
 }
 
 // arm (re)starts the debounce clock, or defers to the running pass's done
@@ -104,17 +100,18 @@ func (h *selfHealer) arm() {
 }
 
 // gate is the client's per-task rebalance gate: a pass keeps driving moves
-// only while this node is up, still the leader, and the view can host a full
-// placement. Installed at construction, it also yields manual Rebalance
-// calls on a deposed node — the leader owns reconciliation, full stop.
+// only while this node is up, leads its view, is not starving, and the view
+// can host a full placement. A starving node's view is unconfirmed — a
+// revived or joining node starves until the token reaches it again — so its
+// stale ring cannot make it lead. Installed at construction, the gate also
+// yields manual Rebalance calls on a deposed node — the leader owns
+// reconciliation, full stop.
 func (h *selfHealer) gate() bool {
 	if h.stopped != nil && h.stopped() {
 		return false
 	}
-	if !h.elect.IsLeader() {
-		return false
-	}
-	return len(h.mbr.View()) >= h.client.Code().N()
+	leads := h.mbr.Leader() == h.client.Node()
+	return leads && !h.mbr.Starving() && len(h.mbr.View()) >= h.client.Code().N()
 }
 
 func (h *selfHealer) fire() {
@@ -138,7 +135,7 @@ func (h *selfHealer) fire() {
 			h.stats.Yields++
 			h.yields.Inc()
 			// Deposed mid-pass: the new leader drives. If leadership comes
-			// back, onLeader re-arms us.
+			// back, that is a view change, and onView re-arms us.
 		default:
 			h.stats.Failures++
 			again = true // transient store errors: retry after a debounce

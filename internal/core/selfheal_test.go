@@ -263,3 +263,136 @@ func TestReplaceNodeUnderSelfHeal(t *testing.T) {
 		}
 	}
 }
+
+// TestRevivedLeaderWaitsForReadmission crashes n1 — the smallest name, so
+// the leader — while it holds the membership token, lets n2 drive the
+// repair pass, then revives n1 with the ring it crashed with. Leadership is
+// the smallest name in a node's own view, so that stale ring names n1 the
+// leader at once; what keeps it from driving a pass over a view the
+// survivors do not share is that a revived node starves until the token
+// reaches it again. Sampled every 5 ms: an open gate is always on the
+// smallest name of its own view and never on a starving node, and n1 starts
+// no pass until every survivor's view holds it again — after which the
+// readmitted leader does drive the rejoin's pass.
+func TestRevivedLeaderWaitsForReadmission(t *testing.T) {
+	// A code narrower than the cluster, so five survivors can host a pass.
+	code, err := ecc.NewBCode(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPlatform(t, Options{Seed: 23, Code: code, SelfHeal: true})
+	const objects, size = 12, 8 << 10
+	for i := 0; i < objects; i++ {
+		if err := p.Put(fmt.Sprintf("obj-%d", i), selfHealPayload(i, size)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	p.Run(time.Second)
+	n1 := p.Membership.Members["n1"]
+	for i := 0; !n1.HasToken(); i++ {
+		if i > 100000 || !p.Scheduler.Step() {
+			t.Fatal("the token never reached n1")
+		}
+	}
+	if err := p.Crash("n1"); err != nil {
+		t.Fatal(err)
+	}
+
+	// check asserts the gate invariant on every node at this instant.
+	check := func() {
+		t.Helper()
+		for _, n := range p.Nodes {
+			m := p.Membership.Members[n]
+			if p.healers[n].gate() && (m.Leader() != n || m.Starving()) {
+				t.Fatalf("%v: %s's gate is open with leader %s of view %v, starving=%v",
+					p.Scheduler.Now(), n, m.Leader(), m.View(), m.Starving())
+			}
+		}
+	}
+	runUntil := func(limit time.Duration, what string, cond func() bool) {
+		t.Helper()
+		for end := p.Scheduler.Now().Add(limit); !cond(); {
+			if p.Scheduler.Now() >= end {
+				t.Fatalf("%v: timed out waiting for %s", p.Scheduler.Now(), what)
+			}
+			p.Run(5 * time.Millisecond)
+			check()
+		}
+	}
+	runUntil(10*time.Second, "n2 to complete a pass without n1", func() bool {
+		return p.SelfHealStats("n2").Completed >= 1
+	})
+	if got := p.Leader("n2"); got != "n2" {
+		t.Fatalf("leader seen by n2 = %s, want n2", got)
+	}
+
+	passes := p.SelfHealStats("n1").Passes
+	if err := p.Recover("n1"); err != nil {
+		t.Fatal(err)
+	}
+	if !n1.Starving() || n1.Leader() != "n1" || len(n1.View()) != len(p.Nodes) {
+		t.Fatalf("revived n1: starving=%v, leader %s, view %v; want a starving node with its stale six-node ring",
+			n1.Starving(), n1.Leader(), n1.View())
+	}
+	readmitted := func() bool {
+		for _, n := range p.Nodes[1:] {
+			if !p.Membership.Members[n].InView("n1") {
+				return false
+			}
+		}
+		return true
+	}
+	runUntil(10*time.Second, "every survivor's view to hold n1 again", func() bool {
+		if readmitted() {
+			return true
+		}
+		if got := p.SelfHealStats("n1").Passes; got != passes {
+			t.Fatalf("%v: revived n1 started a pass (%d -> %d) before the survivors readmitted it",
+				p.Scheduler.Now(), passes, got)
+		}
+		return false
+	})
+	runUntil(10*time.Second, "readmitted n1 to complete the rejoin's pass", func() bool {
+		return p.SelfHealStats("n1").Completed >= 1
+	})
+	for i := 0; i < objects; i++ {
+		got, err := p.Get(fmt.Sprintf("obj-%d", i))
+		if err != nil || !bytes.Equal(got, selfHealPayload(i, size)) {
+			t.Fatalf("get obj-%d after the rejoin: %v", i, err)
+		}
+	}
+}
+
+// TestLeaderTransitionsFollowTheView pins selfheal.leader_transitions to
+// the view's smallest name: a crash of the leader moves it once on every
+// survivor, a crash of any other node moves the view but not the leader,
+// and the leader's return moves it back once on every node that saw it go.
+func TestLeaderTransitionsFollowTheView(t *testing.T) {
+	p := newPlatform(t, Options{Seed: 29, SelfHeal: true})
+	p.Run(time.Second)
+	transitions := func() uint64 {
+		return telemetryCounterTotal(p.Telemetry.Snapshot(), "selfheal.leader_transitions")
+	}
+	if got := transitions(); got != 0 {
+		t.Fatalf("a stable startup counted %d leader transitions, want 0", got)
+	}
+	steps := []struct {
+		what  string
+		fault func(string) error
+		node  string
+		want  uint64
+	}{
+		{"leader n1 crashes: five survivors move to n2", p.Crash, "n1", 5},
+		{"n4 crashes: the leader stays n2", p.Crash, "n4", 5},
+		{"n1 returns: four survivors move back to n1", p.Recover, "n1", 9},
+	}
+	for _, st := range steps {
+		if err := st.fault(st.node); err != nil {
+			t.Fatal(err)
+		}
+		p.Run(5 * time.Second)
+		if got := transitions(); got != st.want {
+			t.Fatalf("%s: selfheal.leader_transitions = %d, want %d", st.what, got, st.want)
+		}
+	}
+}

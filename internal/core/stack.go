@@ -6,7 +6,6 @@ import (
 
 	"rain/internal/dstore"
 	"rain/internal/ecc"
-	"rain/internal/election"
 	"rain/internal/membership"
 	"rain/internal/sim"
 	"rain/internal/storage"
@@ -50,7 +49,7 @@ type stackSpec struct {
 }
 
 // stack is the software every RAIN node runs above its mesh endpoint and its
-// membership and election engines: the shard backend, the storage daemon,
+// membership engine: the shard backend, the storage daemon,
 // the store client whose liveness filter is the membership view, the
 // self-heal controller and the sweep/scrub pacer. A simulated Platform is N
 // of these on one scheduler and one rudp.Mesh; a deployed RealNode is one on
@@ -66,7 +65,7 @@ type stack struct {
 // the node powered off (a simulated crash or an unjoined standby): the scrub
 // skips it and the controller's gate refuses to drive from it. Everything
 // built here is owned by s's goroutine.
-func newStack(s *sim.Scheduler, mesh dstore.Mesh, mbr *membership.Node, elect *election.Node,
+func newStack(s *sim.Scheduler, mesh dstore.Mesh, mbr *membership.Node,
 	stopped func() bool, spec stackSpec) (*stack, error) {
 
 	if spec.rebalanceDebounce == 0 {
@@ -121,7 +120,7 @@ func newStack(s *sim.Scheduler, mesh dstore.Mesh, mbr *membership.Node, elect *e
 		cl.QueueRepair(id, spec.name)
 	})
 	if spec.selfHeal {
-		st.healer = newSelfHealer(s, cl, mbr, elect, stopped, spec.rebalanceDebounce, reg.Node(spec.name))
+		st.healer = newSelfHealer(s, cl, mbr, stopped, spec.rebalanceDebounce, reg.Node(spec.name))
 	}
 
 	// The pacer. Orphan sweep: the garbage-collection half of the put/get

@@ -89,7 +89,7 @@ func TestChaosTelemetryKillNodeMidRebuild(t *testing.T) {
 	p.Run(time.Second)
 
 	// The 68KiB netbuf class carries only chunk-size data frames (membership
-	// and election traffic rides the small classes), so once every transfer
+	// traffic rides the small classes), so once every transfer
 	// resolves its live count must return exactly to this baseline. netbuf
 	// pools are process-global: take the baseline after this platform is up.
 	bigClassBaseline := telemetrySeriesGauge(telemetry.Default().Snapshot(), "netbuf.pool.class_live", "69632")

@@ -375,6 +375,14 @@ func (op *streamGetOp) watch(st *shardStream) {
 			return
 		}
 		if op.c.s.Now()-st.progress >= sim.Time(op.c.cfg.ReqTimeout) {
+			if !op.c.alive(st.peer) {
+				// The view dropped the peer after the stream was issued: it
+				// will not deliver, so it is a failed holder, not an
+				// outstanding one, and the op need not wait out its deadline.
+				st.dead = true
+				op.deadOther++
+				delete(op.c.pending, st.req)
+			}
 			op.hedge(st)
 			op.failIfStuck()
 			return

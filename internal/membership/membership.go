@@ -217,6 +217,19 @@ func (n *Node) InView(peer string) bool {
 	return false
 }
 
+// Leader returns the smallest name in the node's current view ("" for an
+// empty ring), scanning the ring in place. Every member that holds the same
+// view names the same leader, so leadership needs no protocol of its own.
+func (n *Node) Leader() string {
+	leader := ""
+	for _, p := range n.ring {
+		if leader == "" || p < leader {
+			leader = p
+		}
+	}
+	return leader
+}
+
 // HasToken reports whether this node currently holds the token.
 func (n *Node) HasToken() bool { return n.hasToken }
 
@@ -229,8 +242,19 @@ func (n *Node) TokenVisits() uint64 { return n.tokenVisits }
 // Regenerations counts tokens this node regenerated via the 911 mechanism.
 func (n *Node) Regenerations() uint64 { return n.regenerations }
 
-// Starving reports whether the node is currently in STARVING mode.
+// Starving reports whether the node is currently in STARVING mode: it has
+// not seen the token for StarveTimeout, so its view may be stale.
 func (n *Node) Starving() bool { return n.starving }
+
+// resume re-reads the starve clock after the engine was frozen (a crash, then
+// a process resume). A node frozen past StarveTimeout has not seen the token
+// for that long, so it starves from the moment it runs again: before its
+// first tick, and before it passes on a token copy it held when it froze.
+func (n *Node) resume(now int64) {
+	if now-n.lastSeen > int64(n.cfg.StarveTimeout) {
+		n.starving = true
+	}
+}
 
 // OnMembershipChange registers a hook called with the new view whenever the
 // local membership view changes.

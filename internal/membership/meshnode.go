@@ -165,10 +165,15 @@ func (m *MeshNode) Join(seed string) {
 	m.s.After(m.cfg.StarveTimeout, retry)
 }
 
-// Stop freezes the engine (no ticks, no reception); Restart unfreezes it,
-// and the 911 rejoin path reconciles its stale protocol state.
-func (m *MeshNode) Stop()    { m.stopped = true }
-func (m *MeshNode) Restart() { m.stopped = false }
+// Stop freezes the engine: no ticks, no reception.
+func (m *MeshNode) Stop() { m.stopped = true }
+
+// Restart unfreezes the engine, starving if it was frozen past the starve
+// timeout; the 911 rejoin path reconciles its stale protocol state.
+func (m *MeshNode) Restart() {
+	m.stopped = false
+	m.node.resume(int64(m.s.Now()))
+}
 
 // Stopped reports whether the engine is frozen.
 func (m *MeshNode) Stopped() bool { return m.stopped }

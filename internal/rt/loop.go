@@ -1,5 +1,5 @@
 // Package rt drives the repo's single-threaded virtual-time engines
-// (rudp, dstore, membership, election) against the wall clock. Every
+// (rudp, dstore, membership) against the wall clock. Every
 // engine in this codebase is a pure state machine on a *sim.Scheduler:
 // deterministic under simulation, and — the point of this package —
 // runnable unchanged over real sockets by advancing that scheduler to

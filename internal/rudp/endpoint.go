@@ -74,7 +74,7 @@ func (p *peer) ready() bool { return p.conn != nil && p.peerInc != 0 }
 // sockets (NewRealMesh, a deployed node) and on the simulated network
 // (NewMesh, N of them on one scheduler). All of it runs on the scheduler's goroutine —
 // drivers only parse and post — which is what lets every engine built on
-// the mesh (dstore, membership, election) run unchanged on either.
+// the mesh (dstore, membership) run unchanged on either.
 //
 // Restarts are handled by incarnation hellos: each endpoint gets a fresh
 // incarnation at start, a hello exchange (re)establishes the Conn pair for
@@ -207,16 +207,6 @@ func (m *Endpoint) OnPeerChange(fn func(name string, up bool)) { m.onPeer = fn }
 func (m *Endpoint) PeerUp(name string) bool {
 	p := m.peers[name]
 	return p != nil && p.up
-}
-
-// Backlog reports a peer's unacknowledged-plus-pending datagrams. The
-// election driver caps its heartbeat fan-out with it. Loop-callback only.
-func (m *Endpoint) Backlog(to string) int {
-	p := m.peers[to]
-	if p == nil {
-		return 0
-	}
-	return p.backlog()
 }
 
 func (p *peer) backlog() int {

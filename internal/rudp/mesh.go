@@ -152,9 +152,6 @@ func (m *Mesh) Send(from, to string, payload []byte) {
 	m.SendService(from, to, "", payload)
 }
 
-// Backlog reports from's unacknowledged-plus-pending datagrams toward to.
-func (m *Mesh) Backlog(from, to string) int { return m.ep(from).Backlog(to) }
-
 // Conn exposes the connection state machine from node a toward node b, for
 // tests and experiments inspecting path status and stats. It is nil until
 // the pair's first hello lands.

@@ -1,6 +1,6 @@
 // Package sim is a deterministic discrete-event simulator used to drive the
 // RAIN protocol engines (link-state monitoring, RUDP, group membership,
-// leader election, the applications) through reproducible fault schedules.
+// the applications) through reproducible fault schedules.
 //
 // The paper's testbed was ten workstations with two Myrinet interfaces each;
 // pulling cables and powering off boxes were the fault injectors. Here the

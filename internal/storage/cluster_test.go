@@ -30,7 +30,7 @@ func nodeNames(n int) []string {
 }
 
 // newCluster boots n nodes (the default (6,4) B-Code when code is nil) and
-// lets the ring and election settle.
+// lets the membership ring settle.
 func newCluster(t *testing.T, n int, code ecc.Code, policy storage.Policy) *core.Platform {
 	t.Helper()
 	p, err := core.New(nodeNames(n), core.Options{Seed: 42, Code: code, Policy: policy})

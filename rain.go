@@ -13,7 +13,8 @@
 //     interfaces (internal/rudp) and an MPI-style API (internal/mpi).
 //
 //   - Fault management: token-ring group membership with the 911 mechanism
-//     (internal/membership) and leader election (internal/election).
+//     (internal/membership), whose view also names the leader: its
+//     smallest name.
 //
 //   - Storage: the B-Code, X-Code and EVENODD MDS array codes plus
 //     Reed-Solomon and RAID baselines (internal/ecc), the node-local shard
@@ -23,7 +24,7 @@
 //
 //   - Applications: RAINVideo (internal/video) and RAINCheck distributed
 //     checkpointing (internal/checkpoint), both running on a Cluster — its
-//     store, election, messaging and fault injection; the SNOW web cluster
+//     store, membership-derived leader, messaging and fault injection; the SNOW web cluster
 //     (internal/snow) and the Rainwall firewall cluster
 //     (internal/rainwall).
 //
@@ -110,7 +111,7 @@ func RebuildStream(code Code, target int, w io.Writer, readers []io.Reader, data
 
 // Cluster is a full RAIN deployment: a simulated set of nodes with bundled
 // network interfaces, each running what a deployed Node runs — membership
-// ring, leader election, RUDP communication, erasure-coded storage and
+// ring (whose smallest name leads), RUDP communication, erasure-coded storage and
 // (ClusterOptions.SelfHeal) the self-heal controller — with fault injection
 // for every layer. Put, Get, ReplaceNode and Rebalance are distributed
 // operations whose shard traffic crosses the simulated network as dstore
@@ -176,7 +177,7 @@ type NodeConfig = core.NodeConfig
 
 // Node is one running process of a deployed cluster: the dial-by-address
 // UDP mesh under the same per-node assembly a simulated Cluster runs N of —
-// storage daemon, store client, membership, election, self-heal (always on;
+// storage daemon, store client, membership, self-heal (always on;
 // SelfHealStats and the selfheal.* counters report it) and the scrub pacer.
 // Its context-taking methods (Put, Get, PutStream, Delete, List, Stat — the
 // embedded dstore.Bridge, shared with the gateway) are goroutine-safe and
