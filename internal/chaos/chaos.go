@@ -109,8 +109,7 @@ type Result struct {
 	CorruptionsFound    uint64 // storage.backend.corruptions (quarantines)
 	ScrubFound          uint64 // scrub.corruptions_found (scrub's share)
 	CorruptNaks         uint64 // dstore.client.corrupt_naks (read path's share)
-	SpotRepairsDone     uint64 // scrub.repairs_done (repair-in-place completions)
-	SpotRepairsFailed   uint64 // scrub.repairs_failed
+	UnhealedCorruptions int    // injected (object, holder) pairs whose holder ends without that shard, verified
 
 	Audited          int // objects whose put succeeded, all re-read at end
 	LostObjects      int // unreadable or bit-inexact at end of run
@@ -137,10 +136,10 @@ func (r Result) Err() error {
 }
 
 func (r Result) String() string {
-	return fmt.Sprintf("%s: puts %d (%d failed), gets %d (%d failed), repairs %d, passes %d, corruptions %d/%d found (%d scrub, %d read), spot repairs %d (%d failed), lost %d/%d, under-replicated %d, domain violations %d; %s",
+	return fmt.Sprintf("%s: puts %d (%d failed), gets %d (%d failed), repairs %d, passes %d, corruptions %d/%d found (%d scrub, %d read), %d unhealed, lost %d/%d, under-replicated %d, domain violations %d; %s",
 		r.Name, r.Puts, r.PutFails, r.Gets, r.GetFails, r.Repairs, r.Passes,
 		r.CorruptionsFound, r.CorruptionsInjected, r.ScrubFound, r.CorruptNaks,
-		r.SpotRepairsDone, r.SpotRepairsFailed,
+		r.UnhealedCorruptions,
 		r.LostObjects, r.Audited, r.UnderReplicated, r.DomainViolations, r.MTTDL)
 }
 
@@ -296,6 +295,13 @@ func Run(sch Schedule) (Result, error) {
 	// object's spread, an offset past the shard) are schedule bugs, not
 	// cluster faults: they surface as a Run error, after the clock drains.
 	var injectErrs []error
+	// injected records each landed corruption: the object, its holder and
+	// the shard index the holder held, for the end-of-run audit.
+	type injection struct {
+		id, node string
+		shard    int
+	}
+	var injected []injection
 	for _, ev := range sch.Events {
 		ev := ev
 		s.After(ev.At, func() {
@@ -317,6 +323,8 @@ func Run(sch Schedule) (Result, error) {
 					continue
 				}
 				res.CorruptionsInjected++
+				info, _ := f.Info(c.Object) // damaged, not yet quarantined
+				injected = append(injected, injection{c.Object, hs[c.Holder], info.Shard})
 			}
 			for _, n := range ev.StallDisk {
 				faults[n].SetStall(true)
@@ -398,8 +406,14 @@ func Run(sch Schedule) (Result, error) {
 	res.CorruptionsFound = counterTotal(snap, "storage.backend.corruptions")
 	res.ScrubFound = counterTotal(snap, "scrub.corruptions_found")
 	res.CorruptNaks = counterTotal(snap, "dstore.client.corrupt_naks")
-	res.SpotRepairsDone = counterTotal(snap, "scrub.repairs_done")
-	res.SpotRepairsFailed = counterTotal(snap, "scrub.repairs_failed")
+	// Every damaged shard must be back on its holder, under the same
+	// index, and verify clean.
+	for _, in := range injected {
+		info, err := p.Backends[in.node].Info(in.id)
+		if _, _, verr := p.Backends[in.node].Verify(in.id); err != nil || verr != nil || info.Shard != in.shard {
+			res.UnhealedCorruptions++
+		}
+	}
 
 	// End-of-run audit: every successfully stored object must read back
 	// bit-exact, hold full redundancy on live nodes, and respect the

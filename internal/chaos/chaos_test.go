@@ -208,8 +208,8 @@ func TestChaosCorruptionUnderRead(t *testing.T) {
 	if res.GetFails != 0 {
 		t.Fatalf("%d of %d live-phase gets failed", res.GetFails, res.Gets)
 	}
-	if res.SpotRepairsDone < 2 {
-		t.Fatalf("spot repairs done = %d, want both corrupt shards re-created", res.SpotRepairsDone)
+	if res.UnhealedCorruptions != 0 {
+		t.Fatalf("%d of %d corrupt shards not re-created in place", res.UnhealedCorruptions, res.CorruptionsInjected)
 	}
 	if res.UnderReplicated != 0 {
 		t.Fatalf("%d objects below full redundancy after settling", res.UnderReplicated)
@@ -271,8 +271,8 @@ func TestChaosCorruptionAtBareQuorum(t *testing.T) {
 	if res.GetFails != 0 {
 		t.Fatalf("%d of %d gets failed (the bare-quorum read must stay bit-exact)", res.GetFails, res.Gets)
 	}
-	if res.SpotRepairsDone < 2 {
-		t.Fatalf("spot repairs done = %d, want both corrupt shards re-created in place", res.SpotRepairsDone)
+	if res.UnhealedCorruptions != 0 {
+		t.Fatalf("%d of %d corrupt shards not re-created in place", res.UnhealedCorruptions, res.CorruptionsInjected)
 	}
 	if res.UnderReplicated != 0 {
 		t.Fatalf("%d objects below full redundancy after settling", res.UnderReplicated)

@@ -79,7 +79,10 @@ type Options struct {
 	// SelfHeal starts the autonomic control loop on every node: membership
 	// view changes refresh the local client's placement universe, and the
 	// leader (the smallest name in the view) — only the leader — drives a
-	// debounced rebalance that resigns cleanly on leadership loss. See
+	// debounced rebalance that resigns cleanly on leadership loss. The
+	// same pass repairs detected corruption: a node that quarantines a
+	// corrupt shard pokes the controllers. Without SelfHeal, a quarantined
+	// shard waits for the caller's Rebalance, as a view change does. See
 	// selfheal.go.
 	SelfHeal bool
 	// RebalanceDebounce is how long the membership view must stay
@@ -87,7 +90,8 @@ type Options struct {
 	RebalanceDebounce time.Duration
 	// ScrubInterval is how often each live node's background integrity
 	// scrub runs one budgeted step over its local shard set (default
-	// ScrubInterval; negative disables scrubbing).
+	// ScrubInterval; negative disables scrubbing). What it quarantines only
+	// a pass re-creates, so without SelfHeal it waits for Rebalance.
 	ScrubInterval time.Duration
 	// ScrubRate bounds the scrub's read bandwidth per node in bytes/sec
 	// (default ScrubRate). Each step verifies at most

@@ -30,6 +30,11 @@ type SelfHealStats struct {
 // one per flap. A deposed leader's in-flight pass yields at the next task
 // boundary via the client's rebalance gate, and the new leader re-drives from
 // scratch — reconciliation is delta-exact, so completed moves are no-ops.
+//
+// Detected corruption is the other sensor: a holder that quarantines a shard
+// pokes every controller in its view (stack.go), and the leader's poke runs
+// the same pass, which re-creates the shard its holder no longer lists —
+// even with a node down: a pending poke opens the gate down to k nodes.
 type selfHealer struct {
 	s        *sim.Scheduler
 	client   *dstore.Client
@@ -39,7 +44,8 @@ type selfHealer struct {
 
 	timer   sim.Timer
 	running bool   // a pass this node drives is in flight
-	rearm   bool   // view moved during that pass
+	rearm   bool   // view moved, or a poke came, during that pass
+	corrupt bool   // a corruption poke no completed pass has followed yet
 	leader  string // the last view's smallest name, for leader_transitions
 
 	stats SelfHealStats
@@ -47,6 +53,7 @@ type selfHealer struct {
 	viewChanges       *telemetry.Counter
 	leaderTransitions *telemetry.Counter
 	yields            *telemetry.Counter
+	corruptionPokes   *telemetry.Counter
 }
 
 func newSelfHealer(s *sim.Scheduler, client *dstore.Client, mbr *membership.Node,
@@ -62,6 +69,7 @@ func newSelfHealer(s *sim.Scheduler, client *dstore.Client, mbr *membership.Node
 		viewChanges:       scope.Counter("selfheal.view_changes", "membership view changes seen by the controller"),
 		leaderTransitions: scope.Counter("selfheal.leader_transitions", "leadership handovers seen by the controller"),
 		yields:            scope.Counter("selfheal.yields", "rebalance passes abandoned on leadership loss"),
+		corruptionPokes:   scope.Counter("selfheal.corruption_pokes", "detected-corruption pokes this controller received"),
 	}
 	mbr.OnMembershipChange(h.onView)
 	client.SetRebalanceGate(h.gate)
@@ -99,24 +107,49 @@ func (h *selfHealer) arm() {
 	h.timer = h.s.After(h.debounce, h.fire)
 }
 
+// poke asks for a pass because some holder quarantined a corrupt shard. It
+// starts the debounce only when neither a timer nor a pass is pending, and
+// never postpones a pending timer, so a stream of corruption cannot starve
+// the pass; a running pass re-arms when it ends. Every node's controller is
+// poked, and fire's gate lets only the leader's poke become a pass. The
+// poke stays pending until a pass here completes after it, so a node that
+// takes over the lead still repairs (at worst one pass finds nothing).
+func (h *selfHealer) poke() {
+	h.corruptionPokes.Inc()
+	h.corrupt = true
+	if h.running || !h.timer.Armed() {
+		h.arm()
+	}
+}
+
 // gate is the client's per-task rebalance gate: a pass keeps driving moves
 // only while this node is up, leads its view, is not starving, and the view
-// can host a full placement. A starving node's view is unconfirmed — a
-// revived or joining node starves until the token reaches it again — so its
-// stale ring cannot make it lead. Installed at construction, the gate also
-// yields manual Rebalance calls on a deposed node — the leader owns
+// can host a full placement — or, while a corruption poke is pending, can
+// still decode (k nodes). A starving node's view is unconfirmed — a revived
+// or joining node starves until the token reaches it again — so its stale
+// ring cannot make it lead. Installed at construction, the gate also yields
+// manual Rebalance calls on a deposed node — the leader owns
 // reconciliation, full stop.
 func (h *selfHealer) gate() bool {
-	if h.stopped != nil && h.stopped() {
+	if h.stopped != nil && h.stopped() || h.mbr.Leader() != h.client.Node() || h.mbr.Starving() {
 		return false
 	}
-	leads := h.mbr.Leader() == h.client.Node()
-	return leads && !h.mbr.Starving() && len(h.mbr.View()) >= h.client.Code().N()
+	code, view := h.client.Code(), len(h.mbr.View())
+	return view >= code.N() || h.corrupt && view >= code.K()
 }
 
 func (h *selfHealer) fire() {
-	if h.running || !h.gate() {
-		return // not the leader (or not serviceable): someone else's job
+	if h.running {
+		return
+	}
+	if !h.gate() {
+		// Not the leader, or not serviceable: someone else's job. A leader
+		// with a poke pending retries: its gate can reopen without a view
+		// change (it stops starving, or its endpoint restarts).
+		if h.corrupt && h.mbr.Leader() == h.client.Node() {
+			h.arm()
+		}
+		return
 	}
 	h.running = true
 	h.rearm = false
@@ -131,11 +164,15 @@ func (h *selfHealer) fire() {
 		switch {
 		case err == nil:
 			h.stats.Completed++
+			if !again {
+				h.corrupt = false // no poke came after the pass started
+			}
 		case errors.Is(err, dstore.ErrYielded):
 			h.stats.Yields++
 			h.yields.Inc()
 			// Deposed mid-pass: the new leader drives. If leadership comes
 			// back, that is a view change, and onView re-arms us.
+			again = again || h.corrupt // a pending poke retries, as in fire
 		default:
 			h.stats.Failures++
 			again = true // transient store errors: retry after a debounce

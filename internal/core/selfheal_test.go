@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rain/internal/ecc"
+	"rain/internal/telemetry"
 )
 
 // selfHealPayload is a deterministic object body.
@@ -394,5 +395,213 @@ func TestLeaderTransitionsFollowTheView(t *testing.T) {
 		if got := transitions(); got != st.want {
 			t.Fatalf("%s: selfheal.leader_transitions = %d, want %d", st.what, got, st.want)
 		}
+	}
+}
+
+// TestSelfHealRepairsCorruptionOnTheLeader rots two shards on non-leader
+// holders of a six-node self-healing cluster: one the background scrub
+// finds, one a read from a non-leader node finds. Each holder's quarantine
+// pokes the controllers, and only the leader's poke becomes a pass, so both
+// shards are re-created in place by the leader's client: one rebuilt shard
+// per rotten shard, all on the leader's scope, and no other node starts a
+// pass.
+func TestSelfHealRepairsCorruptionOnTheLeader(t *testing.T) {
+	p, err := New([]string{"n6", "n5", "n4", "n3", "n2", "n1"}, Options{Seed: 41, SelfHeal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Run(time.Second)
+	const size = 24 << 10
+	ids := []string{"scrubbed", "read"}
+	for i, id := range ids {
+		if err := p.Put(id, selfHealPayload(i, size)); err != nil {
+			t.Fatalf("put %s: %v", id, err)
+		}
+	}
+	leader := p.Leader("n6")
+	if leader != "n1" {
+		t.Fatalf("leader = %s, want n1", leader)
+	}
+	// rot damages id's shard on holder and returns the shard index it held.
+	rot := func(id, holder string) int {
+		t.Helper()
+		info, err := p.Backends[holder].Info(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Backends[holder].CorruptShard(id, int64(info.ShardLen)/2); err != nil {
+			t.Fatal(err)
+		}
+		return info.Shard
+	}
+	healed := func(id, holder string, shard int) {
+		t.Helper()
+		info, err := p.Backends[holder].Info(id)
+		if err != nil || info.Shard != shard {
+			t.Fatalf("%s on %s: %+v, %v; want shard %d re-created in place", id, holder, info, err, shard)
+		}
+		if _, _, err := p.Backends[holder].Verify(id); err != nil {
+			t.Fatalf("%s on %s: re-created shard fails verification: %v", id, holder, err)
+		}
+	}
+
+	// (a) The scrub finds it.
+	shardA := rot("scrubbed", "n3")
+	p.Run(ScrubInterval + 3*time.Second)
+	snap := p.Telemetry.Snapshot()
+	if got := telemetrySeriesCounter(snap, "scrub.corruptions_found", "n3"); got != 1 {
+		t.Fatalf("n3's scrub found %d corruptions, want 1", got)
+	}
+	healed("scrubbed", "n3", shardA)
+
+	// (b) A read from a non-leader finds it before the next scrub step.
+	shardB := rot("read", "n5")
+	got, err := p.Clients["n4"].Get("read")
+	if err != nil || !bytes.Equal(got, selfHealPayload(1, size)) {
+		t.Fatalf("get through a rotten shard: %v", err)
+	}
+	if n := telemetrySeriesCounter(p.Telemetry.Snapshot(), "dstore.client.corrupt_naks", "n4"); n != 1 {
+		t.Fatalf("reader n4 saw %d corrupt NAKs, want 1", n)
+	}
+	p.Run(3 * time.Second)
+	healed("read", "n5", shardB)
+
+	snap = p.Telemetry.Snapshot()
+	if got := telemetrySeriesCounter(snap, "scrub.corruptions_found", "n5"); got != 0 {
+		t.Fatalf("n5's scrub found the read's corruption first (%d)", got)
+	}
+	if got := telemetryCounterTotal(snap, "rebalance.shards_rebuilt"); got != 2 {
+		t.Fatalf("rebalance.shards_rebuilt = %d, want one per rotten shard", got)
+	}
+	if got := telemetrySeriesCounter(snap, "rebalance.shards_rebuilt", leader); got != 2 {
+		t.Fatalf("the leader rebuilt %d shards, want both", got)
+	}
+	for _, n := range p.Nodes {
+		if got := telemetrySeriesCounter(snap, "rebalance.passes", n); n != leader && got != 0 {
+			t.Fatalf("non-leader %s started %d passes, want 0", n, got)
+		}
+	}
+	if got := telemetrySeriesCounter(snap, "selfheal.corruption_pokes", leader); got != 2 {
+		t.Fatalf("the leader received %d corruption pokes, want 2", got)
+	}
+	for i, id := range ids {
+		if got, err := p.Get(id); err != nil || !bytes.Equal(got, selfHealPayload(i, size)) {
+			t.Fatalf("get %s after the repair: %v", id, err)
+		}
+	}
+}
+
+// telemetrySeriesCounter reads one labeled series of a counter family.
+func telemetrySeriesCounter(snap telemetry.Snapshot, name, labelVal string) uint64 {
+	for _, f := range snap.Families {
+		if f.Name != name {
+			continue
+		}
+		for _, s := range f.Series {
+			if s.LabelValue == labelVal {
+				return s.Counter
+			}
+		}
+	}
+	return 0
+}
+
+// TestSelfHealRepairsCorruptionWhileANodeIsDown crashes one node of a
+// six-node cluster on the default code, whose width is the node count, so
+// the five-node view cannot host a placement and no view-change pass runs.
+// A shard that rots on a survivor then leaves its object at bare quorum;
+// the pending corruption poke opens the leader's gate down to k nodes, and
+// the pass re-creates the shard in place while the node is still down.
+func TestSelfHealRepairsCorruptionWhileANodeIsDown(t *testing.T) {
+	p := newPlatform(t, Options{Seed: 43, SelfHeal: true})
+	if w := p.Code().N(); w != len(p.Nodes) {
+		t.Fatalf("default code width %d, want the node count %d", w, len(p.Nodes))
+	}
+	p.Run(time.Second)
+	const size = 24 << 10
+	if err := p.Put("obj", selfHealPayload(0, size)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Crash("n4"); err != nil {
+		t.Fatal(err)
+	}
+	p.Run(5 * time.Second)
+	if view := p.MembershipView("n1"); len(view) != len(p.Nodes)-1 || p.Leader("n1") != "n1" {
+		t.Fatalf("n1 after the crash: view %v, leader %s", view, p.Leader("n1"))
+	}
+	info, err := p.Backends["n3"].Info("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Backends["n3"].CorruptShard("obj", int64(info.ShardLen)/2); err != nil {
+		t.Fatal(err)
+	}
+	p.Run(ScrubInterval + 3*time.Second)
+	if !p.Mesh.Stopped("n4") {
+		t.Fatal("n4 came back before the check")
+	}
+	snap := p.Telemetry.Snapshot()
+	if got := telemetrySeriesCounter(snap, "scrub.corruptions_found", "n3"); got != 1 {
+		t.Fatalf("n3's scrub found %d corruptions, want 1", got)
+	}
+	if got, err := p.Backends["n3"].Info("obj"); err != nil || got.Shard != info.Shard {
+		t.Fatalf("n3 after the pass: %+v, %v; want shard %d re-created in place", got, err, info.Shard)
+	}
+	if _, _, err := p.Backends["n3"].Verify("obj"); err != nil {
+		t.Fatalf("re-created shard fails verification: %v", err)
+	}
+	if got := telemetrySeriesCounter(snap, "rebalance.shards_rebuilt", "n1"); got != 1 {
+		t.Fatalf("the leader rebuilt %d shards, want 1", got)
+	}
+	if got, err := p.Get("obj"); err != nil || !bytes.Equal(got, selfHealPayload(0, size)) {
+		t.Fatalf("get with n4 down after the repair: %v", err)
+	}
+}
+
+// TestSelfHealPendingPokeOutlastsAClosedGate pokes a controller whose gate
+// is closed when its debounce fires, and reopens the gate without a view
+// change (a leader that stops starving does the same): the poke is still
+// pending, so the controller keeps retrying and runs the pass that re-creates
+// the quarantined shard. The controller is built by hand so a test hook can
+// close its gate.
+func TestSelfHealPendingPokeOutlastsAClosedGate(t *testing.T) {
+	p := newPlatform(t, Options{Seed: 47})
+	p.Run(time.Second)
+	const size = 24 << 10
+	if err := p.Put("obj", selfHealPayload(0, size)); err != nil {
+		t.Fatal(err)
+	}
+	info, err := p.Backends["n3"].Info("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Backends["n3"].CorruptShard("obj", int64(info.ShardLen)/2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.Backends["n3"].Verify("obj"); err == nil {
+		t.Fatal("the rotten shard verified")
+	}
+	closed := true
+	const debounce = 500 * time.Millisecond
+	h := newSelfHealer(p.Scheduler, p.Clients["n1"], p.Membership.Members["n1"],
+		func() bool { return closed }, debounce, telemetry.NewRegistry().Node("n1"))
+	h.poke()
+	p.Run(5 * debounce)
+	if h.stats.Passes != 0 {
+		t.Fatalf("%d passes through a closed gate", h.stats.Passes)
+	}
+	closed = false
+	p.Run(5 * debounce)
+	if h.stats.Passes != 1 || h.stats.Completed != 1 || h.stats.Moves.Rebuilt != 1 {
+		t.Fatalf("after the gate reopened: %+v; want one completed pass rebuilding one shard", h.stats)
+	}
+	if h.corrupt {
+		t.Fatal("the completed pass left the poke pending")
+	}
+	if got, err := p.Backends["n3"].Info("obj"); err != nil || got.Shard != info.Shard {
+		t.Fatalf("n3 after the pass: %+v, %v; want shard %d re-created in place", got, err, info.Shard)
+	}
+	if _, _, err := p.Backends["n3"].Verify("obj"); err != nil {
+		t.Fatalf("re-created shard fails verification: %v", err)
 	}
 }

@@ -26,6 +26,10 @@ const (
 	ScrubRate = int64(32 << 20) // bytes/sec
 )
 
+// serviceHeal is the mesh service on which a node that quarantined a corrupt
+// shard pokes the other nodes' self-heal controllers; the datagram is empty.
+const serviceHeal = "heal"
+
 // stackSpec is what one node's build needs beyond its transport and control
 // engines. Zero durations and rates take the package defaults.
 type stackSpec struct {
@@ -40,7 +44,8 @@ type stackSpec struct {
 	// store configures the client: code, placement universe, policy, block
 	// size, telemetry. The build supplies Alive.
 	store dstore.Config
-	// selfHeal runs the leader-gated rebalance controller.
+	// selfHeal runs the leader-gated rebalance controller, which also
+	// drives the repair of every shard a daemon quarantines.
 	selfHeal          bool
 	rebalanceDebounce time.Duration
 	// scrubInterval < 0 disables the background scrub.
@@ -113,14 +118,21 @@ func newStack(s *sim.Scheduler, mesh dstore.Mesh, mbr *membership.Node,
 		return nil, err
 	}
 	st.client = cl
-	// Corruption the local scrub finds is queued for repair on the
-	// co-located client (same scheduler goroutine, so the callback may
-	// queue directly).
-	st.daemon.OnCorrupt(func(id string, _ int) {
-		cl.QueueRepair(id, spec.name)
-	})
 	if spec.selfHeal {
 		st.healer = newSelfHealer(s, cl, mbr, stopped, spec.rebalanceDebounce, reg.Node(spec.name))
+		// A shard the daemon quarantines pokes this node's controller and,
+		// with one empty datagram each, every other one in the view. Only
+		// the leader's gate turns its poke into a pass, so nobody needs to
+		// know who leads.
+		mesh.Handle(spec.name, serviceHeal, func(string, []byte) { st.healer.poke() })
+		st.daemon.OnCorrupt(func() {
+			st.healer.poke()
+			for _, peer := range mbr.View() {
+				if peer != spec.name {
+					mesh.SendService(spec.name, peer, serviceHeal, nil)
+				}
+			}
+		})
 	}
 
 	// The pacer. Orphan sweep: the garbage-collection half of the put/get
@@ -133,8 +145,8 @@ func newStack(s *sim.Scheduler, mesh dstore.Mesh, mbr *membership.Node,
 	s.After(SweepInterval, sweep)
 	// Integrity scrub: the node walks its own shard set verifying checksums
 	// under the read-bandwidth budget; what it finds is quarantined by the
-	// backend and handed to OnCorrupt above. The same step, under the same
-	// budget, compacts a file backend's log.
+	// backend and reported through OnCorrupt above. The same step, under the
+	// same budget, compacts a file backend's log.
 	if spec.scrubInterval > 0 {
 		budget := spec.scrubRate * int64(spec.scrubInterval) / int64(time.Second)
 		if budget < 1 {

@@ -189,12 +189,6 @@ type Client struct {
 	// rebuild/rebalance pipelines — the enforced memory bound, for tests.
 	taskHighWater int64
 
-	// Repair-in-place queue (repair.go): corrupt shards detected on reads
-	// or by the scrub, awaiting re-creation on their holder.
-	repairQ      []repairJob
-	repairing    map[string]bool // pending (object, holder) jobs, for dedupe
-	repairActive bool
-
 	met    *clientMetrics
 	tracer *telemetry.Tracer
 }

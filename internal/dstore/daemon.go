@@ -3,6 +3,7 @@ package dstore
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -71,9 +72,9 @@ type Daemon struct {
 	gets map[sessKey]*getSession
 
 	// Scrub state: the cursor the background verify pass resumes from, and
-	// the corruption callback the owner wires to repair-in-place.
+	// the corruption callback the owner wires to its repair driver.
 	scrubCursor string
-	onCorrupt   func(id string, shardIdx int)
+	onCorrupt   func()
 
 	// inv caches the sorted inventory across the pages of a ListReq walk,
 	// revalidated against the backend's mutation generation — without it a
@@ -150,13 +151,14 @@ func NewDaemon(mesh Mesh, node string, shard int, backend Store, chunkSize int, 
 		chunkSize = DefaultChunkSize
 	}
 	d := &Daemon{
-		mesh:    mesh,
-		node:    node,
-		backend: backend,
-		chunk:   chunkSize,
-		now:     time.Now,
-		asm:     make(map[sessKey]*assembly),
-		gets:    make(map[sessKey]*getSession),
+		mesh:      mesh,
+		node:      node,
+		backend:   backend,
+		chunk:     chunkSize,
+		now:       time.Now,
+		onCorrupt: func() {},
+		asm:       make(map[sessKey]*assembly),
+		gets:      make(map[sessKey]*getSession),
 	}
 	for _, opt := range opts {
 		opt(d)
@@ -175,11 +177,12 @@ func (d *Daemon) Node() string { return d.node }
 // Backend returns the daemon's shard store.
 func (d *Daemon) Backend() Store { return d.backend }
 
-// OnCorrupt registers the callback fired (on the daemon's goroutine) when
-// the scrubber finds a corrupt shard. The backend has already quarantined
-// it; the owner's job is repair — core wires this to the co-located
-// client's repair queue.
-func (d *Daemon) OnCorrupt(fn func(id string, shardIdx int)) { d.onCorrupt = fn }
+// OnCorrupt registers the callback fired (on the daemon's goroutine) once
+// per shard that one of its reads finds corrupt: the scrub's, or a get
+// stream it serves to a client or a reconciliation pass. The backend has
+// quarantined the shard, so it left this node's inventory; the owner's job
+// is to get a pass run — core pokes the self-heal controllers.
+func (d *Daemon) OnCorrupt(fn func()) { d.onCorrupt = fn }
 
 // Assemblies reports in-progress put transfers (orphan-leak checks).
 func (d *Daemon) Assemblies() int { return len(d.asm) }
@@ -282,22 +285,15 @@ func (d *Daemon) SweepOrphans(maxAge time.Duration) int {
 // daemon's goroutine alongside SweepOrphans; budget per step = rate × the
 // step interval, which is how a bytes/sec scrub rate is enforced without a
 // ticker of its own. A corrupt shard is quarantined by the backend and
-// reported through the OnCorrupt callback for repair-in-place.
+// reported through the OnCorrupt callback.
 func (d *Daemon) ScrubStep(budget int64) (bytesVerified int64, corruptions int) {
 	objs := d.backend.List()
 	if len(objs) == 0 {
 		return 0, 0
 	}
-	start := 0
-	for i, o := range objs {
-		if o.ID > d.scrubCursor {
-			start = i
-			break
-		}
-		if i == len(objs)-1 {
-			start = 0 // cursor at or past the end: wrap to a fresh pass
-		}
-	}
+	// Resume at the first shard past the cursor (List is sorted by ID), or
+	// wrap to a fresh pass.
+	start := sort.Search(len(objs), func(i int) bool { return objs[i].ID > d.scrubCursor }) % len(objs)
 	for i := 0; i < len(objs) && bytesVerified < budget; i++ {
 		o := objs[(start+i)%len(objs)]
 		blocks, bytes, err := d.backend.Verify(o.ID)
@@ -309,9 +305,7 @@ func (d *Daemon) ScrubStep(budget int64) (bytesVerified int64, corruptions int) 
 			if errors.Is(err, storage.ErrCorrupt) {
 				corruptions++
 				d.met.scrubCorruptions.Inc()
-				if d.onCorrupt != nil {
-					d.onCorrupt(o.ID, o.Shard)
-				}
+				d.onCorrupt()
 			}
 			// Not-found (deleted mid-scrub) and injected I/O errors skip
 			// the object; the next pass revisits it.
@@ -502,8 +496,11 @@ func (d *Daemon) pumpGet(from string, req uint64, g *getSession) {
 			}
 			// Everything else NAKs with the error text; a *CorruptError's
 			// text is what the client folds back into corruption-as-erasure
-			// (the shard is already quarantined locally).
+			// (the shard is already quarantined locally, and reported).
 			d.reply(from, Msg{Kind: KindGetChunk, Req: req, ID: g.info.ID, Err: err.Error()})
+			if errors.Is(err, storage.ErrCorrupt) {
+				d.onCorrupt()
+			}
 			return
 		}
 		d.cnt.chunksServed.Add(1)

@@ -44,8 +44,8 @@ func isNotFoundText(s string) bool {
 
 // isCorruptText recognises a daemon's corruption NAK on the wire
 // (storage.CorruptError's text). The shard is already quarantined on the
-// holder; the client treats it exactly like a missing shard — one more
-// erasure — and queues a repair-in-place.
+// holder, which reports it to its owner for repair; the client treats it
+// exactly like a missing shard — one more erasure.
 func isCorruptText(s string) bool {
 	return strings.Contains(s, "shard corrupt")
 }

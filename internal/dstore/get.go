@@ -529,14 +529,14 @@ func (op *streamGetOp) onChunk(st *shardStream, m Msg) {
 			// slot, its bytes just failed verification (and are quarantined
 			// there). Counting it as deadOther keeps failIfStuck from
 			// concluding "object does not exist", and the hedge below swaps
-			// in a survivor or reconstructs from parity. The repair queue
-			// re-creates the bad shard asynchronously.
+			// in a survivor or reconstructs from parity. The holder reported
+			// its quarantine to its owner, whose next reconciliation pass
+			// re-creates the bad shard.
 			op.deadOther++
 			if isCorruptText(m.Err) {
 				op.corrupt++
 				op.c.met.corruptNaks.Inc()
 				op.trace.Event(op.c.nowNS(), "corrupt_nak", st.peer, int64(st.peerIdx))
-				op.c.QueueRepair(op.id, st.peer)
 			}
 		}
 		delete(op.c.pending, st.req)

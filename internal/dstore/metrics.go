@@ -44,8 +44,9 @@ func newDaemonMetrics(s *telemetry.Scope) *daemonMetrics {
 // labeled by node. Latencies are in the client's clock — virtual nanoseconds
 // under the simulator, wall nanoseconds over real sockets. The rebalance.*
 // families cover every reconciliation pass, whatever triggered it (a view
-// change, a hot swap or a corruption repair); the per-pass gauges make a long rebalance
-// visible while it runs instead of only through the done callback.
+// change, a hot swap or detected corruption); the per-pass gauges make a
+// long rebalance visible while it runs instead of only through the done
+// callback.
 type clientMetrics struct {
 	putLatency   *telemetry.Histogram
 	getLatency   *telemetry.Histogram
@@ -57,10 +58,6 @@ type clientMetrics struct {
 	creditStalls *telemetry.Counter
 	corruptNaks  *telemetry.Counter
 	pipesFresh   *telemetry.Counter
-
-	repairsQueued *telemetry.Counter
-	repairsDone   *telemetry.Counter
-	repairsFailed *telemetry.Counter
 
 	passes             *telemetry.Counter
 	repairDuration     *telemetry.Histogram
@@ -86,10 +83,6 @@ func newClientMetrics(s *telemetry.Scope) *clientMetrics {
 		creditStalls: s.Counter("dstore.client.credit_stalls", "stream pauses waiting for flow-control credit"),
 		corruptNaks:  s.Counter("dstore.client.corrupt_naks", "corruption NAKs received (shard treated as erased)"),
 		pipesFresh:   s.Counter("dstore.put.pipes_fresh", "put-feed pipes allocated: the recycle list was empty or its pipe was outgrown"),
-
-		repairsQueued: s.Counter("scrub.repairs_queued", "corrupt-shard repairs admitted to the repair queue"),
-		repairsDone:   s.Counter("scrub.repairs_done", "corrupt shards whose object a repair pass reconciled"),
-		repairsFailed: s.Counter("scrub.repairs_failed", "corrupt-shard repairs whose pass failed (left to the next pass)"),
 
 		passes:             s.Counter("rebalance.passes", "reconciliation passes started"),
 		repairDuration:     s.Histogram("rebalance.repair_duration_ns", "per-object shard repair duration (the MTTDL numerator)"),

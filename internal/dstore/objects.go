@@ -15,7 +15,7 @@ type ObjectStat struct {
 // is an error only when no daemon answered at all, so a degraded cluster
 // still lists what its survivors hold.
 func (c *Client) ListAsync(done func(objs []ObjectStat, err error)) {
-	c.listInventory(c.Universe(), func(entries map[string]*invEntry, _ int, err error) {
+	c.listInventory(c.Universe(), func(entries map[string]*invEntry, err error) {
 		if err != nil {
 			done(nil, err)
 			return

@@ -12,11 +12,13 @@ import (
 // This file is the placement-reconciliation half of the client: the paged
 // cluster inventory walk, the budget-bounded concurrent task pipeline, and
 // the reconciler that moves shards onto their target holders. It is the
-// store's one repair path, with three triggers: a membership change ("every
-// object whose rendezvous placement changed", RebalanceAsync), a hot swap
-// (core's ReplaceNode: one pass whose delta is "one node lost everything")
-// and detected corruption (repair.go: a pass over the objects whose shards
-// were quarantined). All run reconcile over reconcileObject.
+// store's one repair path, RebalanceAsync over reconcileObject, and every
+// trigger is one more pass: a membership change ("every object whose
+// rendezvous placement changed"), a hot swap (core's ReplaceNode: the delta
+// of "one node lost everything") and detected corruption (a quarantined
+// shard leaves its holder's inventory, so the object falls short of its
+// placement like any other). Who drives the pass is the caller's business;
+// core runs it from the view's leader.
 
 // invEntry aggregates what the queried daemons report about one object.
 type invEntry struct {
@@ -27,11 +29,11 @@ type invEntry struct {
 // listInventory walks the inventories of the given nodes page by page
 // (KindListReq with a resume-after token) and merges them into per-object
 // entries. Dead nodes and nodes that stop answering mid-walk contribute
-// what they managed to report. done receives the merged entries and how
-// many nodes answered at least one page; it is an error when none did.
-func (c *Client) listInventory(nodes []string, done func(entries map[string]*invEntry, responded int, err error)) {
+// what they managed to report. done receives the merged entries; it is an
+// error when no node answered a single page.
+func (c *Client) listInventory(nodes []string, done func(entries map[string]*invEntry, err error)) {
 	entries := make(map[string]*invEntry)
-	waiting, responded := 0, 0
+	waiting, responded := 1, 0 // 1: the loop below, until it has sent every request
 	finished := false
 	nodeDone := func() {
 		waiting--
@@ -40,10 +42,10 @@ func (c *Client) listInventory(nodes []string, done func(entries map[string]*inv
 		}
 		finished = true
 		if responded == 0 {
-			done(nil, 0, fmt.Errorf("%w: no inventory responses", ErrNotEnoughDaemons))
+			done(nil, fmt.Errorf("%w: no inventory responses", ErrNotEnoughDaemons))
 			return
 		}
-		done(entries, responded, nil)
+		done(entries, nil)
 	}
 	merge := func(node string, infos []storage.ObjectInfo) {
 		for _, in := range infos {
@@ -103,10 +105,7 @@ func (c *Client) listInventory(nodes []string, done func(entries map[string]*inv
 		}
 		requestPage("")
 	}
-	if waiting == 0 {
-		finished = true
-		done(nil, 0, fmt.Errorf("%w: no inventory responses", ErrNotEnoughDaemons))
-	}
+	nodeDone()
 }
 
 // runTasks drives n asynchronous tasks through a budgeted concurrency
@@ -396,7 +395,8 @@ type RebalanceStats struct {
 // every target slot of the object has committed — so no object loses
 // availability mid-move. Objects are pipelined under the same budget as
 // rebuild. The usual trigger is SetNodes after a membership change; on an
-// unchanged universe it is a scrub, re-materialising any missing shards.
+// unchanged universe it is a scrub, re-materialising any missing shards —
+// among them every shard a holder quarantined as corrupt.
 //
 // drain names nodes outside the universe that are still reachable — a
 // graceful decommission. Their inventories are consulted, their shards
@@ -418,56 +418,30 @@ func (c *Client) RebalanceAsync(drain []string, done func(RebalanceStats, error)
 			sources = append(sources, node)
 		}
 	}
-	c.listInventory(sources, func(entries map[string]*invEntry, _ int, err error) {
+	c.listInventory(sources, func(entries map[string]*invEntry, err error) {
 		if err != nil {
 			done(RebalanceStats{}, err)
 			return
 		}
-		c.reconcile(entries, sortedIDs(entries), true, nil, done)
-	})
-}
-
-// reconcile is the one repair path: it keeps the ids whose observed holders
-// differ from their placement and runs reconcileObject on each, pipelined
-// under the rebuild budget. When gated, the rebalance gate is consulted
-// before each object (a closed gate yields it with ErrYielded). settle,
-// when non-nil, hears every id's outcome: ErrNotFound when no node
-// reported it, nil when it already matched its placement. done fires once
-// every selected object has resolved, with the pass's first error.
-func (c *Client) reconcile(entries map[string]*invEntry, ids []string, gated bool,
-	settle func(id string, err error), done func(RebalanceStats, error)) {
-
-	if settle == nil {
-		settle = func(string, error) {}
-	}
-	var stats RebalanceStats
-	var jobs []string
-	for _, id := range ids {
-		switch e := entries[id]; {
-		case e == nil:
-			settle(id, fmt.Errorf("%w: %s", ErrNotFound, id))
-		case c.reconcileNeeded(id, e):
-			jobs = append(jobs, id)
-		default:
-			settle(id, nil)
+		var stats RebalanceStats
+		var jobs []string
+		for _, id := range sortedIDs(entries) {
+			if c.reconcileNeeded(id, entries[id]) {
+				jobs = append(jobs, id)
+			}
 		}
-	}
-	c.runTasks(len(jobs),
-		func(i int) int64 { return c.taskCost(entries[jobs[i]]) },
-		func(i int, taskDone func(error)) {
-			id := jobs[i]
-			finish := func(err error) {
-				settle(id, err)
-				taskDone(err)
-			}
-			if gated && !c.gateOpen() {
-				finish(ErrYielded)
-				return
-			}
-			stats.Objects++
-			c.reconcileObject(id, entries[id], &stats, finish)
-		},
-		func(err error) { done(stats, err) })
+		c.runTasks(len(jobs),
+			func(i int) int64 { return c.taskCost(entries[jobs[i]]) },
+			func(i int, taskDone func(error)) {
+				if !c.gateOpen() {
+					taskDone(ErrYielded)
+					return
+				}
+				stats.Objects++
+				c.reconcileObject(jobs[i], entries[jobs[i]], &stats, taskDone)
+			},
+			func(err error) { done(stats, err) })
+	})
 }
 
 // reconcileNeeded reports whether an object's observed holders differ from

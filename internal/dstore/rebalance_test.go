@@ -666,12 +666,13 @@ func TestDigestSurvivesShardMovement(t *testing.T) {
 	if _, _, err := c.backends[target].Verify("obj"); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("verify of the damaged shard: %v", err)
 	}
-	c.clients[c.nodes[0]].QueueRepair("obj", target)
-	c.s.RunFor(5 * time.Second)
+	if _, err := c.clients[c.nodes[0]].Rebalance(); err != nil {
+		t.Fatalf("repair pass: %v", err)
+	}
 	check("repair in place", target, remaining)
 }
 
-// TestRepairRelocatesWhenPlacementMoved queues a corruption repair on a
+// TestRepairRelocatesWhenPlacementMoved quarantines a corrupt shard on a
 // holder whose slot a join has since given to the newcomer, before any
 // rebalance pass ran. The repair is a reconciliation of the object, so the
 // shard is re-created where the placement now puts it, not refused.
@@ -712,16 +713,17 @@ func TestRepairRelocatesWhenPlacementMoved(t *testing.T) {
 	if _, _, err := c.backends[holder].Verify(id); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("verify of the damaged shard: %v", err)
 	}
-	c.clients[holder].QueueRepair(id, holder)
-	c.s.RunFor(5 * time.Second)
+	st, err := c.clients[holder].Rebalance()
+	if err != nil || st.Rebuilt != 1 {
+		t.Fatalf("repair pass: %+v, %v; want one rebuilt shard", st, err)
+	}
 
 	info, err := c.backends[newcomer].Info(id)
 	if err != nil || info.Shard != slot {
 		t.Fatalf("newcomer %s: info %+v, %v; want shard %d", newcomer, info, err, slot)
 	}
-	snap := reg.Snapshot()
-	if done, failed := counterTotal(t, snap, "scrub.repairs_done"), counterTotal(t, snap, "scrub.repairs_failed"); done != 1 || failed != 0 {
-		t.Fatalf("repairs done %d, failed %d; want 1 and 0", done, failed)
+	if rebuilt := counterTotal(t, reg.Snapshot(), "rebalance.shards_rebuilt"); rebuilt != 1 {
+		t.Fatalf("shards rebuilt %d, want 1", rebuilt)
 	}
 	if got, err := c.clients[c.nodes[1]].Get(id); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("get after the relocating repair: %v", err)

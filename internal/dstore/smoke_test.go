@@ -176,13 +176,11 @@ func TestStreamSmoke256MiB(t *testing.T) {
 		t.Fatalf("quarantined on %s = %d, want the rotten shard sidelined", rot, backends[rot].Quarantined())
 	}
 
-	// The read queued a repair of the rotten shard. Let it land before the
-	// hot swap, so the swap's reconciliation pass has exactly one slot to
-	// fill.
-	for {
-		if _, err := backends[rot].Info("big"); err == nil || !s.Step() {
-			break
-		}
+	// The holder quarantined the rotten shard, which left its inventory.
+	// One reconciliation pass re-creates it before the hot swap, so the
+	// swap's pass has exactly one slot to fill.
+	if st, err := clients[holder[0]].Rebalance(); err != nil || st.Moved+st.Rebuilt != 1 {
+		t.Fatalf("repair pass: %+v, %v", st, err)
 	}
 	if info, err := backends[rot].Info("big"); err != nil || info.Shard != 2 {
 		t.Fatalf("rotten shard on %s not repaired: %+v, %v", rot, info, err)

@@ -126,9 +126,11 @@ func RebuildStream(code Code, target int, w io.Writer, readers []io.Reader, data
 // spread over all nodes. Rebalance reconciles every object with its target
 // placement, pipelining several objects under ClusterOptions.RebuildBudget,
 // and is the one repair path: ReplaceNode wipes and revives a node and runs
-// one Rebalance pass, whose delta is that node's shards, and detected
-// corruption runs the same pass over the affected objects. See
-// internal/core for the composition.
+// one Rebalance pass, whose delta is that node's shards, and a corrupt
+// shard that its holder quarantines is one more hole the next pass fills.
+// Under SelfHeal the holder pokes the controllers and the leader runs that
+// pass; without it (the default) the shard, even one the background scrub
+// found, waits for the caller's Rebalance. See internal/core.
 type Cluster = core.Platform
 
 // Placement returns the ordered n-node assignment rendezvous hashing gives
