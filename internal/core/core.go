@@ -201,7 +201,9 @@ func New(nodes []string, opts Options) (*Platform, error) {
 	// The default RUDP timers assume LAN latency. On slower links the ping
 	// round-trip alone would exceed PingTimeout and declare every path
 	// dead, stalling all traffic — scale the monitors and RTO with the
-	// configured delay (RTT plus jitter headroom).
+	// configured delay (RTT plus jitter headroom). Membership's failure
+	// budget derives from this RTO inside RUDP (Endpoint.SendNotify), so
+	// a scaled RTO stretches it too.
 	rcfg := rudp.Config{Paths: opts.Paths, Telemetry: reg}
 	if rtt := 3 * opts.LinkDelay; rtt > 35*time.Millisecond {
 		rcfg.RTO = 2 * rtt
@@ -214,10 +216,7 @@ func New(nodes []string, opts Options) (*Platform, error) {
 	}
 	// Membership runs as a live service on the data mesh, not on a private
 	// NIC.
-	mcfg := membership.MeshConfig{
-		Config:     membership.Config{Detection: opts.Detection},
-		AckTimeout: membership.AckTimeout(rcfg, opts.LinkDelay),
-	}
+	mcfg := membership.Config{Detection: opts.Detection}
 	if opts.LinkDelay > 5*time.Millisecond {
 		// Slow links: pace the token with the latency so its rotation
 		// outruns the starve clock.

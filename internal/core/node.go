@@ -146,11 +146,9 @@ func (n *RealNode) build(cfg NodeConfig) error {
 	}
 	n.Mesh = mesh
 
-	// Membership over the real mesh. The engine is the same state machine
-	// the simulated cluster runs; liveness shortcuts come from the mesh's
-	// handshake state.
-	mcfg := membership.MeshConfig{AckTimeout: membership.AckTimeout(cfg.Conn, 0)}
-	n.Membership = membership.NewMeshNode(s, mesh, cfg.Name, []string{cfg.Name}, mcfg, mesh.PeerUp)
+	// Membership over the real mesh. The engine and its driver are the
+	// same the simulated cluster runs.
+	n.Membership = membership.NewMeshNode(s, mesh, cfg.Name, []string{cfg.Name}, membership.Config{})
 
 	// The process is the node: nothing powers it off under its own loop, so
 	// the stack gets no stopped hook.

@@ -20,13 +20,11 @@ import (
 func BenchmarkMembershipTokenRound(b *testing.B) {
 	s := sim.New(5)
 	names := []string{"A", "B", "C", "D"}
-	conn := rudp.Config{Paths: 2}
-	mesh, err := rudp.NewMesh(s, sim.NewNetwork(s), names, conn)
+	mesh, err := rudp.NewMesh(s, sim.NewNetwork(s), names, rudp.Config{Paths: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	mcfg := MeshConfig{AckTimeout: AckTimeout(conn, sim.DefaultLink.Delay)}
-	c := NewMeshCluster(s, mesh, names, mcfg)
+	c := NewMeshCluster(s, mesh, names, Config{})
 	s.RunFor(500 * time.Millisecond)
 	b.ResetTimer()
 	start := c.Members["A"].TokenVisits()

@@ -18,13 +18,13 @@ type MeshCluster struct {
 	Members map[string]*Node
 
 	mesh  MeshTransport
-	cfg   MeshConfig
+	cfg   Config
 	nodes map[string]*MeshNode
 }
 
 // NewMeshCluster builds a node for every name (in initial ring order) on
 // the mesh and hands the initial token to names[0].
-func NewMeshCluster(s *sim.Scheduler, mesh MeshTransport, names []string, cfg MeshConfig) *MeshCluster {
+func NewMeshCluster(s *sim.Scheduler, mesh MeshTransport, names []string, cfg Config) *MeshCluster {
 	c := &MeshCluster{
 		S:       s,
 		Members: make(map[string]*Node),
@@ -40,7 +40,7 @@ func NewMeshCluster(s *sim.Scheduler, mesh MeshTransport, names []string, cfg Me
 }
 
 func (c *MeshCluster) addNode(name string, ring []string) *MeshNode {
-	m := NewMeshNode(c.S, c.mesh, name, ring, c.cfg, nil)
+	m := NewMeshNode(c.S, c.mesh, name, ring, c.cfg)
 	c.nodes[name] = m
 	c.Members[name] = m.Node()
 	return m

@@ -26,9 +26,11 @@
 // hook.
 //
 // Node is a pure state machine: inputs are messages, clock ticks and
-// transport acknowledgements. MeshNode is the one driver, over RUDP — the
+// transport delivery reports. MeshNode is the one driver, over RUDP — the
 // simulated mesh (MeshCluster: the Fig 9 tests, SNOW, Rainwall,
-// core.Platform) or UDP sockets (core.RealNode).
+// core.Platform) or UDP sockets (core.RealNode). RUDP's own ack is the only
+// one under the ring: a message is one reliable datagram, and its delivery
+// report (rudp.Endpoint.SendNotify) decides whether a token pass failed.
 package membership
 
 import (
@@ -119,9 +121,10 @@ type Probe struct {
 	Seq  uint64
 }
 
-// Transport delivers protocol messages with an acknowledgement: done(true)
-// once the peer acked, done(false) after the retry budget — the "fails to
-// send the token" signal that drives failure detection.
+// Transport delivers protocol messages with a delivery report: done(true)
+// once the peer's transport acknowledged the message, done(false) once the
+// transport gave up on it — the "fails to send the token" signal that drives
+// failure detection.
 type Transport interface {
 	Send(to string, msg any, done func(ok bool))
 }

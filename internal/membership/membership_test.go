@@ -18,21 +18,18 @@ type testCluster struct {
 	mesh *rudp.Mesh
 }
 
-// newRing builds the ring over names, links configured as link, with the
-// driver's ack deadline derived from the mesh's timers.
+// newRing builds the ring over names, links configured as link.
 func newRing(t *testing.T, seed int64, det Detection, link sim.LinkConfig, names []string, standby ...string) *testCluster {
 	t.Helper()
 	s := sim.New(seed)
 	net := sim.NewNetwork(s)
 	all := append(append([]string(nil), names...), standby...)
 	sim.ApplyProfile(net, all, 2, link)
-	conn := rudp.Config{Paths: 2}
-	mesh, err := rudp.NewMesh(s, net, all, conn)
+	mesh, err := rudp.NewMesh(s, net, all, rudp.Config{Paths: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := MeshConfig{Config: Config{Detection: det}, AckTimeout: AckTimeout(conn, link.Delay)}
-	c := &testCluster{MeshCluster: NewMeshCluster(s, mesh, names, cfg), mesh: mesh}
+	c := &testCluster{MeshCluster: NewMeshCluster(s, mesh, names, Config{Detection: det}), mesh: mesh}
 	for _, sb := range standby {
 		c.AddStandby(sb)
 		mesh.StopNode(sb)

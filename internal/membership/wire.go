@@ -3,13 +3,13 @@ package membership
 import "encoding/binary"
 
 // Wire codec of the membership protocol, the same on every transport: a
-// one-byte message kind, the uvarint envelope id of the stop-and-wait ack
-// handshake, then the body fields as uvarints and length-prefixed strings.
+// one-byte message kind, then the body fields as uvarints and
+// length-prefixed strings. Delivery, ordering and acknowledgement are the
+// transport's, so there is no envelope.
 
-// Message kinds on the wire.
+// Message kinds on the wire; 0 is never sent.
 const (
-	wireAck = iota
-	wireToken
+	wireToken = iota + 1
 	wireNine11
 	wireApprove
 	wireProbe
@@ -91,17 +91,11 @@ func (r *wireReader) bytes() []byte {
 	return out
 }
 
-// encodeAck encodes the acknowledgement for envelope id.
-func encodeAck(id uint64) []byte {
-	return binary.AppendUvarint([]byte{wireAck}, id)
-}
-
-// encodeMessage encodes a protocol message under envelope id.
-func encodeMessage(id uint64, msg any) []byte {
+// encodeMessage encodes a protocol message.
+func encodeMessage(msg any) []byte {
 	switch m := msg.(type) {
 	case *Token:
-		b := binary.AppendUvarint([]byte{wireToken}, id)
-		b = binary.AppendUvarint(b, m.Seq)
+		b := binary.AppendUvarint([]byte{wireToken}, m.Seq)
 		b = appendStrings(b, m.Ring)
 		b = binary.AppendUvarint(b, uint64(len(m.Failures)))
 		for _, node := range sortedKeys(m.Failures) {
@@ -110,18 +104,15 @@ func encodeMessage(id uint64, msg any) []byte {
 		}
 		return appendBytes(b, m.Payload)
 	case *Nine11:
-		b := binary.AppendUvarint([]byte{wireNine11}, id)
-		b = appendString(b, m.Requester)
+		b := appendString([]byte{wireNine11}, m.Requester)
 		b = binary.AppendUvarint(b, m.ReqSeq)
 		b = appendStrings(b, m.Visited)
 		return appendStrings(b, m.Failed)
 	case *Approve911:
-		b := binary.AppendUvarint([]byte{wireApprove}, id)
-		b = binary.AppendUvarint(b, m.ReqSeq)
+		b := binary.AppendUvarint([]byte{wireApprove}, m.ReqSeq)
 		return appendStrings(b, m.Failed)
 	case *Probe:
-		b := binary.AppendUvarint([]byte{wireProbe}, id)
-		b = appendString(b, m.From)
+		b := appendString([]byte{wireProbe}, m.From)
 		return binary.AppendUvarint(b, m.Seq)
 	}
 	panic("membership: unknown wire message")
@@ -140,18 +131,14 @@ func sortedKeys(m map[string]int) []string {
 	return out
 }
 
-// decodeMessage decodes an envelope. ack is true for acknowledgements (msg
-// is nil); ok is false for malformed datagrams.
-func decodeMessage(b []byte) (id uint64, ack bool, msg any, ok bool) {
+// decodeMessage decodes a protocol message; ok is false for malformed
+// datagrams.
+func decodeMessage(b []byte) (msg any, ok bool) {
 	if len(b) < 1 {
-		return 0, false, nil, false
+		return nil, false
 	}
-	kind := b[0]
 	r := &wireReader{b: b[1:]}
-	id = r.uvarint()
-	switch kind {
-	case wireAck:
-		return id, true, nil, !r.bad
+	switch b[0] {
 	case wireToken:
 		t := &Token{Seq: r.uvarint(), Ring: r.strings()}
 		if n := r.uvarint(); n > 0 && !r.bad {
@@ -162,19 +149,19 @@ func decodeMessage(b []byte) (id uint64, ack bool, msg any, ok bool) {
 			}
 		}
 		t.Payload = r.bytes()
-		return id, false, t, !r.bad
+		return t, !r.bad
 	case wireNine11:
 		m := &Nine11{Requester: r.string(), ReqSeq: r.uvarint()}
 		m.Visited = r.strings()
 		m.Failed = r.strings()
-		return id, false, m, !r.bad
+		return m, !r.bad
 	case wireApprove:
 		m := &Approve911{ReqSeq: r.uvarint()}
 		m.Failed = r.strings()
-		return id, false, m, !r.bad
+		return m, !r.bad
 	case wireProbe:
 		m := &Probe{From: r.string(), Seq: r.uvarint()}
-		return id, false, m, !r.bad
+		return m, !r.bad
 	}
-	return 0, false, nil, false
+	return nil, false
 }

@@ -148,15 +148,13 @@ type Cluster struct {
 // New builds a Rainwall cluster with the given gateways and VIP pool on net.
 func New(s *sim.Scheduler, net *sim.Network, gateways []string, vips []VIP, cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	conn := rudp.Config{Paths: 2}
-	mesh, err := rudp.NewMesh(s, net, gateways, conn)
+	mesh, err := rudp.NewMesh(s, net, gateways, rudp.Config{Paths: 2})
 	if err != nil {
 		return nil, err
 	}
-	mcfg := membership.MeshConfig{Config: cfg.Membership, AckTimeout: membership.AckTimeout(conn, sim.DefaultLink.Delay)}
 	c := &Cluster{
 		S:         s,
-		M:         membership.NewMeshCluster(s, mesh, gateways, mcfg),
+		M:         membership.NewMeshCluster(s, mesh, gateways, cfg.Membership),
 		mesh:      mesh,
 		cfg:       cfg,
 		gateways:  make(map[string]*Gateway),

@@ -53,7 +53,7 @@ func TestConnSendReceiveAllocs(t *testing.T) {
 			now += 1000
 			f := netbuf.NewFrame(64)
 			copy(f.Payload(), "zero-alloc instrumented send path payload bytes")
-			a.SendFrame(f, now)
+			a.send(f, nil, now)
 			drain()
 		}
 		if a.Backlog() != 0 {

@@ -10,9 +10,9 @@ import (
 	"rain/internal/telemetry"
 )
 
-// DefaultRTO is the retransmission timeout a zero Config.RTO takes. Layers
-// that time out on top of a Conn (the membership ack handshake) derive their
-// deadlines from it.
+// DefaultRTO is the retransmission timeout a zero Config.RTO takes. The
+// delivery report of Endpoint.SendNotify derives its give-up period from the
+// RTO in effect.
 const DefaultRTO = 40 * time.Millisecond
 
 // Config parameterises a Conn. Zero fields take the defaults below.
@@ -80,7 +80,8 @@ type pending struct {
 	lastSent int64
 	lastPath int
 	sent     bool
-	resent   bool // retransmitted at least once: its ack is no RTT sample
+	resent   bool    // retransmitted at least once: its ack is no RTT sample
+	notify   *notify // delivery report (SendNotify); nil for plain sends
 }
 
 // recvSlot is one buffered out-of-order datagram; the slot holds a frame
@@ -120,6 +121,9 @@ type Conn struct {
 	// pfree recycles pending records freed by acks so the steady-state send
 	// path allocates nothing.
 	pfree []*pending
+	// acked collects the delivery reports one ack covers, fired once the
+	// queue is consistent again.
+	acked []*notify
 
 	stats connCounters
 	met   *connMetrics
@@ -210,24 +214,25 @@ func (c *Conn) Stats() Stats {
 // Backlog reports datagrams queued or in flight but not yet acknowledged.
 func (c *Conn) Backlog() int { return len(c.queue) }
 
-// SendFrame queues the frame's current datagram bytes (payload plus any
-// service header the caller pushed) for reliable delivery, taking ownership
-// of the caller's frame reference. The wire header is marshaled once into
-// the frame's headroom, so retransmissions re-send the same bytes without
-// re-marshaling, and byte-oriented drivers write the frame directly. The
-// queue is unbounded; when every path is down the data waits, exactly the
+// send queues the frame's current datagram bytes (payload plus any service
+// header the caller pushed) for reliable delivery, taking ownership of the
+// caller's frame reference; n (nil for plain sends) fires true once the
+// peer's cumulative ack covers the datagram. The wire header is marshaled
+// once into the frame's headroom, so retransmissions re-send the same bytes
+// without re-marshaling, and byte-oriented drivers write the frame directly.
+// The queue is unbounded; when every path is down the data waits, exactly the
 // paper's MPI-over-RUDP behaviour ("the application may hang until the link
 // is restored") — the endpoint above bounds what it lets in.
-func (c *Conn) SendFrame(f *netbuf.Frame, now int64) {
+func (c *Conn) send(f *netbuf.Frame, n *notify, now int64) {
 	payload := f.Datagram()
 	var p *pending
-	if n := len(c.pfree); n > 0 {
-		p = c.pfree[n-1]
-		c.pfree[n-1] = nil
-		c.pfree = c.pfree[:n-1]
-		*p = pending{seq: c.nextSeq, payload: payload, frame: f}
+	if k := len(c.pfree); k > 0 {
+		p = c.pfree[k-1]
+		c.pfree[k-1] = nil
+		c.pfree = c.pfree[:k-1]
+		*p = pending{seq: c.nextSeq, payload: payload, frame: f, notify: n}
 	} else {
-		p = &pending{seq: c.nextSeq, payload: payload, frame: f}
+		p = &pending{seq: c.nextSeq, payload: payload, frame: f, notify: n}
 	}
 	c.nextSeq++
 	Wire{Kind: KindData, Seq: p.seq, Payload: payload}.PushHeader(f)
@@ -396,6 +401,9 @@ func (c *Conn) OnWire(path int, w Wire, now int64) {
 			if p.frame != nil {
 				p.frame.Release()
 			}
+			if p.notify != nil {
+				c.acked = append(c.acked, p.notify)
+			}
 			*p = pending{}
 			c.pfree = append(c.pfree, p)
 		}
@@ -406,5 +414,11 @@ func (c *Conn) OnWire(path int, w Wire, now int64) {
 		c.queue = keep
 		c.sendBase = newBase
 		c.pump(now)
+		// Reports last: one may send again on this conn.
+		for i, n := range c.acked {
+			c.acked[i] = nil
+			n.fire(true)
+		}
+		c.acked = c.acked[:0]
 	}
 }

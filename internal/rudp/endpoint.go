@@ -20,6 +20,9 @@ const (
 	// beyond it are dropped like UDP (callers above already tolerate loss
 	// via timeouts).
 	maxBacklog = 4096
+	// notifyPeriods is how many report periods (2×RTO + 10 ms each) a
+	// SendNotify datagram may go unacknowledged before it reports false.
+	notifyPeriods = 3
 )
 
 // peerAddr is a peer address as its driver resolved it. The endpoint only
@@ -55,9 +58,29 @@ type peer struct {
 	ackedInc uint64 // our incarnation the peer last echoed
 	up       bool   // handshaken and at least one path Up
 
-	pending    []*netbuf.Frame // service-framed datagrams awaiting handshake
+	pending    []held // service-framed datagrams awaiting handshake
 	probe      sim.Timer
 	probeDelay time.Duration
+}
+
+// held is a datagram queued for the handshake, with its delivery report.
+type held struct {
+	f *netbuf.Frame
+	n *notify
+}
+
+// notify is one SendNotify's delivery report. It fires exactly once: true
+// from the conn whose cumulative ack covers the datagram, false from the
+// sender's report timer.
+type notify struct {
+	done func(ok bool)
+}
+
+func (n *notify) fire(ok bool) {
+	if done := n.done; done != nil {
+		n.done = nil
+		done(ok)
+	}
 }
 
 // ready reports whether the Conn pair epoch is agreed on both sides: we
@@ -94,7 +117,6 @@ type Endpoint struct {
 	order    []*peer // insertion order: ticks and probes transmit, so order is part of what a seed reproduces
 	byAddr   map[string]*peer
 	handlers map[string]func(from string, payload []byte)
-	onPeer   func(name string, up bool)
 
 	// paused freezes the endpoint like a stopped process that kept its
 	// memory: no ticks, no transmission, no reception, no delivery. The
@@ -151,8 +173,8 @@ func (m *Endpoint) Close() {
 			m.closed = true
 			for _, p := range m.order {
 				p.probe.Stop()
-				for _, f := range p.pending {
-					f.Release()
+				for _, h := range p.pending {
+					h.f.Release()
 				}
 				p.pending = nil
 			}
@@ -197,13 +219,9 @@ func (m *Endpoint) addPeer(name string, addrs []string) error {
 	return nil
 }
 
-// OnPeerChange installs the liveness callback, invoked whenever a peer's up
-// state flips (handshaken with a live path ⇄ not). Loop-callback use only.
-func (m *Endpoint) OnPeerChange(fn func(name string, up bool)) { m.onPeer = fn }
-
-// PeerUp reports the current liveness of a peer. The deployed membership
-// driver uses it to fail deliveries to dead neighbours fast. Loop-callback
-// use only.
+// PeerUp reports the current liveness of a peer: handshaken with at least
+// one path Up. SendNotify uses it to fail deliveries to dead neighbours
+// fast. Loop-callback use only.
 func (m *Endpoint) PeerUp(name string) bool {
 	p := m.peers[name]
 	return p != nil && p.up
@@ -239,12 +257,48 @@ func (m *Endpoint) SendService(from, to, service string, payload []byte) {
 	m.SendFrame(from, to, service, f)
 }
 
+// SendNotify is SendService with a delivery report: done fires exactly
+// once, true when the peer's cumulative ack covers the datagram (a loopback
+// datagram: once dispatched), false when it has gone unacknowledged for
+// notifyPeriods periods of 2×RTO + 10 ms, or at the end of any period in
+// which the peer is not up. A period outlasts a retransmission plus its
+// round trip, so one lost datagram costs latency, not a false report. A
+// shed datagram, one lost with a conn reset on a new peer incarnation, or
+// one sent on a closed endpoint is never acked, so the timer reports it.
+// The datagram stays in the reliable stream either way. Loop-callback use
+// only.
+func (m *Endpoint) SendNotify(from, to, service string, payload []byte, done func(ok bool)) {
+	n := &notify{done: done}
+	period := 2*m.cfg.RTO + 10*time.Millisecond
+	periods := 0
+	var check func()
+	check = func() {
+		if n.done == nil {
+			return
+		}
+		if periods++; periods >= notifyPeriods || !m.PeerUp(to) {
+			n.fire(false)
+			return
+		}
+		m.s.After(period, check)
+	}
+	m.s.After(period, check)
+	f := netbuf.NewFrame(len(payload))
+	copy(f.Payload(), payload)
+	m.send(from, to, service, f, n)
+}
+
 // SendFrame sends a frame's datagram reliably to a peer, consuming the
 // caller's reference — the zero-copy SendService. The service header is
 // pushed into the frame's headroom and the framed bytes travel by reference
 // through the connection's retransmit queue and the driver. Unknown peers
 // drop, un-handshaken peers queue bounded and dial. Loop-callback use only.
 func (m *Endpoint) SendFrame(from, to, service string, f *netbuf.Frame) {
+	m.send(from, to, service, f, nil)
+}
+
+// send is SendFrame with an optional delivery report n.
+func (m *Endpoint) send(from, to, service string, f *netbuf.Frame, n *notify) {
 	PushService(f, service)
 	if m.closed || from != m.name {
 		f.Release()
@@ -253,8 +307,12 @@ func (m *Endpoint) SendFrame(from, to, service string, f *netbuf.Frame) {
 	if to == m.name {
 		// Through the scheduler, never reentrantly.
 		m.s.At(m.s.Now(), func() {
+			delivered := !m.closed && !m.paused
 			m.dispatch(m.name, f.Datagram())
 			f.Release()
+			if n != nil && delivered {
+				n.fire(true)
+			}
 		})
 		return
 	}
@@ -269,11 +327,11 @@ func (m *Endpoint) SendFrame(from, to, service string, f *netbuf.Frame) {
 		return
 	}
 	if !p.ready() {
-		p.pending = append(p.pending, f)
+		p.pending = append(p.pending, held{f, n})
 		m.dial(p) // lazy dial on first traffic
 		return
 	}
-	p.conn.SendFrame(f, int64(m.s.Now()))
+	p.conn.send(f, n, int64(m.s.Now()))
 }
 
 // dispatch strips the service frame and routes one datagram to the
@@ -387,8 +445,8 @@ func (m *Endpoint) onHello(path int, src string, w Wire) {
 	if p.ready() && len(p.pending) > 0 {
 		// Datagrams queued during the handshake move into the conn.
 		now := int64(m.s.Now())
-		for _, f := range p.pending {
-			p.conn.SendFrame(f, now)
+		for _, h := range p.pending {
+			p.conn.send(h.f, h.n, now)
 		}
 		p.pending = nil
 	}
@@ -444,9 +502,6 @@ func (m *Endpoint) setUp(p *peer, up bool) {
 		m.peersUp.Add(1)
 	} else {
 		m.peersUp.Add(-1)
-	}
-	if m.onPeer != nil {
-		m.onPeer(p.name, up)
 	}
 }
 

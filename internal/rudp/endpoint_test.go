@@ -218,7 +218,9 @@ func TestRealMeshRoundTrip(t *testing.T) {
 
 // A restarted peer (same addresses, new incarnation) is detected via the
 // hello handshake: the survivor's conn resets once and traffic resumes, and
-// the liveness callback reports the outage.
+// PeerUp reports the outage. A delivery report in flight across the restart
+// dies with the old conn (false, once); one sent after the new handshake
+// reports true.
 func TestRealMeshPeerRestart(t *testing.T) {
 	eachDriver(t, func(t *testing.T, r *meshRig) {
 		a := r.open("a", 1, nil, nil)
@@ -226,14 +228,8 @@ func TestRealMeshPeerRestart(t *testing.T) {
 		bAddrs := b.LocalAddrs()
 
 		atA := make(chan string, 64)
-		upDown := make(chan bool, 64)
 		r.on(a, func() {
 			a.Handle("a", "t", func(from string, payload []byte) { atA <- string(payload) })
-			a.OnPeerChange(func(name string, up bool) {
-				if name == "b" {
-					upDown <- up
-				}
-			})
 		})
 		r.on(b, func() { b.SendService("b", "a", "t", []byte("one")) })
 
@@ -247,24 +243,31 @@ func TestRealMeshPeerRestart(t *testing.T) {
 				}
 			}
 		}
-		waitFlip := func(want bool) {
+		waitUp := func(want bool) {
 			t.Helper()
-			for {
-				if got, ok := await(r, upDown); !ok {
-					t.Fatalf("timed out waiting for up=%v", want)
-				} else if got == want {
-					return
-				}
+			if !r.eventually(func() bool {
+				var up bool
+				r.on(a, func() { up = a.PeerUp("b") })
+				return up == want
+			}) {
+				t.Fatalf("timed out waiting for PeerUp(b) = %v", want)
 			}
 		}
+		// Report channels hold more than the one report each send may
+		// fire, so a second report is counted instead of blocking a loop.
+		notify := func(ch chan bool) {
+			r.on(a, func() { a.SendNotify("a", "b", "t", nil, func(ok bool) { ch <- ok }) })
+		}
 		recv("one")
-		waitFlip(true)
+		waitUp(true)
 
-		// Kill b (twice: Close is idempotent); a's ping monitors notice the
-		// silence.
+		// Kill b (twice: Close is idempotent) with a report in flight; a's
+		// ping monitors notice the silence.
 		r.close(b)
 		r.close(b)
-		waitFlip(false)
+		lost := make(chan bool, 4)
+		notify(lost)
+		waitUp(false)
 
 		// Restart b on the same addresses with a fresh incarnation.
 		b2 := r.open("b", 1, bAddrs, map[string][]string{"a": a.LocalAddrs()})
@@ -273,9 +276,20 @@ func TestRealMeshPeerRestart(t *testing.T) {
 		}
 		r.on(b2, func() { b2.SendService("b", "a", "t", []byte("two")) })
 		recv("two")
-		waitFlip(true)
+		waitUp(true)
 		if n := a.resets.Value(); n != 1 {
 			t.Fatalf("rudp.mesh.conn_resets = %d on the survivor, want 1", n)
+		}
+		fresh := make(chan bool, 4)
+		notify(fresh)
+		if ok, got := await(r, fresh); !got || !ok {
+			t.Fatalf("report after the new handshake: got=%v ok=%v, want true", got, ok)
+		}
+		if ok, got := await(r, lost); !got || ok {
+			t.Fatalf("report in flight across the restart: got=%v ok=%v, want false", got, ok)
+		}
+		if len(lost) != 0 {
+			t.Fatalf("in-flight report fired %d more times", len(lost))
 		}
 	})
 }

@@ -140,6 +140,12 @@ func (m *Mesh) SendService(from, to, service string, payload []byte) {
 	m.ep(from).SendService(from, to, service, payload)
 }
 
+// SendNotify is SendService with a delivery report (Endpoint.SendNotify on
+// from's endpoint).
+func (m *Mesh) SendNotify(from, to, service string, payload []byte, done func(ok bool)) {
+	m.ep(from).SendNotify(from, to, service, payload, done)
+}
+
 // SendFrame is the zero-copy SendService (Endpoint.SendFrame on from's
 // endpoint); it consumes the caller's frame reference.
 func (m *Mesh) SendFrame(from, to, service string, f *netbuf.Frame) {

@@ -121,14 +121,12 @@ func New(s *sim.Scheduler, net *sim.Network, names []string, cfg Config) (*Clust
 	if cfg.MaxPerHold == 0 {
 		cfg.MaxPerHold = 4
 	}
-	conn := rudp.Config{Paths: 2}
-	mesh, err := rudp.NewMesh(s, net, names, conn)
+	mesh, err := rudp.NewMesh(s, net, names, rudp.Config{Paths: 2})
 	if err != nil {
 		return nil, err
 	}
-	mcfg := membership.MeshConfig{Config: cfg.Membership, AckTimeout: membership.AckTimeout(conn, sim.DefaultLink.Delay)}
 	c := &Cluster{
-		M:       membership.NewMeshCluster(s, mesh, names, mcfg),
+		M:       membership.NewMeshCluster(s, mesh, names, cfg.Membership),
 		mesh:    mesh,
 		Servers: make(map[string]*Server),
 		cfg:     cfg,
