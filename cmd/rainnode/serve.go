@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"rain/internal/core"
-	"rain/internal/dstore"
 	"rain/internal/gateway"
 	"rain/internal/telemetry"
 )
@@ -44,11 +43,6 @@ func runServe(args []string) {
 		os.Exit(2)
 	}
 
-	// Pre-register the full dstore schema so /debug/metrics exports every
-	// family from the first scrape, zero-valued included.
-	reg := telemetry.Default()
-	dstore.RegisterMetrics(reg, *name)
-
 	node, err := core.StartRealNode(core.NodeConfig{
 		Name:       *name,
 		Ring:       splitCSV(*ring),
@@ -75,7 +69,7 @@ func runServe(args []string) {
 		gw := gateway.New(node.Call, node.Client, gateway.Config{MaxInflightBytes: *inflight})
 		mux := http.NewServeMux()
 		mux.Handle("/o/", gw)
-		mux.Handle("/debug/", telemetry.Handler(reg, telemetry.DefaultTracer()))
+		mux.Handle("/debug/", telemetry.Handler(node.Telemetry, node.Tracer))
 		srv := &http.Server{Addr: *httpAddr, Handler: mux}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -86,7 +80,7 @@ func runServe(args []string) {
 		defer srv.Close()
 		fmt.Println("object gateway on", *httpAddr)
 	}
-	watchDumpSignal(reg)
+	watchDumpSignal(node.Telemetry)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

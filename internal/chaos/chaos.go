@@ -165,7 +165,6 @@ func Run(sch Schedule) (Result, error) {
 		Domains:           sch.Domains,
 		Weights:           sch.Weights,
 		Standby:           sch.Standby,
-		SelfHeal:          true,
 		RebalanceDebounce: sch.Debounce,
 		ScrubInterval:     sch.ScrubEvery,
 		ScrubRate:         sch.ScrubRate,

@@ -15,6 +15,11 @@
 // because exercising failures is the point of the system. A RealNode
 // (node.go) is exactly one of those nodes, on UDP sockets and a wall-clock
 // loop.
+//
+// Every node runs the self-heal controller (selfheal.go), and the leader's
+// controller is the only driver of a reconciliation pass: view changes,
+// detected corruption and a caller's Rebalance or ReplaceNode all reach the
+// cluster as requests to it.
 package core
 
 import (
@@ -76,22 +81,13 @@ type Options struct {
 	// from every client's placement universe. Platform.Join powers one up
 	// and admits it through the 911 mechanism.
 	Standby []string
-	// SelfHeal starts the autonomic control loop on every node: membership
-	// view changes refresh the local client's placement universe, and the
-	// leader (the smallest name in the view) — only the leader — drives a
-	// debounced rebalance that resigns cleanly on leadership loss. The
-	// same pass repairs detected corruption: a node that quarantines a
-	// corrupt shard pokes the controllers. Without SelfHeal, a quarantined
-	// shard waits for the caller's Rebalance, as a view change does. See
-	// selfheal.go.
-	SelfHeal bool
 	// RebalanceDebounce is how long the membership view must stay
 	// unchanged before the leader's self-heal pass fires (default 1s).
 	RebalanceDebounce time.Duration
 	// ScrubInterval is how often each live node's background integrity
 	// scrub runs one budgeted step over its local shard set (default
-	// ScrubInterval; negative disables scrubbing). What it quarantines only
-	// a pass re-creates, so without SelfHeal it waits for Rebalance.
+	// ScrubInterval; negative disables scrubbing). What it quarantines, the
+	// leader's next pass re-creates.
 	ScrubInterval time.Duration
 	// ScrubRate bounds the scrub's read bandwidth per node in bytes/sec
 	// (default ScrubRate). Each step verifies at most
@@ -125,8 +121,9 @@ func (o Options) withDefaults(nodes int) (Options, error) {
 }
 
 // Platform is a running RAIN cluster. Every node runs a storage daemon on
-// the mesh and a client session; Put/Get/ReplaceNode/Rebalance are mesh
-// operations over per-object rendezvous placements.
+// the mesh, a client session and the self-heal controller; Put/Get are mesh
+// operations over per-object rendezvous placements, and ReplaceNode and
+// Rebalance are requests to the leader's controller.
 type Platform struct {
 	Scheduler *sim.Scheduler
 	Network   *sim.Network
@@ -146,7 +143,7 @@ type Platform struct {
 	Telemetry *telemetry.Registry
 	Tracer    *telemetry.Tracer
 
-	healers map[string]*selfHealer // nil entries without Options.SelfHeal
+	healers map[string]*selfHealer
 	opts    Options
 }
 
@@ -259,7 +256,6 @@ func New(nodes []string, opts Options) (*Platform, error) {
 				Telemetry:     reg,
 				Tracer:        tracer,
 			},
-			selfHeal:          opts.SelfHeal,
 			rebalanceDebounce: opts.RebalanceDebounce,
 			scrubInterval:     opts.ScrubInterval,
 			scrubRate:         opts.ScrubRate,
@@ -290,24 +286,26 @@ func New(nodes []string, opts Options) (*Platform, error) {
 // Run advances the cluster by d of virtual time.
 func (p *Platform) Run(d time.Duration) { p.Scheduler.RunFor(d) }
 
-// client returns a store client on a live node, excluding any named nodes.
-func (p *Platform) client(exclude ...string) (*dstore.Client, error) {
+// client returns the store client of the first live node.
+func (p *Platform) client() (*dstore.Client, error) {
 	for _, n := range p.Nodes {
-		if p.Mesh.Stopped(n) {
-			continue
-		}
-		skip := false
-		for _, x := range exclude {
-			if n == x {
-				skip = true
-				break
-			}
-		}
-		if !skip {
+		if !p.Mesh.Stopped(n) {
 			return p.Clients[n], nil
 		}
 	}
 	return nil, fmt.Errorf("core: no live node to run a store client")
+}
+
+// leader returns the controller of the cluster's leader as the first live
+// node whose view is confirmed sees it: a revived node starves, its ring
+// stale, until the token reaches it again.
+func (p *Platform) leader() (*selfHealer, error) {
+	for _, n := range p.Nodes {
+		if m := p.Membership.Members[n]; !p.Mesh.Stopped(n) && !m.Starving() {
+			return p.healers[m.Leader()], nil
+		}
+	}
+	return nil, fmt.Errorf("core: no live node to name a leader")
 }
 
 // Put stores an object across the cluster with a distributed store
@@ -360,14 +358,13 @@ func (p *Platform) GetStream(id string, w io.Writer) (int64, error) {
 
 // ReplaceNode hot-swaps a blank node in at the given name (dynamic
 // reconfiguration, §4.2): the node's shards are wiped, the node is revived
-// across every subsystem, and once a survivor's membership view holds it
-// again (waiting at most dstore.DefaultOpTimeout), one reconciliation pass
-// from that survivor's client re-creates its shards over the mesh — several
-// objects pipelined under the rebuild memory budget, each reading a
+// across every subsystem, and once the leader's membership view holds it
+// again (waiting at most dstore.DefaultOpTimeout), the leader's controller
+// runs one reconciliation pass that re-creates its shards over the mesh —
+// several objects pipelined under the rebuild memory budget, each reading a
 // survivor k-subset chosen to spread load. A hot swap is the reconciliation
-// delta of one node losing everything, so it runs the same pass Rebalance
-// does. Under SelfHeal the leader's client drives it, since the rebalance
-// gate yields any other. Returns the number of shards moved or rebuilt.
+// delta of one node losing everything, so it is a Rebalance request. Returns
+// the number of shards moved or rebuilt.
 func (p *Platform) ReplaceNode(node string) (int, error) {
 	if err := p.known(node); err != nil {
 		return 0, err
@@ -376,56 +373,55 @@ func (p *Platform) ReplaceNode(node string) (int, error) {
 	if err := p.Recover(node); err != nil {
 		return 0, err
 	}
-	var cl *dstore.Client
 	deadline := p.Scheduler.Now().Add(dstore.DefaultOpTimeout)
 	for {
-		var err error
-		if cl, err = p.client(node); err != nil {
+		h, err := p.leader()
+		if err != nil {
 			return 0, err
 		}
-		if leader := p.Leader(cl.Node()); p.opts.SelfHeal && leader != "" && !p.Mesh.Stopped(leader) {
-			cl = p.Clients[leader]
-		}
-		if p.Membership.Members[cl.Node()].InView(node) || p.Scheduler.Now() >= deadline || !p.Scheduler.Step() {
+		up := !p.Mesh.Stopped(h.client.Node()) && !h.mbr.Starving()
+		if up && h.mbr.InView(node) || p.Scheduler.Now() >= deadline || !p.Scheduler.Step() {
 			break
 		}
 	}
-	stats, err := cl.Rebalance()
+	stats, err := p.Rebalance()
 	return stats.Moved + stats.Rebuilt, err
 }
 
-// Rebalance reconciles every stored object with its target placement from a
-// surviving node's client: missing or misplaced shards are copied or
-// reconstructed onto their target holders and stale copies dropped — a
-// cluster scrub. Blocks in virtual time; call from outside scheduler
-// callbacks.
-func (p *Platform) Rebalance() (dstore.RebalanceStats, error) {
-	cl, err := p.client()
-	if err != nil {
-		return dstore.RebalanceStats{}, err
+// Rebalance asks the leader's controller for a reconciliation pass and
+// blocks in virtual time until it ends: missing or misplaced shards are
+// copied or reconstructed onto their target holders and stale copies
+// dropped — a cluster scrub. The pass runs at once, or right after the
+// controller's running pass; with fewer than k nodes in the leader's view it
+// fails with dstore.ErrQuorum. Call from outside scheduler callbacks.
+func (p *Platform) Rebalance() (stats dstore.RebalanceStats, err error) {
+	finished := false
+	if err := p.RebalanceAsync(func(s dstore.RebalanceStats, e error) { stats, err, finished = s, e, true }); err != nil {
+		return stats, err
 	}
-	return cl.Rebalance()
+	for !finished && p.Scheduler.Step() {
+	}
+	return stats, err
 }
 
-// RebalanceAsync starts a reconciliation pass from a surviving node's client
-// and returns immediately; done fires in virtual time when the pass ends.
-// Mid-pass progress is visible through the rebalance.objects_total /
-// rebalance.objects_done gauges on the driving node's telemetry scope.
+// RebalanceAsync is Rebalance that returns at once; done fires in virtual
+// time when the pass ends. Mid-pass progress is visible through the
+// rebalance.objects_total / rebalance.objects_done gauges on the leader's
+// telemetry scope.
 func (p *Platform) RebalanceAsync(done func(dstore.RebalanceStats, error)) error {
-	cl, err := p.client()
+	h, err := p.leader()
 	if err != nil {
 		return err
 	}
-	cl.RebalanceAsync(nil, done)
+	h.request(done)
 	return nil
 }
 
 // Join powers up a standby node and admits it to the running cluster through
 // seed's 911 mechanism (§3.3.2): the mesh endpoint thaws over its empty
-// backend and the membership engine requests a ring slot. With
-// SelfHeal on, the resulting view change pulls the node into every placement
-// universe and the leader's next debounced pass moves shards onto it; without
-// it, the caller reshapes the universe by hand (SetNodes + Rebalance).
+// backend and the membership engine requests a ring slot. The resulting view
+// change pulls the node into every placement universe, and the leader's next
+// debounced pass moves shards onto it.
 func (p *Platform) Join(node, seed string) error {
 	if err := p.known(node); err != nil {
 		return err
@@ -435,14 +431,8 @@ func (p *Platform) Join(node, seed string) error {
 	return nil
 }
 
-// SelfHealStats reports a node's self-heal controller counters; zero when
-// the platform runs without SelfHeal.
-func (p *Platform) SelfHealStats(node string) SelfHealStats {
-	if h := p.healers[node]; h != nil {
-		return h.stats
-	}
-	return SelfHealStats{}
-}
+// SelfHealStats reports a cluster node's self-heal controller counters.
+func (p *Platform) SelfHealStats(node string) SelfHealStats { return p.healers[node].stats }
 
 // Send queues a reliable datagram between two nodes over the bundled
 // RUDP paths.
@@ -486,9 +476,7 @@ func (p *Platform) Recover(node string) error {
 	// A revived node may see no view change (its frozen ring can match the
 	// post-rejoin reality), so nudge its controller explicitly; the gate
 	// decides at fire time whether it really leads.
-	if h := p.healers[node]; h != nil {
-		h.arm()
-	}
+	p.healers[node].arm()
 	return nil
 }
 

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
+	"rain/internal/dstore"
 	"rain/internal/ecc"
 	"rain/internal/linkstate"
 )
@@ -187,6 +189,122 @@ func TestPlatformHotSwap(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("get %s after swap: corrupted", id)
 		}
+	}
+}
+
+// TestReplaceNodeRebuildsEachShardOnce hot-swaps a node while the leader's
+// controller is armed to fire within a millisecond of the node's return.
+// ReplaceNode is a request to that controller, so the pass the view change
+// arms and the hot swap's pass are one pass: the 40 missing shards are
+// rebuilt exactly once, and no second pass runs.
+func TestReplaceNodeRebuildsEachShardOnce(t *testing.T) {
+	p, err := New([]string{"n6", "n5", "n4", "n3", "n2", "n1"}, Options{
+		Seed:              31,
+		RebalanceDebounce: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Run(time.Second)
+	const objects, size = 40, 256 << 10
+	for i := 0; i < objects; i++ {
+		if err := p.Put(fmt.Sprintf("obj-%d", i), selfHealPayload(i, size)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	if err := p.Crash("n4"); err != nil {
+		t.Fatal(err)
+	}
+	p.Run(3 * time.Second) // membership excises n4
+	counter := func(name string) uint64 { return telemetryCounterTotal(p.Telemetry.Snapshot(), name) }
+	passes, rebuiltShards := counter("rebalance.passes"), counter("rebalance.shards_rebuilt")
+	rebuilt, err := p.ReplaceNode("n4")
+	if err != nil || rebuilt != objects {
+		t.Fatalf("replace: rebuilt %d, %v; want %d", rebuilt, err, objects)
+	}
+	if got := p.Backends["n4"].Objects(); got != objects {
+		t.Fatalf("replacement holds %d shards, want %d", got, objects)
+	}
+	p.Run(5 * time.Second)
+	if got := counter("rebalance.passes") - passes; got != 1 {
+		t.Fatalf("rebalance.passes rose by %d across the hot swap, want 1", got)
+	}
+	if got := counter("rebalance.shards_rebuilt") - rebuiltShards; got != objects {
+		t.Fatalf("rebalance.shards_rebuilt rose by %d for %d missing shards", got, objects)
+	}
+}
+
+// TestPlatformRepairsRevivedNodeWithoutRebalance revives a node that missed
+// writes on a default-options Platform: the view change that readmits it
+// arms the leader's controller, whose pass rebuilds the node's shard of
+// every object written while it was down, with no caller Rebalance.
+func TestPlatformRepairsRevivedNodeWithoutRebalance(t *testing.T) {
+	p := newPlatform(t, Options{Seed: 37})
+	p.Run(time.Second)
+	if err := p.Crash("n4"); err != nil {
+		t.Fatal(err)
+	}
+	p.Run(3 * time.Second) // membership excises n4
+	const objects, size = 8, 16 << 10
+	for i := 0; i < objects; i++ {
+		if err := p.Put(fmt.Sprintf("obj-%d", i), selfHealPayload(i, size)); err != nil {
+			t.Fatalf("put %d with n4 down: %v", i, err)
+		}
+	}
+	if got := p.Backends["n4"].Objects(); got != 0 {
+		t.Fatalf("crashed n4 holds %d shards", got)
+	}
+	if err := p.Recover("n4"); err != nil {
+		t.Fatal(err)
+	}
+	p.Run(6 * time.Second) // readmission, then past the 1s debounce
+	for i := 0; i < objects; i++ {
+		id := fmt.Sprintf("obj-%d", i)
+		if _, err := p.Backends["n4"].Info(id); err != nil {
+			t.Fatalf("revived n4 lacks its shard of %s: %v", id, err)
+		}
+		if got, err := p.Get(id); err != nil || !bytes.Equal(got, selfHealPayload(i, size)) {
+			t.Fatalf("get %s after the repair: %v", id, err)
+		}
+	}
+}
+
+// TestPlatformRebalanceRequestsQueueBehindTheRunningPass wipes a live node's
+// shards and asks for two passes back to back. The first runs at once on the
+// leader's controller; the second waits for it to end and then runs, so it
+// finds nothing left, and neither pass counts as the controller's own.
+func TestPlatformRebalanceRequestsQueueBehindTheRunningPass(t *testing.T) {
+	p := newPlatform(t, Options{Seed: 53})
+	p.Run(time.Second)
+	const objects = 8
+	for i := 0; i < objects; i++ {
+		if err := p.Put(fmt.Sprintf("obj-%d", i), selfHealPayload(i, 16<<10)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	p.Backends["n3"].Wipe()
+	var order []dstore.RebalanceStats
+	for i := 0; i < 2; i++ {
+		err := p.RebalanceAsync(func(st dstore.RebalanceStats, err error) {
+			if err != nil {
+				t.Errorf("pass %d: %v", len(order), err)
+			}
+			order = append(order, st)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for len(order) < 2 && p.Scheduler.Step() {
+	}
+	if len(order) != 2 || order[0].Rebuilt != objects || order[1].Objects != 0 {
+		t.Fatalf("passes answered %+v; want %d shards rebuilt, then nothing left", order, objects)
+	}
+	if got := telemetryCounterTotal(p.Telemetry.Snapshot(), "rebalance.passes"); got != 2 {
+		t.Fatalf("rebalance.passes = %d, want 2", got)
+	}
+	if st := p.SelfHealStats("n1"); st.Passes != 0 || st.Moves.Rebuilt != 0 {
+		t.Fatalf("requested passes counted as the controller's own: %+v", st)
 	}
 }
 

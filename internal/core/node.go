@@ -39,8 +39,6 @@ type NodeConfig struct {
 	// Code is the erasure code; defaults like Options.Code (defaultCode),
 	// sized to Ring.
 	Code ecc.Code
-	// Policy selects the retrieve node-selection policy.
-	Policy storage.Policy
 	// BlockSize is the streaming block-codeword size (0 = dstore default).
 	BlockSize int
 	// StorageDir, when set, backs the shard store with files under it;
@@ -48,16 +46,6 @@ type NodeConfig struct {
 	StorageDir string
 	// RebalanceDebounce is the self-heal debounce (default 1s).
 	RebalanceDebounce time.Duration
-	// ScrubInterval / ScrubRate pace the background integrity scrub
-	// (defaults ScrubInterval / ScrubRate; a negative interval disables).
-	ScrubInterval time.Duration
-	ScrubRate     int64
-	// WrapStore, when set, wraps the shard backend before the daemon sees
-	// it — the disk-fault injection seam. Returning nil keeps the bare
-	// backend.
-	WrapStore func(b *storage.Backend) dstore.Store
-	// Conn parameterises the per-peer RUDP connections.
-	Conn rudp.Config
 	// Telemetry and Tracer default to the process-wide instances.
 	Telemetry *telemetry.Registry
 	Tracer    *telemetry.Tracer
@@ -113,8 +101,6 @@ func StartRealNode(cfg NodeConfig) (*RealNode, error) {
 	if cfg.Tracer == nil {
 		cfg.Tracer = telemetry.DefaultTracer()
 	}
-	cfg.Conn.Telemetry = cfg.Telemetry
-
 	n := &RealNode{code: cfg.Code, Telemetry: cfg.Telemetry, Tracer: cfg.Tracer}
 	n.Loop = rt.New(cfg.Seed)
 	n.Loop.Start()
@@ -139,7 +125,7 @@ func (n *RealNode) build(cfg NodeConfig) error {
 		Locals:    cfg.Locals,
 		Advertise: cfg.Advertise,
 		Peers:     cfg.Peers,
-		Conn:      cfg.Conn,
+		Conn:      rudp.Config{Telemetry: cfg.Telemetry},
 	})
 	if err != nil {
 		return err
@@ -155,19 +141,14 @@ func (n *RealNode) build(cfg NodeConfig) error {
 	st, err := newStack(s, mesh, n.Membership.Node(), nil, stackSpec{
 		name:       cfg.Name,
 		storageDir: cfg.StorageDir,
-		wrapStore:  cfg.WrapStore,
 		store: dstore.Config{
 			Code:      cfg.Code,
 			Nodes:     cfg.Ring,
-			Policy:    cfg.Policy,
 			BlockSize: cfg.BlockSize,
 			Telemetry: cfg.Telemetry,
 			Tracer:    cfg.Tracer,
 		},
-		selfHeal:          true,
 		rebalanceDebounce: cfg.RebalanceDebounce,
-		scrubInterval:     cfg.ScrubInterval,
-		scrubRate:         cfg.ScrubRate,
 	})
 	if err != nil {
 		return err

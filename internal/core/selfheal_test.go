@@ -36,7 +36,6 @@ func TestSelfHealFlappingDebounce(t *testing.T) {
 		Code:      code,
 		LinkDelay: 20 * time.Millisecond, // WAN-class latency
 		LinkLoss:  0.02,                  // lossy
-		SelfHeal:  true,
 		// Longer than any gap between flap-induced view changes (removal
 		// detection runs ~1.5s, rejoin up to ~4.5s on these links), shorter
 		// than the post-flap settle window.
@@ -129,9 +128,8 @@ func TestSelfHealLeaderAssassinationSingleDriver(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, err := New(nodes, Options{
-		Seed:     7,
-		Code:     code,
-		SelfHeal: true,
+		Seed: 7,
+		Code: code,
 		// Keep few objects in flight so the pass spans many scheduler
 		// steps and the mid-pass kill lands inside it.
 		RebuildBudget: 2 * 16 << 10 * 6,
@@ -225,7 +223,7 @@ func TestSelfHealLeaderAssassinationSingleDriver(t *testing.T) {
 // The nodes are listed largest name first, so the first live node (n6) is
 // not the leader (n1, the smallest name).
 func TestReplaceNodeUnderSelfHeal(t *testing.T) {
-	p, err := New([]string{"n6", "n5", "n4", "n3", "n2", "n1"}, Options{Seed: 31, SelfHeal: true})
+	p, err := New([]string{"n6", "n5", "n4", "n3", "n2", "n1"}, Options{Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +279,7 @@ func TestRevivedLeaderWaitsForReadmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := newPlatform(t, Options{Seed: 23, Code: code, SelfHeal: true})
+	p := newPlatform(t, Options{Seed: 23, Code: code})
 	const objects, size = 12, 8 << 10
 	for i := 0; i < objects; i++ {
 		if err := p.Put(fmt.Sprintf("obj-%d", i), selfHealPayload(i, size)); err != nil {
@@ -369,7 +367,7 @@ func TestRevivedLeaderWaitsForReadmission(t *testing.T) {
 // survivor, a crash of any other node moves the view but not the leader,
 // and the leader's return moves it back once on every node that saw it go.
 func TestLeaderTransitionsFollowTheView(t *testing.T) {
-	p := newPlatform(t, Options{Seed: 29, SelfHeal: true})
+	p := newPlatform(t, Options{Seed: 29})
 	p.Run(time.Second)
 	transitions := func() uint64 {
 		return telemetryCounterTotal(p.Telemetry.Snapshot(), "selfheal.leader_transitions")
@@ -406,7 +404,7 @@ func TestLeaderTransitionsFollowTheView(t *testing.T) {
 // per rotten shard, all on the leader's scope, and no other node starts a
 // pass.
 func TestSelfHealRepairsCorruptionOnTheLeader(t *testing.T) {
-	p, err := New([]string{"n6", "n5", "n4", "n3", "n2", "n1"}, Options{Seed: 41, SelfHeal: true})
+	p, err := New([]string{"n6", "n5", "n4", "n3", "n2", "n1"}, Options{Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +511,7 @@ func telemetrySeriesCounter(snap telemetry.Snapshot, name, labelVal string) uint
 // the pending corruption poke opens the leader's gate down to k nodes, and
 // the pass re-creates the shard in place while the node is still down.
 func TestSelfHealRepairsCorruptionWhileANodeIsDown(t *testing.T) {
-	p := newPlatform(t, Options{Seed: 43, SelfHeal: true})
+	p := newPlatform(t, Options{Seed: 43})
 	if w := p.Code().N(); w != len(p.Nodes) {
 		t.Fatalf("default code width %d, want the node count %d", w, len(p.Nodes))
 	}
@@ -595,7 +593,7 @@ func TestSelfHealPendingPokeOutlastsAClosedGate(t *testing.T) {
 	if h.stats.Passes != 1 || h.stats.Completed != 1 || h.stats.Moves.Rebuilt != 1 {
 		t.Fatalf("after the gate reopened: %+v; want one completed pass rebuilding one shard", h.stats)
 	}
-	if h.corrupt {
+	if h.repair {
 		t.Fatal("the completed pass left the poke pending")
 	}
 	if got, err := p.Backends["n3"].Info("obj"); err != nil || got.Shard != info.Shard {

@@ -44,9 +44,8 @@ type stackSpec struct {
 	// store configures the client: code, placement universe, policy, block
 	// size, telemetry. The build supplies Alive.
 	store dstore.Config
-	// selfHeal runs the leader-gated rebalance controller, which also
-	// drives the repair of every shard a daemon quarantines.
-	selfHeal          bool
+	// rebalanceDebounce is how long the view must hold still before the
+	// controller's pass fires.
 	rebalanceDebounce time.Duration
 	// scrubInterval < 0 disables the background scrub.
 	scrubInterval time.Duration
@@ -63,7 +62,7 @@ type stack struct {
 	backend *storage.Backend
 	daemon  *dstore.Daemon
 	client  *dstore.Client
-	healer  *selfHealer // nil unless spec.selfHeal
+	healer  *selfHealer
 }
 
 // newStack builds one node on scheduler s. stopped, when non-nil, reports
@@ -118,22 +117,22 @@ func newStack(s *sim.Scheduler, mesh dstore.Mesh, mbr *membership.Node,
 		return nil, err
 	}
 	st.client = cl
-	if spec.selfHeal {
-		st.healer = newSelfHealer(s, cl, mbr, stopped, spec.rebalanceDebounce, reg.Node(spec.name))
-		// A shard the daemon quarantines pokes this node's controller and,
-		// with one empty datagram each, every other one in the view. Only
-		// the leader's gate turns its poke into a pass, so nobody needs to
-		// know who leads.
-		mesh.Handle(spec.name, serviceHeal, func(string, []byte) { st.healer.poke() })
-		st.daemon.OnCorrupt(func() {
-			st.healer.poke()
-			for _, peer := range mbr.View() {
-				if peer != spec.name {
-					mesh.SendService(spec.name, peer, serviceHeal, nil)
-				}
+	// The controller: the one driver of every reconciliation pass, which
+	// also repairs every shard a daemon quarantines.
+	st.healer = newSelfHealer(s, cl, mbr, stopped, spec.rebalanceDebounce, reg.Node(spec.name))
+	// A shard the daemon quarantines pokes this node's controller and, with
+	// one empty datagram each, every other one in the view. Only the
+	// leader's gate turns its poke into a pass, so nobody needs to know who
+	// leads.
+	mesh.Handle(spec.name, serviceHeal, func(string, []byte) { st.healer.poke() })
+	st.daemon.OnCorrupt(func() {
+		st.healer.poke()
+		for _, peer := range mbr.View() {
+			if peer != spec.name {
+				mesh.SendService(spec.name, peer, serviceHeal, nil)
 			}
-		})
-	}
+		}
+	})
 
 	// The pacer. Orphan sweep: the garbage-collection half of the put/get
 	// session protocol.

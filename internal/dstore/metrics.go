@@ -96,14 +96,3 @@ func newClientMetrics(s *telemetry.Scope) *clientMetrics {
 		bytesReconstructed: s.Counter("rebalance.bytes_reconstructed", "shard bytes rebuilt from survivors"),
 	}
 }
-
-// RegisterMetrics creates every dstore metric family (daemon, client and
-// rebalance) for a node in the registry without constructing the daemon or
-// client. A store-only process calls it so its /debug/metrics surface
-// exports the full schema — zero-valued families included — not just the
-// layers it happens to run.
-func RegisterMetrics(r *telemetry.Registry, node string) {
-	s := r.Node(node)
-	newDaemonMetrics(s)
-	newClientMetrics(s)
-}

@@ -111,26 +111,26 @@ func RebuildStream(code Code, target int, w io.Writer, readers []io.Reader, data
 
 // Cluster is a full RAIN deployment: a simulated set of nodes with bundled
 // network interfaces, each running what a deployed Node runs — membership
-// ring (whose smallest name leads), RUDP communication, erasure-coded storage and
-// (ClusterOptions.SelfHeal) the self-heal controller — with fault injection
-// for every layer. Put, Get, ReplaceNode and Rebalance are distributed
-// operations whose shard traffic crosses the simulated network as dstore
-// protocol messages; PutStream and GetStream are their bounded-memory forms,
-// moving one block codeword at a time so the cluster serves objects far
-// larger than any node's RAM (set ClusterOptions.StorageDir to also keep
-// stored shards on disk).
+// ring (whose smallest name leads), RUDP communication, erasure-coded
+// storage and the self-heal controller — with fault injection for every
+// layer. Put, Get, ReplaceNode and Rebalance are distributed operations
+// whose shard traffic crosses the simulated network as dstore protocol
+// messages; PutStream and GetStream are their bounded-memory forms, moving
+// one block codeword at a time so the cluster serves objects far larger than
+// any node's RAM (set ClusterOptions.StorageDir to also keep stored shards
+// on disk).
 //
 // Each object's n shard holders are chosen by rendezvous placement over the
 // whole cluster (see Placement), so the cluster may be wider than the code:
 // pass a ClusterOptions.Code with N below the node count and many objects
-// spread over all nodes. Rebalance reconciles every object with its target
-// placement, pipelining several objects under ClusterOptions.RebuildBudget,
-// and is the one repair path: ReplaceNode wipes and revives a node and runs
-// one Rebalance pass, whose delta is that node's shards, and a corrupt
-// shard that its holder quarantines is one more hole the next pass fills.
-// Under SelfHeal the holder pokes the controllers and the leader runs that
-// pass; without it (the default) the shard, even one the background scrub
-// found, waits for the caller's Rebalance. See internal/core.
+// spread over all nodes. One reconciliation pass, pipelining several objects
+// under ClusterOptions.RebuildBudget, is the one repair path, and the
+// leader's controller is its one driver. It runs the pass when the
+// membership view settles (a crashed node's missed writes are rebuilt when
+// it returns), when a holder quarantines a corrupt shard (the scrub or a
+// read found it), and when a caller asks: Rebalance is that request, and
+// ReplaceNode wipes and revives a node and makes it, the pass's delta being
+// that node's shards. See internal/core.
 type Cluster = core.Platform
 
 // Placement returns the ordered n-node assignment rendezvous hashing gives
@@ -179,8 +179,8 @@ type NodeConfig = core.NodeConfig
 
 // Node is one running process of a deployed cluster: the dial-by-address
 // UDP mesh under the same per-node assembly a simulated Cluster runs N of —
-// storage daemon, store client, membership, self-heal (always on;
-// SelfHealStats and the selfheal.* counters report it) and the scrub pacer.
+// storage daemon, store client, membership, the self-heal controller
+// (SelfHealStats and the selfheal.* counters report it) and the scrub pacer.
 // Its context-taking methods (Put, Get, PutStream, Delete, List, Stat — the
 // embedded dstore.Bridge, shared with the gateway) are goroutine-safe and
 // abort shard fan-out when the context dies.

@@ -129,8 +129,10 @@ func TestFacadeStreaming(t *testing.T) {
 
 // TestFacadePlacedCluster runs a cluster wider than its code: eight nodes
 // over rs(6,4), so each object's six shard holders come from the rendezvous
-// placement map. A hot swap then rebuilds only the replaced node's placed
-// shards (concurrently), and a Rebalance pass finds nothing left to fix.
+// placement map. Once n7 crashes, the leader's pass re-places its slots over
+// the seven survivors; the hot swap then moves back exactly the slots whose
+// holder differs between the seven- and eight-node placements
+// (concurrently), and a Rebalance pass finds nothing left to fix.
 func TestFacadePlacedCluster(t *testing.T) {
 	code, err := NewReedSolomon(6, 4)
 	if err != nil {
@@ -170,16 +172,18 @@ func TestFacadePlacedCluster(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replace: %v", err)
 	}
+	survivors := []string{"n1", "n2", "n3", "n4", "n5", "n6", "n8"}
 	want := 0
 	for id := range objects {
-		for _, n := range Placement(id, nodes, code.N()) {
-			if n == "n7" {
+		without := Placement(id, survivors, code.N())
+		for i, n := range Placement(id, nodes, code.N()) {
+			if n != without[i] {
 				want++
 			}
 		}
 	}
 	if rebuilt != want {
-		t.Fatalf("rebuilt %d objects, want the %d placed on n7", rebuilt, want)
+		t.Fatalf("moved or rebuilt %d shards, want the %d slots n7's return re-places", rebuilt, want)
 	}
 	stats, err := cl.Rebalance()
 	if err != nil {
