@@ -36,11 +36,11 @@ func main() {
 
 	cluster.Run(617 * time.Millisecond)
 	fmt.Println("killing node2 and node4 mid-run...")
-	if err := cluster.Crash("node2"); err != nil {
+	if err := cluster.Pause("node2"); err != nil {
 		log.Fatal(err)
 	}
 	cluster.Run(413 * time.Millisecond)
-	if err := cluster.Crash("node4"); err != nil {
+	if err := cluster.Pause("node4"); err != nil {
 		log.Fatal(err)
 	}
 	cluster.Run(40 * time.Second)

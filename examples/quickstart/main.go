@@ -49,7 +49,7 @@ func main() {
 
 	// Crash two nodes — the (6,4) code tolerates exactly this.
 	for _, victim := range []string{"n2", "n5"} {
-		if err := cluster.Crash(victim); err != nil {
+		if err := cluster.Pause(victim); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("crashed", victim)

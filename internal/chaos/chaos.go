@@ -43,7 +43,7 @@ type Corruption struct {
 }
 
 // HolderRef names a live holder of an object by index (the same index space
-// as Corruption.Holder) — how a schedule crashes "a third holder" without
+// as Corruption.Holder) — how a schedule pauses "a third holder" without
 // naming seed-dependent placement.
 type HolderRef struct {
 	Object string
@@ -52,18 +52,18 @@ type HolderRef struct {
 
 // Event is one instant of scripted failure (all actions fire together).
 type Event struct {
-	At      time.Duration
-	Kill    []string          // crash these nodes
-	Recover []string          // revive these crashed nodes
-	Join    map[string]string // power up standby node -> via seed
-	Flaps   []Flap            // start link flapping from here
+	At     time.Duration
+	Pause  []string          // freeze these nodes (Platform.Pause)
+	Resume []string          // thaw these paused nodes
+	Join   map[string]string // power up standby node -> via seed
+	Flaps  []Flap            // start link flapping from here
 
-	Corrupt     []Corruption // silently damage shard bytes at rest
-	StallDisk   []string     // reads on these nodes hang (hedge territory)
-	EIODisk     []string     // reads on these nodes fail loudly
-	ClearFaults []string     // clear stall/EIO faults on these nodes
-	KillHolders []HolderRef  // crash live holders of an object by index
-	Get         []string     // force bit-audited reads of these objects now
+	Corrupt      []Corruption // silently damage shard bytes at rest
+	StallDisk    []string     // reads on these nodes hang (hedge territory)
+	EIODisk      []string     // reads on these nodes fail loudly
+	ClearFaults  []string     // clear stall/EIO faults on these nodes
+	PauseHolders []HolderRef  // pause live holders of an object by index
+	Get          []string     // force bit-audited reads of these objects now
 }
 
 // Schedule is one deterministic chaos scenario.
@@ -335,19 +335,19 @@ func Run(sch Schedule) (Result, error) {
 				faults[n].SetStall(false)
 				faults[n].SetEIO(false)
 			}
-			for _, h := range ev.KillHolders {
+			for _, h := range ev.PauseHolders {
 				hs := holdersOf(h.Object)
 				if h.Holder < 0 || h.Holder >= len(hs) {
-					injectErrs = append(injectErrs, fmt.Errorf("kill holder of %s: index %d of %d live holders", h.Object, h.Holder, len(hs)))
+					injectErrs = append(injectErrs, fmt.Errorf("pause holder of %s: index %d of %d live holders", h.Object, h.Holder, len(hs)))
 					continue
 				}
-				p.Crash(hs[h.Holder])
+				p.Pause(hs[h.Holder])
 			}
-			for _, n := range ev.Kill {
-				p.Crash(n)
+			for _, n := range ev.Pause {
+				p.Pause(n)
 			}
-			for _, n := range ev.Recover {
-				p.Recover(n)
+			for _, n := range ev.Resume {
+				p.Resume(n)
 			}
 			for n, seed := range ev.Join {
 				p.Join(n, seed)

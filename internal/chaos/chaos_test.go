@@ -53,7 +53,7 @@ func rackKillAndJoin(t *testing.T) Schedule {
 		GetEvery:   100 * time.Millisecond,
 		Events: []Event{
 			// Correlated rack failure taking the leader with it.
-			{At: 5 * time.Second, Kill: []string{"n01", "n02"}},
+			{At: 5 * time.Second, Pause: []string{"n01", "n02"}},
 			// Fresh capacity arrives while the rebuild is still running.
 			{At: 8 * time.Second, Join: map[string]string{"n11": "n05"}},
 		},
@@ -138,9 +138,9 @@ func TestChaosLeaderAssassinationWithFlaps(t *testing.T) {
 		PutEvery:   200 * time.Millisecond,
 		GetEvery:   150 * time.Millisecond,
 		Events: []Event{
-			{At: 4 * time.Second, Kill: []string{"n1"}},
+			{At: 4 * time.Second, Pause: []string{"n1"}},
 			{At: 6 * time.Second, Flaps: []Flap{{A: "n3", B: "n5", Down: 500 * time.Millisecond, Up: 700 * time.Millisecond, Cycles: 3}}},
-			{At: 10 * time.Second, Recover: []string{"n1"}},
+			{At: 10 * time.Second, Resume: []string{"n1"}},
 		},
 		Duration: 15 * time.Second,
 		Settle:   15 * time.Second,
@@ -246,10 +246,10 @@ func TestChaosCorruptionAtBareQuorum(t *testing.T) {
 			// read: the get survives on bare quorum, discovering the
 			// corrupt shard as one more erasure on the way.
 			{
-				At:          8 * time.Second,
-				Corrupt:     []Corruption{{Object: "pre-0000", Holder: 4, Block: 1}},
-				KillHolders: []HolderRef{{Object: "pre-0000", Holder: 7}},
-				Get:         []string{"pre-0000"},
+				At:           8 * time.Second,
+				Corrupt:      []Corruption{{Object: "pre-0000", Holder: 4, Block: 1}},
+				PauseHolders: []HolderRef{{Object: "pre-0000", Holder: 7}},
+				Get:          []string{"pre-0000"},
 			},
 		},
 		Duration: 12 * time.Second,
@@ -300,12 +300,12 @@ func TestChaosLongHaul(t *testing.T) {
 		PutEvery:   250 * time.Millisecond,
 		GetEvery:   150 * time.Millisecond,
 		Events: []Event{
-			{At: 10 * time.Second, Kill: []string{"n05"}},
+			{At: 10 * time.Second, Pause: []string{"n05"}},
 			{At: 30 * time.Second, Flaps: []Flap{{A: "n01", B: "n06", Down: time.Second, Up: 2 * time.Second, Cycles: 5}}},
-			{At: 40 * time.Second, Recover: []string{"n05"}},
-			{At: 60 * time.Second, Kill: []string{"n09", "n10"}},
+			{At: 40 * time.Second, Resume: []string{"n05"}},
+			{At: 60 * time.Second, Pause: []string{"n09", "n10"}},
 			{At: 70 * time.Second, Join: map[string]string{"n11": "n04"}},
-			{At: 90 * time.Second, Recover: []string{"n09", "n10"}},
+			{At: 90 * time.Second, Resume: []string{"n09", "n10"}},
 		},
 		Duration: 2 * time.Minute,
 		Settle:   30 * time.Second,

@@ -122,7 +122,7 @@ type worker struct {
 
 // System is a running RAINCheck deployment on a cluster: every node is both
 // a compute node and a storage node. Faults are the platform's to inject
-// (Crash/Recover); a crashed node's worker loses its volatile job state.
+// (Pause/Resume); a paused node's worker loses its volatile job state.
 type System struct {
 	p       *core.Platform
 	cfg     Config

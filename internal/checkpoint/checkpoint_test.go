@@ -103,7 +103,7 @@ func TestNodeFailureRollbackRecovery(t *testing.T) {
 	jobs := specs(6, 400)
 	sys.Submit(jobs...)
 	p.Run(500 * time.Millisecond) // some progress + checkpoints
-	p.Crash("n2")
+	p.Pause("n2")
 	p.Run(25 * time.Second)
 	wantAllDone(t, sys, jobs)
 	wantPruned(t, p, jobs)
@@ -125,7 +125,7 @@ func TestLeaderFailure(t *testing.T) {
 	jobs := specs(6, 400)
 	sys.Submit(jobs...)
 	p.Run(500 * time.Millisecond)
-	p.Crash("n1") // smallest id = initial leader
+	p.Pause("n1") // smallest id = initial leader
 	p.Run(25 * time.Second)
 	wantAllDone(t, sys, jobs)
 	wantPruned(t, p, jobs)
@@ -138,9 +138,9 @@ func TestTwoFailuresWithinCodeTolerance(t *testing.T) {
 	jobs := specs(8, 300)
 	sys.Submit(jobs...)
 	p.Run(400 * time.Millisecond)
-	p.Crash("n3")
+	p.Pause("n3")
 	p.Run(400 * time.Millisecond)
-	p.Crash("n5")
+	p.Pause("n5")
 	p.Run(30 * time.Second)
 	wantAllDone(t, sys, jobs)
 	wantPruned(t, p, jobs)
@@ -151,9 +151,9 @@ func TestRevivedNodeRejoinsWorkforce(t *testing.T) {
 	jobs := specs(10, 600)
 	sys.Submit(jobs...)
 	p.Run(300 * time.Millisecond)
-	p.Crash("n4")
+	p.Pause("n4")
 	p.Run(2 * time.Second)
-	p.Recover("n4")
+	p.Resume("n4")
 	p.Run(30 * time.Second)
 	wantAllDone(t, sys, jobs)
 }
@@ -182,11 +182,11 @@ func TestLateCheckpointsArePruned(t *testing.T) {
 	jobs := specs(6, 6000)
 	sys.Submit(jobs...)
 	p.Run(4 * time.Second) // ~2000 steps each, checkpointed
-	p.Crash("n2")
-	p.Crash("n3")
-	p.Crash("n4")
+	p.Pause("n2")
+	p.Pause("n3")
+	p.Pause("n4")
 	p.Run(16 * time.Second)
-	p.Recover("n4")
+	p.Resume("n4")
 	p.Run(30 * time.Second)
 	wantAllDone(t, sys, jobs)
 	wantPruned(t, p, jobs, "n4")

@@ -49,7 +49,7 @@ func TestChaosCrashRecoverLoop(t *testing.T) {
 		case 0: // crash a random node (at most one down at a time keeps
 			// us within the (6,4) code's comfort zone alongside loss)
 			crashed = sixNodes[1+rng.Intn(5)]
-			if err := p.Crash(crashed); err != nil {
+			if err := p.Pause(crashed); err != nil {
 				t.Fatal(err)
 			}
 		case 1: // cut one bundled path somewhere
@@ -59,7 +59,7 @@ func TestChaosCrashRecoverLoop(t *testing.T) {
 			}
 		case 2: // recover the crashed node
 			if crashed != "" {
-				if err := p.Recover(crashed); err != nil {
+				if err := p.Resume(crashed); err != nil {
 					t.Fatal(err)
 				}
 				crashed = ""
@@ -77,7 +77,7 @@ func TestChaosCrashRecoverLoop(t *testing.T) {
 	}
 	// Final convergence: recover any straggler and require full consensus.
 	if crashed != "" {
-		if err := p.Recover(crashed); err != nil {
+		if err := p.Resume(crashed); err != nil {
 			t.Fatal(err)
 		}
 	}

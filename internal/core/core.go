@@ -370,7 +370,7 @@ func (p *Platform) ReplaceNode(node string) (int, error) {
 		return 0, err
 	}
 	p.Backends[node].Wipe()
-	if err := p.Recover(node); err != nil {
+	if err := p.Resume(node); err != nil {
 		return 0, err
 	}
 	deadline := p.Scheduler.Now().Add(dstore.DefaultOpTimeout)
@@ -451,23 +451,24 @@ func (p *Platform) known(node string) error {
 	return nil
 }
 
-// Crash takes a node down across every subsystem: its membership engine
+// Pause freezes a node across every subsystem: its membership engine
 // stops, its RUDP endpoints freeze (which also silences its daemon, client
-// and controller), and all of its links are cut.
-func (p *Platform) Crash(node string) error {
+// and controller), and all of its links are cut. The node keeps its memory,
+// as a VM or process pause does; it is not a crash.
+func (p *Platform) Pause(node string) error {
 	if err := p.known(node); err != nil {
 		return err
 	}
 	p.Membership.Stop(node)
 	p.Mesh.StopNode(node)
-	// StopNode/Stop each cut links; heal-order on recovery is handled in
-	// Recover.
+	// StopNode/Stop each cut links; heal-order on resumption is handled in
+	// Resume.
 	return nil
 }
 
-// Recover brings a crashed node back; membership readmits it via the 911
+// Resume thaws a paused node; membership readmits it via the 911
 // mechanism.
-func (p *Platform) Recover(node string) error {
+func (p *Platform) Resume(node string) error {
 	if err := p.known(node); err != nil {
 		return err
 	}

@@ -44,10 +44,10 @@ func TestPlatformStorageSurvivesCrashes(t *testing.T) {
 	if err := p.Put("obj", data); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Crash("n2"); err != nil {
+	if err := p.Pause("n2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Crash("n5"); err != nil {
+	if err := p.Pause("n5"); err != nil {
 		t.Fatal(err)
 	}
 	p.Run(3 * time.Second)
@@ -65,11 +65,11 @@ func TestPlatformStorageSurvivesCrashes(t *testing.T) {
 func TestPlatformRecovery(t *testing.T) {
 	p := newPlatform(t, Options{Seed: 3})
 	p.Run(time.Second)
-	if err := p.Crash("n4"); err != nil {
+	if err := p.Pause("n4"); err != nil {
 		t.Fatal(err)
 	}
 	p.Run(3 * time.Second)
-	if err := p.Recover("n4"); err != nil {
+	if err := p.Resume("n4"); err != nil {
 		t.Fatal(err)
 	}
 	p.Run(10 * time.Second)
@@ -106,7 +106,7 @@ func TestPlatformMessagingMasksPathCut(t *testing.T) {
 func TestPlatformLeaderFailover(t *testing.T) {
 	p := newPlatform(t, Options{Seed: 5})
 	p.Run(time.Second)
-	if err := p.Crash("n1"); err != nil {
+	if err := p.Pause("n1"); err != nil {
 		t.Fatal(err)
 	}
 	p.Run(2 * time.Second)
@@ -137,7 +137,7 @@ func TestPlatformValidation(t *testing.T) {
 	if _, err := New(sixNodes, Options{}); err != nil {
 		t.Fatalf("valid platform rejected: %v", err)
 	}
-	if err := func() error { p := newPlatform(t, Options{Seed: 9}); return p.Crash("ghost") }(); err == nil {
+	if err := func() error { p := newPlatform(t, Options{Seed: 9}); return p.Pause("ghost") }(); err == nil {
 		t.Fatal("crashing unknown node accepted")
 	}
 }
@@ -156,7 +156,7 @@ func TestPlatformHotSwap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Crash("n3"); err != nil {
+	if err := p.Pause("n3"); err != nil {
 		t.Fatal(err)
 	}
 	p.Run(3 * time.Second) // membership excises n3
@@ -176,7 +176,7 @@ func TestPlatformHotSwap(t *testing.T) {
 	// must lean on the rebuilt node's shards.
 	p.Run(10 * time.Second) // n3 readmitted via 911
 	for _, n := range []string{"n1", "n2"} {
-		if err := p.Crash(n); err != nil {
+		if err := p.Pause(n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -212,7 +212,7 @@ func TestReplaceNodeRebuildsEachShardOnce(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	if err := p.Crash("n4"); err != nil {
+	if err := p.Pause("n4"); err != nil {
 		t.Fatal(err)
 	}
 	p.Run(3 * time.Second) // membership excises n4
@@ -241,7 +241,7 @@ func TestReplaceNodeRebuildsEachShardOnce(t *testing.T) {
 func TestPlatformRepairsRevivedNodeWithoutRebalance(t *testing.T) {
 	p := newPlatform(t, Options{Seed: 37})
 	p.Run(time.Second)
-	if err := p.Crash("n4"); err != nil {
+	if err := p.Pause("n4"); err != nil {
 		t.Fatal(err)
 	}
 	p.Run(3 * time.Second) // membership excises n4
@@ -254,7 +254,7 @@ func TestPlatformRepairsRevivedNodeWithoutRebalance(t *testing.T) {
 	if got := p.Backends["n4"].Objects(); got != 0 {
 		t.Fatalf("crashed n4 holds %d shards", got)
 	}
-	if err := p.Recover("n4"); err != nil {
+	if err := p.Resume("n4"); err != nil {
 		t.Fatal(err)
 	}
 	p.Run(6 * time.Second) // readmission, then past the 1s debounce
@@ -323,7 +323,7 @@ func TestPlatformCustomCode(t *testing.T) {
 	}
 	// n-k = 3 crashes tolerated with rs(6,3).
 	for _, n := range []string{"n1", "n2", "n3"} {
-		if err := p.Crash(n); err != nil {
+		if err := p.Pause(n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -358,7 +358,7 @@ func TestPlatformStreamingStore(t *testing.T) {
 		t.Fatal("streaming roundtrip corrupted")
 	}
 	// Crash a shard holder; the streaming read must hedge around it.
-	if err := p.Crash("n2"); err != nil {
+	if err := p.Pause("n2"); err != nil {
 		t.Fatal(err)
 	}
 	p.Run(2 * time.Second) // membership excises the node

@@ -73,12 +73,12 @@ func TestSelfHealFlappingDebounce(t *testing.T) {
 	}
 	vc := p.SelfHealStats("n1").ViewChanges
 	for i := 0; i < 3; i++ {
-		if err := p.Crash("n7"); err != nil {
+		if err := p.Pause("n7"); err != nil {
 			t.Fatal(err)
 		}
 		vc++
 		waitVC(vc) // removal lands
-		if err := p.Recover("n7"); err != nil {
+		if err := p.Resume("n7"); err != nil {
 			t.Fatal(err)
 		}
 		vc++
@@ -147,7 +147,7 @@ func TestSelfHealLeaderAssassinationSingleDriver(t *testing.T) {
 
 	// Kill a storage node: the view change arms the leader's debounced
 	// pass.
-	if err := p.Crash("n8"); err != nil {
+	if err := p.Pause("n8"); err != nil {
 		t.Fatal(err)
 	}
 	started := false
@@ -172,7 +172,7 @@ func TestSelfHealLeaderAssassinationSingleDriver(t *testing.T) {
 	}
 
 	// Assassinate the coordinator mid-pass.
-	if err := p.Crash("n1"); err != nil {
+	if err := p.Pause("n1"); err != nil {
 		t.Fatal(err)
 	}
 	p.Run(10 * time.Second)
@@ -234,7 +234,7 @@ func TestReplaceNodeUnderSelfHeal(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	if err := p.Crash("n4"); err != nil {
+	if err := p.Pause("n4"); err != nil {
 		t.Fatal(err)
 	}
 	p.Run(3 * time.Second) // membership excises n4
@@ -250,7 +250,7 @@ func TestReplaceNodeUnderSelfHeal(t *testing.T) {
 		t.Fatalf("controller pass after the hot swap still moved shards: %+v", moves)
 	}
 	for _, n := range []string{"n2", "n3"} {
-		if err := p.Crash(n); err != nil {
+		if err := p.Pause(n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +293,7 @@ func TestRevivedLeaderWaitsForReadmission(t *testing.T) {
 			t.Fatal("the token never reached n1")
 		}
 	}
-	if err := p.Crash("n1"); err != nil {
+	if err := p.Pause("n1"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -326,7 +326,7 @@ func TestRevivedLeaderWaitsForReadmission(t *testing.T) {
 	}
 
 	passes := p.SelfHealStats("n1").Passes
-	if err := p.Recover("n1"); err != nil {
+	if err := p.Resume("n1"); err != nil {
 		t.Fatal(err)
 	}
 	if !n1.Starving() || n1.Leader() != "n1" || len(n1.View()) != len(p.Nodes) {
@@ -381,9 +381,9 @@ func TestLeaderTransitionsFollowTheView(t *testing.T) {
 		node  string
 		want  uint64
 	}{
-		{"leader n1 crashes: five survivors move to n2", p.Crash, "n1", 5},
-		{"n4 crashes: the leader stays n2", p.Crash, "n4", 5},
-		{"n1 returns: four survivors move back to n1", p.Recover, "n1", 9},
+		{"leader n1 crashes: five survivors move to n2", p.Pause, "n1", 5},
+		{"n4 crashes: the leader stays n2", p.Pause, "n4", 5},
+		{"n1 returns: four survivors move back to n1", p.Resume, "n1", 9},
 	}
 	for _, st := range steps {
 		if err := st.fault(st.node); err != nil {
@@ -520,7 +520,7 @@ func TestSelfHealRepairsCorruptionWhileANodeIsDown(t *testing.T) {
 	if err := p.Put("obj", selfHealPayload(0, size)); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Crash("n4"); err != nil {
+	if err := p.Pause("n4"); err != nil {
 		t.Fatal(err)
 	}
 	p.Run(5 * time.Second)

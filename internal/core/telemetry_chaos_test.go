@@ -129,7 +129,7 @@ func TestChaosTelemetryKillNodeMidRebuild(t *testing.T) {
 		// Chunk reads are in full swing but no object has finished: killing
 		// a survivor now stalls live streams mid-transfer.
 		if served >= 8 && done < objects {
-			if err := p.Crash("n3"); err != nil {
+			if err := p.Pause("n3"); err != nil {
 				t.Fatal(err)
 			}
 			crashed = true
@@ -147,7 +147,7 @@ func TestChaosTelemetryKillNodeMidRebuild(t *testing.T) {
 
 	// Recover the crashed survivor so its retransmit queues drain, then let
 	// everything settle before judging the registry.
-	if err := p.Recover("n3"); err != nil {
+	if err := p.Resume("n3"); err != nil {
 		t.Fatal(err)
 	}
 	p.Run(10 * time.Second)

@@ -344,94 +344,6 @@ func (c *Client) send(to string, m Msg) {
 	c.mesh.SendFrame(c.node, to, ServiceDaemon, m.MarshalFrame())
 }
 
-// ---- rebuild ----
-
-// rebuildObject streams one object's missing shard to the target node
-// peers[targetIdx], reading block codewords from the other holders in peers
-// (shard j on peers[j]; empty entries mark unknown holders), ranked by
-// spreadRank. The inventory provides the layout up front; the outgoing
-// transfer's backlog gates the block pipeline (decode pauses while the
-// newcomer lags).
-func (c *Client) rebuildObject(info storage.ObjectInfo, peers []string, targetIdx int, done func(error)) {
-	exclude := map[int]bool{targetIdx: true}
-	meta := infoMeta(info)
-	var out *transfer
-	transferDone := false
-	var opErr error
-	var finished bool
-	var deadline sim.Timer
-	began := c.s.Now()
-	tr := c.trace("rebuild", info.ID)
-	c.met.bytesInFlight.Add(meta.shardLen)
-	finish := func(err error) {
-		if finished {
-			return
-		}
-		finished = true
-		deadline.Stop()
-		c.met.bytesInFlight.Add(-meta.shardLen)
-		if err == nil {
-			c.met.shardsRebuilt.Inc()
-			c.met.bytesReconstructed.Add(meta.shardLen)
-			c.met.repairDuration.Observe(int64(c.s.Now() - began))
-		}
-		tr.Finish(c.nowNS(), err)
-		done(err)
-	}
-	info.Shard = targetIdx
-	out = c.startTransfer(peers[targetIdx], info, func(ok bool) {
-		transferDone = true
-		switch {
-		case opErr != nil:
-			finish(opErr)
-		case !ok:
-			finish(fmt.Errorf("%w: target transfer failed", ErrNotEnoughDaemons))
-		default:
-			finish(nil)
-		}
-	})
-	highWater := int64(c.cfg.Window) * int64(c.cfg.ChunkSize)
-	rank := func() []int { return c.spreadRank(info.ID, peers, exclude) }
-	op := c.startStreamGet(info.ID, peers, exclude, &meta, rank, tr, nil,
-		func(m objMeta, dataLen int64) (blockSink, error) {
-			rb, err := ecc.NewShardRebuilder(c.cfg.Code, targetIdx, writerFunc(func(p []byte) (int, error) {
-				out.offer(p)
-				return len(p), nil
-			}), dataLen, int(m.blockLen))
-			if err == nil {
-				rb.UseScratch(&c.decScratch)
-			}
-			return rb, err
-		},
-		func() bool { return out.backlog() < highWater },
-		func(m objMeta, err error) {
-			if err != nil {
-				opErr = err
-				if transferDone {
-					finish(err)
-				} else {
-					out.resolve(false) // surfaces opErr via the transfer's onDone
-				}
-			}
-			// On success the final pieces are already offered; the transfer's
-			// completion (all bytes acked by the newcomer) finishes the
-			// object.
-		})
-	if finished {
-		return // the read failed outright and took the transfer with it
-	}
-	out.onAck = op.resumeDecode
-	// The outgoing transfer only stall-fails with bytes in flight; a target
-	// that never acks an idle transfer (or a feeder pipeline that wedges) is
-	// resolved by the operation deadline.
-	deadline = c.s.After(c.cfg.OpTimeout, func() {
-		if opErr == nil {
-			opErr = fmt.Errorf("%w: rebuild transfer (%w)", ErrNotEnoughDaemons, ErrTimeout)
-		}
-		out.resolve(false)
-	})
-}
-
 // writerFunc adapts a function to io.Writer.
 type writerFunc func(p []byte) (int, error)
 

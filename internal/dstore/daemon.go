@@ -444,8 +444,13 @@ func (d *Daemon) onGetAck(from string, m Msg) {
 // empty shard stream still sends one empty chunk so the client learns the
 // object metadata. Chunk bytes are read from the backend straight into the
 // outgoing pooled frame — the daemon's get path copies the payload zero
-// times.
+// times. A NAK ends the session: the stream cannot resume, so nothing is
+// left for the client's cancel or the orphan sweep.
 func (d *Daemon) pumpGet(from string, req uint64, g *getSession) {
+	nak := func(err string) {
+		delete(d.gets, sessKey{from: from, req: req})
+		d.reply(from, Msg{Kind: KindGetChunk, Req: req, ID: g.info.ID, Err: err})
+	}
 	hdr := func(off int64) Msg {
 		m := Msg{
 			Kind:     KindGetChunk,
@@ -475,7 +480,7 @@ func (d *Daemon) pumpGet(from string, req uint64, g *getSession) {
 		if cur, err := d.backend.Info(g.info.ID); err == nil && cur != g.info {
 			// A commit replaced the entry: the rest of this stream would be
 			// another version's bytes at this version's offsets.
-			d.reply(from, Msg{Kind: KindGetChunk, Req: req, ID: g.info.ID, Err: fmt.Sprintf("dstore: %s was overwritten mid-stream", g.info.ID)})
+			nak(fmt.Sprintf("dstore: %s was overwritten mid-stream", g.info.ID))
 			return
 		}
 		n := int64(d.chunk)
@@ -489,15 +494,15 @@ func (d *Daemon) pumpGet(from string, req uint64, g *getSession) {
 		if err := d.backend.ReadAt(g.info.ID, data, g.sent); err != nil {
 			f.Release()
 			if errors.Is(err, storage.ErrStalled) {
-				// A hung disk sends nothing — no NAK, no chunk. The client's
-				// hedge timer is the only way out, exactly as with real
-				// stuck media.
+				// A hung disk sends nothing — no NAK, no chunk, and the
+				// session stays open. The client's hedge timer is the only
+				// way out, exactly as with real stuck media.
 				return
 			}
 			// Everything else NAKs with the error text; a *CorruptError's
 			// text is what the client folds back into corruption-as-erasure
 			// (the shard is already quarantined locally, and reported).
-			d.reply(from, Msg{Kind: KindGetChunk, Req: req, ID: g.info.ID, Err: err.Error()})
+			nak(err.Error())
 			if errors.Is(err, storage.ErrCorrupt) {
 				d.onCorrupt()
 			}

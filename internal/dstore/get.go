@@ -1,9 +1,11 @@
 package dstore
 
-// The get half of the client: the streaming get op (windowed shard streams
-// from a k-subset of daemons into a block sink, shared by retrieves and
-// rebuilds) and the retrieve frontends (GetRangeAsync, GetStreamAsync,
-// GetAsync).
+// The get half of the client: the streaming get op and the retrieve
+// frontends (GetRangeAsync, GetStreamAsync, GetAsync). The op is the
+// client's one reader: it alone sends KindGetReq, streaming windowed shard
+// pieces from daemons into a block sink. A retrieve decodes k pieces per
+// block; the shard mover (rebalance.go) reads k per block to rebuild a
+// shard, or one per block to copy it.
 
 import (
 	"fmt"
@@ -59,13 +61,19 @@ func (w *resultWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// ---- retrieve / rebuild: windowed shard streams into a block sink ----
+// ---- retrieve / move: windowed shard streams into a block sink ----
 
 // blockSink consumes one block codeword's worth of shard pieces at a time:
-// ecc.StreamDecoder on retrieves, ecc.ShardRebuilder on rebuilds.
+// ecc.StreamDecoder on retrieves, ecc.ShardRebuilder on rebuilds, a
+// sinkFunc that writes the one piece through on copies.
 type blockSink interface {
 	NextBlock(shards [][]byte) error
 }
+
+// sinkFunc adapts a function to blockSink.
+type sinkFunc func(shards [][]byte) error
+
+func (f sinkFunc) NextBlock(shards [][]byte) error { return f(shards) }
 
 // objMeta is the layout and digest of one stored object version, learned
 // from the first get chunk (retrieves) or the survivor inventory (rebuilds).
@@ -103,7 +111,7 @@ type shardStream struct {
 	complete  bool     // delivered and fully consumed by the decoder
 	dead      bool     // the daemon answered with an error
 	hedged    bool     // a spare was already issued on this stream's behalf
-	spare     bool     // this stream itself was issued beyond the first k
+	spare     bool     // this stream itself was issued beyond the first need
 	credited  bool     // the stream's bytes have fed a decode (hedge won)
 }
 
@@ -153,17 +161,18 @@ func (st *shardStream) deliveredTo(shardLen int64) bool {
 	return st.pos+st.size() >= shardLen
 }
 
-// streamGetOp drives a block-wise retrieve or rebuild: ranked windowed shard
-// streams from a k-subset of daemons, hedging to spares on stalls or errors,
-// each block codeword handed to the sink the moment k pieces of it have
-// assembled. Consumed bytes are acked back to the daemons (the per-stream
-// flow control), so no participant ever buffers more than a window beyond
-// the decode frontier.
+// streamGetOp drives a block-wise retrieve, rebuild or copy: ranked windowed
+// shard streams from need daemons, hedging to spares on stalls or errors,
+// each block handed to the sink the moment need pieces of it have assembled.
+// Consumed bytes are acked back to the daemons (the per-stream flow
+// control), so no participant ever buffers more than a window beyond the
+// decode frontier.
 type streamGetOp struct {
 	c       *Client
 	id      string
 	peers   []string // shard i is expected on peers[i]; "" = unknown holder; strays follow the first n
 	exclude map[int]bool
+	need    int // pieces per block: k to decode or rebuild, 1 to copy
 
 	// mkSink builds the block consumer once the object layout is known;
 	// ready (nil = always) gates decoding on downstream backpressure. finish
@@ -195,7 +204,7 @@ type streamGetOp struct {
 	shards [][]byte
 	used   []*shardStream
 
-	candidates []int
+	candidates []int // shard indices to read, best first
 	cursor     int
 	streams    []*shardStream
 	lastErr    string
@@ -205,7 +214,7 @@ type streamGetOp struct {
 	finished   bool
 	firstK     bool
 	seen       bool // some stream reported a version: the object exists
-	spilled    bool // the strays were added to the candidates
+	spilled    bool // the strays were added to the candidates (a copy starts with it set: it reads its one source only)
 	trace      *telemetry.Trace
 }
 
@@ -216,47 +225,28 @@ type getRange struct {
 	end int64
 }
 
-// startStreamGet launches the state machine over the object's placement
-// (peers[i] holds shard i). If metaHint is non-nil the version is known up
-// front (rebuild, from the inventory; ranged gets, from the caller's probe)
-// and decoding can begin without waiting for a first chunk. Otherwise the op
-// adopts the version once k streams' first chunks agree on it (see adopt);
-// either way every stream it decodes from reports that one version. rank,
-// when non-nil, overrides the policy ranking of candidate shard indices —
-// the rebuild pipeline injects its survivor-load spreading there. rng, when non-nil, bounds decoding to
-// the blocks covering that byte range; combined with a metaHint the shard
-// streams start at the range's first block, so the prefix never crosses
-// the wire.
-func (c *Client) startStreamGet(id string, peers []string, exclude map[int]bool, metaHint *objMeta, rank func() []int, trace *telemetry.Trace, rng *getRange,
-	mkSink func(objMeta, int64) (blockSink, error), ready func() bool, done func(objMeta, error)) *streamGetOp {
-	op := &streamGetOp{
-		c:       c,
-		id:      id,
-		peers:   peers,
-		exclude: exclude,
-		mkSink:  mkSink,
-		ready:   ready,
-		done:    done,
-		rng:     rng,
-		trace:   trace,
-	}
-	if rank != nil {
-		op.candidates = rank()
-	} else {
-		op.candidates = c.rank(peers, exclude)
-	}
+// start launches the state machine over the op's candidates (peers[i] holds
+// shard i). If metaHint is non-nil the version is known up front (the
+// mover's, from the inventory; ranged gets, from the caller's probe) and
+// decoding can begin without waiting for a first chunk. Otherwise the op
+// adopts the version once need streams' first chunks agree on it (see
+// adopt); either way every stream it decodes from reports that one version.
+// rng, when set, bounds decoding to the blocks covering that byte range;
+// combined with a metaHint the shard streams start at the range's first
+// block, so the prefix never crosses the wire.
+func (op *streamGetOp) start(metaHint *objMeta) {
+	c := op.c
 	if metaHint != nil {
 		if err := op.setMeta(*metaHint); err != nil {
 			op.finish(err)
-			return op
+			return
 		}
 		if op.nextBlk >= op.limitBlk {
 			op.finish(nil) // empty or past-the-end range: nothing to fetch
-			return op
+			return
 		}
 	}
-	need := c.cfg.Code.K()
-	for i := 0; i < need && op.cursor < len(op.candidates); i++ {
+	for i := 0; i < op.need && op.cursor < len(op.candidates); i++ {
 		op.issueNext()
 	}
 	op.tryDecode() // zero-block objects finish without any traffic
@@ -268,7 +258,6 @@ func (c *Client) startStreamGet(id string, peers []string, exclude map[int]bool,
 			op.finish(fmt.Errorf("%w: %d of %d blocks decoded (%w)", ErrNotEnoughDaemons, op.nextBlk, op.blocks, ErrTimeout))
 		})
 	}
-	return op
 }
 
 // probe reports whether the op reads no bytes, only the object's version:
@@ -291,8 +280,8 @@ func (op *streamGetOp) winChunks() int32 {
 	return int32(win)
 }
 
-// setMeta fixes the object layout and builds the sink. Called once k streams'
-// first chunks agree on a version (adopt), or up front from a hint.
+// setMeta fixes the object layout and builds the sink. Called once need
+// streams' first chunks agree on a version (adopt), or up front from a hint.
 func (op *streamGetOp) setMeta(meta objMeta) error {
 	if meta.dataLen < 0 || meta.blockLen < 1 {
 		// Every writer records a block layout, empty objects included; a
@@ -350,7 +339,7 @@ func (op *streamGetOp) issueNext() {
 	op.c.loads[peer]++
 	op.c.nextReq++
 	st := &shardStream{peer: peer, peerIdx: idx, req: op.c.nextReq, pos: op.consumed, lastAck: op.consumed, progress: op.c.s.Now(), buf: op.c.getStreamBuf(),
-		spare: len(op.streams) >= op.c.cfg.Code.K()}
+		spare: len(op.streams) >= op.need}
 	op.trace.Event(op.c.nowNS(), "shard_fanout", peer, int64(idx))
 	op.streams = append(op.streams, st)
 	op.c.pending[st.req] = func(m Msg) { op.onChunk(st, m) }
@@ -403,17 +392,17 @@ func (op *streamGetOp) hedge(st *shardStream) {
 	op.issueNext()
 }
 
-// failIfStuck keeps k streams able to serve the version alive while spare
+// failIfStuck keeps need streams able to serve the version alive while spare
 // candidates remain (the strays too, once a holder has shown the object
 // exists: see spill), and fails the op early once none remain and either
-// fewer than k such streams are alive or no live stream can still deliver
+// fewer than need such streams are alive or no live stream can still deliver
 // bytes — e.g. every daemon answered "object not found", or too many holders
 // serve another version — instead of waiting out the deadline.
 func (op *streamGetOp) failIfStuck() {
 	if op.finished {
 		return
 	}
-	need := op.c.cfg.Code.K()
+	need := op.need
 	live, open := op.viable()
 	for ; live < need && (op.cursor < len(op.candidates) || op.spill()); live++ {
 		op.issueNext() // e.g. a holder reported a version the others outvote
@@ -678,7 +667,7 @@ func (op *streamGetOp) viable() (live, open int) {
 // the leading version plus the streams yet to report fall short of k.
 func (op *streamGetOp) adopt() {
 	meta, votes, _ := op.tally()
-	if votes < op.c.cfg.Code.K() {
+	if votes < op.need {
 		return
 	}
 	if err := op.setMeta(meta); err != nil {
@@ -759,9 +748,9 @@ func (op *streamGetOp) ackStreams(force bool) {
 	}
 }
 
-// tryDecode hands block codewords to the sink while k pieces of the current
-// block are buffered (and downstream is ready for more), advancing the
-// frontier and acking the daemons for each consumed block.
+// tryDecode hands block codewords to the sink while need pieces of the
+// current block are buffered (and downstream is ready for more), advancing
+// the frontier and acking the daemons for each consumed block.
 func (op *streamGetOp) tryDecode() {
 	if op.finished || !op.haveMeta {
 		return
@@ -792,7 +781,7 @@ func (op *streamGetOp) tryDecode() {
 				have++
 			}
 		}
-		if have < code.K() {
+		if have < op.need {
 			return
 		}
 		if !op.firstK {
@@ -959,8 +948,9 @@ func (c *Client) GetRangeAsync(id string, w io.Writer, opts GetOptions, done fun
 	}
 	began := c.s.Now()
 	tr := c.trace("get", id)
-	op := c.startStreamGet(id, c.peersFor(id), nil, hint, nil, tr, rng,
-		func(meta objMeta, dataLen int64) (blockSink, error) {
+	peers := c.peersFor(id)
+	op := &streamGetOp{c: c, id: id, peers: peers, candidates: c.rank(peers, nil), need: c.cfg.Code.K(), rng: rng, trace: tr, ready: opts.Ready,
+		mkSink: func(meta objMeta, dataLen int64) (blockSink, error) {
 			if opts.OnMeta != nil {
 				opts.OnMeta(ObjectMeta{DataLen: meta.dataLen, BlockLen: meta.blockLen, Digest: meta.digest})
 			}
@@ -984,15 +974,15 @@ func (c *Client) GetRangeAsync(id string, w io.Writer, opts GetOptions, done fun
 			}
 			return dec, err
 		},
-		opts.Ready,
-		func(meta objMeta, err error) {
+		done: func(meta objMeta, err error) {
 			if err == nil {
 				c.met.getLatency.Observe(int64(c.s.Now() - began))
 				c.met.getBytes.Add(tw.n)
 			}
 			tr.Finish(c.nowNS(), err)
 			done(tw.n, err)
-		})
+		}}
+	op.start(hint)
 	return &Handle{
 		cancel: func() { op.finish(ErrCanceled) },
 		resume: op.resumeDecode,

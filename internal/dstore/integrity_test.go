@@ -223,6 +223,36 @@ func TestCorruptReadReportsOnce(t *testing.T) {
 	}
 }
 
+// TestDaemonEndsCorruptGetSession sends a raw GetReq for a shard that has
+// rotted at rest and never cancels it: the daemon NAKs the read with the
+// corruption, and the NAK ends its get session, so nothing is left open for
+// the orphan sweep.
+func TestDaemonEndsCorruptGetSession(t *testing.T) {
+	c := newCluster(t, 33, 5, 3, sim.ProfileLAN, nil)
+	if _, err := c.clients["a"].Put("obj", randBytes(22, 32<<10)); err != nil {
+		t.Fatal(err)
+	}
+	holder := c.holder("obj", 1)
+	if err := c.backends[holder].CorruptShard("obj", 3); err != nil {
+		t.Fatal(err)
+	}
+	d := c.daemons[holder]
+	errs := d.Stats().Errors
+	c.mesh.SendService("a", holder, dstore.ServiceDaemon, dstore.Msg{
+		Kind: dstore.KindGetReq,
+		Req:  993,
+		ID:   "obj",
+		Win:  2,
+	}.Marshal())
+	c.s.RunFor(time.Second)
+	if d.Stats().Errors != errs+1 || c.backends[holder].Quarantined() != 1 {
+		t.Fatalf("no corruption NAK: errors %d -> %d, quarantined %d", errs, d.Stats().Errors, c.backends[holder].Quarantined())
+	}
+	if n := d.GetSessions(); n != 0 {
+		t.Fatalf("%d get sessions open 1 s after the NAK, want 0", n)
+	}
+}
+
 // TestStalledReadHedges arms a stalled-disk fault under one daemon (the
 // chaos wrapper's trick, inlined here): the daemon drops reads silently,
 // so only the client's hedging can complete the retrieve — and it must.

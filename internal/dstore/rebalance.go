@@ -4,15 +4,20 @@ import (
 	"fmt"
 	"sort"
 
+	"rain/internal/ecc"
 	"rain/internal/placement"
 	"rain/internal/sim"
 	"rain/internal/storage"
 )
 
 // This file is the placement-reconciliation half of the client: the paged
-// cluster inventory walk, the budget-bounded concurrent task pipeline, and
-// the reconciler that moves shards onto their target holders. It is the
-// store's one repair path, RebalanceAsync over reconcileObject, and every
+// cluster inventory walk, the budget-bounded concurrent task pipeline, the
+// reconciler that decides which shards go where, and the one shard mover
+// that puts them there. The mover builds a copy and a rebuild alike from the
+// client's one reader (get.go's streamGetOp) and one writer (put.go's
+// transfer); they differ only in how many pieces per block the read takes
+// (one or k) and how its sink turns them into the shard. Reconciliation is
+// the store's one repair path, RebalanceAsync over reconcileObject, and every
 // trigger is one more pass: a membership change ("every object whose
 // rendezvous placement changed"), a hot swap (core's ReplaceNode: the delta
 // of "one node lost everything") and detected corruption (a quarantined
@@ -259,93 +264,122 @@ func sortedIDs(entries map[string]*invEntry) []string {
 	return ids
 }
 
-// ---- shard copy and delete (the rebalance data movers) ----
+// ---- the shard mover and delete ----
 
-// copyShard relays one stored shard stream from src to dst unchanged — the
-// unit of rebalance movement, costing one shard of network traffic where a
-// reconstruct would read k. The relay is windowed on both legs: source
-// chunks are acked only as the outgoing transfer drains, so the client
-// buffers no more than a window of the stream. The copy records info's
-// layout and digest, so a source holding another version fails it.
-func (c *Client) copyShard(id, src, dst string, shardIdx int, info storage.ObjectInfo, done func(error)) {
-	shardLen := int64(info.ShardLen)
-	finished := false
-	var deadline sim.Timer
-	c.met.bytesInFlight.Add(shardLen)
-	finish := func(err error) {
+// moveShard puts shard idx of the object info describes onto peers[idx]. With
+// src set it copies the shard from src, a node that holds it: one piece per
+// block, written through as stored, one shard of network traffic. Otherwise
+// it rebuilds the shard from k of the other holders in peers (shard j on
+// peers[j]; "" = unknown), ranked by spreadRank. Either way one streamGetOp
+// feeds one transfer: the inventory gives the layout up front, the
+// transfer's backlog gates the read, and the first leg to fail ends the
+// other. A failed read aborts the destination's staged write; a failed
+// transfer finishes the read, cancelling every daemon session it opened. The
+// mover records info's layout and digest, so a source holding another
+// version fails it.
+func (c *Client) moveShard(info storage.ObjectInfo, peers []string, idx int, src string, done func(error)) {
+	copying := src != ""
+	meta := infoMeta(info)
+	info.Shard = idx
+	dest := peers[idx]
+	kind := "rebuild"
+	if copying {
+		kind = "copy"
+	}
+	began := c.s.Now()
+	tr := c.trace(kind, info.ID)
+	var (
+		op       *streamGetOp
+		out      *transfer
+		deadline sim.Timer
+		finished bool
+	)
+	c.met.bytesInFlight.Add(meta.shardLen)
+	end := func(err error) {
 		if finished {
 			return
 		}
 		finished = true
 		deadline.Stop()
-		c.met.bytesInFlight.Add(-shardLen)
-		if err == nil {
-			c.met.shardsCopied.Inc()
-			c.met.bytesCopied.Add(shardLen)
+		if err != nil {
+			// The leg that failed is already over; these end the other one.
+			op.finish(err)
+			out.resolve(false)
 		}
+		c.met.bytesInFlight.Add(-meta.shardLen)
+		switch {
+		case err != nil:
+		case copying:
+			c.met.shardsCopied.Inc()
+			c.met.bytesCopied.Add(meta.shardLen)
+		default:
+			c.met.shardsRebuilt.Inc()
+			c.met.bytesReconstructed.Add(meta.shardLen)
+			c.met.repairDuration.Observe(int64(c.s.Now() - began))
+		}
+		tr.Finish(c.nowNS(), err)
 		done(err)
 	}
-	var out *transfer
-	var inReq uint64
-	var received, lastAck int64
-	info.ID, info.Shard = id, shardIdx
-	out = c.startTransfer(dst, info, func(ok bool) {
-		delete(c.pending, inReq)
+	out = c.startTransfer(dest, info, func(ok bool) {
 		if !ok {
-			finish(fmt.Errorf("dstore: copy %s to %s: transfer failed", id, dst))
+			end(fmt.Errorf("%w: %s of %s to %s: transfer failed", ErrNotEnoughDaemons, kind, info.ID, dest))
 			return
 		}
-		finish(nil)
+		end(nil) // every byte acked: the read finished first
 	})
+	write := writerFunc(func(p []byte) (int, error) {
+		out.offer(p)
+		return len(p), nil
+	})
+	// A rebuild reads k pieces per block from the other holders and
+	// reconstructs the target's piece from them. A copy reads one piece per
+	// block from src alone and writes it through: src is its one candidate,
+	// every other index is excluded (a stream reporting another shard fails
+	// rather than being adopted), and the strays are never asked.
+	from, exclude, need := peers, map[int]bool{idx: true}, c.cfg.Code.K()
+	mkSink := func(m objMeta, dataLen int64) (blockSink, error) {
+		rb, err := ecc.NewShardRebuilder(c.cfg.Code, idx, write, dataLen, int(m.blockLen))
+		if err == nil {
+			rb.UseScratch(&c.decScratch)
+		}
+		return rb, err
+	}
+	if copying {
+		from = make([]string, len(peers))
+		from[idx] = src
+		exclude = make(map[int]bool, len(peers))
+		for j := range peers {
+			exclude[j] = j != idx
+		}
+		need = 1
+		mkSink = func(objMeta, int64) (blockSink, error) {
+			return sinkFunc(func(shards [][]byte) error {
+				_, err := write(shards[idx])
+				return err
+			}), nil
+		}
+	}
 	highWater := int64(c.cfg.Window) * int64(c.cfg.ChunkSize)
-	maybeAck := func() {
-		if finished || received <= lastAck || out.backlog() >= highWater {
-			return
-		}
-		lastAck = received
-		c.send(src, Msg{Kind: KindGetAck, Req: inReq, ID: id, Off: received, Win: int32(c.cfg.Window)})
+	op = &streamGetOp{c: c, id: info.ID, peers: from, exclude: exclude, need: need, spilled: copying,
+		candidates: c.spreadRank(info.ID, from, exclude), trace: tr, mkSink: mkSink,
+		ready: func() bool { return out.backlog() < highWater },
+		done: func(_ objMeta, err error) {
+			if err != nil {
+				end(err)
+			}
+			// On success the final pieces are already offered; the transfer's
+			// completion (all bytes acked by dest) ends the move.
+		}}
+	op.start(&meta)
+	if finished {
+		return // the read failed outright and took the transfer with it
 	}
-	out.onAck = maybeAck
-	c.nextReq++
-	inReq = c.nextReq
-	c.pending[inReq] = func(m Msg) {
-		if finished {
-			return
-		}
-		if m.Err == "" && int(m.Shard) != shardIdx {
-			m.Err = fmt.Sprintf("dstore: %s holds shard %d of %s, expected %d", src, m.Shard, id, shardIdx)
-		}
-		if m.Err == "" && received == 0 && m.Off == 0 && chunkMeta(m) != infoMeta(info) {
-			m.Err = fmt.Sprintf("dstore: %s holds another version of %s", src, id)
-		}
-		if m.Err != "" {
-			delete(c.pending, inReq)
-			// finish before resolving the transfer: resolve fires its onDone,
-			// whose generic "transfer failed" would otherwise mask the actual
-			// source-side cause.
-			finish(fmt.Errorf("dstore: copy %s from %s: %s", id, src, m.Err))
-			out.resolve(false)
-			return
-		}
-		if m.Off != received {
-			return // stale or reordered chunk; RUDP is FIFO per pair
-		}
-		if len(m.Data) > 0 {
-			out.offer(m.Data)
-			received += int64(len(m.Data))
-		}
-		if received >= shardLen {
-			delete(c.pending, inReq)
-			c.send(src, Msg{Kind: KindGetAck, Req: inReq, ID: id, Off: received, Win: int32(c.cfg.Window)})
-			return
-		}
-		maybeAck()
-	}
-	c.send(src, Msg{Kind: KindGetReq, Req: inReq, ID: id, Off: 0, Win: int32(c.cfg.Window)})
+	out.onAck = op.resumeDecode
+	// The outgoing transfer only stall-fails with bytes in flight; a
+	// destination that never acks an idle transfer (or a read that wedges)
+	// is resolved by the operation deadline.
 	deadline = c.s.After(c.cfg.OpTimeout, func() {
-		delete(c.pending, inReq)
-		finish(fmt.Errorf("dstore: copy %s from %s: %w", id, src, ErrTimeout))
-		out.resolve(false)
+		end(fmt.Errorf("%w: %s transfer (%w)", ErrNotEnoughDaemons, kind, ErrTimeout))
 	})
 }
 
@@ -538,7 +572,7 @@ func (c *Client) reconcileObject(id string, e *invEntry, stats *RebalanceStats, 
 	var fillSlot func(pos int)
 	var finishDeletes func()
 	rebuildTo := func(i int, next func(error)) {
-		c.rebuildObject(info, srcPeersFor(peers, holders, i), i, next)
+		c.moveShard(info, srcPeersFor(peers, holders, i), i, "", next)
 	}
 	var slotErr error
 	fillSlot = func(pos int) {
@@ -593,7 +627,7 @@ func (c *Client) reconcileObject(id string, e *invEntry, stats *RebalanceStats, 
 			rebuildTo(i, func(err error) { step(err, true) })
 			return
 		}
-		c.copyShard(id, src, dest, i, info, func(err error) {
+		c.moveShard(info, peers, i, src, func(err error) {
 			if err != nil {
 				// The copy source died or went stale mid-move: fall back to
 				// reconstruction from whatever still answers.

@@ -45,7 +45,7 @@ func newCluster(t *testing.T, n int, code ecc.Code, policy storage.Policy) *core
 func crash(t *testing.T, p *core.Platform, nodes ...string) {
 	t.Helper()
 	for _, n := range nodes {
-		if err := p.Crash(n); err != nil {
+		if err := p.Pause(n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -56,7 +56,7 @@ func crash(t *testing.T, p *core.Platform, nodes ...string) {
 func revive(t *testing.T, p *core.Platform, nodes ...string) {
 	t.Helper()
 	for _, n := range nodes {
-		if err := p.Recover(n); err != nil {
+		if err := p.Resume(n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestSurvivesMaxNodeFailures(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		for j := i + 1; j < 6; j++ {
 			a, b := p.Nodes[i], p.Nodes[j]
-			if err := errors.Join(p.Crash(a), p.Crash(b)); err != nil {
+			if err := errors.Join(p.Pause(a), p.Pause(b)); err != nil {
 				t.Fatal(err)
 			}
 			mustGet(t, p, "obj", data, "right after crashing "+a+","+b)
@@ -297,7 +297,7 @@ func TestHotSwapUnderLoadPolicies(t *testing.T) {
 			readAll(40, "before failure")
 			// Mid-workload: kill n-k nodes. Reads must keep succeeding, at
 			// first around holders the ring still lists.
-			if err := errors.Join(p.Crash(doomed[0]), p.Crash(doomed[1])); err != nil {
+			if err := errors.Join(p.Pause(doomed[0]), p.Pause(doomed[1])); err != nil {
 				t.Fatal(err)
 			}
 			readAll(40, "degraded")

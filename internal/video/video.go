@@ -124,12 +124,12 @@ func (sys *System) Play(name string, script FaultScript) (Report, error) {
 	period := time.Second / time.Duration(sys.cfg.BlocksPerSecond)
 	for i := 0; i < meta.blocks; i++ {
 		for _, s := range script.Down[i] {
-			if err := sys.p.Crash(sys.p.Nodes[s]); err != nil {
+			if err := sys.p.Pause(sys.p.Nodes[s]); err != nil {
 				return rep, err
 			}
 		}
 		for _, s := range script.Up[i] {
-			if err := sys.p.Recover(sys.p.Nodes[s]); err != nil {
+			if err := sys.p.Resume(sys.p.Nodes[s]); err != nil {
 				return rep, err
 			}
 		}

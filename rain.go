@@ -126,8 +126,8 @@ func RebuildStream(code Code, target int, w io.Writer, readers []io.Reader, data
 // spread over all nodes. One reconciliation pass, pipelining several objects
 // under ClusterOptions.RebuildBudget, is the one repair path, and the
 // leader's controller is its one driver. It runs the pass when the
-// membership view settles (a crashed node's missed writes are rebuilt when
-// it returns), when a holder quarantines a corrupt shard (the scrub or a
+// membership view settles (a paused node's missed writes are rebuilt when
+// it resumes), when a holder quarantines a corrupt shard (the scrub or a
 // read found it), and when a caller asks: Rebalance is that request, and
 // ReplaceNode wipes and revives a node and makes it, the pass's delta being
 // that node's shards. See internal/core.

@@ -50,7 +50,7 @@ func TestFacadeCluster(t *testing.T) {
 	if err := cl.Put("hello", []byte("world")); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Crash("n3"); err != nil {
+	if err := cl.Pause("n3"); err != nil {
 		t.Fatal(err)
 	}
 	got, err := cl.Get("hello")
@@ -164,7 +164,7 @@ func TestFacadePlacedCluster(t *testing.T) {
 			t.Fatalf("placement of %d nodes for %s", got, id)
 		}
 	}
-	if err := cl.Crash("n7"); err != nil {
+	if err := cl.Pause("n7"); err != nil {
 		t.Fatal(err)
 	}
 	cl.Run(2 * time.Second)
